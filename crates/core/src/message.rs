@@ -8,10 +8,10 @@
 //!
 //! The paper's cost model assumes peers holding many documents combine
 //! traffic to the same destination (Sec. 4.6). [`FlushBuffer`] is the
-//! sender side of that aggregation: increments accumulate per
-//! destination peer, increments to the same document coalesce into one
-//! entry, and [`UpdateFrame`] carries the result as one multi-update
-//! wire payload instead of k single messages.
+//! specification of that aggregation's sender side: increments
+//! accumulate per destination peer, increments to the same document
+//! coalesce into one entry, and [`UpdateFrame`] carries the result as
+//! one multi-update wire payload instead of k single messages.
 
 use dpr_graph::DocId;
 use dpr_p2p::guid::Guid;
@@ -110,6 +110,12 @@ impl UpdateFrame {
 /// increment travelled alone, which is what keeps batched and
 /// unbatched runs bit-identical (see DESIGN.md "Wire protocol &
 /// aggregation").
+///
+/// `dpr-node` no longer steps through this type (it coalesces over
+/// pre-resolved link slots in a scratch shared by all nodes); the
+/// buffer stays public as the executable reference model its emit path
+/// is property-tested against, and because `perf/` and
+/// `benches/wire.rs` time it.
 #[derive(Debug, Clone, Default)]
 pub struct FlushBuffer {
     entries: Vec<RankUpdate>,

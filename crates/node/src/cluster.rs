@@ -8,7 +8,7 @@
 //! deployable shape of the algorithm — nothing in it reads global
 //! state except the test-only convergence check.
 
-use crate::node::{DeliverStatus, PeerNode, WireMode};
+use crate::node::{DeliverStatus, PeerNode, StepScratch, WireMode};
 use bytes::Bytes;
 use dpr_core::engine::EngineConfig;
 use dpr_graph::{CsrGraph, DocId};
@@ -17,6 +17,9 @@ use dpr_p2p::transport::WireCodec;
 use dpr_p2p::transport::{payload_entries, FaultPlan, TrafficStats, Transport};
 use dpr_telemetry::{Event, MassBreakdown, Metric, Recorder, NOOP};
 use std::sync::Arc;
+
+/// Cluster peers only ever send each other payloads they encoded.
+const WELL_FORMED: &str = "well-formed message from a cluster peer";
 
 /// Statistics of one cluster round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
@@ -81,6 +84,12 @@ pub struct Cluster {
     /// Monotone payload-provenance counter backing
     /// [`SendOutcome::frame`] (ids start at 1; 0 means "unknown").
     next_frame: u64,
+    /// The one set of step / delivery working memory, lent to
+    /// whichever node is stepping or receiving.
+    scratch: StepScratch,
+    /// Which peer holds each document (indexed by doc id), kept
+    /// current across departures.
+    holder_of: Vec<PeerId>,
 }
 
 impl Cluster {
@@ -112,9 +121,11 @@ impl Cluster {
         let mut nodes: Vec<PeerNode> = (0..num_peers as u32)
             .map(|i| PeerNode::with_wire(PeerId(i), cfg, wire))
             .collect();
+        let mut holder_of = Vec::with_capacity(graph.num_nodes());
         for d in 0..graph.num_nodes() {
             let doc = DocId::from(d);
             let holder = placement.owner(doc);
+            holder_of.push(holder);
             let out: Vec<(DocId, PeerId)> = graph
                 .out_neighbors(doc)
                 .iter()
@@ -129,6 +140,8 @@ impl Cluster {
             cfg,
             sent_entries_to: vec![0; num_peers],
             next_frame: 0,
+            scratch: StepScratch::default(),
+            holder_of,
         }
     }
 
@@ -206,14 +219,14 @@ impl Cluster {
             // Inbox -> local state.
             while let Some(env) = self.transport.receive(pid) {
                 self.nodes[i]
-                    .handle_message(env.payload)
-                    .expect("well-formed message from a cluster peer");
+                    .handle_message_with(&mut self.scratch, &env.payload)
+                    .expect(WELL_FORMED);
                 stats.delivered += 1;
             }
             // Local pass.
-            self.nodes[i].step_observed(rec);
+            self.nodes[i].step_with(&mut self.scratch, rec);
             // Outbox -> transport.
-            for (to, payload) in self.nodes[i].drain_outbox() {
+            for (to, payload) in self.scratch.outbox.drain(..) {
                 if let Some(model) = hops.as_deref_mut() {
                     stats.hops += model(pid, to, &payload) as u64;
                 }
@@ -242,25 +255,33 @@ impl Cluster {
                 hops: stats.hops,
                 pending,
             });
-            self.audit_round(rec);
+            self.audit_at(self.rounds as u64, rec);
         }
         stats
     }
 
-    /// Hands one payload to the transport and reports how many
-    /// envelopes actually landed in `to`'s inbox (0 after a lost
-    /// frame or park, 2 after a duplication) — the ground truth the
-    /// event-driven runtime schedules its `Deliver` events from.
+    /// Hands one payload to the transport and reports it as a
+    /// [`SendOutcome`] — with how many envelopes actually landed in
+    /// `to`'s inbox (0 after a lost frame or park, 2 after a
+    /// duplication), the ground truth the event-driven runtime
+    /// schedules its `Deliver` events from.
     fn send_counted(
         &mut self,
         peers: &PeerTable,
         from: PeerId,
         to: PeerId,
         payload: Bytes,
-    ) -> usize {
-        let before = self.transport.inbox_len(to);
+    ) -> SendOutcome {
+        let (bytes, before) = (payload.len(), self.transport.inbox_len(to));
         self.transport.send(peers, from, to, payload);
-        self.transport.inbox_len(to) - before
+        self.next_frame += 1;
+        SendOutcome {
+            from,
+            to,
+            bytes,
+            enqueued: self.transport.inbox_len(to) - before,
+            frame: self.next_frame,
+        }
     }
 
     /// Event-driven delivery: pops the next envelope `from` sent to
@@ -272,78 +293,62 @@ impl Cluster {
         let env = self.transport.receive_from(to, from)?;
         Some(
             self.nodes[to.index()]
-                .on_deliver(env.payload)
-                .expect("well-formed message from a cluster peer"),
+                .on_deliver(&mut self.scratch, &env.payload)
+                .expect(WELL_FORMED),
         )
     }
 
     /// Event-driven step of a single peer: runs one local pass and
-    /// hands the outbox to the transport, recording one
+    /// hands its payloads to the transport, recording one
     /// [`Event::FrameSent`] per payload (tagged with the runtime's
-    /// `tick` in the round field). Returns one [`SendOutcome`] per
-    /// payload so the runtime can schedule the matching `Deliver`
-    /// events on its virtual clock.
+    /// `tick` in the round field). `sent` sees one [`SendOutcome`] per
+    /// payload, in flush order, so the runtime can schedule the
+    /// matching `Deliver` events on its virtual clock.
     pub fn step_peer_observed<R: Recorder + ?Sized>(
         &mut self,
         p: PeerId,
         peers: &PeerTable,
         tick: u64,
         rec: &R,
-    ) -> Vec<SendOutcome> {
-        let i = p.index();
-        self.nodes[i].step_observed(rec);
-        let mut outcomes = Vec::new();
-        for (to, payload) in self.nodes[i].drain_outbox() {
+        mut sent: impl FnMut(SendOutcome),
+    ) {
+        self.nodes[p.index()].step_with(&mut self.scratch, rec);
+        // Taken (and handed back) so the loop may borrow all of `self`.
+        let mut outbox = std::mem::take(&mut self.scratch.outbox);
+        for (to, payload) in outbox.drain(..) {
+            let entries = payload_entries(&payload);
             if rec.enabled() {
                 rec.event(&Event::FrameSent {
                     round: tick,
                     from: p.0,
                     to: to.0,
-                    entries: payload_entries(&payload),
+                    entries,
                     bytes: payload.len() as u64,
                 });
             }
-            self.sent_entries_to[to.index()] += payload_entries(&payload);
-            let bytes = payload.len();
-            let enqueued = self.send_counted(peers, p, to, payload);
-            self.next_frame += 1;
-            outcomes.push(SendOutcome {
-                from: p,
-                to,
-                bytes,
-                enqueued,
-                frame: self.next_frame,
-            });
+            self.sent_entries_to[to.index()] += entries;
+            sent(self.send_counted(peers, p, to, payload));
         }
-        outcomes
+        self.scratch.outbox = outbox;
     }
 
     /// Applies a rank increment to a document wherever it lives — the
     /// cluster-level injection point for the continuous-update
     /// scenario (the engine-layer equivalent is
-    /// `ChaoticEngine::inject_delta`).
+    /// `ChaoticEngine::inject_delta`) — and reports which peer holds
+    /// it, so the event-driven runtime can schedule that peer's next
+    /// step.
     ///
     /// # Panics
     ///
     /// Panics if no peer stores `doc`.
-    pub fn apply_delta(&mut self, doc: DocId, delta: f64) {
-        self.apply_delta_at(doc, delta);
-    }
-
-    /// [`Cluster::apply_delta`] reporting which peer holds `doc`, so
-    /// the event-driven runtime can schedule that peer's next step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no peer stores `doc`.
-    pub fn apply_delta_at(&mut self, doc: DocId, delta: f64) -> PeerId {
-        let holder = self
-            .nodes
-            .iter()
-            .position(|n| n.rank_of(doc).is_some())
+    pub fn apply_delta(&mut self, doc: DocId, delta: f64) -> PeerId {
+        let holder = *self
+            .holder_of
+            .get(doc.index())
             .expect("document stored somewhere in the cluster");
-        self.nodes[holder].apply(doc, delta);
-        PeerId(holder as u32)
+        self.nodes[holder.index()].apply(doc, delta);
+        holder
     }
 
     /// Retries every parked payload against the current presence
@@ -369,23 +374,14 @@ impl Cluster {
             .collect()
     }
 
-    /// Emits the per-round ledgers at an explicit audit tick — the
-    /// event-driven runtime audits on a virtual-time cadence instead
-    /// of at round barriers, and stamps the ledgers with its own tick.
-    pub fn audit_at<R: Recorder + ?Sized>(&self, tick: u64, rec: &R) {
-        self.audit_round_at(tick, rec);
-    }
-
-    /// Emits the flight recorder's per-round ledgers: the mass
+    /// Emits the flight recorder's ledgers stamped `round`: the mass
     /// snapshot (every node's slab terms plus the in-flight wire mass,
     /// against one unit of Φ per stored document) and the
     /// entry-balance snapshot with the most severe per-peer skew.
-    /// O(docs + queued payloads) — only runs when observed.
-    fn audit_round<R: Recorder + ?Sized>(&self, rec: &R) {
-        self.audit_round_at(self.rounds as u64, rec);
-    }
-
-    fn audit_round_at<R: Recorder + ?Sized>(&self, round: u64, rec: &R) {
+    /// Rounds audit themselves when observed; the event-driven runtime
+    /// calls this on a virtual-time cadence with its own tick.
+    /// O(docs + queued payloads).
+    pub fn audit_at<R: Recorder + ?Sized>(&self, round: u64, rec: &R) {
         let mut mb = MassBreakdown::default();
         let (mut docs, mut emitted, mut sent, mut received) = (0usize, 0u64, 0u64, 0u64);
         for n in &self.nodes {
@@ -544,11 +540,9 @@ impl Cluster {
     /// reporting convenience — a real deployment has no such view).
     pub fn collect_ranks(&self, num_docs: usize) -> Vec<f64> {
         let mut ranks = vec![f64::NAN; num_docs];
-        for n in &self.nodes {
-            for (d, slot) in ranks.iter_mut().enumerate() {
-                if let Some(r) = n.rank_of(DocId::from(d)) {
-                    *slot = r;
-                }
+        for (doc, rank) in self.nodes.iter().flat_map(PeerNode::doc_ranks) {
+            if let Some(slot) = ranks.get_mut(doc.index()) {
+                *slot = rank;
             }
         }
         assert!(
@@ -612,6 +606,7 @@ impl Cluster {
             let to = reassign(e.doc);
             assert_ne!(to, p, "cannot reassign a document to the departed peer");
             new_home.push((e.doc, to));
+            self.holder_of[e.doc.index()] = to;
             self.nodes[to.index()].import_document(e);
         }
         // 2. Re-home out-link entries everywhere.
@@ -619,99 +614,71 @@ impl Cluster {
             node.rehome_links(p, reassign);
         }
         // 3. Redirect in-flight traffic: p's inbox plus everything
-        //    parked for p. A single's GUID (or a frame entry's tag)
-        //    names the document; its new holder is found via
-        //    `reassign`, mirroring a fresh DHT lookup. A stranded
-        //    *frame* may cover documents that re-homed to different
-        //    peers, so it is split: one frame per new holder, entries
-        //    kept in original order, each original frame split
-        //    independently (no cross-frame coalescing — the increments
-        //    were separate sends and must stay separate folds).
+        //    parked for p. A single's GUID (or a frame entry's tag or
+        //    doc id) names the document; its new holder mirrors a fresh
+        //    DHT lookup. A stranded *frame* may cover documents that
+        //    re-homed to different peers, so it is split: one frame per
+        //    new holder, entries kept in original order, each original
+        //    frame split independently (no cross-frame coalescing — the
+        //    increments were separate sends and must stay separate
+        //    folds).
         use dpr_p2p::guid::Guid;
         use dpr_p2p::transport::{
-            CompactEntry, CompactFrameWire, RankUpdateWire, UpdateFrameWire, COMPACT_MAGIC,
+            CompactFrameWire, RankUpdateWire, UpdateFrameWire, COMPACT_MAGIC,
             RANK_UPDATE_WIRE_BYTES,
         };
-        let doc_home: fxhash::FxHashMap<u32, PeerId> =
-            new_home.iter().map(|&(d, h)| (d.0, h)).collect();
-        let guid_home: fxhash::FxHashMap<u128, PeerId> = new_home
-            .iter()
-            .map(|&(d, h)| (Guid::for_document(d).0, h))
-            .collect();
-        let tag_home: fxhash::FxHashMap<u64, PeerId> = new_home
-            .iter()
-            .map(|&(d, h)| (Guid::for_document(d).frame_tag(), h))
-            .collect();
-        // Redirected entries were charged to `p` in the send-side
-        // ledger but will now be received elsewhere, so the charge
-        // moves with them — otherwise every departure would read as a
-        // permanent deficit at `p` and a surplus at each new holder.
+        const MIGRATED: &str = "stranded update must target a migrated document";
+        let mut by_guid = fxhash::FxHashMap::<u128, PeerId>::default();
+        let mut by_tag = fxhash::FxHashMap::<u64, PeerId>::default();
+        for &(d, h) in &new_home {
+            let guid = Guid::for_document(d);
+            by_guid.insert(guid.0, h);
+            by_tag.insert(guid.frame_tag(), h);
+        }
+        fn regroup<E>(split: &mut Vec<(PeerId, Vec<E>)>, holder: PeerId, e: E) {
+            match split.iter_mut().find(|(h, _)| *h == holder) {
+                Some((_, es)) => es.push(e),
+                None => split.push((holder, vec![e])),
+            }
+        }
         let mut stranded = self.transport.drain_inbox(p);
         stranded.extend(self.transport.take_pending_for(p));
         let mut redirects: Vec<SendOutcome> = Vec::new();
-        let mut redirect = |cl: &mut Self, from: PeerId, holder: PeerId, payload: Bytes| {
-            let bytes = payload.len();
-            let enqueued = cl.send_counted(peers, from, holder, payload);
-            cl.next_frame += 1;
-            redirects.push(SendOutcome {
-                from,
-                to: holder,
-                bytes,
-                enqueued,
-                frame: cl.next_frame,
-            });
-        };
         for env in stranded {
-            if env.payload.len() == RANK_UPDATE_WIRE_BYTES {
-                let wire = RankUpdateWire::decode(env.payload.clone())
-                    .expect("cluster messages are well-formed");
-                let holder = *guid_home
-                    .get(&wire.guid)
-                    .expect("stranded message must target a migrated document");
-                self.sent_entries_to[p.index()] -= 1;
-                self.sent_entries_to[holder.index()] += 1;
-                redirect(self, env.from, holder, env.payload);
+            // `(new holder, entries, payload)` per piece of this payload.
+            let pieces: Vec<(PeerId, usize, Bytes)> = if env.payload.len() == RANK_UPDATE_WIRE_BYTES
+            {
+                let wire = RankUpdateWire::parse(&env.payload).expect(WELL_FORMED);
+                vec![(*by_guid.get(&wire.guid).expect(MIGRATED), 1, env.payload)]
             } else if env.payload.first() == Some(&COMPACT_MAGIC) {
-                let wire = CompactFrameWire::decode(env.payload)
-                    .expect("cluster messages are well-formed");
-                self.sent_entries_to[p.index()] -= wire.entries.len() as u64;
-                let mut split: Vec<(PeerId, Vec<CompactEntry>)> = Vec::new();
-                for e in wire.entries {
-                    let holder = *doc_home
-                        .get(&e.doc)
-                        .expect("stranded frame entry must target a migrated document");
-                    match split.iter_mut().find(|(h, _)| *h == holder) {
-                        Some((_, es)) => es.push(e),
-                        None => split.push((holder, vec![e])),
-                    }
-                }
-                for (holder, entries) in split {
-                    self.sent_entries_to[holder.index()] += entries.len() as u64;
-                    redirect(
-                        self,
-                        env.from,
-                        holder,
-                        CompactFrameWire::new(entries).encode(),
-                    );
-                }
+                let mut split = Vec::new();
+                CompactFrameWire::visit(&env.payload, |e| {
+                    regroup(&mut split, self.holder_of[e.doc as usize], e)
+                })
+                .expect(WELL_FORMED);
+                let encode =
+                    |(h, es): (_, Vec<_>)| (h, es.len(), CompactFrameWire::new(es).encode());
+                split.into_iter().map(encode).collect()
             } else {
-                let wire =
-                    UpdateFrameWire::decode(env.payload).expect("cluster messages are well-formed");
-                self.sent_entries_to[p.index()] -= wire.entries.len() as u64;
-                let mut split: Vec<(PeerId, UpdateFrameWire)> = Vec::new();
-                for e in wire.entries {
-                    let holder = *tag_home
-                        .get(&e.tag)
-                        .expect("stranded frame entry must target a migrated document");
-                    match split.iter_mut().find(|(h, _)| *h == holder) {
-                        Some((_, f)) => f.entries.push(e),
-                        None => split.push((holder, UpdateFrameWire { entries: vec![e] })),
-                    }
-                }
-                for (holder, frame) in split {
-                    self.sent_entries_to[holder.index()] += frame.entries.len() as u64;
-                    redirect(self, env.from, holder, frame.encode());
-                }
+                let mut split = Vec::new();
+                UpdateFrameWire::visit(&env.payload, |e| {
+                    regroup(&mut split, *by_tag.get(&e.tag).expect(MIGRATED), e)
+                })
+                .expect(WELL_FORMED);
+                let encode = |(h, entries): (_, Vec<_>)| {
+                    (h, entries.len(), UpdateFrameWire { entries }.encode())
+                };
+                split.into_iter().map(encode).collect()
+            };
+            // Redirected entries were charged to `p` in the send-side
+            // ledger but will now be received elsewhere, so the charge
+            // moves with them — otherwise every departure would read as
+            // a permanent deficit at `p` and a surplus at each new
+            // holder.
+            for (holder, entries, payload) in pieces {
+                self.sent_entries_to[p.index()] -= entries as u64;
+                self.sent_entries_to[holder.index()] += entries as u64;
+                redirects.push(self.send_counted(peers, env.from, holder, payload));
             }
         }
         (migrated, redirects)
@@ -1145,7 +1112,7 @@ mod tests {
         // Event-style stepping: every peer steps once with no inbox
         // drain in between, so frames pile up undelivered.
         for p in 0..8u32 {
-            cluster.step_peer_observed(PeerId(p), &peers, 0, &NOOP);
+            cluster.step_peer_observed(PeerId(p), &peers, 0, &NOOP, |_| {});
         }
         let victim = PeerId(3);
         assert!(cluster.in_flight_entries() > 0, "frames must be in flight");
@@ -1153,7 +1120,7 @@ mod tests {
         // Another step round parks further frames for the offline
         // victim at their senders.
         for p in (0..8u32).filter(|&p| p != victim.0) {
-            cluster.step_peer_observed(PeerId(p), &peers, 1, &NOOP);
+            cluster.step_peer_observed(PeerId(p), &peers, 1, &NOOP, |_| {});
         }
 
         let before = cluster.in_flight_entries();

@@ -17,15 +17,22 @@
 //! map. The side-indexes are rebuildable from the slab alone; they are
 //! a cache, not state.
 //!
+//! A step's working memory is not the node's: coalescing, grouping,
+//! encoding and frame resolution run over a [`StepScratch`] the driver
+//! lends for the call, so what a node keeps between steps is
+//! proportional to its documents and links, never to the peer count.
+//!
 //! # Per-peer aggregation and [`WireMode`]
 //!
 //! Peers holding many documents send many updates to the same
 //! destination peer each pass (Sec. 4.6 assumes this traffic is
 //! combined). Every node therefore accumulates outbound increments
-//! per destination in a [`FlushBuffer`] during phase 2, coalescing
-//! same-document increments into one entry (added in emission order),
-//! and flushes at the end of the step. Aggregation is part of the
-//! protocol; [`WireMode`] only chooses the *wire format* of a flush:
+//! per destination during phase 2, coalescing same-document increments
+//! into one entry (added in emission order), and flushes at the end of
+//! the step — the semantics of [`dpr_core::message::FlushBuffer`], run
+//! hash-free over the out-links' pre-resolved slots. Aggregation is
+//! part of the protocol; [`WireMode`] only chooses the *wire format* of
+//! a flush:
 //!
 //! * [`WireMode::Single`] — each coalesced entry leaves as its own
 //!   24-byte `(GUID, f64)` message (the paper's wire format);
@@ -52,7 +59,7 @@
 
 use bytes::Bytes;
 use dpr_core::engine::EngineConfig;
-use dpr_core::message::{FlushBuffer, MessageError};
+use dpr_core::message::MessageError;
 use dpr_core::sched::{
     partition_by_greedy, partition_by_residual, residual_bucket, SchedMode, SchedStats,
 };
@@ -60,8 +67,8 @@ use dpr_graph::DocId;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{
-    CompactEntry, CompactFrameWire, RankUpdateWire, UpdateFrameWire, WireCodec, COMPACT_MAGIC,
-    RANK_UPDATE_WIRE_BYTES,
+    max_entries_for, CompactEntry, CompactFrameWire, FrameEntry, RankUpdateWire, UpdateFrameWire,
+    WireCodec, COMPACT_MAGIC, RANK_UPDATE_WIRE_BYTES,
 };
 use dpr_telemetry::{Metric, Recorder, NOOP};
 use fxhash::FxHashMap;
@@ -72,9 +79,9 @@ use std::cmp::Reverse;
 pub enum WireMode {
     /// One 24-byte message per update (the paper's baseline).
     Single,
-    /// Per-destination aggregation: updates accumulate in flush
-    /// buffers and leave as multi-update frames of at most
-    /// `max_frame_bytes` each at the end of every step.
+    /// Per-destination aggregation: updates accumulate during the step
+    /// and leave as multi-update frames of at most `max_frame_bytes`
+    /// each at its end.
     Frames {
         /// Size cap per frame, in wire bytes (at least one entry is
         /// always allowed).
@@ -111,17 +118,23 @@ pub enum DeliverStatus {
     Saturated,
 }
 
-/// Sentinel slot for out-links whose target lives on another peer.
-const REMOTE: u32 = u32::MAX;
-
 /// One out-link: the target document, the peer holding it (the
-/// Sec. 3.2 address-cache entry), and — when that peer is this node —
-/// the target's slab slot, so same-peer updates skip the index.
+/// Sec. 3.2 address-cache entry), and the resolved `slot` — the target's
+/// slab slot if held here, else its index in `PeerNode::remote`.
 #[derive(Debug, Clone, Copy)]
 struct OutLink {
     target: DocId,
     holder: PeerId,
-    local_slot: u32,
+    slot: u32,
+}
+
+/// One distinct remote `(target, holder)` of a node's out-links, with
+/// the target's cached [`Guid::frame_tag`].
+#[derive(Debug, Clone, Copy)]
+struct RemoteTarget {
+    doc: DocId,
+    holder: PeerId,
+    tag: u64,
 }
 
 /// Per-document protocol state, one slab slot each.
@@ -145,10 +158,10 @@ pub struct NodeStats {
     /// Rank updates received over the wire and applied (frame entries
     /// count individually).
     pub received: u64,
-    /// Rank updates put on the wire — coalesced flush-buffer entries,
-    /// whether they travelled as singles or frame entries. Conserved
-    /// against `received` (Safra's termination detection counts on
-    /// this invariant).
+    /// Rank updates put on the wire — coalesced entries, whether they
+    /// travelled as singles or frame entries. Conserved against
+    /// `received` (Safra's termination detection counts on this
+    /// invariant).
     pub sent_remote: u64,
     /// Remote link emissions before coalescing — the number of wire
     /// messages the paper's one-message-per-update model would have
@@ -164,6 +177,96 @@ pub struct NodeStats {
     /// pushed this node to (high-water mark of the bounded inbox;
     /// always zero under round-driven stepping).
     pub inbox_hwm: u64,
+}
+
+/// The working memory of one step or delivery, lent by the driver: a
+/// [`Cluster`](crate::cluster::Cluster) keeps one set, grown to its
+/// largest node's needs and reused by every node in turn, so a
+/// steady-state step allocates only the payloads it sends. The
+/// coalescing table is indexed by the stepping node's dense remote
+/// slots and the grouping table by peer id (nothing is hashed), and both
+/// are epoch-stamped (nothing is cleared between steps).
+#[derive(Debug, Default)]
+pub struct StepScratch {
+    epoch: u64,
+    /// This step's selected slots, the documents that re-advertise,
+    /// and the selective schedulers' buffers.
+    work: Vec<u32>,
+    senders: Vec<(u32, f64)>,
+    deferred: Vec<u32>,
+    buckets: Vec<u8>,
+    keys: Vec<(u64, u32)>,
+    /// Coalesced `(remote slot, increment)` pairs in first-emission
+    /// order, and per remote slot `(stamp, index of its pair)`.
+    emitted: Vec<(u32, f64)>,
+    coalesced: Vec<(u64, u32)>,
+    /// Per destination peer `(stamp, pairs this step)`; the touched
+    /// ones in first-touch order; `emitted` regrouped by destination.
+    dests: Vec<(u64, u32)>,
+    dest_order: Vec<PeerId>,
+    grouped: Vec<(u32, f64)>,
+    /// Encoding stage: one payload's bytes, one compact frame's entries.
+    wire: Vec<u8>,
+    compact: Vec<CompactEntry>,
+    /// A received frame's `(slot, delta)` pairs, staged until the
+    /// whole frame has validated and resolved.
+    resolved: Vec<(u32, f64)>,
+    /// Dedup index, live only while a node re-resolves its links.
+    remote_ix: FxHashMap<(DocId, PeerId), u32>,
+    /// The step's payloads, in flush order; the driver drains it.
+    pub outbox: Vec<(PeerId, Bytes)>,
+}
+
+impl StepScratch {
+    /// Opens a fresh epoch over `targets` remote slots.
+    fn begin(&mut self, targets: usize) {
+        self.epoch += 1;
+        if self.coalesced.len() < targets {
+            self.coalesced.resize(targets, (0, 0));
+        }
+        self.emitted.clear();
+        self.dest_order.clear();
+    }
+
+    /// Adds one increment to remote slot `target`'s pair, created (and
+    /// counted against its destination) on first touch.
+    fn emit(&mut self, target: u32, remote: &[RemoteTarget], delta: f64) {
+        let at = &mut self.coalesced[target as usize];
+        if at.0 == self.epoch {
+            self.emitted[at.1 as usize].1 += delta;
+            return;
+        }
+        *at = (self.epoch, self.emitted.len() as u32);
+        self.emitted.push((target, delta));
+        let dest = remote[target as usize].holder;
+        if self.dests.len() <= dest.index() {
+            self.dests.resize(dest.index() + 1, (0, 0));
+        }
+        let run = &mut self.dests[dest.index()];
+        if run.0 != self.epoch {
+            *run = (self.epoch, 0);
+            self.dest_order.push(dest);
+        }
+        run.1 += 1;
+    }
+
+    /// Regroups `emitted` by destination — destinations in first-touch
+    /// order, pairs within one in first-emission order — leaving each
+    /// touched destination's *end* offset into `grouped` in `dests`.
+    fn group(&mut self, remote: &[RemoteTarget]) {
+        let mut start = 0;
+        for dest in &self.dest_order {
+            let run = &mut self.dests[dest.index()];
+            (run.1, start) = (start, start + run.1);
+        }
+        self.grouped.clear();
+        self.grouped.resize(self.emitted.len(), (0, 0.0));
+        for &pair in &self.emitted {
+            let next = &mut self.dests[remote[pair.0 as usize].holder.index()].1;
+            self.grouped[*next as usize] = pair;
+            *next += 1;
+        }
+    }
 }
 
 /// One peer of the P2P system, executing Fig. 1 locally.
@@ -182,26 +285,20 @@ pub struct PeerNode {
     guid_index: FxHashMap<Guid, u32>,
     /// Frame-entry demultiplexer: 64-bit tag -> slab slot.
     tag_index: FxHashMap<u64, u32>,
-    /// Set when slab membership or link holders changed; the cached
-    /// `local_slot` of every out-link is recomputed on the next step.
+    /// Set when slab membership or link holders changed; the links'
+    /// resolved form is rebuilt on the next step.
     links_dirty: bool,
+    /// The distinct remote targets of the out-links (rebuildable, like
+    /// the indexes above).
+    remote: Vec<RemoteTarget>,
     /// Slots with queued work, processed on the next step.
     dirty: Vec<u32>,
-    /// Reusable buffers for the priority / greedy selection.
-    scratch_deferred: Vec<u32>,
-    scratch_buckets: Vec<u8>,
-    scratch_keys: Vec<(u64, u32)>,
-    /// Per-destination aggregation buffers, indexed by destination
-    /// peer id (grown on first touch; empty between steps but keeping
-    /// their capacity, so the steady state never allocates).
-    flush: Vec<FlushBuffer>,
-    /// Destinations touched this step, in first-touch order.
-    flush_order: Vec<PeerId>,
+    /// Payloads of standalone [`PeerNode::step`] calls, until drained.
     outbox: Vec<(PeerId, Bytes)>,
     stats: NodeStats,
     /// Payloads folded in since the last step — the event runtime's
     /// bounded-inbox depth. Always zero under round-driven stepping
-    /// (rounds deliver through [`PeerNode::handle_message`] directly).
+    /// (rounds deliver through [`PeerNode::handle_message_with`]).
     arrivals_since_step: u32,
     /// Cumulative advertised delta of dangling (out-degree 0)
     /// documents — the damping sink's term of the flight recorder's
@@ -228,12 +325,8 @@ impl PeerNode {
             guid_index: FxHashMap::default(),
             tag_index: FxHashMap::default(),
             links_dirty: false,
+            remote: Vec::new(),
             dirty: Vec::new(),
-            scratch_deferred: Vec::new(),
-            scratch_buckets: Vec::new(),
-            scratch_keys: Vec::new(),
-            flush: Vec::new(),
-            flush_order: Vec::new(),
             outbox: Vec::new(),
             stats: NodeStats::default(),
             arrivals_since_step: 0,
@@ -311,21 +404,7 @@ impl PeerNode {
     /// Panics if the document is already stored here.
     pub fn add_document(&mut self, doc: DocId, out: Vec<(DocId, PeerId)>) {
         let base = 1.0 - self.cfg.damping;
-        let slot = self.insert_slot(DocState {
-            doc,
-            rank: 0.0,
-            advertised: 0.0,
-            pending: base,
-            queued: true,
-            out: out
-                .into_iter()
-                .map(|(target, holder)| OutLink {
-                    target,
-                    holder,
-                    local_slot: REMOTE,
-                })
-                .collect(),
-        });
+        let slot = self.insert_slot(doc, 0.0, 0.0, base, true, out);
         self.dirty.push(slot);
     }
 
@@ -333,8 +412,15 @@ impl PeerNode {
     /// rejecting duplicates and the ~2^-64 event of a same-peer 64-bit
     /// frame-tag collision (a colliding frame entry would silently
     /// credit the wrong document).
-    fn insert_slot(&mut self, state: DocState) -> u32 {
-        let doc = state.doc;
+    fn insert_slot(
+        &mut self,
+        doc: DocId,
+        rank: f64,
+        advertised: f64,
+        pending: f64,
+        queued: bool,
+        out: Vec<(DocId, PeerId)>,
+    ) -> u32 {
         let slot = self.slots.len() as u32;
         let prev = self.doc_index.insert(doc, slot);
         assert!(
@@ -351,29 +437,51 @@ impl PeerNode {
             self.slots[prev_tag.unwrap() as usize].doc,
             self.id
         );
-        self.slots.push(state);
+        self.slots.push(DocState {
+            doc,
+            rank,
+            advertised,
+            pending,
+            queued,
+            out: out
+                .into_iter()
+                .map(|(target, holder)| OutLink {
+                    target,
+                    holder,
+                    slot: u32::MAX,
+                })
+                .collect(),
+        });
         self.links_dirty = true;
         slot
     }
 
-    /// Recomputes the cached local slot of every out-link — runs at
-    /// the start of the next step after slab membership or link
-    /// holders changed, restoring the no-hash-lookup emit path.
-    fn resolve_links(&mut self) {
+    /// Rebuilds the resolved form of every out-link — runs at the
+    /// start of the next step after slab membership or link holders
+    /// changed, restoring the no-hash-lookup emit path.
+    fn resolve_links(&mut self, sc: &mut StepScratch) {
         self.links_dirty = false;
-        let doc_index = &self.doc_index;
-        let id = self.id;
-        for state in &mut self.slots {
-            for link in &mut state.out {
-                link.local_slot = if link.holder == id {
-                    *doc_index
-                        .get(&link.target)
-                        .expect("locally-held link target stored on this peer")
-                } else {
-                    REMOTE
-                };
-            }
+        let (id, doc_index, remote) = (self.id, &self.doc_index, &mut self.remote);
+        remote.clear();
+        for link in self.slots.iter_mut().flat_map(|s| s.out.iter_mut()) {
+            link.slot = if link.holder == id {
+                *doc_index
+                    .get(&link.target)
+                    .expect("locally-held link target stored on this peer")
+            } else {
+                let key = (link.target, link.holder);
+                *sc.remote_ix.entry(key).or_insert_with(|| {
+                    remote.push(RemoteTarget {
+                        doc: link.target,
+                        holder: link.holder,
+                        tag: Guid::for_document(link.target).frame_tag(),
+                    });
+                    remote.len() as u32 - 1
+                })
+            };
         }
+        remote.shrink_to_fit();
+        sc.remote_ix.clear();
     }
 
     /// Current rank of a local document, if stored here.
@@ -383,93 +491,76 @@ impl PeerNode {
             .map(|&s| self.slots[s as usize].rank)
     }
 
-    /// Handles one incoming wire payload: a 24-byte payload is a
-    /// single `(GUID, f64)` update; otherwise the first byte selects
-    /// the frame codec ([`COMPACT_MAGIC`] ⇒ compact, else raw — raw
-    /// frame lengths are `4 + 16k`, never 24, and compact frames pad
-    /// away from 24, so the dispatch is unambiguous).
+    /// Every stored document with its current rank, in slab order.
+    pub fn doc_ranks(&self) -> impl Iterator<Item = (DocId, f64)> + '_ {
+        self.slots.iter().map(|s| (s.doc, s.rank))
+    }
+
+    /// [`PeerNode::handle_message_with`] with a scratch of its own.
     pub fn handle_message(&mut self, payload: Bytes) -> Result<(), MessageError> {
-        if payload.len() == RANK_UPDATE_WIRE_BYTES {
-            self.handle_single(payload)
+        self.handle_message_with(&mut StepScratch::default(), &payload)
+    }
+
+    /// Handles one incoming wire payload in place: a 24-byte payload
+    /// is a single `(GUID, f64)` update; otherwise the first byte
+    /// selects the frame codec ([`COMPACT_MAGIC`] ⇒ compact, else raw —
+    /// raw frame lengths are `4 + 16k`, never 24, and compact frames
+    /// pad away from 24, so the dispatch is unambiguous).
+    ///
+    /// A frame is atomic: every entry must validate and resolve before
+    /// any is applied (a malformed payload outranks an unknown
+    /// document); then they fold into `pending` in entry order, one
+    /// addition per entry, compact values widened `f32 → f64`.
+    pub fn handle_message_with(
+        &mut self,
+        sc: &mut StepScratch,
+        payload: &[u8],
+    ) -> Result<(), MessageError> {
+        sc.resolved.clear();
+        let (resolved, mut unknown) = (&mut sc.resolved, None);
+        let walked = if payload.len() == RANK_UPDATE_WIRE_BYTES {
+            RankUpdateWire::parse(payload).map(|w| match self.guid_index.get(&Guid(w.guid)) {
+                Some(&slot) => resolved.push((slot, w.value)),
+                None => unknown = Some(MessageError::UnknownGuid(Guid(w.guid))),
+            })
         } else if payload.first() == Some(&COMPACT_MAGIC) {
-            self.handle_compact(payload)
+            CompactFrameWire::visit(payload, |e| match self.doc_index.get(&DocId(e.doc)) {
+                Some(&slot) => resolved.push((slot, f64::from(e.value))),
+                None => {
+                    let guid = Guid::for_document(DocId(e.doc));
+                    unknown.get_or_insert(MessageError::UnknownGuid(guid));
+                }
+            })
         } else {
-            self.handle_frame(payload)
-        }
-    }
-
-    /// Handles one 24-byte single-update message, resolving the GUID
-    /// straight to a slab slot.
-    fn handle_single(&mut self, payload: Bytes) -> Result<(), MessageError> {
-        let wire = RankUpdateWire::decode(payload).map_err(|e| {
-            self.stats.rejected += 1;
-            MessageError::Wire(e)
-        })?;
-        let Some(&slot) = self.guid_index.get(&Guid(wire.guid)) else {
-            self.stats.rejected += 1;
-            return Err(MessageError::UnknownGuid(Guid(wire.guid)));
+            UpdateFrameWire::visit(payload, |e| match self.tag_index.get(&e.tag) {
+                Some(&slot) => resolved.push((slot, e.value)),
+                None => {
+                    unknown.get_or_insert(MessageError::UnknownTag(e.tag));
+                }
+            })
         };
-        self.apply_slot(slot, wire.value);
-        self.stats.received += 1;
-        Ok(())
-    }
-
-    /// Handles one multi-update frame: all entries must resolve before
-    /// any is applied (a frame is atomic), then they fold into
-    /// `pending` in entry order — the same one-addition-per-entry fold
-    /// the entries would have produced as single messages.
-    fn handle_frame(&mut self, payload: Bytes) -> Result<(), MessageError> {
-        let wire = UpdateFrameWire::decode(payload).map_err(|e| {
+        if let Some(err) = walked.err().map(MessageError::Wire).or(unknown) {
             self.stats.rejected += 1;
-            MessageError::Wire(e)
-        })?;
-        let mut resolved: Vec<(u32, f64)> = Vec::with_capacity(wire.entries.len());
-        for e in &wire.entries {
-            let Some(&slot) = self.tag_index.get(&e.tag) else {
-                self.stats.rejected += 1;
-                return Err(MessageError::UnknownTag(e.tag));
-            };
-            resolved.push((slot, e.value));
+            return Err(err);
         }
-        self.stats.received += resolved.len() as u64;
-        for (slot, delta) in resolved {
+        self.stats.received += sc.resolved.len() as u64;
+        for &(slot, delta) in &sc.resolved {
             self.apply_slot(slot, delta);
         }
         Ok(())
     }
 
-    /// Handles one compact frame: entries resolve by doc id through
-    /// the doc index (all-or-nothing, like raw frames), then fold into
-    /// `pending` in entry order with values widened `f32 → f64`.
-    fn handle_compact(&mut self, payload: Bytes) -> Result<(), MessageError> {
-        let wire = CompactFrameWire::decode(payload).map_err(|e| {
-            self.stats.rejected += 1;
-            MessageError::Wire(e)
-        })?;
-        let mut resolved: Vec<(u32, f64)> = Vec::with_capacity(wire.entries.len());
-        for e in &wire.entries {
-            let Some(&slot) = self.doc_index.get(&DocId(e.doc)) else {
-                self.stats.rejected += 1;
-                return Err(MessageError::UnknownGuid(Guid::for_document(DocId(e.doc))));
-            };
-            resolved.push((slot, f64::from(e.value)));
-        }
-        self.stats.received += resolved.len() as u64;
-        for (slot, delta) in resolved {
-            self.apply_slot(slot, delta);
-        }
-        Ok(())
-    }
-
-    /// Event-driven delivery: folds one wire payload in (exactly as
-    /// [`PeerNode::handle_message`] would) and tracks the bounded
-    /// un-stepped arrival depth. Returns [`DeliverStatus::Saturated`]
-    /// once [`DEFAULT_INBOX_CAP`] payloads have arrived since the last
-    /// step — the backpressure signal telling the event runtime to
-    /// step this node immediately instead of letting its coalescing
-    /// window stretch.
-    pub fn on_deliver(&mut self, payload: Bytes) -> Result<DeliverStatus, MessageError> {
-        self.handle_message(payload)?;
+    /// Event-driven delivery: [`PeerNode::handle_message_with`] plus
+    /// the bounded un-stepped arrival depth. Returns
+    /// [`DeliverStatus::Saturated`] once [`DEFAULT_INBOX_CAP`] payloads
+    /// have arrived since the last step — the backpressure signal to
+    /// step this node now instead of stretching its coalescing window.
+    pub fn on_deliver(
+        &mut self,
+        sc: &mut StepScratch,
+        payload: &[u8],
+    ) -> Result<DeliverStatus, MessageError> {
+        self.handle_message_with(sc, payload)?;
         self.arrivals_since_step += 1;
         self.stats.inbox_hwm = self.stats.inbox_hwm.max(self.arrivals_since_step as u64);
         if self.arrivals_since_step as usize >= DEFAULT_INBOX_CAP {
@@ -507,78 +598,71 @@ impl PeerNode {
         !self.dirty.is_empty()
     }
 
-    /// Takes this step's work from the dirty queue. Under
-    /// [`SchedMode::Pass`] that is the whole queue; under
-    /// [`SchedMode::Priority`] the highest-residual whole buckets
-    /// meeting the budget, ordered highest bucket first (ties by slot)
-    /// so flush buffers fill with high-value increments first; under
+    /// Swaps this step's work out of the dirty queue into `sc.work`
+    /// (neither side re-grows). Under [`SchedMode::Pass`] that is the whole
+    /// queue; under [`SchedMode::Priority`] the highest-residual whole
+    /// buckets meeting the budget, ordered highest bucket first (ties
+    /// by slot) so flushes fill with high-value increments first; under
     /// [`SchedMode::Greedy`] the matching-pursuit prefix, already in
     /// score-descending order for the same flush-fill property.
-    /// Deferred slots are parked in `scratch_deferred` with their
-    /// pending mass untouched.
-    fn take_step_work(&mut self) -> (Vec<u32>, SchedStats) {
-        let mut work = std::mem::take(&mut self.dirty);
+    /// Deferred slots are parked in `sc.deferred` with their pending
+    /// mass untouched.
+    fn take_step_work(&mut self, sc: &mut StepScratch) -> SchedStats {
+        debug_assert!(sc.work.is_empty() && sc.deferred.is_empty());
+        std::mem::swap(&mut self.dirty, &mut sc.work);
+        let work = &mut sc.work;
         if self.cfg.sched == SchedMode::Pass {
-            let queued = work.len();
-            return (work, SchedStats::full_sweep(queued));
+            return SchedStats::full_sweep(work.len());
         }
         // Canonical order: the selection must be a function of the
         // dirty *set*, not of arrival order (see sched module docs).
         work.sort_unstable();
-        let mut deferred = std::mem::take(&mut self.scratch_deferred);
         let slots = &self.slots;
         let residual = |s: u32| {
             let d = &slots[s as usize];
             d.pending + d.rank - d.advertised
         };
-        let sel = match self.cfg.sched {
+        match self.cfg.sched {
             SchedMode::Pass => unreachable!("handled above"),
             SchedMode::Priority => {
-                let mut scratch = std::mem::take(&mut self.scratch_buckets);
-                let sel = partition_by_residual(&mut work, &mut deferred, &mut scratch, residual);
+                let sel = partition_by_residual(work, &mut sc.deferred, &mut sc.buckets, residual);
                 work.sort_by_cached_key(|&s| (Reverse(residual_bucket(residual(s))), s));
-                self.scratch_buckets = scratch;
                 sel
             }
             SchedMode::Greedy => {
-                let mut keys = std::mem::take(&mut self.scratch_keys);
-                let sel = partition_by_greedy(&mut work, &mut deferred, &mut keys, residual, |s| {
+                partition_by_greedy(work, &mut sc.deferred, &mut sc.keys, residual, |s| {
                     slots[s as usize].out.len()
-                });
-                self.scratch_keys = keys;
-                sel
+                })
             }
-        };
-        self.scratch_deferred = deferred;
-        (work, sel)
+        }
+    }
+
+    /// [`PeerNode::step_with`] with a scratch of its own, the payloads
+    /// left for [`PeerNode::drain_outbox`]: a node outside any cluster.
+    pub fn step(&mut self) {
+        let mut sc = StepScratch::default();
+        self.step_with(&mut sc, &NOOP);
+        self.outbox.append(&mut sc.outbox);
     }
 
     /// One local pass: apply every selected pending increment, then
     /// emit updates for documents whose rank moved more than ε. Remote
-    /// emissions accumulate in per-destination flush buffers
-    /// (coalescing same-document increments) and leave in the outbox
-    /// at pass end — one 24-byte message per coalesced entry in
-    /// [`WireMode::Single`], packed multi-update frames in
+    /// emissions coalesce per target and group per destination in
+    /// `sc`, and leave in `sc.outbox` at pass end — one 24-byte message
+    /// per coalesced entry in [`WireMode::Single`], packed frames in
     /// [`WireMode::Frames`]. Same-peer updates are applied directly
     /// (visible on the *next* step, matching the engine's two-phase
-    /// pass).
-    pub fn step(&mut self) {
-        self.step_observed(&NOOP)
-    }
-
-    /// [`PeerNode::step`] recording telemetry: the flush-occupancy
-    /// distribution (coalesced entries per destination buffer at flush
-    /// time — the live view of how much aggregation is buying), the
-    /// remote/local/frame counters, and under priority scheduling the
-    /// queue-depth / deferral / budget series. With the no-op recorder
-    /// this *is* `step` — the protocol state machine never sees `rec`.
-    pub fn step_observed<R: Recorder + ?Sized>(&mut self, rec: &R) {
+    /// pass). `rec` sees the flush-occupancy distribution (coalesced
+    /// entries per destination), the remote/local/frame counters and
+    /// the selective schedulers' queue series; the protocol never
+    /// sees `rec`.
+    pub fn step_with<R: Recorder + ?Sized>(&mut self, sc: &mut StepScratch, rec: &R) {
         if self.links_dirty {
-            self.resolve_links();
+            self.resolve_links(sc);
         }
         self.arrivals_since_step = 0;
         let before = self.stats;
-        let (work, sel) = self.take_step_work();
+        let sel = self.take_step_work(sc);
         if rec.enabled() && self.cfg.sched.is_selective() {
             rec.observe(Metric::SchedQueueDepth, sel.queued);
             rec.observe(Metric::SchedDeferredDocs, sel.deferred);
@@ -588,8 +672,8 @@ impl PeerNode {
             );
         }
         // Phase 1: apply.
-        let mut senders: Vec<(u32, f64)> = Vec::new();
-        for &slot in &work {
+        sc.senders.clear();
+        for &slot in &sc.work {
             let state = &mut self.slots[slot as usize];
             state.queued = false;
             let delta = std::mem::take(&mut state.pending);
@@ -597,82 +681,79 @@ impl PeerNode {
             let rel =
                 (state.rank - state.advertised).abs() / state.rank.abs().max(f64::MIN_POSITIVE);
             if rel > self.cfg.epsilon {
-                senders.push((slot, state.rank));
+                sc.senders.push((slot, state.rank));
             }
         }
+        sc.work.clear();
         // Phase 2: send.
-        for (slot, rank) in senders {
-            let i = slot as usize;
-            if self.slots[i].out.is_empty() {
-                self.dangling_advertised += rank - self.slots[i].advertised;
-                self.slots[i].advertised = rank;
+        sc.begin(self.remote.len());
+        for k in 0..sc.senders.len() {
+            let (slot, rank) = sc.senders[k];
+            let state = &mut self.slots[slot as usize];
+            let moved = rank - state.advertised;
+            state.advertised = rank;
+            if state.out.is_empty() {
+                self.dangling_advertised += moved;
                 continue;
             }
-            let send = self.cfg.damping * (rank - self.slots[i].advertised)
-                / self.slots[i].out.len() as f64;
-            self.slots[i].advertised = rank;
-            let out = std::mem::take(&mut self.slots[i].out);
+            let send = self.cfg.damping * moved / state.out.len() as f64;
+            let out = std::mem::take(&mut state.out);
             for link in &out {
                 if link.holder == self.id {
-                    self.apply_slot(link.local_slot, send);
+                    self.apply_slot(link.slot, send);
                     self.stats.local_updates += 1;
                 } else {
-                    let di = link.holder.index();
-                    if di >= self.flush.len() {
-                        self.flush.resize_with(di + 1, FlushBuffer::default);
-                    }
-                    let buf = &mut self.flush[di];
-                    if buf.is_empty() {
-                        self.flush_order.push(link.holder);
-                    }
-                    buf.push(link.target, send);
+                    sc.emit(link.slot, &self.remote, send);
                     self.stats.emitted_remote += 1;
                 }
             }
-            self.slots[i].out = out;
+            self.slots[slot as usize].out = out;
         }
         // Deferred documents rejoin the queue behind any work phase 2
         // freshly produced; they kept `queued` and their pending mass.
-        let mut deferred = std::mem::take(&mut self.scratch_deferred);
-        self.dirty.append(&mut deferred);
-        self.scratch_deferred = deferred;
+        self.dirty.append(&mut sc.deferred);
         // Phase 3: flush-on-pass-end. Destinations leave in
         // first-touch order, entries within a destination in
         // first-emission order — the canonical fold order both wire
         // formats serialize.
-        for dst in std::mem::take(&mut self.flush_order) {
-            let buf = &mut self.flush[dst.index()];
+        sc.group(&self.remote);
+        let (remote, mut start) = (&self.remote, 0);
+        for &to in &sc.dest_order {
+            let end = sc.dests[to.index()].1 as usize;
+            let run = &sc.grouped[std::mem::replace(&mut start, end)..end];
             if rec.enabled() {
-                rec.observe(Metric::FlushOccupancy, buf.len() as u64);
+                rec.observe(Metric::FlushOccupancy, run.len() as u64);
             }
+            self.stats.sent_remote += run.len() as u64;
             match self.wire {
-                WireMode::Single => {
-                    for frame in buf.flush(usize::MAX) {
-                        self.stats.sent_remote += frame.updates.len() as u64;
-                        for u in frame.updates {
-                            self.outbox.push((dst, u.to_wire().encode()));
-                        }
-                    }
-                }
+                WireMode::Single => sc.outbox.extend(run.iter().map(|&(t, value)| {
+                    let guid = Guid::for_document(remote[t as usize].doc).0;
+                    (to, RankUpdateWire { guid, value }.encode())
+                })),
+                // The size cap splits an oversized run.
                 WireMode::Frames { max_frame_bytes } => {
-                    for frame in buf.flush(max_frame_bytes) {
-                        self.stats.sent_remote += frame.updates.len() as u64;
+                    for frame in run.chunks(max_entries_for(max_frame_bytes)) {
                         let payload = match self.codec {
-                            WireCodec::Raw => frame.to_wire().encode(),
-                            WireCodec::Compact => CompactFrameWire::new(
-                                frame
-                                    .updates
-                                    .iter()
-                                    .map(|u| CompactEntry {
-                                        doc: u.doc.0,
-                                        value: u.delta as f32,
-                                    })
-                                    .collect(),
-                            )
-                            .encode(),
+                            WireCodec::Raw => UpdateFrameWire::encode_entries(
+                                &mut sc.wire,
+                                frame.iter().map(|&(t, value)| FrameEntry {
+                                    tag: remote[t as usize].tag,
+                                    value,
+                                }),
+                            ),
+                            WireCodec::Compact => {
+                                sc.compact.clear();
+                                sc.compact
+                                    .extend(frame.iter().map(|&(t, value)| CompactEntry {
+                                        doc: remote[t as usize].doc.0,
+                                        value: value as f32,
+                                    }));
+                                sc.compact.sort_unstable_by_key(|e| e.doc);
+                                CompactFrameWire::encode_entries(&mut sc.wire, &sc.compact)
+                            }
                         };
-                        self.outbox.push((dst, payload));
                         self.stats.frames_sent += 1;
+                        sc.outbox.push((to, payload));
                     }
                 }
             }
@@ -693,7 +774,8 @@ impl PeerNode {
         }
     }
 
-    /// Drains the outbox: `(destination peer, encoded message)` pairs.
+    /// Drains the outbox of standalone [`PeerNode::step`] calls:
+    /// `(destination peer, encoded message)` pairs.
     pub fn drain_outbox(&mut self) -> Vec<(PeerId, Bytes)> {
         std::mem::take(&mut self.outbox)
     }
@@ -704,7 +786,6 @@ impl PeerNode {
     /// in-progress rank state, to their new DHT owners).
     pub fn export_documents(&mut self) -> Vec<DocExport> {
         self.dirty.clear();
-        self.scratch_deferred.clear();
         self.doc_index.clear();
         self.guid_index.clear();
         self.tag_index.clear();
@@ -734,21 +815,7 @@ impl PeerNode {
             out,
         } = export;
         let queued = pending != 0.0;
-        let slot = self.insert_slot(DocState {
-            doc,
-            rank,
-            advertised,
-            pending,
-            queued,
-            out: out
-                .into_iter()
-                .map(|(target, holder)| OutLink {
-                    target,
-                    holder,
-                    local_slot: REMOTE,
-                })
-                .collect(),
-        });
+        let slot = self.insert_slot(doc, rank, advertised, pending, queued, out);
         if queued {
             self.dirty.push(slot);
         }
@@ -986,9 +1053,10 @@ mod tests {
         let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
         n.add_document(DocId(2), vec![]);
         n.step(); // absorb base
+        let mut sc = StepScratch::default();
         for i in 0..DEFAULT_INBOX_CAP {
             let wire = RankUpdate::new(DocId(2), 1e-3).to_wire().encode();
-            let status = n.on_deliver(wire).unwrap();
+            let status = n.on_deliver(&mut sc, &wire).unwrap();
             if i + 1 < DEFAULT_INBOX_CAP {
                 assert_eq!(status, DeliverStatus::Accepted, "arrival {i}");
             } else {
@@ -999,7 +1067,10 @@ mod tests {
         n.step();
         assert_eq!(n.arrival_depth(), 0, "step resets the arrival bound");
         let wire = RankUpdate::new(DocId(2), 1e-3).to_wire().encode();
-        assert_eq!(n.on_deliver(wire).unwrap(), DeliverStatus::Accepted);
+        assert_eq!(
+            n.on_deliver(&mut sc, &wire).unwrap(),
+            DeliverStatus::Accepted
+        );
         // Every delivery was folded in: received counts all of them.
         assert_eq!(n.stats().received, DEFAULT_INBOX_CAP as u64 + 1);
     }
@@ -1109,5 +1180,235 @@ mod tests {
             m.step();
         }
         assert!((m.rank_of(DocId(7)).unwrap() - 32.15).abs() < 1e-9);
+    }
+    /// The pre-scratch node as a reference model: phase 1 and the send
+    /// arithmetic spelled out, every emission pushed into one
+    /// [`FlushBuffer`] per destination peer, flushed in first-touch
+    /// order through the `UpdateFrame` / `*Wire` intermediates.
+    /// `(rank, advertised, pending, out-links)` of one document.
+    type ModelDoc = (f64, f64, f64, Vec<(DocId, PeerId)>);
+
+    struct ModelNode {
+        wire: WireMode,
+        codec: WireCodec,
+        docs: Vec<ModelDoc>,
+        stats: NodeStats,
+    }
+
+    impl ModelNode {
+        fn step(&mut self, eps: f64) -> Vec<(PeerId, Bytes)> {
+            use dpr_core::message::FlushBuffer;
+            let mut flush: std::collections::HashMap<PeerId, FlushBuffer> = Default::default();
+            let mut order = Vec::new();
+            for (rank, advertised, pending, out) in &mut self.docs {
+                *rank += std::mem::take(pending);
+                let rel = (*rank - *advertised).abs() / rank.abs().max(f64::MIN_POSITIVE);
+                if rel <= eps || out.is_empty() {
+                    continue;
+                }
+                let send = 0.85 * (*rank - *advertised) / out.len() as f64;
+                *advertised = *rank;
+                for &(target, holder) in out.iter() {
+                    let buf = flush.entry(holder).or_default();
+                    if buf.is_empty() {
+                        order.push(holder);
+                    }
+                    buf.push(target, send);
+                    self.stats.emitted_remote += 1;
+                }
+            }
+            let mut outbox = Vec::new();
+            for dst in order {
+                let buf = flush.get_mut(&dst).unwrap();
+                let cap = match self.wire {
+                    WireMode::Single => usize::MAX,
+                    WireMode::Frames { max_frame_bytes } => max_frame_bytes,
+                };
+                for frame in buf.flush(cap) {
+                    self.stats.sent_remote += frame.updates.len() as u64;
+                    match (self.wire, self.codec) {
+                        (WireMode::Single, _) => {
+                            for u in &frame.updates {
+                                outbox.push((dst, u.to_wire().encode()));
+                            }
+                            continue;
+                        }
+                        (_, WireCodec::Raw) => outbox.push((dst, frame.to_wire().encode())),
+                        (_, WireCodec::Compact) => {
+                            let entries = frame.updates.iter().map(|u| CompactEntry {
+                                doc: u.doc.0,
+                                value: u.delta as f32,
+                            });
+                            outbox.push((dst, CompactFrameWire::new(entries.collect()).encode()));
+                        }
+                    }
+                    self.stats.frames_sent += 1;
+                }
+            }
+            outbox
+        }
+    }
+
+    proptest::proptest! {
+        /// The scratch emit path against the `FlushBuffer` model: same
+        /// destination order, entry order, value bits and frame split
+        /// points — byte-identical payloads — for arbitrary link
+        /// shapes and frame caps (the 1-entry cap included), in both
+        /// wire modes and both codecs, with one scratch lent to two
+        /// nodes in turn over several steps.
+        #[test]
+        fn emit_path_matches_the_flush_buffer_model(
+            shapes in proptest::collection::vec(
+                proptest::collection::vec((0u32..24, 1u32..6), 0..14), 1..9),
+            extras in proptest::collection::vec(0.01f64..3.0, 27..28),
+            max_frame_bytes in 0usize..120,
+            mode in 0u8..3,
+            steps in 1usize..4,
+        ) {
+            let wire = match mode {
+                0 => WireMode::Single,
+                _ => WireMode::Frames { max_frame_bytes },
+            };
+            let codec = if mode == 2 { WireCodec::Compact } else { WireCodec::Raw };
+            // Node B holds the same documents with reversed link lists.
+            let mut pairs = Vec::new();
+            for reversed in [false, true] {
+                let mut node = PeerNode::with_wire(PeerId(0), cfg(1e-9), wire);
+                node.set_codec(codec);
+                let mut model = ModelNode { wire, codec, docs: Vec::new(), stats: NodeStats::default() };
+                for (d, shape) in shapes.iter().enumerate() {
+                    let mut out: Vec<(DocId, PeerId)> =
+                        shape.iter().map(|&(t, h)| (DocId(100 + t), PeerId(h))).collect();
+                    if reversed {
+                        out.reverse();
+                    }
+                    node.add_document(DocId(d as u32), out.clone());
+                    model.docs.push((0.0, 0.0, 1.0 - 0.85, out));
+                }
+                pairs.push((node, model));
+            }
+            let mut sc = StepScratch::default();
+            let mut extra = extras.iter().cycle();
+            for _ in 0..steps {
+                for (node, model) in &mut pairs {
+                    node.step_with(&mut sc, &NOOP);
+                    let got: Vec<(PeerId, Bytes)> = sc.outbox.drain(..).collect();
+                    proptest::prop_assert_eq!(got, model.step(1e-9));
+                    proptest::prop_assert_eq!(node.stats(), model.stats);
+                    // Fresh increments for the next step, in doc order.
+                    for (d, doc) in model.docs.iter_mut().enumerate() {
+                        let x = *extra.next().unwrap();
+                        node.apply(DocId(d as u32), x);
+                        doc.2 += x;
+                    }
+                }
+            }
+        }
+
+        /// In-place payload handling against `decode` plus the resolve
+        /// loop it replaced, on well-formed payloads, truncations, bit
+        /// flips, NaN values, unknown documents and noise: the same
+        /// `Ok` / `Err`, one `rejected` per refusal, and an unknown tag
+        /// or bad value anywhere in a frame leaves every `pending`
+        /// untouched.
+        #[test]
+        fn in_place_handling_matches_decode_then_resolve(
+            kind in 0u8..3,
+            entries in proptest::collection::vec((0u32..40, -2.0f64..2.0), 1..30),
+            mutation in 0u8..5,
+            at in 0usize..4096,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..60),
+        ) {
+            // Documents 0..32 are stored here; 32..40 are strangers.
+            let mut node = PeerNode::new(PeerId(1), cfg(1e-9));
+            let mut model = PeerNode::new(PeerId(1), cfg(1e-9));
+            for d in 0..32u32 {
+                node.add_document(DocId(d), vec![]);
+                model.add_document(DocId(d), vec![]);
+            }
+            let frame = UpdateFrame {
+                updates: entries.iter().map(|&(d, v)| RankUpdate::new(DocId(d), v)).collect(),
+            };
+            let mut bytes = match kind {
+                0 => frame.updates[0].to_wire().encode(),
+                1 => frame.to_wire().encode(),
+                _ => {
+                    let unique: std::collections::BTreeMap<u32, f32> =
+                        entries.iter().map(|&(d, v)| (d, v as f32)).collect();
+                    let entries = unique.into_iter().map(|(doc, value)| CompactEntry { doc, value });
+                    CompactFrameWire::new(entries.collect()).encode()
+                }
+            }
+            .to_vec();
+            let n = bytes.len();
+            match mutation {
+                1 => bytes.truncate(at % (n + 1)),
+                2 => bytes[at / 8 % n] ^= 1 << (at % 8),
+                // A NaN in the last value field (single and raw).
+                3 if kind < 2 => bytes[n - 8..].copy_from_slice(&f64::NAN.to_le_bytes()),
+                4 => bytes = noise.clone(),
+                _ => {}
+            }
+            let payload = Bytes::from(bytes);
+
+            // The model: decode whole, resolve whole, then apply.
+            let want: Result<Vec<(DocId, f64)>, MessageError> =
+                if payload.len() == RANK_UPDATE_WIRE_BYTES {
+                    RankUpdateWire::decode(payload.clone())
+                        .map_err(MessageError::Wire)
+                        .and_then(|w| {
+                            RankUpdate::from_wire(w, |g| {
+                                (0..32).map(DocId).find(|&d| Guid::for_document(d) == g)
+                            })
+                        })
+                        .map(|u| vec![(u.doc, u.delta)])
+                } else if payload.first() == Some(&COMPACT_MAGIC) {
+                    CompactFrameWire::decode(payload.clone())
+                        .map_err(MessageError::Wire)
+                        .and_then(|f| {
+                            f.entries
+                                .iter()
+                                .map(|e| match e.doc {
+                                    d if d < 32 => Ok((DocId(d), f64::from(e.value))),
+                                    d => Err(MessageError::UnknownGuid(Guid::for_document(DocId(d)))),
+                                })
+                                .collect()
+                        })
+                } else {
+                    UpdateFrameWire::decode(payload.clone())
+                        .map_err(MessageError::Wire)
+                        .and_then(|f| {
+                            UpdateFrame::from_wire(&f, |t| {
+                                (0..32).map(DocId).find(|&d| Guid::for_document(d).frame_tag() == t)
+                            })
+                        })
+                        .map(|f| f.updates.iter().map(|u| (u.doc, u.delta)).collect())
+                };
+            let got = node.handle_message(payload);
+            proptest::prop_assert_eq!(got, want.as_ref().map(|_| ()).map_err(|e| *e));
+            match &want {
+                Ok(applied) => {
+                    for &(doc, delta) in applied {
+                        model.apply(doc, delta);
+                    }
+                    proptest::prop_assert_eq!(node.stats().received, applied.len() as u64);
+                    proptest::prop_assert_eq!(node.stats().rejected, 0);
+                }
+                Err(_) => {
+                    proptest::prop_assert_eq!(node.stats().received, 0);
+                    proptest::prop_assert_eq!(node.stats().rejected, 1);
+                }
+            }
+            // Bit-for-bit the model's state: nothing applied on `Err`,
+            // the same per-document folds on `Ok`.
+            node.step();
+            model.step();
+            for d in 0..32u32 {
+                proptest::prop_assert_eq!(
+                    node.rank_of(DocId(d)).unwrap().to_bits(),
+                    model.rank_of(DocId(d)).unwrap().to_bits()
+                );
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! counts are the paper's primary traffic metric (Table 3).
 
 use crate::peer::{PeerId, PeerTable};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use dpr_telemetry::{Metric, Recorder};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -440,19 +440,15 @@ pub fn payload_entries(payload: &Bytes) -> u64 {
 /// `f32`-quantized values widened to `f64` — exactly what the
 /// receiver will fold in.
 pub fn payload_mass(payload: &Bytes) -> f64 {
-    if payload.len() == RANK_UPDATE_WIRE_BYTES {
-        RankUpdateWire::decode(payload.clone())
-            .map(|m| m.value)
-            .unwrap_or(0.0)
+    let mut mass = 0.0;
+    let walked = if payload.len() == RANK_UPDATE_WIRE_BYTES {
+        RankUpdateWire::parse(payload).map(|m| mass = m.value)
     } else if payload.first() == Some(&COMPACT_MAGIC) {
-        CompactFrameWire::decode(payload.clone())
-            .map(|f| f.entries.iter().map(|e| f64::from(e.value)).sum())
-            .unwrap_or(0.0)
+        CompactFrameWire::visit(payload, |e| mass += f64::from(e.value))
     } else {
-        UpdateFrameWire::decode(payload.clone())
-            .map(|f| f.entries.iter().map(|e| e.value).sum())
-            .unwrap_or(0.0)
-    }
+        UpdateFrameWire::visit(payload, |e| mass += e.value)
+    };
+    walked.map_or(0.0, |()| mass)
 }
 
 impl Transport<Bytes> {
@@ -460,7 +456,7 @@ impl Transport<Bytes> {
     /// decoded from the queued payloads — the in-flight side of the
     /// message-balance invariant `Σ sent − Σ received = in flight`.
     pub fn in_flight_entries(&self) -> u64 {
-        self.for_each_queued(payload_entries)
+        self.queued().map(payload_entries).sum()
     }
 
     /// Update entries currently undelivered and addressed to `dst`.
@@ -482,27 +478,13 @@ impl Transport<Bytes> {
     /// from the queued payloads — the in-flight term of the
     /// mass-conservation ledger.
     pub fn in_flight_mass(&self) -> f64 {
-        let mut mass = 0.0;
-        for q in &self.inboxes {
-            for e in q {
-                mass += payload_mass(&e.payload);
-            }
-        }
-        for p in &self.pending {
-            for e in p {
-                mass += payload_mass(&e.payload);
-            }
-        }
-        mass
+        self.queued().fold(0.0, |mass, p| mass + payload_mass(p))
     }
 
-    fn for_each_queued(&self, f: impl Fn(&Bytes) -> u64) -> u64 {
-        self.inboxes
-            .iter()
-            .flatten()
-            .chain(self.pending.iter().flatten())
-            .map(|e| f(&e.payload))
-            .sum()
+    /// Every undelivered payload: inboxes first, then parked.
+    fn queued(&self) -> impl Iterator<Item = &Bytes> {
+        let parked = self.pending.iter().flatten();
+        (self.inboxes.iter().flatten().chain(parked)).map(|e| &e.payload)
     }
 }
 
@@ -524,14 +506,19 @@ pub const RANK_UPDATE_WIRE_BYTES: usize = 24;
 impl RankUpdateWire {
     /// Serializes to the 24-byte wire form.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(RANK_UPDATE_WIRE_BYTES);
-        b.put_u128_le(self.guid);
-        b.put_f64_le(self.value);
-        b.freeze()
+        let mut b = [0u8; RANK_UPDATE_WIRE_BYTES];
+        b[..16].copy_from_slice(&self.guid.to_le_bytes());
+        b[16..].copy_from_slice(&self.value.to_le_bytes());
+        Bytes::from(&b[..])
     }
 
     /// Parses the 24-byte wire form.
-    pub fn decode(mut bytes: Bytes) -> Result<Self, WireError> {
+    pub fn decode(bytes: Bytes) -> Result<Self, WireError> {
+        Self::parse(&bytes)
+    }
+
+    /// [`RankUpdateWire::decode`] over a borrowed payload.
+    pub fn parse(mut bytes: &[u8]) -> Result<Self, WireError> {
         if bytes.len() != RANK_UPDATE_WIRE_BYTES {
             return Err(WireError::BadLength(bytes.len()));
         }
@@ -609,21 +596,41 @@ impl UpdateFrameWire {
     ///
     /// Panics if the frame is empty or exceeds [`FRAME_MAX_ENTRIES`].
     pub fn encode(&self) -> Bytes {
-        assert!(!self.entries.is_empty(), "empty frame");
-        assert!(self.entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
-        let mut b = BytesMut::with_capacity(frame_wire_bytes(self.entries.len()));
-        b.put_u8(FRAME_MAGIC);
-        b.put_u8(FRAME_VERSION);
-        b.put_u16_le(self.entries.len() as u16);
-        for e in &self.entries {
-            b.put_u64_le(e.tag);
-            b.put_f64_le(e.value);
+        Self::encode_entries(&mut Vec::new(), self.entries.iter().copied())
+    }
+
+    /// [`UpdateFrameWire::encode`] straight from an entry stream,
+    /// staged in the caller's reusable `buf`. Same panics.
+    pub fn encode_entries(
+        buf: &mut Vec<u8>,
+        entries: impl ExactSizeIterator<Item = FrameEntry>,
+    ) -> Bytes {
+        assert!(entries.len() > 0, "empty frame");
+        assert!(entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
+        buf.clear();
+        buf.reserve(frame_wire_bytes(entries.len()));
+        buf.put_u8(FRAME_MAGIC);
+        buf.put_u8(FRAME_VERSION);
+        buf.put_u16_le(entries.len() as u16);
+        for e in entries {
+            buf.put_u64_le(e.tag);
+            buf.put_f64_le(e.value);
         }
-        b.freeze()
+        Bytes::from(buf.as_slice())
     }
 
     /// Parses a frame payload.
-    pub fn decode(mut bytes: Bytes) -> Result<Self, WireError> {
+    pub fn decode(bytes: Bytes) -> Result<Self, WireError> {
+        let mut entries = Vec::with_capacity(bytes.len() / FRAME_ENTRY_BYTES);
+        Self::visit(&bytes, |e| entries.push(e))?;
+        Ok(UpdateFrameWire { entries })
+    }
+
+    /// Validates a frame payload in place, handing each entry to `f`
+    /// in wire order. `f` may already have seen a prefix when a later
+    /// entry fails validation, so callers that must stay atomic stage
+    /// what they see and commit only on `Ok`.
+    pub fn visit(mut bytes: &[u8], mut f: impl FnMut(FrameEntry)) -> Result<(), WireError> {
         let len = bytes.len();
         if len < FRAME_HEADER_BYTES {
             return Err(WireError::BadLength(len));
@@ -643,16 +650,15 @@ impl UpdateFrameWire {
         if len != frame_wire_bytes(count) {
             return Err(WireError::BadLength(len));
         }
-        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let tag = bytes.get_u64_le();
             let value = bytes.get_f64_le();
             if !value.is_finite() {
                 return Err(WireError::NonFiniteValue);
             }
-            entries.push(FrameEntry { tag, value });
+            f(FrameEntry { tag, value });
         }
-        Ok(UpdateFrameWire { entries })
+        Ok(())
     }
 }
 
@@ -767,7 +773,7 @@ pub struct CompactFrameWire {
     pub entries: Vec<CompactEntry>,
 }
 
-fn put_varint(b: &mut BytesMut, mut v: u32) {
+fn put_varint(b: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
         b.put_u8((v as u8 & 0x7f) | 0x80);
         v >>= 7;
@@ -775,7 +781,7 @@ fn put_varint(b: &mut BytesMut, mut v: u32) {
     b.put_u8(v as u8);
 }
 
-fn get_varint(bytes: &mut Bytes) -> Result<u32, WireError> {
+fn get_varint(bytes: &mut &[u8]) -> Result<u32, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -808,33 +814,48 @@ impl CompactFrameWire {
     /// Panics if the frame is empty, exceeds [`FRAME_MAX_ENTRIES`],
     /// holds a non-finite value, or is not strictly ascending by doc.
     pub fn encode(&self) -> Bytes {
-        assert!(!self.entries.is_empty(), "empty frame");
-        assert!(self.entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
-        let mut b = BytesMut::with_capacity(COMPACT_HEADER_BYTES + self.entries.len() * 9);
-        b.put_u8(COMPACT_MAGIC);
-        b.put_u8(COMPACT_VERSION);
-        b.put_u16_le(self.entries.len() as u16);
+        Self::encode_entries(&mut Vec::new(), &self.entries)
+    }
+
+    /// [`CompactFrameWire::encode`] of a borrowed, already sorted entry
+    /// slice, staged in the caller's reusable `buf`. Same panics.
+    pub fn encode_entries(buf: &mut Vec<u8>, entries: &[CompactEntry]) -> Bytes {
+        assert!(!entries.is_empty(), "empty frame");
+        assert!(entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
+        buf.clear();
+        buf.reserve(COMPACT_HEADER_BYTES + entries.len() * 9);
+        buf.put_u8(COMPACT_MAGIC);
+        buf.put_u8(COMPACT_VERSION);
+        buf.put_u16_le(entries.len() as u16);
         let mut prev: Option<u32> = None;
-        for e in &self.entries {
+        for e in entries {
             assert!(e.value.is_finite(), "non-finite value in compact frame");
             match prev {
-                None => put_varint(&mut b, e.doc),
+                None => put_varint(buf, e.doc),
                 Some(p) => {
                     assert!(e.doc > p, "compact frame docs must be strictly ascending");
-                    put_varint(&mut b, e.doc - p);
+                    put_varint(buf, e.doc - p);
                 }
             }
             prev = Some(e.doc);
-            b.put_u32_le(e.value.to_bits());
+            buf.put_u32_le(e.value.to_bits());
         }
-        if b.len() == RANK_UPDATE_WIRE_BYTES {
-            b.put_u8(0);
+        if buf.len() == RANK_UPDATE_WIRE_BYTES {
+            buf.put_u8(0);
         }
-        b.freeze()
+        Bytes::from(buf.as_slice())
     }
 
     /// Parses a compact frame payload.
-    pub fn decode(mut bytes: Bytes) -> Result<Self, WireError> {
+    pub fn decode(bytes: Bytes) -> Result<Self, WireError> {
+        let mut entries = Vec::with_capacity(bytes.len() / 5);
+        Self::visit(&bytes, |e| entries.push(e))?;
+        Ok(CompactFrameWire { entries })
+    }
+
+    /// Validates a compact frame payload in place, handing each entry
+    /// to `f` in wire order (the [`UpdateFrameWire::visit`] contract).
+    pub fn visit(mut bytes: &[u8], mut f: impl FnMut(CompactEntry)) -> Result<(), WireError> {
         let len = bytes.len();
         if len < COMPACT_HEADER_BYTES {
             return Err(WireError::BadLength(len));
@@ -851,7 +872,6 @@ impl CompactFrameWire {
         if count == 0 {
             return Err(WireError::EmptyFrame);
         }
-        let mut entries = Vec::with_capacity(count);
         let mut prev: Option<u32> = None;
         for _ in 0..count {
             let raw = get_varint(&mut bytes)?;
@@ -872,19 +892,20 @@ impl CompactFrameWire {
             if !value.is_finite() {
                 return Err(WireError::NonFiniteValue);
             }
-            entries.push(CompactEntry { doc, value });
+            f(CompactEntry { doc, value });
         }
         // At most one trailing byte: the 24-byte-collision pad.
         if bytes.len() > 1 {
             return Err(WireError::BadLength(len));
         }
-        Ok(CompactFrameWire { entries })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     // Toy payloads for transport-mechanics tests report their
     // in-memory size and opt out of fault corruption (the trait's
@@ -1439,6 +1460,319 @@ mod tests {
         assert_eq!(t.fault_fired_at(), Some(0));
         let got = CompactFrameWire::decode(t.receive(PeerId(1)).unwrap().payload).unwrap();
         assert_eq!(got.entries[0].value, 0.5 + MASS_LEAK_DELTA as f32);
+    }
+
+    /// The frame decoders as they stood before the in-place visitors
+    /// (a `Bytes` read cursor, entries collected as they parse), kept
+    /// verbatim as the reference model of the proptests below.
+    mod cursor_model {
+        use super::*;
+
+        pub fn raw(mut bytes: Bytes) -> Result<UpdateFrameWire, WireError> {
+            let len = bytes.len();
+            if len < FRAME_HEADER_BYTES {
+                return Err(WireError::BadLength(len));
+            }
+            let magic = bytes.get_u8();
+            if magic != FRAME_MAGIC {
+                return Err(WireError::BadMagic(magic));
+            }
+            let version = bytes.get_u8();
+            if version != FRAME_VERSION {
+                return Err(WireError::BadVersion(version));
+            }
+            let count = bytes.get_u16_le() as usize;
+            if count == 0 {
+                return Err(WireError::EmptyFrame);
+            }
+            if len != frame_wire_bytes(count) {
+                return Err(WireError::BadLength(len));
+            }
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                let tag = bytes.get_u64_le();
+                let value = bytes.get_f64_le();
+                if !value.is_finite() {
+                    return Err(WireError::NonFiniteValue);
+                }
+                entries.push(FrameEntry { tag, value });
+            }
+            Ok(UpdateFrameWire { entries })
+        }
+
+        fn varint(bytes: &mut Bytes) -> Result<u32, WireError> {
+            let mut v: u64 = 0;
+            let mut shift = 0u32;
+            loop {
+                if bytes.is_empty() || shift > 28 {
+                    return Err(WireError::BadDocEncoding);
+                }
+                let byte = bytes.get_u8();
+                v |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
+            }
+            u32::try_from(v).map_err(|_| WireError::BadDocEncoding)
+        }
+
+        pub fn compact(mut bytes: Bytes) -> Result<CompactFrameWire, WireError> {
+            let len = bytes.len();
+            if len < COMPACT_HEADER_BYTES {
+                return Err(WireError::BadLength(len));
+            }
+            let magic = bytes.get_u8();
+            if magic != COMPACT_MAGIC {
+                return Err(WireError::BadMagic(magic));
+            }
+            let version = bytes.get_u8();
+            if version != COMPACT_VERSION {
+                return Err(WireError::BadVersion(version));
+            }
+            let count = bytes.get_u16_le() as usize;
+            if count == 0 {
+                return Err(WireError::EmptyFrame);
+            }
+            let mut entries = Vec::with_capacity(count);
+            let mut prev: Option<u32> = None;
+            for _ in 0..count {
+                let raw = varint(&mut bytes)?;
+                let doc = match prev {
+                    None => raw,
+                    Some(p) => {
+                        if raw == 0 {
+                            return Err(WireError::BadDocEncoding);
+                        }
+                        p.checked_add(raw).ok_or(WireError::BadDocEncoding)?
+                    }
+                };
+                prev = Some(doc);
+                if bytes.len() < 4 {
+                    return Err(WireError::BadLength(len));
+                }
+                let value = f32::from_bits(bytes.get_u32_le());
+                if !value.is_finite() {
+                    return Err(WireError::NonFiniteValue);
+                }
+                entries.push(CompactEntry { doc, value });
+            }
+            if bytes.len() > 1 {
+                return Err(WireError::BadLength(len));
+            }
+            Ok(CompactFrameWire { entries })
+        }
+    }
+
+    /// A well-formed payload of one of the three kinds, then damaged:
+    /// `mutation` 0 leaves it alone, 1 truncates at `at`, 2 flips bit
+    /// `at`, 3 overwrites the value of entry `at` with a NaN, 4 replaces
+    /// the payload with `noise`.
+    fn damaged_payload(
+        kind: u8,
+        entries: &[(u32, f64)],
+        mutation: u8,
+        at: usize,
+        noise: &[u8],
+    ) -> Bytes {
+        let (doc, value) = entries[0];
+        let mut bytes = match kind {
+            0 => single(u128::from(doc), value),
+            1 => UpdateFrameWire {
+                entries: entries
+                    .iter()
+                    .map(|&(doc, value)| FrameEntry {
+                        tag: u64::from(doc),
+                        value,
+                    })
+                    .collect(),
+            }
+            .encode(),
+            _ => {
+                let unique: std::collections::BTreeMap<u32, f32> =
+                    entries.iter().map(|&(d, v)| (d, v as f32)).collect();
+                compact(&unique.into_iter().collect::<Vec<_>>()).encode()
+            }
+        }
+        .to_vec();
+        let n = bytes.len();
+        match mutation {
+            1 => bytes.truncate(at % (n + 1)),
+            2 => bytes[at / 8 % n] ^= 1 << (at % 8),
+            // The value field of the single, or of raw entry `at`.
+            3 if kind == 0 => bytes[16..].copy_from_slice(&f64::NAN.to_le_bytes()),
+            3 if kind == 1 => {
+                let off = FRAME_HEADER_BYTES + FRAME_ENTRY_BYTES * (at % entries.len()) + 8;
+                bytes[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+            }
+            4 => bytes = noise.to_vec(),
+            _ => {}
+        }
+        Bytes::from(bytes)
+    }
+
+    proptest::proptest! {
+        /// The in-place visitors (and the decoders now built on them)
+        /// agree with the cursor decoders they replaced on arbitrary
+        /// bytes, truncations and bit flips: same entries or the same
+        /// error, and a visitor never yields an entry the decoder
+        /// would not have.
+        #[test]
+        fn visitors_match_the_cursor_decoders(
+            kind in 0u8..3,
+            entries in proptest::collection::vec((0u32..400, -4.0f64..4.0), 1..40),
+            mutation in 0u8..5,
+            at in 0usize..4096,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            let payload = damaged_payload(kind, &entries, mutation, at, &noise);
+            let want = cursor_model::raw(payload.clone());
+            proptest::prop_assert_eq!(&UpdateFrameWire::decode(payload.clone()), &want);
+            let mut seen = Vec::new();
+            let walked = UpdateFrameWire::visit(&payload, |e| seen.push(e));
+            proptest::prop_assert_eq!(walked.err(), want.as_ref().err().copied());
+            if let Ok(frame) = &want {
+                proptest::prop_assert_eq!(&seen, &frame.entries);
+            }
+
+            let want = cursor_model::compact(payload.clone());
+            proptest::prop_assert_eq!(&CompactFrameWire::decode(payload.clone()), &want);
+            let mut seen = Vec::new();
+            let walked = CompactFrameWire::visit(&payload, |e| seen.push(e));
+            proptest::prop_assert_eq!(walked.err(), want.as_ref().err().copied());
+            if let Ok(frame) = &want {
+                proptest::prop_assert_eq!(&seen, &frame.entries);
+            }
+
+            // A single either parses or names the same error, and the
+            // borrowed and owned entry points agree.
+            proptest::prop_assert_eq!(
+                RankUpdateWire::parse(&payload),
+                RankUpdateWire::decode(payload.clone())
+            );
+            // The ledger helpers stay total on damaged payloads.
+            let mass = payload_mass(&payload);
+            proptest::prop_assert!(mass.is_finite());
+            payload_entries(&payload);
+        }
+
+        /// The transport against a naive model — one `Vec` per inbox
+        /// and per sender's parked list — under interleaved sends,
+        /// presence flips, all three receive shapes, departures'
+        /// `take_pending_for`, retries, and a staged duplicate or lost
+        /// frame.
+        #[test]
+        fn transport_matches_a_naive_vec_model(
+            ops in proptest::collection::vec((0u8..8, 0u32..4, 0u32..4), 1..120),
+            fault in 0u8..3,
+            nth_send in 0u64..20,
+        ) {
+            const N: usize = 4;
+            type Env = Envelope<Bytes>;
+            let mut peers = PeerTable::new(N);
+            let mut t: Transport<Bytes> = Transport::new(N);
+            let mut inbox: Vec<Vec<Env>> = vec![Vec::new(); N];
+            let mut parked: Vec<Vec<Env>> = vec![Vec::new(); N];
+            let mut stats = TrafficStats::default();
+            let kind = match fault {
+                1 => Some(FaultKind::DupFrame),
+                2 => Some(FaultKind::LostFrame),
+                _ => None,
+            };
+            if let Some(kind) = kind {
+                t.inject_fault(FaultPlan { kind, nth_send });
+            }
+            let (mut sends, mut fired) = (0u64, false);
+            for (i, &(op, a, b)) in ops.iter().enumerate() {
+                let (pa, pb) = (PeerId(a), PeerId(b));
+                match op {
+                    0..=2 => {
+                        // Payloads are unique, so order mix-ups show.
+                        let payload = Bytes::from(vec![i as u8; 1 + i % 30]);
+                        t.send(&peers, pa, pb, payload.clone());
+                        let strike = kind.is_some() && !fired && sends >= nth_send;
+                        sends += 1;
+                        fired |= strike;
+                        stats.sent += 1;
+                        stats.bytes_sent += payload.len() as u64;
+                        let copies = match kind {
+                            Some(FaultKind::LostFrame) if strike => 0,
+                            Some(FaultKind::DupFrame) if strike => 2,
+                            _ => 1,
+                        };
+                        for _ in 0..copies {
+                            let env = Envelope { from: pa, to: pb, payload: payload.clone() };
+                            if peers.is_online(pb) {
+                                stats.delivered += 1;
+                                stats.bytes_delivered += payload.len() as u64;
+                                inbox[b as usize].push(env);
+                            } else {
+                                stats.parked += 1;
+                                parked[a as usize].push(env);
+                            }
+                        }
+                    }
+                    3 => {
+                        let pos = inbox[a as usize].iter().position(|e| e.from == pb);
+                        let want = pos.map(|p| inbox[a as usize].remove(p));
+                        proptest::prop_assert_eq!(t.receive_from(pa, pb), want);
+                    }
+                    4 => {
+                        let q = &mut inbox[a as usize];
+                        let want = (!q.is_empty()).then(|| q.remove(0));
+                        proptest::prop_assert_eq!(t.receive(pa), want);
+                    }
+                    5 => {
+                        if b % 2 == 0 {
+                            let want = std::mem::take(&mut inbox[a as usize]);
+                            proptest::prop_assert_eq!(t.drain_inbox(pa), want);
+                        } else {
+                            let mut want = Vec::new();
+                            for list in &mut parked {
+                                let (gone, kept) = list.drain(..).partition(|e: &Env| e.to == pa);
+                                want.extend::<Vec<Env>>(gone);
+                                *list = kept;
+                            }
+                            proptest::prop_assert_eq!(t.take_pending_for(pa), want);
+                        }
+                    }
+                    6 => {
+                        if b % 2 == 0 {
+                            peers.go_offline(pa);
+                        } else {
+                            peers.go_online(pa);
+                        }
+                    }
+                    _ => {
+                        let mut want = Vec::new();
+                        for list in &mut parked {
+                            for env in std::mem::take(list) {
+                                if peers.is_online(env.to) {
+                                    stats.bytes_delivered += env.payload.len() as u64;
+                                    stats.redelivered += 1;
+                                    want.push((env.from, env.to, env.payload.len()));
+                                    inbox[env.to.index()].push(env);
+                                } else {
+                                    stats.retry_failures += 1;
+                                    list.push(env);
+                                }
+                            }
+                        }
+                        proptest::prop_assert_eq!(t.retry_pending_outcomes(&peers), want);
+                    }
+                }
+                for (p, (inbox, parked)) in inbox.iter().zip(&parked).enumerate() {
+                    proptest::prop_assert_eq!(t.inbox_len(PeerId(p as u32)), inbox.len());
+                    proptest::prop_assert_eq!(t.pending_at(PeerId(p as u32)), parked.len());
+                }
+                proptest::prop_assert_eq!(t.stats(), stats);
+                proptest::prop_assert_eq!(t.fault_fired_at().is_some(), fired);
+            }
+            // What is left comes out in arrival order.
+            for (p, inbox) in inbox.into_iter().enumerate() {
+                proptest::prop_assert_eq!(t.drain_inbox(PeerId(p as u32)), inbox);
+            }
+        }
     }
 
     proptest::proptest! {

@@ -13,15 +13,17 @@
 //! This module replaces the barrier with a seeded deterministic
 //! discrete-event simulation:
 //!
-//! * a binary-heap **event queue** keyed by `(virtual_time_ns, seq)` —
+//! * an **event queue** popping in `(virtual_time_ns, seq)` order —
 //!   ties broken by insertion sequence, so execution order is a pure
-//!   function of the schedule and the run is bit-reproducible;
+//!   function of the schedule and the run is bit-reproducible (a
+//!   monotone radix heap, the runtime never scheduling into the past);
 //! * **per-link latency/bandwidth models** reusing the Eq. 4
 //!   exec-model rates ([`dpr_core::exec_model`]): each ordered link
 //!   gets a base propagation delay sampled once from a rng seeded by
 //!   `seed ⊕ hash(from, to)`, and frame transmission serializes at the
 //!   model's byte rate (store-and-forward: transmissions on one link
-//!   queue behind each other, propagation pipelines);
+//!   queue behind each other, propagation pipelines), its state in
+//!   one small table per *sender*;
 //! * **bounded inboxes with backpressure**: deliveries fold into the
 //!   destination node immediately ([`PeerNode::on_deliver`]); once
 //!   [`dpr_node::node::DEFAULT_INBOX_CAP`] payloads arrive un-stepped,
@@ -42,6 +44,11 @@
 //!   ledgers ([`Cluster::audit_at`]) are emitted on a virtual-time
 //!   cadence — the PR 5 monitors are barrier-agnostic, so chaotic
 //!   traces audit with the same machinery as round traces.
+//!
+//! The runtime owns the clock, the queue and the link tables; a step's
+//! or delivery's working memory is the one
+//! [`dpr_node::node::StepScratch`] the [`Cluster`] lends its nodes, so
+//! in steady state an event allocates only the payloads it sends.
 //!
 //! Every executed `Step`/`Deliver` event folds into a FNV-1a
 //! **schedule fingerprint**; the Capture v3 format records it so
@@ -67,7 +74,7 @@ use dpr_core::SchedMode;
 use dpr_graph::DocId;
 use dpr_node::node::DeliverStatus;
 use dpr_node::termination::TerminationDetector;
-use dpr_node::Cluster;
+use dpr_node::{Cluster, SendOutcome};
 use dpr_p2p::peer::{PeerId, PeerTable};
 use dpr_telemetry::profile::Profile;
 use dpr_telemetry::span::{step_fold_depths, SpanTracer};
@@ -75,8 +82,7 @@ use dpr_telemetry::{Event, Metric, Recorder};
 use fxhash::FxHashMap;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::borrow::Cow;
 
 /// Floor on a peer's per-step compute time, so even an empty peer
 /// takes nonzero virtual time to step. A real peer's step time is the
@@ -168,10 +174,8 @@ impl std::str::FromStr for LatencyModel {
     }
 }
 
-/// The event kinds of the runtime. Ordering only matters as the final
-/// heap tie-breaker and is never reached in practice (the sequence
-/// number is unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The event kinds of the runtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Pop the next envelope `from → to` and fold it into `to`.
     Deliver {
@@ -200,37 +204,78 @@ enum Ev {
 }
 
 /// A deterministic discrete-event queue: events pop in
-/// `(virtual_time_ns, seq)` order, `seq` assigned at push. Two runs
-/// that push the same events in the same order execute identically.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: u64,
+/// `(virtual_time_ns, seq)` order, `seq` being the push order, so two
+/// runs that push the same events in the same order execute
+/// identically.
+///
+/// The runtime never schedules into the past — every push is at or
+/// after the time of the last pop — so the queue is a *radix heap*:
+/// bucket 0 holds the events at exactly the last popped time, bucket
+/// `k` those whose time first differs from it at bit `k − 1`. A push
+/// appends to one bucket; when bucket 0 runs dry the lowest occupied
+/// bucket is re-filed around its earliest time, which only ever moves
+/// events to lower buckets. Buckets are append-only between re-filings
+/// and re-filing is stable, so events at one time stay in push order
+/// and no sequence number is stored. A drained bucket keeps its
+/// storage only up to [`RETAINED_ENTRIES`], so the queue's memory is at
+/// most twice the live events (24 bytes each, `Vec` doubling) plus a
+/// constant — not the sum of every bucket's high-water mark.
+#[derive(Debug)]
+struct EventQueue {
+    buckets: [Vec<(u64, Ev)>; 65],
+    /// Bit `k − 1` set: bucket `k` is occupied.
+    occupied: u64,
+    /// Read cursor into bucket 0 (a FIFO).
+    head: usize,
+    /// Time of the last pop.
+    last: u64,
 }
 
+/// Largest bucket capacity kept across a drain: the low buckets that
+/// refill thousands of times a virtual second stay allocation-free,
+/// the wide ones that hold most of the queue give their storage back.
+const RETAINED_ENTRIES: usize = 64;
+
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
+    fn new() -> Self {
+        EventQueue {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            head: 0,
+            last: 0,
+        }
     }
 
     fn push(&mut self, at: u64, ev: Ev) {
-        self.heap.push(Reverse((at, self.seq, ev)));
-        self.seq += 1;
+        assert!(at >= self.last, "event scheduled into the past");
+        let k = (u64::BITS - (at ^ self.last).leading_zeros()) as usize;
+        self.buckets[k].push((at, ev));
+        if k > 0 {
+            self.occupied |= 1 << (k - 1);
+        }
     }
 
     fn pop(&mut self) -> Option<(u64, Ev)> {
-        self.heap.pop().map(|Reverse((t, _, ev))| (t, ev))
-    }
-
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        if self.head == self.buckets[0].len() {
+            self.head = 0;
+            self.buckets[0].clear();
+            self.buckets[0].shrink_to(RETAINED_ENTRIES);
+            if self.occupied == 0 {
+                return None;
+            }
+            let k = self.occupied.trailing_zeros() as usize + 1;
+            self.occupied &= self.occupied - 1;
+            let mut bucket = std::mem::take(&mut self.buckets[k]);
+            self.last = bucket.iter().map(|e| e.0).min().expect("occupied bucket");
+            for (at, ev) in bucket.drain(..) {
+                self.push(at, ev);
+            }
+            if bucket.capacity() <= RETAINED_ENTRIES {
+                self.buckets[k] = bucket;
+            }
+        }
+        self.head += 1;
+        Some(self.buckets[0][self.head - 1])
     }
 }
 
@@ -367,6 +412,15 @@ pub fn fold_schedule_fnv(acc: u64, segment: u64) -> u64 {
 /// The initial value for [`fold_schedule_fnv`] accumulation.
 pub const SCHEDULE_FNV_SEED: u64 = FNV_OFFSET;
 
+/// One ordered link, created on its first send: its sampled base
+/// propagation delay and the virtual time its transmitter is busy
+/// until (transmissions serialize, propagation pipelines).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    latency_ns: u64,
+    clear_ns: u64,
+}
+
 struct Runner<'a> {
     queue: EventQueue,
     cfg: ChaoticConfig,
@@ -374,11 +428,9 @@ struct Runner<'a> {
     /// Authoritative next-step time per peer; a popped `Step` that
     /// does not match is stale (lazy deletion under rescheduling).
     step_due: Vec<Option<u64>>,
-    /// Per ordered link `(from, to)`: sampled base propagation delay.
-    link_latency: FxHashMap<(u32, u32), u64>,
-    /// Per ordered link: virtual time the link's transmitter is busy
-    /// until (transmissions serialize, propagation pipelines).
-    link_clear: FxHashMap<(u32, u32), u64>,
+    /// Per sender, its links by destination: one small table per
+    /// peer, probed once per send.
+    links: Vec<FxHashMap<u32, Link>>,
     /// Per-peer step compute time: `num_docs × COMPUTE_SECS_PER_DOC`
     /// in nanoseconds, floored at [`MIN_STEP_COMPUTE_NS`].
     compute_ns: Vec<u64>,
@@ -399,29 +451,28 @@ struct Runner<'a> {
 }
 
 impl Runner<'_> {
-    fn link_latency_ns(&mut self, from: PeerId, to: PeerId) -> u64 {
-        let key = (from.0, to.0);
-        let cfg = self.cfg;
-        *self.link_latency.entry(key).or_insert_with(|| {
+    /// Schedules the delivery of one payload on `(from, to)`: the
+    /// transmission queues behind whatever the link is already sending
+    /// (store-and-forward at the model's byte rate), then propagates at
+    /// the link's base latency — sampled on the link's first send from
+    /// a rng seeded by `seed ⊕ hash(from, to)`.
+    fn schedule_delivery(&mut self, o: SendOutcome) {
+        let (from, to, bytes, cfg) = (o.from, o.to, o.bytes, self.cfg);
+        let tx_ns = (bytes as f64 / cfg.latency.rate_bytes_per_sec() * 1e9) as u64;
+        let link = self.links[from.index()].entry(to.0).or_insert_with(|| {
             let (lo, hi) = cfg.latency.base_latency_ns();
             let mix = (((from.0 as u64) << 32) | to.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ mix);
-            rng.gen_range(lo..=hi)
-        })
-    }
-
-    /// Schedules the delivery of one payload on `(from, to)` and
-    /// returns its arrival time: the transmission queues behind
-    /// whatever the link is already sending (store-and-forward at the
-    /// model's byte rate), then propagates at the link's base latency.
-    fn schedule_delivery(&mut self, from: PeerId, to: PeerId, bytes: usize, frame: u64) {
-        let tx_ns = (bytes as f64 / self.cfg.latency.rate_bytes_per_sec() * 1e9) as u64;
-        let clear = self.link_clear.entry((from.0, to.0)).or_insert(0);
-        let depart = (*clear).max(self.now);
-        *clear = depart + tx_ns;
-        let arrival = depart + tx_ns + self.link_latency_ns(from, to);
+            Link {
+                latency_ns: rng.gen_range(lo..=hi),
+                clear_ns: 0,
+            }
+        });
+        let depart = link.clear_ns.max(self.now);
+        link.clear_ns = depart + tx_ns;
+        let arrival = depart + tx_ns + link.latency_ns;
         if let Some(tr) = self.tracer.as_mut() {
-            tr.on_send(frame, from.0, to.0, bytes as u64, self.now, depart);
+            tr.on_send(o.frame, from.0, to.0, bytes as u64, self.now, depart);
         }
         self.queue.push(arrival, Ev::Deliver { from, to });
         self.live += 1;
@@ -500,10 +551,9 @@ pub fn run_chaotic<R: Recorder + ?Sized>(
     // With a live recorder the run also traces causal spans, so the
     // JSONL trace carries the full `span_closed` stream plus the
     // `chaotic_health` summary for `dpr profile --input`.
-    let mut peers = peers.clone();
     run_chaotic_inner(
         cluster,
-        &mut peers,
+        Cow::Borrowed(peers),
         cfg,
         detector,
         max_events,
@@ -537,17 +587,21 @@ pub fn run_chaotic_serving<R: Recorder + ?Sized>(
     rec: &R,
     hooks: ServingHooks<'_>,
 ) -> ChaoticOutcome {
-    run_chaotic_inner(
+    let (out, _, table) = run_chaotic_inner(
         cluster,
-        peers,
+        Cow::Borrowed(peers),
         cfg,
         detector,
         max_events,
         rec,
         rec.enabled(),
         Some(hooks),
-    )
-    .0
+    );
+    // The run copied the table if (and only if) churn re-drew it.
+    if let Cow::Owned(table) = table {
+        *peers = table;
+    }
+    out
 }
 
 /// [`run_chaotic`] with span tracing forced on (recorder or not),
@@ -564,25 +618,24 @@ pub fn run_chaotic_profiled<R: Recorder + ?Sized>(
     max_events: u64,
     rec: &R,
 ) -> (ChaoticOutcome, Profile) {
-    let mut peers = peers.clone();
-    let (out, tracer) = run_chaotic_inner(
-        cluster, &mut peers, cfg, detector, max_events, rec, true, None,
-    );
+    let peers = Cow::Borrowed(peers);
+    let (out, tracer, _) =
+        run_chaotic_inner(cluster, peers, cfg, detector, max_events, rec, true, None);
     let profile = Profile::from_spans(tracer.expect("tracing forced on").into_spans());
     (out, profile)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_chaotic_inner<R: Recorder + ?Sized>(
+fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
     cluster: &mut Cluster,
-    peers: &mut PeerTable,
+    mut peers: Cow<'p, PeerTable>,
     cfg: &ChaoticConfig,
     detector: &mut TerminationDetector,
     max_events: u64,
     rec: &R,
     trace: bool,
     mut hooks: Option<ServingHooks<'_>>,
-) -> (ChaoticOutcome, Option<SpanTracer>) {
+) -> (ChaoticOutcome, Option<SpanTracer>, Cow<'p, PeerTable>) {
     let n = cluster.num_peers();
     let compute_ns: Vec<u64> = (0..n as u32)
         .map(|p| {
@@ -595,8 +648,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
         cfg: *cfg,
         now: 0,
         step_due: vec![None; n],
-        link_latency: FxHashMap::default(),
-        link_clear: FxHashMap::default(),
+        links: vec![FxHashMap::default(); n],
         compute_ns,
         live: 0,
         schedule_fnv: FNV_OFFSET,
@@ -652,11 +704,11 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
                     tr.on_step_executed(peer.0, t, r.compute_ns[peer.index()]);
                 }
                 let tick = r.tick();
-                for o in cluster.step_peer_observed(peer, peers, tick, rec) {
+                cluster.step_peer_observed(peer, &peers, tick, rec, |o| {
                     for _ in 0..o.enqueued {
-                        r.schedule_delivery(o.from, o.to, o.bytes, o.frame);
+                        r.schedule_delivery(o);
                     }
-                }
+                });
                 // Deferred or self-applied work re-queues the peer.
                 if cluster.node(peer).has_work() {
                     let delay = r.step_delay(cluster, peer);
@@ -696,7 +748,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
             Ev::Probe => {
                 r.now = t;
                 let tick = r.tick();
-                r.detector.advance_observed(cluster, peers, rec, tick);
+                r.detector.advance_observed(cluster, &peers, rec, tick);
                 if let Some(tr) = r.tracer.as_mut() {
                     tr.on_probe(t, r.detector.announced());
                 }
@@ -720,7 +772,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
                 match h.plan[idx as usize].what {
                     Inject::Query(q) => (h.on_query)(q, t, cluster),
                     Inject::Update { doc, delta } => {
-                        let holder = cluster.apply_delta_at(doc, delta);
+                        let holder = cluster.apply_delta(doc, delta);
                         if peers.is_online(holder) && cluster.node(holder).has_work() {
                             let delay = r.step_delay(cluster, holder);
                             r.request_step(holder, r.now + delay);
@@ -733,6 +785,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
                 r.now = t;
                 let h = hooks.as_mut().expect("Churn events require hooks");
                 let c = h.churn.as_mut().expect("Churn events require a plan");
+                let peers = peers.to_mut();
                 let before: Vec<bool> = (0..n).map(|i| peers.is_online(PeerId(i as u32))).collect();
                 let last = t.saturating_add(c.every_ns) > c.until_ns;
                 if last {
@@ -766,7 +819,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
                 // Store-and-resend: parked mail for returned peers
                 // goes back on the wire now.
                 for o in cluster.retry_pending_outcomes(peers) {
-                    r.schedule_delivery(o.from, o.to, o.bytes, o.frame);
+                    r.schedule_delivery(o);
                 }
                 for (i, &was_on) in before.iter().enumerate() {
                     let p = PeerId(i as u32);
@@ -794,7 +847,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
             break;
         }
         r.detector
-            .advance_observed(cluster, peers, rec, r.tick() + i + 1);
+            .advance_observed(cluster, &peers, rec, r.tick() + i + 1);
         if let Some(tr) = r.tracer.as_mut() {
             // Settle circuits run on the frozen final clock, so the
             // announcing probe span ends exactly at `virtual_ns`.
@@ -842,7 +895,7 @@ fn run_chaotic_inner<R: Recorder + ?Sized>(
         quiesced: cluster.is_quiescent(),
         announced: r.detector.announced(),
     };
-    (outcome, r.tracer)
+    (outcome, r.tracer, peers)
 }
 
 #[cfg(test)]
@@ -884,11 +937,15 @@ mod tests {
         q.push(20, Ev::Probe);
         q.push(10, Ev::Audit);
         q.push(10, Ev::Probe);
-        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((10, Ev::Audit)));
         assert_eq!(q.pop(), Some((10, Ev::Probe)), "fifo at equal times");
+        // Pushes between pops land at or after the last popped time.
+        q.push(12, Ev::Churn);
+        q.push(10, Ev::Churn);
+        assert_eq!(q.pop(), Some((10, Ev::Churn)));
+        assert_eq!(q.pop(), Some((12, Ev::Churn)));
         assert_eq!(q.pop(), Some((20, Ev::Probe)));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
