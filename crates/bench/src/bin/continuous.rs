@@ -16,13 +16,14 @@
 //! ```
 //!
 //! With `--pass-scaling`, instead runs the sequential engine and the
-//! sharded executor at 1/2/4/8 threads to convergence on a 50k-doc
-//! paper graph and writes `BENCH_pass_scaling.json` (passes/sec and
-//! speedup per thread count) so the perf trajectory is tracked:
+//! sharded executor at 1/2/4/8 threads to convergence on 50k- and
+//! 500k-doc paper graphs and writes `BENCH_pass_scaling.json`
+//! (passes/sec, speedup and the delegated/sharded pass mix per size
+//! and thread count) so the perf trajectory is tracked:
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin continuous -- --pass-scaling \
-//!     [--nodes 50000] [--peers 500] [--eps 1e-3] [--seed N]
+//!     [--nodes 50000,500000] [--peers 500] [--eps 1e-3] [--seed N]
 //! ```
 //!
 //! With `--batch-scaling`, runs the message-level cluster on the
@@ -199,16 +200,17 @@ fn run_chaotic_cluster(
     )
 }
 
-/// One row of `BENCH_pass_scaling.json`: a full convergence run under
-/// one executor configuration (`threads == 0` is the sequential
-/// engine). `secs` is the best of `--reps` repetitions. A row whose
-/// `sharded_passes` is zero ran the sequential engine's exact code
-/// path on every pass (the auto-inline guard delegated: threshold
-/// unmet or single-core host), so no parallel speedup was *measured*
-/// at all — `speedup_vs_seq` is `null` on those rows rather than a
-/// fabricated 1.0 that would read as a measured tie.
+/// One row of `BENCH_pass_scaling.json`: a full convergence run of
+/// one graph size under one executor configuration (`threads == 0` is
+/// the sequential engine). `secs` is the best of `--reps` repetitions.
+/// A row whose `sharded_passes` is zero ran the sequential engine's
+/// exact code path on every pass (the density guard delegated: dirty
+/// set too sparse or single-core host), so no parallel speedup was
+/// *measured* at all — `speedup_vs_seq` is `null` on those rows rather
+/// than a fabricated 1.0 that would read as a measured tie.
 #[derive(Debug, Clone, Serialize)]
 struct PassScalingRow {
+    docs: usize,
     threads: usize,
     passes: usize,
     secs: f64,
@@ -219,102 +221,119 @@ struct PassScalingRow {
 }
 
 fn pass_scaling(args: &Args) {
-    let nodes: usize = args.get("nodes", 50_000);
+    let sizes: Vec<usize> = args
+        .get::<String>("nodes", "50000,500000".into())
+        .split(',')
+        .map(|s| s.trim().parse().expect("bad --nodes entry"))
+        .collect();
     let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
     let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
     let reps: usize = args.get("reps", 3);
-    let w = Workload::paper(nodes, peers_n, args.seed());
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    println!(
-        "Pass-throughput scaling ({nodes} docs, {peers_n} peers, eps {eps}, best of {reps})\n"
-    );
-    let run_once = |threads: usize| -> PassScalingRow {
-        let mut best = f64::INFINITY;
-        let mut passes = 0;
-        let mut mix = (0u64, 0u64);
-        for _ in 0..reps.max(1) {
-            let mut engine =
-                ChaoticEngine::new(w.graph.clone(), w.owners(), EngineConfig::with_epsilon(eps));
-            let mut peers = w.peer_table();
-            let mut exec = ShardedExecutor::new(threads.max(1));
-            let start = std::time::Instant::now();
-            let run = if threads == 0 {
-                engine.run_to_convergence(&mut peers, None)
+    let mut rows: Vec<PassScalingRow> = Vec::new();
+    for &nodes in &sizes {
+        let w = Workload::paper(nodes, peers_n, args.seed());
+        println!(
+            "Pass-throughput scaling ({nodes} docs, {peers_n} peers, eps {eps}, best of {reps}, \
+             {host_threads} host threads)\n"
+        );
+        let run_once = |threads: usize| -> PassScalingRow {
+            let mut best = f64::INFINITY;
+            let mut passes = 0;
+            let mut mix = (0u64, 0u64);
+            for _ in 0..reps.max(1) {
+                let mut engine = ChaoticEngine::new(
+                    w.graph.clone(),
+                    w.owners(),
+                    EngineConfig::with_epsilon(eps),
+                );
+                let mut peers = w.peer_table();
+                let mut exec = ShardedExecutor::new(threads.max(1));
+                let start = std::time::Instant::now();
+                let run = if threads == 0 {
+                    engine.run_to_convergence(&mut peers, None)
+                } else {
+                    exec.run_to_convergence(&mut engine, &mut peers, None)
+                };
+                let secs = start.elapsed().as_secs_f64();
+                assert!(run.converged, "scaling run must converge");
+                best = best.min(secs);
+                passes = run.passes;
+                mix = exec.pass_mix();
+            }
+            PassScalingRow {
+                docs: nodes,
+                threads,
+                passes,
+                secs: best,
+                passes_per_sec: passes as f64 / best,
+                speedup_vs_seq: None, // filled in below
+                delegated_passes: mix.0,
+                sharded_passes: mix.1,
+            }
+        };
+
+        let mut size_rows = vec![run_once(0)];
+        for threads in [1usize, 2, 4, 8] {
+            size_rows.push(run_once(threads));
+        }
+        let seq_secs = size_rows[0].secs;
+        for row in &mut size_rows {
+            // Fully-delegated rows executed the sequential engine pass
+            // for pass: same instruction stream, nothing parallel was
+            // measured (the guard's contract — see the row-struct
+            // docs), so they report no speedup at all rather than a
+            // timer-noise ratio.
+            row.speedup_vs_seq = if row.threads > 0 && row.sharded_passes == 0 {
+                None
             } else {
-                exec.run_to_convergence(&mut engine, &mut peers, None)
+                Some(seq_secs / row.secs)
             };
-            let secs = start.elapsed().as_secs_f64();
-            assert!(run.converged, "scaling run must converge");
-            best = best.min(secs);
-            passes = run.passes;
-            mix = exec.pass_mix();
         }
-        PassScalingRow {
-            threads,
-            passes,
-            secs: best,
-            passes_per_sec: passes as f64 / best,
-            speedup_vs_seq: None, // filled in below
-            delegated_passes: mix.0,
-            sharded_passes: mix.1,
-        }
-    };
 
-    let mut rows = vec![run_once(0)];
-    for threads in [1usize, 2, 4, 8] {
-        rows.push(run_once(threads));
-    }
-    let seq_secs = rows[0].secs;
-    for row in &mut rows {
-        // Fully-delegated rows executed the sequential engine pass for
-        // pass: same instruction stream, nothing parallel was measured
-        // (the guard's contract — see the row-struct docs), so they
-        // report no speedup at all rather than a timer-noise ratio.
-        row.speedup_vs_seq = if row.threads > 0 && row.sharded_passes == 0 {
-            None
-        } else {
-            Some(seq_secs / row.secs)
-        };
-    }
-
-    let mut table = TextTable::new([
-        "executor",
-        "passes",
-        "secs",
-        "passes/sec",
-        "speedup",
-        "delegated/sharded",
-    ]);
-    for r in &rows {
-        let name = if r.threads == 0 {
-            "sequential".to_string()
-        } else {
-            format!("sharded x{}", r.threads)
-        };
-        table.push([
-            name,
-            r.passes.to_string(),
-            format!("{:.2}", r.secs),
-            format!("{:.2}", r.passes_per_sec),
-            match r.speedup_vs_seq {
-                Some(s) => format!("{s:.2}x"),
-                None => "delegated".to_string(),
-            },
-            if r.threads == 0 {
-                "-".to_string()
-            } else {
-                format!("{}/{}", r.delegated_passes, r.sharded_passes)
-            },
+        let mut table = TextTable::new([
+            "executor",
+            "passes",
+            "secs",
+            "passes/sec",
+            "speedup",
+            "delegated/sharded",
         ]);
+        for r in &size_rows {
+            let name = if r.threads == 0 {
+                "sequential".to_string()
+            } else {
+                format!("sharded x{}", r.threads)
+            };
+            table.push([
+                name,
+                r.passes.to_string(),
+                format!("{:.2}", r.secs),
+                format!("{:.2}", r.passes_per_sec),
+                match r.speedup_vs_seq {
+                    Some(s) => format!("{s:.2}x"),
+                    None => "delegated".to_string(),
+                },
+                if r.threads == 0 {
+                    "-".to_string()
+                } else {
+                    format!("{}/{}", r.delegated_passes, r.sharded_passes)
+                },
+            ]);
+        }
+        println!("{}", table.render());
+        rows.extend(size_rows);
     }
-    println!("{}", table.render());
     println!("(every row computes bit-identical ranks; only the wall clock moves)");
 
     let dir = std::env::var_os("DPR_RESULTS_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
+    let nodes_list: Vec<String> = sizes.iter().map(usize::to_string).collect();
     let params = format!(
-        "nodes={nodes} peers={peers_n} eps={eps} seed={}",
+        "nodes={} peers={peers_n} eps={eps} seed={} host_threads={host_threads}",
+        nodes_list.join(","),
         args.seed()
     );
     let path = ExperimentRecord::new("BENCH_pass_scaling", params.clone(), rows)

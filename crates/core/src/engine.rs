@@ -30,6 +30,7 @@
 //! flight anywhere — every document's successive difference is then
 //! below ε, the paper's "very strong convergence criterion".
 
+use crate::parallel::PullIndex;
 use crate::sched::{self, SchedMode, SchedStats};
 use dpr_graph::{CsrGraph, DocId};
 use dpr_p2p::peer::{PeerId, PeerTable};
@@ -310,6 +311,12 @@ pub struct ChaoticEngine {
     scratch_buckets: Vec<u8>,
     /// (score key, doc) pairs for the greedy selection's ranking sort.
     scratch_keys: Vec<(u64, u32)>,
+    /// What the sharded executor's pull phase needs beyond the arrays
+    /// above. It is a function of `(graph, owner)` — both fixed for the
+    /// engine's lifetime — so it lives here, built by the first sharded
+    /// pass and shared by clones, rather than in an executor that may
+    /// be handed a different engine next.
+    pub(crate) pull_index: Option<Arc<PullIndex>>,
 }
 
 impl ChaoticEngine {
@@ -354,6 +361,7 @@ impl ChaoticEngine {
             scratch_deferred: Vec::new(),
             scratch_buckets: Vec::new(),
             scratch_keys: Vec::new(),
+            pull_index: None,
         };
         eng.pending.iter_mut().for_each(|p| *p = base);
         eng

@@ -33,10 +33,11 @@
 //!   and the aggregate serialized-transfer model behind Table 3's
 //!   hours columns, plus the Sec. 4.6.2 Internet-scale estimate).
 //! * [`message`] — the update-message type and its 24-byte wire form.
-//! * [`parallel`] — the owner-sharded pass executor: contiguous
-//!   document shards, per-(source, target) mailbox buffers, and a
-//!   deterministic merge order that makes every pass bit-identical to
-//!   the sequential engine at any thread count.
+//! * [`parallel`] — the sharded pass executor: apply in parallel over
+//!   contiguous document ranges, then every target pulls from its
+//!   in-neighbours over a transposed CSR in the sequential fold order,
+//!   which makes every pass bit-identical to the sequential engine at
+//!   any thread count.
 //! * [`personalized`] — teleport-vector (topic-sensitive) pagerank on
 //!   the same protocol, per the related-work directions.
 //! * [`accel`] — an Aitken-extrapolated synchronous solver, the
@@ -58,7 +59,7 @@ pub mod sync_solver;
 
 pub use engine::{ChaoticEngine, EngineConfig, PassStats, RunStats};
 pub use message::RankUpdate;
-pub use parallel::{ExecMode, ParallelExecutor, ShardedExecutor};
+pub use parallel::{ExecMode, ShardedExecutor};
 pub use sched::{RunMode, SchedMode, SCHED_HELP};
 pub use sync_solver::SyncSolver;
 

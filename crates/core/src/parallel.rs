@@ -1,95 +1,110 @@
-//! Owner-sharded fully-parallel pass execution.
+//! Sharded pass execution: apply in parallel, then *pull* in parallel.
 //!
 //! A peer in the real system is an independent machine; inside the
 //! simulator, one pass is a large data-parallel job (millions of
-//! documents for the paper's biggest graphs). [`ShardedExecutor`]
-//! partitions the document space into `S` contiguous shards (one per
-//! worker thread) and runs **both** phases of a pass in parallel —
-//! unlike the earlier design, which parallelized only the read-only
-//! scan and serialized the entire fan-out commit on one thread.
+//! documents for the paper's biggest graphs). The same increment can
+//! be *diffused* by its sender or *collected* by its receiver
+//! (D-Iteration, PAPERS.md). The sequential engine diffuses: each
+//! sender adds into its targets' `pending`. Done from several threads
+//! that needs either atomics or a mailbox per thread pair, and every
+//! push is then written and read twice. [`ShardedExecutor`] collects
+//! instead, the shape of the dysthesis/n exemplar (SNIPPETS.md): dense
+//! arrays and an indexed parallel iteration over *targets*.
 //!
 //! ## Pass structure
 //!
-//! 1. **Bucket** (main thread, `O(work)`): dirty documents are routed
-//!    to their owning shard (`doc_id / shard_size`).
-//! 2. **Apply + emit** (parallel over *source* shards): each shard
-//!    sorts its work list ascending, then for each document applies
-//!    the parked increment, and — if the rank moved more than ε —
-//!    appends `(target, delta)` emissions to one flat per-shard
-//!    buffer. A single stable counting pass (count per target shard,
-//!    prefix-sum, place) then groups the buffer into contiguous
-//!    per-target-shard segments, preserving emission order within
-//!    each segment. Every write (`ranks`, `advertised`, `pending`,
-//!    `queued`) lands in the shard's own slice, so no synchronization
-//!    is needed.
-//! 3. **Merge** (parallel over *target* shards): each shard folds its
-//!    inbound segments in fixed source-shard order into a dense
-//!    accumulator seeded from the document's current `pending`,
-//!    coalescing all increments for a document into a single
-//!    write-back, and queues newly dirtied documents. Because the
-//!    segments are contiguous slices of `S` flat buffers (not an
-//!    `S × S` grid of separate `Vec`s), the merge is a linear scan
-//!    per source shard with no per-cell bookkeeping.
+//! 1. **Apply** (parallel over contiguous *document* ranges). Each
+//!    worker scans its range of `queued` in ascending order — the work
+//!    list is never bucketed or sorted — applies the parked increment
+//!    of every scheduled document whose peer is online and, where the
+//!    rank moved more than ε, stores the per-link contribution change
+//!    in the dense `send` array and marks the document as a sender.
+//!    No edge is walked: the remote/local message counts come from a
+//!    per-document count of cross-peer out-links. Every write lands in
+//!    the worker's own slice, so no synchronization is needed.
+//! 2. **Pull** (parallel over contiguous *target* ranges, cut so each
+//!    holds the same number of in-links plus documents). Each target
+//!    folds `pending[t] += send[s]` over its in-neighbours `s` and, if
+//!    any of them sent, joins the next dirty list. Again every write
+//!    is to the worker's own slice.
 //!
-//! ## Auto-inline guard
-//!
-//! Thread spawn and merge bookkeeping have a fixed per-pass cost, so
-//! below a work threshold a threaded pass cannot beat the sequential
-//! engine. When the dirty set is smaller than
-//! [`DEFAULT_AUTO_SEQ_THRESHOLD`] documents the executor *delegates
-//! the whole pass to [`ChaoticEngine::pass_with_hops`]* — which is
-//! bit-identical by the determinism contract below, so the decision
-//! is invisible in results and only visible in wall-clock (and in the
-//! `dpr_exec_delegated_passes` telemetry counter). This is what keeps
-//! `threads > 0` from ever losing to sequential on small graphs or on
-//! the small tail passes of a converging run.
+//! Each phase spawns one scoped thread per range and joins them all
+//! before it returns; the calling thread only waits. (Running range 0
+//! on the calling thread saves a spawn and loses far more: the kernel
+//! tends to start the one spawned worker on the caller's CPU, and the
+//! two ranges then run back to back.) Each worker *owns* its output
+//! lists while it runs — they are moved in and handed back — because
+//! `push`-ing into adjacent `Vec` headers of a shared `Vec<Vec<_>>`
+//! from two threads false-shares.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-identical** to [`ChaoticEngine::pass`] at every
-//! thread count. The sequential engine canonicalizes its work list to
-//! ascending document order; shards are contiguous ascending ranges,
-//! so concatenating the sorted per-shard sender lists in shard order
-//! reproduces the global sequential sender order exactly. For any one
-//! target document, merging its contributions in (source shard,
-//! emission position) order therefore replays the sequential
-//! `pending += delta` folds in the same order on the same starting
-//! value — floating-point addition order is preserved, independent of
-//! both the shard count and the thread count (the counting pass is
-//! stable, so segment order equals emission order). Statistics are
-//! sums and maxima of per-shard values, which are order-independent.
-//! See DESIGN.md ("Execution architecture") for the full argument.
+//! thread count, structurally rather than by argument. The sequential
+//! engine applies its work list in ascending document order and lets
+//! each sender add to its targets in row order, so `pending[t]`
+//! receives its increments ordered by sender id, one per link. The
+//! transposed graph lists the in-neighbours of `t` in exactly that
+//! order — ascending source, one entry per link, duplicates included,
+//! whatever the row order of the forward graph — so the pull fold *is*
+//! the sequential fold, on the same starting value (the apply phase
+//! has finished everywhere before any target pulls, as in the
+//! sequential two-phase pass). An in-neighbour that did not send this
+//! pass holds `send = −0.0`, the one value IEEE-754 addition leaves
+//! every `x` unchanged by (`x + −0.0` has the bits of `x`, for `x` of
+//! either zero too), so the inner loop adds unconditionally — no
+//! data-dependent branch, which is worth a tenth of the run — and the
+//! terms that matter are still the senders' in sender order. Where the
+//! ranges are cut changes which thread does a fold, never the fold.
+//! Counters are sums and maxima.
+//! The dangling-sink term is a floating-point sum, so each worker
+//! returns its dangling deltas in document order and the coordinating
+//! thread folds them — the sequential order again.
 //!
-//! Hop models (`dyn FnMut`, deliberately not thread-safe) keep exact
-//! parity: emissions record `(src, dst, doc)` events per shard, and
-//! the model is charged sequentially after the joins, in the same
-//! order the sequential engine would have called it.
+//! Hop models (`dyn FnMut`, deliberately not thread-safe) are charged
+//! by one sender-major walk on the coordinating thread between the
+//! phases: senders ascending, links in row order — the sequential
+//! engine's call sequence.
+//!
+//! ## Density guard
+//!
+//! A pull pass costs `O(n + links)` however few documents sent, and a
+//! threaded pass has a fixed spawn cost; the sequential pass costs
+//! `O(dirty · out-degree)`. Measured on the 250k-document benchmark
+//! graph at 2 threads the two meet near `dirty ≈ n / 4`, so a pass
+//! whose dirty set is smaller than `max(n / 4,`
+//! [`DEFAULT_AUTO_SEQ_THRESHOLD`]`)` is *delegated* to
+//! [`ChaoticEngine::pass_with_hops`], as is every pass when the
+//! executor or the host has a single execution unit. Delegation is
+//! invisible in results (see above) and visible in wall-clock, in
+//! [`ShardedExecutor::pass_mix`] and in the
+//! `dpr_exec_delegated_passes` telemetry counter. A converging run
+//! therefore pulls while most of the graph is moving and finishes its
+//! long sparse tail on the sequential path.
 
 use crate::engine::{observe_mass, observe_sched, ChaoticEngine, ChurnFn, HopModel, PassStats};
 use crate::RunStats;
 use dpr_graph::{CsrGraph, DocId};
 use dpr_p2p::peer::{PeerId, PeerTable};
 use dpr_telemetry::{Event, Metric, Recorder, NOOP};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Work-list size below which a pass runs on the calling thread.
-/// The sharded algorithm is identical either way (same shard layout,
-/// same merge order); this only skips thread spawn overhead on the
-/// small tail passes of a converging run.
-const INLINE_WORK_THRESHOLD: usize = 4096;
-
-/// Dirty-set size below which the executor delegates the whole pass
-/// to the sequential engine (see the module docs, "Auto-inline
-/// guard"). Measured on the `continuous --pass-scaling` workload:
-/// below ~16k dirty documents per pass the fixed thread-spawn plus
-/// counting-merge overhead exceeds the parallel win, so the sharded
-/// fan-out only engages above it. Override per executor with
-/// [`ShardedExecutor::with_auto_seq_threshold`] (benches and the
-/// differential tests force `0` to pin the sharded path itself).
+/// Absolute floor of the density guard (see the module docs): below
+/// this many dirty documents the fixed cost of spawning and joining
+/// the workers exceeds anything a second thread can save, whatever the
+/// graph size. [`ShardedExecutor::with_auto_seq_threshold`] replaces
+/// it; `0` switches the guard off.
 pub const DEFAULT_AUTO_SEQ_THRESHOLD: usize = 16_384;
 
-/// Back-compat alias for the pre-shard executor name.
-pub type ParallelExecutor = ShardedExecutor;
+/// A pull pass pays for itself once at least one document in this many
+/// is dirty (measured break-even, see the module docs).
+const PULL_BREAK_EVEN_DIVISOR: usize = 4;
+
+/// `flags` value of a document that sent this pass.
+const SENT: u8 = 1;
+/// `flags` value of a queued document the scheduler deferred.
+const DEFERRED: u8 = 2;
 
 /// How a scenario executes engine passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,15 +116,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parallel mode sized to the host's available parallelism.
-    pub fn host_parallel() -> Self {
-        ExecMode::Parallel(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Mode from an optional thread count (CLI `--threads` flag):
     /// `None` or `Some(1)` is sequential.
     pub fn from_threads(threads: Option<usize>) -> Self {
@@ -166,76 +172,108 @@ impl ExecMode {
     }
 }
 
-/// Order-independent tallies of one shard's apply+emit phase.
+/// What the pull phase needs beyond the engine's own arrays. A pure
+/// function of `(graph, owner)`, so the engine it was derived from
+/// holds it ([`ChaoticEngine::pull_index`]) — an executor handed a
+/// second engine of equal size can never pick up the first one's.
+#[derive(Debug)]
+pub(crate) struct PullIndex {
+    /// The transposed graph: row `t` lists the documents linking to
+    /// `t` in ascending order, one entry per link.
+    inbound: CsrGraph,
+    /// Per document, how many of its out-links end on another peer —
+    /// the apply phase's message counts without a walk over the row
+    /// and a random `owner[]` load per link.
+    remote_out: Vec<u32>,
+}
+
+impl PullIndex {
+    fn build(graph: &CsrGraph, owner: &[PeerId]) -> Self {
+        let remote_out = graph
+            .nodes()
+            .map(|d| {
+                let p = owner[d.index()];
+                let row = graph.out_neighbors(d);
+                let remote = row.iter().filter(|&&t| owner[t as usize] != p).count();
+                u32::try_from(remote).expect("a row of more than u32::MAX links")
+            })
+            .collect();
+        PullIndex {
+            inbound: graph.transpose(),
+            remote_out,
+        }
+    }
+}
+
+/// Order-independent tallies of one shard's apply phase.
 #[derive(Debug, Default, Clone, Copy)]
 struct ShardStats {
+    /// Scheduled documents met by the scan (applied or carried).
+    scheduled: usize,
     applied: u64,
     senders: u64,
     remote: u64,
     local: u64,
     max_rel: f64,
-    /// Advertised delta absorbed by this shard's dangling documents
-    /// (folded into the engine's cumulative sink after the join; the
-    /// per-shard partial sums can differ from the sequential fold in
-    /// the last ulp, which the audit tolerance absorbs).
-    dangling: f64,
 }
 
-/// Everything one source shard mutates during apply+emit: its slices
-/// of the engine state plus its private outputs.
-struct SrcShard<'a> {
-    /// First document id of the shard.
+/// What every apply worker reads and none writes.
+struct ApplyCtx<'a> {
+    graph: &'a CsrGraph,
+    owner: &'a [PeerId],
+    remote_out: &'a [u32],
+    peers: &'a PeerTable,
+    eps: f64,
+    damping: f64,
+}
+
+/// Everything one apply worker mutates: its document range of the
+/// engine and executor arrays, plus the output lists it owns while it
+/// runs.
+struct ApplyShard<'a> {
+    /// First document id of the range.
     base: usize,
-    /// This shard's portion of the pass work list (unsorted on entry).
-    work: &'a mut Vec<u32>,
     ranks: &'a mut [f64],
     advertised: &'a mut [f64],
     pending: &'a mut [f64],
     queued: &'a mut [bool],
-    /// Documents whose owner is offline this pass (stay dirty).
-    carry: &'a mut Vec<u32>,
-    /// Flat emission buffer: `(target, delta)` in emission order.
-    emit: &'a mut Vec<(u32, f64)>,
-    /// `emit` regrouped into contiguous per-target-shard segments by
-    /// the stable counting pass (emission order preserved within each
-    /// segment).
-    sorted: &'a mut Vec<(u32, f64)>,
-    /// Segment boundaries into `sorted`: target shard `t` occupies
-    /// `sorted[offsets[t]..offsets[t + 1]]`. Length `shards + 1`.
-    offsets: &'a mut Vec<u32>,
-    /// Placement cursors for the counting pass (scratch, length
-    /// `shards`).
-    cursor: &'a mut Vec<u32>,
-    /// `(src peer, dst peer, target doc)` per remote message, in
-    /// emission order; only filled when a hop model is installed.
-    hop_events: &'a mut Vec<(PeerId, PeerId, u32)>,
+    send: &'a mut [f64],
+    flags: &'a mut [u8],
+    out: ApplyOut,
 }
 
-/// Everything one target shard mutates during the mailbox merge.
-struct DstShard<'a> {
+/// An apply worker's outputs, all in ascending document order.
+#[derive(Debug, Default)]
+struct ApplyOut {
+    stats: ShardStats,
+    /// Scheduled documents whose owner is offline this pass (they stay
+    /// dirty).
+    carry: Vec<u32>,
+    /// `rank − advertised` of every dangling document that advertised.
+    dangling: Vec<f64>,
+}
+
+/// Everything one pull worker mutates: its target range of `pending`
+/// and `queued`, plus the newly-dirty list it owns while it runs.
+struct PullShard<'a> {
+    /// First document id of the range.
     base: usize,
     pending: &'a mut [f64],
     queued: &'a mut [bool],
-    /// Dense coalescing accumulator (shard slice).
-    acc: &'a mut [f64],
-    /// Pass stamp per document; `== stamp` means `acc` holds its sum.
-    seen: &'a mut [u64],
-    /// Documents that received at least one emission this pass.
-    touched: &'a mut Vec<u32>,
-    /// Subset of `touched` that was not queued before (newly dirty).
-    fresh: &'a mut Vec<u32>,
+    fresh: Vec<u32>,
 }
 
-/// Multi-threaded pass executor over contiguous document shards.
+/// Multi-threaded pass executor over contiguous document ranges.
 ///
-/// Holds all cross-pass scratch (work buckets, mailbox grid, merge
-/// accumulators), so `pass` allocates nothing in steady state; hence
-/// the `&mut self` receiver. Construct once per run and reuse.
+/// Holds the cross-pass scratch (the dense `send`/`flags` arrays and
+/// the workers' output lists), so in steady state `pass` allocates
+/// only its per-phase job vectors; hence the `&mut self` receiver.
+/// Construct once per run and reuse — across engines too: what a pass
+/// leaves in the scratch the next pass's apply phase resets.
 #[derive(Debug)]
 pub struct ShardedExecutor {
     threads: usize,
-    /// Dirty-set size below which a pass delegates to the sequential
-    /// engine (bit-identical either way).
+    /// Floor of the density guard; `0` switches the guard off.
     auto_seq_threshold: usize,
     /// Host parallelism cached at construction: when the hardware has
     /// a single execution unit, threading is pure overhead at *any*
@@ -246,37 +284,25 @@ pub struct ShardedExecutor {
     /// Cumulative pass counts by decision, for benches and doctors.
     delegated_passes: u64,
     sharded_passes: u64,
-    /// Engine size the scratch is currently sized for.
-    sized_for: usize,
-    shard_size: usize,
-    /// Per-source-shard work buckets.
-    work: Vec<Vec<u32>>,
-    /// Per-source-shard carried (owner-offline) documents.
-    carry: Vec<Vec<u32>>,
-    /// Per-source-shard flat emission buffers (cleared by the counting
-    /// pass each pass; capacity persists across passes).
-    emit: Vec<Vec<(u32, f64)>>,
-    /// Per-source-shard counting-sorted emissions, segmented by target
-    /// shard via `offsets`.
-    sorted: Vec<Vec<(u32, f64)>>,
-    /// Per-source-shard segment boundaries (`threads + 1` each).
-    offsets: Vec<Vec<u32>>,
-    /// Per-source-shard placement cursors (`threads` each).
-    cursor: Vec<Vec<u32>>,
-    /// Per-source-shard hop-charge events.
-    hop_events: Vec<Vec<(PeerId, PeerId, u32)>>,
-    /// Per-target-shard merge outputs.
-    touched: Vec<Vec<u32>>,
+    /// Per-link contribution change of each document that sent this
+    /// pass, and `−0.0` — the additive identity, bit for bit — for
+    /// every other document.
+    send: Vec<f64>,
+    /// Per-document pass marks: [`DEFERRED`] set by the coordinating
+    /// thread before the apply phase, [`SENT`] by the apply phase. The
+    /// apply phase visits every document and resets both arrays as it
+    /// goes, so what the previous pass left (on this engine or another
+    /// of equal size) cannot leak.
+    flags: Vec<u8>,
+    /// Per-shard apply outputs and newly-dirty lists, kept between
+    /// passes for their capacity.
+    applied: Vec<ApplyOut>,
     fresh: Vec<Vec<u32>>,
-    /// Dense accumulator + stamp, both `sized_for` documents long.
-    acc: Vec<f64>,
-    seen: Vec<u64>,
-    stamp: u64,
 }
 
 impl ShardedExecutor {
     /// An executor with `threads` worker threads (at least 1), one
-    /// document shard per thread.
+    /// document range per thread and phase.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         ShardedExecutor {
@@ -288,41 +314,32 @@ impl ShardedExecutor {
             delegated: false,
             delegated_passes: 0,
             sharded_passes: 0,
-            sized_for: 0,
-            shard_size: 1,
-            work: Vec::new(),
-            carry: Vec::new(),
-            emit: Vec::new(),
-            sorted: Vec::new(),
-            offsets: Vec::new(),
-            cursor: Vec::new(),
-            hop_events: Vec::new(),
-            touched: Vec::new(),
-            fresh: Vec::new(),
-            acc: Vec::new(),
-            seen: Vec::new(),
-            stamp: 0,
+            send: Vec::new(),
+            flags: Vec::new(),
+            applied: (0..threads).map(|_| ApplyOut::default()).collect(),
+            fresh: vec![Vec::new(); threads],
         }
     }
 
-    /// This executor with the auto-inline threshold set to `docs`:
-    /// passes whose dirty set is smaller delegate to the sequential
-    /// engine. `0` disables delegation (always run the sharded
-    /// fan-out); benches and differential tests use that to measure
-    /// and pin the sharded path itself.
+    /// This executor with the density guard's floor set to `docs`:
+    /// passes whose dirty set is smaller than `max(docs, n / 4)`
+    /// delegate to the sequential engine. `0` disables delegation
+    /// altogether (every pass runs apply + pull, on one thread if the
+    /// executor has one); benches and differential tests use that to
+    /// measure and pin the sharded path itself.
     pub fn with_auto_seq_threshold(mut self, docs: usize) -> Self {
         self.auto_seq_threshold = docs;
         self
     }
 
     /// Whether the most recent pass was delegated to the sequential
-    /// engine by the auto-inline guard.
+    /// engine by the density guard.
     pub fn last_pass_delegated(&self) -> bool {
         self.delegated
     }
 
     /// Cumulative `(delegated, sharded)` pass counts over this
-    /// executor's lifetime — how often the auto-inline guard fired.
+    /// executor's lifetime — how often the density guard fired.
     /// `sharded == 0` means every pass ran the sequential engine's
     /// exact code path (the wall-clock is then definitionally the
     /// sequential wall-clock).
@@ -330,39 +347,9 @@ impl ShardedExecutor {
         (self.delegated_passes, self.sharded_passes)
     }
 
-    /// An executor sized to the host's available parallelism.
-    pub fn host_sized() -> Self {
-        let t = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ShardedExecutor::new(t)
-    }
-
-    /// Number of worker threads (== number of shards).
+    /// Number of worker threads (== number of ranges per phase).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// (Re)sizes scratch for an engine over `n` documents.
-    fn ensure_sized(&mut self, n: usize) {
-        if self.sized_for == n {
-            return;
-        }
-        let s = self.threads;
-        self.sized_for = n;
-        self.shard_size = n.div_ceil(s).max(1);
-        self.work = (0..s).map(|_| Vec::new()).collect();
-        self.carry = (0..s).map(|_| Vec::new()).collect();
-        self.emit = (0..s).map(|_| Vec::new()).collect();
-        self.sorted = (0..s).map(|_| Vec::new()).collect();
-        self.offsets = (0..s).map(|_| vec![0u32; s + 1]).collect();
-        self.cursor = (0..s).map(|_| vec![0u32; s]).collect();
-        self.hop_events = (0..s).map(|_| Vec::new()).collect();
-        self.touched = (0..s).map(|_| Vec::new()).collect();
-        self.fresh = (0..s).map(|_| Vec::new()).collect();
-        self.acc = vec![0.0; n];
-        self.seen = vec![0; n];
-        self.stamp = 0;
     }
 
     /// Executes one pass, bit-identical to [`ChaoticEngine::pass`]
@@ -383,10 +370,11 @@ impl ShardedExecutor {
     }
 
     /// [`ShardedExecutor::pass_with_hops`] optionally collecting
-    /// per-shard `(apply_ns, merge_ns)` wall-clock timings. Timing is
-    /// measured around each shard's phase closure (inside the worker
-    /// when the pass runs threaded), so it reflects real per-shard
-    /// cost, not join skew. With `timings == None` no clock is read.
+    /// per-shard `(apply_ns, pull_ns)` wall-clock timings. Timing is
+    /// measured around each shard's phase closure (inside the worker),
+    /// so it reflects real per-shard cost, not join skew. With
+    /// `timings == None` no clock is read; a delegated pass leaves
+    /// `timings` empty.
     fn pass_timed(
         &mut self,
         eng: &mut ChaoticEngine,
@@ -394,24 +382,19 @@ impl ShardedExecutor {
         hop_model: Option<&mut HopModel<'_>>,
         mut timings: Option<&mut Vec<(u64, u64)>>,
     ) -> PassStats {
-        // Auto-inline guard: below the threshold (checked against the
-        // pre-selection dirty set, so the decision is scheduler-mode
-        // independent) the fixed spawn + merge overhead cannot pay for
-        // itself — run the sequential engine pass instead. The same
-        // holds at any work size when either the executor or the host
-        // has a single execution unit. Results are bit-identical by
-        // the determinism contract, so only the wall-clock and the
-        // `dpr_exec_delegated_passes` counter can tell the difference.
-        // Threshold 0 pins the sharded path (benches, differential
-        // tests).
+        if let Some(tv) = timings.as_deref_mut() {
+            tv.clear();
+        }
+        // The density guard, checked against the pre-selection dirty
+        // set so the decision is scheduler-mode independent. Results
+        // are bit-identical either way; only the wall-clock and the
+        // pass-mix counters can tell.
+        let n = eng.graph().num_nodes();
         self.delegated = self.auto_seq_threshold > 0
             && (self.threads.min(self.hw_threads) <= 1
-                || eng.dirty.len() < self.auto_seq_threshold);
+                || eng.dirty.len() < self.auto_seq_threshold.max(n / PULL_BREAK_EVEN_DIVISOR));
         if self.delegated {
             self.delegated_passes += 1;
-            if let Some(tv) = timings.as_deref_mut() {
-                tv.clear();
-            }
             return eng.pass_with_hops(peers, hop_model);
         }
         self.sharded_passes += 1;
@@ -427,245 +410,141 @@ impl ShardedExecutor {
         let (mut work, sel) = eng.take_pass_work();
         stats.record_sched(&sel);
         if work.is_empty() {
-            if let Some(tv) = timings.as_deref_mut() {
-                tv.clear();
-            }
+            work.append(&mut eng.scratch_deferred);
+            eng.dirty = work;
             return stats;
         }
-        let n = eng.graph().num_nodes();
-        self.ensure_sized(n);
-        let ssize = self.shard_size;
-        let shards = self.threads;
-        let inline = shards == 1 || work.len() < INLINE_WORK_THRESHOLD;
-        let collect_hops = hop_model.is_some();
-
-        // Bucket the work list by owning shard.
-        for &d in &work {
-            self.work[d as usize / ssize].push(d);
+        let selected = work.len();
+        if self.send.len() != n {
+            self.send = vec![-0.0; n];
+            self.flags = vec![0; n];
         }
-
-        // Split every per-document array into one disjoint mutable
-        // slice per shard; disjointness is what makes the parallel
-        // phases race-free without atomics.
+        let index = Arc::clone(
+            eng.pull_index
+                .get_or_insert_with(|| Arc::new(PullIndex::build(&eng.graph, &eng.owner))),
+        );
+        let shards = self.threads;
         let cfg = eng.config();
         let graph: &CsrGraph = eng.graph.as_ref();
         let owner: &[PeerId] = &eng.owner;
-        let mut src_shards: Vec<SrcShard<'_>> = Vec::with_capacity(shards);
+
+        // Phase 1: apply, parallel over document ranges. The scheduled
+        // documents are the queued ones the scheduler did not defer, so
+        // the workers read them off `queued` and the work list itself
+        // is only counted.
+        for &d in &eng.scratch_deferred {
+            self.flags[d as usize] = DEFERRED;
+        }
+        let ctx = ApplyCtx {
+            graph,
+            owner,
+            remote_out: &index.remote_out,
+            peers,
+            eps: cfg.epsilon,
+            damping: cfg.damping,
+        };
+        let chunk = n.div_ceil(shards);
+        let mut jobs = Vec::with_capacity(shards);
         {
-            let ranks = split_shards(&mut eng.ranks, ssize, shards);
-            let advertised = split_shards(&mut eng.advertised, ssize, shards);
-            let pending = split_shards(&mut eng.pending, ssize, shards);
-            let queued = split_shards(&mut eng.queued, ssize, shards);
-            let parts = ranks
-                .into_iter()
-                .zip(advertised)
-                .zip(pending)
-                .zip(queued)
-                .zip(self.work.iter_mut())
-                .zip(self.carry.iter_mut())
-                .zip(self.emit.iter_mut())
-                .zip(self.sorted.iter_mut())
-                .zip(self.offsets.iter_mut())
-                .zip(self.cursor.iter_mut())
-                .zip(self.hop_events.iter_mut());
-            for (s, p) in parts.enumerate() {
-                let (
-                    (
-                        (
-                            (
-                                ((((((ranks, advertised), pending), queued), work), carry), emit),
-                                sorted,
-                            ),
-                            offsets,
-                        ),
-                        cursor,
-                    ),
-                    hop_events,
-                ) = p;
-                src_shards.push(SrcShard {
-                    base: s * ssize,
-                    work,
-                    ranks,
-                    advertised,
-                    pending,
-                    queued,
-                    carry,
-                    emit,
-                    sorted,
-                    offsets,
-                    cursor,
-                    hop_events,
+            let mut ranks = &mut eng.ranks[..];
+            let mut advertised = &mut eng.advertised[..];
+            let mut pending = &mut eng.pending[..];
+            let mut queued = &mut eng.queued[..];
+            let mut send = &mut self.send[..];
+            let mut flags = &mut self.flags[..];
+            for (k, out) in self.applied.iter_mut().enumerate() {
+                let base = (k * chunk).min(n);
+                let len = ((k + 1) * chunk).min(n) - base;
+                jobs.push(ApplyShard {
+                    base,
+                    ranks: take_front(&mut ranks, len),
+                    advertised: take_front(&mut advertised, len),
+                    pending: take_front(&mut pending, len),
+                    queued: take_front(&mut queued, len),
+                    send: take_front(&mut send, len),
+                    flags: take_front(&mut flags, len),
+                    out: std::mem::take(out),
                 });
             }
         }
+        let applied = run_shards(jobs, |sh| timed(time_phases, || apply_range(sh, &ctx)));
 
-        // Phase 1: apply + emit, parallel over source shards. Each
-        // shard optionally times its own phase closure (on the worker
-        // thread), so telemetry sees per-shard cost, not join skew.
-        let shard_stats: Vec<(ShardStats, u64)> = if inline {
-            src_shards
-                .iter_mut()
-                .map(|sh| {
-                    timed(time_phases, || {
-                        apply_and_emit(
-                            sh,
-                            graph,
-                            owner,
-                            peers,
-                            cfg.epsilon,
-                            cfg.damping,
-                            ssize,
-                            collect_hops,
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = src_shards
-                    .iter_mut()
-                    .map(|sh| {
-                        scope.spawn(move || {
-                            timed(time_phases, || {
-                                apply_and_emit(
-                                    sh,
-                                    graph,
-                                    owner,
-                                    peers,
-                                    cfg.epsilon,
-                                    cfg.damping,
-                                    ssize,
-                                    collect_hops,
-                                )
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("apply+emit shard panicked"))
-                    .collect()
-            })
-        };
-        drop(src_shards);
-
-        for (st, _) in &shard_stats {
+        // Fold the workers' outputs in shard order, which for the one
+        // floating-point sum among them is document order.
+        let mut scheduled = 0;
+        work.clear();
+        for (slot, (mut out, ns)) in self.applied.iter_mut().zip(applied) {
+            let st = std::mem::take(&mut out.stats);
+            scheduled += st.scheduled;
             stats.applied += st.applied;
             stats.senders += st.senders;
             stats.remote_messages += st.remote;
             stats.local_updates += st.local;
             stats.max_relative_change = stats.max_relative_change.max(st.max_rel);
-            eng.dangling_advertised += st.dangling;
+            for gap in out.dangling.drain(..) {
+                eng.dangling_advertised += gap;
+            }
+            work.append(&mut out.carry);
+            if let Some(tv) = timings.as_deref_mut() {
+                tv.push((ns, 0));
+            }
+            *slot = out;
         }
+        assert_eq!(
+            scheduled, selected,
+            "the dirty list and the queued flags disagree"
+        );
 
         // Hop charging: the model is `FnMut` and stateful, so it runs
-        // on this thread — but in the exact emission order the
-        // sequential engine would have used (shards are ascending
-        // ranges, events within a shard are in emission order).
+        // on this thread, in the sequential engine's call order.
         if let Some(model) = hop_model {
-            for events in &mut self.hop_events {
-                for &(src, dst, doc) in events.iter() {
-                    stats.hops += u64::from(model(src, dst, DocId(doc)));
+            for (d, _) in self.flags.iter().enumerate().filter(|(_, &f)| f == SENT) {
+                let p = owner[d];
+                for &t in graph.out_neighbors(DocId(d as u32)) {
+                    let tp = owner[t as usize];
+                    if tp != p {
+                        stats.hops += u64::from(model(p, tp, DocId(t)));
+                    }
                 }
-                events.clear();
             }
         } else {
             stats.hops = stats.remote_messages;
         }
 
-        // Phase 2: mailbox merge, parallel over target shards.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let sorted: &[Vec<(u32, f64)>] = &self.sorted;
-        let offsets: &[Vec<u32>] = &self.offsets;
-        let mut dst_shards: Vec<DstShard<'_>> = Vec::with_capacity(shards);
+        // Phase 2: pull, parallel over target ranges.
+        let bounds = balanced_bounds(&index.inbound, shards);
+        let mut jobs = Vec::with_capacity(shards);
         {
-            let pending = split_shards(&mut eng.pending, ssize, shards);
-            let queued = split_shards(&mut eng.queued, ssize, shards);
-            let acc = split_shards(&mut self.acc, ssize, shards);
-            let seen = split_shards(&mut self.seen, ssize, shards);
-            let parts = pending
-                .into_iter()
-                .zip(queued)
-                .zip(acc)
-                .zip(seen)
-                .zip(self.touched.iter_mut())
-                .zip(self.fresh.iter_mut());
-            for (t, p) in parts.enumerate() {
-                let (((((pending, queued), acc), seen), touched), fresh) = p;
-                dst_shards.push(DstShard {
-                    base: t * ssize,
-                    pending,
-                    queued,
-                    acc,
-                    seen,
-                    touched,
-                    fresh,
+            let mut pending = &mut eng.pending[..];
+            let mut queued = &mut eng.queued[..];
+            for (k, fresh) in self.fresh.iter_mut().enumerate() {
+                let len = bounds[k + 1] - bounds[k];
+                jobs.push(PullShard {
+                    base: bounds[k],
+                    pending: take_front(&mut pending, len),
+                    queued: take_front(&mut queued, len),
+                    fresh: std::mem::take(fresh),
                 });
             }
         }
+        let (send, flags) = (&self.send[..], &self.flags[..]);
+        let pulled = run_shards(jobs, |sh| {
+            timed(time_phases, || pull_range(sh, &index.inbound, send, flags))
+        });
 
-        let merge_ns: Vec<u64> = if inline {
-            dst_shards
-                .iter_mut()
-                .enumerate()
-                .map(|(t, sh)| {
-                    timed(time_phases, || {
-                        merge_mailboxes(sh, sorted, offsets, t, stamp)
-                    })
-                    .1
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = dst_shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(t, sh)| {
-                        scope.spawn(move || {
-                            timed(time_phases, || {
-                                merge_mailboxes(sh, sorted, offsets, t, stamp)
-                            })
-                            .1
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge shard panicked"))
-                    .collect()
-            })
-        };
-        drop(dst_shards);
-
-        if let Some(tv) = timings {
-            tv.clear();
-            tv.extend(
-                shard_stats
-                    .iter()
-                    .zip(&merge_ns)
-                    .map(|(&(_, apply_ns), &merge_ns)| (apply_ns, merge_ns)),
-            );
-        }
-
-        // Next pass's dirty list: carried documents, newly queued
-        // targets, plus the documents the priority scheduler deferred
-        // (residual carryover). Order is irrelevant — every pass
-        // re-canonicalizes.
-        work.clear();
-        for carry in &mut self.carry {
-            work.append(carry);
-        }
-        for fresh in &mut self.fresh {
-            work.append(fresh);
+        // Next pass's dirty list: carried documents (already in
+        // `work`), newly queued targets, plus the documents the
+        // scheduler deferred (residual carryover). Order is irrelevant
+        // — every pass re-canonicalizes — but each piece is ascending,
+        // which the sequential engine's sort likes.
+        for (k, (slot, (mut fresh, ns))) in self.fresh.iter_mut().zip(pulled).enumerate() {
+            work.append(&mut fresh);
+            *slot = fresh;
+            if let Some(tv) = timings.as_deref_mut() {
+                tv[k].1 = ns;
+            }
         }
         work.append(&mut eng.scratch_deferred);
-        for bucket in &mut self.work {
-            bucket.clear();
-        }
-        for touched in &mut self.touched {
-            touched.clear();
-        }
         eng.dirty = work;
         stats
     }
@@ -686,7 +565,9 @@ impl ShardedExecutor {
     /// the same per-pass `PassCompleted`/`ConvergenceCheck` and
     /// per-flip `PeerChurn` events as the sequential
     /// [`ChaoticEngine::run_observed`], plus one `ShardPhase` event
-    /// per shard per pass with that shard's apply/merge wall-clock.
+    /// per shard per sharded pass with that shard's apply and pull
+    /// wall-clock (the pull time travels in the event's `merge_ns`
+    /// field, whose name Capture v3 files fix).
     ///
     /// Recording never touches the computation: the ranks stay
     /// bit-identical to the unobserved run (and to the sequential
@@ -720,15 +601,15 @@ impl ShardedExecutor {
                     },
                     1,
                 );
-                for (shard, &(apply_ns, merge_ns)) in timings.iter().enumerate() {
+                for (shard, &(apply_ns, pull_ns)) in timings.iter().enumerate() {
                     rec.observe(Metric::ShardApplyNs, apply_ns);
-                    rec.observe(Metric::ShardMergeNs, merge_ns);
+                    rec.observe(Metric::ShardMergeNs, pull_ns);
                     rec.event(&Event::ShardPhase {
                         run: run_label.to_string(),
                         pass: stats.pass as u64,
                         shard: shard as u32,
                         apply_ns,
-                        merge_ns,
+                        merge_ns: pull_ns,
                     });
                 }
                 rec.event(&Event::PassCompleted {
@@ -792,141 +673,137 @@ fn timed<T>(measure: bool, f: impl FnOnce() -> T) -> (T, u64) {
     }
 }
 
-/// Splits `data` into exactly `shards` mutable slices of `size`
-/// documents each (the last possibly shorter, trailing ones possibly
-/// empty).
-fn split_shards<T>(mut data: &mut [T], size: usize, shards: usize) -> Vec<&mut [T]> {
-    let mut out = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let cut = size.min(data.len());
-        let (head, tail) = data.split_at_mut(cut);
-        out.push(head);
-        data = tail;
-    }
-    out
+/// Cuts the first `len` elements off `rest` and returns them.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
-/// Phase 1 for one source shard: canonicalize its work list, apply
-/// parked increments, emit contribution changes into the mailbox row.
-/// Mirrors [`ChaoticEngine::pass_with_hops`] exactly — any semantic
-/// change there must be replicated here (the differential tests in
-/// `tests/` enforce this).
-#[allow(clippy::too_many_arguments)]
-fn apply_and_emit(
-    shard: &mut SrcShard<'_>,
-    graph: &CsrGraph,
-    owner: &[PeerId],
-    peers: &PeerTable,
-    eps: f64,
-    damping: f64,
-    ssize: usize,
-    collect_hops: bool,
-) -> ShardStats {
-    let mut st = ShardStats::default();
-    // Ascending document order: concatenated across shards this is
-    // the sequential engine's canonical work order.
-    shard.work.sort_unstable();
-    for &d in shard.work.iter() {
-        let i = d as usize;
-        let li = i - shard.base;
-        let p = owner[i];
-        if !peers.is_online(p) {
-            shard.carry.push(d);
-            continue;
-        }
-        shard.queued[li] = false;
-        let delta = std::mem::take(&mut shard.pending[li]);
-        let rank = shard.ranks[li] + delta;
-        shard.ranks[li] = rank;
-        st.applied += 1;
-        let rel = (rank - shard.advertised[li]).abs() / rank.abs().max(f64::MIN_POSITIVE);
-        st.max_rel = st.max_rel.max(rel);
-        if rel <= eps {
-            continue;
-        }
-        let out = graph.out_neighbors(DocId(d));
-        if out.is_empty() {
-            // Dangling document: nothing to forward, but the rank is
-            // now advertised (prevents re-evaluation forever).
-            st.dangling += rank - shard.advertised[li];
-            shard.advertised[li] = rank;
-            continue;
-        }
-        let send = damping * (rank - shard.advertised[li]) / out.len() as f64;
-        shard.advertised[li] = rank;
-        st.senders += 1;
-        for &t in out {
-            shard.emit.push((t, send));
-            let tp = owner[t as usize];
-            if tp == p {
-                st.local += 1;
-            } else {
-                st.remote += 1;
-                if collect_hops {
-                    shard.hop_events.push((p, tp, t));
+/// Runs `f` over every job, each on a scoped thread of its own (a
+/// lone job on the calling thread), and returns the results in job
+/// order.
+fn run_shards<J: Send, R: Send>(jobs: Vec<J>, f: impl Fn(J) -> R + Sync) -> Vec<R> {
+    if jobs.len() == 1 {
+        return jobs.into_iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = jobs
+            .into_iter()
+            .map(|job| scope.spawn(move || f(job)))
+            .collect();
+        spawned
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
+}
+
+/// Cuts the rows of `inbound` into `shards` contiguous ranges of equal
+/// weight, one unit per row plus one per entry, and returns the
+/// `shards + 1` boundaries. The weight before row `t` is
+/// `offsets[t] + t`, strictly increasing, so the boundaries are
+/// monotone; a row heavier than a whole share leaves its neighbours'
+/// ranges short or empty.
+fn balanced_bounds(inbound: &CsrGraph, shards: usize) -> Vec<usize> {
+    let offsets = inbound.offsets();
+    let n = inbound.num_nodes();
+    let total = inbound.num_edges() + n;
+    (0..=shards)
+        .map(|k| {
+            let goal = total * k / shards;
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if (offsets[mid] as usize + mid) < goal {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
                 }
             }
-        }
-    }
-    // Single stable counting pass: group the flat emission buffer
-    // into contiguous per-target-shard segments (count, prefix-sum,
-    // place). Stability — equal-shard emissions keep their relative
-    // order — is what preserves the sequential floating-point fold
-    // order through the merge.
-    let nshards = shard.cursor.len();
-    shard.offsets.clear();
-    shard.offsets.resize(nshards + 1, 0);
-    for &(t, _) in shard.emit.iter() {
-        shard.offsets[t as usize / ssize + 1] += 1;
-    }
-    for s in 0..nshards {
-        shard.offsets[s + 1] += shard.offsets[s];
-    }
-    shard.cursor.copy_from_slice(&shard.offsets[..nshards]);
-    shard.sorted.clear();
-    shard.sorted.resize(shard.emit.len(), (0, 0.0));
-    for &(t, delta) in shard.emit.iter() {
-        let dst = t as usize / ssize;
-        shard.sorted[shard.cursor[dst] as usize] = (t, delta);
-        shard.cursor[dst] += 1;
-    }
-    shard.emit.clear();
-    st
+            lo
+        })
+        .collect()
 }
 
-/// Phase 2 for one target shard: fold this shard's contiguous segment
-/// of every source shard's counting-sorted emission buffer, in
-/// source-shard order, into the dense accumulator (seeded from the
-/// document's current `pending`, so carried/injected mass folds in
-/// the same position as sequentially), then commit one coalesced
-/// write per document and queue the newly dirty ones.
-fn merge_mailboxes(
-    shard: &mut DstShard<'_>,
-    sorted: &[Vec<(u32, f64)>],
-    offsets: &[Vec<u32>],
-    dst: usize,
-    stamp: u64,
-) {
-    for (src_sorted, src_off) in sorted.iter().zip(offsets) {
-        let seg = &src_sorted[src_off[dst] as usize..src_off[dst + 1] as usize];
-        for &(d, delta) in seg {
-            let li = d as usize - shard.base;
-            if shard.seen[li] != stamp {
-                shard.seen[li] = stamp;
-                shard.acc[li] = shard.pending[li];
-                shard.touched.push(d);
+/// Phase 1 for one document range: apply the parked increment of every
+/// scheduled document and record what it sends. Mirrors the two inner
+/// loops of [`ChaoticEngine::pass_with_hops`] exactly, minus the walk
+/// over the out-links — any semantic change there must be replicated
+/// here (the differential tests in `tests/` enforce this).
+fn apply_range(mut sh: ApplyShard<'_>, ctx: &ApplyCtx<'_>) -> ApplyOut {
+    let mut st = ShardStats::default();
+    for li in 0..sh.flags.len() {
+        // Clears the previous pass's `SENT` (a `DEFERRED` mark may have
+        // overwritten one, so any mark resets `send`) and this pass's
+        // `DEFERRED`.
+        let mark = std::mem::take(&mut sh.flags[li]);
+        if mark != 0 {
+            sh.send[li] = -0.0;
+        }
+        if !sh.queued[li] || mark == DEFERRED {
+            continue;
+        }
+        st.scheduled += 1;
+        let i = sh.base + li;
+        if !ctx.peers.is_online(ctx.owner[i]) {
+            sh.out.carry.push(i as u32);
+            continue;
+        }
+        sh.queued[li] = false;
+        let delta = std::mem::take(&mut sh.pending[li]);
+        let rank = sh.ranks[li] + delta;
+        sh.ranks[li] = rank;
+        st.applied += 1;
+        let gap = rank - sh.advertised[li];
+        let rel = gap.abs() / rank.abs().max(f64::MIN_POSITIVE);
+        st.max_rel = st.max_rel.max(rel);
+        if rel <= ctx.eps {
+            continue;
+        }
+        sh.advertised[li] = rank;
+        let degree = ctx.graph.out_degree(DocId(i as u32));
+        if degree == 0 {
+            // Dangling document: nothing to forward, but the rank is
+            // now advertised (prevents re-evaluation forever).
+            sh.out.dangling.push(gap);
+            continue;
+        }
+        sh.send[li] = ctx.damping * gap / degree as f64;
+        sh.flags[li] = SENT;
+        st.senders += 1;
+        let remote = u64::from(ctx.remote_out[i]);
+        st.remote += remote;
+        st.local += degree as u64 - remote;
+    }
+    sh.out.stats = st;
+    sh.out
+}
+
+/// Phase 2 for one target range: every target folds the `send` values
+/// of its in-neighbours into its `pending`, in in-row order (ascending
+/// sender, one term per link; `−0.0` from those that did not send),
+/// and if any did send joins the newly-dirty list unless it was queued
+/// already.
+fn pull_range(mut sh: PullShard<'_>, inbound: &CsrGraph, send: &[f64], flags: &[u8]) -> Vec<u32> {
+    for li in 0..sh.pending.len() {
+        let t = (sh.base + li) as u32;
+        let mut acc = sh.pending[li];
+        let mut hit = false;
+        for &s in inbound.out_neighbors(DocId(t)) {
+            acc += send[s as usize];
+            hit |= flags[s as usize] == SENT;
+        }
+        if hit {
+            sh.pending[li] = acc;
+            if !sh.queued[li] {
+                sh.queued[li] = true;
+                sh.fresh.push(t);
             }
-            shard.acc[li] += delta;
         }
     }
-    for &d in shard.touched.iter() {
-        let li = d as usize - shard.base;
-        shard.pending[li] = shard.acc[li];
-        if !shard.queued[li] {
-            shard.queued[li] = true;
-            shard.fresh.push(d);
-        }
-    }
+    sh.fresh
 }
 
 #[cfg(test)]
@@ -1117,7 +994,6 @@ mod tests {
         assert_eq!(ExecMode::from_threads(None), ExecMode::Sequential);
         assert_eq!(ExecMode::from_threads(Some(1)), ExecMode::Sequential);
         assert_eq!(ExecMode::from_threads(Some(4)), ExecMode::Parallel(4));
-        assert!(matches!(ExecMode::host_parallel(), ExecMode::Parallel(t) if t >= 1));
     }
 
     #[test]
@@ -1251,11 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn host_sized_has_at_least_one_thread() {
-        assert!(ShardedExecutor::host_sized().threads() >= 1);
-    }
-
-    #[test]
     fn auto_seq_guard_delegates_small_passes_bit_identically() {
         use dpr_telemetry::TraceRecorder;
         // 2k docs is far below the default threshold, so every pass
@@ -1379,5 +1250,220 @@ mod tests {
             }
         }
         assert!(pass_seen > 1);
+    }
+
+    // ---- raw-CSR differential: what `GraphBuilder` graphs cannot reach ----
+
+    use crate::SchedMode;
+    use proptest::prelude::*;
+
+    /// Everything a pass may change, compared with `==` (bits for the
+    /// floats: no value here is NaN).
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        ranks: Vec<f64>,
+        pending: Vec<f64>,
+        advertised: Vec<f64>,
+        queued: Vec<bool>,
+        /// The dirty *set*: list order is not part of the contract.
+        dirty: Vec<u32>,
+        mass: dpr_telemetry::MassBreakdown,
+    }
+
+    fn snapshot(eng: &ChaoticEngine) -> Snapshot {
+        let mut dirty = eng.dirty.clone();
+        dirty.sort_unstable();
+        Snapshot {
+            ranks: eng.ranks.clone(),
+            pending: eng.pending.clone(),
+            advertised: eng.advertised.clone(),
+            queued: eng.queued.clone(),
+            dirty,
+            mass: eng.mass_breakdown(),
+        }
+    }
+
+    /// What happens around one pass of a scripted run.
+    #[derive(Debug, Clone)]
+    struct Step {
+        /// Peers offline during the pass (peer 0 never is, so every
+        /// script can make progress).
+        offline: Vec<bool>,
+        /// An increment injected before the pass.
+        inject: Option<(u32, f64)>,
+    }
+
+    /// Strategy: a CSR graph straight from parts — rows unsorted, with
+    /// duplicate links and self-loops — as `(n, rows)`.
+    fn arb_raw_rows(max_nodes: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
+        (2..max_nodes).prop_flat_map(|n| prop_vec(prop_vec(0..n as u32, 0..7), n..n + 1))
+    }
+
+    fn raw_graph(rows: &[Vec<u32>]) -> Arc<CsrGraph> {
+        let mut offsets = vec![0u64];
+        let mut targets = Vec::new();
+        for row in rows {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len() as u64);
+        }
+        Arc::new(CsrGraph::from_parts(offsets, targets))
+    }
+
+    fn arb_script(n: usize, num_peers: usize) -> impl Strategy<Value = Vec<Step>> {
+        let inject = (any::<bool>(), 0..n as u32, -0.75..0.75f64);
+        let step = (prop_vec(any::<bool>(), num_peers..num_peers + 1), inject).prop_map(
+            |(mut offline, (on, doc, delta))| {
+                offline[0] = false;
+                Step {
+                    offline,
+                    inject: on.then_some((doc, delta)),
+                }
+            },
+        );
+        prop_vec(step, 1..25)
+    }
+
+    /// Runs `script` pass by pass and returns what each pass returned
+    /// and left behind, plus the hop model's calls in order.
+    /// `threads == 0` is the sequential engine. The model's answer
+    /// depends on how many calls came before, so a reordering shows in
+    /// `PassStats::hops` as well as in the log.
+    #[allow(clippy::type_complexity)]
+    fn scripted_run(
+        graph: &Arc<CsrGraph>,
+        owner: &[PeerId],
+        sched: SchedMode,
+        script: &[Step],
+        threads: usize,
+    ) -> (Vec<(PassStats, Snapshot)>, Vec<(PeerId, PeerId, DocId)>) {
+        let cfg = EngineConfig::with_epsilon(1e-3).with_sched(sched);
+        let mut eng = ChaoticEngine::new(graph.clone(), owner.to_vec(), cfg);
+        let mut peers = PeerTable::new(script[0].offline.len());
+        let mut exec = ShardedExecutor::new(threads.max(1)).with_auto_seq_threshold(0);
+        let mut calls = Vec::new();
+        let mut model = |s: PeerId, d: PeerId, doc: DocId| {
+            calls.push((s, d, doc));
+            (calls.len() % 3) as u32
+        };
+        let mut passes = Vec::new();
+        for step in script {
+            for (i, &off) in step.offline.iter().enumerate() {
+                if off {
+                    peers.go_offline(PeerId(i as u32));
+                } else {
+                    peers.go_online(PeerId(i as u32));
+                }
+            }
+            if let Some((doc, delta)) = step.inject {
+                eng.inject_delta(DocId(doc), delta);
+            }
+            let stats = if threads == 0 {
+                eng.pass_with_hops(&peers, Some(&mut model))
+            } else {
+                exec.pass_with_hops(&mut eng, &peers, Some(&mut model))
+            };
+            passes.push((stats, snapshot(&eng)));
+        }
+        (passes, calls)
+    }
+
+    proptest! {
+        /// Graphs `GraphBuilder` never makes × random owners × a
+        /// random offline mask and injection per pass × every
+        /// scheduler × thread counts on both sides of `n`: the sharded
+        /// pass returns and leaves behind exactly what the sequential
+        /// one does, and calls the hop model in the same sequence.
+        #[test]
+        fn raw_csr_scripted_runs_match_sequential(
+            (rows, owner, script) in arb_raw_rows(200).prop_flat_map(|rows| {
+                let n = rows.len();
+                (1..6usize).prop_flat_map(move |num_peers| (
+                    Just(rows.clone()),
+                    prop_vec(0..num_peers as u32, n..n + 1),
+                    arb_script(n, num_peers),
+                ))
+            }),
+        ) {
+            let graph = raw_graph(&rows);
+            let owner: Vec<PeerId> = owner.into_iter().map(PeerId).collect();
+            for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
+                let want = scripted_run(&graph, &owner, sched, &script, 0);
+                for threads in [1usize, 2, 3, 5, 8] {
+                    let got = scripted_run(&graph, &owner, sched, &script, threads);
+                    prop_assert_eq!(&got, &want, "{} at {} threads", sched, threads);
+                }
+            }
+        }
+    }
+
+    /// Two engines driven to quiescence pass for pass, one sequentially
+    /// and one through `exec`, agreeing on everything after every pass.
+    fn assert_lockstep(exec: &mut ShardedExecutor, seq: &mut ChaoticEngine, peers: &PeerTable) {
+        let mut par = seq.clone();
+        while !seq.is_quiescent() {
+            assert_eq!(seq.pass(peers), exec.pass(&mut par, peers));
+            assert!(!exec.last_pass_delegated());
+            assert_eq!(snapshot(seq), snapshot(&par));
+        }
+    }
+
+    #[test]
+    fn hub_holding_most_in_links_leaves_short_target_ranges() {
+        // Every document links to the hub three times and to its
+        // successor once: the hub's row of the transpose outweighs
+        // everything else together, so at 2 threads the first target
+        // range is the hub's alone and at 5 two are empty.
+        let n = 60u32;
+        let hub = 0u32;
+        let rows: Vec<Vec<u32>> = (0..n).map(|d| vec![hub, (d + 1) % n, hub, hub]).collect();
+        let graph = raw_graph(&rows);
+        let inbound = graph.transpose();
+        assert!(inbound.out_degree(DocId(hub)) > graph.num_edges() / 2);
+        for threads in [2usize, 5] {
+            let bounds = balanced_bounds(&inbound, threads);
+            assert_eq!((bounds[0], bounds[threads]), (0, n as usize));
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{bounds:?}");
+            // The hub alone, then `threads / 2 - 1` empty ranges.
+            let want_ones = threads / 2;
+            assert!(bounds[1..=want_ones].iter().all(|&b| b == 1), "{bounds:?}");
+            let mut seq = ChaoticEngine::new(
+                graph.clone(),
+                owners(n as usize, 4, 70),
+                EngineConfig::with_epsilon(1e-6),
+            );
+            let mut exec = ShardedExecutor::new(threads).with_auto_seq_threshold(0);
+            assert_lockstep(&mut exec, &mut seq, &PeerTable::new(4));
+        }
+    }
+
+    #[test]
+    fn more_threads_than_documents() {
+        let graph = raw_graph(&[vec![1, 2], vec![2], vec![0, 0]]);
+        let mut seq = ChaoticEngine::new(graph, owners(3, 2, 71), EngineConfig::with_epsilon(1e-9));
+        let mut exec = ShardedExecutor::new(8).with_auto_seq_threshold(0);
+        assert_lockstep(&mut exec, &mut seq, &PeerTable::new(2));
+    }
+
+    #[test]
+    fn one_executor_alternating_between_two_engines_of_equal_size() {
+        // Same `n`, different graph, different owner map: whatever the
+        // executor keeps between passes must not carry from one engine
+        // into the other.
+        let n = 400;
+        let cfg = EngineConfig::with_epsilon(1e-5);
+        let mut seq_a = ChaoticEngine::new(Arc::new(paper_graph(n, 72)), owners(n, 7, 73), cfg);
+        let mut seq_b = ChaoticEngine::new(Arc::new(paper_graph(n, 74)), owners(n, 3, 75), cfg);
+        let (mut par_a, mut par_b) = (seq_a.clone(), seq_b.clone());
+        let peers = PeerTable::new(7);
+        let mut exec = ShardedExecutor::new(3).with_auto_seq_threshold(0);
+        while !(seq_a.is_quiescent() && seq_b.is_quiescent()) {
+            for (seq, par) in [(&mut seq_a, &mut par_a), (&mut seq_b, &mut par_b)] {
+                if !seq.is_quiescent() {
+                    assert_eq!(seq.pass(&peers), exec.pass(par, &peers));
+                    assert_eq!(snapshot(seq), snapshot(par));
+                }
+            }
+        }
+        assert_ne!(seq_a.ranks(), seq_b.ranks());
     }
 }

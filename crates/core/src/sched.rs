@@ -23,7 +23,7 @@
 //! whole buckets keeps the selected set a pure function of the queued
 //! *set* and the engine state — independent of queue order, shard
 //! layout, and thread count — which is what lets the sharded executor
-//! keep its deterministic mailbox-merge contract in `Priority` mode.
+//! keep its bit-identity contract in `Priority` mode.
 //!
 //! ## Residual carryover
 //!
@@ -45,7 +45,7 @@
 //! whole log2 bucket. The ranking is a total order ((score desc, doc
 //! asc), compared bit-exactly), so the selected set is still a pure
 //! function of the queued set and engine state, and the sharded
-//! executor's mailbox-merge determinism carries over unchanged.
+//! executor's determinism carries over unchanged.
 
 use dpr_telemetry::hist::bucket_of;
 

@@ -13,7 +13,9 @@ use crate::{DocId, Edge};
 ///
 /// `offsets` has `n + 1` entries; the out-neighbors of node `v` are
 /// `targets[offsets[v] .. offsets[v + 1]]`. Out-neighbor lists are
-/// sorted and deduplicated by [`crate::GraphBuilder`].
+/// sorted and deduplicated by [`crate::GraphBuilder`]; graphs made by
+/// [`CsrGraph::from_parts`] are only as sorted as their caller made
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
@@ -29,6 +31,13 @@ impl CsrGraph {
     /// end at `targets.len()`, or if any target is out of range. These
     /// invariants are what every traversal relies on, so they are
     /// checked once at construction instead of on every access.
+    ///
+    /// Row order is **not** checked: ascending rows are the caller's
+    /// contract. [`CsrGraph::has_edge`] binary-searches a
+    /// row and answers wrongly on an unsorted one; everything else —
+    /// the rank engines and the sharded executor's pull path included —
+    /// reads rows as multisets in stored order and must keep doing so
+    /// (a duplicate edge is two links, a self-loop is a link).
     pub fn from_parts(offsets: Vec<u64>, targets: Vec<u32>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have n + 1 entries");
         assert_eq!(offsets[0], 0, "offsets must start at 0");
@@ -69,6 +78,14 @@ impl CsrGraph {
         self.targets.len()
     }
 
+    /// The row offsets, `n + 1` entries: `offsets()[v]` edges precede
+    /// row `v`, so they are also the prefix sums a caller needs to cut
+    /// the node range into pieces of equal edge count.
+    #[inline]
+    pub fn offsets(&self) -> &[u64] {
+        &self.offsets
+    }
+
     /// Out-degree of `v` — the paper's `N(v)`, the divisor used when a
     /// document distributes its rank over its out-links.
     #[inline]
@@ -77,15 +94,16 @@ impl CsrGraph {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// Out-neighbors of `v`, sorted ascending.
+    /// Out-neighbors of `v`, in stored order (ascending for graphs
+    /// from [`crate::GraphBuilder`] and [`CsrGraph::transpose`]).
     #[inline]
     pub fn out_neighbors(&self, v: DocId) -> &[u32] {
         let i = v.index();
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Whether the edge `from -> to` exists (binary search on the sorted
-    /// adjacency list).
+    /// Whether the edge `from -> to` exists (binary search: rows must
+    /// be ascending, see [`CsrGraph::from_parts`]).
     pub fn has_edge(&self, from: DocId, to: DocId) -> bool {
         self.out_neighbors(from).binary_search(&to.0).is_ok()
     }
@@ -109,7 +127,10 @@ impl CsrGraph {
     ///
     /// The synchronous reference solver (paper Sec. 4.3, the quantity
     /// `R_c`) pulls rank along *in-links*, which is exactly a traversal
-    /// of the transpose. Built with a counting sort, O(V + E).
+    /// of the transpose. Built with a counting sort, O(V + E). Every
+    /// row of the result lists its sources in ascending order, one
+    /// entry per edge (duplicates kept), whatever the row order of
+    /// `self`.
     pub fn transpose(&self) -> CsrGraph {
         let n = self.num_nodes();
         let mut counts = vec![0u64; n + 1];

@@ -87,7 +87,20 @@ pub fn write_binary<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
     w.flush()
 }
 
+/// Most entries [`read_binary`] reserves ahead of the data: the header
+/// is input like the rest, so it sizes nothing by itself. Past this the
+/// vectors grow as entries actually arrive, and a header that promises
+/// more than the body holds costs one small reservation and ends in
+/// `UnexpectedEof`.
+const MAX_PREALLOC: usize = 1 << 16;
+
 /// Reads a graph written by [`write_binary`].
+///
+/// Total over its input: a bad magic, counts that do not fit the
+/// platform, a degree sum that disagrees with the edge count, a target
+/// out of range or a row that is not ascending is `InvalidData`, a
+/// short body is `UnexpectedEof`; nothing in the input panics or
+/// reserves memory the body does not fill.
 pub fn read_binary<R: Read>(r: R) -> io::Result<CsrGraph> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
@@ -95,25 +108,34 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<CsrGraph> {
     if &magic != MAGIC {
         return Err(bad_data("bad magic / unsupported version"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
+    let n = usize::try_from(read_u64(&mut r)?).map_err(|_| bad_data("node count too large"))?;
+    let m = usize::try_from(read_u64(&mut r)?).map_err(|_| bad_data("edge count too large"))?;
+    let mut offsets = Vec::with_capacity(n.saturating_add(1).min(MAX_PREALLOC));
     offsets.push(0u64);
     let mut acc = 0u64;
     for _ in 0..n {
-        acc += read_u32(&mut r)? as u64;
+        acc = acc
+            .checked_add(u64::from(read_u32(&mut r)?))
+            .ok_or_else(|| bad_data("degree sum overflows"))?;
         offsets.push(acc);
     }
     if acc != m as u64 {
         return Err(bad_data("degree sum does not match edge count"));
     }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        let t = read_u32(&mut r)?;
-        if t as usize >= n {
-            return Err(bad_data("edge target out of range"));
+    let mut targets = Vec::with_capacity(m.min(MAX_PREALLOC));
+    for row in offsets.windows(2) {
+        let start = targets.len();
+        for _ in row[0]..row[1] {
+            let t = read_u32(&mut r)?;
+            if t as usize >= n {
+                return Err(bad_data("edge target out of range"));
+            }
+            targets.push(t);
         }
-        targets.push(t);
+        // `CsrGraph::has_edge` binary-searches rows.
+        if !targets[start..].is_sorted() {
+            return Err(bad_data("adjacency row not ascending"));
+        }
     }
     Ok(CsrGraph::from_parts(offsets, targets))
 }
@@ -190,5 +212,48 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    /// A header by hand: magic, node count, edge count.
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn binary_huge_header_over_short_body_is_an_error_not_an_abort() {
+        // Counts no allocator could serve (and `n + 1` overflows): the
+        // reader must fail on the missing body, not on the reservation.
+        for (n, m) in [(u64::MAX, u64::MAX), (1 << 40, 1 << 41), (3, 1 << 40)] {
+            let mut buf = header(n, m);
+            buf.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0]);
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            let kind = err.kind();
+            assert!(
+                kind == io::ErrorKind::UnexpectedEof || kind == io::ErrorKind::InvalidData,
+                "{n}/{m}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn binary_rejects_unsorted_row() {
+        // 3 nodes; row 0 = [2, 1] is descending.
+        let mut buf = header(3, 3);
+        for v in [2u32, 1, 0, /* targets */ 2, 1, 0] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = read_binary(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ascending"), "{err}");
+        // The same rows ascending (a duplicate link included) load.
+        let mut buf = header(3, 3);
+        for v in [2u32, 1, 0, /* targets */ 1, 1, 0] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        let g = read_binary(buf.as_slice()).unwrap();
+        assert_eq!(g.out_neighbors(crate::DocId(0)), &[1, 1]);
     }
 }

@@ -60,11 +60,14 @@ pub enum Event {
         run: String,
         /// Pass index within the run, starting at 1.
         pass: u64,
-        /// Shard index (0 for the sequential/inline path).
+        /// Shard index: the `shard`-th document range of the apply
+        /// phase and the `shard`-th target range of the pull phase.
         shard: u32,
-        /// Nanoseconds in the apply+emit phase.
+        /// Nanoseconds this shard spent applying parked increments.
         apply_ns: u64,
-        /// Nanoseconds merging mailboxes into this shard.
+        /// Nanoseconds this shard spent pulling its targets' in-links
+        /// (the name dates from the mailbox-merge executor; Capture v3
+        /// files fix it).
         merge_ns: u64,
     },
     /// One message-level cluster round finished.

@@ -95,9 +95,9 @@ metrics! {
     PassDurationNs = 14 => Histogram, "dpr_pass_duration_ns",
         "Wall-clock nanoseconds per engine pass";
     ShardApplyNs = 15 => Histogram, "dpr_shard_apply_ns",
-        "Nanoseconds per shard in the apply+emit phase";
+        "Nanoseconds per shard in the apply phase";
     ShardMergeNs = 16 => Histogram, "dpr_shard_merge_ns",
-        "Nanoseconds per shard merging mailboxes";
+        "Nanoseconds per shard in the pull phase";
     SchedQueueDepth = 17 => Histogram, "dpr_sched_queue_depth",
         "Documents queued at priority-selection time, per pass";
     SchedDeferredDocs = 18 => Histogram, "dpr_sched_deferred_docs",
@@ -105,9 +105,9 @@ metrics! {
     SchedBudgetPermille = 19 => Histogram, "dpr_sched_budget_permille",
         "Selected residual-mass fraction per pass, in permille";
     ExecDelegatedPasses = 20 => Counter, "dpr_exec_delegated_passes",
-        "Sharded-executor passes delegated to the sequential engine by the auto-inline guard";
+        "Sharded-executor passes delegated to the sequential engine by the density guard";
     ExecShardedPasses = 21 => Counter, "dpr_exec_sharded_passes",
-        "Sharded-executor passes run through the parallel fan-out path";
+        "Sharded-executor passes run through the parallel apply + pull path";
     ChaoticEvents = 22 => Counter, "dpr_chaotic_events",
         "Events executed by the chaotic discrete-event runtime";
     InboxSaturations = 23 => Counter, "dpr_inbox_saturations",

@@ -3,9 +3,13 @@
 //! The contract under test is *bit* identity, not approximation: at
 //! every thread count, under arbitrary churn, on arbitrary graphs, the
 //! sharded executor must produce exactly the ranks (`==` on every
-//! `f64`) and exactly the per-pass `PassStats` of the sequential
-//! engine. A fixed-seed regression test pins the sequential output
-//! itself, so the shared reference cannot drift silently either.
+//! `f64`), exactly the per-pass `PassStats` and, after every pass,
+//! exactly the mass ledger (`mass_breakdown()`, dangling sink
+//! included, compared as bits) of the sequential engine. A fixed-seed
+//! regression test pins the sequential output itself, so the shared
+//! reference cannot drift silently either. (Graphs here come from
+//! `GraphBuilder`; the raw-CSR, scheduler and hop-model differential
+//! lives beside the executor in `dpr-core::parallel`.)
 
 use distributed_pagerank::core::parallel::ShardedExecutor;
 use distributed_pagerank::prelude::*;
@@ -56,16 +60,23 @@ fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
     }
 }
 
+/// The bits of the engine's four mass-ledger terms.
+fn mass_bits(eng: &ChaoticEngine) -> [u64; 4] {
+    let mb = eng.mass_breakdown();
+    [mb.ranks, mb.unadvertised, mb.pending, mb.dangling].map(f64::to_bits)
+}
+
 /// Runs `max_passes` churned passes (stopping early on quiescence)
 /// and returns the exact trajectory: final ranks plus every pass's
-/// stats. `threads == 0` means the sequential engine.
+/// stats and the mass ledger it left. `threads == 0` means the
+/// sequential engine.
 fn run_trajectory(
     graph: &Arc<CsrGraph>,
     owner: &[PeerId],
     plan: &[Vec<bool>],
     threads: usize,
     max_passes: usize,
-) -> (Vec<f64>, Vec<PassStats>) {
+) -> (Vec<f64>, Vec<(PassStats, [u64; 4])>) {
     let mut eng = ChaoticEngine::new(
         graph.clone(),
         owner.to_vec(),
@@ -73,9 +84,9 @@ fn run_trajectory(
     );
     let num_peers = owner.iter().map(|p| p.index() + 1).max().unwrap_or(1);
     let mut peers = PeerTable::new(num_peers);
-    // Threshold 0 disables the auto-inline guard: these graphs are far
-    // below the default threshold, and the machinery under test is the
-    // sharded fan-out itself (the guard delegates to the sequential
+    // Threshold 0 disables the density guard: these graphs are far
+    // below its floor, and the machinery under test is the sharded
+    // apply + pull itself (the guard delegates to the sequential
     // engine, which would make the comparison vacuous).
     let mut exec = ShardedExecutor::new(threads.max(1)).with_auto_seq_threshold(0);
     let mut stats = Vec::new();
@@ -86,7 +97,7 @@ fn run_trajectory(
         } else {
             exec.pass(&mut eng, &peers)
         };
-        stats.push(s);
+        stats.push((s, mass_bits(&eng)));
         if eng.is_quiescent() {
             break;
         }
@@ -96,7 +107,7 @@ fn run_trajectory(
 
 proptest! {
     /// The tentpole contract: on random graphs, random peer counts and
-    /// random churn schedules, every thread count in {1, 2, 4, 8}
+    /// random churn schedules, every thread count in {1, 2, 3, 4, 8}
     /// reproduces the sequential trajectory bit for bit.
     #[test]
     fn sharded_executor_is_bit_identical_to_sequential(
@@ -107,10 +118,10 @@ proptest! {
         let graph = build(n, &edges);
         let owner = owners(n, num_peers);
         let (seq_ranks, seq_stats) = run_trajectory(&graph, &owner, &plan, 0, 60);
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [1usize, 2, 3, 4, 8] {
             let (ranks, stats) = run_trajectory(&graph, &owner, &plan, threads, 60);
             prop_assert_eq!(&ranks, &seq_ranks, "ranks diverged at {} threads", threads);
-            prop_assert_eq!(&stats, &seq_stats, "stats diverged at {} threads", threads);
+            prop_assert_eq!(&stats, &seq_stats, "stats or mass diverged at {} threads", threads);
         }
     }
 }
