@@ -238,7 +238,8 @@ fn pass_scaling(args: &Args) {
             "Pass-throughput scaling ({nodes} docs, {peers_n} peers, eps {eps}, best of {reps}, \
              {host_threads} host threads)\n"
         );
-        let run_once = |threads: usize| -> PassScalingRow {
+        let mut seq_ranks: Option<Vec<f64>> = None;
+        let mut run_once = |threads: usize| -> PassScalingRow {
             let mut best = f64::INFINITY;
             let mut passes = 0;
             let mut mix = (0u64, 0u64);
@@ -261,6 +262,13 @@ fn pass_scaling(args: &Args) {
                 best = best.min(secs);
                 passes = run.passes;
                 mix = exec.pass_mix();
+                // The sequential row runs first; every later run must
+                // reproduce its ranks bit for bit.
+                let want = seq_ranks.get_or_insert_with(|| engine.ranks().to_vec());
+                assert!(
+                    want.as_slice() == engine.ranks(),
+                    "{nodes} docs, {threads} threads: ranks differ from the sequential run"
+                );
             }
             PassScalingRow {
                 docs: nodes,

@@ -14,10 +14,11 @@ use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
-use dpr_telemetry::{AuditReport, Capture, Event, TraceSummary};
+use dpr_telemetry::{AuditReport, Capture, Event, Metric, Recorder, TraceSummary, NOOP};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fs::File;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Top-level usage text. Built, not const, so every `--sched` line
@@ -660,6 +661,29 @@ pub fn trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A recorder that counts the sharded executor's per-pass decisions
+/// and keeps nothing else, so observing a replay costs no memory.
+#[derive(Default)]
+struct PassMix {
+    sharded: AtomicU64,
+    delegated: AtomicU64,
+}
+
+impl Recorder for PassMix {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn counter_add(&self, metric: Metric, delta: u64) {
+        // Statistics only: nothing is published through these.
+        match metric {
+            Metric::ExecShardedPasses => self.sharded.fetch_add(delta, Ordering::Relaxed),
+            Metric::ExecDelegatedPasses => self.delegated.fetch_add(delta, Ordering::Relaxed),
+            _ => 0,
+        };
+    }
+}
+
 /// `dpr doctor` — the flight recorder's diagnostic front end.
 ///
 /// Default mode runs the message-level cluster scenario with the
@@ -697,11 +721,27 @@ pub fn doctor(args: &Args) -> Result<(), String> {
     if let Some(path) = args.optional("replay") {
         let capture =
             Capture::read(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        let out = flight::replay_under_codec(&capture, mode, codec)
+        // A `--threads` replay proves something about the sharded
+        // executor only if the density guard let it run, so count its
+        // decisions and say what they were.
+        let mix = PassMix::default();
+        let rec: &dyn Recorder = match mode {
+            ExecMode::Sequential => &NOOP,
+            ExecMode::Parallel(_) => &mix,
+        };
+        let out = flight::replay_under_codec(&capture, mode, codec, rec)
             .map_err(|e| format!("{path}: {e}"))?;
+        let executor = match mode {
+            ExecMode::Sequential => String::new(),
+            ExecMode::Parallel(_) => format!(
+                "; executor: {} sharded / {} delegated passes",
+                mix.sharded.load(Ordering::Relaxed),
+                mix.delegated.load(Ordering::Relaxed),
+            ),
+        };
         say(format!(
             "{path}: replay matched — {} docs, {} passes, {} remote messages, \
-             ranks fnv {:#018x}",
+             ranks fnv {:#018x}{executor}",
             out.ranks.len(),
             out.passes,
             out.remote_messages,

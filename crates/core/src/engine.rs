@@ -30,7 +30,6 @@
 //! flight anywhere — every document's successive difference is then
 //! below ε, the paper's "very strong convergence criterion".
 
-use crate::parallel::PullIndex;
 use crate::sched::{self, SchedMode, SchedStats};
 use dpr_graph::{CsrGraph, DocId};
 use dpr_p2p::peer::{PeerId, PeerTable};
@@ -227,9 +226,8 @@ pub type ChurnFn<'a> = dyn FnMut(usize, &mut PeerTable) + 'a;
 
 /// Records the priority scheduler's per-pass outcome into `rec`
 /// (queue depth, deferred mass, budget hit-rate). A no-op in
-/// [`SchedMode::Pass`] so classic traces are unchanged. Shared by the
-/// sequential and sharded run loops.
-pub(crate) fn observe_sched<R: Recorder + ?Sized>(
+/// [`SchedMode::Pass`] so classic traces are unchanged.
+fn observe_sched<R: Recorder + ?Sized>(
     rec: &R,
     sched: SchedMode,
     stats: &PassStats,
@@ -255,24 +253,257 @@ pub(crate) fn observe_sched<R: Recorder + ?Sized>(
     });
 }
 
-/// Emits the per-pass [`Event::MassLedger`] snapshot for `eng`.
-/// Between passes every emitted increment is already folded into
-/// `pending`, so the engine's in-flight term is zero. Shared by the
-/// sequential and sharded run loops; callers gate on `rec.enabled()`.
-pub(crate) fn observe_mass<R: Recorder + ?Sized>(
+/// The run loop of both executors: calls `pass` until `eng` is
+/// quiescent or its pass budget is spent, running `churn` between
+/// passes, and — when `rec` is enabled — emitting one `PassCompleted`,
+/// `ConvergenceCheck`, mass-ledger and scheduler snapshot per pass and
+/// a `PeerChurn` event per presence flip.
+pub(crate) fn run_passes<R: Recorder + ?Sized>(
+    eng: &mut ChaoticEngine,
+    peers: &mut PeerTable,
+    mut churn: Option<&mut ChurnFn<'_>>,
     rec: &R,
-    eng: &ChaoticEngine,
-    pass: u64,
     run_label: &str,
+    mut pass: impl FnMut(&mut ChaoticEngine, &PeerTable) -> PassStats,
+) -> RunStats {
+    let cfg = eng.config();
+    let mut run = RunStats::default();
+    while !eng.is_quiescent() && run.passes < cfg.max_passes {
+        let t0 = rec.enabled().then(Instant::now);
+        let stats = pass(eng, peers);
+        if let Some(t0) = t0 {
+            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            rec.observe(Metric::PassDurationNs, duration_ns);
+            rec.event(&Event::PassCompleted {
+                run: run_label.to_string(),
+                pass: stats.pass as u64,
+                applied: stats.applied,
+                remote_messages: stats.remote_messages,
+                local_updates: stats.local_updates,
+                senders: stats.senders,
+                max_relative_change: stats.max_relative_change,
+                hops: stats.hops,
+                duration_ns,
+            });
+            rec.event(&Event::ConvergenceCheck {
+                run: run_label.to_string(),
+                pass: stats.pass as u64,
+                active_docs: eng.active_docs() as u64,
+                residual: eng.residual_mass(),
+            });
+            // Between passes every emitted increment is already folded
+            // into `pending`, so the in-flight term of the ledger is zero.
+            rec.event(&eng.mass_breakdown().ledger_event(
+                run_label,
+                stats.pass as u64,
+                0.0,
+                cfg.damping,
+                eng.expected_mass(),
+            ));
+            observe_sched(rec, cfg.sched, &stats, run_label);
+        }
+        run.record_pass(stats, cfg.effective_pass_stats_cap());
+        if let Some(f) = churn.as_deref_mut() {
+            if rec.enabled() {
+                let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
+                f(run.passes, peers);
+                for (i, was) in before.iter().enumerate() {
+                    let now = peers.is_online(PeerId(i as u32));
+                    if now != *was {
+                        rec.event(&Event::PeerChurn {
+                            round: run.passes as u64,
+                            peer: i as u32,
+                            online: now,
+                        });
+                    }
+                }
+            } else {
+                f(run.passes, peers);
+            }
+        }
+    }
+    run.converged = eng.is_quiescent();
+    run
+}
+
+/// The documents holding a parked or in-flight increment: one bit per
+/// document plus the population count. Iteration is ascending document
+/// order by construction, which is the order every floating-point fold
+/// of a pass runs in — so no pass ever sorts.
+#[derive(Debug, Clone)]
+pub(crate) struct Frontier {
+    /// Bit `d % 64` of word `d / 64` is document `d`; bits at and above
+    /// the document count are never set. A pass writes these directly
+    /// and owes a [`Frontier::recount`] before it returns.
+    pub(crate) words: Vec<u64>,
+    len: usize,
+}
+
+impl Frontier {
+    /// Every one of `n` documents set.
+    fn full(n: usize) -> Self {
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            *words.last_mut().expect("n > 0") = (1 << (n % 64)) - 1;
+        }
+        Frontier { words, len: n }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn insert(&mut self, d: u32) {
+        let (word, bit) = (&mut self.words[d as usize / 64], 1u64 << (d % 64));
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    fn remove(&mut self, d: u32) {
+        let (word, bit) = (&mut self.words[d as usize / 64], 1u64 << (d % 64));
+        self.len -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    /// The set documents, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.words.iter().enumerate())
+            .flat_map(|(wi, &word)| ones(word).map(move |b| (wi * 64) as u32 + b))
+    }
+
+    /// Re-derives the count after a pass wrote `words` directly (the
+    /// diffuse and pull inner loops set bits without counting).
+    pub(crate) fn recount(&mut self) {
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+}
+
+/// The positions of the set bits of `word`, ascending.
+fn ones(word: u64) -> impl Iterator<Item = u32> {
+    std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
+        .take_while(|&w| w != 0)
+        .map(u64::trailing_zeros)
+}
+
+/// What every apply scan reads and none writes.
+pub(crate) struct ApplyCtx<'a> {
+    pub(crate) graph: &'a CsrGraph,
+    pub(crate) owner: &'a [PeerId],
+    pub(crate) remote_out: &'a [u32],
+    pub(crate) peers: &'a PeerTable,
+    pub(crate) epsilon: f64,
+}
+
+/// One document range of the engine's arrays, starting on a 64-document
+/// boundary so that it owns whole frontier words.
+pub(crate) struct Slab<'a> {
+    /// First document id of the range.
+    pub(crate) base: usize,
+    pub(crate) frontier: &'a mut [u64],
+    pub(crate) ranks: &'a mut [f64],
+    pub(crate) advertised: &'a mut [f64],
+    pub(crate) pending: &'a mut [f64],
+}
+
+/// What an apply scan hands to the emission side, in ascending document
+/// order: 4 bytes per sender, the contribution change is recomputed
+/// from `rank − advertised` when it is emitted.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct ApplyOut {
+    /// Linked documents that must re-advertise; `advertised` is not yet
+    /// updated for them ([`advertise`] does that).
+    pub(crate) senders: Vec<u32>,
+    /// `rank − advertised` of every dangling document that advertised.
+    pub(crate) dangling: Vec<f64>,
+}
+
+/// The apply half of Fig. 1 for one document range — the only copy,
+/// run over the whole graph by [`ChaoticEngine::pass_with_hops`] and
+/// over one range per worker by the sharded executor. Every frontier
+/// document whose peer is online has its parked increment applied and
+/// leaves the frontier (offline ones stay: store-and-resend); where the
+/// rank then differs from the advertised one by more than ε the
+/// document is recorded as a sender, or, if it has no out-links,
+/// advertises into the dangling sink on the spot. No edge is walked:
+/// the message counts come from `remote_out`. Emission is the caller's,
+/// after *every* range has been applied, so that nothing emitted in a
+/// pass is applied in it.
+pub(crate) fn apply_range(
+    sh: &mut Slab<'_>,
+    ctx: &ApplyCtx<'_>,
+    out: &mut ApplyOut,
+    stats: &mut PassStats,
 ) {
-    let mb = eng.mass_breakdown();
-    rec.event(&mb.ledger_event(
-        run_label,
-        pass,
-        0.0,
-        eng.config().damping,
-        eng.expected_mass(),
-    ));
+    out.senders.clear();
+    out.dangling.clear();
+    let offsets = ctx.graph.offsets();
+    for (wi, word) in sh.frontier.iter_mut().enumerate() {
+        let mut parked = 0u64;
+        for b in ones(*word) {
+            let li = wi * 64 + b as usize;
+            let i = sh.base + li;
+            if !ctx.peers.is_online(ctx.owner[i]) {
+                parked |= 1 << b;
+                continue;
+            }
+            let rank = sh.ranks[li] + std::mem::take(&mut sh.pending[li]);
+            sh.ranks[li] = rank;
+            stats.applied += 1;
+            let gap = rank - sh.advertised[li];
+            let rel = gap.abs() / rank.abs().max(f64::MIN_POSITIVE);
+            stats.max_relative_change = stats.max_relative_change.max(rel);
+            if rel <= ctx.epsilon {
+                continue;
+            }
+            let degree = offsets[i + 1] - offsets[i];
+            if degree == 0 {
+                // Dangling document: nothing to forward, but the rank
+                // is now advertised (prevents re-evaluation forever).
+                sh.advertised[li] = rank;
+                out.dangling.push(gap);
+                continue;
+            }
+            out.senders.push(i as u32);
+            stats.senders += 1;
+            let remote = u64::from(ctx.remote_out[i]);
+            stats.remote_messages += remote;
+            stats.local_updates += degree - remote;
+        }
+        *word = parked;
+    }
+}
+
+/// Commits a sender's advertisement and returns the contribution change
+/// each of its `degree` out-links carries. Both emission sides call
+/// this, so the value is the same bits whichever side emits it.
+#[inline]
+pub(crate) fn advertise(rank: f64, advertised: &mut f64, damping: f64, degree: usize) -> f64 {
+    let send = damping * (rank - *advertised) / degree as f64;
+    *advertised = rank;
+    send
+}
+
+/// Charges `model` for every cross-peer link of `senders`: senders in
+/// the order given (ascending), links in row order. The model is
+/// stateful, so this one walk *is* the call sequence of a pass under
+/// either executor.
+pub(crate) fn charge_hops(
+    graph: &CsrGraph,
+    owner: &[PeerId],
+    senders: impl IntoIterator<Item = u32>,
+    model: &mut HopModel<'_>,
+) -> u64 {
+    let mut hops = 0;
+    for s in senders {
+        let p = owner[s as usize];
+        for &t in graph.out_neighbors(DocId(s)) {
+            let tp = owner[t as usize];
+            if tp != p {
+                hops += u64::from(model(p, tp, DocId(t)));
+            }
+        }
+    }
+    hops
 }
 
 /// The distributed pagerank engine.
@@ -287,10 +518,9 @@ pub struct ChaoticEngine {
     pub(crate) advertised: Vec<f64>,
     /// Parked + in-flight increments per document.
     pub(crate) pending: Vec<f64>,
-    /// Documents with nonzero `pending`, deduplicated via `queued`.
-    pub(crate) dirty: Vec<u32>,
-    pub(crate) queued: Vec<bool>,
-    pub(crate) passes: usize,
+    /// Documents with a parked or in-flight increment.
+    pub(crate) frontier: Frontier,
+    passes: usize,
     /// Cumulative advertised delta of dangling (out-degree 0)
     /// documents — the mass the damping sink absorbed, a term of the
     /// flight recorder's conserved potential Φ.
@@ -298,25 +528,32 @@ pub struct ChaoticEngine {
     /// Cumulative externally injected mass
     /// ([`ChaoticEngine::inject_delta`]), which shifts Φ by
     /// `Σδ / (1 − d)`.
-    pub(crate) injected_mass: f64,
+    injected_mass: f64,
+    /// Per document, how many of its out-links end on another peer: the
+    /// message counts of a sender without a walk over its row and a
+    /// random `owner[]` load per link. A function of `(graph, owner)`,
+    /// built by the first pass (so not at construction) and shared by
+    /// clones.
+    remote_out: Option<Arc<[u32]>>,
+    /// The transposed graph — row `t` lists the documents linking to
+    /// `t` in ascending order, one entry per link — which only the
+    /// sharded executor's pull phase reads. Built by the first sharded
+    /// pass and, like `remote_out`, held here rather than in an
+    /// executor that may be handed a different engine next.
+    pub(crate) inbound: Option<Arc<CsrGraph>>,
     /// Pass-scratch buffers, kept on the engine so steady-state passes
-    /// allocate nothing: next-pass dirty list and applied-docs list.
-    scratch_carry: Vec<u32>,
-    scratch_applied: Vec<u32>,
-    /// Documents the priority scheduler parked this pass; rejoin
-    /// `dirty` at pass end (shared with the sharded executor, which
-    /// runs the same selection).
-    pub(crate) scratch_deferred: Vec<u32>,
-    /// Per-work-item residual buckets for the selection.
+    /// allocate nothing: the apply scan's outputs,
+    scratch_applied: ApplyOut,
+    /// the frontier as a list for the selective schedulers,
+    scratch_work: Vec<u32>,
+    /// the documents the scheduler parked this pass, out of the
+    /// frontier until [`ChaoticEngine::finish_pass`] returns them,
+    scratch_deferred: Vec<u32>,
+    /// per-work-item residual buckets for the selection,
     scratch_buckets: Vec<u8>,
-    /// (score key, doc) pairs for the greedy selection's ranking sort.
+    /// and (score key, doc) pairs for the greedy selection's ranking
+    /// sort.
     scratch_keys: Vec<(u64, u32)>,
-    /// What the sharded executor's pull phase needs beyond the arrays
-    /// above. It is a function of `(graph, owner)` — both fixed for the
-    /// engine's lifetime — so it lives here, built by the first sharded
-    /// pass and shared by clones, rather than in an executor that may
-    /// be handed a different engine next.
-    pub(crate) pull_index: Option<Arc<PullIndex>>,
 }
 
 impl ChaoticEngine {
@@ -343,28 +580,25 @@ impl ChaoticEngine {
         assert!(cfg.damping > 0.0 && cfg.damping < 1.0, "damping in (0,1)");
         assert!(cfg.epsilon > 0.0, "epsilon must be positive");
         let n = graph.num_nodes();
-        let base = 1.0 - cfg.damping;
-        let mut eng = ChaoticEngine {
+        ChaoticEngine {
             graph,
             owner,
             cfg,
             ranks: vec![0.0; n],
             advertised: vec![0.0; n],
-            pending: vec![0.0; n],
-            dirty: (0..n as u32).collect(),
-            queued: vec![true; n],
+            pending: vec![1.0 - cfg.damping; n],
+            frontier: Frontier::full(n),
             passes: 0,
             dangling_advertised: 0.0,
             injected_mass: 0.0,
-            scratch_carry: Vec::new(),
-            scratch_applied: Vec::new(),
+            remote_out: None,
+            inbound: None,
+            scratch_applied: ApplyOut::default(),
+            scratch_work: Vec::new(),
             scratch_deferred: Vec::new(),
             scratch_buckets: Vec::new(),
             scratch_keys: Vec::new(),
-            pull_index: None,
-        };
-        eng.pending.iter_mut().for_each(|p| *p = base);
-        eng
+        }
     }
 
     /// Single-peer convenience: all documents on one peer. Useful for
@@ -389,6 +623,21 @@ impl ChaoticEngine {
         &self.ranks
     }
 
+    /// Parked and in-flight increment per document.
+    pub fn pending(&self) -> &[f64] {
+        &self.pending
+    }
+
+    /// Rank last advertised to out-links, per document.
+    pub fn advertised(&self) -> &[f64] {
+        &self.advertised
+    }
+
+    /// The documents scheduled for the next pass, ascending.
+    pub fn frontier(&self) -> impl Iterator<Item = DocId> + '_ {
+        self.frontier.iter().map(DocId)
+    }
+
     /// The peer holding document `d`.
     pub fn owner_of(&self, d: DocId) -> PeerId {
         self.owner[d.index()]
@@ -402,13 +651,13 @@ impl ChaoticEngine {
     /// True when no increment is parked or in flight — the paper's
     /// convergence condition.
     pub fn is_quiescent(&self) -> bool {
-        self.dirty.is_empty()
+        self.frontier.len() == 0
     }
 
     /// Documents currently scheduled for the next pass (nonzero
     /// parked/in-flight increments).
     pub fn active_docs(&self) -> usize {
-        self.dirty.len()
+        self.frontier.len()
     }
 
     /// Unpropagated rank mass: Σ|rank − advertised| + Σ|pending|.
@@ -468,10 +717,7 @@ impl ChaoticEngine {
         }
         self.injected_mass += delta;
         self.pending[doc.index()] += delta;
-        if !self.queued[doc.index()] {
-            self.queued[doc.index()] = true;
-            self.dirty.push(doc.0);
-        }
+        self.frontier.insert(doc.0);
     }
 
     /// Discards every increment parked for a document whose owner is
@@ -483,43 +729,48 @@ impl ChaoticEngine {
     /// ablation benchmark that quantifies how much that protocol
     /// matters; never call it in a correct deployment.
     pub fn drop_parked(&mut self, peers: &PeerTable) -> usize {
-        let before = self.dirty.len();
-        let mut kept = Vec::with_capacity(before);
-        for &di in &self.dirty {
-            let i = di as usize;
-            if peers.is_online(self.owner[i]) {
-                kept.push(di);
-            } else {
-                self.pending[i] = 0.0;
-                self.queued[i] = false;
-            }
+        let before = self.frontier.len();
+        let mut parked = std::mem::take(&mut self.scratch_work);
+        parked.clear();
+        parked.extend(
+            self.frontier
+                .iter()
+                .filter(|&d| !peers.is_online(self.owner[d as usize])),
+        );
+        for &d in &parked {
+            self.pending[d as usize] = 0.0;
+            self.frontier.remove(d);
         }
-        self.dirty = kept;
-        before - self.dirty.len()
+        self.scratch_work = parked;
+        before - self.frontier.len()
     }
 
-    /// Takes this pass's work list out of the dirty set.
+    /// Opens a pass: numbers it and runs the scheduler over the
+    /// frontier, which afterwards holds exactly the documents this pass
+    /// must visit.
     ///
-    /// In [`SchedMode::Pass`] this is the whole dirty set. In
-    /// [`SchedMode::Priority`] the list is first canonicalized to
-    /// ascending document order — making the per-bucket residual-mass
-    /// folds below a function of the dirty *set* alone — and then
-    /// partitioned by [`sched::partition_by_residual`]; in
-    /// [`SchedMode::Greedy`] it is instead partitioned by
-    /// [`sched::partition_by_greedy`]'s matching-pursuit ranking. In
-    /// both selective modes the deferred documents are parked in
-    /// `scratch_deferred` (still queued, with their pending mass
-    /// intact) and must rejoin `dirty` at pass end. Both executors
-    /// call this on the coordinating thread, so the selected set is
-    /// identical at every thread count.
-    pub(crate) fn take_pass_work(&mut self) -> (Vec<u32>, SchedStats) {
-        let mut work = std::mem::take(&mut self.dirty);
+    /// In [`SchedMode::Pass`] that is the frontier as it stands. The
+    /// selective modes list it — ascending, so the residual-mass folds
+    /// of the selection are a function of the frontier *set* alone —
+    /// and partition the list by [`sched::partition_by_residual`]
+    /// (`Priority`) or [`sched::partition_by_greedy`] (`Greedy`); the
+    /// deferred documents leave the frontier for `scratch_deferred`,
+    /// their pending mass intact, until [`ChaoticEngine::finish_pass`]
+    /// returns them. Both executors call this on the coordinating
+    /// thread, so the selected set is identical at every thread count.
+    pub(crate) fn begin_pass(&mut self) -> PassStats {
+        self.passes += 1;
+        let mut stats = PassStats {
+            pass: self.passes,
+            ..Default::default()
+        };
         if self.cfg.sched == SchedMode::Pass {
-            let sel = SchedStats::full_sweep(work.len());
-            return (work, sel);
+            stats.record_sched(&SchedStats::full_sweep(self.frontier.len()));
+            return stats;
         }
-        work.sort_unstable();
-        let mut deferred = std::mem::take(&mut self.scratch_deferred);
+        let (work, deferred) = (&mut self.scratch_work, &mut self.scratch_deferred);
+        work.clear();
+        work.extend(self.frontier.iter());
         let (ranks, advertised, pending) = (&self.ranks, &self.advertised, &self.pending);
         // Un-propagated mass at the document: the parked increment
         // plus the rank change not yet advertised downstream.
@@ -527,31 +778,45 @@ impl ChaoticEngine {
             let i = d as usize;
             pending[i] + ranks[i] - advertised[i]
         };
-        let sel = match self.cfg.sched {
-            SchedMode::Pass => unreachable!("handled above"),
-            SchedMode::Priority => {
-                let mut buckets = std::mem::take(&mut self.scratch_buckets);
-                let sel =
-                    sched::partition_by_residual(&mut work, &mut deferred, &mut buckets, residual);
-                self.scratch_buckets = buckets;
-                sel
-            }
-            SchedMode::Greedy => {
-                let mut keys = std::mem::take(&mut self.scratch_keys);
-                let graph = &self.graph;
-                let sel = sched::partition_by_greedy(
-                    &mut work,
-                    &mut deferred,
-                    &mut keys,
-                    residual,
-                    |d| graph.out_degree(DocId(d)),
-                );
-                self.scratch_keys = keys;
-                sel
-            }
+        let sel = if self.cfg.sched == SchedMode::Priority {
+            sched::partition_by_residual(work, deferred, &mut self.scratch_buckets, residual)
+        } else {
+            let graph = &self.graph;
+            sched::partition_by_greedy(work, deferred, &mut self.scratch_keys, residual, |d| {
+                graph.out_degree(DocId(d))
+            })
         };
-        self.scratch_deferred = deferred;
-        (work, sel)
+        for &d in deferred.iter() {
+            self.frontier.remove(d);
+        }
+        stats.record_sched(&sel);
+        stats
+    }
+
+    /// Closes a pass: the deferred documents rejoin the frontier with
+    /// their pending mass intact — residual carryover, never lost —
+    /// and the count catches up with the bits the emission side set.
+    pub(crate) fn finish_pass(&mut self) {
+        for d in self.scratch_deferred.drain(..) {
+            self.frontier.insert(d);
+        }
+        self.frontier.recount();
+    }
+
+    /// The per-document cross-peer out-link counts, built on first use.
+    pub(crate) fn remote_out(&mut self) -> Arc<[u32]> {
+        let (graph, owner) = (&self.graph, &self.owner);
+        Arc::clone(self.remote_out.get_or_insert_with(|| {
+            graph
+                .nodes()
+                .map(|d| {
+                    let p = owner[d.index()];
+                    let row = graph.out_neighbors(d);
+                    let remote = row.iter().filter(|&&t| owner[t as usize] != p).count();
+                    u32::try_from(remote).expect("a row of more than u32::MAX links")
+                })
+                .collect()
+        }))
     }
 
     /// Executes one pass; all peers in `peers` that are online
@@ -565,101 +830,63 @@ impl ChaoticEngine {
     pub fn pass_with_hops(
         &mut self,
         peers: &PeerTable,
-        mut hop_model: Option<&mut HopModel<'_>>,
+        hop_model: Option<&mut HopModel<'_>>,
     ) -> PassStats {
-        self.passes += 1;
-        let mut stats = PassStats {
-            pass: self.passes,
-            ..Default::default()
+        let mut stats = self.begin_pass();
+        let remote_out = self.remote_out();
+        let mut out = std::mem::take(&mut self.scratch_applied);
+        // Every frontier document may send (on the first pass all do);
+        // growing the list by doubling instead costs 1.8 MiB of peak
+        // RSS at 250k documents.
+        out.senders.reserve_exact(self.frontier.len());
+
+        // Phase 1: apply what was parked before this pass, everywhere,
+        // before anything is emitted: what a sender emits below belongs
+        // to the *next* pass, so order within a pass cannot matter.
+        let ctx = ApplyCtx {
+            graph: &self.graph,
+            owner: &self.owner,
+            remote_out: &remote_out,
+            peers,
+            epsilon: self.cfg.epsilon,
         };
-        let eps = self.cfg.epsilon;
-        let damping = self.cfg.damping;
-
-        // Snapshot: increments parked before this pass. Everything a
-        // sender emits below lands in the *next* pass's working set —
-        // the pass is strictly two-phase (apply all, then send all) so
-        // that execution order within a pass cannot change the result.
-        //
-        // The work list is canonicalized to ascending document order.
-        // This makes the floating-point fold order of the pass a
-        // function of the *set* of dirty documents alone, which is
-        // what lets the sharded executor (`parallel.rs`) reproduce
-        // this engine's output bit-for-bit from per-shard pieces. In
-        // `Priority` mode, `take_pass_work` also runs the residual
-        // selection and parks the deferred documents.
-        let (mut work, sel) = self.take_pass_work();
-        stats.record_sched(&sel);
-        work.sort_unstable();
-        let mut carry = std::mem::take(&mut self.scratch_carry);
-        let mut applied = std::mem::take(&mut self.scratch_applied);
-        carry.clear();
-        applied.clear();
-
-        // Phase 1: deliver parked increments to documents on online
-        // peers; increments for offline peers stay parked
-        // (store-and-resend).
-        for &di in &work {
-            let i = di as usize;
-            if !peers.is_online(self.owner[i]) {
-                carry.push(di);
-                continue;
-            }
-            self.queued[i] = false;
-            let delta = std::mem::take(&mut self.pending[i]);
-            self.ranks[i] += delta;
-            stats.applied += 1;
-            applied.push(di);
+        let mut whole = Slab {
+            base: 0,
+            frontier: &mut self.frontier.words,
+            ranks: &mut self.ranks,
+            advertised: &mut self.advertised,
+            pending: &mut self.pending,
+        };
+        apply_range(&mut whole, &ctx, &mut out, &mut stats);
+        for gap in &out.dangling {
+            self.dangling_advertised += gap;
         }
 
-        // Phase 2: every applied document whose rank moved more than ε
-        // since its last advertisement sends the contribution change.
-        for &di in &applied {
-            let i = di as usize;
-            let rank = self.ranks[i];
-            let rel = (rank - self.advertised[i]).abs() / rank.abs().max(f64::MIN_POSITIVE);
-            stats.max_relative_change = stats.max_relative_change.max(rel);
-            if rel <= eps {
-                continue;
-            }
-            let out = self.graph.out_neighbors(DocId(di));
-            if out.is_empty() {
-                // Dangling document: nothing to forward, but the rank
-                // is now advertised (prevents re-evaluation forever).
-                self.dangling_advertised += rank - self.advertised[i];
-                self.advertised[i] = rank;
-                continue;
-            }
-            let p = self.owner[i];
-            let send = damping * (rank - self.advertised[i]) / out.len() as f64;
-            self.advertised[i] = rank;
-            stats.senders += 1;
-            for &t in out {
-                let ti = t as usize;
-                self.pending[ti] += send;
-                if !self.queued[ti] {
-                    self.queued[ti] = true;
-                    carry.push(t);
-                }
-                if self.owner[ti] == p {
-                    stats.local_updates += 1;
-                } else {
-                    stats.remote_messages += 1;
-                    stats.hops += match hop_model.as_deref_mut() {
-                        Some(f) => f(p, self.owner[ti], DocId(t)) as u64,
-                        None => 1,
-                    };
-                }
+        // Phase 2: diffuse. Every sender adds the change in its
+        // contribution to each out-link's parked increment.
+        let words = &mut self.frontier.words;
+        for &s in &out.senders {
+            let row = self.graph.out_neighbors(DocId(s));
+            let i = s as usize;
+            let send = advertise(
+                self.ranks[i],
+                &mut self.advertised[i],
+                self.cfg.damping,
+                row.len(),
+            );
+            for &t in row {
+                self.pending[t as usize] += send;
+                words[t as usize / 64] |= 1 << (t % 64);
             }
         }
-
-        // Deferred documents rejoin the dirty set with their pending
-        // mass intact — residual carryover, never lost.
-        carry.append(&mut self.scratch_deferred);
-        self.dirty = carry;
-        // Rotate the spent work list back in as next pass's scratch.
-        work.clear();
-        self.scratch_carry = work;
-        self.scratch_applied = applied;
+        stats.hops = match hop_model {
+            Some(model) => {
+                charge_hops(&self.graph, &self.owner, out.senders.iter().copied(), model)
+            }
+            None => stats.remote_messages,
+        };
+        self.scratch_applied = out;
+        self.finish_pass();
         stats
     }
 
@@ -688,59 +915,13 @@ impl ChaoticEngine {
     pub fn run_observed<R: Recorder + ?Sized>(
         &mut self,
         peers: &mut PeerTable,
-        mut churn: Option<&mut ChurnFn<'_>>,
+        churn: Option<&mut ChurnFn<'_>>,
         rec: &R,
         run_label: &str,
     ) -> RunStats {
-        let mut run = RunStats::default();
-        while !self.is_quiescent() && run.passes < self.cfg.max_passes {
-            let t0 = rec.enabled().then(Instant::now);
-            let stats = self.pass(peers);
-            if let Some(t0) = t0 {
-                let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                rec.observe(Metric::PassDurationNs, duration_ns);
-                rec.event(&Event::PassCompleted {
-                    run: run_label.to_string(),
-                    pass: stats.pass as u64,
-                    applied: stats.applied,
-                    remote_messages: stats.remote_messages,
-                    local_updates: stats.local_updates,
-                    senders: stats.senders,
-                    max_relative_change: stats.max_relative_change,
-                    hops: stats.hops,
-                    duration_ns,
-                });
-                rec.event(&Event::ConvergenceCheck {
-                    run: run_label.to_string(),
-                    pass: stats.pass as u64,
-                    active_docs: self.active_docs() as u64,
-                    residual: self.residual_mass(),
-                });
-                observe_mass(rec, self, stats.pass as u64, run_label);
-                observe_sched(rec, self.cfg.sched, &stats, run_label);
-            }
-            run.record_pass(stats, self.cfg.effective_pass_stats_cap());
-            if let Some(f) = churn.as_deref_mut() {
-                if rec.enabled() {
-                    let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
-                    f(run.passes, peers);
-                    for (i, was) in before.iter().enumerate() {
-                        let now = peers.is_online(PeerId(i as u32));
-                        if now != *was {
-                            rec.event(&Event::PeerChurn {
-                                round: run.passes as u64,
-                                peer: i as u32,
-                                online: now,
-                            });
-                        }
-                    }
-                } else {
-                    f(run.passes, peers);
-                }
-            }
-        }
-        run.converged = self.is_quiescent();
-        run
+        run_passes(self, peers, churn, rec, run_label, |eng, peers| {
+            eng.pass(peers)
+        })
     }
 
     /// Convenience: run with all peers online and no churn.

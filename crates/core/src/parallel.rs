@@ -13,37 +13,38 @@
 //!
 //! ## Pass structure
 //!
-//! 1. **Apply** (parallel over contiguous *document* ranges). Each
-//!    worker scans its range of `queued` in ascending order — the work
-//!    list is never bucketed or sorted — applies the parked increment
-//!    of every scheduled document whose peer is online and, where the
-//!    rank moved more than ε, stores the per-link contribution change
-//!    in the dense `send` array and marks the document as a sender.
-//!    No edge is walked: the remote/local message counts come from a
-//!    per-document count of cross-peer out-links. Every write lands in
-//!    the worker's own slice, so no synchronization is needed.
+//! 1. **Apply** (parallel over contiguous *document* ranges of whole
+//!    frontier words). Each worker runs the engine's one apply scan,
+//!    `engine::apply_range`, over its range — the sequential pass is
+//!    the same scan over the single range `0..n` — and then stages what
+//!    the scan listed: the per-link contribution change of every sender
+//!    goes into the dense `send` array and the sender is marked. Every
+//!    write lands in the worker's own slices, so no synchronization is
+//!    needed.
 //! 2. **Pull** (parallel over contiguous *target* ranges, cut so each
-//!    holds the same number of in-links plus documents). Each target
-//!    folds `pending[t] += send[s]` over its in-neighbours `s` and, if
-//!    any of them sent, joins the next dirty list. Again every write
-//!    is to the worker's own slice.
+//!    holds the same number of in-links plus documents, to the nearest
+//!    64-document boundary). Each target folds `pending[t] += send[s]`
+//!    over its in-neighbours `s` and, if any of them sent, sets its
+//!    frontier bit. Again every write is to the worker's own slices.
 //!
 //! Each phase spawns one scoped thread per range and joins them all
 //! before it returns; the calling thread only waits. (Running range 0
 //! on the calling thread saves a spawn and loses far more: the kernel
 //! tends to start the one spawned worker on the caller's CPU, and the
-//! two ranges then run back to back.) Each worker *owns* its output
-//! lists while it runs — they are moved in and handed back — because
-//! `push`-ing into adjacent `Vec` headers of a shared `Vec<Vec<_>>`
-//! from two threads false-shares.
+//! two ranges then run back to back.) Each apply worker *owns* its
+//! output lists while it runs — they are moved in and handed back —
+//! because `push`-ing into adjacent `Vec` headers of a shared
+//! `Vec<Vec<_>>` from two threads false-shares.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-identical** to [`ChaoticEngine::pass`] at every
-//! thread count, structurally rather than by argument. The sequential
-//! engine applies its work list in ascending document order and lets
-//! each sender add to its targets in row order, so `pending[t]`
-//! receives its increments ordered by sender id, one per link. The
+//! thread count, structurally rather than by argument. The apply scan
+//! is the sequential engine's own, and nothing in it reads another
+//! document's state, so cutting it into ranges changes nothing. The
+//! sequential engine then lets each sender, in ascending order, add to
+//! its targets in row order, so `pending[t]` receives its increments
+//! ordered by sender id, one per link. The
 //! transposed graph lists the in-neighbours of `t` in exactly that
 //! order — ascending source, one entry per link, duplicates included,
 //! whatever the row order of the forward graph — so the pull fold *is*
@@ -62,49 +63,48 @@
 //! thread folds them — the sequential order again.
 //!
 //! Hop models (`dyn FnMut`, deliberately not thread-safe) are charged
-//! by one sender-major walk on the coordinating thread between the
-//! phases: senders ascending, links in row order — the sequential
-//! engine's call sequence.
+//! on the coordinating thread between the phases by
+//! `engine::charge_hops`, the walk the sequential engine charges them
+//! by: senders ascending, links in row order.
 //!
 //! ## Density guard
 //!
 //! A pull pass costs `O(n + links)` however few documents sent, and a
 //! threaded pass has a fixed spawn cost; the sequential pass costs
-//! `O(dirty · out-degree)`. Measured on the 250k-document benchmark
-//! graph at 2 threads the two meet near `dirty ≈ n / 4`, so a pass
-//! whose dirty set is smaller than `max(n / 4,`
-//! [`DEFAULT_AUTO_SEQ_THRESHOLD`]`)` is *delegated* to
-//! [`ChaoticEngine::pass_with_hops`], as is every pass when the
-//! executor or the host has a single execution unit. Delegation is
-//! invisible in results (see above) and visible in wall-clock, in
-//! [`ShardedExecutor::pass_mix`] and in the
-//! `dpr_exec_delegated_passes` telemetry counter. A converging run
-//! therefore pulls while most of the graph is moving and finishes its
-//! long sparse tail on the sequential path.
+//! `O(n / 64 + dirty · out-degree)`. Measured at 2 threads on a 2-vCPU
+//! host (DESIGN.md, "Execution architecture", has the table) the two
+//! meet near `dirty ≈ 3n / 4` once the arrays no longer fit in cache,
+//! and below roughly 130k dirty documents the sequential pass runs in
+//! cache and wins at every density. So a pass whose dirty set is
+//! smaller than `max(3n / 4,` [`DEFAULT_AUTO_SEQ_THRESHOLD`]`)` is
+//! *delegated* to [`ChaoticEngine::pass_with_hops`], as is every pass
+//! when the executor or the host has a single execution unit.
+//! Delegation is invisible in results (see above) and visible in
+//! wall-clock, in [`ShardedExecutor::pass_mix`] and in the
+//! `dpr_exec_delegated_passes` telemetry counter.
 
-use crate::engine::{observe_mass, observe_sched, ChaoticEngine, ChurnFn, HopModel, PassStats};
+use crate::engine::{
+    advertise, apply_range, charge_hops, run_passes, ApplyCtx, ApplyOut, ChaoticEngine, ChurnFn,
+    HopModel, PassStats, Slab,
+};
 use crate::RunStats;
 use dpr_graph::{CsrGraph, DocId};
-use dpr_p2p::peer::{PeerId, PeerTable};
+use dpr_p2p::peer::PeerTable;
 use dpr_telemetry::{Event, Metric, Recorder, NOOP};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Absolute floor of the density guard (see the module docs): below
-/// this many dirty documents the fixed cost of spawning and joining
-/// the workers exceeds anything a second thread can save, whatever the
-/// graph size. [`ShardedExecutor::with_auto_seq_threshold`] replaces
-/// it; `0` switches the guard off.
-pub const DEFAULT_AUTO_SEQ_THRESHOLD: usize = 16_384;
+/// Absolute floor of the density guard (see the module docs): a pass
+/// with fewer dirty documents than this works in cache, where the
+/// diffuse pass costs a few nanoseconds a push and neither a second
+/// thread nor its spawn pays, whatever the graph size.
+/// [`ShardedExecutor::with_auto_seq_threshold`] replaces it; `0`
+/// switches the guard off.
+pub const DEFAULT_AUTO_SEQ_THRESHOLD: usize = 131_072;
 
-/// A pull pass pays for itself once at least one document in this many
-/// is dirty (measured break-even, see the module docs).
-const PULL_BREAK_EVEN_DIVISOR: usize = 4;
-
-/// `flags` value of a document that sent this pass.
-const SENT: u8 = 1;
-/// `flags` value of a queued document the scheduler deferred.
-const DEFERRED: u8 = 2;
+/// A pull pass pays for itself once at least this many documents in a
+/// hundred are dirty (measured break-even, see the module docs).
+const PULL_BREAK_EVEN_PERCENT: usize = 75;
 
 /// How a scenario executes engine passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,100 +172,28 @@ impl ExecMode {
     }
 }
 
-/// What the pull phase needs beyond the engine's own arrays. A pure
-/// function of `(graph, owner)`, so the engine it was derived from
-/// holds it ([`ChaoticEngine::pull_index`]) — an executor handed a
-/// second engine of equal size can never pick up the first one's.
-#[derive(Debug)]
-pub(crate) struct PullIndex {
-    /// The transposed graph: row `t` lists the documents linking to
-    /// `t` in ascending order, one entry per link.
-    inbound: CsrGraph,
-    /// Per document, how many of its out-links end on another peer —
-    /// the apply phase's message counts without a walk over the row
-    /// and a random `owner[]` load per link.
-    remote_out: Vec<u32>,
-}
-
-impl PullIndex {
-    fn build(graph: &CsrGraph, owner: &[PeerId]) -> Self {
-        let remote_out = graph
-            .nodes()
-            .map(|d| {
-                let p = owner[d.index()];
-                let row = graph.out_neighbors(d);
-                let remote = row.iter().filter(|&&t| owner[t as usize] != p).count();
-                u32::try_from(remote).expect("a row of more than u32::MAX links")
-            })
-            .collect();
-        PullIndex {
-            inbound: graph.transpose(),
-            remote_out,
-        }
-    }
-}
-
-/// Order-independent tallies of one shard's apply phase.
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardStats {
-    /// Scheduled documents met by the scan (applied or carried).
-    scheduled: usize,
-    applied: u64,
-    senders: u64,
-    remote: u64,
-    local: u64,
-    max_rel: f64,
-}
-
-/// What every apply worker reads and none writes.
-struct ApplyCtx<'a> {
-    graph: &'a CsrGraph,
-    owner: &'a [PeerId],
-    remote_out: &'a [u32],
-    peers: &'a PeerTable,
-    eps: f64,
-    damping: f64,
-}
-
 /// Everything one apply worker mutates: its document range of the
 /// engine and executor arrays, plus the output lists it owns while it
 /// runs.
 struct ApplyShard<'a> {
-    /// First document id of the range.
-    base: usize,
-    ranks: &'a mut [f64],
-    advertised: &'a mut [f64],
-    pending: &'a mut [f64],
-    queued: &'a mut [bool],
+    slab: Slab<'a>,
     send: &'a mut [f64],
-    flags: &'a mut [u8],
+    sent: &'a mut [bool],
     out: ApplyOut,
 }
 
-/// An apply worker's outputs, all in ascending document order.
-#[derive(Debug, Default)]
-struct ApplyOut {
-    stats: ShardStats,
-    /// Scheduled documents whose owner is offline this pass (they stay
-    /// dirty).
-    carry: Vec<u32>,
-    /// `rank − advertised` of every dangling document that advertised.
-    dangling: Vec<f64>,
-}
-
 /// Everything one pull worker mutates: its target range of `pending`
-/// and `queued`, plus the newly-dirty list it owns while it runs.
+/// and of the frontier.
 struct PullShard<'a> {
     /// First document id of the range.
     base: usize,
     pending: &'a mut [f64],
-    queued: &'a mut [bool],
-    fresh: Vec<u32>,
+    frontier: &'a mut [u64],
 }
 
 /// Multi-threaded pass executor over contiguous document ranges.
 ///
-/// Holds the cross-pass scratch (the dense `send`/`flags` arrays and
+/// Holds the cross-pass scratch (the dense `send`/`sent` arrays and
 /// the workers' output lists), so in steady state `pass` allocates
 /// only its per-phase job vectors; hence the `&mut self` receiver.
 /// Construct once per run and reuse — across engines too: what a pass
@@ -288,16 +216,13 @@ pub struct ShardedExecutor {
     /// pass, and `−0.0` — the additive identity, bit for bit — for
     /// every other document.
     send: Vec<f64>,
-    /// Per-document pass marks: [`DEFERRED`] set by the coordinating
-    /// thread before the apply phase, [`SENT`] by the apply phase. The
-    /// apply phase visits every document and resets both arrays as it
-    /// goes, so what the previous pass left (on this engine or another
-    /// of equal size) cannot leak.
-    flags: Vec<u8>,
-    /// Per-shard apply outputs and newly-dirty lists, kept between
-    /// passes for their capacity.
+    /// Whether the document sent this pass. Each apply worker resets
+    /// its range of both arrays before it stages anything, so what the
+    /// previous pass left (on this engine or another of equal size)
+    /// cannot leak.
+    sent: Vec<bool>,
+    /// Per-shard apply outputs, kept between passes for their capacity.
     applied: Vec<ApplyOut>,
-    fresh: Vec<Vec<u32>>,
 }
 
 impl ShardedExecutor {
@@ -315,14 +240,13 @@ impl ShardedExecutor {
             delegated_passes: 0,
             sharded_passes: 0,
             send: Vec::new(),
-            flags: Vec::new(),
-            applied: (0..threads).map(|_| ApplyOut::default()).collect(),
-            fresh: vec![Vec::new(); threads],
+            sent: Vec::new(),
+            applied: vec![ApplyOut::default(); threads],
         }
     }
 
     /// This executor with the density guard's floor set to `docs`:
-    /// passes whose dirty set is smaller than `max(docs, n / 4)`
+    /// passes whose dirty set is smaller than `max(docs, 3n / 4)`
     /// delegate to the sequential engine. `0` disables delegation
     /// altogether (every pass runs apply + pull, on one thread if the
     /// executor has one); benches and differential tests use that to
@@ -385,167 +309,136 @@ impl ShardedExecutor {
         if let Some(tv) = timings.as_deref_mut() {
             tv.clear();
         }
-        // The density guard, checked against the pre-selection dirty
-        // set so the decision is scheduler-mode independent. Results
-        // are bit-identical either way; only the wall-clock and the
+        // The density guard, checked against the pre-selection frontier
+        // so the decision is scheduler-mode independent. Results are
+        // bit-identical either way; only the wall-clock and the
         // pass-mix counters can tell.
         let n = eng.graph().num_nodes();
         self.delegated = self.auto_seq_threshold > 0
             && (self.threads.min(self.hw_threads) <= 1
-                || eng.dirty.len() < self.auto_seq_threshold.max(n / PULL_BREAK_EVEN_DIVISOR));
+                || eng.active_docs()
+                    < self
+                        .auto_seq_threshold
+                        .max(n * PULL_BREAK_EVEN_PERCENT / 100));
         if self.delegated {
             self.delegated_passes += 1;
             return eng.pass_with_hops(peers, hop_model);
         }
         self.sharded_passes += 1;
         let time_phases = timings.is_some();
-        eng.passes += 1;
-        let mut stats = PassStats {
-            pass: eng.passes,
-            ..Default::default()
-        };
         // Selection runs on this thread via the same engine routine
         // the sequential pass uses, so the selected set — and with it
         // the whole pass — is independent of the shard layout.
-        let (mut work, sel) = eng.take_pass_work();
-        stats.record_sched(&sel);
-        if work.is_empty() {
-            work.append(&mut eng.scratch_deferred);
-            eng.dirty = work;
+        let mut stats = eng.begin_pass();
+        if eng.is_quiescent() {
             return stats;
         }
-        let selected = work.len();
-        if self.send.len() != n {
-            self.send = vec![-0.0; n];
-            self.flags = vec![0; n];
-        }
-        let index = Arc::clone(
-            eng.pull_index
-                .get_or_insert_with(|| Arc::new(PullIndex::build(&eng.graph, &eng.owner))),
+        self.send.resize(n, -0.0);
+        self.sent.resize(n, false);
+        let remote_out = eng.remote_out();
+        let inbound = Arc::clone(
+            eng.inbound
+                .get_or_insert_with(|| Arc::new(eng.graph.transpose())),
         );
         let shards = self.threads;
         let cfg = eng.config();
         let graph: &CsrGraph = eng.graph.as_ref();
-        let owner: &[PeerId] = &eng.owner;
 
-        // Phase 1: apply, parallel over document ranges. The scheduled
-        // documents are the queued ones the scheduler did not defer, so
-        // the workers read them off `queued` and the work list itself
-        // is only counted.
-        for &d in &eng.scratch_deferred {
-            self.flags[d as usize] = DEFERRED;
-        }
+        // Phase 1: apply, parallel over document ranges of whole
+        // frontier words.
         let ctx = ApplyCtx {
             graph,
-            owner,
-            remote_out: &index.remote_out,
+            owner: &eng.owner,
+            remote_out: &remote_out,
             peers,
-            eps: cfg.epsilon,
-            damping: cfg.damping,
+            epsilon: cfg.epsilon,
         };
-        let chunk = n.div_ceil(shards);
+        let chunk = n.div_ceil(64).div_ceil(shards) * 64;
+        let bounds: Vec<usize> = (0..=shards).map(|k| (k * chunk).min(n)).collect();
         let mut jobs = Vec::with_capacity(shards);
         {
+            let mut frontier = &mut eng.frontier.words[..];
             let mut ranks = &mut eng.ranks[..];
             let mut advertised = &mut eng.advertised[..];
             let mut pending = &mut eng.pending[..];
-            let mut queued = &mut eng.queued[..];
             let mut send = &mut self.send[..];
-            let mut flags = &mut self.flags[..];
+            let mut sent = &mut self.sent[..];
             for (k, out) in self.applied.iter_mut().enumerate() {
-                let base = (k * chunk).min(n);
-                let len = ((k + 1) * chunk).min(n) - base;
+                let len = bounds[k + 1] - bounds[k];
                 jobs.push(ApplyShard {
-                    base,
-                    ranks: take_front(&mut ranks, len),
-                    advertised: take_front(&mut advertised, len),
-                    pending: take_front(&mut pending, len),
-                    queued: take_front(&mut queued, len),
+                    slab: Slab {
+                        base: bounds[k],
+                        frontier: take_front(&mut frontier, words_between(&bounds, k)),
+                        ranks: take_front(&mut ranks, len),
+                        advertised: take_front(&mut advertised, len),
+                        pending: take_front(&mut pending, len),
+                    },
                     send: take_front(&mut send, len),
-                    flags: take_front(&mut flags, len),
+                    sent: take_front(&mut sent, len),
                     out: std::mem::take(out),
                 });
             }
         }
-        let applied = run_shards(jobs, |sh| timed(time_phases, || apply_range(sh, &ctx)));
+        let applied = run_shards(jobs, |sh| {
+            timed(time_phases, || apply_shard(sh, &ctx, cfg.damping))
+        });
 
         // Fold the workers' outputs in shard order, which for the one
         // floating-point sum among them is document order.
-        let mut scheduled = 0;
-        work.clear();
-        for (slot, (mut out, ns)) in self.applied.iter_mut().zip(applied) {
-            let st = std::mem::take(&mut out.stats);
-            scheduled += st.scheduled;
+        for (slot, ((out, st), ns)) in self.applied.iter_mut().zip(applied) {
             stats.applied += st.applied;
             stats.senders += st.senders;
-            stats.remote_messages += st.remote;
-            stats.local_updates += st.local;
-            stats.max_relative_change = stats.max_relative_change.max(st.max_rel);
-            for gap in out.dangling.drain(..) {
+            stats.remote_messages += st.remote_messages;
+            stats.local_updates += st.local_updates;
+            stats.max_relative_change = stats.max_relative_change.max(st.max_relative_change);
+            for gap in &out.dangling {
                 eng.dangling_advertised += gap;
             }
-            work.append(&mut out.carry);
             if let Some(tv) = timings.as_deref_mut() {
                 tv.push((ns, 0));
             }
             *slot = out;
         }
-        assert_eq!(
-            scheduled, selected,
-            "the dirty list and the queued flags disagree"
-        );
 
         // Hop charging: the model is `FnMut` and stateful, so it runs
         // on this thread, in the sequential engine's call order.
-        if let Some(model) = hop_model {
-            for (d, _) in self.flags.iter().enumerate().filter(|(_, &f)| f == SENT) {
-                let p = owner[d];
-                for &t in graph.out_neighbors(DocId(d as u32)) {
-                    let tp = owner[t as usize];
-                    if tp != p {
-                        stats.hops += u64::from(model(p, tp, DocId(t)));
-                    }
-                }
+        stats.hops = match hop_model {
+            Some(model) => {
+                let senders = self.applied.iter().flat_map(|o| o.senders.iter().copied());
+                charge_hops(graph, &eng.owner, senders, model)
             }
-        } else {
-            stats.hops = stats.remote_messages;
-        }
+            None => stats.remote_messages,
+        };
 
-        // Phase 2: pull, parallel over target ranges.
-        let bounds = balanced_bounds(&index.inbound, shards);
+        // Phase 2: pull, parallel over target ranges, the balanced cut
+        // moved to the nearest 64-document boundary so that each range
+        // owns whole frontier words.
+        let mut bounds = balanced_bounds(&inbound, shards);
+        for b in &mut bounds[1..shards] {
+            *b = ((*b + 32) / 64 * 64).min(n);
+        }
         let mut jobs = Vec::with_capacity(shards);
         {
             let mut pending = &mut eng.pending[..];
-            let mut queued = &mut eng.queued[..];
-            for (k, fresh) in self.fresh.iter_mut().enumerate() {
-                let len = bounds[k + 1] - bounds[k];
+            let mut frontier = &mut eng.frontier.words[..];
+            for k in 0..shards {
                 jobs.push(PullShard {
                     base: bounds[k],
-                    pending: take_front(&mut pending, len),
-                    queued: take_front(&mut queued, len),
-                    fresh: std::mem::take(fresh),
+                    pending: take_front(&mut pending, bounds[k + 1] - bounds[k]),
+                    frontier: take_front(&mut frontier, words_between(&bounds, k)),
                 });
             }
         }
-        let (send, flags) = (&self.send[..], &self.flags[..]);
+        let (send, sent) = (&self.send[..], &self.sent[..]);
         let pulled = run_shards(jobs, |sh| {
-            timed(time_phases, || pull_range(sh, &index.inbound, send, flags))
+            timed(time_phases, || pull_range(sh, &inbound, send, sent))
         });
-
-        // Next pass's dirty list: carried documents (already in
-        // `work`), newly queued targets, plus the documents the
-        // scheduler deferred (residual carryover). Order is irrelevant
-        // — every pass re-canonicalizes — but each piece is ascending,
-        // which the sequential engine's sort likes.
-        for (k, (slot, (mut fresh, ns))) in self.fresh.iter_mut().zip(pulled).enumerate() {
-            work.append(&mut fresh);
-            *slot = fresh;
-            if let Some(tv) = timings.as_deref_mut() {
-                tv[k].1 = ns;
+        if let Some(tv) = timings {
+            for (slot, ((), ns)) in tv.iter_mut().zip(pulled) {
+                slot.1 = ns;
             }
         }
-        work.append(&mut eng.scratch_deferred);
-        eng.dirty = work;
+        eng.finish_pass();
         stats
     }
 
@@ -564,10 +457,10 @@ impl ShardedExecutor {
     /// [`ShardedExecutor::run_to_convergence`] recording telemetry:
     /// the same per-pass `PassCompleted`/`ConvergenceCheck` and
     /// per-flip `PeerChurn` events as the sequential
-    /// [`ChaoticEngine::run_observed`], plus one `ShardPhase` event
-    /// per shard per sharded pass with that shard's apply and pull
-    /// wall-clock (the pull time travels in the event's `merge_ns`
-    /// field, whose name Capture v3 files fix).
+    /// [`ChaoticEngine::run_observed`] (it is the same loop), plus one
+    /// `ShardPhase` event per shard per sharded pass with that shard's
+    /// apply and pull wall-clock (the pull time travels in the event's
+    /// `merge_ns` field, whose name Capture v3 files fix).
     ///
     /// Recording never touches the computation: the ranks stay
     /// bit-identical to the unobserved run (and to the sequential
@@ -576,84 +469,37 @@ impl ShardedExecutor {
         &mut self,
         eng: &mut ChaoticEngine,
         peers: &mut PeerTable,
-        mut churn: Option<&mut ChurnFn<'_>>,
+        churn: Option<&mut ChurnFn<'_>>,
         rec: &R,
         run_label: &str,
     ) -> RunStats {
-        let mut run = RunStats::default();
-        let budget = eng.config().max_passes;
         let mut timings: Vec<(u64, u64)> = Vec::new();
-        while !eng.is_quiescent() && run.passes < budget {
-            let t0 = rec.enabled().then(Instant::now);
-            let stats = if t0.is_some() {
-                self.pass_timed(eng, peers, None, Some(&mut timings))
-            } else {
-                self.pass(eng, peers)
-            };
-            if let Some(t0) = t0 {
-                let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                rec.observe(Metric::PassDurationNs, duration_ns);
-                rec.counter_add(
-                    if self.delegated {
-                        Metric::ExecDelegatedPasses
-                    } else {
-                        Metric::ExecShardedPasses
-                    },
-                    1,
-                );
-                for (shard, &(apply_ns, pull_ns)) in timings.iter().enumerate() {
-                    rec.observe(Metric::ShardApplyNs, apply_ns);
-                    rec.observe(Metric::ShardMergeNs, pull_ns);
-                    rec.event(&Event::ShardPhase {
-                        run: run_label.to_string(),
-                        pass: stats.pass as u64,
-                        shard: shard as u32,
-                        apply_ns,
-                        merge_ns: pull_ns,
-                    });
-                }
-                rec.event(&Event::PassCompleted {
-                    run: run_label.to_string(),
-                    pass: stats.pass as u64,
-                    applied: stats.applied,
-                    remote_messages: stats.remote_messages,
-                    local_updates: stats.local_updates,
-                    senders: stats.senders,
-                    max_relative_change: stats.max_relative_change,
-                    hops: stats.hops,
-                    duration_ns,
-                });
-                rec.event(&Event::ConvergenceCheck {
-                    run: run_label.to_string(),
-                    pass: stats.pass as u64,
-                    active_docs: eng.active_docs() as u64,
-                    residual: eng.residual_mass(),
-                });
-                observe_mass(rec, eng, stats.pass as u64, run_label);
-                observe_sched(rec, eng.config().sched, &stats, run_label);
+        run_passes(eng, peers, churn, rec, run_label, |eng, peers| {
+            if !rec.enabled() {
+                return self.pass(eng, peers);
             }
-            run.record_pass(stats, eng.config().effective_pass_stats_cap());
-            if let Some(f) = churn.as_deref_mut() {
-                if rec.enabled() {
-                    let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
-                    f(run.passes, peers);
-                    for (i, was) in before.iter().enumerate() {
-                        let now = peers.is_online(PeerId(i as u32));
-                        if now != *was {
-                            rec.event(&Event::PeerChurn {
-                                round: run.passes as u64,
-                                peer: i as u32,
-                                online: now,
-                            });
-                        }
-                    }
+            let stats = self.pass_timed(eng, peers, None, Some(&mut timings));
+            rec.counter_add(
+                if self.delegated {
+                    Metric::ExecDelegatedPasses
                 } else {
-                    f(run.passes, peers);
-                }
+                    Metric::ExecShardedPasses
+                },
+                1,
+            );
+            for (shard, &(apply_ns, pull_ns)) in timings.iter().enumerate() {
+                rec.observe(Metric::ShardApplyNs, apply_ns);
+                rec.observe(Metric::ShardMergeNs, pull_ns);
+                rec.event(&Event::ShardPhase {
+                    run: run_label.to_string(),
+                    pass: stats.pass as u64,
+                    shard: shard as u32,
+                    apply_ns,
+                    merge_ns: pull_ns,
+                });
             }
-        }
-        run.converged = eng.is_quiescent();
-        run
+            stats
+        })
     }
 }
 
@@ -678,6 +524,12 @@ fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (head, tail) = std::mem::take(rest).split_at_mut(len);
     *rest = tail;
     head
+}
+
+/// How many frontier words the document range `bounds[k]..bounds[k + 1]`
+/// owns, every boundary but the last being a multiple of 64.
+fn words_between(bounds: &[usize], k: usize) -> usize {
+    bounds[k + 1].div_ceil(64) - bounds[k].div_ceil(64)
 }
 
 /// Runs `f` over every job, each on a scoped thread of its own (a
@@ -727,83 +579,45 @@ fn balanced_bounds(inbound: &CsrGraph, shards: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Phase 1 for one document range: apply the parked increment of every
-/// scheduled document and record what it sends. Mirrors the two inner
-/// loops of [`ChaoticEngine::pass_with_hops`] exactly, minus the walk
-/// over the out-links — any semantic change there must be replicated
-/// here (the differential tests in `tests/` enforce this).
-fn apply_range(mut sh: ApplyShard<'_>, ctx: &ApplyCtx<'_>) -> ApplyOut {
-    let mut st = ShardStats::default();
-    for li in 0..sh.flags.len() {
-        // Clears the previous pass's `SENT` (a `DEFERRED` mark may have
-        // overwritten one, so any mark resets `send`) and this pass's
-        // `DEFERRED`.
-        let mark = std::mem::take(&mut sh.flags[li]);
-        if mark != 0 {
-            sh.send[li] = -0.0;
-        }
-        if !sh.queued[li] || mark == DEFERRED {
-            continue;
-        }
-        st.scheduled += 1;
-        let i = sh.base + li;
-        if !ctx.peers.is_online(ctx.owner[i]) {
-            sh.out.carry.push(i as u32);
-            continue;
-        }
-        sh.queued[li] = false;
-        let delta = std::mem::take(&mut sh.pending[li]);
-        let rank = sh.ranks[li] + delta;
-        sh.ranks[li] = rank;
-        st.applied += 1;
-        let gap = rank - sh.advertised[li];
-        let rel = gap.abs() / rank.abs().max(f64::MIN_POSITIVE);
-        st.max_rel = st.max_rel.max(rel);
-        if rel <= ctx.eps {
-            continue;
-        }
-        sh.advertised[li] = rank;
-        let degree = ctx.graph.out_degree(DocId(i as u32));
-        if degree == 0 {
-            // Dangling document: nothing to forward, but the rank is
-            // now advertised (prevents re-evaluation forever).
-            sh.out.dangling.push(gap);
-            continue;
-        }
-        sh.send[li] = ctx.damping * gap / degree as f64;
-        sh.flags[li] = SENT;
-        st.senders += 1;
-        let remote = u64::from(ctx.remote_out[i]);
-        st.remote += remote;
-        st.local += degree as u64 - remote;
+/// Phase 1 for one document range: the engine's apply scan, then the
+/// collecting side's half of the emission — each sender's contribution
+/// change staged in `send` for the targets to pull.
+fn apply_shard(mut sh: ApplyShard<'_>, ctx: &ApplyCtx<'_>, damping: f64) -> (ApplyOut, PassStats) {
+    sh.send.fill(-0.0);
+    sh.sent.fill(false);
+    let mut stats = PassStats::default();
+    apply_range(&mut sh.slab, ctx, &mut sh.out, &mut stats);
+    for &s in &sh.out.senders {
+        let li = s as usize - sh.slab.base;
+        sh.send[li] = advertise(
+            sh.slab.ranks[li],
+            &mut sh.slab.advertised[li],
+            damping,
+            ctx.graph.out_degree(DocId(s)),
+        );
+        sh.sent[li] = true;
     }
-    sh.out.stats = st;
-    sh.out
+    (sh.out, stats)
 }
 
 /// Phase 2 for one target range: every target folds the `send` values
 /// of its in-neighbours into its `pending`, in in-row order (ascending
 /// sender, one term per link; `−0.0` from those that did not send),
-/// and if any did send joins the newly-dirty list unless it was queued
-/// already.
-fn pull_range(mut sh: PullShard<'_>, inbound: &CsrGraph, send: &[f64], flags: &[u8]) -> Vec<u32> {
+/// and if any did send joins the frontier.
+fn pull_range(sh: PullShard<'_>, inbound: &CsrGraph, send: &[f64], sent: &[bool]) {
     for li in 0..sh.pending.len() {
         let t = (sh.base + li) as u32;
         let mut acc = sh.pending[li];
         let mut hit = false;
         for &s in inbound.out_neighbors(DocId(t)) {
             acc += send[s as usize];
-            hit |= flags[s as usize] == SENT;
+            hit |= sent[s as usize];
         }
         if hit {
             sh.pending[li] = acc;
-            if !sh.queued[li] {
-                sh.queued[li] = true;
-                sh.fresh.push(t);
-            }
+            sh.frontier[li / 64] |= 1 << (li % 64);
         }
     }
-    sh.fresh
 }
 
 #[cfg(test)]
@@ -1264,21 +1078,17 @@ mod tests {
         ranks: Vec<f64>,
         pending: Vec<f64>,
         advertised: Vec<f64>,
-        queued: Vec<bool>,
-        /// The dirty *set*: list order is not part of the contract.
-        dirty: Vec<u32>,
+        /// The frontier's bits and its count.
+        frontier: (Vec<u64>, usize),
         mass: dpr_telemetry::MassBreakdown,
     }
 
     fn snapshot(eng: &ChaoticEngine) -> Snapshot {
-        let mut dirty = eng.dirty.clone();
-        dirty.sort_unstable();
         Snapshot {
             ranks: eng.ranks.clone(),
             pending: eng.pending.clone(),
             advertised: eng.advertised.clone(),
-            queued: eng.queued.clone(),
-            dirty,
+            frontier: (eng.frontier.words.clone(), eng.frontier.len()),
             mass: eng.mass_breakdown(),
         }
     }

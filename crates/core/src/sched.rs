@@ -207,10 +207,10 @@ impl SchedStats {
 /// the document; `scratch` is a reusable per-item bucket buffer.
 ///
 /// The caller must present `work` in a canonical order (the engine
-/// sorts ascending first): the per-bucket mass sums are floating-point
-/// folds over `work`, and the budget cut compares them — so two
-/// executors agree on the selected set exactly when they fold in the
-/// same order.
+/// lists its frontier ascending): the per-bucket mass sums are
+/// floating-point folds over `work`, and the budget cut compares them —
+/// so two executors agree on the selected set exactly when they fold in
+/// the same order.
 pub fn partition_by_residual(
     work: &mut Vec<u32>,
     deferred: &mut Vec<u32>,
@@ -295,7 +295,8 @@ fn greedy_key(score: f64) -> u64 {
 ///
 /// Unlike [`partition_by_residual`], `work` comes back in
 /// *selection-priority* order, not the caller's canonical order: the
-/// engine re-sorts ascending before its floating-point apply fold, the
+/// engine reads only which documents were deferred (its apply scan
+/// walks the frontier in document order whatever this returns), the
 /// node layer uses the order directly so flush buffers fill
 /// highest-value-first. Determinism is preserved because the ranking
 /// is a total order — (score desc, doc asc) with bit-exact score

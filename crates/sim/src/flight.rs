@@ -383,15 +383,16 @@ pub fn replay_observed<R: Recorder + ?Sized>(
     Ok(out)
 }
 
-/// Like [`replay`], but first refuses captures recorded under a
+/// Like [`replay_observed`], but first refuses captures recorded under a
 /// different wire codec than the one this replayer is running.
 /// Compact quantizes updates to `f32`, so a fingerprint recorded under
 /// one codec says nothing about a run under the other — comparing them
 /// would report a phantom determinism bug.
-pub fn replay_under_codec(
+pub fn replay_under_codec<R: Recorder + ?Sized>(
     capture: &Capture,
     mode: ExecMode,
     codec: WireCodec,
+    rec: &R,
 ) -> Result<FlightOutcome, String> {
     let cfg = FlightConfig::from_header(&capture.header)?;
     if cfg.codec != codec {
@@ -402,7 +403,7 @@ pub fn replay_under_codec(
             cfg.codec, cfg.codec
         ));
     }
-    replay(capture, mode)
+    replay_observed(capture, mode, rec)
 }
 
 /// One audited diagnostic run — the scenario half of `dpr doctor`.
@@ -625,12 +626,23 @@ mod tests {
     fn replay_refuses_a_codec_mismatch() {
         let (capture, _) = record(&FlightConfig::smoke(), ExecMode::Sequential);
         assert_eq!(capture.header.codec, "raw");
-        let err =
-            replay_under_codec(&capture, ExecMode::Sequential, WireCodec::Compact).unwrap_err();
+        let err = replay_under_codec(
+            &capture,
+            ExecMode::Sequential,
+            WireCodec::Compact,
+            &dpr_telemetry::NOOP,
+        )
+        .unwrap_err();
         assert!(err.contains("recorded under wire codec \"raw\""), "{err}");
         assert!(err.contains("--codec raw"), "{err}");
         // The matching codec replays fine.
-        replay_under_codec(&capture, ExecMode::Sequential, WireCodec::Raw).unwrap();
+        replay_under_codec(
+            &capture,
+            ExecMode::Sequential,
+            WireCodec::Raw,
+            &dpr_telemetry::NOOP,
+        )
+        .unwrap();
     }
 
     #[test]

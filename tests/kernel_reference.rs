@@ -1,0 +1,356 @@
+//! Differential test of the rank kernel against a reference model.
+//!
+//! [`Reference`] is the sequential pass as it stood before the frontier
+//! became a bitset — a dirty list deduplicated by `queued` flags, two
+//! comparison sorts, an apply loop and an emit loop that loads
+//! `owner[t]` for every push — copied here so that the engine's one
+//! apply scan and both emission sides (the sequential diffuse, the
+//! sharded collect) are checked against code that shares none of
+//! theirs. Scripted runs (offline sets, injections including negative
+//! and exactly-cancelling ones, `drop_parked`) are driven through the
+//! model, the engine and the executor at 1–5 threads in lockstep;
+//! after every pass the `PassStats`, the bits of rank / pending /
+//! advertised / dangling sink, the frontier *set* and the hop model's
+//! call sequence must all be equal. Sizes straddle the 64-document
+//! word: ranges that are not multiples of 64 and a ragged last word.
+
+use distributed_pagerank::core::parallel::ShardedExecutor;
+use distributed_pagerank::core::sched::{self, SchedStats};
+use distributed_pagerank::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
+
+/// The pre-bitset sequential engine: state and pass.
+struct Reference {
+    graph: Arc<CsrGraph>,
+    owner: Vec<PeerId>,
+    cfg: EngineConfig,
+    ranks: Vec<f64>,
+    advertised: Vec<f64>,
+    pending: Vec<f64>,
+    dirty: Vec<u32>,
+    queued: Vec<bool>,
+    passes: usize,
+    dangling_advertised: f64,
+    scratch_deferred: Vec<u32>,
+}
+
+impl Reference {
+    fn new(graph: Arc<CsrGraph>, owner: Vec<PeerId>, cfg: EngineConfig) -> Self {
+        let n = graph.num_nodes();
+        Reference {
+            graph,
+            owner,
+            cfg,
+            ranks: vec![0.0; n],
+            advertised: vec![0.0; n],
+            pending: vec![1.0 - cfg.damping; n],
+            dirty: (0..n as u32).collect(),
+            queued: vec![true; n],
+            passes: 0,
+            dangling_advertised: 0.0,
+            scratch_deferred: Vec::new(),
+        }
+    }
+
+    fn inject_delta(&mut self, doc: DocId, delta: f64) {
+        if delta == 0.0 {
+            return;
+        }
+        self.pending[doc.index()] += delta;
+        if !self.queued[doc.index()] {
+            self.queued[doc.index()] = true;
+            self.dirty.push(doc.0);
+        }
+    }
+
+    fn drop_parked(&mut self, peers: &PeerTable) -> usize {
+        let before = self.dirty.len();
+        let mut kept = Vec::with_capacity(before);
+        for &di in &self.dirty {
+            let i = di as usize;
+            if peers.is_online(self.owner[i]) {
+                kept.push(di);
+            } else {
+                self.pending[i] = 0.0;
+                self.queued[i] = false;
+            }
+        }
+        self.dirty = kept;
+        before - self.dirty.len()
+    }
+
+    fn take_pass_work(&mut self) -> (Vec<u32>, SchedStats) {
+        let mut work = std::mem::take(&mut self.dirty);
+        if self.cfg.sched == SchedMode::Pass {
+            let sel = SchedStats::full_sweep(work.len());
+            return (work, sel);
+        }
+        work.sort_unstable();
+        let mut deferred = std::mem::take(&mut self.scratch_deferred);
+        let (ranks, advertised, pending) = (&self.ranks, &self.advertised, &self.pending);
+        let residual = |d: u32| {
+            let i = d as usize;
+            pending[i] + ranks[i] - advertised[i]
+        };
+        let sel = match self.cfg.sched {
+            SchedMode::Pass => unreachable!("handled above"),
+            SchedMode::Priority => {
+                sched::partition_by_residual(&mut work, &mut deferred, &mut Vec::new(), residual)
+            }
+            SchedMode::Greedy => {
+                let graph = &self.graph;
+                sched::partition_by_greedy(
+                    &mut work,
+                    &mut deferred,
+                    &mut Vec::new(),
+                    residual,
+                    |d| graph.out_degree(DocId(d)),
+                )
+            }
+        };
+        self.scratch_deferred = deferred;
+        (work, sel)
+    }
+
+    fn pass_with_hops(
+        &mut self,
+        peers: &PeerTable,
+        mut hop_model: Option<&mut dyn FnMut(PeerId, PeerId, DocId) -> u32>,
+    ) -> PassStats {
+        self.passes += 1;
+        let mut stats = PassStats {
+            pass: self.passes,
+            ..Default::default()
+        };
+        let eps = self.cfg.epsilon;
+        let damping = self.cfg.damping;
+
+        let (mut work, sel) = self.take_pass_work();
+        stats.queued = sel.queued;
+        stats.selected = sel.selected;
+        stats.deferred = sel.deferred;
+        stats.deferred_mass = sel.deferred_mass;
+        stats.budget_hit = sel.budget_hit;
+        work.sort_unstable();
+        let mut carry = Vec::new();
+        let mut applied = Vec::new();
+
+        // Phase 1: deliver parked increments to documents on online
+        // peers; increments for offline peers stay parked.
+        for &di in &work {
+            let i = di as usize;
+            if !peers.is_online(self.owner[i]) {
+                carry.push(di);
+                continue;
+            }
+            self.queued[i] = false;
+            let delta = std::mem::take(&mut self.pending[i]);
+            self.ranks[i] += delta;
+            stats.applied += 1;
+            applied.push(di);
+        }
+
+        // Phase 2: every applied document whose rank moved more than ε
+        // since its last advertisement sends the contribution change.
+        for &di in &applied {
+            let i = di as usize;
+            let rank = self.ranks[i];
+            let rel = (rank - self.advertised[i]).abs() / rank.abs().max(f64::MIN_POSITIVE);
+            stats.max_relative_change = stats.max_relative_change.max(rel);
+            if rel <= eps {
+                continue;
+            }
+            let out = self.graph.out_neighbors(DocId(di));
+            if out.is_empty() {
+                self.dangling_advertised += rank - self.advertised[i];
+                self.advertised[i] = rank;
+                continue;
+            }
+            let p = self.owner[i];
+            let send = damping * (rank - self.advertised[i]) / out.len() as f64;
+            self.advertised[i] = rank;
+            stats.senders += 1;
+            for &t in out {
+                let ti = t as usize;
+                self.pending[ti] += send;
+                if !self.queued[ti] {
+                    self.queued[ti] = true;
+                    carry.push(t);
+                }
+                if self.owner[ti] == p {
+                    stats.local_updates += 1;
+                } else {
+                    stats.remote_messages += 1;
+                    stats.hops += match hop_model.as_deref_mut() {
+                        Some(f) => f(p, self.owner[ti], DocId(t)) as u64,
+                        None => 1,
+                    };
+                }
+            }
+        }
+
+        carry.append(&mut self.scratch_deferred);
+        self.dirty = carry;
+        stats
+    }
+}
+
+/// What happens around one pass of a scripted run.
+struct Step {
+    /// Peers offline during the pass (peer 0 never is).
+    offline: Vec<bool>,
+    /// Increments injected before the pass.
+    inject: Vec<(u32, f64)>,
+    /// Inject the exact negation of this document's parked increment,
+    /// leaving it in the frontier with nothing to apply.
+    cancel: Option<u32>,
+    /// Call `drop_parked` before the pass.
+    drop_parked: bool,
+}
+
+/// A CSR graph straight from parts: rows unsorted, with duplicate links
+/// and self-loops, one document in five dangling.
+fn raw_graph(n: usize, rng: &mut ChaCha8Rng) -> Arc<CsrGraph> {
+    let mut offsets = vec![0u64];
+    let mut targets = Vec::new();
+    for _ in 0..n {
+        if !rng.gen_bool(0.2) {
+            for _ in 0..rng.gen_range(1..7) {
+                targets.push(rng.gen_range(0..n as u32));
+            }
+        }
+        offsets.push(targets.len() as u64);
+    }
+    Arc::new(CsrGraph::from_parts(offsets, targets))
+}
+
+fn script(n: usize, num_peers: usize, rng: &mut ChaCha8Rng) -> Vec<Step> {
+    (0..rng.gen_range(12..28))
+        .map(|_| {
+            let mut offline: Vec<bool> = (0..num_peers).map(|_| rng.gen_bool(0.3)).collect();
+            offline[0] = false;
+            let mut inject = Vec::new();
+            if n > 0 && rng.gen_bool(0.6) {
+                let doc = rng.gen_range(0..n as u32);
+                inject.push((doc, rng.gen_range(-0.75..0.75)));
+                if rng.gen_bool(0.3) {
+                    // A pair that cancels exactly.
+                    let other = rng.gen_range(0..n as u32);
+                    inject.extend([(other, 0.375), (other, -0.375)]);
+                }
+            }
+            Step {
+                offline,
+                inject,
+                cancel: (n > 0 && rng.gen_bool(0.25)).then(|| rng.gen_range(0..n as u32)),
+                drop_parked: rng.gen_bool(0.15),
+            }
+        })
+        .collect()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Drives `script` through the model and through the engine — on the
+/// sequential path when `threads == 0`, else through an executor with
+/// the density guard off — comparing everything after every pass.
+fn lockstep(
+    graph: &Arc<CsrGraph>,
+    owner: &[PeerId],
+    num_peers: usize,
+    cfg: EngineConfig,
+    script: &[Step],
+    threads: usize,
+    with_hops: bool,
+) {
+    let what = format!(
+        "n {} sched {} threads {threads} hops {with_hops}",
+        graph.num_nodes(),
+        cfg.sched
+    );
+    let mut model = Reference::new(graph.clone(), owner.to_vec(), cfg);
+    let mut eng = ChaoticEngine::new(graph.clone(), owner.to_vec(), cfg);
+    let mut exec = ShardedExecutor::new(threads.max(1)).with_auto_seq_threshold(0);
+    let mut peers = PeerTable::new(num_peers);
+    // The hop model's answer depends on how many calls came before, so
+    // a reordering shows in `PassStats::hops` as well as in the log.
+    let (mut want_calls, mut got_calls) = (Vec::new(), Vec::new());
+    for (k, step) in script.iter().enumerate() {
+        for (i, &off) in step.offline.iter().enumerate() {
+            if off {
+                peers.go_offline(PeerId(i as u32));
+            } else {
+                peers.go_online(PeerId(i as u32));
+            }
+        }
+        let cancel = step.cancel.map(|d| (d, -model.pending[d as usize]));
+        for &(doc, delta) in step.inject.iter().chain(&cancel) {
+            model.inject_delta(DocId(doc), delta);
+            eng.inject_delta(DocId(doc), delta);
+        }
+        if step.drop_parked {
+            assert_eq!(model.drop_parked(&peers), eng.drop_parked(&peers), "{what}");
+        }
+        let mut want_model = |s: PeerId, d: PeerId, doc: DocId| {
+            want_calls.push((s, d, doc));
+            (want_calls.len() % 3) as u32
+        };
+        let mut got_model = |s: PeerId, d: PeerId, doc: DocId| {
+            got_calls.push((s, d, doc));
+            (got_calls.len() % 3) as u32
+        };
+        let want = model.pass_with_hops(&peers, with_hops.then_some(&mut want_model as _));
+        let got = match (threads, with_hops) {
+            (0, false) => eng.pass(&peers),
+            (0, true) => eng.pass_with_hops(&peers, Some(&mut got_model)),
+            (_, false) => exec.pass(&mut eng, &peers),
+            (_, true) => exec.pass_with_hops(&mut eng, &peers, Some(&mut got_model)),
+        };
+        let what = format!("{what} step {k}");
+        assert_eq!(want, got, "{what}");
+        assert_eq!(want_calls, got_calls, "{what}");
+        assert_eq!(bits(&model.ranks), bits(eng.ranks()), "{what}");
+        assert_eq!(bits(&model.pending), bits(eng.pending()), "{what}");
+        assert_eq!(bits(&model.advertised), bits(eng.advertised()), "{what}");
+        assert_eq!(
+            model.dangling_advertised.to_bits(),
+            eng.mass_breakdown().dangling.to_bits(),
+            "{what}"
+        );
+        let mut dirty = model.dirty.clone();
+        dirty.sort_unstable();
+        let frontier: Vec<u32> = eng.frontier().map(|d| d.0).collect();
+        assert_eq!(dirty, frontier, "{what}");
+        assert_eq!(dirty.len(), eng.active_docs(), "{what}");
+        assert_eq!(dirty.is_empty(), eng.is_quiescent(), "{what}");
+        assert!(threads == 0 || !exec.last_pass_delegated());
+    }
+}
+
+#[test]
+fn engine_and_executor_match_the_reference_model() {
+    for (case, n) in [0usize, 1, 63, 64, 65, 1_000, 4_099]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed + case as u64);
+        let graph = raw_graph(n, &mut rng);
+        let num_peers = rng.gen_range(2..7);
+        let owner: Vec<PeerId> = (0..n)
+            .map(|_| PeerId(rng.gen_range(0..num_peers as u32)))
+            .collect();
+        let script = script(n, num_peers, &mut rng);
+        for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
+            let cfg = EngineConfig::with_epsilon(1e-3).with_sched(sched);
+            for threads in 0..=5 {
+                for with_hops in [false, true] {
+                    lockstep(&graph, &owner, num_peers, cfg, &script, threads, with_hops);
+                }
+            }
+        }
+    }
+}
