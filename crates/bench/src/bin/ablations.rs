@@ -31,7 +31,7 @@
 //! cargo run --release -p dpr-bench --bin ablations [--nodes 20000] [--seed N]
 //! ```
 
-use dpr_bench::{Args, Trace};
+use dpr_bench::Args;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats;
 use dpr_core::sync_solver::SyncSolver;
@@ -41,9 +41,13 @@ use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
+use dpr_sim::flags::Reporter;
 use dpr_sim::hops::HopAccounting;
-use dpr_sim::metrics::{fmt_eps, TextTable};
+use dpr_sim::spec::ScenarioSpec;
 use dpr_sim::workload::Workload;
+use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
+use dpr_telemetry::table::TextTable;
+use dpr_telemetry::NOOP;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -51,7 +55,7 @@ fn main() {
     let args = Args::parse();
     let trace = args.trace();
     let nodes: usize = args.get("nodes", 20_000);
-    let seed = args.seed();
+    let seed: u64 = args.get("seed", 2003);
 
     ablation_sync_vs_async(nodes, seed);
     ablation_epsilon_suppression(nodes, seed);
@@ -62,21 +66,21 @@ fn main() {
     ablation_acceleration(nodes, seed);
     ablation_aggregation_grid(seed, &trace);
     ablation_priority_sched(nodes, seed);
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }
 
 /// 1. Chaotic+threshold vs synchronous all-send.
 fn ablation_sync_vs_async(nodes: usize, seed: u64) {
     println!("== ablation 1: chaotic (async, eps-gated) vs synchronous all-send ==\n");
-    let w = Workload::paper(nodes, 500, seed);
+    let at = |eps| ScenarioSpec::new(nodes, 500, eps, seed);
+    let w = at(1e-3).workload();
     let remote_links: u64 = w.remote_links_per_peer().iter().sum();
 
     let mut table = TextTable::new(["scheme", "passes/iters", "remote msgs", "max rel err"]);
     let reference = SyncSolver::new().tolerance(1e-12).solve(&w.graph);
 
     for eps in [1e-3, 1e-5] {
-        let mut eng =
-            ChaoticEngine::new(w.graph.clone(), w.owners(), EngineConfig::with_epsilon(eps));
+        let mut eng = at(eps).engine(&w);
         let mut peers = w.peer_table();
         let run = eng.run_to_convergence(&mut peers, None);
         let err = error_stats::compare(eng.ranks(), &reference.ranks);
@@ -110,7 +114,8 @@ fn ablation_sync_vs_async(nodes: usize, seed: u64) {
 /// 2. The send threshold's message/quality trade-off.
 fn ablation_epsilon_suppression(nodes: usize, seed: u64) {
     println!("== ablation 2: epsilon send-suppression trade-off ==\n");
-    let sweep = dpr_sim::scenario::QualitySweep::new(nodes, 500, seed);
+    let spec = ScenarioSpec::new(nodes, 500, 0.2, seed);
+    let sweep = dpr_sim::scenario::QualitySweep::new(&spec);
     let mut table = TextTable::new([
         "eps",
         "remote msgs",
@@ -118,10 +123,10 @@ fn ablation_epsilon_suppression(nodes: usize, seed: u64) {
         "avg rel err",
         "max rel err",
     ]);
-    for eps in [0.2, 1e-2, 1e-4, 1e-6] {
-        let r = sweep.run(eps);
+    for epsilon in [0.2, 1e-2, 1e-4, 1e-6] {
+        let r = sweep.run(&ScenarioSpec { epsilon, ..spec }, &NOOP, "quality");
         table.push([
-            fmt_eps(eps),
+            fmt_eps(epsilon),
             r.total_remote_messages.to_string(),
             format!("{:.1}", r.messages_per_node),
             format!("{:.2e}", r.distribution.avg),
@@ -133,7 +138,7 @@ fn ablation_epsilon_suppression(nodes: usize, seed: u64) {
 }
 
 /// 3. Address caching vs routing every message.
-fn ablation_caching(seed: u64, trace: &Trace) {
+fn ablation_caching(seed: u64, trace: &Reporter) {
     println!("== ablation 3: address caching vs routing every message ==\n");
     let w = Workload::build(
         3_000,
@@ -149,11 +154,7 @@ fn ablation_caching(seed: u64, trace: &Trace) {
         if let Some(rec) = trace.recorder_arc() {
             acc.set_recorder(rec);
         }
-        let mut eng = ChaoticEngine::new(
-            w.graph.clone(),
-            w.owners(),
-            EngineConfig::with_epsilon(1e-4),
-        );
+        let mut eng = ScenarioSpec::new(3_000, 64, 1e-4, seed).engine(&w);
         let peers = w.peer_table();
         let (mut msgs, mut hops) = (0u64, 0u64);
         let mut model = acc.model();
@@ -176,15 +177,12 @@ fn ablation_caching(seed: u64, trace: &Trace) {
 /// 4. Store-and-resend vs dropping updates for offline peers.
 fn ablation_store_and_resend(seed: u64) {
     println!("== ablation 4: store-and-resend vs dropping parked updates ==\n");
-    let w = Workload::paper(5_000, 100, seed);
+    let spec = ScenarioSpec::new(5_000, 100, 1e-6, seed);
+    let w = spec.workload();
     let reference = SyncSolver::new().tolerance(1e-12).solve(&w.graph);
     let mut table = TextTable::new(["protocol", "total rank mass", "avg rel err vs R_c"]);
     for drop in [false, true] {
-        let mut eng = ChaoticEngine::new(
-            w.graph.clone(),
-            w.owners(),
-            EngineConfig::with_epsilon(1e-6),
-        );
+        let mut eng = spec.engine(&w);
         let mut peers = w.peer_table();
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
         let mut pass = 0;
@@ -270,19 +268,16 @@ fn ablation_link_aware_placement(nodes: usize, seed: u64) {
         "local updates",
         "passes",
     ]);
+    let spec = ScenarioSpec::new(nodes, 500, 1e-3, seed);
     for (name, w) in [
-        ("random (paper Sec. 4.2)", Workload::paper(nodes, 500, seed)),
+        ("random (paper Sec. 4.2)", spec.workload()),
         (
             "link-aware (Sec. 6)",
             Workload::build_link_aware(nodes, 500, seed, 6),
         ),
     ] {
         let remote_links: u64 = w.remote_links_per_peer().iter().sum();
-        let mut eng = ChaoticEngine::new(
-            w.graph.clone(),
-            w.owners(),
-            EngineConfig::with_epsilon(1e-3),
-        );
+        let mut eng = spec.engine(&w);
         let mut peers = w.peer_table();
         let run = eng.run_to_convergence(&mut peers, None);
         table.push([
@@ -302,11 +297,12 @@ fn ablation_link_aware_placement(nodes: usize, seed: u64) {
 /// When tracing is on, the "frames + IP cache" cell (the shipping
 /// configuration) runs observed so the trace describes one coherent
 /// run rather than four interleaved ones.
-fn ablation_aggregation_grid(seed: u64, trace: &Trace) {
+fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
     use dpr_node::node::WireMode;
-    use dpr_sim::batch::{run_wire_mode, run_wire_mode_observed};
+    use dpr_sim::batch::run_wire_mode;
     println!("\n== ablation 8: per-peer aggregation x IP caching ==\n");
-    let w = Workload::paper(2_000, 64, seed);
+    let spec = ScenarioSpec::new(2_000, 64, 1e-3, seed);
+    let w = spec.workload();
     let mut table = TextTable::new([
         "wire mode",
         "payloads",
@@ -322,10 +318,8 @@ fn ablation_aggregation_grid(seed: u64, trace: &Trace) {
         ("frames + IP cache", WireMode::frames(), true),
     ] {
         let observe = cache && matches!(wire, WireMode::Frames { .. });
-        let run = match trace.recorder_arc().filter(|_| observe) {
-            Some(rec) => run_wire_mode_observed(&w, 1e-3, wire, cache, rec),
-            None => run_wire_mode(&w, 1e-3, wire, cache),
-        };
+        let rec = trace.recorder_arc().filter(|_| observe);
+        let run = run_wire_mode(&w, &ScenarioSpec { wire, ..spec }, cache, rec);
         match &ranks {
             Some(r) => assert_eq!(r, &run.ranks, "all four cells must agree bitwise"),
             None => ranks = Some(run.ranks),
@@ -334,7 +328,7 @@ fn ablation_aggregation_grid(seed: u64, trace: &Trace) {
         table.push([
             name.to_string(),
             t.payloads.to_string(),
-            dpr_sim::metrics::fmt_bytes(t.bytes_on_wire),
+            fmt_bytes(t.bytes_on_wire),
             t.routed_messages.to_string(),
             format!("{:.2}", t.routed_messages as f64 / t.payloads.max(1) as f64),
         ]);
@@ -351,7 +345,11 @@ fn ablation_aggregation_grid(seed: u64, trace: &Trace) {
 fn ablation_priority_sched(nodes: usize, seed: u64) {
     use dpr_core::SchedMode;
     println!("\n== ablation 9: priority (Gauss-Southwell) and greedy vs pass scheduling ==\n");
-    let w = Workload::paper(nodes, 500, seed);
+    let at = |eps, sched| ScenarioSpec {
+        sched,
+        ..ScenarioSpec::new(nodes, 500, eps, seed)
+    };
+    let w = at(1e-3, SchedMode::Pass).workload();
     let reference = SyncSolver::new().tolerance(1e-12).solve(&w.graph);
     let mut table = TextTable::new([
         "scheduler",
@@ -364,11 +362,7 @@ fn ablation_priority_sched(nodes: usize, seed: u64) {
     for eps in [1e-3, 1e-6] {
         let mut pass_msgs = 0u64;
         for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
-            let mut eng = ChaoticEngine::new(
-                w.graph.clone(),
-                w.owners(),
-                EngineConfig::with_epsilon(eps).with_sched(sched),
-            );
+            let mut eng = at(eps, sched).engine(&w);
             let mut peers = w.peer_table();
             let run = eng.run_to_convergence(&mut peers, None);
             assert!(run.converged);
@@ -406,7 +400,8 @@ fn ablation_priority_sched(nodes: usize, seed: u64) {
 fn ablation_acceleration(nodes: usize, seed: u64) {
     use dpr_core::accel::{ExtrapolatedSolver, Method};
     println!("\n== ablation 7: chaotic vs extrapolation-accelerated solvers ==\n");
-    let w = Workload::paper(nodes, 500, seed);
+    let spec = ScenarioSpec::new(nodes, 500, 1e-10, seed);
+    let w = spec.workload();
     let mut table = TextTable::new(["solver", "sweeps/passes", "note"]);
 
     let plain = SyncSolver::new()
@@ -433,11 +428,7 @@ fn ablation_acceleration(nodes: usize, seed: u64) {
             format!("{} extrapolations", r.extrapolations),
         ]);
     }
-    let mut eng = ChaoticEngine::new(
-        w.graph.clone(),
-        w.owners(),
-        EngineConfig::with_epsilon(1e-10),
-    );
+    let mut eng = spec.engine(&w);
     let mut peers = w.peer_table();
     let run = eng.run_to_convergence(&mut peers, None);
     table.push([

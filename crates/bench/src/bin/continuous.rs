@@ -106,16 +106,16 @@ use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::parallel::ShardedExecutor;
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::SchedMode;
-use dpr_node::cluster::Cluster;
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
-use dpr_node::termination::TerminationDetector;
-use dpr_p2p::peer::PeerId;
-use dpr_sim::batch::{compare_runs, run_wire_mode, run_wire_mode_observed, run_wire_mode_sched};
-use dpr_sim::event::{run_chaotic_profiled, ChaoticConfig, ChaoticOutcome, LatencyModel};
-use dpr_sim::metrics::{fmt_bytes, fmt_eps, TextTable};
+use dpr_sim::batch::{compare_runs, run_wire_mode};
+use dpr_sim::event::{ChaoticOutcome, LatencyModel};
+use dpr_sim::flight::profile_run;
 use dpr_sim::report::{results_dir, BenchMeta, ExperimentRecord};
-use dpr_sim::scenario::continuous_update_experiment_observed;
+use dpr_sim::scenario::continuous_update_experiment;
+use dpr_sim::spec::ScenarioSpec;
 use dpr_sim::workload::Workload;
+use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
+use dpr_telemetry::table::TextTable;
 use dpr_telemetry::Profile;
 use serde::Serialize;
 
@@ -138,42 +138,13 @@ fn bench_meta(
         .axes(codec, run_mode, sched)
 }
 
-/// Runs the message-level cluster to quiescence under the event-driven
-/// chaotic runtime and returns the outcome, the final ranks, the total
-/// remote entries the peers emitted (the paper's traffic metric,
-/// counted identically to the round-driven cluster runs), and the
-/// causal profile of the run (critical-path compute/wire/wait
-/// attribution of the virtual wall-clock).
-fn run_chaotic_cluster(
-    w: &Workload,
-    eps: f64,
-    sched: SchedMode,
-    latency: LatencyModel,
-    seed: u64,
-) -> (ChaoticOutcome, Vec<f64>, u64, Profile) {
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        w.num_peers,
-        EngineConfig::with_epsilon(eps).with_sched(sched),
-        WireMode::frames(),
-    );
-    let peers = w.peer_table();
-    let mut det = TerminationDetector::new(w.num_peers);
-    let ccfg = ChaoticConfig {
-        seed,
-        latency,
-        sched,
-        epsilon: eps,
-    };
-    let (out, profile) = run_chaotic_profiled(
-        &mut cluster,
-        &peers,
-        &ccfg,
-        &mut det,
-        2_000_000_000,
-        &dpr_telemetry::NOOP,
-    );
+/// [`profile_run`] under the bench-scale gates: the chaotic run of
+/// `spec` over `w` must quiesce and its causal profile must account
+/// for the whole virtual wall-clock. Returns the outcome, the final
+/// ranks, the total remote entries the peers emitted, and the profile.
+fn chaotic_run(w: &Workload, spec: &ScenarioSpec) -> (ChaoticOutcome, Vec<f64>, u64, Profile) {
+    let run = profile_run(w, spec, None, &dpr_telemetry::NOOP);
+    let (out, profile) = (run.outcome, run.profile);
     assert!(out.quiesced, "chaotic bench run must quiesce");
     // The profiler's acceptance gate, enforced at bench scale: the
     // critical-path attribution must sum to the virtual wall-clock
@@ -189,15 +160,7 @@ fn run_chaotic_cluster(
         profile.virtual_ns, out.virtual_ns,
         "profile horizon must equal the runtime's virtual clock"
     );
-    let emitted = (0..w.num_peers as u32)
-        .map(|p| cluster.node(PeerId(p)).stats().emitted_remote)
-        .sum();
-    (
-        out,
-        cluster.collect_ranks(w.graph.num_nodes()),
-        emitted,
-        profile,
-    )
+    (out, run.ranks, run.remote_messages, profile)
 }
 
 /// One row of `BENCH_pass_scaling.json`: a full convergence run of
@@ -226,14 +189,15 @@ fn pass_scaling(args: &Args) {
         .split(',')
         .map(|s| s.trim().parse().expect("bad --nodes entry"))
         .collect();
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
+    // `--nodes` is this sweep's size list, not one scenario's shape.
+    let spec = args.paper_spec(sizes[0], &["nodes"]);
+    let (peers_n, eps) = (spec.num_peers, spec.epsilon);
     let reps: usize = args.get("reps", 3);
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows: Vec<PassScalingRow> = Vec::new();
     for &nodes in &sizes {
-        let w = Workload::paper(nodes, peers_n, args.seed());
+        let w = ScenarioSpec { nodes, ..spec }.workload();
         println!(
             "Pass-throughput scaling ({nodes} docs, {peers_n} peers, eps {eps}, best of {reps}, \
              {host_threads} host threads)\n"
@@ -342,7 +306,7 @@ fn pass_scaling(args: &Args) {
     let params = format!(
         "nodes={} peers={peers_n} eps={eps} seed={} host_threads={host_threads}",
         nodes_list.join(","),
-        args.seed()
+        spec.seed
     );
     let path = ExperimentRecord::new("BENCH_pass_scaling", params.clone(), rows)
         .with_meta(bench_meta(args, params, "none", "rounds", "pass"))
@@ -372,22 +336,26 @@ struct ScaleRow {
 
 fn scale(args: &Args) {
     use dpr_p2p::transport::WireCodec;
-    use dpr_sim::batch::run_wire_mode_codec;
 
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
     let sizes = args.sizes_or(&[10_000, 100_000, 1_000_000]);
+    let spec = args.paper_spec(sizes[0], &[]);
+    let (peers_n, eps) = (spec.num_peers, spec.epsilon);
 
     println!("Wire-codec scale sweep ({peers_n} peers, eps {eps}, sizes {sizes:?})\n");
     let mut rows = Vec::with_capacity(sizes.len());
     for docs in sizes {
-        let w = Workload::paper(docs, peers_n, args.seed());
+        let under = |codec| ScenarioSpec {
+            nodes: docs,
+            codec,
+            ..spec
+        };
+        let w = under(WireCodec::Raw).workload();
         eprintln!("  … {docs} docs, raw codec");
         let start = std::time::Instant::now();
-        let raw = run_wire_mode_codec(&w, eps, WireMode::frames(), WireCodec::Raw, true);
+        let raw = run_wire_mode(&w, &under(WireCodec::Raw), true, None);
         let secs = start.elapsed().as_secs_f64();
         eprintln!("  … {docs} docs, compact codec");
-        let compact = run_wire_mode_codec(&w, eps, WireMode::frames(), WireCodec::Compact, true);
+        let compact = run_wire_mode(&w, &under(WireCodec::Compact), true, None);
 
         // The codec only changes frame encoding, never the schedule:
         // identical rounds and identical coalesced entry counts.
@@ -443,7 +411,7 @@ fn scale(args: &Args) {
     let dir = std::env::var_os("DPR_RESULTS_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let params = format!("peers={peers_n} eps={eps} seed={}", args.seed());
+    let params = format!("peers={peers_n} eps={eps} seed={}", spec.seed);
     let path = ExperimentRecord::new("BENCH_scale", params.clone(), rows)
         .with_meta(bench_meta(args, params, "raw+compact", "rounds", "pass"))
         .write_to_dir(dir)
@@ -470,10 +438,10 @@ struct BatchScalingRow {
 
 fn batch_scaling(args: &Args) {
     let trace = args.trace();
-    let nodes: usize = args.get("nodes", 10_000);
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
-    let w = Workload::paper(nodes, peers_n, args.seed());
+    let spec = args.paper_spec(10_000, &[]);
+    let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
+    let w = spec.workload();
+    let wired = |wire| ScenarioSpec { wire, ..spec };
     // 36 B = 2 entries/frame (the worst useful cap) up to 64 KiB
     // (effectively uncapped at this scale); 1400 B is the default
     // Ethernet-MTU-ish cap.
@@ -481,7 +449,7 @@ fn batch_scaling(args: &Args) {
 
     println!("Frame-cap scaling on the message-level cluster ({nodes} docs, {peers_n} peers, eps {eps})\n");
     eprintln!("  … unbatched baseline");
-    let unbatched = run_wire_mode(&w, eps, WireMode::Single, false);
+    let unbatched = run_wire_mode(&w, &wired(WireMode::Single), false, None);
     let t = unbatched.traffic;
     let mut rows = vec![BatchScalingRow {
         max_frame_bytes: 0,
@@ -500,10 +468,7 @@ fn batch_scaling(args: &Args) {
         let frames = WireMode::Frames {
             max_frame_bytes: cap,
         };
-        let batched = match trace.recorder_arc() {
-            Some(rec) => run_wire_mode_observed(&w, eps, frames, true, rec),
-            None => run_wire_mode(&w, eps, frames, true),
-        };
+        let batched = run_wire_mode(&w, &wired(frames), true, trace.recorder_arc());
         let r = compare_runs(&w, eps, cap, &unbatched, &batched);
         assert!(
             r.batched.bytes_on_wire < r.baseline_bytes,
@@ -562,16 +527,13 @@ fn batch_scaling(args: &Args) {
     let dir = std::env::var_os("DPR_RESULTS_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let params = format!(
-        "nodes={nodes} peers={peers_n} eps={eps} seed={}",
-        args.seed()
-    );
+    let params = format!("nodes={nodes} peers={peers_n} eps={eps} seed={}", spec.seed);
     let path = ExperimentRecord::new("BENCH_node_batching", params.clone(), rows)
         .with_meta(bench_meta(args, params, "raw", "rounds", "pass"))
         .write_to_dir(dir)
         .expect("write BENCH_node_batching.json");
     println!("\nwrote {}", path.display());
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }
 
 /// One row of `BENCH_sched_quality.json`: a full convergence run of
@@ -592,12 +554,18 @@ struct SchedQualityRow {
 }
 
 fn sched_scaling(args: &Args) {
-    let nodes: usize = args.get("nodes", 10_000);
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
+    let spec = args.paper_spec(10_000, &[]);
+    let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let parity_eps: f64 = args.get("parity-eps", 1e-9);
-    let w = Workload::paper(nodes, peers_n, args.seed());
+    let w = spec.workload();
     let n = nodes as f64;
+    // The rounds-driver cluster, unbatched, at one ε and scheduler.
+    let singles = |epsilon: f64, sched: SchedMode| ScenarioSpec {
+        epsilon,
+        sched,
+        wire: WireMode::Single,
+        ..spec
+    };
 
     println!(
         "Scheduler quality scaling ({nodes} docs, {peers_n} peers, \
@@ -720,18 +688,16 @@ fn sched_scaling(args: &Args) {
     // must still sit within the parity band of the pass cluster.
     if !args.has("skip-cluster") {
         eprintln!("  … cluster, pass sched, singles, eps {parity_eps}");
-        let cl_pass = run_wire_mode_sched(&w, parity_eps, SchedMode::Pass, WireMode::Single, false);
+        let cl_pass = run_wire_mode(&w, &singles(parity_eps, SchedMode::Pass), false, None);
         eprintln!("  … cluster, priority sched, singles, eps {parity_eps}");
-        let cl_pri =
-            run_wire_mode_sched(&w, parity_eps, SchedMode::Priority, WireMode::Single, false);
+        let pri_singles = singles(parity_eps, SchedMode::Priority);
+        let cl_pri = run_wire_mode(&w, &pri_singles, false, None);
         eprintln!("  … cluster, priority sched, frames, eps {parity_eps}");
-        let cl_pri_frames = run_wire_mode_sched(
-            &w,
-            parity_eps,
-            SchedMode::Priority,
-            WireMode::frames(),
-            true,
-        );
+        let pri_frames = ScenarioSpec {
+            wire: WireMode::frames(),
+            ..pri_singles
+        };
+        let cl_pri_frames = run_wire_mode(&w, &pri_frames, true, None);
         assert_eq!(
             cl_pri.ranks, cl_pri_frames.ranks,
             "wire path must not perturb the priority schedule"
@@ -772,12 +738,15 @@ fn sched_scaling(args: &Args) {
         // engages at the node layer too and the wire itself carries
         // measurably fewer logical updates.
         let dense_peers = (nodes / 250).max(4);
-        let w_dense = Workload::paper(nodes, dense_peers, args.seed());
+        let dense = |sched| ScenarioSpec {
+            num_peers: dense_peers,
+            ..singles(eps, sched)
+        };
+        let w_dense = dense(SchedMode::Pass).workload();
         eprintln!("  … dense cluster ({dense_peers} peers), pass sched, eps {eps}");
-        let dn_pass = run_wire_mode_sched(&w_dense, eps, SchedMode::Pass, WireMode::Single, false);
+        let dn_pass = run_wire_mode(&w_dense, &dense(SchedMode::Pass), false, None);
         eprintln!("  … dense cluster ({dense_peers} peers), priority sched, eps {eps}");
-        let dn_pri =
-            run_wire_mode_sched(&w_dense, eps, SchedMode::Priority, WireMode::Single, false);
+        let dn_pri = run_wire_mode(&w_dense, &dense(SchedMode::Priority), false, None);
         assert!(
             dn_pri.traffic.updates < dn_pass.traffic.updates,
             "dense cluster priority {} vs pass {} updates",
@@ -811,21 +780,12 @@ fn sched_scaling(args: &Args) {
         // chaotic priority row reporting a reduction <= 0% fails the
         // bench.
         eprintln!("  … chaotic cluster, pass sched, eps {eps}");
-        let (ch_pass_out, ch_pass_ranks, ch_pass_msgs, _) = run_chaotic_cluster(
-            &w,
-            eps,
-            SchedMode::Pass,
-            LatencyModel::default(),
-            args.seed(),
-        );
+        let framed = |sched| ScenarioSpec { sched, ..spec };
+        let (ch_pass_out, ch_pass_ranks, ch_pass_msgs, _) =
+            chaotic_run(&w, &framed(SchedMode::Pass));
         eprintln!("  … chaotic cluster, priority sched, eps {eps}");
-        let (ch_pri_out, ch_pri_ranks, ch_pri_msgs, _) = run_chaotic_cluster(
-            &w,
-            eps,
-            SchedMode::Priority,
-            LatencyModel::default(),
-            args.seed(),
-        );
+        let (ch_pri_out, ch_pri_ranks, ch_pri_msgs, _) =
+            chaotic_run(&w, &framed(SchedMode::Priority));
         let ch_reduction = 1.0 - ch_pri_msgs as f64 / ch_pass_msgs.max(1) as f64;
         assert!(
             ch_reduction > 0.0,
@@ -893,7 +853,7 @@ fn sched_scaling(args: &Args) {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     let params = format!(
         "nodes={nodes} peers={peers_n} eps={eps} parity_eps={parity_eps} seed={}",
-        args.seed()
+        spec.seed
     );
     let path = ExperimentRecord::new("BENCH_sched_quality", params.clone(), rows)
         .with_meta(bench_meta(
@@ -940,12 +900,16 @@ struct AsyncScalingRow {
 }
 
 fn async_scaling(args: &Args) {
-    let nodes: usize = args.get("nodes", 10_000);
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
+    let spec = args.paper_spec(10_000, &[]);
+    let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let parity_eps: f64 = args.get("parity-eps", 1e-9);
-    let w = Workload::paper(nodes, peers_n, args.seed());
+    let w = spec.workload();
     let n = nodes as f64;
+    let sched_at = |epsilon: f64, sched: SchedMode| ScenarioSpec {
+        epsilon,
+        sched,
+        ..spec
+    };
 
     println!(
         "Chaotic async runtime scaling ({nodes} docs, {peers_n} peers, \
@@ -979,9 +943,9 @@ fn async_scaling(args: &Args) {
     // peer regardless of residual, so there is nothing for the
     // schedule to skip. This is the 0% the chaotic rows beat.
     eprintln!("  … rounds cluster, pass sched, eps {eps}");
-    let rd_pass = run_wire_mode_sched(&w, eps, SchedMode::Pass, WireMode::frames(), true);
+    let rd_pass = run_wire_mode(&w, &sched_at(eps, SchedMode::Pass), true, None);
     eprintln!("  … rounds cluster, priority sched, eps {eps}");
-    let rd_pri = run_wire_mode_sched(&w, eps, SchedMode::Priority, WireMode::frames(), true);
+    let rd_pri = run_wire_mode(&w, &sched_at(eps, SchedMode::Priority), true, None);
     for (sched, run, red, l1r) in [
         (SchedMode::Pass, &rd_pass, 0.0, 0.0),
         (
@@ -1022,11 +986,13 @@ fn async_scaling(args: &Args) {
         LatencyModel::Lan,
     ] {
         eprintln!("  … chaotic cluster ({latency}), pass sched, eps {eps}");
-        let (pass_out, pass_ranks, pass_msgs, pass_prof) =
-            run_chaotic_cluster(&w, eps, SchedMode::Pass, latency, args.seed());
+        let over = |sched| ScenarioSpec {
+            latency,
+            ..sched_at(eps, sched)
+        };
+        let (pass_out, pass_ranks, pass_msgs, pass_prof) = chaotic_run(&w, &over(SchedMode::Pass));
         eprintln!("  … chaotic cluster ({latency}), priority sched, eps {eps}");
-        let (pri_out, pri_ranks, pri_msgs, pri_prof) =
-            run_chaotic_cluster(&w, eps, SchedMode::Priority, latency, args.seed());
+        let (pri_out, pri_ranks, pri_msgs, pri_prof) = chaotic_run(&w, &over(SchedMode::Priority));
         let red = 1.0 - pri_msgs as f64 / pass_msgs.max(1) as f64;
         assert!(
             red > 0.0,
@@ -1079,7 +1045,7 @@ fn async_scaling(args: &Args) {
     // inequality) than merely matching its distance to the sync
     // solution.
     eprintln!("  … rounds cluster, pass sched, eps {parity_eps} (parity reference)");
-    let rd_ref = run_wire_mode_sched(&w, parity_eps, SchedMode::Pass, WireMode::frames(), true);
+    let rd_ref = run_wire_mode(&w, &sched_at(parity_eps, SchedMode::Pass), true, None);
     rows.push(AsyncScalingRow {
         run_mode: "rounds".into(),
         latency: "none".into(),
@@ -1098,8 +1064,11 @@ fn async_scaling(args: &Args) {
     });
     for sched in [SchedMode::Pass, SchedMode::Priority] {
         eprintln!("  … chaotic cluster (broadband), {sched} sched, eps {parity_eps}");
-        let (out, ranks, msgs, prof) =
-            run_chaotic_cluster(&w, parity_eps, sched, LatencyModel::Broadband, args.seed());
+        let broadband = ScenarioSpec {
+            latency: LatencyModel::Broadband,
+            ..sched_at(parity_eps, sched)
+        };
+        let (out, ranks, msgs, prof) = chaotic_run(&w, &broadband);
         let gap = l1(&ranks, &rd_ref.ranks);
         assert!(
             gap <= 1e-9,
@@ -1178,7 +1147,7 @@ fn async_scaling(args: &Args) {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     let params = format!(
         "nodes={nodes} peers={peers_n} eps={eps} parity_eps={parity_eps} seed={}",
-        args.seed()
+        spec.seed
     );
     let path = ExperimentRecord::new("BENCH_async", params.clone(), rows)
         .with_meta(bench_meta(
@@ -1230,13 +1199,12 @@ fn accel_scaling(args: &Args) {
     use dpr_graph::scc::SccIndex;
     use dpr_graph::{DocId, DynamicGraph};
 
-    let nodes: usize = args.get("nodes", 10_000);
-    let peers_n: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
+    let spec = args.paper_spec(10_000, &[]);
+    let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let burst_eps: f64 = args.get("burst-eps", 1e-14);
     let inserts: usize = args.get("inserts", 24);
     let deletes: usize = args.get("deletes", 12).min(inserts);
-    let w = Workload::paper(nodes, peers_n, args.seed());
+    let w = spec.workload();
     let n = nodes as f64;
 
     println!(
@@ -1325,7 +1293,12 @@ fn accel_scaling(args: &Args) {
         let mut msgs = [0u64; 3];
         for (i, sched) in scheds.into_iter().enumerate() {
             eprintln!("  … chaotic cluster ({latency}), {sched} sched, eps {eps}");
-            let (out, ranks, m, _) = run_chaotic_cluster(&w, eps, sched, latency, args.seed());
+            let cell = ScenarioSpec {
+                sched,
+                latency,
+                ..spec
+            };
+            let (out, ranks, m, _) = chaotic_run(&w, &cell);
             msgs[i] = m;
             let l1_sync = l1(&ranks, &sync);
             assert!(
@@ -1373,7 +1346,7 @@ fn accel_scaling(args: &Args) {
     let base = DynamicGraph::from_csr(&w.graph);
     let base_ranks = vec![1.0f64; nodes];
     // xorshift64* link picks: deterministic in the seed, no rand dep.
-    let mut state = args.seed().wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut state = spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         state ^= state << 13;
         state ^= state >> 7;
@@ -1552,7 +1525,7 @@ fn accel_scaling(args: &Args) {
     let params = format!(
         "nodes={nodes} peers={peers_n} eps={eps} burst_eps={burst_eps} \
          inserts={inserts} deletes={deletes} seed={}",
-        args.seed()
+        spec.seed
     );
     let path = ExperimentRecord::new("BENCH_accel", params.clone(), rows)
         .with_meta(bench_meta(
@@ -1583,13 +1556,12 @@ fn serving_scaling(args: &Args) {
     use dpr_sim::serving::{serving_experiment, ServeStrategy, ServingConfig, ServingReport};
     use dpr_telemetry::{SloSpec, TraceRecorder};
 
-    let nodes: usize = args.get("nodes", 2_000);
-    let peers_n: usize = args.get("peers", 32);
+    let spec = args.spec(&ScenarioSpec::new(2_000, 32, 1e-4, 2003), &[]);
+    let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let queries: usize = args.get("queries", 120);
     let updates: usize = args.get("updates", 24);
     let qps: f64 = args.get("qps", 20.0);
     let churn: f64 = args.get("churn", 0.8);
-    let eps: f64 = args.get("eps", 1e-4);
     println!(
         "Serving-path workload ({nodes} docs, {peers_n} peers, {queries} queries at \
          {qps} qps, {updates} concurrent updates, churn {churn})\n"
@@ -1606,9 +1578,9 @@ fn serving_scaling(args: &Args) {
         churn_fraction: churn,
         strategy,
         latency,
-        sched: args.sched_mode(),
+        sched: spec.sched,
         epsilon: eps,
-        seed: args.seed(),
+        seed: spec.seed,
         // The bench SLO: p99 within 60 s of virtual time on every
         // window — generous enough for modem, real enough to catch a
         // latency-model regression by orders of magnitude.
@@ -1719,7 +1691,7 @@ fn serving_scaling(args: &Args) {
     let params = format!(
         "nodes={nodes} peers={peers_n} queries={queries} qps={qps} updates={updates} \
          churn={churn} eps={eps} seed={}",
-        args.seed()
+        spec.seed
     );
     let path = ExperimentRecord::new("BENCH_serving", params.clone(), rows)
         .with_meta(bench_meta(
@@ -1727,7 +1699,7 @@ fn serving_scaling(args: &Args) {
             params,
             "raw",
             "chaotic+serving",
-            &args.sched_mode().to_string(),
+            &spec.sched.to_string(),
         ))
         .write_to_dir(results_dir())
         .expect("write BENCH_serving.json");
@@ -1765,25 +1737,16 @@ fn main() {
         return;
     }
     let trace = args.trace();
-    let nodes: usize = args.get("nodes", 20_000);
+    let spec = args.paper_spec(20_000, &[]);
+    let (nodes, eps) = (spec.nodes, spec.epsilon);
     let inserts: usize = args.get("inserts", 200);
     let checkpoints: usize = args.get("checkpoints", 5);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON);
 
     println!(
         "Continuous accuracy under document churn \
          ({nodes} docs, {inserts} inserts, eps {eps})\n"
     );
-    let points = continuous_update_experiment_observed(
-        nodes,
-        inserts,
-        checkpoints,
-        eps,
-        args.seed(),
-        args.exec_mode(),
-        args.sched_mode(),
-        trace.recorder(),
-    );
+    let points = continuous_update_experiment(&spec, inserts, checkpoints, trace.recorder());
 
     let mut table = TextTable::new([
         "inserts",
@@ -1814,15 +1777,14 @@ fn main() {
     if args.json() {
         let params = format!(
             "nodes={nodes} inserts={inserts} eps={eps} sched={} seed={}",
-            args.sched_mode(),
-            args.seed()
+            spec.sched, spec.seed
         );
-        let sched = args.sched_mode().to_string();
+        let sched = spec.sched.to_string();
         let path = ExperimentRecord::new("continuous", params.clone(), points)
             .with_meta(bench_meta(&args, params, "none", "rounds", &sched))
             .write_to_dir(results_dir())
             .expect("write results");
         println!("\nwrote {}", path.display());
     }
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }

@@ -11,17 +11,19 @@
 //!     [--sched pass|priority|greedy] [--json] [--full]
 //! ```
 
-use dpr_bench::Args;
-use dpr_sim::metrics::TextTable;
+use dpr_bench::{Args, DEFAULT_SIZES};
 use dpr_sim::report::{results_dir, ExperimentRecord};
-use dpr_sim::scenario::{run_convergence_observed, ConvergenceResult};
-use dpr_sim::workload::Workload;
+use dpr_sim::scenario::{run_convergence, ConvergenceResult};
+use dpr_sim::spec::ScenarioSpec;
+use dpr_telemetry::table::TextTable;
 
 fn main() {
     let args = Args::parse();
     let trace = args.trace();
-    let peers: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
-    let eps: f64 = args.get("eps", 1e-3);
+    // `--sizes` is the sweep axis; every other scenario flag applies
+    // to each size alike.
+    let base = args.paper_spec(DEFAULT_SIZES[0], &[]);
+    let (peers, eps) = (base.num_peers, base.epsilon);
     let presences = [1.0f64, 0.75, 0.5];
 
     println!("Table 1 — convergence rate ({peers} peers, eps {eps})");
@@ -30,20 +32,15 @@ fn main() {
     let mut table = TextTable::new(["graph size", "100%", "75%", "50%"]);
     let mut rows: Vec<ConvergenceResult> = Vec::new();
     for size in args.sizes() {
-        let w = Workload::paper(size, peers, args.seed());
+        let spec = ScenarioSpec {
+            nodes: size,
+            ..base
+        };
+        let w = spec.workload();
         let mut cells = vec![size.to_string()];
         for presence in presences {
             let label = format!("{size}@{:.0}%", presence * 100.0);
-            let r = run_convergence_observed(
-                &w,
-                eps,
-                presence,
-                args.seed(),
-                args.exec_mode(),
-                args.sched_mode(),
-                trace.recorder(),
-                &label,
-            );
+            let r = run_convergence(&w, &spec, presence, trace.recorder(), &label);
             assert!(r.converged, "run must converge");
             cells.push(r.passes.to_string());
             rows.push(r);
@@ -59,8 +56,7 @@ fn main() {
             "table1",
             format!(
                 "peers={peers} eps={eps} sched={} seed={}",
-                args.sched_mode(),
-                args.seed()
+                base.sched, base.seed
             ),
             rows,
         )
@@ -68,5 +64,5 @@ fn main() {
         .expect("write results");
         println!("\nwrote {}", path.display());
     }
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }

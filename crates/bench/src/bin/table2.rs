@@ -13,15 +13,20 @@
 //!     [--json] [--full]
 //! ```
 
-use dpr_bench::{Args, TABLE23_EPSILONS};
-use dpr_sim::metrics::{fmt_eps, TextTable};
+use dpr_bench::{Args, DEFAULT_SIZES, TABLE23_EPSILONS};
 use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{QualityResult, QualitySweep};
+use dpr_sim::spec::ScenarioSpec;
+use dpr_telemetry::fmt::fmt_eps;
+use dpr_telemetry::table::TextTable;
 
 fn main() {
     let args = Args::parse();
     let trace = args.trace();
-    let peers: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
+    // `--sizes` and the ε list are the sweep axes; every other
+    // scenario flag applies to each cell alike.
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"]);
+    let peers = base.num_peers;
 
     println!("Table 2 — relative error distribution (vs synchronous R_c)");
     println!("cells: relative error (not %); rows: best-x% of pages\n");
@@ -29,18 +34,16 @@ fn main() {
     let mut records: Vec<QualityResult> = Vec::new();
     for size in args.sizes() {
         eprintln!("  … building sweep for size {size}");
-        let sweep = QualitySweep::new(size, peers, args.seed());
+        let spec = ScenarioSpec {
+            nodes: size,
+            ..base
+        };
+        let sweep = QualitySweep::new(&spec);
         let results: Vec<QualityResult> = TABLE23_EPSILONS
             .iter()
-            .map(|&eps| {
-                let label = format!("{size}@{}", fmt_eps(eps));
-                sweep.run_observed(
-                    eps,
-                    args.exec_mode(),
-                    args.sched_mode(),
-                    trace.recorder(),
-                    &label,
-                )
+            .map(|&epsilon| {
+                let label = format!("{size}@{}", fmt_eps(epsilon));
+                sweep.run(&ScenarioSpec { epsilon, ..spec }, trace.recorder(), &label)
             })
             .collect();
 
@@ -72,16 +75,12 @@ fn main() {
     if args.json() {
         let path = ExperimentRecord::new(
             "table2",
-            format!(
-                "peers={peers} sched={} seed={}",
-                args.sched_mode(),
-                args.seed()
-            ),
+            format!("peers={peers} sched={} seed={}", base.sched, base.seed),
             records,
         )
         .write_to_dir(results_dir())
         .expect("write results");
         println!("wrote {}", path.display());
     }
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }

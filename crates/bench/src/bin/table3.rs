@@ -25,14 +25,16 @@
 //!     [--batch [--frame-bytes 1400] [--eps e1,e2,...]]
 //! ```
 
-use dpr_bench::{Args, TABLE23_EPSILONS};
+use dpr_bench::{Args, DEFAULT_SIZES, TABLE23_EPSILONS};
 use dpr_core::exec_model::{
     aggregate_time_secs, internet_scale_days, RATE_200KBS, RATE_32KBS, RATE_T3, SECS_PER_HOUR,
 };
-use dpr_node::node::DEFAULT_MAX_FRAME_BYTES;
-use dpr_sim::metrics::{fmt_bytes, fmt_eps, TextTable};
+use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
 use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{BatchedQualityResult, QualityResult, QualitySweep};
+use dpr_sim::spec::ScenarioSpec;
+use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
+use dpr_telemetry::table::TextTable;
 
 /// The ε sweep of the `--batch` mode. The cluster simulates every
 /// wire payload individually (twice — once per mode), so the sweep
@@ -41,8 +43,15 @@ const BATCH_EPSILONS: [f64; 4] = [0.2, 1e-1, 1e-2, 1e-3];
 
 fn batch_mode(args: &Args) {
     let trace = args.trace();
-    let peers: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
     let cap: usize = args.get("frame-bytes", DEFAULT_MAX_FRAME_BYTES);
+    let base = ScenarioSpec {
+        wire: WireMode::Frames {
+            max_frame_bytes: cap,
+        },
+        // `--sizes` and ε (a comma list here) are the sweep axes.
+        ..args.paper_spec(DEFAULT_SIZES[0], &["eps"])
+    };
+    let peers = base.num_peers;
     let epsilons: Vec<f64> = match args.get("eps", String::new()) {
         s if s.is_empty() => BATCH_EPSILONS.to_vec(),
         s => s
@@ -57,7 +66,11 @@ fn batch_mode(args: &Args) {
     let mut records: Vec<BatchedQualityResult> = Vec::new();
     for size in args.sizes() {
         eprintln!("  … running batched sweep for size {size}");
-        let sweep = QualitySweep::new(size, peers, args.seed());
+        let spec = ScenarioSpec {
+            nodes: size,
+            ..base
+        };
+        let sweep = QualitySweep::new(&spec);
         let mut table = TextTable::new([
             "eps",
             "msgs",
@@ -70,13 +83,10 @@ fn batch_mode(args: &Args) {
             "reduction",
             "max rel err",
         ]);
-        for &eps in &epsilons {
-            let r = match trace.recorder_arc() {
-                Some(rec) => sweep.run_batched_observed(eps, cap, args.sched_mode(), rec),
-                None => sweep.run_batched(eps, cap, args.sched_mode()),
-            };
+        for &epsilon in &epsilons {
+            let r = sweep.run_batched(&ScenarioSpec { epsilon, ..spec }, trace.recorder_arc());
             table.push([
-                fmt_eps(eps),
+                fmt_eps(epsilon),
                 r.report.batched.updates.to_string(),
                 r.report.batched.entries.to_string(),
                 r.report.batched.frames.to_string(),
@@ -100,8 +110,7 @@ fn batch_mode(args: &Args) {
             "table3_batch",
             format!(
                 "peers={peers} frame_bytes={cap} sched={} seed={}",
-                args.sched_mode(),
-                args.seed()
+                base.sched, base.seed
             ),
             records,
         )
@@ -109,7 +118,7 @@ fn batch_mode(args: &Args) {
         .expect("write results");
         println!("wrote {}", path.display());
     }
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }
 
 fn main() {
@@ -119,7 +128,8 @@ fn main() {
         return;
     }
     let trace = args.trace();
-    let peers: usize = args.get("peers", dpr_sim::workload::PAPER_NUM_PEERS);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"]);
+    let peers = base.num_peers;
     // Per-pass computation time added to the transfer model. The paper
     // estimates "a minute or less" per pass for the 5000k graph;
     // --paper-compute uses that 60 s constant, --compute-secs N sets
@@ -138,7 +148,11 @@ fn main() {
     let mut last_mpn: Vec<(f64, f64)> = Vec::new();
     for size in args.sizes() {
         eprintln!("  … running sweep for size {size}");
-        let sweep = QualitySweep::new(size, peers, args.seed());
+        let spec = ScenarioSpec {
+            nodes: size,
+            ..base
+        };
+        let sweep = QualitySweep::new(&spec);
         let mut table = TextTable::new([
             "eps",
             "total msgs (M)",
@@ -150,13 +164,11 @@ fn main() {
         last_mpn.clear();
         for &eps in &TABLE23_EPSILONS {
             let label = format!("{size}@{}", fmt_eps(eps));
-            let r = sweep.run_observed(
-                eps,
-                args.exec_mode(),
-                args.sched_mode(),
-                trace.recorder(),
-                &label,
-            );
+            let cell = ScenarioSpec {
+                epsilon: eps,
+                ..spec
+            };
+            let r = sweep.run(&cell, trace.recorder(), &label);
             let t32 =
                 aggregate_time_secs(r.total_remote_messages, RATE_32KBS, r.passes, compute_secs)
                     / SECS_PER_HOUR;
@@ -196,16 +208,12 @@ fn main() {
     if args.json() {
         let path = ExperimentRecord::new(
             "table3",
-            format!(
-                "peers={peers} sched={} seed={}",
-                args.sched_mode(),
-                args.seed()
-            ),
+            format!("peers={peers} sched={} seed={}", base.sched, base.seed),
             records,
         )
         .write_to_dir(results_dir())
         .expect("write results");
         println!("wrote {}", path.display());
     }
-    trace.finish();
+    trace.finish().expect("write trace sinks");
 }

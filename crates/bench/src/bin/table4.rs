@@ -13,14 +13,16 @@
 
 use dpr_bench::{Args, TABLE4_EPSILONS};
 use dpr_graph::powerlaw::paper_graph;
-use dpr_sim::metrics::{fmt_eps, TextTable};
 use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{insert_experiment, InsertResult};
+use dpr_telemetry::fmt::fmt_eps;
+use dpr_telemetry::table::TextTable;
 
 fn main() {
     let args = Args::parse();
     let samples: usize = args.get("samples", 1000);
     let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING);
+    let seed: u64 = args.get("seed", 2003);
 
     println!("Table 4 — insert propagation ({samples} random origins, damping {damping})\n");
 
@@ -29,7 +31,7 @@ fn main() {
         .iter()
         .map(|&s| {
             eprintln!("  … generating graph {s}");
-            paper_graph(s, args.seed())
+            paper_graph(s, seed)
         })
         .collect();
 
@@ -44,7 +46,7 @@ fn main() {
         let mut path_row = vec![fmt_eps(eps)];
         let mut cov_row = vec![fmt_eps(eps)];
         for g in &graphs {
-            let r = insert_experiment(g, eps, damping, samples, args.seed() ^ 0xfeed);
+            let r = insert_experiment(g, eps, damping, samples, seed ^ 0xfeed);
             path_row.push(format!("{:.1}", r.avg_path_length));
             cov_row.push(format!("{:.0}", r.avg_node_coverage));
             records.push(r);
@@ -63,7 +65,7 @@ fn main() {
     if args.json() {
         let path = ExperimentRecord::new(
             "table4",
-            format!("samples={samples} damping={damping} seed={}", args.seed()),
+            format!("samples={samples} damping={damping} seed={seed}"),
             records,
         )
         .write_to_dir(results_dir())

@@ -13,9 +13,9 @@
 //! ```
 
 use dpr_bench::Args;
-use dpr_sim::metrics::TextTable;
 use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{search_experiment, SearchExperimentConfig, SearchRow};
+use dpr_telemetry::table::TextTable;
 
 fn main() {
     let args = Args::parse();
@@ -25,7 +25,7 @@ fn main() {
         num_peers: args.get("peers", 50),
         queries_per_len: args.get("queries", 20),
         pagerank_epsilon: args.get("eps", dpr_core::RECOMMENDED_EPSILON),
-        seed: args.seed(),
+        seed: args.get("seed", 2003),
     };
 
     println!(

@@ -30,9 +30,8 @@
 //! `BENCH_sched_quality.json`. `cargo bench -p dpr-bench` runs the
 //! criterion micro-benchmarks over the hot kernels.
 
-use dpr_telemetry::{Recorder, TraceRecorder, NOOP};
-use std::collections::HashMap;
-use std::sync::Arc;
+use dpr_sim::flags::Reporter;
+use dpr_sim::spec::ScenarioSpec;
 
 /// The ε sweep of Tables 2 and 3.
 pub const TABLE23_EPSILONS: [f64; 7] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6];
@@ -43,12 +42,12 @@ pub const TABLE4_EPSILONS: [f64; 6] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
 /// Default graph sizes for laptop runs.
 pub const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
 
-/// Minimal flag parser: `--key value` pairs and bare `--switch`es.
-#[derive(Debug, Default)]
-pub struct Args {
-    values: HashMap<String, String>,
-    switches: Vec<String>,
-}
+/// The experiment binaries' edge of the shared flag parser
+/// ([`dpr_sim::flags::Args`]): every bad flag is a panic here — these
+/// are experiment binaries, so failing loudly beats a typed error
+/// nobody handles.
+#[derive(Debug)]
+pub struct Args(dpr_sim::flags::Args);
 
 impl Args {
     /// Parses the process arguments.
@@ -58,69 +57,57 @@ impl Args {
 
     /// Parses an explicit argument list (testable).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut out = Args::default();
-        let mut it = args.into_iter().peekable();
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                panic!("unexpected positional argument: {a}");
-            };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.values.insert(name.to_string(), it.next().unwrap());
-                }
-                _ => out.switches.push(name.to_string()),
-            }
-        }
-        out
+        let parsed = dpr_sim::flags::Args::parse(args.into_iter().collect());
+        Args(parsed.unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Whether a bare switch was given.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.0.has(name)
     }
 
     /// A typed value with a default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
-        match self.values.get(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("bad --{name} {v}: {e:?}")),
-            None => default,
-        }
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.0.get(name, default).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The run's scenario: `defaults` overridden by the scenario flags
+    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, `--sched`,
+    /// `--threads`, …; see [`ScenarioSpec::from_flags`]), validated.
+    /// Flags named in `swept` are hidden from the scenario parser: the
+    /// binary sweeps that axis itself and reads the flag, if at all,
+    /// as a list.
+    pub fn spec(&self, defaults: &ScenarioSpec, swept: &[&str]) -> ScenarioSpec {
+        let lookup = |k: &str| self.0.optional(k).filter(|_| !swept.contains(&k));
+        ScenarioSpec::from_flags(lookup, defaults).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`spec`](Self::spec) over the paper's reference scenario: `nodes`
+    /// documents on its 500 peers at the recommended ε, seed 2003 (the
+    /// venue year).
+    pub fn paper_spec(&self, nodes: usize, swept: &[&str]) -> ScenarioSpec {
+        let (peers, eps) = (
+            dpr_sim::workload::PAPER_NUM_PEERS,
+            dpr_core::RECOMMENDED_EPSILON,
+        );
+        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), swept)
     }
 
     /// A comma-separated list of sizes, honoring `--full`.
     pub fn sizes(&self) -> Vec<usize> {
-        if let Some(v) = self.values.get("sizes") {
-            return v
-                .split(',')
-                .map(|s| s.trim().parse().expect("bad --sizes entry"))
-                .collect();
-        }
-        if self.has("full") {
-            dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec()
-        } else {
-            DEFAULT_SIZES.to_vec()
-        }
+        self.sizes_or(&DEFAULT_SIZES)
     }
 
     /// Like [`sizes`](Self::sizes), but with an explicit fallback when
     /// neither `--sizes` nor `--full` was given (for experiments whose
     /// natural sweep differs from [`DEFAULT_SIZES`]).
     pub fn sizes_or(&self, default: &[usize]) -> Vec<usize> {
-        if self.values.contains_key("sizes") || self.has("full") {
-            self.sizes()
-        } else {
-            default.to_vec()
+        match self.0.get_list("sizes") {
+            Err(e) => panic!("{e}"),
+            Ok(sizes) if !sizes.is_empty() => sizes,
+            Ok(_) if self.has("full") => dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec(),
+            Ok(_) => default.to_vec(),
         }
-    }
-
-    /// RNG seed (`--seed`, default 2003 — the venue year).
-    pub fn seed(&self) -> u64 {
-        self.get("seed", 2003u64)
     }
 
     /// Whether to dump JSON records (`--json`).
@@ -128,93 +115,12 @@ impl Args {
         self.has("json")
     }
 
-    /// Execution mode from `--threads n` (absent, `0` or `1` mean the
-    /// sequential engine; results are identical either way).
-    pub fn exec_mode(&self) -> dpr_core::parallel::ExecMode {
-        let threads = self.values.get("threads").map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|e| panic!("bad --threads {v}: {e:?}"))
-        });
-        dpr_core::parallel::ExecMode::from_threads(threads)
-    }
-
-    /// Scheduling mode from `--sched` (the [`dpr_core::SCHED_HELP`]
-    /// modes; default `pass`, the paper's full-sweep ordering;
-    /// `priority` enables residual-driven Gauss–Southwell bucket
-    /// selection, `greedy` the exact matching-pursuit budget cut —
-    /// same fixed point to O(ε), fewer remote messages).
-    pub fn sched_mode(&self) -> dpr_core::SchedMode {
-        self.get("sched", dpr_core::SchedMode::Pass)
-    }
-
     /// The telemetry side-channel from `--trace-out FILE` (JSONL event
     /// trace) and `--prom-out FILE` (Prometheus snapshot, written at
-    /// [`Trace::finish`]). Without either flag the returned handle is
-    /// the no-op recorder and `finish` does nothing.
-    pub fn trace(&self) -> Trace {
-        let trace_out = self.values.get("trace-out").cloned();
-        let prom_out = self.values.get("prom-out").cloned();
-        let rec = match &trace_out {
-            Some(p) => Some(Arc::new(
-                TraceRecorder::with_jsonl(p).unwrap_or_else(|e| panic!("create {p}: {e}")),
-            )),
-            None if prom_out.is_some() => Some(Arc::new(TraceRecorder::new())),
-            None => None,
-        };
-        Trace {
-            rec,
-            trace_out,
-            prom_out,
-        }
-    }
-}
-
-/// The optional telemetry trace of one experiment binary run; see
-/// [`Args::trace`].
-pub struct Trace {
-    rec: Option<Arc<TraceRecorder>>,
-    trace_out: Option<String>,
-    prom_out: Option<String>,
-}
-
-impl Trace {
-    /// The recorder to thread into observed run loops (no-op when no
-    /// trace flag was given).
-    pub fn recorder(&self) -> &dyn Recorder {
-        match &self.rec {
-            Some(r) => r.as_ref() as &dyn Recorder,
-            None => &NOOP,
-        }
-    }
-
-    /// Shared handle for components that store their recorder (the
-    /// cluster transport and hop models); `None` when tracing is off.
-    pub fn recorder_arc(&self) -> Option<Arc<dyn Recorder>> {
-        self.rec.as_ref().map(|r| r.clone() as Arc<dyn Recorder>)
-    }
-
-    /// The live aggregate, for cross-checking printed numbers against
-    /// the recorder's counters; `None` when tracing is off.
-    pub fn aggregate(&self) -> Option<&TraceRecorder> {
-        self.rec.as_deref()
-    }
-
-    /// Flushes the JSONL sink and writes the Prometheus snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a sink cannot be written — these are experiment
-    /// binaries, so failing loudly beats losing a trace silently.
-    pub fn finish(&self) {
-        let Some(rec) = &self.rec else { return };
-        rec.flush().expect("flush trace sink");
-        if let Some(p) = &self.prom_out {
-            std::fs::write(p, rec.prometheus_text()).unwrap_or_else(|e| panic!("write {p}: {e}"));
-            println!("wrote {p} (prometheus snapshot)");
-        }
-        if let Some(p) = &self.trace_out {
-            println!("wrote {p} ({} events)", rec.event_count());
-        }
+    /// [`Reporter::finish`]). Without either flag the reporter's
+    /// recorder is the no-op one and `finish` does nothing.
+    pub fn trace(&self) -> Reporter {
+        Reporter::from_args(&self.0).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -226,10 +132,18 @@ mod tests {
         Args::from_args(s.split_whitespace().map(String::from))
     }
 
+    fn spec(s: &str) -> ScenarioSpec {
+        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[])
+    }
+
     #[test]
     fn parses_values_and_switches() {
         let a = args("--seed 7 --json --sizes 100,200");
-        assert_eq!(a.seed(), 7);
+        assert_eq!(
+            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[])
+                .seed,
+            7
+        );
         assert!(a.json());
         assert_eq!(a.sizes(), vec![100, 200]);
         assert!(!a.has("full"));
@@ -238,7 +152,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = args("");
-        assert_eq!(a.seed(), 2003);
+        assert_eq!(spec("").seed, 2003);
         assert!(!a.json());
         assert_eq!(a.sizes(), DEFAULT_SIZES.to_vec());
     }
@@ -252,17 +166,17 @@ mod tests {
     #[test]
     fn threads_flag_selects_exec_mode() {
         use dpr_core::parallel::ExecMode;
-        assert_eq!(args("").exec_mode(), ExecMode::Sequential);
-        assert_eq!(args("--threads 1").exec_mode(), ExecMode::Sequential);
-        assert_eq!(args("--threads 4").exec_mode(), ExecMode::Parallel(4));
+        assert_eq!(spec("").exec, ExecMode::Sequential);
+        assert_eq!(spec("--threads 1").exec, ExecMode::Sequential);
+        assert_eq!(spec("--threads 4").exec, ExecMode::Parallel(4));
     }
 
     #[test]
     fn sched_flag_selects_sched_mode() {
         use dpr_core::SchedMode;
-        assert_eq!(args("").sched_mode(), SchedMode::Pass);
-        assert_eq!(args("--sched pass").sched_mode(), SchedMode::Pass);
-        assert_eq!(args("--sched priority").sched_mode(), SchedMode::Priority);
+        assert_eq!(spec("").sched, SchedMode::Pass);
+        assert_eq!(spec("--sched pass").sched, SchedMode::Pass);
+        assert_eq!(spec("--sched priority").sched, SchedMode::Priority);
     }
 
     #[test]
@@ -288,13 +202,13 @@ mod tests {
         let t = args(&format!("--trace-out {}", p.display())).trace();
         assert!(t.recorder().enabled());
         assert!(t.recorder_arc().is_some());
-        t.finish();
+        t.finish().unwrap();
         assert!(p.exists());
         std::fs::remove_dir_all(&dir).unwrap();
 
         let off = args("").trace();
         assert!(!off.recorder().enabled());
         assert!(off.recorder_arc().is_none());
-        off.finish();
+        off.finish().unwrap();
     }
 }

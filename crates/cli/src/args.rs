@@ -1,94 +1,6 @@
-//! Flag parsing for the `dpr` subcommands.
-//!
-//! Deliberately tiny: `--key value` pairs and bare `--switch`es, with
-//! typed accessors that produce readable errors instead of panics
-//! (this is user-facing, unlike the experiment binaries).
-
-use std::collections::HashMap;
-
-/// Parsed flags of one subcommand invocation.
-#[derive(Debug, Default)]
-pub struct Args {
-    values: HashMap<String, String>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    /// Parses a flag list; positional arguments are errors.
-    pub fn parse(argv: Vec<String>) -> Result<Self, String> {
-        let mut out = Args::default();
-        let mut it = argv.into_iter().peekable();
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument '{a}'"));
-            };
-            if name.is_empty() {
-                return Err("empty flag '--'".into());
-            }
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.values.insert(name.to_string(), it.next().unwrap());
-                }
-                _ => out.switches.push(name.to_string()),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether a bare switch is present.
-    pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-
-    /// A required string flag.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required flag --{name}"))
-    }
-
-    /// An optional string flag.
-    pub fn optional(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
-    }
-
-    /// A typed flag with a default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{name}: cannot parse '{v}'")),
-        }
-    }
-
-    /// A required typed flag.
-    pub fn get_required<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
-        let v = self.required(name)?;
-        v.parse()
-            .map_err(|_| format!("flag --{name}: cannot parse '{v}'"))
-    }
-
-    /// A comma-separated list of typed values.
-    pub fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Vec<T>, String> {
-        match self.values.get(name) {
-            None => Ok(Vec::new()),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|_| format!("flag --{name}: cannot parse '{s}'"))
-                })
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use dpr_sim::flags::Args;
 
     fn parse(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from).collect()).unwrap()

@@ -1,19 +1,21 @@
 //! The `dpr` subcommand implementations.
 
-use crate::args::Args;
-use crate::report::Reporter;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::incremental::{propagate, PropagationConfig};
 use dpr_core::parallel::ExecMode;
 use dpr_core::sync_solver::SyncSolver;
 use dpr_graph::{io, partition, powerlaw::PowerLawConfig, stats, CsrGraph, DocId, DynamicGraph};
-use dpr_p2p::peer::{PeerId, PeerTable, Placement, PlacementPolicy};
+use dpr_p2p::peer::{Placement, PlacementPolicy};
 use dpr_p2p::ring::Ring;
+use dpr_p2p::transport::FaultPlan;
 use dpr_search::corpus::{Corpus, CorpusConfig};
 use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
+use dpr_sim::flags::{Args, Reporter};
+use dpr_sim::spec::{ScenarioSpec, SCENARIO_FLAGS_HELP};
+use dpr_sim::Workload;
 use dpr_telemetry::{AuditReport, Capture, Event, Metric, Recorder, TraceSummary, NOOP};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,11 +23,23 @@ use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Top-level usage text. Built, not const, so every `--sched` line
-/// cites the one shared [`dpr_core::SCHED_HELP`] mode list — the CLI,
-/// the bench binaries, and the parser error all stay in lockstep.
+/// The scenario `dpr doctor` and `dpr profile` run when no flag says
+/// otherwise.
+fn diagnostic_scenario() -> ScenarioSpec {
+    ScenarioSpec::new(1_200, 24, 1e-4, 2003)
+}
+
+/// The command's scenario: its defaults overridden by the scenario
+/// flags present, validated.
+fn scenario(args: &Args, defaults: &ScenarioSpec) -> Result<ScenarioSpec, String> {
+    Ok(ScenarioSpec::from_flags(|k| args.optional(k), defaults)?)
+}
+
+/// Top-level usage text. Built, not const, so the scenario flags'
+/// value lists come from the one [`SCENARIO_FLAGS_HELP`] block — the
+/// CLI, the bench binaries, and the parser errors all stay in
+/// lockstep.
 pub fn usage() -> String {
-    let sched = dpr_core::SCHED_HELP;
     format!(
         "\
 dpr — distributed pagerank for P2P systems (HPDC'03 reproduction)
@@ -33,43 +47,40 @@ dpr — distributed pagerank for P2P systems (HPDC'03 reproduction)
 commands:
   generate   --nodes N --out FILE [--seed S] [--edges-out FILE]
   stats      --graph FILE
-  rank       --graph FILE [--eps 1e-3] [--peers 500] [--seed S]
-             [--sched {sched}] [--out ranks.json] [--top K]
-             [--sync]
+  rank       --graph FILE [--eps 1e-3] [--peers 500] [--seed 2003]
+             [--sched M] [--out ranks.json] [--top K] [--sync]
   partition  --graph FILE --peers K [--sweeps 6]
   insert     --graph FILE --links a,b,c [--eps 1e-3] [--damping 0.85]
   delete     --graph FILE --doc ID [--eps 1e-3] [--damping 0.85]
   search     [--docs 11000] [--vocab 1880] [--peers 50] [--query t1,t2]
              [--top-percent 10] [--seed S]
-  serve      [--docs 2000] [--vocab 400] [--peers 32] [--queries 100]
+  serve      [--docs 2000] [--peers 32] [--eps 1e-4] [--seed 2003]
+             [--sched M] [--latency M] [--vocab 400] [--queries 100]
              [--query-len 2] [--qps 20] [--updates 20] [--churn F]
              [--strategy baseline|incremental|bloom]
-             [--latency modem|broadband|lan] [--sched {sched}]
-             [--eps 1e-4] [--seed 2003] [--slo-p99-ms 2000]
-             [--slo-budget 0.10] [--window-ms 1000]
+             [--slo-p99-ms 2000] [--slo-budget 0.10] [--window-ms 1000]
              (exits nonzero when an SLO blows its error budget)
   trace      --input trace.jsonl [--validate] [--run LABEL] [--top K]
              [--diff other.jsonl]
   doctor     [--docs 1200] [--peers 24] [--eps 1e-4] [--seed 2003]
+             [--sched M] [--codec M] [--run-mode M] [--latency M]
              [--inject-fault mass-leak|dup-frame|lost-frame]
              [--fault-at N] [--input trace.jsonl]
-             [--capture-out cap.jsonl] [--replay cap.jsonl]
-             [--threads T] [--inserts N] [--checkpoints K]
-             [--sched {sched}] [--codec raw|compact]
-             [--run-mode rounds|chaotic]
-             [--latency modem|broadband|lan]
+             [--capture-out cap.jsonl] [--inserts N] [--checkpoints K]
+             [--replay cap.jsonl] [--threads T]
   profile    [--docs 1200] [--peers 24] [--eps 1e-4] [--seed 2003]
-             [--sched {sched}] [--codec raw|compact]
-             [--latency modem|broadband|lan]
+             [--sched M] [--codec M] [--latency M]
              [--inject-fault mass-leak|dup-frame|lost-frame]
-             [--fault-at N] [--replay cap.jsonl]
-             [--input trace.jsonl] [--threads T] [--top 8]
-             [--segment N] [--perfetto-out FILE]
+             [--fault-at N] [--replay cap.jsonl] [--threads T]
+             [--input trace.jsonl] [--top 8] [--segment N]
+             [--perfetto-out FILE]
   help       this text
 
-every command also accepts: --quiet (suppress stdout),
-  --trace-out FILE (JSONL event trace), --prom-out FILE (Prometheus
-  text snapshot of the run's metrics)"
+{SCENARIO_FLAGS_HELP}
+
+every command but trace and help also accepts: --quiet (suppress
+  stdout), --trace-out FILE (JSONL event trace), --prom-out FILE
+  (Prometheus text snapshot of the run's metrics)"
     )
 }
 
@@ -134,33 +145,32 @@ pub fn stats(args: &Args) -> Result<(), String> {
 pub fn rank(args: &Args) -> Result<(), String> {
     let rep = Reporter::from_args(args)?;
     let graph = Arc::new(load_graph(args)?);
-    let eps: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON)?;
-    let peers: usize = args.get("peers", 500)?;
-    let seed: u64 = args.get("seed", 2003)?;
+    let defaults = ScenarioSpec::new(graph.num_nodes(), 500, dpr_core::RECOMMENDED_EPSILON, 2003);
+    let spec = scenario(args, &defaults)?;
     let top: usize = args.get("top", 10)?;
-    let sched: dpr_core::SchedMode = args.get("sched", dpr_core::SchedMode::Pass)?;
 
     let ranks: Vec<f64> = if args.has("sync") {
-        let r = SyncSolver::new().tolerance(eps).solve(&graph);
+        let r = SyncSolver::new().tolerance(spec.epsilon).solve(&graph);
         rep.say(format!(
             "synchronous solve: {} iterations, residual {:.2e}",
             r.iterations, r.final_residual
         ));
         r.ranks
     } else {
-        let ring = Ring::with_peers(peers);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // The file's graph, placed like the paper's workload (but on
+        // the bare seed, as this command always has).
+        let ring = Ring::with_peers(spec.num_peers);
+        let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
         let placement =
             Placement::assign(graph.num_nodes(), &ring, PlacementPolicy::Random, &mut rng);
-        let owners: Vec<PeerId> = (0..graph.num_nodes())
-            .map(|d| placement.owner(DocId::from(d)))
-            .collect();
-        let mut engine = ChaoticEngine::new(
-            graph.clone(),
-            owners,
-            EngineConfig::with_epsilon(eps).with_sched(sched),
-        );
-        let mut table = PeerTable::new(peers);
+        let w = Workload {
+            graph: graph.clone(),
+            ring,
+            placement,
+            num_peers: spec.num_peers,
+        };
+        let mut engine = spec.engine(&w);
+        let mut table = w.peer_table();
         let run = engine.run_observed(&mut table, None, rep.recorder(), "rank");
         rep.say(format!(
             "distributed solve: {} passes, {} remote messages ({:.1}/doc), converged: {}",
@@ -373,10 +383,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
     if slo_p99_ms <= 0.0 || window_ms <= 0.0 {
         return Err("--slo-p99-ms and --window-ms must be positive".into());
     }
+    let spec = scenario(args, &ScenarioSpec::new(2_000, 32, 1e-4, 2003))?;
     let cfg = ServingConfig {
-        num_docs: args.get("docs", 2_000)?,
+        num_docs: spec.nodes,
         vocab_size: args.get("vocab", 400)?,
-        num_peers: args.get("peers", 32)?,
+        num_peers: spec.num_peers,
         queries: args.get("queries", 100)?,
         query_len: args.get("query-len", 2)?,
         qps: args.get("qps", 20.0)?,
@@ -388,10 +399,10 @@ pub fn serve(args: &Args) -> Result<(), String> {
                 forward_fraction: 0.10,
             },
         )?,
-        latency: args.get("latency", Default::default())?,
-        sched: args.get("sched", dpr_core::SchedMode::Pass)?,
-        epsilon: args.get("eps", 1e-4)?,
-        seed: args.get("seed", 2003)?,
+        latency: spec.latency,
+        sched: spec.sched,
+        epsilon: spec.epsilon,
+        seed: spec.seed,
         slos: vec![SloSpec::new(
             "p99-latency",
             0.99,
@@ -572,12 +583,12 @@ fn diff_traces(
     Ok(())
 }
 
-fn report_unknown(path: &str, summary: &TraceSummary) {
+fn report_unknown(path: &str, summary: &TraceSummary, say: impl Fn(String)) {
     for u in summary.unknown_events() {
-        println!(
+        say(format!(
             "{path}: note: {} unknown event(s) of kind {:?} skipped (first at line {})",
             u.count, u.kind, u.first_line
-        );
+        ));
     }
 }
 
@@ -591,8 +602,8 @@ pub fn trace(args: &Args) -> Result<(), String> {
 
     if let Some(other) = args.optional("diff") {
         let other_summary = load_summary(other)?;
-        report_unknown(input, &summary);
-        report_unknown(other, &other_summary);
+        report_unknown(input, &summary, |l| println!("{l}"));
+        report_unknown(other, &other_summary, |l| println!("{l}"));
         diff_traces(input, &summary, other, &other_summary)?;
         println!(
             "{input} and {other} agree: {} run(s), {} traffic round(s) compared",
@@ -619,7 +630,7 @@ pub fn trace(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    report_unknown(input, &summary);
+    report_unknown(input, &summary, |l| println!("{l}"));
     println!(
         "{input}: {} events, {} engine runs",
         summary.events().len(),
@@ -700,19 +711,9 @@ impl Recorder for PassMix {
 /// the executed event schedule, so a replay certifies the run took the
 /// same events at the same virtual times.
 pub fn doctor(args: &Args) -> Result<(), String> {
-    use dpr_sim::event::LatencyModel;
     use dpr_sim::flight::{self, FlightConfig};
-    let quiet = args.has("quiet");
-    let say = |line: String| {
-        if !quiet {
-            println!("{line}");
-        }
-    };
-    let threads: usize = args.get("threads", 1)?;
-    let mode = ExecMode::from_threads(Some(threads));
-    let codec: dpr_p2p::transport::WireCodec = args.get("codec", Default::default())?;
-    let run_mode: dpr_core::RunMode = args.get("run-mode", Default::default())?;
-    let latency: LatencyModel = args.get("latency", Default::default())?;
+    let rep = Reporter::from_args(args)?;
+    let spec = scenario(args, &diagnostic_scenario())?;
 
     // Replay mode: prove a capture reproduces bit for bit. A capture
     // recorded under a different wire codec is refused outright —
@@ -725,21 +726,30 @@ pub fn doctor(args: &Args) -> Result<(), String> {
         // executor only if the density guard let it run, so count its
         // decisions and say what they were.
         let mix = PassMix::default();
-        let rec: &dyn Recorder = match mode {
-            ExecMode::Sequential => &NOOP,
-            ExecMode::Parallel(_) => &mix,
+        let rec: &dyn Recorder = match (rep.aggregate(), spec.exec) {
+            (Some(live), _) => live.as_ref(),
+            (None, ExecMode::Parallel(_)) => &mix,
+            (None, ExecMode::Sequential) => &NOOP,
         };
-        let out = flight::replay_under_codec(&capture, mode, codec, rec)
+        let out = flight::replay(&capture, spec.exec, Some(spec.codec), rec)
             .map_err(|e| format!("{path}: {e}"))?;
-        let executor = match mode {
+        let executor = match spec.exec {
             ExecMode::Sequential => String::new(),
-            ExecMode::Parallel(_) => format!(
-                "; executor: {} sharded / {} delegated passes",
-                mix.sharded.load(Ordering::Relaxed),
-                mix.delegated.load(Ordering::Relaxed),
-            ),
+            ExecMode::Parallel(_) => {
+                let (sharded, delegated) = match rep.aggregate() {
+                    Some(live) => (
+                        live.counter(Metric::ExecShardedPasses),
+                        live.counter(Metric::ExecDelegatedPasses),
+                    ),
+                    None => (
+                        mix.sharded.load(Ordering::Relaxed),
+                        mix.delegated.load(Ordering::Relaxed),
+                    ),
+                };
+                format!("; executor: {sharded} sharded / {delegated} delegated passes")
+            }
         };
-        say(format!(
+        rep.say(format!(
             "{path}: replay matched — {} docs, {} passes, {} remote messages, \
              ranks fnv {:#018x}{executor}",
             out.ranks.len(),
@@ -747,33 +757,22 @@ pub fn doctor(args: &Args) -> Result<(), String> {
             out.remote_messages,
             capture.fingerprint.ranks_fnv,
         ));
-        return Ok(());
+        return rep.finish();
     }
-
-    let docs: usize = args.get("docs", 1_200)?;
-    let peers: usize = args.get("peers", 24)?;
-    let eps: f64 = args.get("eps", 1e-4)?;
-    let seed: u64 = args.get("seed", 2003)?;
 
     // Capture mode: record the replayable continuous-update flight.
     if let Some(out) = args.optional("capture-out") {
         let cfg = FlightConfig {
-            nodes: docs,
-            num_peers: peers,
+            spec,
             inserts: args.get("inserts", 6)?,
             checkpoints: args.get("checkpoints", 2)?,
-            epsilon: eps,
-            seed,
-            sched: args.get("sched", dpr_core::SchedMode::Pass)?,
-            codec,
-            run_mode,
-            latency,
         };
-        let (capture, outcome) = flight::record(&cfg, mode);
+        cfg.validate()?;
+        let (capture, outcome) = flight::record(&cfg, rep.recorder());
         capture
             .write(std::path::Path::new(out))
             .map_err(|e| format!("write {out}: {e}"))?;
-        say(format!(
+        rep.say(format!(
             "wrote {out}: {} injections, fingerprint over {} ranks \
              ({} passes, {} remote messages)",
             capture.injections.len(),
@@ -781,80 +780,76 @@ pub fn doctor(args: &Args) -> Result<(), String> {
             outcome.passes,
             outcome.remote_messages,
         ));
-        return Ok(());
+        return rep.finish();
     }
 
     // Audit: an ingested trace, or a fresh instrumented scenario run.
     let (report, source) = if let Some(input) = args.optional("input") {
         let summary = load_summary(input)?;
-        if !quiet {
-            report_unknown(input, &summary);
-        }
-        say(format!(
+        report_unknown(input, &summary, |l| rep.say(l));
+        rep.say(format!(
             "{input}: auditing {} events",
             summary.events().len()
         ));
         (AuditReport::evaluate(summary.events()), input.to_string())
     } else {
-        let fault = match args.optional("inject-fault") {
-            Some(kind) => Some(dpr_p2p::transport::FaultPlan {
-                kind: kind.parse()?,
-                nth_send: args.get("fault-at", 25)?,
-            }),
-            None => None,
-        };
-        let run = flight::doctor_run_mode(
-            docs,
-            peers,
-            eps,
-            seed,
-            dpr_node::node::WireMode::frames(),
-            codec,
-            fault,
-            args.get("sched", dpr_core::SchedMode::Pass)?,
-            run_mode,
-            latency,
-        );
-        let unit = match run_mode {
+        let fault = fault_plan(args)?;
+        // The audit needs the events back, traced to a file or not.
+        let rec = rep.aggregate().cloned().unwrap_or_default();
+        let run = flight::doctor_run(&spec, fault, rec);
+        let unit = match spec.run_mode {
             dpr_core::RunMode::Rounds => "rounds",
             dpr_core::RunMode::Chaotic => "steps",
         };
-        say(format!(
-            "scenario: {docs} docs on {peers} peers, ε {eps}, {run_mode} mode: \
-             {} {unit}, quiesced: {}",
-            run.rounds, run.quiesced
+        rep.say(format!(
+            "scenario: {spec}, {} mode: {} {unit}, quiesced: {}",
+            spec.run_mode, run.rounds, run.quiesced
         ));
-        if let Some(plan) = fault {
-            match run.fault_fired_at {
-                Some(n) => say(format!("staged fault {} fired at send {n}", plan.kind)),
-                None => {
-                    return Err(format!(
-                        "staged fault {} never fired (too few sends?)",
-                        plan.kind
-                    ))
-                }
-            }
-        }
-        if let Some(p) = args.optional("trace-out") {
-            let mut text = String::new();
-            for e in &run.events {
-                text.push_str(&serde_json::to_string(e).map_err(|e| e.to_string())?);
-                text.push('\n');
-            }
-            std::fs::write(p, text).map_err(|e| format!("write {p}: {e}"))?;
-            say(format!("wrote {p} ({} events)", run.events.len()));
-        }
+        report_fault(&rep, fault, run.fault_fired_at)?;
         (run.report, "doctor run".to_string())
     };
 
-    if !quiet {
-        print!("{}", report.render().render());
-    }
-    if report.passed() {
-        say(report.diagnosis());
+    rep.print(report.render().render());
+    let verdict = if report.passed() {
+        rep.say(report.diagnosis());
         Ok(())
     } else {
         Err(format!("{source}: {}", report.diagnosis()))
+    };
+    // A failing run's trace is the one worth keeping: flush either way.
+    rep.finish()?;
+    verdict
+}
+
+/// The transport fault `--inject-fault KIND [--fault-at N]` stages.
+fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
+    args.optional("inject-fault")
+        .map(|kind| {
+            Ok(FaultPlan {
+                kind: kind.parse()?,
+                nth_send: args.get("fault-at", 25)?,
+            })
+        })
+        .transpose()
+}
+
+/// Says where a staged fault struck; a fault that never fired proves
+/// nothing, so that is an error.
+fn report_fault(
+    rep: &Reporter,
+    fault: Option<FaultPlan>,
+    fired_at: Option<u64>,
+) -> Result<(), String> {
+    match (fault, fired_at) {
+        (None, _) => Ok(()),
+        (Some(plan), Some(n)) => {
+            rep.say(format!("staged fault {} fired at send {n}", plan.kind));
+            Ok(())
+        }
+        (Some(plan), None) => Err(format!(
+            "staged fault {} never fired (too few sends?)",
+            plan.kind
+        )),
     }
 }
 
@@ -875,24 +870,17 @@ pub fn doctor(args: &Args) -> Result<(), String> {
 /// `--perfetto-out` writes all segments as Chrome trace-event JSON
 /// (load in Perfetto; the clock is virtual nanoseconds).
 pub fn profile(args: &Args) -> Result<(), String> {
-    use dpr_sim::event::LatencyModel;
     use dpr_sim::flight;
     use dpr_telemetry::profile::chrome_trace;
-    use dpr_telemetry::{Profile, TraceRecorder};
+    use dpr_telemetry::Profile;
 
-    let quiet = args.has("quiet");
-    let say = |line: String| {
-        if !quiet {
-            println!("{line}");
-        }
-    };
+    let rep = Reporter::from_args(args)?;
+    let spec = scenario(args, &diagnostic_scenario())?;
     let top: usize = args.get("top", 8)?;
 
     let segments: Vec<Profile> = if let Some(input) = args.optional("input") {
         let summary = load_summary(input)?;
-        if !quiet {
-            report_unknown(input, &summary);
-        }
+        report_unknown(input, &summary, |l| rep.say(l));
         let segs =
             Profile::segments_from_events(summary.events()).map_err(|e| format!("{input}: {e}"))?;
         if segs.is_empty() {
@@ -901,7 +889,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
                  (e.g. dpr doctor --run-mode chaotic --trace-out FILE)"
             ));
         }
-        say(format!(
+        rep.say(format!(
             "{input}: {} chaotic segment(s) in {} events",
             segs.len(),
             summary.events().len()
@@ -918,52 +906,31 @@ pub fn profile(args: &Args) -> Result<(), String> {
                 capture.header.run_mode
             ));
         }
-        let threads: usize = args.get("threads", 1)?;
-        let rec = TraceRecorder::new();
-        let out = flight::replay_observed(&capture, ExecMode::from_threads(Some(threads)), &rec)
+        // The profile is cut from the replay's span stream, traced to
+        // a file or not.
+        let rec = rep.aggregate().cloned().unwrap_or_default();
+        let out = flight::replay(&capture, spec.exec, None, rec.as_ref())
             .map_err(|e| format!("{path}: {e}"))?;
         let segs = Profile::segments_from_events(&rec.events())
             .map_err(|e| format!("{path}: replayed trace: {e}"))?;
-        say(format!(
+        rep.say(format!(
             "{path}: replay matched (schedule fnv {:#018x}); {} chaotic segment(s)",
             out.schedule_fnv,
             segs.len()
         ));
         segs
     } else {
-        let docs: usize = args.get("docs", 1_200)?;
-        let peers: usize = args.get("peers", 24)?;
-        let eps: f64 = args.get("eps", 1e-4)?;
-        let seed: u64 = args.get("seed", 2003)?;
-        let sched: dpr_core::SchedMode = args.get("sched", dpr_core::SchedMode::Pass)?;
-        let codec: dpr_p2p::transport::WireCodec = args.get("codec", Default::default())?;
-        let latency: LatencyModel = args.get("latency", Default::default())?;
-        let fault = match args.optional("inject-fault") {
-            Some(kind) => Some(dpr_p2p::transport::FaultPlan {
-                kind: kind.parse()?,
-                nth_send: args.get("fault-at", 25)?,
-            }),
-            None => None,
-        };
-        let run = flight::profile_run(docs, peers, eps, seed, sched, codec, latency, fault);
-        say(format!(
-            "scenario: {docs} docs on {peers} peers, ε {eps}, {sched} sched, {latency} \
-             latency: {} steps in {:.3} virtual ms, quiesced: {}",
+        let fault = fault_plan(args)?;
+        let run = flight::profile_run(&spec.workload(), &spec, fault, rep.recorder());
+        rep.say(format!(
+            "scenario: {spec}, {} sched, {} latency: {} steps in {:.3} virtual ms, quiesced: {}",
+            spec.sched,
+            spec.latency,
             run.outcome.steps,
             run.outcome.virtual_ns as f64 / 1e6,
             run.outcome.quiesced
         ));
-        if let Some(plan) = fault {
-            match run.fault_fired_at {
-                Some(n) => say(format!("staged fault {} fired at send {n}", plan.kind)),
-                None => {
-                    return Err(format!(
-                        "staged fault {} never fired (too few sends?)",
-                        plan.kind
-                    ))
-                }
-            }
-        }
+        report_fault(&rep, fault, run.fault_fired_at)?;
         vec![run.profile]
     };
 
@@ -984,7 +951,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
     if let Some(out) = args.optional("perfetto-out") {
         let json = serde_json::to_string(&chrome_trace(&segments)).map_err(|e| e.to_string())?;
         std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-        say(format!(
+        rep.say(format!(
             "wrote {out}: {} segment(s) as Chrome trace events on the virtual clock",
             segments.len()
         ));
@@ -1012,11 +979,11 @@ pub fn profile(args: &Args) -> Result<(), String> {
             .map(|(i, _)| i)
             .unwrap_or(0),
     };
-    if segments.len() > 1 && !quiet {
-        println!("\nsegments (chaotic reconvergences, in run order):");
+    if segments.len() > 1 {
+        rep.say("\nsegments (chaotic reconvergences, in run order):");
         for (i, p) in segments.iter().enumerate() {
             let mark = if i == idx { " <- shown" } else { "" };
-            println!(
+            rep.say(format!(
                 "  [{i}] {:>10.3} virtual ms, {:>6} steps, compute {:>5.1}% \
                  wire {:>5.1}% wait {:>5.1}%{mark}",
                 p.virtual_ns as f64 / 1e6,
@@ -1024,25 +991,25 @@ pub fn profile(args: &Args) -> Result<(), String> {
                 p.compute_pct(),
                 p.wire_pct(),
                 p.wait_pct()
-            );
+            ));
         }
     }
-    if !quiet {
-        let p = &segments[idx];
-        println!("\ncritical-path breakdown of segment {idx}:");
-        print!("{}", p.render_breakdown());
-        println!("\ntop {top} critical-path segments (announcement -> seed):");
-        print!("{}", p.render_path(top));
-        if !p.links.is_empty() {
-            println!("\ntop {top} links by wire time:");
-            print!("{}", p.render_links(top));
-        }
-        if !p.peers.is_empty() {
-            println!("\ntop {top} peers by mean inbox wait:");
-            print!("{}", p.render_peer_lag(top));
-        }
+    let p = &segments[idx];
+    rep.say(format!("\ncritical-path breakdown of segment {idx}:"));
+    rep.print(p.render_breakdown());
+    rep.say(format!(
+        "\ntop {top} critical-path segments (announcement -> seed):"
+    ));
+    rep.print(p.render_path(top));
+    if !p.links.is_empty() {
+        rep.say(format!("\ntop {top} links by wire time:"));
+        rep.print(p.render_links(top));
     }
-    Ok(())
+    if !p.peers.is_empty() {
+        rep.say(format!("\ntop {top} peers by mean inbox wait:"));
+        rep.print(p.render_peer_lag(top));
+    }
+    rep.finish()
 }
 
 #[cfg(test)]
@@ -1432,6 +1399,97 @@ mod tests {
         .unwrap();
         let e = profile(&args(&format!("--input {} --quiet", rtr.display()))).unwrap_err();
         assert!(e.contains("no span_closed events"), "{e}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn usage_carries_the_shared_scenario_flag_block() {
+        let usage = usage();
+        assert!(usage.contains(SCENARIO_FLAGS_HELP) && usage.contains(dpr_core::SCHED_HELP));
+        let d = diagnostic_scenario();
+        assert_eq!(scenario(&args(""), &d).unwrap(), d);
+        for flags in ["--docs 1200", "--peers 24", "--eps 1e-4", "--seed 2003"] {
+            assert!(usage.contains(&format!("[{flags}]")), "{flags}");
+            assert_eq!(scenario(&args(flags), &d).unwrap(), d, "{flags}");
+        }
+    }
+
+    /// Every degenerate scenario is a clean `Err` (the dispatcher
+    /// prints `error: …` and exits nonzero); a panic fails the test.
+    #[test]
+    fn degenerate_scenarios_are_errors_not_panics() {
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let cmds: [(&str, Cmd); 3] = [("doctor", doctor), ("profile", profile), ("serve", serve)];
+        for (name, cmd) in cmds {
+            for (flags, field) in [
+                ("--peers 0", "num_peers"),
+                ("--docs 0", "nodes"),
+                ("--eps 0", "epsilon"),
+                ("--eps nan", "epsilon"),
+                ("--eps -1e-3", "epsilon"),
+                ("--eps inf", "epsilon"),
+            ] {
+                let e = cmd(&args(&format!("{flags} --quiet"))).unwrap_err();
+                assert!(e.contains(field), "dpr {name} {flags}: {e}");
+            }
+        }
+        let dir = tmpdir("degenerate");
+        let cap = dir.join("cap.jsonl");
+        for (flags, field) in [
+            ("--checkpoints 0", "checkpoints"),
+            ("--inserts 1 --checkpoints 2", "inserts"),
+        ] {
+            let e = doctor(&args(&format!(
+                "--quiet {flags} --capture-out {}",
+                cap.display()
+            )))
+            .unwrap_err();
+            assert!(e.contains(field), "{flags}: {e}");
+            assert!(!cap.exists(), "{flags}: nothing may be written");
+        }
+        // The same through a capture file: a header edited to a
+        // degenerate scenario is refused by name, by both replayers.
+        doctor(&args(&format!(
+            "--docs 400 --peers 8 --eps 1e-3 --run-mode chaotic --quiet --capture-out {}",
+            cap.display()
+        )))
+        .unwrap();
+        let text = std::fs::read_to_string(&cap).unwrap();
+        for (from, to, field) in [
+            ("\"checkpoints\":2", "\"checkpoints\":0", "checkpoints"),
+            ("\"num_peers\":8", "\"num_peers\":0", "num_peers"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(text, bad);
+            std::fs::write(&cap, bad).unwrap();
+            for cmd in [doctor as Cmd, profile] {
+                let e = cmd(&args(&format!("--quiet --replay {}", cap.display()))).unwrap_err();
+                assert!(e.contains(field), "{to}: {e}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn doctor_and_profile_write_the_trace_and_prom_sinks() {
+        let dir = tmpdir("sinks");
+        type Cmd = fn(&Args) -> Result<(), String>;
+        for (name, cmd) in [("doctor", doctor as Cmd), ("profile", profile)] {
+            let (trace_out, prom_out) = (
+                dir.join(format!("{name}.jsonl")),
+                dir.join(format!("{name}.prom")),
+            );
+            cmd(&args(&format!(
+                "--docs 400 --peers 8 --quiet --trace-out {} --prom-out {}",
+                trace_out.display(),
+                prom_out.display()
+            )))
+            .unwrap();
+            let text = std::fs::read_to_string(&trace_out).unwrap();
+            assert!(!TraceSummary::from_jsonl(&text).unwrap().events().is_empty());
+            let prom = std::fs::read_to_string(&prom_out).unwrap();
+            assert!(prom.contains("dpr_events_recorded_total"), "{name}: {prom}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

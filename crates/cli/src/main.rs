@@ -19,14 +19,12 @@
 //!
 //! Every command also takes `--quiet`, `--trace-out FILE` (JSONL event
 //! trace) and `--prom-out FILE` (Prometheus metrics snapshot); see
-//! [`report::Reporter`].
+//! [`dpr_sim::flags::Reporter`].
 //!
 //! Subcommand implementations live in [`commands`]; this file only
 //! dispatches and reports errors.
 
-mod args;
 mod commands;
-mod report;
 
 use std::process::ExitCode;
 
@@ -58,7 +56,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest: Vec<String> = argv.collect();
-    let parsed = match args::Args::parse(rest) {
+    let parsed = match dpr_sim::flags::Args::parse(rest) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -91,3 +89,9 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The CLI's contract with the shared flag parser
+/// ([`dpr_sim::flags::Args`]): bad input is a readable `Err` the
+/// dispatcher prints, never a panic.
+#[cfg(test)]
+mod args;

@@ -125,19 +125,9 @@ impl ExecMode {
         }
     }
 
-    /// Runs `eng` to convergence under this mode.
-    pub fn run(
-        &self,
-        eng: &mut ChaoticEngine,
-        peers: &mut PeerTable,
-        churn: Option<&mut ChurnFn<'_>>,
-    ) -> RunStats {
-        self.run_observed(eng, peers, churn, &NOOP, "run")
-    }
-
-    /// [`ExecMode::run`] recording telemetry into `rec` under
-    /// `run_label` (per-pass events from either executor; the sharded
-    /// one adds per-shard phase timings).
+    /// Runs `eng` to convergence under this mode, recording telemetry
+    /// into `rec` under `run_label` (per-pass events from either
+    /// executor; the sharded one adds per-shard phase timings).
     pub fn run_observed<R: Recorder + ?Sized>(
         &self,
         eng: &mut ChaoticEngine,
@@ -154,13 +144,8 @@ impl ExecMode {
         }
     }
 
-    /// [`ChaoticEngine::run_static`] under this mode: every peer stays
-    /// online for the whole run.
-    pub fn run_static(&self, eng: &mut ChaoticEngine) -> RunStats {
-        self.run_static_observed(eng, &NOOP, "run")
-    }
-
-    /// [`ExecMode::run_static`] recording telemetry into `rec`.
+    /// [`ChaoticEngine::run_static`] under this mode — every peer stays
+    /// online for the whole run — recording telemetry into `rec`.
     pub fn run_static_observed<R: Recorder + ?Sized>(
         &self,
         eng: &mut ChaoticEngine,
@@ -824,7 +809,7 @@ mod tests {
         ] {
             let mut eng = ChaoticEngine::new(Arc::new(g.clone()), own.clone(), cfg);
             let mut peers = PeerTable::new(9);
-            let run = mode.run(&mut eng, &mut peers, None);
+            let run = mode.run_observed(&mut eng, &mut peers, None, &NOOP, "run");
             assert!(run.converged);
             ranks.push(eng.ranks().to_vec());
         }

@@ -26,11 +26,9 @@
 //! comparison isolates pure wire-path cost.
 
 use crate::hops::HopAccounting;
+use crate::spec::ScenarioSpec;
 use crate::workload::Workload;
-use dpr_core::engine::EngineConfig;
-use dpr_core::SchedMode;
 use dpr_graph::DocId;
-use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::transport::{RankUpdateWire, WireCodec, RANK_UPDATE_WIRE_BYTES};
@@ -59,8 +57,9 @@ pub struct WireTraffic {
     pub routed_messages: u64,
 }
 
-/// One run of a [`Cluster`] under an explicit wire mode and routing
-/// policy: converged ranks plus measured traffic.
+/// One run of a [`Cluster`](dpr_node::cluster::Cluster) under an
+/// explicit wire mode and routing policy: converged ranks plus measured
+/// traffic.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
     /// Converged per-document ranks.
@@ -69,115 +68,33 @@ pub struct ClusterRun {
     pub traffic: WireTraffic,
 }
 
-/// Runs `w` to quiescence on the message-level cluster under `wire`,
-/// charging overlay hops for every send: singles route on the
-/// document's GUID, frames on the destination peer's GUID. With
-/// `cache_ips`, the first send per destination routes and caches the
-/// address (paper Sec. 3.2) and later sends go direct in one hop.
-pub fn run_wire_mode(w: &Workload, epsilon: f64, wire: WireMode, cache_ips: bool) -> ClusterRun {
-    run_wire_mode_inner(
-        w,
-        epsilon,
-        SchedMode::Pass,
-        wire,
-        WireCodec::Raw,
-        cache_ips,
-        None,
-    )
-}
-
-/// [`run_wire_mode`] under an explicit wire codec. The codec only
-/// changes how frames are *encoded* ([`WireCodec::Compact`] sends
-/// varint-delta doc ids and `f32` values), so rounds and update counts
-/// are unchanged — only `bytes_on_wire` and (within the pinned parity
-/// bound) the low rank bits move.
-pub fn run_wire_mode_codec(
+/// Runs `w` to quiescence on the message-level cluster `spec`
+/// describes (scheduler, wire mode, codec; rounds driver), charging
+/// overlay hops for every send: singles route on the document's GUID,
+/// frames on the destination peer's GUID. With `cache_ips`, the first
+/// send per destination routes and caches the address (paper Sec. 3.2)
+/// and later sends go direct in one hop.
+///
+/// The codec only changes how frames are *encoded*
+/// ([`WireCodec::Compact`] sends varint-delta doc ids and `f32`
+/// values), so rounds and update counts are unchanged — only
+/// `bytes_on_wire` and (within the pinned parity bound) the low rank
+/// bits move. Under a selective scheduler each step processes only the
+/// top residual-mass buckets and defers the rest; quiescence still
+/// means "no residual anywhere above ε".
+///
+/// With `rec`, the cluster's transport mirrors its byte counters into
+/// the recorder, every round emits `frame_sent` / `round_completed`
+/// events, and the hop model feeds the route/cache metrics. The
+/// measured run is unchanged by observation (same rounds, ranks, and
+/// traffic).
+pub fn run_wire_mode(
     w: &Workload,
-    epsilon: f64,
-    wire: WireMode,
-    codec: WireCodec,
-    cache_ips: bool,
-) -> ClusterRun {
-    run_wire_mode_inner(w, epsilon, SchedMode::Pass, wire, codec, cache_ips, None)
-}
-
-/// [`run_wire_mode`] under an explicit pass scheduler: every peer
-/// node's engine runs `sched` ([`SchedMode::Priority`] processes only
-/// the top residual-mass buckets each step and defers the rest, so
-/// quiescence still means "no residual anywhere above ε" — deferred
-/// mass keeps the node non-quiescent until it drains).
-pub fn run_wire_mode_sched(
-    w: &Workload,
-    epsilon: f64,
-    sched: SchedMode,
-    wire: WireMode,
-    cache_ips: bool,
-) -> ClusterRun {
-    run_wire_mode_inner(w, epsilon, sched, wire, WireCodec::Raw, cache_ips, None)
-}
-
-/// [`run_wire_mode`] traced through `rec`: the cluster's transport
-/// mirrors its byte counters into the recorder, every round emits
-/// `frame_sent` / `round_completed` events, and the hop model feeds
-/// the route/cache metrics. The measured run is unchanged by
-/// observation (same rounds, ranks, and traffic).
-pub fn run_wire_mode_observed(
-    w: &Workload,
-    epsilon: f64,
-    wire: WireMode,
-    cache_ips: bool,
-    rec: Arc<dyn Recorder>,
-) -> ClusterRun {
-    run_wire_mode_inner(
-        w,
-        epsilon,
-        SchedMode::Pass,
-        wire,
-        WireCodec::Raw,
-        cache_ips,
-        Some(rec),
-    )
-}
-
-/// [`run_wire_mode_sched`] traced through `rec`; see
-/// [`run_wire_mode_observed`] for what the trace carries (plus, under
-/// [`SchedMode::Priority`], the per-step scheduler gauges).
-pub fn run_wire_mode_sched_observed(
-    w: &Workload,
-    epsilon: f64,
-    sched: SchedMode,
-    wire: WireMode,
-    cache_ips: bool,
-    rec: Arc<dyn Recorder>,
-) -> ClusterRun {
-    run_wire_mode_inner(
-        w,
-        epsilon,
-        sched,
-        wire,
-        WireCodec::Raw,
-        cache_ips,
-        Some(rec),
-    )
-}
-
-fn run_wire_mode_inner(
-    w: &Workload,
-    epsilon: f64,
-    sched: SchedMode,
-    wire: WireMode,
-    codec: WireCodec,
+    spec: &ScenarioSpec,
     cache_ips: bool,
     rec: Option<Arc<dyn Recorder>>,
 ) -> ClusterRun {
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        w.num_peers,
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
-        wire,
-    );
-    cluster.set_codec(codec);
+    let mut cluster = spec.cluster(w);
     let mut acc = if cache_ips {
         HopAccounting::cached(w.ring.clone())
     } else {
@@ -238,6 +155,31 @@ fn run_wire_mode_inner(
     }
 }
 
+/// [`run_wire_mode`] under positional arguments, untraced. Kept, with
+/// this exact signature, only because the frozen `perf/` benchmark
+/// calls it; the next benchmark PR should move `perf/` to
+/// [`run_wire_mode`] and delete this.
+pub fn run_wire_mode_codec(
+    w: &Workload,
+    epsilon: f64,
+    wire: WireMode,
+    codec: WireCodec,
+    cache_ips: bool,
+) -> ClusterRun {
+    // The rounds driver never draws from the seed.
+    let shape = ScenarioSpec::new(w.graph.num_nodes(), w.num_peers, epsilon, 0);
+    run_wire_mode(
+        w,
+        &ScenarioSpec {
+            wire,
+            codec,
+            ..shape
+        },
+        cache_ips,
+        None,
+    )
+}
+
 /// The full batched-vs-unbatched comparison on one workload.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchReport {
@@ -265,22 +207,38 @@ pub struct BatchReport {
     pub ranks_identical: bool,
 }
 
-/// Runs both wire modes on `w` and reports the saving. The unbatched
-/// baseline is the paper's default DHT path — every update routed on
-/// its document GUID, no address cache; the batched run is the full
-/// aggregation feature — coalesced frames, one route per frame, cached
-/// destination IPs (the Sec. 3.2 cache, now per peer instead of per
-/// document). The Sec. 3.2 cache alone (unbatched + cached) is covered
-/// by the ablation grid, not here.
+/// Runs both wire modes on `w` and reports the saving, returning the
+/// batched run alongside (for callers that score its ranks). The
+/// unbatched baseline is the paper's default DHT path — every update
+/// routed on its document GUID, no address cache, never traced; the
+/// batched run is the full aggregation feature as `spec` describes it
+/// — coalesced frames at `spec.wire`'s cap, one route per frame,
+/// cached destination IPs (the Sec. 3.2 cache, now per peer instead of
+/// per document), traced through `rec` so the trace's frame/round
+/// series describes one coherent run. The Sec. 3.2 cache alone
+/// (unbatched + cached) is covered by the ablation grid, not here.
 ///
 /// # Panics
 ///
-/// Panics if the two modes disagree on any converged rank bit — the
-/// aggregation layer's determinism contract.
-pub fn batching_experiment(w: &Workload, epsilon: f64, max_frame_bytes: usize) -> BatchReport {
-    let unbatched = run_wire_mode(w, epsilon, WireMode::Single, false);
-    let batched = run_wire_mode(w, epsilon, WireMode::Frames { max_frame_bytes }, true);
-    compare_runs(w, epsilon, max_frame_bytes, &unbatched, &batched)
+/// Panics if `spec.wire` is not a framed mode, or if the two modes
+/// disagree on any converged rank bit — the aggregation layer's
+/// determinism contract.
+pub fn batching_experiment(
+    w: &Workload,
+    spec: &ScenarioSpec,
+    rec: Option<Arc<dyn Recorder>>,
+) -> (BatchReport, ClusterRun) {
+    let WireMode::Frames { max_frame_bytes } = spec.wire else {
+        panic!("the batched side of the comparison needs a framed wire mode");
+    };
+    let singles = ScenarioSpec {
+        wire: WireMode::Single,
+        ..*spec
+    };
+    let unbatched = run_wire_mode(w, &singles, false, None);
+    let batched = run_wire_mode(w, spec, true, rec);
+    let report = compare_runs(w, spec.epsilon, max_frame_bytes, &unbatched, &batched);
+    (report, batched)
 }
 
 /// Builds the [`BatchReport`] from two already-measured runs (lets a
@@ -321,14 +279,15 @@ pub fn compare_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_node::node::DEFAULT_MAX_FRAME_BYTES;
+    use dpr_core::SchedMode;
 
     #[test]
     fn batching_cuts_routed_messages_and_bytes() {
         // 8 peers -> ~190 docs per peer, comfortably above the
         // priority bypass threshold so residual selection engages.
-        let w = Workload::paper(1_500, 8, 11);
-        let r = batching_experiment(&w, 1e-3, DEFAULT_MAX_FRAME_BYTES);
+        let spec = ScenarioSpec::new(1_500, 8, 1e-3, 11);
+        let w = spec.workload();
+        let (r, _) = batching_experiment(&w, &spec, None);
         assert!(r.ranks_identical);
         // Same logical protocol in both modes.
         assert_eq!(r.unbatched.updates, r.batched.updates);
@@ -355,12 +314,22 @@ mod tests {
     fn priority_sched_cuts_updates_and_keeps_wire_modes_identical() {
         // 8 peers -> ~190 docs per peer, comfortably above the
         // priority bypass threshold so residual selection engages.
-        let w = Workload::paper(1_500, 8, 11);
-        let pass = run_wire_mode_sched(&w, 1e-3, SchedMode::Pass, WireMode::Single, false);
-        let pri_single =
-            run_wire_mode_sched(&w, 1e-3, SchedMode::Priority, WireMode::Single, false);
-        let pri_frames =
-            run_wire_mode_sched(&w, 1e-3, SchedMode::Priority, WireMode::frames(), true);
+        let pass_spec = ScenarioSpec {
+            wire: WireMode::Single,
+            ..ScenarioSpec::new(1_500, 8, 1e-3, 11)
+        };
+        let pri_spec = ScenarioSpec {
+            sched: SchedMode::Priority,
+            ..pass_spec
+        };
+        let w = pass_spec.workload();
+        let pass = run_wire_mode(&w, &pass_spec, false, None);
+        let pri_single = run_wire_mode(&w, &pri_spec, false, None);
+        let framed = ScenarioSpec {
+            wire: WireMode::frames(),
+            ..pri_spec
+        };
+        let pri_frames = run_wire_mode(&w, &framed, true, None);
         // The wire path cannot perturb the priority schedule: singles
         // and frames converge bit-identically.
         assert_eq!(pri_single.ranks, pri_frames.ranks);
@@ -385,12 +354,19 @@ mod tests {
 
     #[test]
     fn frame_cap_changes_payloads_not_ranks() {
-        let w = Workload::paper(800, 10, 12);
-        let loose = batching_experiment(&w, 1e-3, DEFAULT_MAX_FRAME_BYTES);
-        let tight = batching_experiment(&w, 1e-3, 36); // 2 entries/frame
-                                                       // batching_experiment already asserts batched == unbatched
-                                                       // ranks inside each call, and the unbatched run is shared
-                                                       // protocol — so ranks agree across caps transitively.
+        let spec = ScenarioSpec::new(800, 10, 1e-3, 12);
+        let w = spec.workload();
+        let (loose, _) = batching_experiment(&w, &spec, None);
+        // 2 entries/frame. batching_experiment already asserts batched
+        // == unbatched ranks inside each call, and the unbatched run is
+        // shared protocol — so ranks agree across caps transitively.
+        let two_entries = ScenarioSpec {
+            wire: WireMode::Frames {
+                max_frame_bytes: 36,
+            },
+            ..spec
+        };
+        let (tight, _) = batching_experiment(&w, &two_entries, None);
         assert_eq!(loose.batched.entries, tight.batched.entries);
         assert!(tight.batched.frames > loose.batched.frames);
         assert!(tight.batched.bytes_on_wire > loose.batched.bytes_on_wire);

@@ -1,0 +1,179 @@
+//! The one flag parser and the one output/trace sink, shared by the
+//! `dpr` subcommands and the experiment binaries.
+//!
+//! [`Args`] is deliberately tiny: `--key value` pairs and bare
+//! `--switch`es, with typed accessors that produce readable errors
+//! instead of panics (`dpr` reports them; the experiment binaries
+//! panic on them at their own edge). The scenario flags themselves are
+//! read by [`ScenarioSpec::from_flags`](crate::spec::ScenarioSpec::from_flags)
+//! through [`Args::optional`].
+//!
+//! Every command prints through one [`Reporter`] instead of raw
+//! `println!`: the default path is byte-identical stdout, `--quiet`
+//! silences it, and `--trace-out FILE` / `--prom-out FILE` attach a
+//! live [`TraceRecorder`] whose handle the command threads into the
+//! drivers. [`Reporter::finish`] flushes the sinks and writes the
+//! Prometheus snapshot.
+
+use dpr_telemetry::{Recorder, TraceRecorder, NOOP};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Parsed flags of one invocation.
+#[derive(Debug, Default)]
+pub struct Args {
+    values: HashMap<String, String>,
+    switches: Vec<String>,
+}
+
+impl Args {
+    /// Parses a flag list; positional arguments are errors.
+    pub fn parse(argv: Vec<String>) -> Result<Self, String> {
+        let mut out = Args::default();
+        let mut it = argv.into_iter().peekable();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                return Err(format!("unexpected positional argument '{a}'"));
+            };
+            if name.is_empty() {
+                return Err("empty flag '--'".into());
+            }
+            match it.peek() {
+                Some(v) if !v.starts_with("--") => {
+                    out.values.insert(name.to_string(), it.next().unwrap());
+                }
+                _ => out.switches.push(name.to_string()),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether a bare switch is present.
+    pub fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// A required string flag.
+    pub fn required(&self, name: &str) -> Result<&str, String> {
+        self.values
+            .get(name)
+            .map(String::as_str)
+            .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    /// An optional string flag.
+    pub fn optional(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// A typed flag with a default.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.optional(name).map_or(Ok(default), |v| parse(name, v))
+    }
+
+    /// A required typed flag.
+    pub fn get_required<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        parse(name, self.required(name)?)
+    }
+
+    /// A comma-separated list of typed values.
+    pub fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Vec<T>, String> {
+        let Some(list) = self.optional(name) else {
+            return Ok(Vec::new());
+        };
+        list.split(',').map(|v| parse(name, v.trim())).collect()
+    }
+}
+
+fn parse<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("flag --{name}: cannot parse '{value}'"))
+}
+
+/// Stdout verbosity plus the optional telemetry trace of one
+/// invocation.
+pub struct Reporter {
+    quiet: bool,
+    rec: Option<Arc<TraceRecorder>>,
+    trace_out: Option<String>,
+    prom_out: Option<String>,
+}
+
+impl Reporter {
+    /// Builds the reporter from the shared flags: `--quiet`,
+    /// `--trace-out FILE` (JSONL event trace) and `--prom-out FILE`
+    /// (Prometheus text snapshot, implies an in-memory recorder even
+    /// without a trace file).
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let trace_out = args.optional("trace-out").map(String::from);
+        let prom_out = args.optional("prom-out").map(String::from);
+        let rec = match &trace_out {
+            Some(p) => Some(Arc::new(
+                TraceRecorder::with_jsonl(p).map_err(|e| format!("create {p}: {e}"))?,
+            )),
+            None if prom_out.is_some() => Some(Arc::new(TraceRecorder::new())),
+            None => None,
+        };
+        Ok(Reporter {
+            quiet: args.has("quiet"),
+            rec,
+            trace_out,
+            prom_out,
+        })
+    }
+
+    /// Prints one line unless `--quiet`.
+    pub fn say(&self, line: impl AsRef<str>) {
+        if !self.quiet {
+            println!("{}", line.as_ref());
+        }
+    }
+
+    /// Prints an already-rendered block (a table with its own
+    /// newlines) verbatim unless `--quiet`.
+    pub fn print(&self, block: impl AsRef<str>) {
+        if !self.quiet {
+            print!("{}", block.as_ref());
+        }
+    }
+
+    /// The recorder to thread into run loops: the live trace when one
+    /// was requested, the no-op recorder otherwise.
+    pub fn recorder(&self) -> &dyn Recorder {
+        match &self.rec {
+            Some(r) => r.as_ref() as &dyn Recorder,
+            None => &NOOP,
+        }
+    }
+
+    /// Shared handle for components that store their recorder (the
+    /// cluster transport and hop models); `None` when tracing is off.
+    pub fn recorder_arc(&self) -> Option<Arc<dyn Recorder>> {
+        self.rec.as_ref().map(|r| r.clone() as Arc<dyn Recorder>)
+    }
+
+    /// The live aggregate, for commands that read the run's events or
+    /// counters back; `None` when tracing is off.
+    pub fn aggregate(&self) -> Option<&Arc<TraceRecorder>> {
+        self.rec.as_ref()
+    }
+
+    /// Flushes the JSONL sink, writes the Prometheus snapshot, and
+    /// reports where they went. A no-op without trace flags, keeping
+    /// default stdout untouched.
+    pub fn finish(&self) -> Result<(), String> {
+        let Some(rec) = &self.rec else {
+            return Ok(());
+        };
+        rec.flush().map_err(|e| format!("flush trace: {e}"))?;
+        if let Some(p) = &self.prom_out {
+            std::fs::write(p, rec.prometheus_text()).map_err(|e| format!("write {p}: {e}"))?;
+            self.say(format!("wrote {p} (prometheus snapshot)"));
+        }
+        if let Some(p) = &self.trace_out {
+            self.say(format!("wrote {p} ({} events)", rec.event_count()));
+        }
+        Ok(())
+    }
+}

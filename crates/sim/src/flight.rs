@@ -28,19 +28,21 @@
 //! is what the capture's fingerprint must pin down.
 
 use crate::event::{
-    fold_schedule_fnv, run_chaotic, run_chaotic_profiled, ChaoticConfig, ChaoticOutcome,
-    LatencyModel, SCHEDULE_FNV_SEED,
+    fold_schedule_fnv, run_chaotic, run_chaotic_profiled, ChaoticOutcome, LatencyModel,
+    SCHEDULE_FNV_SEED,
 };
+use crate::spec::{ScenarioSpec, SpecError};
 use crate::workload::Workload;
-use dpr_core::engine::{ChaoticEngine, EngineConfig};
+use dpr_core::engine::ChaoticEngine;
 use dpr_core::parallel::ExecMode;
 use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
 use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
 use dpr_node::termination::TerminationDetector;
+use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{FaultPlan, WireCodec};
-use dpr_telemetry::replay::{fnv64_ranks, Capture, CaptureHeader, Fingerprint, CAPTURE_VERSION};
+use dpr_telemetry::replay::{fnv64_ranks, Capture, CaptureHeader, Fingerprint};
 use dpr_telemetry::{AuditReport, Event, Profile, Recorder, TraceRecorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -52,33 +54,15 @@ pub const FLIGHT_SCENARIO: &str = "continuous-update";
 /// Configuration of one flight — everything a capture header holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightConfig {
-    /// Documents in the graph.
-    pub nodes: usize,
-    /// Peers the documents are placed on.
-    pub num_peers: usize,
+    /// The scenario flown. Rounds-mode flights run the array engine
+    /// under `spec.exec`; chaotic flights run the message-level
+    /// cluster under the event runtime. The two execute different
+    /// schedules, so their fingerprints are not comparable.
+    pub spec: ScenarioSpec,
     /// Update injections performed after the initial solve.
     pub inserts: usize,
     /// Reconvergence checkpoints across the injection stream.
     pub checkpoints: usize,
-    /// Convergence threshold ε.
-    pub epsilon: f64,
-    /// Master seed (graph, placement, and injection RNGs derive from
-    /// it).
-    pub seed: u64,
-    /// Pass scheduler for every run in the scenario.
-    pub sched: SchedMode,
-    /// Wire codec the capture's fingerprint assumes. Compact
-    /// quantizes updates to `f32`, so fingerprints recorded under one
-    /// codec are meaningless under the other.
-    pub codec: WireCodec,
-    /// Run mode: barrier-stepped rounds (the default, engine-level) or
-    /// the event-driven chaotic runtime (message-level cluster). The
-    /// two execute different schedules, so their fingerprints are not
-    /// comparable.
-    pub run_mode: RunMode,
-    /// Network model of a chaotic flight; ignored (but still recorded)
-    /// under rounds mode, where delivery is instantaneous.
-    pub latency: LatencyModel,
 }
 
 impl FlightConfig {
@@ -86,54 +70,45 @@ impl FlightConfig {
     /// on its 500 peers.
     pub fn paper_scale() -> Self {
         FlightConfig {
-            nodes: 10_000,
-            num_peers: crate::workload::PAPER_NUM_PEERS,
+            spec: ScenarioSpec::new(10_000, crate::workload::PAPER_NUM_PEERS, 1e-4, 2003),
             inserts: 12,
             checkpoints: 4,
-            epsilon: 1e-4,
-            seed: 2003,
-            sched: SchedMode::Pass,
-            codec: WireCodec::Raw,
-            run_mode: RunMode::Rounds,
-            latency: LatencyModel::default(),
         }
     }
 
     /// A seconds-scale flight for CI smoke runs and tests.
     pub fn smoke() -> Self {
         FlightConfig {
-            nodes: 1_200,
-            num_peers: 40,
+            spec: ScenarioSpec::new(1_200, 40, 1e-3, 7),
             inserts: 6,
             checkpoints: 2,
-            epsilon: 1e-3,
-            seed: 7,
-            sched: SchedMode::Pass,
-            codec: WireCodec::Raw,
-            run_mode: RunMode::Rounds,
-            latency: LatencyModel::default(),
         }
+    }
+
+    /// Refuses what [`fly`] cannot run: a degenerate scenario, no
+    /// checkpoint, or fewer inserts than checkpoints.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        self.spec.validate()?;
+        SpecError::unless_positive("checkpoints", self.checkpoints)?;
+        if self.inserts < self.checkpoints {
+            return Err(SpecError {
+                field: "inserts",
+                problem: format!(
+                    "{} is fewer than the {} checkpoints",
+                    self.inserts, self.checkpoints
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// The capture header describing this flight.
     pub fn header(&self) -> CaptureHeader {
-        CaptureHeader {
-            version: CAPTURE_VERSION,
-            scenario: FLIGHT_SCENARIO.to_string(),
-            nodes: self.nodes as u64,
-            num_peers: self.num_peers as u64,
-            inserts: self.inserts as u64,
-            checkpoints: self.checkpoints as u64,
-            epsilon: self.epsilon,
-            seed: self.seed,
-            sched: self.sched.to_string(),
-            codec: self.codec.to_string(),
-            run_mode: self.run_mode.to_string(),
-            latency: self.latency.to_string(),
-        }
+        self.spec
+            .header(FLIGHT_SCENARIO, self.inserts, self.checkpoints)
     }
 
-    /// Reconstructs the flight a capture header describes.
+    /// Reconstructs, validated, the flight a capture header describes.
     pub fn from_header(h: &CaptureHeader) -> Result<Self, String> {
         if h.scenario != FLIGHT_SCENARIO {
             return Err(format!(
@@ -141,18 +116,13 @@ impl FlightConfig {
                 h.scenario
             ));
         }
-        Ok(FlightConfig {
-            nodes: h.nodes as usize,
-            num_peers: h.num_peers as usize,
+        let cfg = FlightConfig {
+            spec: ScenarioSpec::from_header(h)?,
             inserts: h.inserts as usize,
             checkpoints: h.checkpoints as usize,
-            epsilon: h.epsilon,
-            seed: h.seed,
-            sched: h.sched.parse()?,
-            codec: h.codec.parse()?,
-            run_mode: h.run_mode.parse()?,
-            latency: h.latency.parse()?,
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -190,37 +160,36 @@ impl FlightOutcome {
     }
 }
 
-/// Executes one flight under `mode`, tracing through `rec`. The
-/// outcome is a pure function of `cfg` — `mode` only changes how fast
-/// it arrives (the executor determinism contract) and `rec` never
-/// perturbs it. Chaotic flights run the message-level cluster under
-/// the event runtime ([`crate::event`]); `mode` is irrelevant there
-/// (the event loop is inherently sequential) and ignored.
-pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, mode: ExecMode, rec: &R) -> FlightOutcome {
-    assert!(cfg.checkpoints >= 1 && cfg.inserts >= cfg.checkpoints);
-    if cfg.run_mode == RunMode::Chaotic {
-        return fly_chaotic(cfg, rec);
-    }
-    let w = Workload::paper(cfg.nodes, cfg.num_peers, cfg.seed);
-    let mut engine = ChaoticEngine::new(
-        w.graph.clone(),
-        w.owners(),
-        EngineConfig::with_epsilon(cfg.epsilon).with_sched(cfg.sched),
-    );
-    let mut peers = w.peer_table();
-    let initial = mode.run_observed(&mut engine, &mut peers, None, rec, "initial");
-    assert!(initial.converged, "initial solve must converge");
-    let mut passes = initial.passes as u64;
-    let mut remote = initial.total_remote_messages;
-    let mut local = initial.total_local_updates;
+/// Total (remote entries emitted, same-peer updates) over the nodes —
+/// the cluster-level counterparts of the engine's traffic counters.
+fn node_traffic(cluster: &Cluster) -> (u64, u64) {
+    (0..cluster.num_peers() as u32).fold((0, 0), |(remote, local), p| {
+        let stats = cluster.node(PeerId(p)).stats();
+        (remote + stats.emitted_remote, local + stats.local_updates)
+    })
+}
 
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xf11e);
+/// The course both flight modes share — same seed, same draws, same
+/// checkpoints — flown by `system`: the initial solve, then each insert
+/// draws a target document and a seed mass, hands them to `inject`,
+/// and emits the injection event; `reconverge` runs for the initial
+/// solve and at every checkpoint. Returns the injections performed, in
+/// order.
+fn fly_course<S, R: Recorder + ?Sized>(
+    cfg: &FlightConfig,
+    rec: &R,
+    system: &mut S,
+    inject: impl Fn(&mut S, DocId, f64),
+    mut reconverge: impl FnMut(&mut S, &str),
+) -> Vec<Event> {
+    reconverge(system, "initial");
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.spec.seed ^ 0xf11e);
     let stride = cfg.inserts / cfg.checkpoints;
     let mut injections = Vec::with_capacity(cfg.inserts);
     for i in 1..=cfg.inserts {
-        let doc = DocId(rng.gen_range(0..cfg.nodes as u32));
+        let doc = DocId(rng.gen_range(0..cfg.spec.nodes as u32));
         let delta = rng.gen_range(0.05..0.5);
-        engine.inject_delta(doc, delta);
+        inject(system, doc, delta);
         let ev = Event::DocInserted {
             seq: i as u64,
             doc: u64::from(doc.0),
@@ -230,13 +199,37 @@ pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, mode: ExecMode, rec: &R) ->
         }
         injections.push(ev);
         if i % stride == 0 || i == cfg.inserts {
-            let run = mode.run_observed(&mut engine, &mut peers, None, rec, &format!("update@{i}"));
-            assert!(run.converged, "checkpoint reconvergence must converge");
-            passes += run.passes as u64;
-            remote += run.total_remote_messages;
-            local += run.total_local_updates;
+            reconverge(system, &format!("update@{i}"));
         }
     }
+    injections
+}
+
+/// Executes one flight, tracing through `rec`. The outcome is a pure
+/// function of `cfg` minus `cfg.spec.exec` — the executor only changes
+/// how fast it arrives (the determinism contract) — and `rec` never
+/// perturbs it. Chaotic flights run the message-level cluster under
+/// the event runtime ([`crate::event`]); the executor is irrelevant
+/// there (the event loop is inherently sequential) and ignored.
+pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
+    assert!(cfg.checkpoints >= 1 && cfg.inserts >= cfg.checkpoints);
+    let spec = &cfg.spec;
+    if spec.run_mode == RunMode::Chaotic {
+        return fly_chaotic(cfg, rec);
+    }
+    let w = spec.workload();
+    let mut engine = spec.engine(&w);
+    let mut peers = w.peer_table();
+    let (mut passes, mut remote, mut local) = (0u64, 0u64, 0u64);
+    let reconverge = |engine: &mut ChaoticEngine, label: &str| {
+        let run = spec.exec.run_observed(engine, &mut peers, None, rec, label);
+        assert!(run.converged, "every solve of a flight must converge");
+        passes += run.passes as u64;
+        remote += run.total_remote_messages;
+        local += run.total_local_updates;
+    };
+    let inject = |engine: &mut ChaoticEngine, doc, delta| engine.inject_delta(doc, delta);
+    let injections = fly_course(cfg, rec, &mut engine, inject, reconverge);
     FlightOutcome {
         ranks: engine.ranks().to_vec(),
         passes,
@@ -248,79 +241,49 @@ pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, mode: ExecMode, rec: &R) ->
 }
 
 /// The chaotic half of [`fly`]: the same continuous-update scenario
-/// (same seeds, same injection stream) driven through the
-/// message-level [`Cluster`] under the discrete-event runtime. The
-/// fingerprint maps steps to `passes`, the nodes' emitted remote
-/// entries to `remote_messages`, and additionally pins the executed
-/// event schedule via `schedule_fnv`.
+/// driven through the message-level [`Cluster`] under the
+/// discrete-event runtime. The fingerprint maps steps to `passes`, the
+/// nodes' emitted remote entries to `remote_messages`, and
+/// additionally pins the executed event schedule via `schedule_fnv`.
 fn fly_chaotic<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
-    let w = Workload::paper(cfg.nodes, cfg.num_peers, cfg.seed);
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        cfg.num_peers,
-        EngineConfig::with_epsilon(cfg.epsilon).with_sched(cfg.sched),
-        WireMode::frames(),
-    );
-    cluster.set_codec(cfg.codec);
-    let peers = w.peer_table();
-    let ccfg = ChaoticConfig {
-        seed: cfg.seed,
-        latency: cfg.latency,
-        sched: cfg.sched,
-        epsilon: cfg.epsilon,
+    // Flights frame their traffic; the header records no wire mode.
+    let spec = ScenarioSpec {
+        wire: WireMode::frames(),
+        ..cfg.spec
     };
-    let mut schedule_fnv = SCHEDULE_FNV_SEED;
-    let mut passes = 0u64;
+    let w = spec.workload();
+    let mut cluster = spec.cluster(&w);
+    let peers = w.peer_table();
+    let ccfg = spec.chaotic_config();
+    let (mut passes, mut schedule_fnv) = (0u64, SCHEDULE_FNV_SEED);
     // One detector per segment: Safra's counters are lifetime sums,
     // which balance exactly at each segment's quiescence.
-    let reconverge = |cluster: &mut Cluster, fnv: &mut u64| {
-        let mut det = TerminationDetector::new(cfg.num_peers);
+    let reconverge = |cluster: &mut Cluster, _label: &str| {
+        let mut det = TerminationDetector::new(spec.num_peers);
         let out = run_chaotic(cluster, &peers, &ccfg, &mut det, 1_000_000_000, rec);
         assert!(out.quiesced, "chaotic segment must quiesce");
-        *fnv = fold_schedule_fnv(*fnv, out.schedule_fnv);
-        out.steps
+        schedule_fnv = fold_schedule_fnv(schedule_fnv, out.schedule_fnv);
+        passes += out.steps;
     };
-    passes += reconverge(&mut cluster, &mut schedule_fnv);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xf11e);
-    let stride = cfg.inserts / cfg.checkpoints;
-    let mut injections = Vec::with_capacity(cfg.inserts);
-    for i in 1..=cfg.inserts {
-        let doc = DocId(rng.gen_range(0..cfg.nodes as u32));
-        let delta = rng.gen_range(0.05..0.5);
+    let inject = |cluster: &mut Cluster, doc, delta| {
         cluster.apply_delta(doc, delta);
-        let ev = Event::DocInserted {
-            seq: i as u64,
-            doc: u64::from(doc.0),
-        };
-        if rec.enabled() {
-            rec.event(&ev);
-        }
-        injections.push(ev);
-        if i % stride == 0 || i == cfg.inserts {
-            passes += reconverge(&mut cluster, &mut schedule_fnv);
-        }
-    }
-    let (mut remote, mut local) = (0u64, 0u64);
-    for p in 0..cfg.num_peers as u32 {
-        let stats = cluster.node(dpr_p2p::peer::PeerId(p)).stats();
-        remote += stats.emitted_remote;
-        local += stats.local_updates;
-    }
+    };
+    let injections = fly_course(cfg, rec, &mut cluster, inject, reconverge);
+    let (remote_messages, local_updates) = node_traffic(&cluster);
     FlightOutcome {
-        ranks: cluster.collect_ranks(cfg.nodes),
+        ranks: cluster.collect_ranks(spec.nodes),
         passes,
-        remote_messages: remote,
-        local_updates: local,
+        remote_messages,
+        local_updates,
         schedule_fnv,
         injections,
     }
 }
 
-/// Runs the flight and packages it as a [`Capture`].
-pub fn record(cfg: &FlightConfig, mode: ExecMode) -> (Capture, FlightOutcome) {
-    let out = fly(cfg, mode, &dpr_telemetry::NOOP);
+/// Runs the flight, tracing through `rec`, and packages it as a
+/// [`Capture`].
+pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, FlightOutcome) {
+    let out = fly(cfg, rec);
     let capture = Capture {
         header: cfg.header(),
         injections: out.injections.clone(),
@@ -333,24 +296,36 @@ pub fn record(cfg: &FlightConfig, mode: ExecMode) -> (Capture, FlightOutcome) {
 /// the derived injection stream must equal the recorded one (so the
 /// comparison is about the same run), then every fingerprint field
 /// must agree bit for bit. The error names the first divergence.
-pub fn replay(capture: &Capture, mode: ExecMode) -> Result<FlightOutcome, String> {
-    replay_observed(capture, mode, &dpr_telemetry::NOOP)
-}
-
-/// [`replay`] with a live recorder: the re-execution traces through
-/// `rec` exactly as the original `fly` would have, so a chaotic
-/// capture replays into a full `span_closed` stream — this is how
-/// `dpr profile --replay` turns a one-file repro into a causal
-/// profile. The fingerprint proof is unchanged (recording never
-/// perturbs the run; that is the zero-perturbation contract the
-/// differential tests pin).
-pub fn replay_observed<R: Recorder + ?Sized>(
+///
+/// With `expect_codec`, first refuses captures recorded under a
+/// different wire codec than the one the replayer claims to run.
+/// Compact quantizes updates to `f32`, so a fingerprint recorded under
+/// one codec says nothing about a run under the other — comparing them
+/// would report a phantom determinism bug.
+///
+/// The re-execution traces through `rec` exactly as the original
+/// [`fly`] would have, so a chaotic capture replays into a full
+/// `span_closed` stream — this is how `dpr profile --replay` turns a
+/// one-file repro into a causal profile. The fingerprint proof is
+/// unchanged (recording never perturbs the run; that is the
+/// zero-perturbation contract the differential tests pin).
+pub fn replay<R: Recorder + ?Sized>(
     capture: &Capture,
     mode: ExecMode,
+    expect_codec: Option<WireCodec>,
     rec: &R,
 ) -> Result<FlightOutcome, String> {
-    let cfg = FlightConfig::from_header(&capture.header)?;
-    let out = fly(&cfg, mode, rec);
+    let mut cfg = FlightConfig::from_header(&capture.header)?;
+    if let Some(codec) = expect_codec.filter(|&c| c != cfg.spec.codec) {
+        return Err(format!(
+            "capture was recorded under wire codec \"{}\" but this replay runs \"{codec}\" \
+             — fingerprints are not comparable across codecs; pass --codec {} or \
+             re-record the capture",
+            cfg.spec.codec, cfg.spec.codec
+        ));
+    }
+    cfg.spec.exec = mode;
+    let out = fly(&cfg, rec);
     if out.injections != capture.injections {
         let at = out
             .injections
@@ -383,79 +358,76 @@ pub fn replay_observed<R: Recorder + ?Sized>(
     Ok(out)
 }
 
-/// Like [`replay_observed`], but first refuses captures recorded under a
-/// different wire codec than the one this replayer is running.
-/// Compact quantizes updates to `f32`, so a fingerprint recorded under
-/// one codec says nothing about a run under the other — comparing them
-/// would report a phantom determinism bug.
-pub fn replay_under_codec<R: Recorder + ?Sized>(
-    capture: &Capture,
-    mode: ExecMode,
-    codec: WireCodec,
-    rec: &R,
-) -> Result<FlightOutcome, String> {
-    let cfg = FlightConfig::from_header(&capture.header)?;
-    if cfg.codec != codec {
-        return Err(format!(
-            "capture was recorded under wire codec \"{}\" but this replay runs \"{codec}\" \
-             — fingerprints are not comparable across codecs; pass --codec {} or \
-             re-record the capture",
-            cfg.codec, cfg.codec
-        ));
-    }
-    replay_observed(capture, mode, rec)
-}
-
 /// One audited diagnostic run — the scenario half of `dpr doctor`.
 #[derive(Debug)]
 pub struct DoctorRun {
     /// The monitors' verdict over the run's trace.
     pub report: AuditReport,
-    /// Rounds the cluster executed.
+    /// Rounds the cluster executed (local steps under
+    /// [`RunMode::Chaotic`]).
     pub rounds: usize,
     /// Whether the cluster quiesced within the round budget.
     pub quiesced: bool,
     /// The send index the staged fault fired at, if one was staged and
     /// struck.
     pub fault_fired_at: Option<u64>,
-    /// The full event trace (for `--trace-out`).
+    /// The full event trace.
     pub events: Vec<Event>,
 }
 
-/// Drives the message-level cluster to quiescence with the flight
-/// recorder on, optionally staging one transport `fault`, and audits
-/// the resulting trace. A clean run passes every monitor; each staged
-/// fault is caught by the monitor owning the invariant it breaks.
-/// Runs under the default round loop; see [`doctor_run_mode`] for the
-/// chaotic variant.
+/// Drives the message-level cluster `spec` describes to quiescence
+/// with the flight recorder `rec` on, optionally staging one transport
+/// `fault`, and audits the resulting trace. `spec.run_mode` picks the
+/// barrier loop or the event runtime (whose trace additionally
+/// certifies the event schedule); the monitors are barrier-agnostic,
+/// so the same audit applies to both. A clean run passes every
+/// monitor; each staged fault is caught by the monitor owning the
+/// invariant it breaks.
 pub fn doctor_run(
-    nodes: usize,
-    num_peers: usize,
-    epsilon: f64,
-    seed: u64,
-    wire: WireMode,
-    codec: WireCodec,
+    spec: &ScenarioSpec,
     fault: Option<FaultPlan>,
+    rec: Arc<TraceRecorder>,
 ) -> DoctorRun {
-    doctor_run_mode(
-        nodes,
-        num_peers,
-        epsilon,
-        seed,
-        wire,
-        codec,
-        fault,
-        SchedMode::Pass,
-        RunMode::Rounds,
-        LatencyModel::default(),
-    )
+    let w = spec.workload();
+    let mut cluster = spec.cluster(&w);
+    cluster.set_recorder(rec.clone());
+    if let Some(plan) = fault {
+        cluster.inject_transport_fault(plan);
+    }
+    let mut peers = w.peer_table();
+    let (rounds, quiesced) = match spec.run_mode {
+        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, rec.as_ref()),
+        RunMode::Chaotic => {
+            let mut det = TerminationDetector::new(spec.num_peers);
+            let out = run_chaotic(
+                &mut cluster,
+                &peers,
+                &spec.chaotic_config(),
+                &mut det,
+                1_000_000_000,
+                rec.as_ref(),
+            );
+            (out.steps as usize, out.quiesced)
+        }
+    };
+    let events = rec.events();
+    let mass_tol = match spec.codec {
+        WireCodec::Raw => dpr_telemetry::audit::MASS_TOLERANCE,
+        WireCodec::Compact => dpr_telemetry::audit::COMPACT_MASS_TOLERANCE,
+    };
+    DoctorRun {
+        report: AuditReport::evaluate_with_mass_tolerance(&events, mass_tol),
+        rounds,
+        quiesced,
+        fault_fired_at: cluster.fault_fired_at(),
+        events,
+    }
 }
 
-/// [`doctor_run`] with an explicit run mode: `Rounds` drives the
-/// barrier loop, `Chaotic` the event runtime (where `rounds` in the
-/// result counts local steps and the trace additionally certifies the
-/// event schedule). The monitors are barrier-agnostic, so the same
-/// audit applies to both.
+/// [`doctor_run`] under positional arguments and a recorder of its
+/// own. Kept, with this exact signature, only because the frozen
+/// `perf/` benchmark calls it; the next benchmark PR should move
+/// `perf/` to [`doctor_run`] and delete this.
 #[allow(clippy::too_many_arguments)]
 pub fn doctor_run_mode(
     nodes: usize,
@@ -469,54 +441,15 @@ pub fn doctor_run_mode(
     run_mode: RunMode,
     latency: LatencyModel,
 ) -> DoctorRun {
-    let w = Workload::paper(nodes, num_peers, seed);
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        num_peers,
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
+    let spec = ScenarioSpec {
+        sched,
         wire,
-    );
-    cluster.set_codec(codec);
-    let rec = Arc::new(TraceRecorder::new());
-    cluster.set_recorder(rec.clone());
-    if let Some(plan) = fault {
-        cluster.inject_transport_fault(plan);
-    }
-    let mut peers = w.peer_table();
-    let (rounds, quiesced) = match run_mode {
-        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, rec.as_ref()),
-        RunMode::Chaotic => {
-            let ccfg = ChaoticConfig {
-                seed,
-                latency,
-                sched,
-                epsilon,
-            };
-            let mut det = TerminationDetector::new(num_peers);
-            let out = run_chaotic(
-                &mut cluster,
-                &peers,
-                &ccfg,
-                &mut det,
-                1_000_000_000,
-                rec.as_ref(),
-            );
-            (out.steps as usize, out.quiesced)
-        }
+        codec,
+        run_mode,
+        latency,
+        ..ScenarioSpec::new(nodes, num_peers, epsilon, seed)
     };
-    let events = rec.events();
-    let mass_tol = match codec {
-        WireCodec::Raw => dpr_telemetry::audit::MASS_TOLERANCE,
-        WireCodec::Compact => dpr_telemetry::audit::COMPACT_MASS_TOLERANCE,
-    };
-    DoctorRun {
-        report: AuditReport::evaluate_with_mass_tolerance(&events, mass_tol),
-        rounds,
-        quiesced,
-        fault_fired_at: cluster.fault_fired_at(),
-        events,
-    }
+    doctor_run(&spec, fault, Arc::default())
 }
 
 /// One live profiled run — the scenario half of `dpr profile`.
@@ -530,58 +463,48 @@ pub struct ProfileRun {
     /// The send index the staged fault fired at, if one was staged and
     /// struck.
     pub fault_fired_at: Option<u64>,
+    /// Final per-document ranks.
+    pub ranks: Vec<f64>,
+    /// Remote entries the peers emitted (the paper's traffic metric,
+    /// counted identically to the round-driven cluster runs).
+    pub remote_messages: u64,
 }
 
-/// Drives one chaotic reconvergence of the paper workload with span
-/// tracing forced on and returns its causal profile. This is the live
-/// half of `dpr profile`; the offline halves consume a Capture v3
-/// ([`replay_observed`]) or an already-recorded trace JSONL. A staged
-/// transport `fault` lets the profiler show *where* the virtual time
-/// goes when a frame is lost (the settle phase's probe circuits
-/// dominate the critical path instead of compute).
-#[allow(clippy::too_many_arguments)]
-pub fn profile_run(
-    nodes: usize,
-    num_peers: usize,
-    epsilon: f64,
-    seed: u64,
-    sched: SchedMode,
-    codec: WireCodec,
-    latency: LatencyModel,
+/// Drives one chaotic reconvergence of the cluster `spec` describes
+/// over `w` with span tracing forced on and returns its causal profile
+/// (critical-path compute/wire/wait attribution of the virtual
+/// wall-clock). This is the live half of `dpr profile`; the offline
+/// halves consume a Capture v3 ([`replay`]) or an already-recorded
+/// trace JSONL. A staged transport `fault` lets the profiler show
+/// *where* the virtual time goes when a frame is lost (the settle
+/// phase's probe circuits dominate the critical path instead of
+/// compute).
+pub fn profile_run<R: Recorder + ?Sized>(
+    w: &Workload,
+    spec: &ScenarioSpec,
     fault: Option<FaultPlan>,
+    rec: &R,
 ) -> ProfileRun {
-    let w = Workload::paper(nodes, num_peers, seed);
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        num_peers,
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
-        WireMode::frames(),
-    );
-    cluster.set_codec(codec);
+    let mut cluster = spec.cluster(w);
     if let Some(plan) = fault {
         cluster.inject_transport_fault(plan);
     }
     let peers = w.peer_table();
-    let ccfg = ChaoticConfig {
-        seed,
-        latency,
-        sched,
-        epsilon,
-    };
-    let mut det = TerminationDetector::new(num_peers);
+    let mut det = TerminationDetector::new(w.num_peers);
     let (outcome, profile) = run_chaotic_profiled(
         &mut cluster,
         &peers,
-        &ccfg,
+        &spec.chaotic_config(),
         &mut det,
         1_000_000_000,
-        &dpr_telemetry::NOOP,
+        rec,
     );
     ProfileRun {
         outcome,
         profile,
         fault_fired_at: cluster.fault_fired_at(),
+        ranks: cluster.collect_ranks(w.graph.num_nodes()),
+        remote_messages: node_traffic(&cluster).0,
     }
 }
 
@@ -594,13 +517,14 @@ mod tests {
     #[test]
     fn capture_replays_bit_identically_across_exec_modes() {
         let cfg = FlightConfig::smoke();
-        let (capture, original) = record(&cfg, ExecMode::Sequential);
+        let (capture, original) = record(&cfg, &dpr_telemetry::NOOP);
         assert_eq!(capture.injections.len(), cfg.inserts);
 
         // Through the JSONL round trip, in both executors.
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
         for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-            let out = replay(&parsed, mode).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+            let out = replay(&parsed, mode, None, &dpr_telemetry::NOOP)
+                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert_eq!(
                 out.ranks, original.ranks,
                 "{mode:?} ranks must be bitwise equal"
@@ -611,35 +535,35 @@ mod tests {
 
     #[test]
     fn replay_detects_a_tampered_fingerprint() {
-        let (mut capture, _) = record(&FlightConfig::smoke(), ExecMode::Sequential);
+        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.fingerprint.remote_messages += 1;
-        let err = replay(&capture, ExecMode::Sequential).unwrap_err();
+        let err = replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("remote_messages"), "{err}");
 
-        let (mut capture, _) = record(&FlightConfig::smoke(), ExecMode::Sequential);
+        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.injections.swap(0, 1);
-        let err = replay(&capture, ExecMode::Sequential).unwrap_err();
+        let err = replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("index 0"), "{err}");
     }
 
     #[test]
     fn replay_refuses_a_codec_mismatch() {
-        let (capture, _) = record(&FlightConfig::smoke(), ExecMode::Sequential);
+        let (capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         assert_eq!(capture.header.codec, "raw");
-        let err = replay_under_codec(
+        let err = replay(
             &capture,
             ExecMode::Sequential,
-            WireCodec::Compact,
+            Some(WireCodec::Compact),
             &dpr_telemetry::NOOP,
         )
         .unwrap_err();
         assert!(err.contains("recorded under wire codec \"raw\""), "{err}");
         assert!(err.contains("--codec raw"), "{err}");
         // The matching codec replays fine.
-        replay_under_codec(
+        replay(
             &capture,
             ExecMode::Sequential,
-            WireCodec::Raw,
+            Some(WireCodec::Raw),
             &dpr_telemetry::NOOP,
         )
         .unwrap();
@@ -647,91 +571,73 @@ mod tests {
 
     #[test]
     fn compact_doctor_run_is_clean_under_its_own_tolerance() {
-        let run = doctor_run(
-            600,
-            8,
-            1e-4,
-            21,
-            WireMode::frames(),
-            WireCodec::Compact,
-            None,
-        );
+        let spec = ScenarioSpec {
+            codec: WireCodec::Compact,
+            ..ScenarioSpec::new(600, 8, 1e-4, 21)
+        };
+        let run = doctor_run(&spec, None, Arc::default());
         assert!(run.quiesced);
         assert!(run.report.passed(), "{}", run.report.diagnosis());
     }
 
     #[test]
     fn replay_refuses_foreign_scenarios() {
-        let (mut capture, _) = record(&FlightConfig::smoke(), ExecMode::Sequential);
+        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.header.scenario = "other".into();
-        assert!(replay(&capture, ExecMode::Sequential)
-            .unwrap_err()
-            .contains("scenario"));
+        assert!(
+            replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP)
+                .unwrap_err()
+                .contains("scenario")
+        );
     }
 
     #[test]
     fn chaotic_capture_records_the_event_schedule_and_replays() {
         let cfg = FlightConfig {
-            nodes: 400,
-            num_peers: 10,
+            spec: ScenarioSpec {
+                sched: SchedMode::Priority,
+                run_mode: RunMode::Chaotic,
+                latency: LatencyModel::Lan,
+                ..ScenarioSpec::new(400, 10, 1e-4, 11)
+            },
             inserts: 2,
             checkpoints: 1,
-            epsilon: 1e-4,
-            seed: 11,
-            sched: SchedMode::Priority,
-            codec: WireCodec::Raw,
-            run_mode: RunMode::Chaotic,
-            latency: LatencyModel::Lan,
         };
-        let (capture, original) = record(&cfg, ExecMode::Sequential);
+        let (capture, original) = record(&cfg, &dpr_telemetry::NOOP);
         assert_eq!(capture.header.run_mode, "chaotic");
         assert_eq!(capture.header.latency, "lan");
         assert_ne!(capture.fingerprint.schedule_fnv, 0);
 
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
-        let out = replay(&parsed, ExecMode::Sequential).unwrap();
+        let out = replay(&parsed, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap();
         assert_eq!(out.ranks, original.ranks, "chaotic replay is bit-exact");
 
         // A replay that executed a different schedule is named
         // precisely, even if it happened to reach the same ranks.
         let mut bad = capture.clone();
         bad.fingerprint.schedule_fnv ^= 1;
-        let err = replay(&bad, ExecMode::Sequential).unwrap_err();
+        let err = replay(&bad, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("schedule_fnv"), "{err}");
     }
 
     #[test]
     fn chaotic_doctor_run_audits_clean_and_localizes_lost_frames() {
-        let clean = doctor_run_mode(
-            600,
-            8,
-            1e-4,
-            21,
-            WireMode::frames(),
-            WireCodec::Raw,
-            None,
-            SchedMode::Pass,
-            RunMode::Chaotic,
-            LatencyModel::Broadband,
-        );
+        let spec = ScenarioSpec {
+            run_mode: RunMode::Chaotic,
+            ..ScenarioSpec::new(600, 8, 1e-4, 21)
+        };
+        let clean = doctor_run(&spec, None, Arc::default());
         assert!(clean.quiesced);
         assert!(clean.rounds > 0, "chaotic doctor reports steps");
         assert!(clean.report.passed(), "{}", clean.report.diagnosis());
 
-        let sick = doctor_run_mode(
-            600,
-            8,
-            1e-4,
-            21,
-            WireMode::frames(),
-            WireCodec::Raw,
+        let sick = doctor_run(
+            &spec,
             Some(FaultPlan {
                 kind: FaultKind::LostFrame,
                 nth_send: 25,
             }),
-            SchedMode::Pass,
-            RunMode::Chaotic,
-            LatencyModel::Broadband,
+            Arc::default(),
         );
         assert!(sick.fault_fired_at.is_some());
         assert!(!sick.report.passed());
@@ -745,16 +651,12 @@ mod tests {
 
     #[test]
     fn profile_run_is_exact_and_chaotic_replay_streams_spans() {
-        let run = profile_run(
-            400,
-            8,
-            1e-4,
-            21,
-            SchedMode::Priority,
-            WireCodec::Raw,
-            LatencyModel::Lan,
-            None,
-        );
+        let spec = ScenarioSpec {
+            sched: SchedMode::Priority,
+            latency: LatencyModel::Lan,
+            ..ScenarioSpec::new(400, 8, 1e-4, 21)
+        };
+        let run = profile_run(&spec.workload(), &spec, None, &dpr_telemetry::NOOP);
         assert!(run.outcome.quiesced);
         assert!(run.fault_fired_at.is_none());
         assert!(run.profile.breakdown_is_exact());
@@ -768,20 +670,18 @@ mod tests {
         // full span stream: one profile segment per reconvergence, and
         // every segment telescopes exactly.
         let cfg = FlightConfig {
-            nodes: 400,
-            num_peers: 10,
+            spec: ScenarioSpec {
+                sched: SchedMode::Priority,
+                run_mode: RunMode::Chaotic,
+                latency: LatencyModel::Lan,
+                ..ScenarioSpec::new(400, 10, 1e-4, 11)
+            },
             inserts: 2,
             checkpoints: 1,
-            epsilon: 1e-4,
-            seed: 11,
-            sched: SchedMode::Priority,
-            codec: WireCodec::Raw,
-            run_mode: RunMode::Chaotic,
-            latency: LatencyModel::Lan,
         };
-        let (capture, _) = record(&cfg, ExecMode::Sequential);
+        let (capture, _) = record(&cfg, &dpr_telemetry::NOOP);
         let rec = TraceRecorder::new();
-        replay_observed(&capture, ExecMode::Sequential, &rec).unwrap();
+        replay(&capture, ExecMode::Sequential, None, &rec).unwrap();
         let segments = Profile::segments_from_events(&rec.events()).unwrap();
         assert_eq!(segments.len(), 2, "initial solve plus one checkpoint");
         for seg in &segments {
@@ -792,22 +692,19 @@ mod tests {
 
     #[test]
     fn doctor_run_is_clean_without_faults_and_localizes_with_them() {
-        let clean = doctor_run(600, 8, 1e-4, 21, WireMode::frames(), WireCodec::Raw, None);
+        let spec = ScenarioSpec::new(600, 8, 1e-4, 21);
+        let clean = doctor_run(&spec, None, Arc::default());
         assert!(clean.quiesced);
         assert!(clean.report.passed(), "{}", clean.report.diagnosis());
         assert!(clean.fault_fired_at.is_none());
 
         let sick = doctor_run(
-            600,
-            8,
-            1e-4,
-            21,
-            WireMode::frames(),
-            WireCodec::Raw,
+            &spec,
             Some(FaultPlan {
                 kind: FaultKind::LostFrame,
                 nth_send: 25,
             }),
+            Arc::default(),
         );
         assert!(sick.fault_fired_at.is_some());
         assert!(!sick.report.passed());

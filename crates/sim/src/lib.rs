@@ -6,6 +6,10 @@
 //! with optional churn, and measure convergence, quality, traffic,
 //! incremental updates, and search behaviour.
 //!
+//! * [`spec`] — the one validated scenario description every driver,
+//!   `dpr` subcommand and bench sweep builds its run from.
+//! * [`flags`] — the one `--key value` parser and output/trace sink
+//!   behind the `dpr` subcommands and the experiment binaries.
 //! * [`workload`] — graph + placement construction for a given scale.
 //! * [`churn`] — per-pass peer presence schedules.
 //! * [`hops`] — overlay hop accounting: routed-every-message vs the
@@ -23,7 +27,6 @@
 //! * [`serving`] — production query traffic served against the live
 //!   rank computation: latency SLOs, quantile sketches, and per-query
 //!   causal spans (`dpr serve`).
-//! * [`metrics`] — plain-text table rendering for experiment output.
 //! * [`report`] — JSON persistence of experiment records.
 
 #![warn(missing_docs)]
@@ -31,15 +34,15 @@
 pub mod batch;
 pub mod churn;
 pub mod event;
+pub mod flags;
 pub mod flight;
 pub mod hops;
-pub mod metrics;
 pub mod report;
 pub mod scenario;
 pub mod serving;
+pub mod spec;
 pub mod workload;
 
-pub use scenario::{
-    convergence_experiment, insert_experiment, quality_experiment, search_experiment,
-};
+pub use scenario::{insert_experiment, search_experiment};
+pub use spec::{ScenarioSpec, SpecError};
 pub use workload::Workload;

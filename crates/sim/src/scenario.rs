@@ -4,14 +4,14 @@
 //! serializable record; the `table*` binaries in `dpr-bench` print
 //! these as the paper's tables.
 
+use crate::batch::batching_experiment;
 use crate::churn::Schedule;
+use crate::spec::ScenarioSpec;
 use crate::workload::Workload;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats::{self, ErrorDistribution};
 use dpr_core::incremental::{propagate, PropagationConfig};
-use dpr_core::parallel::ExecMode;
 use dpr_core::sync_solver::SyncSolver;
-use dpr_core::SchedMode;
 use dpr_graph::{CsrGraph, DocId};
 use dpr_p2p::ring::Ring;
 use dpr_search::corpus::{generate_queries, Corpus, CorpusConfig};
@@ -19,7 +19,7 @@ use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
-use dpr_telemetry::{Event, Recorder, NOOP};
+use dpr_telemetry::{Event, Recorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -48,81 +48,41 @@ pub struct ConvergenceResult {
     pub messages_per_node: f64,
 }
 
-/// Runs the Table 1 experiment for one (size, presence) cell.
-pub fn convergence_experiment(
-    nodes: usize,
-    num_peers: usize,
-    epsilon: f64,
-    presence: f64,
-    seed: u64,
-) -> ConvergenceResult {
-    let w = Workload::paper(nodes, num_peers, seed);
-    run_convergence(&w, epsilon, presence, seed)
-}
-
-/// Table 1 cell on a pre-built workload (lets one graph serve several
-/// presence levels, as in the paper).
-pub fn run_convergence(w: &Workload, epsilon: f64, presence: f64, seed: u64) -> ConvergenceResult {
-    run_convergence_with(w, epsilon, presence, seed, ExecMode::Sequential)
-}
-
-/// [`run_convergence`] under an explicit execution mode. The sharded
-/// executor is bit-identical to the sequential engine, so the result
-/// is the same for every mode — parallel only arrives sooner.
-pub fn run_convergence_with(
+/// Runs one Table 1 cell — `spec` at one presence level — on a
+/// pre-built workload (lets one graph serve several presence levels,
+/// as in the paper), under `spec.exec`: the sharded executor is
+/// bit-identical to the sequential engine, so the result is the same
+/// for every mode — parallel only arrives sooner. Under
+/// [`SchedMode::Priority`](dpr_core::SchedMode::Priority) each pass
+/// processes only the top residual-mass buckets (same fixed point to
+/// O(ε), fewer messages).
+///
+/// Traced through `rec`: every pass emits `pass_completed` /
+/// `convergence_check` events under `run_label`, and presence churn
+/// shows up as `peer_churn` flips.
+pub fn run_convergence<R: Recorder + ?Sized>(
     w: &Workload,
-    epsilon: f64,
+    spec: &ScenarioSpec,
     presence: f64,
-    seed: u64,
-    mode: ExecMode,
-) -> ConvergenceResult {
-    run_convergence_observed(
-        w,
-        epsilon,
-        presence,
-        seed,
-        mode,
-        SchedMode::Pass,
-        &NOOP,
-        "convergence",
-    )
-}
-
-/// [`run_convergence_with`] traced through `rec`: every pass emits
-/// `pass_completed` / `convergence_check` events under `run_label`,
-/// and presence churn shows up as `peer_churn` flips. With the no-op
-/// recorder this is exactly [`run_convergence_with`]. Under
-/// [`SchedMode::Priority`] each pass processes only the top
-/// residual-mass buckets (same fixed point to O(ε), fewer messages).
-#[allow(clippy::too_many_arguments)]
-pub fn run_convergence_observed<R: Recorder + ?Sized>(
-    w: &Workload,
-    epsilon: f64,
-    presence: f64,
-    seed: u64,
-    mode: ExecMode,
-    sched: SchedMode,
     rec: &R,
     run_label: &str,
 ) -> ConvergenceResult {
-    let mut engine = ChaoticEngine::new(
-        w.graph.clone(),
-        w.owners(),
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
-    );
+    let mut engine = spec.engine(w);
     let mut peers = w.peer_table();
     let mut schedule = if presence < 1.0 {
-        Schedule::fraction(presence, seed ^ 0xc0ffee)
+        Schedule::fraction(presence, spec.seed ^ 0xc0ffee)
     } else {
         Schedule::always_on()
     };
     let mut churn = |_pass: usize, p: &mut dpr_p2p::peer::PeerTable| schedule.apply(p);
-    let run = mode.run_observed(&mut engine, &mut peers, Some(&mut churn), rec, run_label);
+    let run = spec
+        .exec
+        .run_observed(&mut engine, &mut peers, Some(&mut churn), rec, run_label);
     ConvergenceResult {
         graph_size: w.graph.num_nodes(),
         num_peers: w.num_peers,
         presence,
-        epsilon,
+        epsilon: spec.epsilon,
         passes: run.passes,
         converged: run.converged,
         total_remote_messages: run.total_remote_messages,
@@ -132,36 +92,6 @@ pub fn run_convergence_observed<R: Recorder + ?Sized>(
 
 // ---------------------------------------------------------------------------
 // Table 1 under the chaotic runtime: transient churn as events
-
-/// Parameters of a chaotic-runtime churn run (Table 1's cell under
-/// `--run-mode chaotic` instead of lockstep rounds).
-#[derive(Debug, Clone)]
-pub struct ChaoticChurnConfig {
-    /// Error threshold ε.
-    pub epsilon: f64,
-    /// The network model (drives both link latency and the churn
-    /// redraw cadence, one coalesce window per redraw).
-    pub latency: crate::event::LatencyModel,
-    /// Scheduling mode.
-    pub sched: SchedMode,
-    /// Presence redraws before the system is left to settle (the
-    /// final redraw restores every peer).
-    pub redraws: u32,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for ChaoticChurnConfig {
-    fn default() -> Self {
-        ChaoticChurnConfig {
-            epsilon: 1e-4,
-            latency: crate::event::LatencyModel::Broadband,
-            sched: SchedMode::Pass,
-            redraws: 8,
-            seed: 2003,
-        }
-    }
-}
 
 /// One Table 1 cell measured on the discrete-event runtime.
 #[derive(Debug, Clone, Serialize)]
@@ -188,48 +118,42 @@ pub struct ChaoticChurnResult {
     pub schedule_fnv: u64,
 }
 
-/// Runs Table 1's churn experiment on the chaotic event runtime: peer
-/// presence is redrawn from `schedule` as *transient* `Churn` events
-/// (offline peers buffer in-flight work via store-and-resend and catch
-/// up on return), rather than the rounds-mode per-pass redraw. Accepts
-/// any [`Schedule`] — `fraction` for Table 1's presence levels,
-/// `sessions` for the exponential session-length model.
-pub fn run_convergence_chaotic_observed<R: Recorder + ?Sized>(
+/// Runs Table 1's churn experiment on the chaotic event runtime
+/// (Table 1's cell under `--run-mode chaotic` instead of lockstep
+/// rounds): peer presence is redrawn from `schedule` as *transient*
+/// `Churn` events (offline peers buffer in-flight work via
+/// store-and-resend and catch up on return), rather than the
+/// rounds-mode per-pass redraw. `spec.latency` drives both link
+/// latency and the redraw cadence — one coalesce window per redraw,
+/// `redraws` of them before the system is left to settle (the final
+/// redraw restores every peer). Accepts any [`Schedule`] — `fraction`
+/// for Table 1's presence levels, `sessions` for the exponential
+/// session-length model.
+pub fn run_convergence_chaotic<R: Recorder + ?Sized>(
     w: &Workload,
-    cfg: &ChaoticChurnConfig,
+    spec: &ScenarioSpec,
+    redraws: u32,
     schedule: Schedule,
     rec: &R,
 ) -> ChaoticChurnResult {
-    use crate::event::{run_chaotic_serving, ChaoticConfig, ChurnPlan, ServingHooks};
-    use dpr_node::node::WireMode;
+    use crate::event::{run_chaotic_serving, ChurnPlan, ServingHooks};
     use dpr_node::termination::TerminationDetector;
 
     let nominal_presence = schedule.nominal_fraction();
-    let mut cluster = dpr_node::Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        w.num_peers,
-        EngineConfig::with_epsilon(cfg.epsilon).with_sched(cfg.sched),
-        WireMode::frames(),
-    );
+    let mut cluster = spec.cluster(w);
     let mut peers = w.peer_table();
     let mut detector = TerminationDetector::new(w.num_peers);
-    let every_ns = cfg.latency.coalesce_window_ns();
-    let churn = (cfg.redraws > 0).then(|| ChurnPlan {
+    let every_ns = spec.latency.coalesce_window_ns();
+    let churn = (redraws > 0).then(|| ChurnPlan {
         schedule,
         every_ns,
-        until_ns: every_ns.saturating_mul(u64::from(cfg.redraws)),
+        until_ns: every_ns.saturating_mul(u64::from(redraws)),
     });
     let mut on_query = |_q: u32, _at: u64, _c: &dpr_node::Cluster| {};
     let out = run_chaotic_serving(
         &mut cluster,
         &mut peers,
-        &ChaoticConfig {
-            seed: cfg.seed,
-            latency: cfg.latency,
-            sched: cfg.sched,
-            epsilon: cfg.epsilon,
-        },
+        &spec.chaotic_config(),
         &mut detector,
         1_000_000_000,
         rec,
@@ -243,8 +167,8 @@ pub fn run_convergence_chaotic_observed<R: Recorder + ?Sized>(
         graph_size: w.graph.num_nodes(),
         num_peers: w.num_peers,
         nominal_presence,
-        epsilon: cfg.epsilon,
-        latency: cfg.latency.to_string(),
+        epsilon: spec.epsilon,
+        latency: spec.latency.to_string(),
         steps: out.steps,
         deliveries: out.deliveries,
         virtual_ms: out.virtual_ns as f64 / 1e6,
@@ -283,9 +207,9 @@ pub struct QualitySweep {
 }
 
 impl QualitySweep {
-    /// Builds the workload and its synchronous reference solution.
-    pub fn new(nodes: usize, num_peers: usize, seed: u64) -> Self {
-        let workload = Workload::paper(nodes, num_peers, seed);
+    /// Builds `spec`'s workload and its synchronous reference solution.
+    pub fn new(spec: &ScenarioSpec) -> Self {
+        let workload = spec.workload();
         let reference = SyncSolver::new()
             .tolerance(1e-12)
             .max_iterations(1000)
@@ -297,62 +221,62 @@ impl QualitySweep {
         }
     }
 
-    /// The workload under test.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The reference ranks `R_c`.
-    pub fn reference(&self) -> &[f64] {
-        &self.reference
-    }
-
-    /// Runs the distributed engine at `epsilon` and scores it.
-    pub fn run(&self, epsilon: f64) -> QualityResult {
-        self.run_with(epsilon, ExecMode::Sequential)
-    }
-
-    /// [`QualitySweep::run`] under an explicit execution mode; scores
-    /// are identical for every mode (bit-identical executor).
-    pub fn run_with(&self, epsilon: f64, mode: ExecMode) -> QualityResult {
-        self.run_observed(epsilon, mode, SchedMode::Pass, &NOOP, "quality")
-    }
-
-    /// [`QualitySweep::run_with`] traced through `rec` under
-    /// `run_label`; the scored result is unchanged by observation.
-    /// `sched` picks the pass scheduler — [`SchedMode::Priority`]
-    /// reaches the same fixed point to O(ε) with fewer messages.
-    pub fn run_observed<R: Recorder + ?Sized>(
+    /// Runs the distributed engine at `spec`'s ε, scheduler and
+    /// executor over the sweep's workload and scores it, traced
+    /// through `rec` under `run_label`. Scores are identical for every
+    /// executor (bit-identical) and unchanged by observation;
+    /// [`SchedMode::Priority`](dpr_core::SchedMode::Priority) reaches
+    /// the same fixed point to O(ε) with fewer messages.
+    pub fn run<R: Recorder + ?Sized>(
         &self,
-        epsilon: f64,
-        mode: ExecMode,
-        sched: SchedMode,
+        spec: &ScenarioSpec,
         rec: &R,
         run_label: &str,
     ) -> QualityResult {
-        let mut engine = ChaoticEngine::new(
-            self.workload.graph.clone(),
-            self.workload.owners(),
-            EngineConfig::with_epsilon(epsilon).with_sched(sched),
-        );
+        let mut engine = spec.engine(&self.workload);
         let mut peers = self.workload.peer_table();
-        let run = mode.run_observed(&mut engine, &mut peers, None, rec, run_label);
+        let run = spec
+            .exec
+            .run_observed(&mut engine, &mut peers, None, rec, run_label);
         assert!(run.converged, "static run must converge");
         let distribution = error_stats::compare(engine.ranks(), &self.reference);
         QualityResult {
             graph_size: self.workload.graph.num_nodes(),
-            epsilon,
+            epsilon: spec.epsilon,
             passes: run.passes,
             total_remote_messages: run.total_remote_messages,
             messages_per_node: run.messages_per_node(self.workload.graph.num_nodes()),
             distribution,
         }
     }
+
+    /// Runs the message-level cluster at `spec`'s ε and scheduler in
+    /// both wire modes (unbatched singles and `spec.wire`'s capped
+    /// frames; see [`batching_experiment`]), asserts their ranks are
+    /// bit-identical, and scores them against the synchronous
+    /// reference — a Table 3 row with frames and bytes columns. The
+    /// *batched* run is traced through `rec`.
+    ///
+    /// Cluster rounds deliver within the round (a different, equally
+    /// valid chaotic schedule than the array engine), so the scored
+    /// error matches [`QualitySweep::run`] to O(ε), not bitwise.
+    pub fn run_batched(
+        &self,
+        spec: &ScenarioSpec,
+        rec: Option<std::sync::Arc<dyn Recorder>>,
+    ) -> BatchedQualityResult {
+        let (report, batched) = batching_experiment(&self.workload, spec, rec);
+        BatchedQualityResult {
+            epsilon: spec.epsilon,
+            report,
+            distribution: error_stats::compare(&batched.ranks, &self.reference),
+        }
+    }
 }
 
 /// One (graph, ε, frame-cap) run of the *batched* wire path: the
 /// quality scoring of [`QualityResult`] plus the batched-vs-unbatched
-/// traffic comparison — a Table 3 row with frames and bytes columns.
+/// traffic comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchedQualityResult {
     /// Error threshold ε.
@@ -362,89 +286,6 @@ pub struct BatchedQualityResult {
     /// Relative-error distribution of the batched cluster's ranks vs
     /// the synchronous reference.
     pub distribution: ErrorDistribution,
-}
-
-impl QualitySweep {
-    /// Runs the message-level cluster at `epsilon` in both wire modes
-    /// (unbatched singles and frames capped at `max_frame_bytes`),
-    /// asserts their ranks are bit-identical, and scores them against
-    /// the synchronous reference.
-    ///
-    /// Cluster rounds deliver within the round (a different, equally
-    /// valid chaotic schedule than the array engine), so the scored
-    /// error matches [`QualitySweep::run`] to O(ε), not bitwise.
-    pub fn run_batched(
-        &self,
-        epsilon: f64,
-        max_frame_bytes: usize,
-        sched: SchedMode,
-    ) -> BatchedQualityResult {
-        self.batched_inner(epsilon, max_frame_bytes, sched, None)
-    }
-
-    /// [`QualitySweep::run_batched`] with the *batched* run traced
-    /// through `rec` (the unbatched baseline stays untraced so the
-    /// trace's frame/round series describes one coherent run).
-    pub fn run_batched_observed(
-        &self,
-        epsilon: f64,
-        max_frame_bytes: usize,
-        sched: SchedMode,
-        rec: std::sync::Arc<dyn Recorder>,
-    ) -> BatchedQualityResult {
-        self.batched_inner(epsilon, max_frame_bytes, sched, Some(rec))
-    }
-
-    fn batched_inner(
-        &self,
-        epsilon: f64,
-        max_frame_bytes: usize,
-        sched: SchedMode,
-        rec: Option<std::sync::Arc<dyn Recorder>>,
-    ) -> BatchedQualityResult {
-        use dpr_node::node::WireMode;
-        let unbatched = crate::batch::run_wire_mode_sched(
-            &self.workload,
-            epsilon,
-            sched,
-            WireMode::Single,
-            false,
-        );
-        let frames = WireMode::Frames { max_frame_bytes };
-        let batched = match rec {
-            Some(rec) => crate::batch::run_wire_mode_sched_observed(
-                &self.workload,
-                epsilon,
-                sched,
-                frames,
-                true,
-                rec,
-            ),
-            None => crate::batch::run_wire_mode_sched(&self.workload, epsilon, sched, frames, true),
-        };
-        let report = crate::batch::compare_runs(
-            &self.workload,
-            epsilon,
-            max_frame_bytes,
-            &unbatched,
-            &batched,
-        );
-        BatchedQualityResult {
-            epsilon,
-            report,
-            distribution: error_stats::compare(&batched.ranks, &self.reference),
-        }
-    }
-}
-
-/// Single-shot convenience for one (size, ε) cell.
-pub fn quality_experiment(
-    nodes: usize,
-    num_peers: usize,
-    epsilon: f64,
-    seed: u64,
-) -> QualityResult {
-    QualitySweep::new(nodes, num_peers, seed).run(epsilon)
 }
 
 // ---------------------------------------------------------------------------
@@ -634,77 +475,33 @@ pub struct ContinuousPoint {
 }
 
 /// The "continuously accurate pageranks" experiment (abstract): after
-/// initial convergence, keep inserting documents with random
+/// initial convergence of `spec`'s graph (on one local engine — the
+/// peer count plays no part), keep inserting documents with random
 /// out-links, maintain ranks *only* with incremental waves, and
 /// measure how far they drift from a from-scratch recompute — and how
-/// many messages each approach costs.
-pub fn continuous_update_experiment(
-    nodes: usize,
+/// many messages each approach costs. Both the initial solve and every
+/// checkpoint's reference recompute run under `spec.exec` and
+/// `spec.sched`; the measured numbers are identical for every
+/// executor (bit-identical).
+///
+/// Traced through `rec`: the initial solve runs under the label
+/// `"initial"`, each insert emits a `doc_inserted` event (the trace's
+/// injection marker), and every checkpoint's from-scratch reference
+/// runs under `"recompute@<i>"`. Because each labeled run converges
+/// monotonically, the residual series after the last injection event
+/// is non-increasing — the invariant [`dpr_telemetry::TraceSummary`]
+/// checks.
+pub fn continuous_update_experiment<R: Recorder + ?Sized>(
+    spec: &ScenarioSpec,
     inserts: usize,
     checkpoints: usize,
-    epsilon: f64,
-    seed: u64,
-) -> Vec<ContinuousPoint> {
-    continuous_update_experiment_with(
-        nodes,
-        inserts,
-        checkpoints,
-        epsilon,
-        seed,
-        ExecMode::Sequential,
-    )
-}
-
-/// [`continuous_update_experiment`] under an explicit execution mode.
-/// Both the initial solve and every checkpoint's from-scratch
-/// reference recompute run through `mode`; the measured numbers are
-/// identical for every mode (bit-identical executor).
-pub fn continuous_update_experiment_with(
-    nodes: usize,
-    inserts: usize,
-    checkpoints: usize,
-    epsilon: f64,
-    seed: u64,
-    mode: ExecMode,
-) -> Vec<ContinuousPoint> {
-    continuous_update_experiment_observed(
-        nodes,
-        inserts,
-        checkpoints,
-        epsilon,
-        seed,
-        mode,
-        SchedMode::Pass,
-        &NOOP,
-    )
-}
-
-/// [`continuous_update_experiment_with`] traced through `rec`: the
-/// initial solve runs under the label `"initial"`, each insert emits a
-/// `doc_inserted` event (the trace's injection marker), and every
-/// checkpoint's from-scratch reference runs under `"recompute@<i>"`.
-/// Because each labeled run converges monotonically, the residual
-/// series after the last injection event is non-increasing — the
-/// invariant [`dpr_telemetry::TraceSummary`] checks. Both the initial
-/// solve and every checkpoint's reference recompute run under `sched`.
-#[allow(clippy::too_many_arguments)]
-pub fn continuous_update_experiment_observed<R: Recorder + ?Sized>(
-    nodes: usize,
-    inserts: usize,
-    checkpoints: usize,
-    epsilon: f64,
-    seed: u64,
-    mode: ExecMode,
-    sched: SchedMode,
     rec: &R,
 ) -> Vec<ContinuousPoint> {
     use dpr_core::incremental::insert_document;
     assert!(checkpoints >= 1 && inserts >= checkpoints);
-    let base = dpr_graph::powerlaw::PowerLawConfig::paper(nodes, seed).generate();
-    let mut engine = ChaoticEngine::local(
-        std::sync::Arc::new(base.clone()),
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
-    );
+    let (epsilon, mode) = (spec.epsilon, spec.exec);
+    let base = dpr_graph::powerlaw::PowerLawConfig::paper(spec.nodes, spec.seed).generate();
+    let mut engine = ChaoticEngine::local(std::sync::Arc::new(base.clone()), spec.engine_config());
     let initial_run = mode.run_static_observed(&mut engine, rec, "initial");
     assert!(initial_run.converged);
 
@@ -714,7 +511,7 @@ pub fn continuous_update_experiment_observed<R: Recorder + ?Sized>(
         damping: dpr_core::DEFAULT_DAMPING,
         epsilon,
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xabc);
+    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed ^ 0xabc);
     let mut wave_messages = 0u64;
     let mut points = Vec::with_capacity(checkpoints);
     let stride = inserts / checkpoints;
@@ -741,10 +538,8 @@ pub fn continuous_update_experiment_observed<R: Recorder + ?Sized>(
         if i % stride == 0 || i == inserts {
             // Reference: full recompute of the *current* graph.
             let snapshot = graph.to_csr();
-            let mut fresh = ChaoticEngine::local(
-                std::sync::Arc::new(snapshot),
-                EngineConfig::with_epsilon(epsilon).with_sched(sched),
-            );
+            let mut fresh =
+                ChaoticEngine::local(std::sync::Arc::new(snapshot), spec.engine_config());
             let recompute_run =
                 mode.run_static_observed(&mut fresh, rec, &format!("recompute@{i}"));
             assert!(recompute_run.converged);
@@ -781,12 +576,16 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpr_core::parallel::ExecMode;
+    use dpr_core::SchedMode;
+    use dpr_telemetry::NOOP;
 
     #[test]
     fn convergence_scales_with_presence() {
-        let w = Workload::paper(2_000, 100, 1);
-        let full = run_convergence(&w, 1e-3, 1.0, 1);
-        let half = run_convergence(&w, 1e-3, 0.5, 1);
+        let spec = ScenarioSpec::new(2_000, 100, 1e-3, 1);
+        let w = spec.workload();
+        let full = run_convergence(&w, &spec, 1.0, &NOOP, "convergence");
+        let half = run_convergence(&w, &spec, 0.5, &NOOP, "convergence");
         assert!(full.converged && half.converged);
         assert!(
             half.passes > full.passes,
@@ -802,16 +601,18 @@ mod tests {
 
     #[test]
     fn exec_modes_agree_on_every_reported_number() {
-        let w = Workload::paper(2_000, 100, 4);
-        let seq = run_convergence_with(&w, 1e-3, 0.75, 4, ExecMode::Sequential);
-        let par = run_convergence_with(&w, 1e-3, 0.75, 4, ExecMode::Parallel(4));
+        let spec = ScenarioSpec::new(2_000, 100, 1e-3, 4);
+        let on = |exec| ScenarioSpec { exec, ..spec };
+        let w = spec.workload();
+        let seq = run_convergence(&w, &spec, 0.75, &NOOP, "convergence");
+        let par = run_convergence(&w, &on(ExecMode::Parallel(4)), 0.75, &NOOP, "convergence");
         assert_eq!(seq.passes, par.passes);
         assert_eq!(seq.total_remote_messages, par.total_remote_messages);
         assert_eq!(seq.messages_per_node, par.messages_per_node);
 
-        let sweep = QualitySweep::new(2_000, 100, 4);
-        let seq = sweep.run_with(1e-3, ExecMode::Sequential);
-        let par = sweep.run_with(1e-3, ExecMode::Parallel(3));
+        let sweep = QualitySweep::new(&spec);
+        let seq = sweep.run(&spec, &NOOP, "quality");
+        let par = sweep.run(&on(ExecMode::Parallel(3)), &NOOP, "quality");
         assert_eq!(seq.passes, par.passes);
         assert_eq!(seq.distribution.max, par.distribution.max);
         assert_eq!(seq.distribution.avg, par.distribution.avg);
@@ -819,15 +620,14 @@ mod tests {
 
     #[test]
     fn priority_sched_cuts_messages_at_equal_quality() {
-        let sweep = QualitySweep::new(2_000, 100, 5);
-        let pass = sweep.run_observed(1e-3, ExecMode::Sequential, SchedMode::Pass, &NOOP, "pass");
-        let pri = sweep.run_observed(
-            1e-3,
-            ExecMode::Sequential,
-            SchedMode::Priority,
-            &NOOP,
-            "priority",
-        );
+        let spec = ScenarioSpec::new(2_000, 100, 1e-3, 5);
+        let sweep = QualitySweep::new(&spec);
+        let pass = sweep.run(&spec, &NOOP, "pass");
+        let priority = ScenarioSpec {
+            sched: SchedMode::Priority,
+            ..spec
+        };
+        let pri = sweep.run(&priority, &NOOP, "priority");
         // Residual-driven selection spends meaningfully fewer remote
         // messages to clear the same ε …
         assert!(
@@ -846,9 +646,17 @@ mod tests {
 
     #[test]
     fn quality_improves_with_smaller_epsilon() {
-        let sweep = QualitySweep::new(2_000, 100, 2);
-        let loose = sweep.run(0.2);
-        let tight = sweep.run(1e-4);
+        let spec = ScenarioSpec::new(2_000, 100, 0.2, 2);
+        let sweep = QualitySweep::new(&spec);
+        let loose = sweep.run(&spec, &NOOP, "quality");
+        let tight = sweep.run(
+            &ScenarioSpec {
+                epsilon: 1e-4,
+                ..spec
+            },
+            &NOOP,
+            "quality",
+        );
         assert!(tight.distribution.avg < loose.distribution.avg);
         assert!(
             tight.distribution.max < 0.05,
@@ -871,7 +679,8 @@ mod tests {
 
     #[test]
     fn continuous_updates_stay_accurate_and_cheap() {
-        let points = continuous_update_experiment(2_000, 40, 4, 1e-4, 7);
+        let spec = ScenarioSpec::new(2_000, 1, 1e-4, 7);
+        let points = continuous_update_experiment(&spec, 40, 4, &NOOP);
         assert_eq!(points.len(), 4);
         for p in &points {
             // Incremental maintenance keeps ranks within a few epsilon
@@ -893,24 +702,20 @@ mod tests {
 
     #[test]
     fn chaotic_runtime_converges_under_fraction_and_session_churn() {
-        let w = Workload::paper(1_200, 16, 6);
-        let cfg = ChaoticChurnConfig {
-            epsilon: 1e-3,
+        let spec = ScenarioSpec {
             latency: crate::event::LatencyModel::Lan,
-            redraws: 6,
-            seed: 6,
-            ..Default::default()
+            ..ScenarioSpec::new(1_200, 16, 1e-3, 6)
         };
-        let frac = run_convergence_chaotic_observed(&w, &cfg, Schedule::fraction(0.7, 6), &NOOP);
+        let w = spec.workload();
+        let frac = run_convergence_chaotic(&w, &spec, 6, Schedule::fraction(0.7, 6), &NOOP);
         assert!(frac.quiesced, "fraction churn must settle");
         assert!((frac.nominal_presence - 0.7).abs() < 1e-9);
         // Session-model churn (exponential on/off) also settles.
-        let sess =
-            run_convergence_chaotic_observed(&w, &cfg, Schedule::sessions(3.0, 1.0, 6), &NOOP);
+        let sess = run_convergence_chaotic(&w, &spec, 6, Schedule::sessions(3.0, 1.0, 6), &NOOP);
         assert!(sess.quiesced, "session churn must settle");
         assert!(sess.nominal_presence > 0.5 && sess.nominal_presence < 1.0);
         // Deterministic per seed: the executed schedule is pinned.
-        let again = run_convergence_chaotic_observed(&w, &cfg, Schedule::fraction(0.7, 6), &NOOP);
+        let again = run_convergence_chaotic(&w, &spec, 6, Schedule::fraction(0.7, 6), &NOOP);
         assert_eq!(frac.schedule_fnv, again.schedule_fnv);
         assert_eq!(frac.steps, again.steps);
         assert_eq!(frac.deliveries, again.deliveries);

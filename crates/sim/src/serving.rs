@@ -30,14 +30,12 @@
 
 use crate::churn::Schedule;
 use crate::event::{
-    fold_schedule_fnv, run_chaotic, run_chaotic_serving, ChaoticConfig, ChurnPlan, Inject,
-    InjectionPlan, LatencyModel, ServingHooks, MIN_STEP_COMPUTE_NS, SCHEDULE_FNV_SEED,
+    fold_schedule_fnv, run_chaotic, run_chaotic_serving, ChurnPlan, Inject, InjectionPlan,
+    LatencyModel, ServingHooks, MIN_STEP_COMPUTE_NS, SCHEDULE_FNV_SEED,
 };
-use crate::workload::Workload;
-use dpr_core::engine::EngineConfig;
-use dpr_core::SchedMode;
+use crate::spec::ScenarioSpec;
+use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
-use dpr_node::node::WireMode;
 use dpr_node::termination::TerminationDetector;
 use dpr_node::Cluster;
 use dpr_p2p::peer::PeerId;
@@ -163,6 +161,19 @@ impl Default for ServingConfig {
             seed: 2003,
             slos: vec![SloSpec::new("p99-latency", 0.99, 2_000_000_000, 0.10)],
             window_ns: 1_000_000_000,
+        }
+    }
+}
+
+impl ServingConfig {
+    /// The scenario of the rank computation being served: the chaotic
+    /// runtime over framed raw wire.
+    pub fn spec(&self) -> ScenarioSpec {
+        ScenarioSpec {
+            sched: self.sched,
+            run_mode: RunMode::Chaotic,
+            latency: self.latency,
+            ..ScenarioSpec::new(self.num_docs, self.num_peers, self.epsilon, self.seed)
         }
     }
 }
@@ -359,21 +370,11 @@ pub fn serving_experiment<R: Recorder + ?Sized>(cfg: &ServingConfig, rec: &R) ->
         cfg.churn_fraction > 0.0 && cfg.churn_fraction <= 1.0,
         "churn fraction in (0, 1]"
     );
-    let w = Workload::paper(cfg.num_docs, cfg.num_peers, cfg.seed);
-    let mut cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        cfg.num_peers,
-        EngineConfig::with_epsilon(cfg.epsilon).with_sched(cfg.sched),
-        WireMode::frames(),
-    );
+    let spec = cfg.spec();
+    let w = spec.workload();
+    let mut cluster = spec.cluster(&w);
     let mut peers = w.peer_table();
-    let ccfg = ChaoticConfig {
-        seed: cfg.seed,
-        latency: cfg.latency,
-        sched: cfg.sched,
-        epsilon: cfg.epsilon,
-    };
+    let ccfg = spec.chaotic_config();
 
     // Initial convergence (unserved): the index is built from this
     // fixed point, exactly the paper's "index update message" flow.

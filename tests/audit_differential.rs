@@ -18,14 +18,16 @@ use distributed_pagerank::core::ExecMode;
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
-use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan, WireCodec};
+use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan};
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::event::{run_chaotic, ChaoticConfig, LatencyModel};
 use distributed_pagerank::sim::flight::{self, FlightConfig};
+use distributed_pagerank::sim::ScenarioSpec;
 use distributed_pagerank::telemetry::audit::Monitor;
 use distributed_pagerank::telemetry::{Capture, NOOP};
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Paper-scale capture (10k docs / 500 peers, continuous updates)
 /// replays bit-identically through the serialized capture file in both
@@ -33,14 +35,14 @@ use proptest::prelude::*;
 #[test]
 fn paper_scale_capture_replays_bit_identically_in_both_exec_modes() {
     let cfg = FlightConfig::paper_scale();
-    let (capture, recorded) = flight::record(&cfg, ExecMode::Sequential);
+    let (capture, recorded) = flight::record(&cfg, &NOOP);
 
     // The capture must survive its own wire format: replay from the
     // re-parsed JSONL, not the in-memory struct.
     let restored = Capture::from_jsonl(&capture.to_jsonl()).expect("capture roundtrip");
 
     for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-        let replayed = flight::replay(&restored, mode)
+        let replayed = flight::replay(&restored, mode, None, &NOOP)
             .unwrap_or_else(|e| panic!("replay under {mode:?} diverged: {e}"));
         assert_eq!(replayed.ranks.len(), recorded.ranks.len());
         for (doc, (r, w)) in replayed.ranks.iter().zip(&recorded.ranks).enumerate() {
@@ -66,17 +68,68 @@ fn paper_scale_capture_replays_bit_identically_in_both_exec_modes() {
 #[test]
 fn replay_rejects_a_corrupted_capture() {
     let cfg = FlightConfig::smoke();
-    let (mut capture, _) = flight::record(&cfg, ExecMode::Sequential);
+    let (mut capture, _) = flight::record(&cfg, &NOOP);
     capture.fingerprint.ranks_fnv ^= 1;
-    let err = flight::replay(&capture, ExecMode::Sequential).unwrap_err();
+    let err = flight::replay(&capture, ExecMode::Sequential, None, &NOOP).unwrap_err();
     assert!(err.contains("ranks_fnv"), "{err}");
+}
+
+/// Captures recorded by an earlier commit's `dpr doctor --capture-out`
+/// (`--docs 1200 --peers 24`, rounds; the same under `--run-mode
+/// chaotic --sched priority --codec compact`) replay at HEAD: the
+/// on-disk format, the scenario construction order (every RNG draw)
+/// and, for the chaotic one, the executed event schedule all survive
+/// whatever was refactored since.
+#[test]
+fn checked_in_captures_replay_at_head() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (file, run_mode, codec) in [
+        ("capture-v3-rounds.jsonl", "rounds", "raw"),
+        ("capture-v3-chaotic.jsonl", "chaotic", "compact"),
+    ] {
+        let capture = Capture::read(&fixtures.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(capture.header.run_mode, run_mode, "{file}");
+        assert_eq!(capture.header.codec, codec, "{file}");
+        // The header is exactly what HEAD would write for this flight.
+        let cfg = FlightConfig::from_header(&capture.header).unwrap();
+        assert_eq!(cfg.header(), capture.header, "{file}");
+        for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
+            let out = flight::replay(&capture, mode, Some(cfg.spec.codec), &NOOP)
+                .unwrap_or_else(|e| panic!("{file} under {mode:?}: {e}"));
+            assert_eq!(out.fingerprint(), capture.fingerprint, "{file}");
+        }
+    }
+}
+
+/// A hostile capture header is a typed error naming the field, never
+/// a panic in the builders behind it.
+#[test]
+fn degenerate_capture_headers_are_errors_naming_the_field() {
+    let (recorded, _) = flight::record(&FlightConfig::smoke(), &NOOP);
+    type Tamper = fn(&mut distributed_pagerank::telemetry::replay::CaptureHeader);
+    let cases: [(&str, Tamper); 6] = [
+        ("nodes", |h| h.nodes = 0),
+        ("num_peers", |h| h.num_peers = 0),
+        ("checkpoints", |h| h.checkpoints = 0),
+        ("inserts", |h| h.inserts = 1),
+        ("epsilon", |h| h.epsilon = 0.0),
+        ("latency", |h| h.latency = "carrier-pigeon".into()),
+    ];
+    for (field, tamper) in cases {
+        let mut capture = recorded.clone();
+        tamper(&mut capture.header);
+        // Through the file format, as `dpr doctor --replay` reads it.
+        let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
+        let err = flight::replay(&parsed, ExecMode::Sequential, None, &NOOP).unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+    }
 }
 
 /// Clean audited run: every monitor evaluates a nonzero number of
 /// checks and none fires.
 #[test]
 fn clean_run_passes_every_monitor() {
-    let run = flight::doctor_run(600, 8, 1e-4, 21, WireMode::frames(), WireCodec::Raw, None);
+    let run = flight::doctor_run(&ScenarioSpec::new(600, 8, 1e-4, 21), None, Arc::default());
     assert!(run.quiesced, "diagnostic run failed to quiesce");
     assert!(
         run.report.passed(),
@@ -101,13 +154,9 @@ fn each_fault_is_owned_by_exactly_one_monitor() {
     for (kind, owner) in matrix {
         let plan = FaultPlan { kind, nth_send: 40 };
         let run = flight::doctor_run(
-            600,
-            8,
-            1e-4,
-            21,
-            WireMode::frames(),
-            WireCodec::Raw,
+            &ScenarioSpec::new(600, 8, 1e-4, 21),
             Some(plan),
+            Arc::default(),
         );
         assert!(
             run.fault_fired_at.is_some(),

@@ -20,7 +20,8 @@
 use distributed_pagerank::core::parallel::ShardedExecutor;
 use distributed_pagerank::node::node::{PeerNode, WireMode};
 use distributed_pagerank::prelude::*;
-use distributed_pagerank::sim::batch::run_wire_mode_sched;
+use distributed_pagerank::sim::batch::run_wire_mode;
+use distributed_pagerank::sim::ScenarioSpec;
 use dpr_graph::CsrGraph as Csr;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -176,11 +177,16 @@ proptest! {
 #[test]
 fn selective_clusters_are_bit_identical_across_wire_modes() {
     for seed in [3u64, 17] {
+        let spec = |sched, wire| ScenarioSpec {
+            sched,
+            wire,
+            ..ScenarioSpec::new(1_000, 8, 1e-6, seed)
+        };
         let w = Workload::paper(1_000, 8, seed);
-        let pass = run_wire_mode_sched(&w, 1e-6, SchedMode::Pass, WireMode::Single, false);
+        let pass = run_wire_mode(&w, &spec(SchedMode::Pass, WireMode::Single), false, None);
         for sched in [SchedMode::Priority, SchedMode::Greedy] {
-            let single = run_wire_mode_sched(&w, 1e-6, sched, WireMode::Single, false);
-            let frames = run_wire_mode_sched(&w, 1e-6, sched, WireMode::frames(), true);
+            let single = run_wire_mode(&w, &spec(sched, WireMode::Single), false, None);
+            let frames = run_wire_mode(&w, &spec(sched, WireMode::frames()), true, None);
             assert_eq!(
                 single.ranks, frames.ranks,
                 "{sched} wire modes diverged at seed {seed}"

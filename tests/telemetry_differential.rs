@@ -11,12 +11,10 @@
 use distributed_pagerank::core::parallel::ExecMode;
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::prelude::*;
-use distributed_pagerank::sim::batch::{run_wire_mode, run_wire_mode_observed};
-use distributed_pagerank::sim::scenario::{
-    continuous_update_experiment_observed, continuous_update_experiment_with,
-    run_convergence_observed, run_convergence_with,
-};
-use dpr_telemetry::{Recorder, TraceRecorder, TraceSummary};
+use distributed_pagerank::sim::batch::run_wire_mode;
+use distributed_pagerank::sim::scenario::{continuous_update_experiment, run_convergence};
+use distributed_pagerank::sim::ScenarioSpec;
+use dpr_telemetry::{Recorder, TraceRecorder, TraceSummary, NOOP};
 use std::sync::Arc;
 
 const SEED: u64 = 2003;
@@ -34,7 +32,7 @@ fn engine_ranks_are_bit_identical_with_telemetry_on() {
                 EngineConfig::with_epsilon(1e-3),
             );
             let mut peers = w.peer_table();
-            let run = mode.run(&mut eng, &mut peers, None);
+            let run = mode.run_observed(&mut eng, &mut peers, None, &NOOP, "run");
             assert!(run.converged);
             eng.ranks().to_vec()
         };
@@ -60,11 +58,14 @@ fn engine_ranks_are_bit_identical_with_telemetry_on() {
 #[test]
 fn churned_convergence_stats_are_unchanged_by_telemetry() {
     let w = Workload::paper(1_500, 40, SEED);
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-        let plain = run_convergence_with(&w, 1e-3, 0.75, SEED, mode);
+    for exec in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+        let spec = ScenarioSpec {
+            exec,
+            ..ScenarioSpec::new(1_500, 40, 1e-3, SEED)
+        };
+        let plain = run_convergence(&w, &spec, 0.75, &NOOP, "convergence");
         let rec = TraceRecorder::new();
-        let traced =
-            run_convergence_observed(&w, 1e-3, 0.75, SEED, mode, SchedMode::Pass, &rec, "diff");
+        let traced = run_convergence(&w, &spec, 0.75, &rec, "diff");
         assert_eq!(plain.passes, traced.passes);
         assert_eq!(plain.converged, traced.converged);
         assert_eq!(plain.total_remote_messages, traced.total_remote_messages);
@@ -80,9 +81,13 @@ fn churned_convergence_stats_are_unchanged_by_telemetry() {
 fn cluster_runs_are_bit_identical_with_telemetry_on() {
     let w = Workload::paper(1_000, 32, SEED);
     for wire in [WireMode::Single, WireMode::frames()] {
-        let plain = run_wire_mode(&w, 1e-3, wire, true);
+        let spec = ScenarioSpec {
+            wire,
+            ..ScenarioSpec::new(1_000, 32, 1e-3, SEED)
+        };
+        let plain = run_wire_mode(&w, &spec, true, None);
         let rec: Arc<TraceRecorder> = Arc::new(TraceRecorder::new());
-        let traced = run_wire_mode_observed(&w, 1e-3, wire, true, rec.clone());
+        let traced = run_wire_mode(&w, &spec, true, Some(rec.clone()));
         assert_eq!(plain.ranks, traced.ranks, "ranks diverged under {wire:?}");
         let (p, t) = (plain.traffic, traced.traffic);
         assert_eq!(p.rounds, t.rounds);
@@ -106,18 +111,10 @@ fn continuous_trace_is_schema_valid_and_residual_monotone() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("continuous.jsonl");
 
-    let plain = continuous_update_experiment_with(1_500, 20, 4, 1e-3, SEED, ExecMode::Sequential);
+    let spec = ScenarioSpec::new(1_500, 1, 1e-3, SEED);
+    let plain = continuous_update_experiment(&spec, 20, 4, &NOOP);
     let rec = TraceRecorder::with_jsonl(&path).unwrap();
-    let traced = continuous_update_experiment_observed(
-        1_500,
-        20,
-        4,
-        1e-3,
-        SEED,
-        ExecMode::Sequential,
-        SchedMode::Pass,
-        &rec,
-    );
+    let traced = continuous_update_experiment(&spec, 20, 4, &rec);
     rec.flush().unwrap();
 
     assert_eq!(plain.len(), traced.len());
