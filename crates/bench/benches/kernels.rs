@@ -78,56 +78,6 @@ fn bench_chaotic_convergence(c: &mut Criterion) {
     });
 }
 
-/// Sequential engine vs the sharded executor at 1/2/4/8 threads, each
-/// running the same 50k-doc paper workload to convergence. Every
-/// configuration computes bit-identical ranks, so the timings are
-/// directly comparable; `continuous --pass-scaling` writes the same
-/// measurement to `BENCH_pass_scaling.json`.
-fn bench_pass_scaling(c: &mut Criterion) {
-    use dpr_core::parallel::ShardedExecutor;
-    use dpr_sim::workload::Workload;
-
-    let w = Workload::paper(50_000, 500, 6);
-    let mut g = c.benchmark_group("pass_scaling");
-    g.sample_size(10);
-    let fresh = |w: &Workload| {
-        (
-            ChaoticEngine::new(
-                w.graph.clone(),
-                w.owners(),
-                EngineConfig::with_epsilon(1e-3),
-            ),
-            w.peer_table(),
-        )
-    };
-    g.bench_function(BenchmarkId::new("converge_50k", "seq"), |b| {
-        b.iter_batched(
-            || fresh(&w),
-            |(mut eng, mut peers)| {
-                let run = eng.run_to_convergence(&mut peers, None);
-                assert!(run.converged);
-                eng
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    for &threads in &[1usize, 2, 4, 8] {
-        g.bench_function(BenchmarkId::new("converge_50k", threads), |b| {
-            b.iter_batched(
-                || fresh(&w),
-                |(mut eng, mut peers)| {
-                    let run = ShardedExecutor::new(threads)
-                        .run_to_convergence(&mut eng, &mut peers, None);
-                    assert!(run.converged);
-                    eng
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 fn bench_insert_wave(c: &mut Criterion) {
     let graph = paper_graph(100_000, 5);
     let cfg = PropagationConfig {
@@ -197,7 +147,6 @@ criterion_group! {
         bench_sync_solver,
         bench_chaotic_pass,
         bench_chaotic_convergence,
-        bench_pass_scaling,
         bench_insert_wave,
         bench_routing,
         bench_bloom,

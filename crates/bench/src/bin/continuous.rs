@@ -12,18 +12,7 @@
 //! ```text
 //! cargo run --release -p dpr-bench --bin continuous \
 //!     [--nodes 20000] [--inserts 200] [--checkpoints 5] [--eps 1e-3] \
-//!     [--threads T] [--sched pass|priority|greedy] [--json]
-//! ```
-//!
-//! With `--pass-scaling`, instead runs the sequential engine and the
-//! sharded executor at 1/2/4/8 threads to convergence on 50k- and
-//! 500k-doc paper graphs and writes `BENCH_pass_scaling.json`
-//! (passes/sec, speedup and the delegated/sharded pass mix per size
-//! and thread count) so the perf trajectory is tracked:
-//!
-//! ```text
-//! cargo run --release -p dpr-bench --bin continuous -- --pass-scaling \
-//!     [--nodes 50000,500000] [--peers 500] [--eps 1e-3] [--seed N]
+//!     [--sched pass|priority|greedy] [--json]
 //! ```
 //!
 //! With `--batch-scaling`, runs the message-level cluster on the
@@ -54,8 +43,8 @@
 //! scheduler against the classic full-sweep pass scheduler on the
 //! reference scenario and writes `BENCH_sched_quality.json`: the
 //! remote-message saving at the working ε, rank parity (per-document
-//! L1 vs the pass engine) at the strict parity ε across executor
-//! thread counts, and the message-level cluster under both wire modes:
+//! L1 vs the pass engine) at the strict parity ε, and the
+//! message-level cluster under both wire modes:
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin continuous -- --sched-scaling \
@@ -103,7 +92,6 @@
 
 use dpr_bench::Args;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
-use dpr_core::parallel::ShardedExecutor;
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::SchedMode;
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
@@ -161,158 +149,6 @@ fn chaotic_run(w: &Workload, spec: &ScenarioSpec) -> (ChaoticOutcome, Vec<f64>, 
         "profile horizon must equal the runtime's virtual clock"
     );
     (out, run.ranks, run.remote_messages, profile)
-}
-
-/// One row of `BENCH_pass_scaling.json`: a full convergence run of
-/// one graph size under one executor configuration (`threads == 0` is
-/// the sequential engine). `secs` is the best of `--reps` repetitions.
-/// A row whose `sharded_passes` is zero ran the sequential engine's
-/// exact code path on every pass (the density guard delegated: dirty
-/// set too sparse or single-core host), so no parallel speedup was
-/// *measured* at all — `speedup_vs_seq` is `null` on those rows rather
-/// than a fabricated 1.0 that would read as a measured tie.
-#[derive(Debug, Clone, Serialize)]
-struct PassScalingRow {
-    docs: usize,
-    threads: usize,
-    passes: usize,
-    secs: f64,
-    passes_per_sec: f64,
-    speedup_vs_seq: Option<f64>,
-    delegated_passes: u64,
-    sharded_passes: u64,
-}
-
-fn pass_scaling(args: &Args) {
-    let sizes: Vec<usize> = args
-        .get::<String>("nodes", "50000,500000".into())
-        .split(',')
-        .map(|s| s.trim().parse().expect("bad --nodes entry"))
-        .collect();
-    // `--nodes` is this sweep's size list, not one scenario's shape.
-    let spec = args.paper_spec(sizes[0], &["nodes"]);
-    let (peers_n, eps) = (spec.num_peers, spec.epsilon);
-    let reps: usize = args.get("reps", 3);
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let mut rows: Vec<PassScalingRow> = Vec::new();
-    for &nodes in &sizes {
-        let w = ScenarioSpec { nodes, ..spec }.workload();
-        println!(
-            "Pass-throughput scaling ({nodes} docs, {peers_n} peers, eps {eps}, best of {reps}, \
-             {host_threads} host threads)\n"
-        );
-        let mut seq_ranks: Option<Vec<f64>> = None;
-        let mut run_once = |threads: usize| -> PassScalingRow {
-            let mut best = f64::INFINITY;
-            let mut passes = 0;
-            let mut mix = (0u64, 0u64);
-            for _ in 0..reps.max(1) {
-                let mut engine = ChaoticEngine::new(
-                    w.graph.clone(),
-                    w.owners(),
-                    EngineConfig::with_epsilon(eps),
-                );
-                let mut peers = w.peer_table();
-                let mut exec = ShardedExecutor::new(threads.max(1));
-                let start = std::time::Instant::now();
-                let run = if threads == 0 {
-                    engine.run_to_convergence(&mut peers, None)
-                } else {
-                    exec.run_to_convergence(&mut engine, &mut peers, None)
-                };
-                let secs = start.elapsed().as_secs_f64();
-                assert!(run.converged, "scaling run must converge");
-                best = best.min(secs);
-                passes = run.passes;
-                mix = exec.pass_mix();
-                // The sequential row runs first; every later run must
-                // reproduce its ranks bit for bit.
-                let want = seq_ranks.get_or_insert_with(|| engine.ranks().to_vec());
-                assert!(
-                    want.as_slice() == engine.ranks(),
-                    "{nodes} docs, {threads} threads: ranks differ from the sequential run"
-                );
-            }
-            PassScalingRow {
-                docs: nodes,
-                threads,
-                passes,
-                secs: best,
-                passes_per_sec: passes as f64 / best,
-                speedup_vs_seq: None, // filled in below
-                delegated_passes: mix.0,
-                sharded_passes: mix.1,
-            }
-        };
-
-        let mut size_rows = vec![run_once(0)];
-        for threads in [1usize, 2, 4, 8] {
-            size_rows.push(run_once(threads));
-        }
-        let seq_secs = size_rows[0].secs;
-        for row in &mut size_rows {
-            // Fully-delegated rows executed the sequential engine pass
-            // for pass: same instruction stream, nothing parallel was
-            // measured (the guard's contract — see the row-struct
-            // docs), so they report no speedup at all rather than a
-            // timer-noise ratio.
-            row.speedup_vs_seq = if row.threads > 0 && row.sharded_passes == 0 {
-                None
-            } else {
-                Some(seq_secs / row.secs)
-            };
-        }
-
-        let mut table = TextTable::new([
-            "executor",
-            "passes",
-            "secs",
-            "passes/sec",
-            "speedup",
-            "delegated/sharded",
-        ]);
-        for r in &size_rows {
-            let name = if r.threads == 0 {
-                "sequential".to_string()
-            } else {
-                format!("sharded x{}", r.threads)
-            };
-            table.push([
-                name,
-                r.passes.to_string(),
-                format!("{:.2}", r.secs),
-                format!("{:.2}", r.passes_per_sec),
-                match r.speedup_vs_seq {
-                    Some(s) => format!("{s:.2}x"),
-                    None => "delegated".to_string(),
-                },
-                if r.threads == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{}/{}", r.delegated_passes, r.sharded_passes)
-                },
-            ]);
-        }
-        println!("{}", table.render());
-        rows.extend(size_rows);
-    }
-    println!("(every row computes bit-identical ranks; only the wall clock moves)");
-
-    let dir = std::env::var_os("DPR_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let nodes_list: Vec<String> = sizes.iter().map(usize::to_string).collect();
-    let params = format!(
-        "nodes={} peers={peers_n} eps={eps} seed={} host_threads={host_threads}",
-        nodes_list.join(","),
-        spec.seed
-    );
-    let path = ExperimentRecord::new("BENCH_pass_scaling", params.clone(), rows)
-        .with_meta(bench_meta(args, params, "none", "rounds", "pass"))
-        .write_to_dir(dir)
-        .expect("write BENCH_pass_scaling.json");
-    println!("\nwrote {}", path.display());
 }
 
 /// One row of `BENCH_scale.json`: the message-level cluster run to
@@ -537,14 +373,13 @@ fn batch_scaling(args: &Args) {
 }
 
 /// One row of `BENCH_sched_quality.json`: a full convergence run of
-/// one (layer, scheduler, executor, wire) configuration. Reduction and
+/// one (layer, scheduler, wire) configuration. Reduction and
 /// parity columns compare against the pass-scheduled baseline of the
 /// same layer and ε (zero on the baseline rows themselves).
 #[derive(Debug, Clone, Serialize)]
 struct SchedQualityRow {
     layer: String,
     sched: String,
-    threads: usize,
     wire: String,
     epsilon: f64,
     passes: usize,
@@ -572,46 +407,39 @@ fn sched_scaling(args: &Args) {
          working eps {eps}, parity eps {parity_eps})\n"
     );
 
-    let run_engine = |sched: SchedMode, threads: usize, epsilon: f64| {
+    let run_engine = |sched: SchedMode, epsilon: f64| {
         let mut engine = ChaoticEngine::new(
             w.graph.clone(),
             w.owners(),
             EngineConfig::with_epsilon(epsilon).with_sched(sched),
         );
         let mut peers = w.peer_table();
-        let run = if threads == 0 {
-            engine.run_to_convergence(&mut peers, None)
-        } else {
-            ShardedExecutor::new(threads).run_to_convergence(&mut engine, &mut peers, None)
-        };
+        let run = engine.run_to_convergence(&mut peers, None);
         assert!(run.converged, "sched-scaling run must converge");
         (run, engine.ranks().to_vec())
     };
     let l1_per_doc =
         |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / n;
-    let engine_row = |sched: SchedMode, threads: usize, epsilon: f64, passes: usize, msgs: u64| {
-        SchedQualityRow {
-            layer: "engine".into(),
-            sched: sched.to_string(),
-            threads,
-            wire: "array".into(),
-            epsilon,
-            passes,
-            remote_messages: msgs,
-            msg_reduction_vs_pass: 0.0,
-            l1_per_doc_vs_pass: 0.0,
-        }
+    let engine_row = |sched: SchedMode, epsilon: f64, passes: usize, msgs: u64| SchedQualityRow {
+        layer: "engine".into(),
+        sched: sched.to_string(),
+        wire: "array".into(),
+        epsilon,
+        passes,
+        remote_messages: msgs,
+        msg_reduction_vs_pass: 0.0,
+        l1_per_doc_vs_pass: 0.0,
     };
     let mut rows: Vec<SchedQualityRow> = Vec::new();
 
-    // 1. Message saving at the working ε (sequential engine). This is
-    // the headline: the same fixed point for >= 25 % fewer remote
-    // messages, because residual-ordered pushes stop low-value
-    // re-advertisements from ever reaching the wire.
+    // 1. Message saving at the working ε. This is the headline: the
+    // same fixed point for >= 25 % fewer remote messages, because
+    // residual-ordered pushes stop low-value re-advertisements from
+    // ever reaching the wire.
     eprintln!("  … engine, pass sched, eps {eps}");
-    let (pass_run, pass_ranks) = run_engine(SchedMode::Pass, 0, eps);
+    let (pass_run, pass_ranks) = run_engine(SchedMode::Pass, eps);
     eprintln!("  … engine, priority sched, eps {eps}");
-    let (pri_run, pri_ranks) = run_engine(SchedMode::Priority, 0, eps);
+    let (pri_run, pri_ranks) = run_engine(SchedMode::Priority, eps);
     let reduction =
         1.0 - pri_run.total_remote_messages as f64 / pass_run.total_remote_messages.max(1) as f64;
     assert!(
@@ -621,7 +449,6 @@ fn sched_scaling(args: &Args) {
     );
     rows.push(engine_row(
         SchedMode::Pass,
-        0,
         eps,
         pass_run.passes,
         pass_run.total_remote_messages,
@@ -631,56 +458,37 @@ fn sched_scaling(args: &Args) {
         l1_per_doc_vs_pass: l1_per_doc(&pri_ranks, &pass_ranks),
         ..engine_row(
             SchedMode::Priority,
-            0,
             eps,
             pri_run.passes,
             pri_run.total_remote_messages,
         )
     });
 
-    // 2. Rank parity at the strict ε, across executor thread counts.
-    // The priority schedule is a function of the dirty *set*, so every
-    // executor must produce the same bits; vs the pass engine the gap
-    // is O(ε) per document.
+    // 2. Rank parity at the strict ε: vs the pass engine the gap is
+    // O(ε) per document.
     eprintln!("  … engine, pass sched, eps {parity_eps} (parity reference)");
-    let (pass_ref_run, pass_ref) = run_engine(SchedMode::Pass, 0, parity_eps);
+    let (pass_ref_run, pass_ref) = run_engine(SchedMode::Pass, parity_eps);
     rows.push(engine_row(
         SchedMode::Pass,
-        0,
         parity_eps,
         pass_ref_run.passes,
         pass_ref_run.total_remote_messages,
     ));
-    let mut canonical: Option<Vec<f64>> = None;
-    for threads in [0usize, 2, 4, 8] {
-        eprintln!("  … engine, priority sched, eps {parity_eps}, threads {threads}");
-        let (run, ranks) = run_engine(SchedMode::Priority, threads, parity_eps);
-        match &canonical {
-            Some(c) => assert_eq!(
-                c, &ranks,
-                "priority schedule must be bit-identical across executors"
-            ),
-            None => canonical = Some(ranks.clone()),
-        }
-        let l1 = l1_per_doc(&ranks, &pass_ref);
-        assert!(
-            l1 <= 1e-9,
-            "parity: l1 per doc {l1:e} at {threads} threads exceeds 1e-9"
-        );
-        rows.push(SchedQualityRow {
-            msg_reduction_vs_pass: 1.0
-                - run.total_remote_messages as f64
-                    / pass_ref_run.total_remote_messages.max(1) as f64,
-            l1_per_doc_vs_pass: l1,
-            ..engine_row(
-                SchedMode::Priority,
-                threads,
-                parity_eps,
-                run.passes,
-                run.total_remote_messages,
-            )
-        });
-    }
+    eprintln!("  … engine, priority sched, eps {parity_eps}");
+    let (run, ranks) = run_engine(SchedMode::Priority, parity_eps);
+    let l1 = l1_per_doc(&ranks, &pass_ref);
+    assert!(l1 <= 1e-9, "parity: l1 per doc {l1:e} exceeds 1e-9");
+    rows.push(SchedQualityRow {
+        msg_reduction_vs_pass: 1.0
+            - run.total_remote_messages as f64 / pass_ref_run.total_remote_messages.max(1) as f64,
+        l1_per_doc_vs_pass: l1,
+        ..engine_row(
+            SchedMode::Priority,
+            parity_eps,
+            run.passes,
+            run.total_remote_messages,
+        )
+    });
 
     // 3. The message-level cluster, both wire modes. Deferred residual
     // mass interoperates with flush scheduling and store-and-resend:
@@ -722,7 +530,6 @@ fn sched_scaling(args: &Args) {
             rows.push(SchedQualityRow {
                 layer: "cluster".into(),
                 sched: sched.to_string(),
-                threads: 0,
                 wire: wire.into(),
                 epsilon: parity_eps,
                 passes: run.traffic.rounds,
@@ -761,7 +568,6 @@ fn sched_scaling(args: &Args) {
             rows.push(SchedQualityRow {
                 layer: "cluster-dense".into(),
                 sched: sched.to_string(),
-                threads: 0,
                 wire: "single".into(),
                 epsilon: eps,
                 passes: run.traffic.rounds,
@@ -807,7 +613,6 @@ fn sched_scaling(args: &Args) {
             rows.push(SchedQualityRow {
                 layer: "cluster-chaotic".into(),
                 sched: sched.to_string(),
-                threads: 0,
                 wire: "frames".into(),
                 epsilon: eps,
                 passes: out.steps as usize,
@@ -821,7 +626,6 @@ fn sched_scaling(args: &Args) {
     let mut table = TextTable::new([
         "layer",
         "sched",
-        "threads",
         "wire",
         "eps",
         "passes",
@@ -833,7 +637,6 @@ fn sched_scaling(args: &Args) {
         table.push([
             r.layer.clone(),
             r.sched.clone(),
-            r.threads.to_string(),
             r.wire.clone(),
             fmt_eps(r.epsilon),
             r.passes.to_string(),
@@ -844,7 +647,7 @@ fn sched_scaling(args: &Args) {
     }
     println!("{}", table.render());
     println!(
-        "(priority rows are bit-identical across executors and wire modes; deferred\n\
+        "(priority rows are bit-identical across wire modes; deferred\n\
          residual mass is never lost — quiescence still means no residual above eps)"
     );
 
@@ -1706,36 +1509,8 @@ fn serving_scaling(args: &Args) {
     println!("\nwrote {}", path.display());
 }
 
-fn main() {
-    let args = Args::parse();
-    if args.has("pass-scaling") {
-        pass_scaling(&args);
-        return;
-    }
-    if args.has("batch-scaling") {
-        batch_scaling(&args);
-        return;
-    }
-    if args.has("scale") {
-        scale(&args);
-        return;
-    }
-    if args.has("sched-scaling") {
-        sched_scaling(&args);
-        return;
-    }
-    if args.has("async-scaling") {
-        async_scaling(&args);
-        return;
-    }
-    if args.has("accel-scaling") {
-        accel_scaling(&args);
-        return;
-    }
-    if args.has("serving") {
-        serving_scaling(&args);
-        return;
-    }
+/// The default mode: drift of incrementally maintained ranks.
+fn continuous_accuracy(args: &Args) {
     let trace = args.trace();
     let spec = args.paper_spec(20_000, &[]);
     let (nodes, eps) = (spec.nodes, spec.epsilon);
@@ -1781,10 +1556,30 @@ fn main() {
         );
         let sched = spec.sched.to_string();
         let path = ExperimentRecord::new("continuous", params.clone(), points)
-            .with_meta(bench_meta(&args, params, "none", "rounds", &sched))
+            .with_meta(bench_meta(args, params, "none", "rounds", &sched))
             .write_to_dir(results_dir())
             .expect("write results");
         println!("\nwrote {}", path.display());
     }
     trace.finish().expect("write trace sinks");
+}
+
+fn main() {
+    let args = Args::parse();
+    if args.has("batch-scaling") {
+        batch_scaling(&args);
+    } else if args.has("scale") {
+        scale(&args);
+    } else if args.has("sched-scaling") {
+        sched_scaling(&args);
+    } else if args.has("async-scaling") {
+        async_scaling(&args);
+    } else if args.has("accel-scaling") {
+        accel_scaling(&args);
+    } else if args.has("serving") {
+        serving_scaling(&args);
+    } else {
+        continuous_accuracy(&args);
+    }
+    args.reject_unread();
 }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin table1 [--sizes 10000,100000] \
-//!     [--peers 500] [--eps 1e-3] [--seed N] [--threads T] \
+//!     [--peers 500] [--eps 1e-3] [--seed N] \
 //!     [--sched pass|priority|greedy] [--json] [--full]
 //! ```
 
@@ -65,4 +65,5 @@ fn main() {
         println!("\nwrote {}", path.display());
     }
     trace.finish().expect("write trace sinks");
+    args.reject_unread();
 }

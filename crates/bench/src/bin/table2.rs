@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin table2 [--sizes ...] \
-//!     [--peers 500] [--seed N] [--threads T] [--sched pass|priority|greedy] \
+//!     [--peers 500] [--seed N] [--sched pass|priority|greedy] \
 //!     [--json] [--full]
 //! ```
 
@@ -83,4 +83,5 @@ fn main() {
         println!("wrote {}", path.display());
     }
     trace.finish().expect("write trace sinks");
+    args.reject_unread();
 }

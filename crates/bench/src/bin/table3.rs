@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin table3 [--sizes ...] \
-//!     [--peers 500] [--seed N] [--threads T] [--sched pass|priority|greedy] \
+//!     [--peers 500] [--seed N] [--sched pass|priority|greedy] \
 //!     [--internet] [--json] [--full] \
 //!     [--paper-compute | --compute-secs N] \
 //!     [--batch [--frame-bytes 1400] [--eps e1,e2,...]]
@@ -125,6 +125,7 @@ fn main() {
     let args = Args::parse();
     if args.has("batch") {
         batch_mode(&args);
+        args.reject_unread();
         return;
     }
     let trace = args.trace();
@@ -216,4 +217,5 @@ fn main() {
         println!("wrote {}", path.display());
     }
     trace.finish().expect("write trace sinks");
+    args.reject_unread();
 }

@@ -72,4 +72,5 @@ fn main() {
         .expect("write results");
         println!("wrote {}", path.display());
     }
+    args.reject_unread();
 }

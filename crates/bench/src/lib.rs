@@ -20,12 +20,11 @@
 //! `continuous`, `ablations`) also take `--trace-out FILE` (JSONL
 //! telemetry event trace, viewable with `dpr trace`) and `--prom-out
 //! FILE` (Prometheus text snapshot of the run's metrics), and
-//! `table1`–`table3`/`continuous` take `--threads n` to run passes on
-//! the sharded executor — results are bit-identical to the default
-//! sequential run — and `--sched pass|priority|greedy` (the shared
-//! [`dpr_core::SCHED_HELP`] mode list) to pick the scheduler: full
-//! sweep, residual-driven Gauss–Southwell bucket selection, or greedy
-//! matching pursuit. `continuous --sched-scaling` measures the priority
+//! `table1`–`table3`/`continuous` take `--sched pass|priority|greedy`
+//! (the shared [`dpr_core::SCHED_HELP`] mode list) to pick the
+//! scheduler: full sweep, residual-driven Gauss–Southwell bucket
+//! selection, or greedy matching pursuit. A flag no binary reads is an
+//! error, not silence. `continuous --sched-scaling` measures the priority
 //! scheduler's message saving and parity and writes
 //! `BENCH_sched_quality.json`. `cargo bench -p dpr-bench` runs the
 //! criterion micro-benchmarks over the hot kernels.
@@ -72,8 +71,8 @@ impl Args {
     }
 
     /// The run's scenario: `defaults` overridden by the scenario flags
-    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, `--sched`,
-    /// `--threads`, …; see [`ScenarioSpec::from_flags`]), validated.
+    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, `--sched`, …;
+    /// see [`ScenarioSpec::from_flags`]), validated.
     /// Flags named in `swept` are hidden from the scenario parser: the
     /// binary sweeps that axis itself and reads the flag, if at all,
     /// as a list.
@@ -113,6 +112,12 @@ impl Args {
     /// Whether to dump JSON records (`--json`).
     pub fn json(&self) -> bool {
         self.has("json")
+    }
+
+    /// Panics on any flag given that nothing read — a typo, or a
+    /// flag of another binary or mode. The last line of every `main`.
+    pub fn reject_unread(&self) {
+        self.0.reject_unread().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The telemetry side-channel from `--trace-out FILE` (JSONL event
@@ -164,11 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_selects_exec_mode() {
-        use dpr_core::parallel::ExecMode;
-        assert_eq!(spec("").exec, ExecMode::Sequential);
-        assert_eq!(spec("--threads 1").exec, ExecMode::Sequential);
-        assert_eq!(spec("--threads 4").exec, ExecMode::Parallel(4));
+    #[should_panic(expected = "unknown flag --threads")]
+    fn rejects_a_flag_nothing_read() {
+        let a = args("--seed 7 --threads 4");
+        assert_eq!(a.get("seed", 0), 7);
+        a.reject_unread();
     }
 
     #[test]

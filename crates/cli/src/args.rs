@@ -33,6 +33,47 @@ mod tests {
         assert!(Args::parse(vec!["loose".into()]).is_err());
     }
 
+    /// Zero (or NaN) where the library asserts a positive value is a
+    /// clean `Err` at the CLI edge; a panic fails the test.
+    #[test]
+    fn degenerate_values_are_errors_not_panics() {
+        use crate::commands::{generate, search, serve};
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let cases: [(Cmd, &str, &str); 9] = [
+            (generate, "--nodes 0 --out /nonexistent/x.bin", "--nodes"),
+            (search, "--docs 0", "--docs"),
+            (search, "--docs 300 --vocab 0", "--vocab"),
+            (search, "--docs 300 --peers 0", "--peers"),
+            (serve, "--qps 0", "--qps"),
+            (serve, "--qps nan", "--qps"),
+            (serve, "--qps -1", "--qps"),
+            (serve, "--vocab 0", "--vocab"),
+            (serve, "--query-len 0", "--query-len"),
+        ];
+        for (cmd, flags, named) in cases {
+            let e = cmd(&parse(&format!("{flags} --quiet"))).unwrap_err();
+            assert!(e.contains(named) && e.contains("positive"), "{flags}: {e}");
+        }
+    }
+
+    /// What `main` does after a command succeeds: a flag the command
+    /// never read fails the invocation.
+    #[test]
+    fn a_flag_the_command_never_read_fails_the_invocation() {
+        use crate::commands::doctor;
+        for (flags, unknown) in [
+            ("--threads 4", "--threads"),
+            ("--pears 3", "--pears"),
+            ("--terms", "--terms"),
+        ] {
+            let a = parse(&format!("--docs 300 --peers 4 --quiet {flags}"));
+            let e = doctor(&a).and_then(|()| a.reject_unread()).unwrap_err();
+            assert_eq!(e, format!("unknown flag {unknown}"));
+        }
+        let a = parse("--docs 300 --peers 4 --quiet");
+        assert_eq!(doctor(&a).and_then(|()| a.reject_unread()), Ok(()));
+    }
+
     #[test]
     fn empty_list_when_absent() {
         let a = parse("");

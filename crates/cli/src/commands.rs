@@ -2,7 +2,6 @@
 
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::incremental::{propagate, PropagationConfig};
-use dpr_core::parallel::ExecMode;
 use dpr_core::sync_solver::SyncSolver;
 use dpr_graph::{io, partition, powerlaw::PowerLawConfig, stats, CsrGraph, DocId, DynamicGraph};
 use dpr_p2p::peer::{Placement, PlacementPolicy};
@@ -16,11 +15,10 @@ use dpr_search::query::{
 use dpr_sim::flags::{Args, Reporter};
 use dpr_sim::spec::{ScenarioSpec, SCENARIO_FLAGS_HELP};
 use dpr_sim::Workload;
-use dpr_telemetry::{AuditReport, Capture, Event, Metric, Recorder, TraceSummary, NOOP};
+use dpr_telemetry::{AuditReport, Capture, Event, TraceSummary};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fs::File;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The scenario `dpr doctor` and `dpr profile` run when no flag says
@@ -67,11 +65,11 @@ commands:
              [--inject-fault mass-leak|dup-frame|lost-frame]
              [--fault-at N] [--input trace.jsonl]
              [--capture-out cap.jsonl] [--inserts N] [--checkpoints K]
-             [--replay cap.jsonl] [--threads T]
+             [--replay cap.jsonl]
   profile    [--docs 1200] [--peers 24] [--eps 1e-4] [--seed 2003]
              [--sched M] [--codec M] [--latency M]
              [--inject-fault mass-leak|dup-frame|lost-frame]
-             [--fault-at N] [--replay cap.jsonl] [--threads T]
+             [--fault-at N] [--replay cap.jsonl]
              [--input trace.jsonl] [--top 8] [--segment N]
              [--perfetto-out FILE]
   help       this text
@@ -94,6 +92,9 @@ fn load_graph(args: &Args) -> Result<CsrGraph, String> {
 pub fn generate(args: &Args) -> Result<(), String> {
     let rep = Reporter::from_args(args)?;
     let nodes: usize = args.get_required("nodes")?;
+    if nodes == 0 {
+        return Err("--nodes must be positive".into());
+    }
     let out = args.required("out")?;
     let seed: u64 = args.get("seed", 2003)?;
     let graph = PowerLawConfig::paper(nodes, seed).generate();
@@ -298,6 +299,9 @@ pub fn search(args: &Args) -> Result<(), String> {
     let peers: usize = args.get("peers", 50)?;
     let seed: u64 = args.get("seed", 2003)?;
     let pct: f64 = args.get("top-percent", 10.0)?;
+    if docs == 0 || vocab == 0 || peers == 0 {
+        return Err("--docs, --vocab and --peers must be positive".into());
+    }
     if !(0.0..=100.0).contains(&pct) || pct == 0.0 {
         return Err("--top-percent must be in (0, 100]".into());
     }
@@ -310,7 +314,9 @@ pub fn search(args: &Args) -> Result<(), String> {
     });
     let graph = PowerLawConfig::paper(docs, seed ^ 0xbeef).generate();
     let mut engine = ChaoticEngine::local(Arc::new(graph), EngineConfig::with_epsilon(1e-3));
-    ExecMode::Sequential.run_static_observed(&mut engine, rep.recorder(), "search-pagerank");
+    // A local engine: one peer holds every document.
+    let mut one_peer = dpr_p2p::peer::PeerTable::new(1);
+    engine.run_observed(&mut one_peer, None, rep.recorder(), "search-pagerank");
     let ring = Ring::with_peers(peers);
     let index = DistributedIndex::build(&corpus, engine.ranks(), &ring);
 
@@ -411,8 +417,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
         )],
         window_ns: (window_ms * 1e6) as u64,
     };
-    if cfg.queries == 0 {
-        return Err("--queries must be positive".into());
+    if cfg.queries == 0 || cfg.vocab_size == 0 || cfg.query_len == 0 {
+        return Err("--queries, --vocab and --query-len must be positive".into());
+    }
+    if cfg.qps.is_nan() || cfg.qps <= 0.0 {
+        return Err("--qps must be positive".into());
     }
 
     let run = serving_experiment(&cfg, rep.recorder());
@@ -672,29 +681,6 @@ pub fn trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A recorder that counts the sharded executor's per-pass decisions
-/// and keeps nothing else, so observing a replay costs no memory.
-#[derive(Default)]
-struct PassMix {
-    sharded: AtomicU64,
-    delegated: AtomicU64,
-}
-
-impl Recorder for PassMix {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter_add(&self, metric: Metric, delta: u64) {
-        // Statistics only: nothing is published through these.
-        match metric {
-            Metric::ExecShardedPasses => self.sharded.fetch_add(delta, Ordering::Relaxed),
-            Metric::ExecDelegatedPasses => self.delegated.fetch_add(delta, Ordering::Relaxed),
-            _ => 0,
-        };
-    }
-}
-
 /// `dpr doctor` — the flight recorder's diagnostic front end.
 ///
 /// Default mode runs the message-level cluster scenario with the
@@ -722,36 +708,11 @@ pub fn doctor(args: &Args) -> Result<(), String> {
     if let Some(path) = args.optional("replay") {
         let capture =
             Capture::read(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        // A `--threads` replay proves something about the sharded
-        // executor only if the density guard let it run, so count its
-        // decisions and say what they were.
-        let mix = PassMix::default();
-        let rec: &dyn Recorder = match (rep.aggregate(), spec.exec) {
-            (Some(live), _) => live.as_ref(),
-            (None, ExecMode::Parallel(_)) => &mix,
-            (None, ExecMode::Sequential) => &NOOP,
-        };
-        let out = flight::replay(&capture, spec.exec, Some(spec.codec), rec)
+        let out = flight::replay(&capture, Some(spec.codec), rep.recorder())
             .map_err(|e| format!("{path}: {e}"))?;
-        let executor = match spec.exec {
-            ExecMode::Sequential => String::new(),
-            ExecMode::Parallel(_) => {
-                let (sharded, delegated) = match rep.aggregate() {
-                    Some(live) => (
-                        live.counter(Metric::ExecShardedPasses),
-                        live.counter(Metric::ExecDelegatedPasses),
-                    ),
-                    None => (
-                        mix.sharded.load(Ordering::Relaxed),
-                        mix.delegated.load(Ordering::Relaxed),
-                    ),
-                };
-                format!("; executor: {sharded} sharded / {delegated} delegated passes")
-            }
-        };
         rep.say(format!(
             "{path}: replay matched — {} docs, {} passes, {} remote messages, \
-             ranks fnv {:#018x}{executor}",
+             ranks fnv {:#018x}",
             out.ranks.len(),
             out.passes,
             out.remote_messages,
@@ -909,8 +870,8 @@ pub fn profile(args: &Args) -> Result<(), String> {
         // The profile is cut from the replay's span stream, traced to
         // a file or not.
         let rec = rep.aggregate().cloned().unwrap_or_default();
-        let out = flight::replay(&capture, spec.exec, None, rec.as_ref())
-            .map_err(|e| format!("{path}: {e}"))?;
+        let out =
+            flight::replay(&capture, None, rec.as_ref()).map_err(|e| format!("{path}: {e}"))?;
         let segs = Profile::segments_from_events(&rec.events())
             .map_err(|e| format!("{path}: replayed trace: {e}"))?;
         rep.say(format!(
@@ -1285,13 +1246,7 @@ mod tests {
             cap.display()
         )))
         .unwrap();
-        // Replays cleanly under both executors.
         doctor(&args(&format!("--quiet --replay {}", cap.display()))).unwrap();
-        doctor(&args(&format!(
-            "--quiet --threads 4 --replay {}",
-            cap.display()
-        )))
-        .unwrap();
         // A raw capture replayed under --codec compact is refused
         // with the codec named, before any fingerprint comparison.
         let e = doctor(&args(&format!(

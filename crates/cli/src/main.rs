@@ -12,7 +12,7 @@
 //!               [--churn F] [--updates U] [--slo-p99-ms MS] (nonzero exit on SLO failure)
 //! dpr trace     --input trace.jsonl [--validate] [--run LABEL] [--top K] [--diff other.jsonl]
 //! dpr doctor    [--docs N] [--peers P] [--inject-fault KIND] [--input trace.jsonl]
-//!               [--capture-out cap.jsonl] [--replay cap.jsonl] [--threads T]
+//!               [--capture-out cap.jsonl] [--replay cap.jsonl]
 //! dpr profile   [--docs N] [--peers P] [--sched pass|priority|greedy] [--replay cap.jsonl]
 //!               [--input trace.jsonl] [--top K] [--segment N] [--perfetto-out FILE]
 //! ```
@@ -81,7 +81,9 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command '{other}'\n{}", commands::usage())),
     };
-    match result {
+    // A flag the command never looked at is a typo or belongs to
+    // another command: say so instead of having run the defaults.
+    match result.and_then(|()| parsed.reject_unread()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -37,29 +37,22 @@
 //!   contiguous document ranges, then every target pulls from its
 //!   in-neighbours over a transposed CSR in the sequential fold order,
 //!   which makes every pass bit-identical to the sequential engine at
-//!   any thread count.
-//! * [`personalized`] — teleport-vector (topic-sensitive) pagerank on
-//!   the same protocol, per the related-work directions.
-//! * [`accel`] — an Aitken-extrapolated synchronous solver, the
-//!   acceleration baseline the paper compares the chaotic scheme
-//!   against.
+//!   any thread count. Benchmarked, not selectable.
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod engine;
 pub mod error_stats;
 pub mod exec_model;
 pub mod incremental;
 pub mod message;
 pub mod parallel;
-pub mod personalized;
 pub mod sched;
 pub mod sync_solver;
 
 pub use engine::{ChaoticEngine, EngineConfig, PassStats, RunStats};
 pub use message::RankUpdate;
-pub use parallel::{ExecMode, ShardedExecutor};
+pub use parallel::ShardedExecutor;
 pub use sched::{RunMode, SchedMode, SCHED_HELP};
 pub use sync_solver::SyncSolver;
 

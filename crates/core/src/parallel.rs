@@ -80,8 +80,12 @@
 //! *delegated* to [`ChaoticEngine::pass_with_hops`], as is every pass
 //! when the executor or the host has a single execution unit.
 //! Delegation is invisible in results (see above) and visible in
-//! wall-clock, in [`ShardedExecutor::pass_mix`] and in the
-//! `dpr_exec_delegated_passes` telemetry counter.
+//! wall-clock and in [`ShardedExecutor::pass_mix`].
+//!
+//! No scenario, flag or subcommand selects this executor: at the two
+//! threads the benchmark host has it does not beat the sequential pass
+//! (EXPERIMENTS.md has the rows). It stays as the body of the
+//! `engine_sharded` benchmark workload and of the bit-identity tests.
 
 use crate::engine::{
     advertise, apply_range, charge_hops, run_passes, ApplyCtx, ApplyOut, ChaoticEngine, ChurnFn,
@@ -90,9 +94,8 @@ use crate::engine::{
 use crate::RunStats;
 use dpr_graph::{CsrGraph, DocId};
 use dpr_p2p::peer::PeerTable;
-use dpr_telemetry::{Event, Metric, Recorder, NOOP};
+use dpr_telemetry::NOOP;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Absolute floor of the density guard (see the module docs): a pass
 /// with fewer dirty documents than this works in cache, where the
@@ -105,57 +108,6 @@ pub const DEFAULT_AUTO_SEQ_THRESHOLD: usize = 131_072;
 /// A pull pass pays for itself once at least this many documents in a
 /// hundred are dirty (measured break-even, see the module docs).
 const PULL_BREAK_EVEN_PERCENT: usize = 75;
-
-/// How a scenario executes engine passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-threaded [`ChaoticEngine::pass`] on the calling thread.
-    Sequential,
-    /// [`ShardedExecutor`] with this many worker threads.
-    Parallel(usize),
-}
-
-impl ExecMode {
-    /// Mode from an optional thread count (CLI `--threads` flag):
-    /// `None` or `Some(1)` is sequential.
-    pub fn from_threads(threads: Option<usize>) -> Self {
-        match threads {
-            None | Some(0) | Some(1) => ExecMode::Sequential,
-            Some(t) => ExecMode::Parallel(t),
-        }
-    }
-
-    /// Runs `eng` to convergence under this mode, recording telemetry
-    /// into `rec` under `run_label` (per-pass events from either
-    /// executor; the sharded one adds per-shard phase timings).
-    pub fn run_observed<R: Recorder + ?Sized>(
-        &self,
-        eng: &mut ChaoticEngine,
-        peers: &mut PeerTable,
-        churn: Option<&mut ChurnFn<'_>>,
-        rec: &R,
-        run_label: &str,
-    ) -> RunStats {
-        match *self {
-            ExecMode::Sequential => eng.run_observed(peers, churn, rec, run_label),
-            ExecMode::Parallel(t) => {
-                ShardedExecutor::new(t).run_observed(eng, peers, churn, rec, run_label)
-            }
-        }
-    }
-
-    /// [`ChaoticEngine::run_static`] under this mode — every peer stays
-    /// online for the whole run — recording telemetry into `rec`.
-    pub fn run_static_observed<R: Recorder + ?Sized>(
-        &self,
-        eng: &mut ChaoticEngine,
-        rec: &R,
-        run_label: &str,
-    ) -> RunStats {
-        let mut peers = PeerTable::new(eng.owner.iter().map(|p| p.index() + 1).max().unwrap_or(1));
-        self.run_observed(eng, &mut peers, None, rec, run_label)
-    }
-}
 
 /// Everything one apply worker mutates: its document range of the
 /// engine and executor arrays, plus the output lists it owns while it
@@ -194,7 +146,7 @@ pub struct ShardedExecutor {
     hw_threads: usize,
     /// Whether the most recent pass was delegated.
     delegated: bool,
-    /// Cumulative pass counts by decision, for benches and doctors.
+    /// Cumulative pass counts by decision, for benches.
     delegated_passes: u64,
     sharded_passes: u64,
     /// Per-link contribution change of each document that sent this
@@ -256,11 +208,6 @@ impl ShardedExecutor {
         (self.delegated_passes, self.sharded_passes)
     }
 
-    /// Number of worker threads (== number of ranges per phase).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Executes one pass, bit-identical to [`ChaoticEngine::pass`]
     /// (see the module docs for why).
     pub fn pass(&mut self, eng: &mut ChaoticEngine, peers: &PeerTable) -> PassStats {
@@ -275,25 +222,6 @@ impl ShardedExecutor {
         peers: &PeerTable,
         hop_model: Option<&mut HopModel<'_>>,
     ) -> PassStats {
-        self.pass_timed(eng, peers, hop_model, None)
-    }
-
-    /// [`ShardedExecutor::pass_with_hops`] optionally collecting
-    /// per-shard `(apply_ns, pull_ns)` wall-clock timings. Timing is
-    /// measured around each shard's phase closure (inside the worker),
-    /// so it reflects real per-shard cost, not join skew. With
-    /// `timings == None` no clock is read; a delegated pass leaves
-    /// `timings` empty.
-    fn pass_timed(
-        &mut self,
-        eng: &mut ChaoticEngine,
-        peers: &PeerTable,
-        hop_model: Option<&mut HopModel<'_>>,
-        mut timings: Option<&mut Vec<(u64, u64)>>,
-    ) -> PassStats {
-        if let Some(tv) = timings.as_deref_mut() {
-            tv.clear();
-        }
         // The density guard, checked against the pre-selection frontier
         // so the decision is scheduler-mode independent. Results are
         // bit-identical either way; only the wall-clock and the
@@ -310,7 +238,6 @@ impl ShardedExecutor {
             return eng.pass_with_hops(peers, hop_model);
         }
         self.sharded_passes += 1;
-        let time_phases = timings.is_some();
         // Selection runs on this thread via the same engine routine
         // the sequential pass uses, so the selected set — and with it
         // the whole pass — is independent of the shard layout.
@@ -364,13 +291,11 @@ impl ShardedExecutor {
                 });
             }
         }
-        let applied = run_shards(jobs, |sh| {
-            timed(time_phases, || apply_shard(sh, &ctx, cfg.damping))
-        });
+        let applied = run_shards(jobs, |sh| apply_shard(sh, &ctx, cfg.damping));
 
         // Fold the workers' outputs in shard order, which for the one
         // floating-point sum among them is document order.
-        for (slot, ((out, st), ns)) in self.applied.iter_mut().zip(applied) {
+        for (slot, (out, st)) in self.applied.iter_mut().zip(applied) {
             stats.applied += st.applied;
             stats.senders += st.senders;
             stats.remote_messages += st.remote_messages;
@@ -378,9 +303,6 @@ impl ShardedExecutor {
             stats.max_relative_change = stats.max_relative_change.max(st.max_relative_change);
             for gap in &out.dangling {
                 eng.dangling_advertised += gap;
-            }
-            if let Some(tv) = timings.as_deref_mut() {
-                tv.push((ns, 0));
             }
             *slot = out;
         }
@@ -415,14 +337,7 @@ impl ShardedExecutor {
             }
         }
         let (send, sent) = (&self.send[..], &self.sent[..]);
-        let pulled = run_shards(jobs, |sh| {
-            timed(time_phases, || pull_range(sh, &inbound, send, sent))
-        });
-        if let Some(tv) = timings {
-            for (slot, ((), ns)) in tv.iter_mut().zip(pulled) {
-                slot.1 = ns;
-            }
-        }
+        run_shards(jobs, |sh| pull_range(sh, &inbound, send, sent));
         eng.finish_pass();
         stats
     }
@@ -436,71 +351,9 @@ impl ShardedExecutor {
         peers: &mut PeerTable,
         churn: Option<&mut ChurnFn<'_>>,
     ) -> RunStats {
-        self.run_observed(eng, peers, churn, &NOOP, "run")
-    }
-
-    /// [`ShardedExecutor::run_to_convergence`] recording telemetry:
-    /// the same per-pass `PassCompleted`/`ConvergenceCheck` and
-    /// per-flip `PeerChurn` events as the sequential
-    /// [`ChaoticEngine::run_observed`] (it is the same loop), plus one
-    /// `ShardPhase` event per shard per sharded pass with that shard's
-    /// apply and pull wall-clock (the pull time travels in the event's
-    /// `merge_ns` field, whose name Capture v3 files fix).
-    ///
-    /// Recording never touches the computation: the ranks stay
-    /// bit-identical to the unobserved run (and to the sequential
-    /// engine) at every thread count.
-    pub fn run_observed<R: Recorder + ?Sized>(
-        &mut self,
-        eng: &mut ChaoticEngine,
-        peers: &mut PeerTable,
-        churn: Option<&mut ChurnFn<'_>>,
-        rec: &R,
-        run_label: &str,
-    ) -> RunStats {
-        let mut timings: Vec<(u64, u64)> = Vec::new();
-        run_passes(eng, peers, churn, rec, run_label, |eng, peers| {
-            if !rec.enabled() {
-                return self.pass(eng, peers);
-            }
-            let stats = self.pass_timed(eng, peers, None, Some(&mut timings));
-            rec.counter_add(
-                if self.delegated {
-                    Metric::ExecDelegatedPasses
-                } else {
-                    Metric::ExecShardedPasses
-                },
-                1,
-            );
-            for (shard, &(apply_ns, pull_ns)) in timings.iter().enumerate() {
-                rec.observe(Metric::ShardApplyNs, apply_ns);
-                rec.observe(Metric::ShardMergeNs, pull_ns);
-                rec.event(&Event::ShardPhase {
-                    run: run_label.to_string(),
-                    pass: stats.pass as u64,
-                    shard: shard as u32,
-                    apply_ns,
-                    merge_ns: pull_ns,
-                });
-            }
-            stats
+        run_passes(eng, peers, churn, &NOOP, "run", |eng, peers| {
+            self.pass(eng, peers)
         })
-    }
-}
-
-/// Runs `f`, optionally measuring wall-clock nanoseconds around it.
-/// With `measure == false` no clock is read and the cost is one
-/// branch — the zero-overhead path for unobserved passes.
-fn timed<T>(measure: bool, f: impl FnOnce() -> T) -> (T, u64) {
-    if measure {
-        let t0 = Instant::now();
-        let v = f();
-        (
-            v,
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        )
-    } else {
-        (f(), 0)
     }
 }
 
@@ -789,35 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_from_threads() {
-        assert_eq!(ExecMode::from_threads(None), ExecMode::Sequential);
-        assert_eq!(ExecMode::from_threads(Some(1)), ExecMode::Sequential);
-        assert_eq!(ExecMode::from_threads(Some(4)), ExecMode::Parallel(4));
-    }
-
-    #[test]
-    fn exec_modes_produce_identical_ranks() {
-        let g = paper_graph(700, 58);
-        let n = g.num_nodes();
-        let own = owners(n, 9, 8);
-        let cfg = EngineConfig::with_epsilon(1e-4);
-        let mut ranks: Vec<Vec<f64>> = Vec::new();
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel(2),
-            ExecMode::Parallel(5),
-        ] {
-            let mut eng = ChaoticEngine::new(Arc::new(g.clone()), own.clone(), cfg);
-            let mut peers = PeerTable::new(9);
-            let run = mode.run_observed(&mut eng, &mut peers, None, &NOOP, "run");
-            assert!(run.converged);
-            ranks.push(eng.ranks().to_vec());
-        }
-        assert_eq!(ranks[0], ranks[1]);
-        assert_eq!(ranks[0], ranks[2]);
-    }
-
-    #[test]
     fn priority_parallel_is_bit_identical_to_sequential_priority() {
         let g = paper_graph(2_000, 64);
         let n = g.num_nodes();
@@ -927,12 +751,10 @@ mod tests {
 
     #[test]
     fn auto_seq_guard_delegates_small_passes_bit_identically() {
-        use dpr_telemetry::TraceRecorder;
         // 2k docs is far below the default threshold, so every pass
         // must delegate — and the result must still be bit-identical
         // to the sequential engine (trivially: it *is* the sequential
-        // engine), with the decision visible in the telemetry counter
-        // and no ShardPhase events emitted.
+        // engine), with the decision visible in the pass mix.
         let g = paper_graph(2_000, 67);
         let n = g.num_nodes();
         let own = owners(n, 10, 18);
@@ -942,80 +764,31 @@ mod tests {
         let mut p1 = PeerTable::new(10);
         let mut p2 = PeerTable::new(10);
         let r1 = seq.run_to_convergence(&mut p1, None);
-        let rec = TraceRecorder::new();
         let mut exec = ShardedExecutor::new(4);
-        let r2 = exec.run_observed(&mut par, &mut p2, None, &rec, "guard");
+        let r2 = exec.run_to_convergence(&mut par, &mut p2, None);
         assert!(exec.last_pass_delegated());
         assert_eq!(r1.per_pass, r2.per_pass);
         assert_eq!(seq.ranks(), par.ranks());
         assert_eq!(
-            rec.counter(Metric::ExecDelegatedPasses),
-            r2.passes as u64,
+            exec.pass_mix(),
+            (r2.passes as u64, 0),
             "every pass below the threshold delegates"
         );
-        assert_eq!(rec.counter(Metric::ExecShardedPasses), 0);
-        assert!(rec
-            .events()
-            .iter()
-            .all(|e| !matches!(e, Event::ShardPhase { .. })));
     }
 
     #[test]
     fn forced_sharded_path_reports_no_delegation() {
-        use dpr_telemetry::TraceRecorder;
         let g = paper_graph(1_000, 68);
         let n = g.num_nodes();
         let own = owners(n, 8, 19);
         let cfg = EngineConfig::with_epsilon(1e-4);
         let mut eng = ChaoticEngine::new(Arc::new(g), own, cfg);
         let mut peers = PeerTable::new(8);
-        let rec = TraceRecorder::new();
         let mut exec = ShardedExecutor::new(4).with_auto_seq_threshold(0);
-        let run = exec.run_observed(&mut eng, &mut peers, None, &rec, "forced");
+        let run = exec.run_to_convergence(&mut eng, &mut peers, None);
         assert!(run.converged);
         assert!(!exec.last_pass_delegated());
-        assert_eq!(rec.counter(Metric::ExecShardedPasses), run.passes as u64);
-        assert_eq!(rec.counter(Metric::ExecDelegatedPasses), 0);
-    }
-
-    #[test]
-    fn observed_run_is_bit_identical_and_emits_shard_phases() {
-        use dpr_telemetry::{Event, TraceRecorder};
-        let g = paper_graph(1_000, 59);
-        let n = g.num_nodes();
-        let own = owners(n, 10, 11);
-        let cfg = EngineConfig::with_epsilon(1e-4);
-        let mut plain = ChaoticEngine::new(Arc::new(g.clone()), own.clone(), cfg);
-        let mut obs = ChaoticEngine::new(Arc::new(g), own, cfg);
-        let mut p1 = PeerTable::new(10);
-        let mut p2 = PeerTable::new(10);
-        let r1 = ShardedExecutor::new(4)
-            .with_auto_seq_threshold(0)
-            .run_to_convergence(&mut plain, &mut p1, None);
-        let rec = TraceRecorder::new();
-        let r2 = ShardedExecutor::new(4)
-            .with_auto_seq_threshold(0)
-            .run_observed(&mut obs, &mut p2, None, &rec, "t");
-        assert_eq!(r1.per_pass, r2.per_pass);
-        assert_eq!(plain.ranks(), obs.ranks());
-        let events = rec.events();
-        let shard_phases: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::ShardPhase { pass, shard, .. } => Some((*pass, *shard)),
-                _ => None,
-            })
-            .collect();
-        // 4 shards per pass, in ascending shard order within a pass.
-        assert_eq!(shard_phases.len(), 4 * r2.passes);
-        for w in shard_phases.chunks(4) {
-            assert_eq!(w.iter().map(|&(_, s)| s).collect::<Vec<_>>(), [0, 1, 2, 3]);
-        }
-        let passes_done = events
-            .iter()
-            .filter(|e| matches!(e, Event::PassCompleted { .. }))
-            .count();
-        assert_eq!(passes_done, r2.passes);
+        assert_eq!(exec.pass_mix(), (0, run.passes as u64));
     }
 
     #[test]
@@ -1025,22 +798,14 @@ mod tests {
         let n = g.num_nodes();
         let own = owners(n, 8, 13);
         let cfg = EngineConfig::with_epsilon(1e-4);
-        let eng = ChaoticEngine::new(Arc::new(g), own, cfg);
+        let mut eng = ChaoticEngine::new(Arc::new(g), own, cfg);
         let rec = TraceRecorder::new();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-            let mut fresh = eng.clone();
-            let run = mode.run_static_observed(&mut fresh, &rec, "mono");
-            assert!(run.converged);
-        }
+        let run = eng.run_observed(&mut PeerTable::new(8), None, &rec, "mono");
+        assert!(run.converged);
         let mut prev: Option<f64> = None;
         let mut pass_seen = 0u64;
         for e in rec.events() {
             if let Event::ConvergenceCheck { pass, residual, .. } = e {
-                // Two back-to-back runs share the label; reset the
-                // baseline when the pass counter restarts.
-                if pass <= pass_seen {
-                    prev = None;
-                }
                 pass_seen = pass;
                 if let Some(p) = prev {
                     assert!(residual <= p * (1.0 + 1e-9) + 1e-12, "{residual} > {p}");

@@ -12,8 +12,6 @@
 //! * [`routing`] — iterative lookup over the ring, counting hops so the
 //!   caching ablation (route every message vs. cache the address after
 //!   the first lookup, paper Sec. 3.2) can be measured.
-//! * [`pastry`] — the alternative DHT discipline the paper names:
-//!   Pastry-style prefix routing with leaf sets, O(log16 n) hops.
 //! * [`peer`] — peer lifecycle: join, graceful leave, crash, rejoin;
 //!   document re-placement on membership change.
 //! * [`transport`] — message delivery with per-peer inboxes, the
@@ -31,7 +29,6 @@
 
 pub mod cache;
 pub mod guid;
-pub mod pastry;
 pub mod peer;
 pub mod ring;
 pub mod routing;

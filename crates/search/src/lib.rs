@@ -20,9 +20,6 @@
 //! * [`bloom`] — a from-scratch Bloom filter and the Bloom-assisted
 //!   intersection the paper cites (Reynolds–Vahdat) as a composable
 //!   further optimisation.
-//! * [`cursor`] — pageable result fetching: cheap first page, traffic
-//!   paid only when the user pages deeper (Sec. 4.9's incremental
-//!   fetch).
 //! * [`fasd`] — the FASD/Freenet-style alternative (paper Sec. 2.4.1):
 //!   metadata-key vectors, closeness + pagerank scoring, and a
 //!   TTL-limited greedy walk over a small-world overlay.
@@ -31,7 +28,6 @@
 
 pub mod bloom;
 pub mod corpus;
-pub mod cursor;
 pub mod fasd;
 pub mod index;
 pub mod query;

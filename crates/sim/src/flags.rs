@@ -6,7 +6,10 @@
 //! instead of panics (`dpr` reports them; the experiment binaries
 //! panic on them at their own edge). The scenario flags themselves are
 //! read by [`ScenarioSpec::from_flags`](crate::spec::ScenarioSpec::from_flags)
-//! through [`Args::optional`].
+//! through [`Args::optional`]. Every accessor marks the flag it finds
+//! as read, so what the invocation never looked at — a typo, a flag of
+//! another command, a value given to a switch — is an error at the end
+//! ([`Args::reject_unread`]) with no list of flag names to maintain.
 //!
 //! Every command prints through one [`Reporter`] instead of raw
 //! `println!`: the default path is byte-identical stdout, `--quiet`
@@ -16,14 +19,16 @@
 //! Prometheus snapshot.
 
 use dpr_telemetry::{Recorder, TraceRecorder, NOOP};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Parsed flags of one invocation.
 #[derive(Debug, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
-    switches: Vec<String>,
+    /// Name → value (`None` for a bare switch), and whether an
+    /// accessor has read it.
+    flags: HashMap<String, (Option<String>, Cell<bool>)>,
 }
 
 impl Args {
@@ -38,32 +43,49 @@ impl Args {
             if name.is_empty() {
                 return Err("empty flag '--'".into());
             }
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.values.insert(name.to_string(), it.next().unwrap());
-                }
-                _ => out.switches.push(name.to_string()),
-            }
+            let value = it.next_if(|v| !v.starts_with("--"));
+            out.flags
+                .insert(name.to_string(), (value, Cell::new(false)));
         }
         Ok(out)
     }
 
+    /// The value slot of flag `name` if it was given as the wanted
+    /// kind (bare switch or `--key value`), marking it read.
+    fn read(&self, name: &str, switch: bool) -> Option<&Option<String>> {
+        let (value, read) = self.flags.get(name)?;
+        (value.is_none() == switch).then(|| {
+            read.set(true);
+            value
+        })
+    }
+
     /// Whether a bare switch is present.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.read(name, true).is_some()
     }
 
     /// A required string flag.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
-            .map(String::as_str)
+        self.optional(name)
             .ok_or_else(|| format!("missing required flag --{name}"))
     }
 
     /// An optional string flag.
     pub fn optional(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.read(name, false)?.as_deref()
+    }
+
+    /// Fails on every flag given that no accessor has read. Call once
+    /// the invocation has read all it is going to.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let unread = self.flags.iter().filter(|(_, (_, read))| !read.get());
+        let mut names: Vec<String> = unread.map(|(name, _)| format!("--{name}")).collect();
+        if names.is_empty() {
+            return Ok(());
+        }
+        names.sort();
+        Err(format!("unknown flag {}", names.join(", ")))
     }
 
     /// A typed flag with a default.
@@ -175,5 +197,48 @@ impl Reporter {
             self.say(format!("wrote {p} ({} events)", rec.event_count()));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from).collect()).unwrap()
+    }
+
+    #[test]
+    fn flags_nobody_read_are_unknown() {
+        let a = args("--docs 50 --pears 3 --quiet --terms");
+        assert_eq!(a.get("docs", 0).unwrap(), 50);
+        assert!(a.has("quiet"));
+        assert_eq!(
+            a.reject_unread().unwrap_err(),
+            "unknown flag --pears, --terms"
+        );
+        // Reading them — whatever the reader does with the value —
+        // is what makes them known.
+        assert_eq!(a.optional("pears"), Some("3"));
+        assert!(a.has("terms"));
+        assert_eq!(a.reject_unread(), Ok(()));
+        assert_eq!(args("").reject_unread(), Ok(()));
+    }
+
+    #[test]
+    fn a_flag_read_as_the_wrong_kind_stays_unknown() {
+        // `--threads` with no value is a switch; `--json 1` is a value.
+        let a = args("--json 1 --threads");
+        assert_eq!(a.optional("threads"), None);
+        assert!(!a.has("json"));
+        assert_eq!(
+            a.reject_unread().unwrap_err(),
+            "unknown flag --json, --threads"
+        );
+        // A failed parse still counts as read: its own error is the
+        // one to report.
+        let a = args("--docs lots");
+        assert!(a.get::<usize>("docs", 0).is_err());
+        assert_eq!(a.reject_unread(), Ok(()));
     }
 }

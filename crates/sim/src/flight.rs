@@ -8,8 +8,7 @@
 //!   (every RNG seeds from it), the injection stream the run actually
 //!   performed, and a fingerprint of the outcome (FNV-1a over the
 //!   final rank bits plus the traffic counters). Replaying re-executes
-//!   from the header — under *any* [`ExecMode`], since the executor is
-//!   bit-identical — and proves the re-run matched. A mismatch is a
+//!   from the header and proves the re-run matched. A mismatch is a
 //!   determinism bug with a one-file repro.
 //! * [`doctor_run`] — drive the message-level [`Cluster`] with the
 //!   flight recorder on, optionally staging one transport fault, and
@@ -34,7 +33,6 @@ use crate::event::{
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::workload::Workload;
 use dpr_core::engine::ChaoticEngine;
-use dpr_core::parallel::ExecMode;
 use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
 use dpr_node::cluster::Cluster;
@@ -54,10 +52,10 @@ pub const FLIGHT_SCENARIO: &str = "continuous-update";
 /// Configuration of one flight — everything a capture header holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightConfig {
-    /// The scenario flown. Rounds-mode flights run the array engine
-    /// under `spec.exec`; chaotic flights run the message-level
-    /// cluster under the event runtime. The two execute different
-    /// schedules, so their fingerprints are not comparable.
+    /// The scenario flown. Rounds-mode flights run the array engine;
+    /// chaotic flights run the message-level cluster under the event
+    /// runtime. The two execute different schedules, so their
+    /// fingerprints are not comparable.
     pub spec: ScenarioSpec,
     /// Update injections performed after the initial solve.
     pub inserts: usize,
@@ -206,11 +204,9 @@ fn fly_course<S, R: Recorder + ?Sized>(
 }
 
 /// Executes one flight, tracing through `rec`. The outcome is a pure
-/// function of `cfg` minus `cfg.spec.exec` — the executor only changes
-/// how fast it arrives (the determinism contract) — and `rec` never
+/// function of `cfg` (the determinism contract) and `rec` never
 /// perturbs it. Chaotic flights run the message-level cluster under
-/// the event runtime ([`crate::event`]); the executor is irrelevant
-/// there (the event loop is inherently sequential) and ignored.
+/// the event runtime ([`crate::event`]).
 pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
     assert!(cfg.checkpoints >= 1 && cfg.inserts >= cfg.checkpoints);
     let spec = &cfg.spec;
@@ -222,7 +218,7 @@ pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
     let mut peers = w.peer_table();
     let (mut passes, mut remote, mut local) = (0u64, 0u64, 0u64);
     let reconverge = |engine: &mut ChaoticEngine, label: &str| {
-        let run = spec.exec.run_observed(engine, &mut peers, None, rec, label);
+        let run = engine.run_observed(&mut peers, None, rec, label);
         assert!(run.converged, "every solve of a flight must converge");
         passes += run.passes as u64;
         remote += run.total_remote_messages;
@@ -292,7 +288,7 @@ pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, Fl
     (capture, out)
 }
 
-/// Re-executes a capture under `mode` and proves the re-run matched:
+/// Re-executes a capture and proves the re-run matched:
 /// the derived injection stream must equal the recorded one (so the
 /// comparison is about the same run), then every fingerprint field
 /// must agree bit for bit. The error names the first divergence.
@@ -311,11 +307,10 @@ pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, Fl
 /// zero-perturbation contract the differential tests pin).
 pub fn replay<R: Recorder + ?Sized>(
     capture: &Capture,
-    mode: ExecMode,
     expect_codec: Option<WireCodec>,
     rec: &R,
 ) -> Result<FlightOutcome, String> {
-    let mut cfg = FlightConfig::from_header(&capture.header)?;
+    let cfg = FlightConfig::from_header(&capture.header)?;
     if let Some(codec) = expect_codec.filter(|&c| c != cfg.spec.codec) {
         return Err(format!(
             "capture was recorded under wire codec \"{}\" but this replay runs \"{codec}\" \
@@ -324,7 +319,6 @@ pub fn replay<R: Recorder + ?Sized>(
             cfg.spec.codec, cfg.spec.codec
         ));
     }
-    cfg.spec.exec = mode;
     let out = fly(&cfg, rec);
     if out.injections != capture.injections {
         let at = out
@@ -515,34 +509,28 @@ mod tests {
     use dpr_telemetry::audit::Monitor;
 
     #[test]
-    fn capture_replays_bit_identically_across_exec_modes() {
+    fn capture_replays_bit_identically() {
         let cfg = FlightConfig::smoke();
         let (capture, original) = record(&cfg, &dpr_telemetry::NOOP);
         assert_eq!(capture.injections.len(), cfg.inserts);
 
-        // Through the JSONL round trip, in both executors.
+        // Through the JSONL round trip.
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-            let out = replay(&parsed, mode, None, &dpr_telemetry::NOOP)
-                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-            assert_eq!(
-                out.ranks, original.ranks,
-                "{mode:?} ranks must be bitwise equal"
-            );
-            assert_eq!(out.fingerprint(), capture.fingerprint);
-        }
+        let out = replay(&parsed, None, &dpr_telemetry::NOOP).unwrap();
+        assert_eq!(out.ranks, original.ranks, "ranks must be bitwise equal");
+        assert_eq!(out.fingerprint(), capture.fingerprint);
     }
 
     #[test]
     fn replay_detects_a_tampered_fingerprint() {
         let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.fingerprint.remote_messages += 1;
-        let err = replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
+        let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("remote_messages"), "{err}");
 
         let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.injections.swap(0, 1);
-        let err = replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
+        let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("index 0"), "{err}");
     }
 
@@ -550,23 +538,11 @@ mod tests {
     fn replay_refuses_a_codec_mismatch() {
         let (capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         assert_eq!(capture.header.codec, "raw");
-        let err = replay(
-            &capture,
-            ExecMode::Sequential,
-            Some(WireCodec::Compact),
-            &dpr_telemetry::NOOP,
-        )
-        .unwrap_err();
+        let err = replay(&capture, Some(WireCodec::Compact), &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("recorded under wire codec \"raw\""), "{err}");
         assert!(err.contains("--codec raw"), "{err}");
         // The matching codec replays fine.
-        replay(
-            &capture,
-            ExecMode::Sequential,
-            Some(WireCodec::Raw),
-            &dpr_telemetry::NOOP,
-        )
-        .unwrap();
+        replay(&capture, Some(WireCodec::Raw), &dpr_telemetry::NOOP).unwrap();
     }
 
     #[test]
@@ -584,11 +560,9 @@ mod tests {
     fn replay_refuses_foreign_scenarios() {
         let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
         capture.header.scenario = "other".into();
-        assert!(
-            replay(&capture, ExecMode::Sequential, None, &dpr_telemetry::NOOP)
-                .unwrap_err()
-                .contains("scenario")
-        );
+        assert!(replay(&capture, None, &dpr_telemetry::NOOP)
+            .unwrap_err()
+            .contains("scenario"));
     }
 
     #[test]
@@ -609,14 +583,14 @@ mod tests {
         assert_ne!(capture.fingerprint.schedule_fnv, 0);
 
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
-        let out = replay(&parsed, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap();
+        let out = replay(&parsed, None, &dpr_telemetry::NOOP).unwrap();
         assert_eq!(out.ranks, original.ranks, "chaotic replay is bit-exact");
 
         // A replay that executed a different schedule is named
         // precisely, even if it happened to reach the same ranks.
         let mut bad = capture.clone();
         bad.fingerprint.schedule_fnv ^= 1;
-        let err = replay(&bad, ExecMode::Sequential, None, &dpr_telemetry::NOOP).unwrap_err();
+        let err = replay(&bad, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("schedule_fnv"), "{err}");
     }
 
@@ -681,7 +655,7 @@ mod tests {
         };
         let (capture, _) = record(&cfg, &dpr_telemetry::NOOP);
         let rec = TraceRecorder::new();
-        replay(&capture, ExecMode::Sequential, None, &rec).unwrap();
+        replay(&capture, None, &rec).unwrap();
         let segments = Profile::segments_from_events(&rec.events()).unwrap();
         assert_eq!(segments.len(), 2, "initial solve plus one checkpoint");
         for seg in &segments {

@@ -50,9 +50,7 @@ pub struct ConvergenceResult {
 
 /// Runs one Table 1 cell — `spec` at one presence level — on a
 /// pre-built workload (lets one graph serve several presence levels,
-/// as in the paper), under `spec.exec`: the sharded executor is
-/// bit-identical to the sequential engine, so the result is the same
-/// for every mode — parallel only arrives sooner. Under
+/// as in the paper). Under
 /// [`SchedMode::Priority`](dpr_core::SchedMode::Priority) each pass
 /// processes only the top residual-mass buckets (same fixed point to
 /// O(ε), fewer messages).
@@ -75,9 +73,7 @@ pub fn run_convergence<R: Recorder + ?Sized>(
         Schedule::always_on()
     };
     let mut churn = |_pass: usize, p: &mut dpr_p2p::peer::PeerTable| schedule.apply(p);
-    let run = spec
-        .exec
-        .run_observed(&mut engine, &mut peers, Some(&mut churn), rec, run_label);
+    let run = engine.run_observed(&mut peers, Some(&mut churn), rec, run_label);
     ConvergenceResult {
         graph_size: w.graph.num_nodes(),
         num_peers: w.num_peers,
@@ -221,10 +217,9 @@ impl QualitySweep {
         }
     }
 
-    /// Runs the distributed engine at `spec`'s ε, scheduler and
-    /// executor over the sweep's workload and scores it, traced
-    /// through `rec` under `run_label`. Scores are identical for every
-    /// executor (bit-identical) and unchanged by observation;
+    /// Runs the distributed engine at `spec`'s ε and scheduler over
+    /// the sweep's workload and scores it, traced through `rec` under
+    /// `run_label`. Scores are unchanged by observation;
     /// [`SchedMode::Priority`](dpr_core::SchedMode::Priority) reaches
     /// the same fixed point to O(ε) with fewer messages.
     pub fn run<R: Recorder + ?Sized>(
@@ -235,9 +230,7 @@ impl QualitySweep {
     ) -> QualityResult {
         let mut engine = spec.engine(&self.workload);
         let mut peers = self.workload.peer_table();
-        let run = spec
-            .exec
-            .run_observed(&mut engine, &mut peers, None, rec, run_label);
+        let run = engine.run_observed(&mut peers, None, rec, run_label);
         assert!(run.converged, "static run must converge");
         let distribution = error_stats::compare(engine.ranks(), &self.reference);
         QualityResult {
@@ -480,9 +473,7 @@ pub struct ContinuousPoint {
 /// out-links, maintain ranks *only* with incremental waves, and
 /// measure how far they drift from a from-scratch recompute — and how
 /// many messages each approach costs. Both the initial solve and every
-/// checkpoint's reference recompute run under `spec.exec` and
-/// `spec.sched`; the measured numbers are identical for every
-/// executor (bit-identical).
+/// checkpoint's reference recompute run under `spec.sched`.
 ///
 /// Traced through `rec`: the initial solve runs under the label
 /// `"initial"`, each insert emits a `doc_inserted` event (the trace's
@@ -499,17 +490,18 @@ pub fn continuous_update_experiment<R: Recorder + ?Sized>(
 ) -> Vec<ContinuousPoint> {
     use dpr_core::incremental::insert_document;
     assert!(checkpoints >= 1 && inserts >= checkpoints);
-    let (epsilon, mode) = (spec.epsilon, spec.exec);
+    // Every engine here is `local`: one peer holds every document.
+    let mut peers = dpr_p2p::peer::PeerTable::new(1);
     let base = dpr_graph::powerlaw::PowerLawConfig::paper(spec.nodes, spec.seed).generate();
     let mut engine = ChaoticEngine::local(std::sync::Arc::new(base.clone()), spec.engine_config());
-    let initial_run = mode.run_static_observed(&mut engine, rec, "initial");
+    let initial_run = engine.run_observed(&mut peers, None, rec, "initial");
     assert!(initial_run.converged);
 
     let mut graph = dpr_graph::DynamicGraph::from_csr(&base);
     let mut ranks = engine.ranks().to_vec();
     let cfg = PropagationConfig {
         damping: dpr_core::DEFAULT_DAMPING,
-        epsilon,
+        epsilon: spec.epsilon,
     };
     let mut rng = ChaCha8Rng::seed_from_u64(spec.seed ^ 0xabc);
     let mut wave_messages = 0u64;
@@ -541,7 +533,7 @@ pub fn continuous_update_experiment<R: Recorder + ?Sized>(
             let mut fresh =
                 ChaoticEngine::local(std::sync::Arc::new(snapshot), spec.engine_config());
             let recompute_run =
-                mode.run_static_observed(&mut fresh, rec, &format!("recompute@{i}"));
+                fresh.run_observed(&mut peers, None, rec, &format!("recompute@{i}"));
             assert!(recompute_run.converged);
             let errs = error_stats::compare(&ranks, fresh.ranks());
             points.push(ContinuousPoint {
@@ -576,7 +568,6 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_core::parallel::ExecMode;
     use dpr_core::SchedMode;
     use dpr_telemetry::NOOP;
 
@@ -597,25 +588,6 @@ mod tests {
         // broad band around that.
         let ratio = half.passes as f64 / full.passes as f64;
         assert!((1.2..6.0).contains(&ratio), "slowdown ratio {ratio}");
-    }
-
-    #[test]
-    fn exec_modes_agree_on_every_reported_number() {
-        let spec = ScenarioSpec::new(2_000, 100, 1e-3, 4);
-        let on = |exec| ScenarioSpec { exec, ..spec };
-        let w = spec.workload();
-        let seq = run_convergence(&w, &spec, 0.75, &NOOP, "convergence");
-        let par = run_convergence(&w, &on(ExecMode::Parallel(4)), 0.75, &NOOP, "convergence");
-        assert_eq!(seq.passes, par.passes);
-        assert_eq!(seq.total_remote_messages, par.total_remote_messages);
-        assert_eq!(seq.messages_per_node, par.messages_per_node);
-
-        let sweep = QualitySweep::new(&spec);
-        let seq = sweep.run(&spec, &NOOP, "quality");
-        let par = sweep.run(&on(ExecMode::Parallel(3)), &NOOP, "quality");
-        assert_eq!(seq.passes, par.passes);
-        assert_eq!(seq.distribution.max, par.distribution.max);
-        assert_eq!(seq.distribution.avg, par.distribution.avg);
     }
 
     #[test]

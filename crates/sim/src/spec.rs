@@ -13,7 +13,6 @@
 use crate::event::{ChaoticConfig, LatencyModel};
 use crate::workload::Workload;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
-use dpr_core::parallel::ExecMode;
 use dpr_core::{RunMode, SchedMode};
 use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
@@ -27,11 +26,11 @@ pub const SCENARIO_FLAGS_HELP: &str = "\
 scenario flag values (each command lists the flags it honours):
   --sched pass|priority|greedy   --codec raw|compact
   --run-mode rounds|chaotic      --latency modem|broadband|lan
-  --threads T (sharded executor) --nodes N (same as --docs N)";
+  --nodes N (same as --docs N)";
 
 /// What a run is built from: the workload's shape and seed, the
 /// convergence threshold, and the regime (scheduler, wire path,
-/// driver, network model, executor) it runs under.
+/// driver, network model) it runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Documents in the graph.
@@ -55,9 +54,6 @@ pub struct ScenarioSpec {
     /// Network model of a chaotic run; ignored under rounds, where
     /// delivery is instantaneous.
     pub latency: LatencyModel,
-    /// Pass executor of engine-level runs (bit-identical across modes;
-    /// the cluster drivers are sequential and ignore it).
-    pub exec: ExecMode,
 }
 
 /// Why a scenario description was refused: the field at fault — a
@@ -100,8 +96,7 @@ impl From<SpecError> for String {
 
 impl ScenarioSpec {
     /// A scenario of the given shape under the paper's regime: full
-    /// sweeps, framed raw wire, lockstep rounds, broadband links, the
-    /// sequential executor.
+    /// sweeps, framed raw wire, lockstep rounds, broadband links.
     pub fn new(nodes: usize, num_peers: usize, epsilon: f64, seed: u64) -> Self {
         ScenarioSpec {
             nodes,
@@ -113,7 +108,6 @@ impl ScenarioSpec {
             codec: WireCodec::Raw,
             run_mode: RunMode::Rounds,
             latency: LatencyModel::Broadband,
-            exec: ExecMode::Sequential,
         }
     }
 
@@ -177,9 +171,9 @@ impl ScenarioSpec {
 
     /// Reads the scenario flags — `--docs`/`--nodes`, `--peers`,
     /// `--eps`, `--seed`, `--sched`, `--codec`, `--run-mode`,
-    /// `--latency`, `--threads` — through `lookup` (flag name without
-    /// dashes → value), falling back to `defaults` per absent flag,
-    /// and validates the result. The wire mode has no flag.
+    /// `--latency` — through `lookup` (flag name without dashes →
+    /// value), falling back to `defaults` per absent flag, and
+    /// validates the result. The wire mode has no flag.
     pub fn from_flags<'a>(
         lookup: impl Fn(&str) -> Option<&'a str>,
         defaults: &ScenarioSpec,
@@ -213,18 +207,13 @@ impl ScenarioSpec {
             codec: flag(lookup("codec"), "codec", defaults.codec)?,
             run_mode: flag(lookup("run-mode"), "run-mode", defaults.run_mode)?,
             latency: flag(lookup("latency"), "latency", defaults.latency)?,
-            exec: match lookup("threads") {
-                Some(v) => ExecMode::from_threads(Some(flag(Some(v), "threads", 0)?)),
-                None => defaults.exec,
-            },
         };
         spec.validate()?;
         Ok(spec)
     }
 
-    /// The Capture v3 header of `scenario` run on this spec. Wire mode
-    /// and executor are not recorded: flights frame their traffic, and
-    /// the executor is the replayer's choice (it cannot change a bit).
+    /// The Capture v3 header of `scenario` run on this spec. The wire
+    /// mode is not recorded: flights frame their traffic.
     pub fn header(&self, scenario: &str, inserts: usize, checkpoints: usize) -> CaptureHeader {
         CaptureHeader {
             version: CAPTURE_VERSION,
@@ -242,8 +231,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// The validated spec a capture header describes (framed wire,
-    /// sequential executor): its shape fields as they stand, its
+    /// The validated spec a capture header describes (framed wire):
+    /// its shape fields as they stand, its
     /// regime names read exactly as the flags of the same name are.
     pub fn from_header(h: &CaptureHeader) -> Result<Self, SpecError> {
         let shape = ScenarioSpec::new(h.nodes as usize, h.num_peers as usize, h.epsilon, h.seed);
@@ -359,7 +348,7 @@ mod tests {
             assert_eq!(parse(&[], &d), Ok(d));
         }
         let d = ScenarioSpec::new(1_200, 24, 1e-4, 2003);
-        let table: [(&str, &str, ScenarioSpec); 11] = [
+        let table: [(&str, &str, ScenarioSpec); 9] = [
             ("docs", "50", ScenarioSpec { nodes: 50, ..d }),
             ("nodes", "60", ScenarioSpec { nodes: 60, ..d }),
             ("peers", "7", ScenarioSpec { num_peers: 7, ..d }),
@@ -397,15 +386,6 @@ mod tests {
                     ..d
                 },
             ),
-            (
-                "threads",
-                "4",
-                ScenarioSpec {
-                    exec: ExecMode::Parallel(4),
-                    ..d
-                },
-            ),
-            ("threads", "1", d),
         ];
         for (name, value, want) in table {
             assert_eq!(parse(&[(name, value)], &d), Ok(want), "--{name} {value}");
@@ -422,7 +402,6 @@ mod tests {
         let d = ScenarioSpec::new(1_200, 24, 1e-4, 2003);
         for name in [
             "docs", "nodes", "peers", "eps", "seed", "sched", "codec", "run-mode", "latency",
-            "threads",
         ] {
             let e = parse(&[(name, "bogus")], &d).unwrap_err();
             assert_eq!(e.field, name);

@@ -79,7 +79,7 @@ pub use event::Event;
 pub use metric::Metric;
 pub use profile::Profile;
 pub use quantile::QuantileSketch;
-pub use recorder::{NoopRecorder, Recorder, Span, TraceRecorder, NOOP};
+pub use recorder::{NoopRecorder, Recorder, TraceRecorder, NOOP};
 pub use replay::Capture;
 pub use slo::{SloReport, SloSpec};
 pub use span::{SpanKind, SpanRec, SpanTracer};

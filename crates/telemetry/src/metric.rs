@@ -94,6 +94,10 @@ metrics! {
         "Store-and-resend queue depth after each cluster round";
     PassDurationNs = 14 => Histogram, "dpr_pass_duration_ns",
         "Wall-clock nanoseconds per engine pass";
+    // Nothing emits the four executor metrics (15, 16, 20, 21) or
+    // `Event::ShardPhase` since the executor lost its observed run
+    // loop; they stay registered because checked-in traces and
+    // Prometheus names are a published format.
     ShardApplyNs = 15 => Histogram, "dpr_shard_apply_ns",
         "Nanoseconds per shard in the apply phase";
     ShardMergeNs = 16 => Histogram, "dpr_shard_merge_ns",

@@ -17,8 +17,8 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// A telemetry sink. All methods take `&self`: recorders are shared
-/// across the executor's worker threads.
+/// A telemetry sink. All methods take `&self`: one recorder is shared
+/// by every component of a run that holds a handle to it.
 pub trait Recorder: Send + Sync {
     /// Whether this recorder keeps anything. Call sites guard
     /// non-trivial event construction (residual scans, timestamp
@@ -45,32 +45,6 @@ impl Recorder for NoopRecorder {}
 
 /// A shared no-op instance for call sites that want a `&'static dyn`.
 pub static NOOP: NoopRecorder = NoopRecorder;
-
-/// Times a scope and records the elapsed nanoseconds into a histogram
-/// metric on drop. Constructing one against a disabled recorder skips
-/// the clock read.
-pub struct Span<'a, R: Recorder + ?Sized> {
-    rec: &'a R,
-    metric: Metric,
-    start: Option<std::time::Instant>,
-}
-
-impl<'a, R: Recorder + ?Sized> Span<'a, R> {
-    /// Starts a span (no-op when the recorder is disabled).
-    pub fn start(rec: &'a R, metric: Metric) -> Self {
-        let start = rec.enabled().then(std::time::Instant::now);
-        Span { rec, metric, start }
-    }
-}
-
-impl<R: Recorder + ?Sized> Drop for Span<'_, R> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.rec.observe(self.metric, ns);
-        }
-    }
-}
 
 /// The real sink: striped counters and atomic histograms for every
 /// registered [`Metric`], an in-memory event aggregate, and an
@@ -159,28 +133,6 @@ impl TraceRecorder {
         }
         Ok(())
     }
-
-    /// Folds another recorder's counters and histograms into this one
-    /// and appends its events. Supports per-worker recorders merged
-    /// after a parallel region.
-    pub fn merge(&self, other: &TraceRecorder) {
-        for m in Metric::ALL {
-            match m.kind() {
-                MetricKind::Counter => self.counters[m.index()].merge(&other.counters[m.index()]),
-                MetricKind::Histogram => {
-                    self.histograms[m.index()].merge(&other.histograms[m.index()])
-                }
-            }
-        }
-        let mut mine = self.events.lock().unwrap();
-        mine.extend(other.events().into_iter().inspect(|e| {
-            if let Some(sink) = &self.sink {
-                let line = serde_json::to_string(e).expect("event serializes");
-                let mut w = sink.lock().unwrap();
-                let _ = writeln!(w, "{line}");
-            }
-        }));
-    }
 }
 
 impl Recorder for TraceRecorder {
@@ -214,7 +166,6 @@ impl Recorder for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn noop_is_disabled_and_inert() {
@@ -223,7 +174,6 @@ mod tests {
         r.event(&Event::DocInserted { seq: 1, doc: 2 });
         r.counter_add(Metric::RemoteUpdates, 5);
         r.observe(Metric::RouteHops, 3);
-        let _span = Span::start(&NOOP, Metric::PassDurationNs);
     }
 
     #[test]
@@ -241,15 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn span_records_into_histogram() {
-        let r = TraceRecorder::new();
-        {
-            let _span = Span::start(&r, Metric::PassDurationNs);
-        }
-        assert_eq!(r.histogram(Metric::PassDurationNs).count(), 1);
-    }
-
-    #[test]
     fn jsonl_sink_streams_valid_events() {
         let path = std::env::temp_dir().join(format!("dpr-telemetry-{}.jsonl", std::process::id()));
         let r = TraceRecorder::with_jsonl(&path).unwrap();
@@ -264,66 +205,5 @@ mod tests {
         let events = crate::summary::parse_jsonl(&text).unwrap();
         assert_eq!(events, r.events());
         std::fs::remove_file(&path).unwrap();
-    }
-
-    proptest! {
-        // The cross-thread merge contract: recording a stream of
-        // counter adds / observations split across worker-local
-        // recorders and merging equals recording the whole stream
-        // into one recorder single-threaded.
-        #[test]
-        fn merged_worker_recorders_equal_sequential_recording(
-            ops in prop_vec((0usize..Metric::COUNT, 0u64..1000), 0..300),
-            workers in 1usize..5,
-        ) {
-            let sequential = TraceRecorder::new();
-            for &(m, v) in &ops {
-                let metric = Metric::ALL[m];
-                match metric.kind() {
-                    MetricKind::Counter => sequential.counter_add(metric, v),
-                    MetricKind::Histogram => sequential.observe(metric, v),
-                }
-            }
-
-            let merged = TraceRecorder::new();
-            let locals: Vec<TraceRecorder> =
-                (0..workers).map(|_| TraceRecorder::new()).collect();
-            std::thread::scope(|s| {
-                for (w, local) in locals.iter().enumerate() {
-                    let ops = &ops;
-                    s.spawn(move || {
-                        // Deterministic partition: op i goes to
-                        // worker i mod workers.
-                        for (i, &(m, v)) in ops.iter().enumerate() {
-                            if i % workers != w {
-                                continue;
-                            }
-                            let metric = Metric::ALL[m];
-                            match metric.kind() {
-                                MetricKind::Counter => local.counter_add(metric, v),
-                                MetricKind::Histogram => local.observe(metric, v),
-                            }
-                        }
-                    });
-                }
-            });
-            for local in &locals {
-                merged.merge(local);
-            }
-
-            for metric in Metric::ALL {
-                match metric.kind() {
-                    MetricKind::Counter => {
-                        prop_assert_eq!(merged.counter(*metric), sequential.counter(*metric));
-                    }
-                    MetricKind::Histogram => {
-                        let a = merged.histogram(*metric);
-                        let b = sequential.histogram(*metric);
-                        prop_assert_eq!(a.snapshot(), b.snapshot());
-                        prop_assert_eq!(a.sum(), b.sum());
-                    }
-                }
-            }
-        }
     }
 }

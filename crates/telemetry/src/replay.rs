@@ -10,10 +10,9 @@
 //! and a fingerprint of the outcome: an FNV-1a hash over the exact bit
 //! patterns of the final ranks plus the traffic counters.
 //!
-//! Replay re-executes the scenario from the header — under *any*
-//! executor, since ranks are bit-identical across `ExecMode`s — and
-//! compares fingerprints. A mismatch is a determinism bug with a
-//! one-file repro.
+//! Replay re-executes the scenario from the header and compares
+//! fingerprints. A mismatch is a determinism bug with a one-file
+//! repro.
 //!
 //! File layout, one JSON object per line:
 //!

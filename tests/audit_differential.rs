@@ -6,15 +6,13 @@
 //! 1. **Replay determinism.** A captured continuous-update run at the
 //!    paper's scale (10k documents over 500 peers) must replay to
 //!    *bit*-identical final ranks and identical traffic counters from
-//!    nothing but the capture file — under both the sequential and the
-//!    owner-sharded parallel executor.
+//!    nothing but the capture file.
 //! 2. **Monitor ownership.** Each injected transport fault must be
 //!    detected, and detected *by the monitor that owns the violated
 //!    invariant*: mass perturbation → mass-conservation ledger, frame
 //!    duplication → message-balance auditor, frame loss → quiescence
 //!    certifier. A clean run must pass all three.
 
-use distributed_pagerank::core::ExecMode;
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
@@ -30,10 +28,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Paper-scale capture (10k docs / 500 peers, continuous updates)
-/// replays bit-identically through the serialized capture file in both
-/// execution modes.
+/// replays bit-identically through the serialized capture file.
 #[test]
-fn paper_scale_capture_replays_bit_identically_in_both_exec_modes() {
+fn paper_scale_capture_replays_bit_identically() {
     let cfg = FlightConfig::paper_scale();
     let (capture, recorded) = flight::record(&cfg, &NOOP);
 
@@ -41,26 +38,24 @@ fn paper_scale_capture_replays_bit_identically_in_both_exec_modes() {
     // re-parsed JSONL, not the in-memory struct.
     let restored = Capture::from_jsonl(&capture.to_jsonl()).expect("capture roundtrip");
 
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-        let replayed = flight::replay(&restored, mode, None, &NOOP)
-            .unwrap_or_else(|e| panic!("replay under {mode:?} diverged: {e}"));
-        assert_eq!(replayed.ranks.len(), recorded.ranks.len());
-        for (doc, (r, w)) in replayed.ranks.iter().zip(&recorded.ranks).enumerate() {
-            assert!(
-                r.to_bits() == w.to_bits(),
-                "doc {doc} rank diverged under {mode:?}: {r:e} vs {w:e}"
-            );
-        }
-        assert_eq!(replayed.passes, recorded.passes, "{mode:?} passes");
-        assert_eq!(
-            replayed.remote_messages, recorded.remote_messages,
-            "{mode:?} remote traffic"
-        );
-        assert_eq!(
-            replayed.local_updates, recorded.local_updates,
-            "{mode:?} local updates"
+    let replayed =
+        flight::replay(&restored, None, &NOOP).unwrap_or_else(|e| panic!("replay diverged: {e}"));
+    assert_eq!(replayed.ranks.len(), recorded.ranks.len());
+    for (doc, (r, w)) in replayed.ranks.iter().zip(&recorded.ranks).enumerate() {
+        assert!(
+            r.to_bits() == w.to_bits(),
+            "doc {doc} rank diverged: {r:e} vs {w:e}"
         );
     }
+    assert_eq!(replayed.passes, recorded.passes, "passes");
+    assert_eq!(
+        replayed.remote_messages, recorded.remote_messages,
+        "remote traffic"
+    );
+    assert_eq!(
+        replayed.local_updates, recorded.local_updates,
+        "local updates"
+    );
 }
 
 /// A fingerprint tampered after capture is rejected by replay — the
@@ -70,7 +65,7 @@ fn replay_rejects_a_corrupted_capture() {
     let cfg = FlightConfig::smoke();
     let (mut capture, _) = flight::record(&cfg, &NOOP);
     capture.fingerprint.ranks_fnv ^= 1;
-    let err = flight::replay(&capture, ExecMode::Sequential, None, &NOOP).unwrap_err();
+    let err = flight::replay(&capture, None, &NOOP).unwrap_err();
     assert!(err.contains("ranks_fnv"), "{err}");
 }
 
@@ -93,11 +88,9 @@ fn checked_in_captures_replay_at_head() {
         // The header is exactly what HEAD would write for this flight.
         let cfg = FlightConfig::from_header(&capture.header).unwrap();
         assert_eq!(cfg.header(), capture.header, "{file}");
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-            let out = flight::replay(&capture, mode, Some(cfg.spec.codec), &NOOP)
-                .unwrap_or_else(|e| panic!("{file} under {mode:?}: {e}"));
-            assert_eq!(out.fingerprint(), capture.fingerprint, "{file}");
-        }
+        let out = flight::replay(&capture, Some(cfg.spec.codec), &NOOP)
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(out.fingerprint(), capture.fingerprint, "{file}");
     }
 }
 
@@ -120,7 +113,7 @@ fn degenerate_capture_headers_are_errors_naming_the_field() {
         tamper(&mut capture.header);
         // Through the file format, as `dpr doctor --replay` reads it.
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
-        let err = flight::replay(&parsed, ExecMode::Sequential, None, &NOOP).unwrap_err();
+        let err = flight::replay(&parsed, None, &NOOP).unwrap_err();
         assert!(err.contains(field), "{field}: {err}");
     }
 }

@@ -1,17 +1,14 @@
 //! Integration tests for the extension subsystems working together:
 //! message-level cluster + termination detection + link-aware
-//! placement + Pastry routing + personalized ranks.
+//! placement.
 
-use distributed_pagerank::core::personalized::{personalized_engine, TeleportVector};
 use distributed_pagerank::graph::partition::link_aware_partition;
 use distributed_pagerank::node::termination::{
     run_with_termination_detection, TerminationDetector,
 };
 use distributed_pagerank::node::Cluster;
-use distributed_pagerank::p2p::pastry::PastryNetwork;
 use distributed_pagerank::prelude::*;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// A link-aware-placed, message-level cluster with protocol-level
 /// termination detection still computes the correct ranks — and pays
@@ -60,78 +57,6 @@ fn link_aware_cluster_with_termination_detection() {
     let reference = SyncSolver::new().solve(&graph).ranks;
     for (a, b) in ranks_aware.iter().zip(&reference) {
         assert!((a - b).abs() / b < 1e-4, "{a} vs {b}");
-    }
-}
-
-/// Pastry and Chord both resolve the same document lookups (to their
-/// respective owner definitions) with O(log n) cost — interchangeable
-/// as the routing substrate for the address-cache warm-up.
-#[test]
-fn pastry_as_alternative_routing_substrate() {
-    use distributed_pagerank::p2p::routing::Router;
-    let n = 100;
-    let pastry = PastryNetwork::new(n);
-    let ring = Ring::with_peers(n);
-    let mut chord = Router::new();
-    let (mut pastry_hops, mut chord_hops) = (0u64, 0u64);
-    for d in 0..300u32 {
-        let key = Guid::for_document(DocId(d));
-        let src = PeerId(d % n as u32);
-        let pr = pastry.route(src, key);
-        let cr = chord.route(&ring, src, key);
-        pastry_hops += pr.hops as u64;
-        chord_hops += cr.hops as u64;
-        // Owner definitions differ (numerically closest vs successor)
-        // but each discipline's route lands on its own owner.
-        assert_eq!(pr.owner, pastry.owner(key));
-        assert_eq!(cr.owner, ring.successor(key));
-    }
-    assert!(pastry_hops < 300 * 6, "pastry mean too high: {pastry_hops}");
-    assert!(chord_hops < 300 * 8, "chord mean too high: {chord_hops}");
-}
-
-/// Personalized pagerank runs on a multi-peer distributed system with
-/// churn, exactly like the standard computation.
-#[test]
-fn personalized_ranks_on_distributed_system_with_churn() {
-    use distributed_pagerank::core::personalized::solve_personalized_sync;
-    use distributed_pagerank::sim::churn::Schedule;
-
-    let nodes = 1_000;
-    let graph = Arc::new(PowerLawConfig::paper(nodes, 203).generate());
-    let preferred: Vec<DocId> = (0..25u32).map(DocId).collect();
-    let teleport = TeleportVector::concentrated(nodes, &preferred);
-    let reference = solve_personalized_sync(&graph, &teleport, 0.85, 1e-13);
-
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(204);
-    let ring = Ring::with_peers(40);
-    let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-    let owners: Vec<PeerId> = (0..nodes)
-        .map(|d| placement.owner(DocId(d as u32)))
-        .collect();
-    let mut engine =
-        personalized_engine(graph, owners, EngineConfig::with_epsilon(1e-8), &teleport);
-    let mut peers = PeerTable::new(40);
-    let mut schedule = Schedule::sessions(40.0, 15.0, 205);
-    let mut churn = |_p: usize, t: &mut PeerTable| schedule.apply(t);
-    let run = engine.run_to_convergence(&mut peers, Some(&mut churn));
-    assert!(run.converged);
-    for (a, b) in engine.ranks().iter().zip(&reference) {
-        let tol = 1e-4 * b.abs().max(1e-3);
-        assert!((a - b).abs() < tol, "{a} vs {b}");
-    }
-    // Teleport mass concentrates rank around the preference set:
-    // every preferred document ranks far above the median (which is
-    // near zero — most documents receive no teleport mass at all).
-    let mut sorted: Vec<f64> = engine.ranks().to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = sorted[nodes / 2];
-    for &d in &preferred {
-        assert!(
-            engine.ranks()[d.index()] > 10.0 * median.max(1e-6),
-            "preferred {d} rank {} vs median {median}",
-            engine.ranks()[d.index()]
-        );
     }
 }
 

@@ -321,63 +321,4 @@ proptest! {
             prop_assert_eq!(after, 0);
         }
     }
-
-    /// Pastry routing always reaches the numerically closest peer and
-    /// stays within the hop bound, for any membership size.
-    #[test]
-    fn pastry_routes_terminate(n in 1usize..80, probes in vec(any::<u32>(), 1..25)) {
-        use distributed_pagerank::p2p::pastry::PastryNetwork;
-        let net = PastryNetwork::new(n);
-        for p in probes {
-            let key = Guid::for_document(DocId(p));
-            let from = PeerId(p % n as u32);
-            let r = net.route(from, key);
-            prop_assert_eq!(r.owner, net.owner(key));
-            prop_assert!((r.hops as usize) < n.max(16) * 2,
-                "hops {} for {} peers", r.hops, n);
-        }
-    }
-
-    /// The result cursor pages out exactly the baseline ranking, in
-    /// order, for any page size.
-    #[test]
-    fn cursor_pages_match_baseline(page in 1usize..40, seed in 0u64..200) {
-        use distributed_pagerank::search::cursor::ResultCursor;
-        let corpus = Corpus::generate(&CorpusConfig {
-            num_docs: 600, vocab_size: 120, tokens_per_doc: 30, seed,
-            ..Default::default()
-        });
-        let ranks: Vec<f64> = (0..600).map(|i| 0.15 + (i as f64 * 5.1) % 3.0).collect();
-        let ring = Ring::with_peers(8);
-        let index = DistributedIndex::build(&corpus, &ranks, &ring);
-        let q = Query::new(vec![0, 1]);
-        let baseline = execute_baseline(&index, &q, TrafficModel::AllHopsRemote);
-        let mut cursor = ResultCursor::open(&index, q, IncrementalConfig::top10());
-        let mut collected = Vec::new();
-        loop {
-            let hits = cursor.fetch(page);
-            if hits.is_empty() { break; }
-            collected.extend(hits);
-        }
-        prop_assert_eq!(collected.len(), baseline.hits.len());
-        for (a, b) in collected.iter().zip(&baseline.hits) {
-            prop_assert_eq!(a.doc, b.doc);
-        }
-    }
-
-    /// Personalized pagerank with a uniform teleport equals standard
-    /// pagerank on any graph.
-    #[test]
-    fn personalized_uniform_is_standard((n, edges) in arb_graph(30, 120)) {
-        use distributed_pagerank::core::personalized::{
-            solve_personalized_sync, TeleportVector,
-        };
-        let g = build(n, &edges);
-        let standard = SyncSolver::new().tolerance(1e-12).solve(&g).ranks;
-        let uniform = solve_personalized_sync(
-            &g, &TeleportVector::uniform(n), DEFAULT_DAMPING, 1e-12);
-        for (a, b) in uniform.iter().zip(&standard) {
-            prop_assert!((a - b).abs() < 1e-8, "{} vs {}", a, b);
-        }
-    }
 }

@@ -2,13 +2,11 @@
 //!
 //! The contract under test is *zero perturbation*: attaching a live
 //! [`TraceRecorder`] to any run loop must not move a single rank bit
-//! or change a single traffic tally, at either execution mode and
-//! under either wire mode. A third test exercises the end-to-end
+//! or change a single traffic tally, under either wire mode. A third test exercises the end-to-end
 //! acceptance path: a continuous-churn run writes a JSONL trace that
 //! re-parses schema-valid and whose per-run residual series is
 //! monotone non-increasing after the last injection event.
 
-use distributed_pagerank::core::parallel::ExecMode;
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::batch::run_wire_mode;
@@ -19,38 +17,36 @@ use std::sync::Arc;
 
 const SEED: u64 = 2003;
 
-/// Observing the engine run loop (churned, at both execution modes)
-/// yields bit-identical ranks and identical run statistics.
+/// Observing the engine run loop yields bit-identical ranks and
+/// identical run statistics.
 #[test]
 fn engine_ranks_are_bit_identical_with_telemetry_on() {
     let w = Workload::paper(2_000, 50, SEED);
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
-        let ranks_plain = {
-            let mut eng = ChaoticEngine::new(
-                w.graph.clone(),
-                w.owners(),
-                EngineConfig::with_epsilon(1e-3),
-            );
-            let mut peers = w.peer_table();
-            let run = mode.run_observed(&mut eng, &mut peers, None, &NOOP, "run");
-            assert!(run.converged);
-            eng.ranks().to_vec()
-        };
-        let rec = TraceRecorder::new();
-        let ranks_traced = {
-            let mut eng = ChaoticEngine::new(
-                w.graph.clone(),
-                w.owners(),
-                EngineConfig::with_epsilon(1e-3),
-            );
-            let mut peers = w.peer_table();
-            let run = mode.run_observed(&mut eng, &mut peers, None, &rec, "diff");
-            assert!(run.converged);
-            eng.ranks().to_vec()
-        };
-        assert_eq!(ranks_plain, ranks_traced, "ranks diverged under {mode:?}");
-        assert!(rec.event_count() > 0, "live recorder saw no events");
-    }
+    let ranks_plain = {
+        let mut eng = ChaoticEngine::new(
+            w.graph.clone(),
+            w.owners(),
+            EngineConfig::with_epsilon(1e-3),
+        );
+        let mut peers = w.peer_table();
+        let run = eng.run_observed(&mut peers, None, &NOOP, "run");
+        assert!(run.converged);
+        eng.ranks().to_vec()
+    };
+    let rec = TraceRecorder::new();
+    let ranks_traced = {
+        let mut eng = ChaoticEngine::new(
+            w.graph.clone(),
+            w.owners(),
+            EngineConfig::with_epsilon(1e-3),
+        );
+        let mut peers = w.peer_table();
+        let run = eng.run_observed(&mut peers, None, &rec, "diff");
+        assert!(run.converged);
+        eng.ranks().to_vec()
+    };
+    assert_eq!(ranks_plain, ranks_traced, "ranks diverged");
+    assert!(rec.event_count() > 0, "live recorder saw no events");
 }
 
 /// The churned convergence scenario reports identical pass and
@@ -58,20 +54,15 @@ fn engine_ranks_are_bit_identical_with_telemetry_on() {
 #[test]
 fn churned_convergence_stats_are_unchanged_by_telemetry() {
     let w = Workload::paper(1_500, 40, SEED);
-    for exec in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-        let spec = ScenarioSpec {
-            exec,
-            ..ScenarioSpec::new(1_500, 40, 1e-3, SEED)
-        };
-        let plain = run_convergence(&w, &spec, 0.75, &NOOP, "convergence");
-        let rec = TraceRecorder::new();
-        let traced = run_convergence(&w, &spec, 0.75, &rec, "diff");
-        assert_eq!(plain.passes, traced.passes);
-        assert_eq!(plain.converged, traced.converged);
-        assert_eq!(plain.total_remote_messages, traced.total_remote_messages);
-        assert_eq!(plain.messages_per_node, traced.messages_per_node);
-        assert!(rec.enabled() && rec.event_count() > 0);
-    }
+    let spec = ScenarioSpec::new(1_500, 40, 1e-3, SEED);
+    let plain = run_convergence(&w, &spec, 0.75, &NOOP, "convergence");
+    let rec = TraceRecorder::new();
+    let traced = run_convergence(&w, &spec, 0.75, &rec, "diff");
+    assert_eq!(plain.passes, traced.passes);
+    assert_eq!(plain.converged, traced.converged);
+    assert_eq!(plain.total_remote_messages, traced.total_remote_messages);
+    assert_eq!(plain.messages_per_node, traced.messages_per_node);
+    assert!(rec.enabled() && rec.event_count() > 0);
 }
 
 /// Observing the message-level cluster (both wire modes, with the
