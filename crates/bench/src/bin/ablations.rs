@@ -31,7 +31,7 @@
 //! cargo run --release -p dpr-bench --bin ablations [--nodes 20000] [--seed N]
 //! ```
 
-use dpr_bench::Args;
+use dpr_bench::{run_cell, Args, Layer};
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats;
 use dpr_core::sync_solver::SyncSolver;
@@ -80,14 +80,12 @@ fn ablation_sync_vs_async(nodes: usize, seed: u64) {
     let reference = SyncSolver::new().tolerance(1e-12).solve(&w.graph);
 
     for eps in [1e-3, 1e-5] {
-        let mut eng = at(eps).engine(&w);
-        let mut peers = w.peer_table();
-        let run = eng.run_to_convergence(&mut peers, None);
-        let err = error_stats::compare(eng.ranks(), &reference.ranks);
+        let cell = run_cell(&w, Layer::Engine, &at(eps));
+        let err = error_stats::compare(&cell.ranks, &reference.ranks);
         table.push([
             format!("chaotic eps={}", fmt_eps(eps)),
-            run.passes.to_string(),
-            run.total_remote_messages.to_string(),
+            cell.steps.to_string(),
+            cell.remote_messages.to_string(),
             format!("{:.2e}", err.max),
         ]);
     }
@@ -360,28 +358,19 @@ fn ablation_priority_sched(nodes: usize, seed: u64) {
         "max rel err",
     ]);
     for eps in [1e-3, 1e-6] {
-        let mut pass_msgs = 0u64;
+        let pass = run_cell(&w, Layer::Engine, &at(eps, SchedMode::Pass));
         for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
-            let mut eng = at(eps, sched).engine(&w);
-            let mut peers = w.peer_table();
-            let run = eng.run_to_convergence(&mut peers, None);
-            assert!(run.converged);
+            let cell = run_cell(&w, Layer::Engine, &at(eps, sched));
             let saving = match sched {
-                SchedMode::Pass => {
-                    pass_msgs = run.total_remote_messages;
-                    "—".to_string()
-                }
-                SchedMode::Priority | SchedMode::Greedy => format!(
-                    "{:.1}%",
-                    100.0 * (1.0 - run.total_remote_messages as f64 / pass_msgs.max(1) as f64)
-                ),
+                SchedMode::Pass => "—".to_string(),
+                _ => format!("{:.1}%", 100.0 * cell.versus(&pass).0),
             };
-            let err = error_stats::compare(eng.ranks(), &reference.ranks);
+            let err = error_stats::compare(&cell.ranks, &reference.ranks);
             table.push([
                 sched.to_string(),
                 fmt_eps(eps),
-                run.passes.to_string(),
-                run.total_remote_messages.to_string(),
+                cell.steps.to_string(),
+                cell.remote_messages.to_string(),
                 saving,
                 format!("{:.2e}", err.max),
             ]);

@@ -11,8 +11,7 @@
 //!     [--sched pass|priority|greedy] [--json] [--full]
 //! ```
 
-use dpr_bench::{Args, DEFAULT_SIZES};
-use dpr_sim::report::{results_dir, ExperimentRecord};
+use dpr_bench::{emit, Args, DEFAULT_SIZES};
 use dpr_sim::scenario::{run_convergence, ConvergenceResult};
 use dpr_sim::spec::ScenarioSpec;
 use dpr_telemetry::table::TextTable;
@@ -48,22 +47,20 @@ fn main() {
         table.push(cells);
         eprintln!("  … finished size {size}");
     }
-    println!("{}", table.render());
-    println!("passes per cell; each column re-draws the online peer set after every pass");
-
-    if args.json() {
-        let path = ExperimentRecord::new(
-            "table1",
-            format!(
-                "peers={peers} eps={eps} sched={} seed={}",
-                base.sched, base.seed
-            ),
-            rows,
-        )
-        .write_to_dir(results_dir())
-        .expect("write results");
-        println!("\nwrote {}", path.display());
-    }
+    let table = format!(
+        "{}\npasses per cell; each column re-draws the online peer set after every pass\n",
+        table.render()
+    );
+    let sched = base.sched.to_string();
+    let params = format!("peers={peers} eps={eps} sched={sched} seed={}", base.seed);
+    emit(
+        &args,
+        "table1",
+        params,
+        ["none", "passes", &sched],
+        rows,
+        &table,
+    );
     trace.finish().expect("write trace sinks");
     args.reject_unread();
 }

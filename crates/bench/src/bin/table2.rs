@@ -13,8 +13,7 @@
 //!     [--json] [--full]
 //! ```
 
-use dpr_bench::{Args, DEFAULT_SIZES, TABLE23_EPSILONS};
-use dpr_sim::report::{results_dir, ExperimentRecord};
+use dpr_bench::{emit, Args, DEFAULT_SIZES, TABLE23_EPSILONS};
 use dpr_sim::scenario::{QualityResult, QualitySweep};
 use dpr_sim::spec::ScenarioSpec;
 use dpr_telemetry::fmt::fmt_eps;
@@ -72,16 +71,16 @@ fn main() {
         records.extend(results);
     }
 
-    if args.json() {
-        let path = ExperimentRecord::new(
-            "table2",
-            format!("peers={peers} sched={} seed={}", base.sched, base.seed),
-            records,
-        )
-        .write_to_dir(results_dir())
-        .expect("write results");
-        println!("wrote {}", path.display());
-    }
+    let sched = base.sched.to_string();
+    let params = format!("peers={peers} sched={sched} seed={}", base.seed);
+    emit(
+        &args,
+        "table2",
+        params,
+        ["none", "passes", &sched],
+        records,
+        "",
+    );
     trace.finish().expect("write trace sinks");
     args.reject_unread();
 }

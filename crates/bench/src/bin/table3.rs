@@ -25,12 +25,11 @@
 //!     [--batch [--frame-bytes 1400] [--eps e1,e2,...]]
 //! ```
 
-use dpr_bench::{Args, DEFAULT_SIZES, TABLE23_EPSILONS};
+use dpr_bench::{emit, Args, DEFAULT_SIZES, TABLE23_EPSILONS};
 use dpr_core::exec_model::{
     aggregate_time_secs, internet_scale_days, RATE_200KBS, RATE_32KBS, RATE_T3, SECS_PER_HOUR,
 };
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
-use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{BatchedQualityResult, QualityResult, QualitySweep};
 use dpr_sim::spec::ScenarioSpec;
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
@@ -102,22 +101,15 @@ fn batch_mode(args: &Args) {
         println!("{size} nodes:");
         println!("{}", table.render());
     }
-    println!("aggregation coalesces each pass's updates per destination peer and pays one");
-    println!("route (then one cached IP send) per frame instead of one route per update");
-
-    if args.json() {
-        let path = ExperimentRecord::new(
-            "table3_batch",
-            format!(
-                "peers={peers} frame_bytes={cap} sched={} seed={}",
-                base.sched, base.seed
-            ),
-            records,
-        )
-        .write_to_dir(results_dir())
-        .expect("write results");
-        println!("wrote {}", path.display());
-    }
+    let note = "aggregation coalesces each pass's updates per destination peer and pays one\n\
+                route (then one cached IP send) per frame instead of one route per update\n";
+    let (codec, sched) = (base.codec.to_string(), base.sched.to_string());
+    let params = format!(
+        "peers={peers} frame_bytes={cap} sched={sched} seed={}",
+        base.seed
+    );
+    let axes = [&codec, "rounds", &sched];
+    emit(args, "table3_batch", params, axes, records, note);
     trace.finish().expect("write trace sinks");
 }
 
@@ -206,16 +198,16 @@ fn main() {
         println!("(paper: ~14 days at a moderate threshold, ~35 days at a strict one)");
     }
 
-    if args.json() {
-        let path = ExperimentRecord::new(
-            "table3",
-            format!("peers={peers} sched={} seed={}", base.sched, base.seed),
-            records,
-        )
-        .write_to_dir(results_dir())
-        .expect("write results");
-        println!("wrote {}", path.display());
-    }
+    let sched = base.sched.to_string();
+    let params = format!("peers={peers} sched={sched} seed={}", base.seed);
+    emit(
+        &args,
+        "table3",
+        params,
+        ["none", "passes", &sched],
+        records,
+        "",
+    );
     trace.finish().expect("write trace sinks");
     args.reject_unread();
 }

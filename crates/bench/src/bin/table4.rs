@@ -11,9 +11,8 @@
 //!     [--samples 1000] [--damping 0.85] [--seed N] [--json] [--full]
 //! ```
 
-use dpr_bench::{Args, TABLE4_EPSILONS};
+use dpr_bench::{emit, Args, TABLE4_EPSILONS};
 use dpr_graph::powerlaw::paper_graph;
-use dpr_sim::report::{results_dir, ExperimentRecord};
 use dpr_sim::scenario::{insert_experiment, InsertResult};
 use dpr_telemetry::fmt::fmt_eps;
 use dpr_telemetry::table::TextTable;
@@ -60,17 +59,16 @@ fn main() {
     println!("{}", path_table.render());
     println!("Node coverage:");
     println!("{}", cov_table.render());
-    println!("(paper: path length 2-24 growing ~log(1/eps); coverage ~linear in 1/eps,\n bounded by graph size at tiny thresholds)");
-
-    if args.json() {
-        let path = ExperimentRecord::new(
-            "table4",
-            format!("samples={samples} damping={damping} seed={seed}"),
-            records,
-        )
-        .write_to_dir(results_dir())
-        .expect("write results");
-        println!("wrote {}", path.display());
-    }
+    let note = "(paper: path length 2-24 growing ~log(1/eps); coverage ~linear in 1/eps,\n \
+                bounded by graph size at tiny thresholds)\n";
+    let params = format!("samples={samples} damping={damping} seed={seed}");
+    emit(
+        &args,
+        "table4",
+        params,
+        ["none", "waves", "none"],
+        records,
+        note,
+    );
     args.reject_unread();
 }

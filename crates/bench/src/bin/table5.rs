@@ -10,12 +10,12 @@
 //! cargo run --release -p dpr-bench --bin table5
 //! ```
 
-use dpr_sim::report::results_dir;
+use dpr_sim::report::out_dir;
 use serde_json::Value;
 use std::fs;
 
 fn load(name: &str) -> Option<Value> {
-    let path = results_dir().join(format!("{name}.json"));
+    let path = out_dir("results").join(format!("{name}.json"));
     let text = fs::read_to_string(&path).ok()?;
     serde_json::from_str(&text).ok()
 }

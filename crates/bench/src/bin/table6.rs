@@ -12,8 +12,7 @@
 //!     [--vocab 1880] [--peers 50] [--queries 20] [--seed N] [--json]
 //! ```
 
-use dpr_bench::Args;
-use dpr_sim::report::{results_dir, ExperimentRecord};
+use dpr_bench::{emit, Args};
 use dpr_sim::scenario::{search_experiment, SearchExperimentConfig, SearchRow};
 use dpr_telemetry::table::TextTable;
 
@@ -65,13 +64,9 @@ fn main() {
     }
     println!("Average # hits returned:");
     println!("{}", hits.render());
-    println!("(paper: 12.2 / 11.9 reduction at top-10%, 6.5 / 6.9 at top-20%;\n baseline returns 1603.9 / 835.6 hits)");
-
-    if args.json() {
-        let path = ExperimentRecord::new("table6", format!("{cfg:?}"), rows)
-            .write_to_dir(results_dir())
-            .expect("write results");
-        println!("wrote {}", path.display());
-    }
+    let note = "(paper: 12.2 / 11.9 reduction at top-10%, 6.5 / 6.9 at top-20%;\n \
+                baseline returns 1603.9 / 835.6 hits)\n";
+    let axes = ["none", "search", "none"];
+    emit(&args, "table6", format!("{cfg:?}"), axes, rows, note);
     args.reject_unread();
 }

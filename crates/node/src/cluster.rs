@@ -167,11 +167,6 @@ impl Cluster {
         }
     }
 
-    /// Rounds executed.
-    pub fn rounds_run(&self) -> usize {
-        self.rounds
-    }
-
     /// The node of peer `p`.
     pub fn node(&self, p: PeerId) -> &PeerNode {
         &self.nodes[p.index()]
@@ -623,10 +618,7 @@ impl Cluster {
         //    increments were separate sends and must stay separate
         //    folds).
         use dpr_p2p::guid::Guid;
-        use dpr_p2p::transport::{
-            CompactFrameWire, RankUpdateWire, UpdateFrameWire, COMPACT_MAGIC,
-            RANK_UPDATE_WIRE_BYTES,
-        };
+        use dpr_p2p::transport::{CompactFrameWire, PayloadKind, RankUpdateWire, UpdateFrameWire};
         const MIGRATED: &str = "stranded update must target a migrated document";
         let mut by_guid = fxhash::FxHashMap::<u128, PeerId>::default();
         let mut by_tag = fxhash::FxHashMap::<u64, PeerId>::default();
@@ -646,29 +638,32 @@ impl Cluster {
         let mut redirects: Vec<SendOutcome> = Vec::new();
         for env in stranded {
             // `(new holder, entries, payload)` per piece of this payload.
-            let pieces: Vec<(PeerId, usize, Bytes)> = if env.payload.len() == RANK_UPDATE_WIRE_BYTES
-            {
-                let wire = RankUpdateWire::parse(&env.payload).expect(WELL_FORMED);
-                vec![(*by_guid.get(&wire.guid).expect(MIGRATED), 1, env.payload)]
-            } else if env.payload.first() == Some(&COMPACT_MAGIC) {
-                let mut split = Vec::new();
-                CompactFrameWire::visit(&env.payload, |e| {
-                    regroup(&mut split, self.holder_of[e.doc as usize], e)
-                })
-                .expect(WELL_FORMED);
-                let encode =
-                    |(h, es): (_, Vec<_>)| (h, es.len(), CompactFrameWire::new(es).encode());
-                split.into_iter().map(encode).collect()
-            } else {
-                let mut split = Vec::new();
-                UpdateFrameWire::visit(&env.payload, |e| {
-                    regroup(&mut split, *by_tag.get(&e.tag).expect(MIGRATED), e)
-                })
-                .expect(WELL_FORMED);
-                let encode = |(h, entries): (_, Vec<_>)| {
-                    (h, entries.len(), UpdateFrameWire { entries }.encode())
-                };
-                split.into_iter().map(encode).collect()
+            let pieces: Vec<(PeerId, usize, Bytes)> = match PayloadKind::of(&env.payload) {
+                PayloadKind::Single => {
+                    let wire = RankUpdateWire::parse(&env.payload).expect(WELL_FORMED);
+                    vec![(*by_guid.get(&wire.guid).expect(MIGRATED), 1, env.payload)]
+                }
+                PayloadKind::Compact => {
+                    let mut split = Vec::new();
+                    CompactFrameWire::visit(&env.payload, |e| {
+                        regroup(&mut split, self.holder_of[e.doc as usize], e)
+                    })
+                    .expect(WELL_FORMED);
+                    let encode =
+                        |(h, es): (_, Vec<_>)| (h, es.len(), CompactFrameWire::new(es).encode());
+                    split.into_iter().map(encode).collect()
+                }
+                PayloadKind::Raw => {
+                    let mut split = Vec::new();
+                    UpdateFrameWire::visit(&env.payload, |e| {
+                        regroup(&mut split, *by_tag.get(&e.tag).expect(MIGRATED), e)
+                    })
+                    .expect(WELL_FORMED);
+                    let encode = |(h, entries): (_, Vec<_>)| {
+                        (h, entries.len(), UpdateFrameWire { entries }.encode())
+                    };
+                    split.into_iter().map(encode).collect()
+                }
             };
             // Redirected entries were charged to `p` in the send-side
             // ledger but will now be received elsewhere, so the charge

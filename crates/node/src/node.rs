@@ -67,8 +67,8 @@ use dpr_graph::DocId;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{
-    max_entries_for, CompactEntry, CompactFrameWire, FrameEntry, RankUpdateWire, UpdateFrameWire,
-    WireCodec, COMPACT_MAGIC, RANK_UPDATE_WIRE_BYTES,
+    max_entries_for, CompactEntry, CompactFrameWire, FrameEntry, PayloadKind, RankUpdateWire,
+    UpdateFrameWire, WireCodec,
 };
 use dpr_telemetry::{Metric, Recorder, NOOP};
 use fxhash::FxHashMap;
@@ -334,16 +334,6 @@ impl PeerNode {
         }
     }
 
-    /// This node's wire mode.
-    pub fn wire_mode(&self) -> WireMode {
-        self.wire
-    }
-
-    /// This node's frame codec.
-    pub fn wire_codec(&self) -> WireCodec {
-        self.codec
-    }
-
     /// Sets the frame codec for subsequent flushes (receiving is
     /// codec-agnostic: any node accepts raw and compact frames alike).
     pub fn set_codec(&mut self, codec: WireCodec) {
@@ -501,11 +491,8 @@ impl PeerNode {
         self.handle_message_with(&mut StepScratch::default(), &payload)
     }
 
-    /// Handles one incoming wire payload in place: a 24-byte payload
-    /// is a single `(GUID, f64)` update; otherwise the first byte
-    /// selects the frame codec ([`COMPACT_MAGIC`] ⇒ compact, else raw —
-    /// raw frame lengths are `4 + 16k`, never 24, and compact frames
-    /// pad away from 24, so the dispatch is unambiguous).
+    /// Handles one incoming wire payload in place, in whichever of the
+    /// three formats [`PayloadKind::of`] finds it.
     ///
     /// A frame is atomic: every entry must validate and resolve before
     /// any is applied (a malformed payload outranks an unknown
@@ -518,26 +505,30 @@ impl PeerNode {
     ) -> Result<(), MessageError> {
         sc.resolved.clear();
         let (resolved, mut unknown) = (&mut sc.resolved, None);
-        let walked = if payload.len() == RANK_UPDATE_WIRE_BYTES {
-            RankUpdateWire::parse(payload).map(|w| match self.guid_index.get(&Guid(w.guid)) {
-                Some(&slot) => resolved.push((slot, w.value)),
-                None => unknown = Some(MessageError::UnknownGuid(Guid(w.guid))),
-            })
-        } else if payload.first() == Some(&COMPACT_MAGIC) {
-            CompactFrameWire::visit(payload, |e| match self.doc_index.get(&DocId(e.doc)) {
-                Some(&slot) => resolved.push((slot, f64::from(e.value))),
-                None => {
-                    let guid = Guid::for_document(DocId(e.doc));
-                    unknown.get_or_insert(MessageError::UnknownGuid(guid));
-                }
-            })
-        } else {
-            UpdateFrameWire::visit(payload, |e| match self.tag_index.get(&e.tag) {
-                Some(&slot) => resolved.push((slot, e.value)),
-                None => {
-                    unknown.get_or_insert(MessageError::UnknownTag(e.tag));
-                }
-            })
+        let walked = match PayloadKind::of(payload) {
+            PayloadKind::Single => {
+                RankUpdateWire::parse(payload).map(|w| match self.guid_index.get(&Guid(w.guid)) {
+                    Some(&slot) => resolved.push((slot, w.value)),
+                    None => unknown = Some(MessageError::UnknownGuid(Guid(w.guid))),
+                })
+            }
+            PayloadKind::Compact => {
+                CompactFrameWire::visit(payload, |e| match self.doc_index.get(&DocId(e.doc)) {
+                    Some(&slot) => resolved.push((slot, f64::from(e.value))),
+                    None => {
+                        let guid = Guid::for_document(DocId(e.doc));
+                        unknown.get_or_insert(MessageError::UnknownGuid(guid));
+                    }
+                })
+            }
+            PayloadKind::Raw => {
+                UpdateFrameWire::visit(payload, |e| match self.tag_index.get(&e.tag) {
+                    Some(&slot) => resolved.push((slot, e.value)),
+                    None => {
+                        unknown.get_or_insert(MessageError::UnknownTag(e.tag));
+                    }
+                })
+            }
         };
         if let Some(err) = walked.err().map(MessageError::Wire).or(unknown) {
             self.stats.rejected += 1;
@@ -862,6 +853,7 @@ pub struct DocExport {
 mod tests {
     use super::*;
     use dpr_core::message::{RankUpdate, UpdateFrame};
+    use dpr_p2p::transport::{COMPACT_MAGIC, RANK_UPDATE_WIRE_BYTES};
 
     fn cfg(eps: f64) -> EngineConfig {
         EngineConfig::with_epsilon(eps)

@@ -87,14 +87,6 @@ impl PeerTable {
         (0..self.online.len() as u32).map(PeerId)
     }
 
-    /// Iterator over online peer ids.
-    pub fn online_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.online
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(PeerId(i as u32)))
-    }
-
     /// Resets the table so that exactly `fraction` of peers are online,
     /// chosen uniformly at random. Used by the Table 1 columns where
     /// only 75 % / 50 % of peers are present at any time.

@@ -151,20 +151,24 @@ impl FaultTarget for Bytes {
     }
 
     fn leak_mass(&self) -> Option<Self> {
-        if self.len() == RANK_UPDATE_WIRE_BYTES {
-            let mut m = RankUpdateWire::decode(self.clone()).ok()?;
-            m.value += MASS_LEAK_DELTA;
-            m.value.is_finite().then(|| m.encode())
-        } else if self.first() == Some(&COMPACT_MAGIC) {
-            let mut f = CompactFrameWire::decode(self.clone()).ok()?;
-            let e = f.entries.first_mut()?;
-            e.value += MASS_LEAK_DELTA as f32;
-            e.value.is_finite().then(|| f.encode())
-        } else {
-            let mut f = UpdateFrameWire::decode(self.clone()).ok()?;
-            let e = f.entries.first_mut()?;
-            e.value += MASS_LEAK_DELTA;
-            e.value.is_finite().then(|| f.encode())
+        match PayloadKind::of(self) {
+            PayloadKind::Single => {
+                let mut m = RankUpdateWire::decode(self.clone()).ok()?;
+                m.value += MASS_LEAK_DELTA;
+                m.value.is_finite().then(|| m.encode())
+            }
+            PayloadKind::Compact => {
+                let mut f = CompactFrameWire::decode(self.clone()).ok()?;
+                let e = f.entries.first_mut()?;
+                e.value += MASS_LEAK_DELTA as f32;
+                e.value.is_finite().then(|| f.encode())
+            }
+            PayloadKind::Raw => {
+                let mut f = UpdateFrameWire::decode(self.clone()).ok()?;
+                let e = f.entries.first_mut()?;
+                e.value += MASS_LEAK_DELTA;
+                e.value.is_finite().then(|| f.encode())
+            }
         }
     }
 }
@@ -246,14 +250,9 @@ impl<M> Transport<M> {
     pub fn take_pending_for(&mut self, dst: PeerId) -> Vec<Envelope<M>> {
         let mut taken = Vec::new();
         for sender in &mut self.pending {
-            let mut kept = Vec::new();
-            for env in sender.drain(..) {
-                if env.to == dst {
-                    taken.push(env);
-                } else {
-                    kept.push(env);
-                }
-            }
+            let parked = std::mem::take(sender).into_iter();
+            let (gone, kept): (Vec<_>, Vec<_>) = parked.partition(|env| env.to == dst);
+            taken.extend(gone);
             *sender = kept;
         }
         taken
@@ -306,11 +305,6 @@ impl<M> Transport<M> {
     /// Traffic counters.
     pub fn stats(&self) -> TrafficStats {
         self.stats
-    }
-
-    /// Resets traffic counters (not queues).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
     }
 }
 
@@ -415,22 +409,19 @@ impl<M: WireSize + FaultTarget> Transport<M> {
     }
 }
 
-/// Update entries carried by one wire payload: 24 bytes ⇒ one single
-/// update, [`COMPACT_MAGIC`] ⇒ the compact frame's declared count,
-/// else a `4 + 16k` raw frame.
+/// Update entries carried by one wire payload: one for a single, the
+/// compact frame's declared count, or the `4 + 16k` raw frame's `k`
+/// (0 for a payload too short to say).
 pub fn payload_entries(payload: &Bytes) -> u64 {
-    if payload.len() == RANK_UPDATE_WIRE_BYTES {
-        1
-    } else if payload.first() == Some(&COMPACT_MAGIC) {
-        if payload.len() < COMPACT_HEADER_BYTES {
-            0
-        } else {
+    match PayloadKind::of(payload) {
+        PayloadKind::Single => 1,
+        PayloadKind::Compact if payload.len() >= COMPACT_HEADER_BYTES => {
             u64::from(u16::from_le_bytes([payload[2], payload[3]]))
         }
-    } else if payload.len() >= FRAME_HEADER_BYTES {
-        ((payload.len() - FRAME_HEADER_BYTES) / FRAME_ENTRY_BYTES) as u64
-    } else {
-        0
+        PayloadKind::Raw if payload.len() >= FRAME_HEADER_BYTES => {
+            ((payload.len() - FRAME_HEADER_BYTES) / FRAME_ENTRY_BYTES) as u64
+        }
+        _ => 0,
     }
 }
 
@@ -441,12 +432,10 @@ pub fn payload_entries(payload: &Bytes) -> u64 {
 /// receiver will fold in.
 pub fn payload_mass(payload: &Bytes) -> f64 {
     let mut mass = 0.0;
-    let walked = if payload.len() == RANK_UPDATE_WIRE_BYTES {
-        RankUpdateWire::parse(payload).map(|m| mass = m.value)
-    } else if payload.first() == Some(&COMPACT_MAGIC) {
-        CompactFrameWire::visit(payload, |e| mass += f64::from(e.value))
-    } else {
-        UpdateFrameWire::visit(payload, |e| mass += e.value)
+    let walked = match PayloadKind::of(payload) {
+        PayloadKind::Single => RankUpdateWire::parse(payload).map(|m| mass = m.value),
+        PayloadKind::Compact => CompactFrameWire::visit(payload, |e| mass += f64::from(e.value)),
+        PayloadKind::Raw => UpdateFrameWire::visit(payload, |e| mass += e.value),
     };
     walked.map_or(0.0, |()| mass)
 }
@@ -461,17 +450,9 @@ impl Transport<Bytes> {
 
     /// Update entries currently undelivered and addressed to `dst`.
     pub fn in_flight_entries_to(&self, dst: PeerId) -> u64 {
-        self.inboxes[dst.index()]
-            .iter()
-            .map(|e| payload_entries(&e.payload))
-            .sum::<u64>()
-            + self
-                .pending
-                .iter()
-                .flatten()
-                .filter(|e| e.to == dst)
-                .map(|e| payload_entries(&e.payload))
-                .sum::<u64>()
+        let parked = self.pending.iter().flatten().filter(|e| e.to == dst);
+        let queued = self.inboxes[dst.index()].iter().chain(parked);
+        queued.map(|e| payload_entries(&e.payload)).sum()
     }
 
     /// Rank mass currently undelivered (inboxes + parked), decoded
@@ -502,6 +483,33 @@ pub struct RankUpdateWire {
 /// Exact wire size of [`RankUpdateWire`], as assumed by the paper's
 /// execution-time model.
 pub const RANK_UPDATE_WIRE_BYTES: usize = 24;
+
+/// Which of the three wire formats a payload is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadKind {
+    /// One 24-byte [`RankUpdateWire`].
+    Single,
+    /// A [`CompactFrameWire`].
+    Compact,
+    /// An [`UpdateFrameWire`].
+    Raw,
+}
+
+impl PayloadKind {
+    /// The wire-format rule: exactly 24 bytes is a single update;
+    /// otherwise the first byte selects the frame codec
+    /// ([`COMPACT_MAGIC`] ⇒ compact, else raw). Raw frame lengths are
+    /// `4 + 16k`, never 24, and compact frames pad away from 24, so
+    /// the dispatch is unambiguous.
+    #[inline]
+    pub fn of(payload: &[u8]) -> Self {
+        match payload.first() {
+            _ if payload.len() == RANK_UPDATE_WIRE_BYTES => PayloadKind::Single,
+            Some(&COMPACT_MAGIC) => PayloadKind::Compact,
+            _ => PayloadKind::Raw,
+        }
+    }
+}
 
 impl RankUpdateWire {
     /// Serializes to the 24-byte wire form.
@@ -739,8 +747,7 @@ impl std::str::FromStr for WireCodec {
 }
 
 /// First byte of every compact frame. Distinct from [`FRAME_MAGIC`],
-/// so receivers dispatch raw vs compact on the first byte after the
-/// 24-byte single-update length check.
+/// so [`PayloadKind::of`] can tell the two frame codecs apart.
 pub const COMPACT_MAGIC: u8 = 0xF8;
 /// Wire-protocol version of the compact frame layout.
 pub const COMPACT_VERSION: u8 = 1;

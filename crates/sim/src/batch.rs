@@ -31,7 +31,7 @@ use crate::workload::Workload;
 use dpr_graph::DocId;
 use dpr_node::node::WireMode;
 use dpr_p2p::guid::Guid;
-use dpr_p2p::transport::{RankUpdateWire, WireCodec, RANK_UPDATE_WIRE_BYTES};
+use dpr_p2p::transport::{PayloadKind, RankUpdateWire, WireCodec};
 use dpr_telemetry::Recorder;
 use fxhash::FxHashMap;
 use serde::Serialize;
@@ -111,7 +111,7 @@ pub fn run_wire_mode(
         .map(|d| (Guid::for_document(DocId::from(d)).0, DocId::from(d)))
         .collect();
     let mut hook = |src, dst, payload: &bytes::Bytes| {
-        if payload.len() == RANK_UPDATE_WIRE_BYTES {
+        if PayloadKind::of(payload) == PayloadKind::Single {
             let wire = RankUpdateWire::decode(payload.clone()).expect("well-formed single");
             let doc = doc_of_guid[&wire.guid];
             acc.charge(src, dst, doc)

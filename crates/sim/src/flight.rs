@@ -462,6 +462,8 @@ pub struct ProfileRun {
     /// Remote entries the peers emitted (the paper's traffic metric,
     /// counted identically to the round-driven cluster runs).
     pub remote_messages: u64,
+    /// Payload bytes the transport carried.
+    pub wire_bytes: u64,
 }
 
 /// Drives one chaotic reconvergence of the cluster `spec` describes
@@ -499,6 +501,7 @@ pub fn profile_run<R: Recorder + ?Sized>(
         fault_fired_at: cluster.fault_fired_at(),
         ranks: cluster.collect_ranks(w.graph.num_nodes()),
         remote_messages: node_traffic(&cluster).0,
+        wire_bytes: cluster.traffic().bytes_sent,
     }
 }
 

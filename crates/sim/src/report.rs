@@ -15,8 +15,7 @@ use std::path::{Path, PathBuf};
 /// which axes (codec, run mode, scheduler). The driver passes the
 /// commit and timestamp in from outside (`--git-sha`/`--stamp` on the
 /// bench binaries — the sandbox has no clock authority and the binary
-/// should not guess); fields default to `"unknown"` so old call sites
-/// stay valid.
+/// should not guess).
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchMeta {
     /// Commit the binary was built from, as passed by the driver.
@@ -34,48 +33,6 @@ pub struct BenchMeta {
     pub sched: String,
 }
 
-impl Default for BenchMeta {
-    fn default() -> Self {
-        let unknown = || "unknown".to_string();
-        BenchMeta {
-            git_sha: unknown(),
-            timestamp: unknown(),
-            scenario: unknown(),
-            codec: unknown(),
-            run_mode: unknown(),
-            sched: unknown(),
-        }
-    }
-}
-
-impl BenchMeta {
-    /// Builder: the commit and timestamp as the driver passed them.
-    pub fn provenance(mut self, git_sha: impl Into<String>, timestamp: impl Into<String>) -> Self {
-        self.git_sha = git_sha.into();
-        self.timestamp = timestamp.into();
-        self
-    }
-
-    /// Builder: the scenario description.
-    pub fn scenario(mut self, s: impl Into<String>) -> Self {
-        self.scenario = s.into();
-        self
-    }
-
-    /// Builder: the codec / run-mode / scheduler axes.
-    pub fn axes(
-        mut self,
-        codec: impl Into<String>,
-        run_mode: impl Into<String>,
-        sched: impl Into<String>,
-    ) -> Self {
-        self.codec = codec.into();
-        self.run_mode = run_mode.into();
-        self.sched = sched.into();
-        self
-    }
-}
-
 /// A named experiment record with arbitrary serializable rows.
 #[derive(Debug, Serialize)]
 pub struct ExperimentRecord<T: Serialize> {
@@ -90,21 +47,19 @@ pub struct ExperimentRecord<T: Serialize> {
 }
 
 impl<T: Serialize> ExperimentRecord<T> {
-    /// Creates a record with an unknown-provenance envelope; stamp it
-    /// with [`ExperimentRecord::with_meta`].
-    pub fn new(experiment: impl Into<String>, params: impl Into<String>, rows: Vec<T>) -> Self {
+    /// Creates a record.
+    pub fn new(
+        experiment: impl Into<String>,
+        params: impl Into<String>,
+        meta: BenchMeta,
+        rows: Vec<T>,
+    ) -> Self {
         ExperimentRecord {
             experiment: experiment.into(),
             params: params.into(),
-            meta: BenchMeta::default(),
+            meta,
             rows,
         }
-    }
-
-    /// Stamps the provenance envelope.
-    pub fn with_meta(mut self, meta: BenchMeta) -> Self {
-        self.meta = meta;
-        self
     }
 
     /// Writes the record as pretty JSON to `dir/<experiment>.json`,
@@ -120,12 +75,12 @@ impl<T: Serialize> ExperimentRecord<T> {
     }
 }
 
-/// Default output directory for experiment JSON (`results/` under the
-/// workspace, overridable with `DPR_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
+/// Output directory for experiment JSON: `DPR_RESULTS_DIR` when set,
+/// else `default` (relative to the working directory).
+pub fn out_dir(default: &str) -> PathBuf {
     std::env::var_os("DPR_RESULTS_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
+        .unwrap_or_else(|| PathBuf::from(default))
 }
 
 #[cfg(test)]
@@ -140,13 +95,15 @@ mod tests {
     #[test]
     fn writes_json_file() {
         let dir = std::env::temp_dir().join(format!("dpr-report-test-{}", std::process::id()));
-        let rec = ExperimentRecord::new("table9", "demo", vec![Row { x: 1 }, Row { x: 2 }])
-            .with_meta(
-                BenchMeta::default()
-                    .provenance("abc123", "2026-01-01T00:00:00Z")
-                    .scenario("demo scenario")
-                    .axes("raw", "rounds", "pass"),
-            );
+        let meta = BenchMeta {
+            git_sha: "abc123".into(),
+            timestamp: "2026-01-01T00:00:00Z".into(),
+            scenario: "demo scenario".into(),
+            codec: "raw".into(),
+            run_mode: "rounds".into(),
+            sched: "pass".into(),
+        };
+        let rec = ExperimentRecord::new("table9", "demo", meta, vec![Row { x: 1 }, Row { x: 2 }]);
         let path = rec.write_to_dir(&dir).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"experiment\": \"table9\""));
@@ -158,18 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn meta_defaults_to_unknown_provenance() {
-        let rec = ExperimentRecord::new("t", "p", vec![Row { x: 1 }]);
-        assert_eq!(rec.meta.git_sha, "unknown");
-        assert_eq!(rec.meta.sched, "unknown");
-    }
-
-    #[test]
     fn results_dir_env_override() {
         // Don't mutate the process env (tests run in parallel); just
         // check the default.
         if std::env::var_os("DPR_RESULTS_DIR").is_none() {
-            assert_eq!(results_dir(), PathBuf::from("results"));
+            assert_eq!(out_dir("results"), PathBuf::from("results"));
         }
     }
 }

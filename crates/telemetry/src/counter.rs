@@ -54,13 +54,6 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Folds another counter into this one (sum of sums).
-    pub fn merge(&self, other: &Counter) {
-        // Any stripe works for the destination; use the caller's so
-        // merging stays contention-free too.
-        self.add(other.get());
-    }
 }
 
 #[cfg(test)]
@@ -74,17 +67,6 @@ mod tests {
         c.add(3);
         c.add(4);
         assert_eq!(c.get(), 7);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let a = Counter::new();
-        let b = Counter::new();
-        a.add(10);
-        b.add(32);
-        a.merge(&b);
-        assert_eq!(a.get(), 42);
-        assert_eq!(b.get(), 32, "merge does not drain the source");
     }
 
     #[test]

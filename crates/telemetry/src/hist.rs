@@ -2,10 +2,9 @@
 //!
 //! Bucket 0 counts observations of exactly 0; bucket `i ≥ 1` counts
 //! values in `[2^(i-1), 2^i)`. 65 buckets cover the whole `u64`
-//! domain, recording is one relaxed `fetch_add`, and two histograms
-//! merge by bucket-wise addition — which is what makes per-thread
-//! recording equivalent to single-threaded recording of the same
-//! observation multiset (property-tested below).
+//! domain and recording is one relaxed `fetch_add` — which is what
+//! makes recording from several threads equivalent to single-threaded
+//! recording of the same observation multiset (property-tested below).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,15 +90,6 @@ impl Histogram {
             *o = b.load(Ordering::Relaxed);
         }
         out
-    }
-
-    /// Folds another histogram into this one, bucket-wise.
-    pub fn merge(&self, other: &Histogram) {
-        for (b, o) in self.buckets.iter().zip(other.snapshot()) {
-            b.fetch_add(o, Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
     }
 
     /// Smallest bucket upper bound at or below which at least
@@ -209,19 +199,6 @@ mod tests {
         assert_eq!(Histogram::new().quantile_upper_bound(0.9), 0);
     }
 
-    #[test]
-    fn merge_is_bucketwise_addition() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.observe(5);
-        b.observe(5);
-        b.observe(900);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 910);
-        assert_eq!(a.snapshot()[3], 2, "both 5s in [4, 8)");
-    }
-
     proptest! {
         #[test]
         fn split_recording_equals_sequential_recording(
@@ -234,26 +211,18 @@ mod tests {
             for &v in &values {
                 whole.observe(v);
             }
-            // ...versus two fed a partition of the same multiset on
-            // separate threads, then merged.
-            let left = Histogram::new();
-            let right = Histogram::new();
+            // ...versus one fed a partition of the same multiset from
+            // two threads at once.
+            let shared = Histogram::new();
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    for &v in &values[..split] {
-                        left.observe(v);
-                    }
-                });
-                s.spawn(|| {
-                    for &v in &values[split..] {
-                        right.observe(v);
-                    }
-                });
+                for part in [&values[..split], &values[split..]] {
+                    let shared = &shared;
+                    s.spawn(move || part.iter().for_each(|&v| shared.observe(v)));
+                }
             });
-            left.merge(&right);
-            prop_assert_eq!(left.snapshot(), whole.snapshot());
-            prop_assert_eq!(left.count(), whole.count());
-            prop_assert_eq!(left.sum(), whole.sum());
+            prop_assert_eq!(shared.snapshot(), whole.snapshot());
+            prop_assert_eq!(shared.count(), whole.count());
+            prop_assert_eq!(shared.sum(), whole.sum());
         }
     }
 }

@@ -26,24 +26,10 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Parses a JSONL trace, validating every line against the event
-/// schema. Blank lines are ignored.
+/// schema: [`parse_jsonl_tolerant`], except that the first line of an
+/// unknown kind is an error too. Blank lines are ignored.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, TraceError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = serde_json::from_str(line).map_err(|e| TraceError {
-            line: i + 1,
-            message: format!("not JSON: {e}"),
-        })?;
-        let event = Event::from_value(&value).map_err(|e| TraceError {
-            line: i + 1,
-            message: e.to_string(),
-        })?;
-        events.push(event);
-    }
-    Ok(events)
+    parse_lines(text, true).map(|(events, _)| events)
 }
 
 /// An event kind the parser did not recognize, with how often it
@@ -65,6 +51,11 @@ pub struct UnknownKind {
 /// are not JSON, lack a `"type"`, or carry a *known* type with a
 /// malformed body still fail: those are corruption, not drift.
 pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Event>, Vec<UnknownKind>), TraceError> {
+    parse_lines(text, false)
+}
+
+/// The one parser loop; `strict` turns an unknown kind into an error.
+fn parse_lines(text: &str, strict: bool) -> Result<(Vec<Event>, Vec<UnknownKind>), TraceError> {
     let mut events = Vec::new();
     let mut unknown: Vec<UnknownKind> = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -83,6 +74,12 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<(Vec<Event>, Vec<UnknownKind>)
                 message: "event missing \"type\" discriminator".to_string(),
             })?;
         if !Event::KINDS.contains(&tag) {
+            if strict {
+                return Err(TraceError {
+                    line: i + 1,
+                    message: format!("unknown event type {tag:?}"),
+                });
+            }
             match unknown.iter_mut().find(|u| u.kind == tag) {
                 Some(u) => u.count += 1,
                 None => unknown.push(UnknownKind {

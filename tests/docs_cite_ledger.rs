@@ -1,0 +1,96 @@
+//! Docs cite the ledger, as a test: every `BENCH_<name>.json` that
+//! README.md, DESIGN.md or EXPERIMENTS.md names is a checked-in file at
+//! the workspace root, and every `continuous --<flag>` they show is a
+//! flag the binary reads — a mode switch or value flag of
+//! `continuous.rs`, or one of the shared scenario / telemetry flags.
+
+use std::path::Path;
+
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// The sources that read `continuous`'s flags, each as a `"name"`
+/// literal.
+const FLAG_READERS: [&str; 4] = [
+    "crates/bench/src/bin/continuous.rs",
+    "crates/bench/src/lib.rs",
+    "crates/sim/src/spec.rs",
+    "crates/sim/src/flags.rs",
+];
+
+fn read(root: &Path, file: &str) -> String {
+    std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+/// The leading run of `text` made of lowercase letters and `extra`.
+fn word(text: &str, extra: char) -> &str {
+    let end = text.find(|c: char| !(c.is_ascii_lowercase() || c == extra));
+    &text[..end.unwrap_or(text.len())]
+}
+
+/// Every `BENCH_<name>.json` token of `text`, as `BENCH_<name>.json`.
+fn cited_files(text: &str) -> impl Iterator<Item = String> + '_ {
+    text.match_indices("BENCH_").filter_map(|(i, prefix)| {
+        let rest = &text[i + prefix.len()..];
+        let name = word(rest, '_');
+        (!name.is_empty() && rest[name.len()..].starts_with(".json"))
+            .then(|| format!("BENCH_{name}.json"))
+    })
+}
+
+/// Every `<flag>` of a `continuous --<flag>` or `continuous -- --<flag>`
+/// token of `text` (the closing backtick of `` `continuous` `` allowed
+/// in between).
+fn cited_flags(text: &str) -> impl Iterator<Item = &str> {
+    text.match_indices("continuous").filter_map(|(i, name)| {
+        let rest = text[i + name.len()..].trim_start_matches(['`', ' ']);
+        let rest = rest.strip_prefix("-- ").unwrap_or(rest);
+        let flag = word(rest.strip_prefix("--")?, '-');
+        (!flag.is_empty()).then_some(flag)
+    })
+}
+
+#[test]
+fn docs_cite_checked_in_ledger_files_and_flags_the_binary_reads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readers: String = FLAG_READERS.iter().map(|f| read(root, f)).collect();
+    let mut wrong = Vec::new();
+    let (mut files, mut flags) = (0, 0);
+    for doc in DOCS {
+        let text = read(root, doc);
+        for file in cited_files(&text) {
+            files += 1;
+            if !root.join(&file).is_file() {
+                wrong.push(format!("{doc} cites {file}, which is not checked in"));
+            }
+        }
+        for flag in cited_flags(&text) {
+            flags += 1;
+            if !readers.contains(&format!("\"{flag}\"")) {
+                wrong.push(format!(
+                    "{doc} shows `continuous --{flag}`, which nothing reads"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    // The scan itself must keep finding what it polices.
+    assert!(
+        files >= 5 && flags >= 5,
+        "{files} files, {flags} flags found"
+    );
+}
+
+#[test]
+fn the_scanners_find_the_tokens() {
+    let text = "see `BENCH_regimes.json`, BENCH_*.json and BENCH_x; run \
+                `continuous --regimes`, `continuous -- --scale --sizes 1` or \
+                `continuous` --bursts, not continuous-accuracy";
+    assert_eq!(
+        cited_files(text).collect::<Vec<_>>(),
+        ["BENCH_regimes.json"]
+    );
+    assert_eq!(
+        cited_flags(text).collect::<Vec<_>>(),
+        ["regimes", "scale", "bursts"]
+    );
+}
