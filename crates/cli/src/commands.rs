@@ -755,9 +755,7 @@ pub fn doctor(args: &Args) -> Result<(), String> {
         (AuditReport::evaluate(summary.events()), input.to_string())
     } else {
         let fault = fault_plan(args)?;
-        // The audit needs the events back, traced to a file or not.
-        let rec = rep.aggregate().cloned().unwrap_or_default();
-        let run = flight::doctor_run(&spec, fault, rec);
+        let run = flight::doctor_run(&spec, fault, rep.recorder_arc());
         let unit = match spec.run_mode {
             dpr_core::RunMode::Rounds => "rounds",
             dpr_core::RunMode::Chaotic => "steps",

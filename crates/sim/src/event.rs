@@ -77,7 +77,7 @@ use dpr_node::termination::TerminationDetector;
 use dpr_node::{Cluster, SendOutcome};
 use dpr_p2p::peer::{PeerId, PeerTable};
 use dpr_telemetry::profile::Profile;
-use dpr_telemetry::span::{step_fold_depths, SpanTracer};
+use dpr_telemetry::span::{SpanRec, SpanTracer};
 use dpr_telemetry::{Event, Metric, Recorder};
 use fxhash::FxHashMap;
 use rand::{Rng, SeedableRng};
@@ -558,7 +558,7 @@ pub fn run_chaotic<R: Recorder + ?Sized>(
         detector,
         max_events,
         rec,
-        rec.enabled(),
+        false,
         None,
     )
     .0
@@ -594,7 +594,7 @@ pub fn run_chaotic_serving<R: Recorder + ?Sized>(
         detector,
         max_events,
         rec,
-        rec.enabled(),
+        false,
         Some(hooks),
     );
     // The run copied the table if (and only if) churn re-drew it.
@@ -604,10 +604,11 @@ pub fn run_chaotic_serving<R: Recorder + ?Sized>(
     out
 }
 
-/// [`run_chaotic`] with span tracing forced on (recorder or not),
-/// additionally returning the run's causal [`Profile`] — critical
-/// path, compute/wire/wait breakdown, link utilization and per-peer
-/// convergence lag, all on the virtual clock. Tracing is pure
+/// [`run_chaotic`] with span tracing forced on (recorder or not) and
+/// the closed spans retained, additionally returning the run's causal
+/// [`Profile`] — critical path, compute/wire/wait breakdown, link
+/// utilization and per-peer convergence lag, all on the virtual
+/// clock. Tracing is pure
 /// observation: outcome, `schedule_fnv` and ranks are bit-identical
 /// to an untraced run (`tests/profile_differential.rs`).
 pub fn run_chaotic_profiled<R: Recorder + ?Sized>(
@@ -619,9 +620,9 @@ pub fn run_chaotic_profiled<R: Recorder + ?Sized>(
     rec: &R,
 ) -> (ChaoticOutcome, Profile) {
     let peers = Cow::Borrowed(peers);
-    let (out, tracer, _) =
+    let (out, spans, _) =
         run_chaotic_inner(cluster, peers, cfg, detector, max_events, rec, true, None);
-    let profile = Profile::from_spans(tracer.expect("tracing forced on").into_spans());
+    let profile = Profile::from_spans(spans);
     (out, profile)
 }
 
@@ -633,9 +634,9 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
     detector: &mut TerminationDetector,
     max_events: u64,
     rec: &R,
-    trace: bool,
+    profiled: bool,
     mut hooks: Option<ServingHooks<'_>>,
-) -> (ChaoticOutcome, Option<SpanTracer>, Cow<'p, PeerTable>) {
+) -> (ChaoticOutcome, Vec<SpanRec>, Cow<'p, PeerTable>) {
     let n = cluster.num_peers();
     let compute_ns: Vec<u64> = (0..n as u32)
         .map(|p| {
@@ -657,7 +658,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
         displaced: 0,
         saturated: 0,
         detector,
-        tracer: trace.then(|| SpanTracer::new(n)),
+        tracer: (profiled || rec.enabled()).then(|| SpanTracer::new(n, profiled)),
     };
     // Seed the schedule: one step per online peer with queued work.
     for p in 0..n as u32 {
@@ -701,7 +702,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
                 r.fold_event(1, peer.0, 0);
                 r.steps += 1;
                 if let Some(tr) = r.tracer.as_mut() {
-                    tr.on_step_executed(peer.0, t, r.compute_ns[peer.index()]);
+                    tr.on_step_executed(peer.0, t, r.compute_ns[peer.index()], rec);
                 }
                 let tick = r.tick();
                 cluster.step_peer_observed(peer, &peers, tick, rec, |o| {
@@ -721,7 +722,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
                 r.fold_event(2, from.0, to.0);
                 let status = cluster.deliver_from(to, from);
                 if let Some(tr) = r.tracer.as_mut() {
-                    tr.on_deliver(from.0, to.0, t, status.is_some());
+                    tr.on_deliver(from.0, to.0, t, status.is_some(), rec);
                 }
                 match status {
                     None => r.displaced += 1,
@@ -750,7 +751,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
                 let tick = r.tick();
                 r.detector.advance_observed(cluster, &peers, rec, tick);
                 if let Some(tr) = r.tracer.as_mut() {
-                    tr.on_probe(t, r.detector.announced());
+                    tr.on_probe(t, r.detector.announced(), rec);
                 }
                 if r.live > 0 && !r.detector.announced() {
                     r.queue.push(r.now + PROBE_INTERVAL_NS, Ev::Probe);
@@ -851,28 +852,19 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
         if let Some(tr) = r.tracer.as_mut() {
             // Settle circuits run on the frozen final clock, so the
             // announcing probe span ends exactly at `virtual_ns`.
-            tr.on_probe(r.now, r.detector.announced());
+            tr.on_probe(r.now, r.detector.announced(), rec);
         }
     }
     cluster.certify_quiescence(rec);
 
     if let Some(tr) = r.tracer.as_mut() {
-        tr.finish(r.now);
+        tr.finish(r.now, rec);
     }
     if rec.enabled() {
         rec.counter_add(Metric::ChaoticEvents, executed);
         rec.counter_add(Metric::InboxSaturations, r.saturated);
         if let Some(tr) = r.tracer.as_ref() {
-            tr.emit_events(rec);
-            let mut coalesce_hits = 0u64;
-            let mut max_depth = 0u64;
-            for (_, depth) in step_fold_depths(tr.spans()) {
-                rec.observe(Metric::InboxDepth, depth);
-                if depth >= 2 {
-                    coalesce_hits += 1;
-                }
-                max_depth = max_depth.max(depth);
-            }
+            let (coalesce_hits, max_depth) = tr.inbox_health();
             rec.counter_add(Metric::CoalesceHits, coalesce_hits);
             rec.event(&Event::ChaoticHealth {
                 events: executed,
@@ -895,7 +887,8 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
         quiesced: cluster.is_quiescent(),
         announced: r.detector.announced(),
     };
-    (outcome, r.tracer, peers)
+    let spans = r.tracer.map_or_else(Vec::new, SpanTracer::into_spans);
+    (outcome, spans, peers)
 }
 
 #[cfg(test)]

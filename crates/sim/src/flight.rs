@@ -12,8 +12,8 @@
 //!   determinism bug with a one-file repro.
 //! * [`doctor_run`] — drive the message-level [`Cluster`] with the
 //!   flight recorder on, optionally staging one transport fault, and
-//!   return the trace together with the [`AuditReport`] verdict over
-//!   it. This is the scenario half of `dpr doctor`; the monitors are
+//!   return the [`AuditReport`] verdict over the events the monitors
+//!   read. This is the scenario half of `dpr doctor`; the monitors are
 //!   in `dpr_telemetry::audit`.
 //!
 //! The continuous updates are modeled at engine level: each "insert"
@@ -40,8 +40,9 @@ use dpr_node::node::WireMode;
 use dpr_node::termination::TerminationDetector;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{FaultPlan, WireCodec};
+use dpr_telemetry::audit::AuditTrail;
 use dpr_telemetry::replay::{fnv64_ranks, Capture, CaptureHeader, Fingerprint};
-use dpr_telemetry::{AuditReport, Event, Profile, Recorder, TraceRecorder};
+use dpr_telemetry::{AuditReport, Event, Profile, Recorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -355,7 +356,7 @@ pub fn replay<R: Recorder + ?Sized>(
 /// One audited diagnostic run — the scenario half of `dpr doctor`.
 #[derive(Debug)]
 pub struct DoctorRun {
-    /// The monitors' verdict over the run's trace.
+    /// The monitors' verdict over the run's audit trail.
     pub report: AuditReport,
     /// Rounds the cluster executed (local steps under
     /// [`RunMode::Chaotic`]).
@@ -365,32 +366,33 @@ pub struct DoctorRun {
     /// The send index the staged fault fired at, if one was staged and
     /// struck.
     pub fault_fired_at: Option<u64>,
-    /// The full event trace.
+    /// The audit trail: the events the monitors read, in stream order.
     pub events: Vec<Event>,
 }
 
-/// Drives the message-level cluster `spec` describes to quiescence
-/// with the flight recorder `rec` on, optionally staging one transport
-/// `fault`, and audits the resulting trace. `spec.run_mode` picks the
-/// barrier loop or the event runtime (whose trace additionally
-/// certifies the event schedule); the monitors are barrier-agnostic,
-/// so the same audit applies to both. A clean run passes every
-/// monitor; each staged fault is caught by the monitor owning the
-/// invariant it breaks.
+/// Drives the message-level cluster `spec` describes to quiescence,
+/// recording into an [`AuditTrail`] that forwards to `sink`, optionally
+/// stages one transport `fault`, and audits the trail. `spec.run_mode`
+/// picks the barrier loop or the event runtime (whose trace
+/// additionally certifies the event schedule); the monitors are
+/// barrier-agnostic, so the same audit applies to both. A clean run
+/// passes every monitor; each staged fault is caught by the monitor
+/// owning the invariant it breaks.
 pub fn doctor_run(
     spec: &ScenarioSpec,
     fault: Option<FaultPlan>,
-    rec: Arc<TraceRecorder>,
+    sink: Option<Arc<dyn Recorder>>,
 ) -> DoctorRun {
+    let trail = Arc::new(AuditTrail::new(sink));
     let w = spec.workload();
     let mut cluster = spec.cluster(&w);
-    cluster.set_recorder(rec.clone());
+    cluster.set_recorder(trail.clone());
     if let Some(plan) = fault {
         cluster.inject_transport_fault(plan);
     }
     let mut peers = w.peer_table();
     let (rounds, quiesced) = match spec.run_mode {
-        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, rec.as_ref()),
+        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, trail.as_ref()),
         RunMode::Chaotic => {
             let mut det = TerminationDetector::new(spec.num_peers);
             let out = run_chaotic(
@@ -399,12 +401,12 @@ pub fn doctor_run(
                 &spec.chaotic_config(),
                 &mut det,
                 1_000_000_000,
-                rec.as_ref(),
+                trail.as_ref(),
             );
             (out.steps as usize, out.quiesced)
         }
     };
-    let events = rec.events();
+    let events = trail.take_events();
     let mass_tol = match spec.codec {
         WireCodec::Raw => dpr_telemetry::audit::MASS_TOLERANCE,
         WireCodec::Compact => dpr_telemetry::audit::COMPACT_MASS_TOLERANCE,
@@ -418,10 +420,9 @@ pub fn doctor_run(
     }
 }
 
-/// [`doctor_run`] under positional arguments and a recorder of its
-/// own. Kept, with this exact signature, only because the frozen
-/// `perf/` benchmark calls it; the next benchmark PR should move
-/// `perf/` to [`doctor_run`] and delete this.
+/// [`doctor_run`] under positional arguments and no sink. Kept, with
+/// this exact signature, only because the frozen `perf/` benchmark
+/// calls it; moving `perf/` to [`doctor_run`] deletes it.
 #[allow(clippy::too_many_arguments)]
 pub fn doctor_run_mode(
     nodes: usize,
@@ -443,7 +444,7 @@ pub fn doctor_run_mode(
         latency,
         ..ScenarioSpec::new(nodes, num_peers, epsilon, seed)
     };
-    doctor_run(&spec, fault, Arc::default())
+    doctor_run(&spec, fault, None)
 }
 
 /// One live profiled run — the scenario half of `dpr profile`.
@@ -554,7 +555,7 @@ mod tests {
             codec: WireCodec::Compact,
             ..ScenarioSpec::new(600, 8, 1e-4, 21)
         };
-        let run = doctor_run(&spec, None, Arc::default());
+        let run = doctor_run(&spec, None, None);
         assert!(run.quiesced);
         assert!(run.report.passed(), "{}", run.report.diagnosis());
     }
@@ -603,7 +604,7 @@ mod tests {
             run_mode: RunMode::Chaotic,
             ..ScenarioSpec::new(600, 8, 1e-4, 21)
         };
-        let clean = doctor_run(&spec, None, Arc::default());
+        let clean = doctor_run(&spec, None, None);
         assert!(clean.quiesced);
         assert!(clean.rounds > 0, "chaotic doctor reports steps");
         assert!(clean.report.passed(), "{}", clean.report.diagnosis());
@@ -614,7 +615,7 @@ mod tests {
                 kind: FaultKind::LostFrame,
                 nth_send: 25,
             }),
-            Arc::default(),
+            None,
         );
         assert!(sick.fault_fired_at.is_some());
         assert!(!sick.report.passed());
@@ -657,7 +658,7 @@ mod tests {
             checkpoints: 1,
         };
         let (capture, _) = record(&cfg, &dpr_telemetry::NOOP);
-        let rec = TraceRecorder::new();
+        let rec = dpr_telemetry::TraceRecorder::new();
         replay(&capture, None, &rec).unwrap();
         let segments = Profile::segments_from_events(&rec.events()).unwrap();
         assert_eq!(segments.len(), 2, "initial solve plus one checkpoint");
@@ -670,7 +671,7 @@ mod tests {
     #[test]
     fn doctor_run_is_clean_without_faults_and_localizes_with_them() {
         let spec = ScenarioSpec::new(600, 8, 1e-4, 21);
-        let clean = doctor_run(&spec, None, Arc::default());
+        let clean = doctor_run(&spec, None, None);
         assert!(clean.quiesced);
         assert!(clean.report.passed(), "{}", clean.report.diagnosis());
         assert!(clean.fault_fired_at.is_none());
@@ -681,7 +682,7 @@ mod tests {
                 kind: FaultKind::LostFrame,
                 nth_send: 25,
             }),
-            Arc::default(),
+            None,
         );
         assert!(sick.fault_fired_at.is_some());
         assert!(!sick.report.passed());

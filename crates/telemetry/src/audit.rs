@@ -33,7 +33,10 @@
 
 use crate::event::Event;
 use crate::fmt::fmt_f64;
+use crate::metric::Metric;
+use crate::recorder::{NoopRecorder, Recorder};
 use crate::table::TextTable;
+use std::sync::{Arc, Mutex};
 
 /// Relative float tolerance of the mass-conservation check, scaled by
 /// `max(|expected|, 1)`. Ledger sums fold millions of doubles, but the
@@ -124,6 +127,59 @@ pub fn phi(
 ) -> f64 {
     let amp = damping / (1.0 - damping);
     ranks + amp * unadvertised + (pending + in_flight) / (1.0 - damping) + amp * dangling
+}
+
+/// The recorder of an audited run: keeps, in stream order, only the
+/// events [`AuditReport::evaluate`] reads, and forwards everything to
+/// its sink. Always enabled, so the run emits exactly what it would
+/// into a [`crate::TraceRecorder`].
+pub struct AuditTrail {
+    kept: Mutex<Vec<Event>>,
+    sink: Arc<dyn Recorder>,
+}
+
+impl AuditTrail {
+    /// A trail forwarding to `sink`, if any.
+    pub fn new(sink: Option<Arc<dyn Recorder>>) -> Self {
+        AuditTrail {
+            kept: Mutex::default(),
+            sink: sink.unwrap_or_else(|| Arc::new(NoopRecorder)),
+        }
+    }
+
+    /// Takes the events kept so far, leaving the trail empty.
+    pub fn take_events(&self) -> Vec<Event> {
+        std::mem::take(&mut self.kept.lock().expect("audit trail lock poisoned"))
+    }
+}
+
+impl Recorder for AuditTrail {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn event(&self, event: &Event) {
+        self.sink.event(event);
+        let audited = match event {
+            Event::TerminationProbe { announced, .. } => *announced,
+            _ => matches!(
+                event.kind(),
+                "mass_ledger" | "balance_ledger" | "quiescence_cert"
+            ),
+        };
+        if audited {
+            let mut kept = self.kept.lock().expect("audit trail lock poisoned");
+            kept.push(event.clone());
+        }
+    }
+
+    fn counter_add(&self, metric: Metric, delta: u64) {
+        self.sink.counter_add(metric, delta);
+    }
+
+    fn observe(&self, metric: Metric, value: u64) {
+        self.sink.observe(metric, value);
+    }
 }
 
 /// The invariant monitors, in report order.
@@ -603,6 +659,41 @@ mod tests {
             let r = AuditReport::evaluate(&[bad]);
             assert_eq!(r.primary().unwrap().monitor, Monitor::Quiescence);
         }
+    }
+
+    #[test]
+    fn the_trail_keeps_what_the_monitors_read_and_forwards_everything() {
+        let probe = |announced| Event::TerminationProbe {
+            round: 3,
+            circuits: 1,
+            token_count: 0,
+            token_black: false,
+            announced,
+            invariant: 0,
+        };
+        let stream = [
+            ledger(1, 0.0),
+            Event::DocInserted { seq: 1, doc: 2 },
+            balance(1, 10, 4, 6, 0),
+            probe(false),
+            probe(true),
+            cert(0, 0),
+        ];
+        let sink = Arc::new(crate::TraceRecorder::new());
+        let trail = AuditTrail::new(Some(sink.clone()));
+        for e in &stream {
+            trail.event(e);
+        }
+        trail.counter_add(Metric::RemoteUpdates, 5);
+        assert_eq!(sink.events(), stream);
+        assert_eq!(sink.counter(Metric::RemoteUpdates), 5);
+        let kept = trail.take_events();
+        assert_eq!(
+            kept,
+            [&stream[0], &stream[2], &stream[4], &stream[5]].map(Clone::clone)
+        );
+        assert_eq!(AuditReport::evaluate(&kept), AuditReport::evaluate(&stream));
+        assert!(trail.take_events().is_empty(), "taking empties the trail");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the enum's codec is written out by hand; the macro below keeps the
 //! two directions and the field lists in one place.
 
+use crate::span::SpanKind;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// A structured telemetry event.
@@ -225,9 +226,9 @@ pub enum Event {
         /// (a fresh segment restarts at 1 — the profiler splits on
         /// non-increasing ids).
         span: u64,
-        /// Span kind wire form (`"peer_step"`, `"coalesce_wait"`,
+        /// Span kind (wire form `"peer_step"`, `"coalesce_wait"`,
         /// `"link_transfer"`, `"inbox_wait"`, `"safra_probe"`).
-        kind: String,
+        kind: SpanKind,
         /// Primary peer (stepper / sender / wait destination).
         peer: u32,
         /// Secondary peer (transfer destination / wait sender; for
@@ -541,7 +542,7 @@ mod tests {
             },
             Event::SpanClosed {
                 span: 17,
-                kind: "link_transfer".into(),
+                kind: SpanKind::LinkTransfer,
                 peer: 4,
                 peer2: 7,
                 start_ns: 1_000,
@@ -636,6 +637,27 @@ mod tests {
             serde_json::from_str("{\"type\": \"doc_inserted\", \"seq\": 1, \"doc\": \"x\"}")
                 .unwrap();
         assert!(Event::from_value(&wrong_type).is_err());
+    }
+
+    #[test]
+    fn span_kinds_decode_typed_and_unknown_ones_are_errors() {
+        let span = |kind: &str| {
+            serde_json::to_string(&samples()[12])
+                .unwrap()
+                .replace("\"link_transfer\"", kind)
+        };
+        let known = serde_json::from_str(&span("\"inbox_wait\"")).unwrap();
+        assert!(matches!(
+            Event::from_value(&known),
+            Ok(Event::SpanClosed {
+                kind: SpanKind::InboxWait,
+                ..
+            })
+        ));
+        let unknown = serde_json::from_str(&span("\"rpc\"")).unwrap();
+        let err = Event::from_value(&unknown).unwrap_err();
+        assert!(err.to_string().contains("span_closed.kind"), "{err}");
+        assert!(err.to_string().contains("unknown span kind"), "{err}");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl PeerLag {
 }
 
 /// The profile of one chaotic segment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// The segment's spans, id `i + 1` at index `i`.
     pub spans: Vec<SpanRec>,
@@ -272,7 +272,7 @@ impl Profile {
 
     /// Splits a JSONL event stream into chaotic segments (span ids
     /// restart at 1 per segment) and profiles each. Non-span events
-    /// are ignored. Errors on unknown kinds or non-dense ids.
+    /// are ignored. Errors on non-dense ids.
     pub fn segments_from_events(events: &[Event]) -> Result<Vec<Profile>, String> {
         let mut segments: Vec<Profile> = Vec::new();
         let mut cur: Vec<SpanRec> = Vec::new();
@@ -304,7 +304,7 @@ impl Profile {
                 ));
             }
             cur.push(SpanRec {
-                kind: kind.parse()?,
+                kind: *kind,
                 peer: *peer,
                 peer2: *peer2,
                 start_ns: *start_ns,
@@ -588,20 +588,21 @@ pub fn chrome_trace(segments: &[Profile]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::NOOP;
     use crate::span::SpanTracer;
 
     /// A two-peer exchange: seed step at 1 → frame → hold → step at 0
     /// → settle probe.
     fn tracer_spans() -> Vec<SpanRec> {
-        let mut tr = SpanTracer::new(2);
+        let mut tr = SpanTracer::new(2, true);
         tr.on_step_scheduled(1, 0);
-        tr.on_step_executed(1, 100, 100); // span 1: compute [0,100]
+        tr.on_step_executed(1, 100, 100, &NOOP); // span 1: compute [0,100]
         tr.on_send(7, 1, 0, 64, 100, 150);
-        tr.on_deliver(1, 0, 500, true); // span 2: link [100,500] q=50
+        tr.on_deliver(1, 0, 500, true, &NOOP); // span 2: link [100,500] q=50
         tr.on_step_scheduled(0, 500);
-        tr.on_step_executed(0, 800, 100); // 3: hold [500,700], 4: step [700,800], 5: inbox
-        tr.on_probe(820, true); // span 6: probe [0? -> last_probe_end=0 min 820]
-        tr.finish(820);
+        tr.on_step_executed(0, 800, 100, &NOOP); // 3: hold [500,700], 4: step [700,800], 5: inbox
+        tr.on_probe(820, true, &NOOP); // span 6: probe [0? -> last_probe_end=0 min 820]
+        tr.finish(820, &NOOP);
         tr.into_spans()
     }
 
@@ -661,20 +662,8 @@ mod tests {
         let spans = tracer_spans();
         let tr = crate::recorder::TraceRecorder::new();
         let emit = |spans: &[SpanRec]| {
-            for (i, s) in spans.iter().enumerate() {
-                tr.event(&Event::SpanClosed {
-                    span: i as u64 + 1,
-                    kind: s.kind.as_str().to_string(),
-                    peer: s.peer,
-                    peer2: s.peer2,
-                    start_ns: s.start_ns,
-                    end_ns: s.end_ns,
-                    queue_ns: s.queue_ns,
-                    bytes: s.bytes,
-                    frame: s.frame,
-                    cause: s.cause,
-                    consumed: s.consumed,
-                });
+            for (id, s) in (1..).zip(spans) {
+                tr.event(&s.closed_event(id));
             }
         };
         emit(&spans);
@@ -701,7 +690,7 @@ mod tests {
     fn rejects_non_dense_ids() {
         let e = Event::SpanClosed {
             span: 3,
-            kind: "peer_step".into(),
+            kind: SpanKind::PeerStep,
             peer: 0,
             peer2: 0,
             start_ns: 0,

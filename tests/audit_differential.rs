@@ -12,17 +12,21 @@
 //!    invariant*: mass perturbation → mass-conservation ledger, frame
 //!    duplication → message-balance auditor, frame loss → quiescence
 //!    certifier. A clean run must pass all three.
+//! 3. **Trail parity.** `doctor_run` keeps only the events the monitors
+//!    read; its verdict must equal the verdict over the full trace, in
+//!    every run mode, codec and staged fault.
 
+use distributed_pagerank::core::RunMode;
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
-use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan};
+use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan, WireCodec};
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::event::{run_chaotic, ChaoticConfig, LatencyModel};
 use distributed_pagerank::sim::flight::{self, FlightConfig};
 use distributed_pagerank::sim::ScenarioSpec;
-use distributed_pagerank::telemetry::audit::Monitor;
-use distributed_pagerank::telemetry::{Capture, NOOP};
+use distributed_pagerank::telemetry::audit::{Monitor, COMPACT_MASS_TOLERANCE, MASS_TOLERANCE};
+use distributed_pagerank::telemetry::{AuditReport, Capture, Event, TraceRecorder, NOOP};
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -122,7 +126,7 @@ fn degenerate_capture_headers_are_errors_naming_the_field() {
 /// checks and none fires.
 #[test]
 fn clean_run_passes_every_monitor() {
-    let run = flight::doctor_run(&ScenarioSpec::new(600, 8, 1e-4, 21), None, Arc::default());
+    let run = flight::doctor_run(&ScenarioSpec::new(600, 8, 1e-4, 21), None, None);
     assert!(run.quiesced, "diagnostic run failed to quiesce");
     assert!(
         run.report.passed(),
@@ -146,11 +150,7 @@ fn each_fault_is_owned_by_exactly_one_monitor() {
     ];
     for (kind, owner) in matrix {
         let plan = FaultPlan { kind, nth_send: 40 };
-        let run = flight::doctor_run(
-            &ScenarioSpec::new(600, 8, 1e-4, 21),
-            Some(plan),
-            Arc::default(),
-        );
+        let run = flight::doctor_run(&ScenarioSpec::new(600, 8, 1e-4, 21), Some(plan), None);
         assert!(
             run.fault_fired_at.is_some(),
             "{kind} was staged but never fired"
@@ -170,6 +170,75 @@ fn each_fault_is_owned_by_exactly_one_monitor() {
             "diagnosis '{}' does not name {kind}",
             run.report.diagnosis()
         );
+    }
+}
+
+/// The audit trail loses nothing the verdict depends on: for every run
+/// mode × codec × staged fault, `doctor_run`'s report over its trail
+/// equals the report over the full trace its sink received — every
+/// finding, `checked` count and violation, hence `primary()` — and the
+/// trail is exactly that trace's audited subsequence. A sink changes
+/// neither.
+#[test]
+fn the_audit_trail_gives_the_full_trace_verdict() {
+    let audited = |e: &Event| {
+        matches!(
+            e,
+            Event::MassLedger { .. }
+                | Event::BalanceLedger { .. }
+                | Event::QuiescenceCert { .. }
+                | Event::TerminationProbe {
+                    announced: true,
+                    ..
+                }
+        )
+    };
+    let faults = [
+        None,
+        Some(FaultKind::MassLeak),
+        Some(FaultKind::DupFrame),
+        Some(FaultKind::LostFrame),
+    ];
+    for run_mode in [RunMode::Rounds, RunMode::Chaotic] {
+        for (codec, tol) in [
+            (WireCodec::Raw, MASS_TOLERANCE),
+            (WireCodec::Compact, COMPACT_MASS_TOLERANCE),
+        ] {
+            let spec = ScenarioSpec {
+                run_mode,
+                codec,
+                ..ScenarioSpec::new(400, 8, 1e-4, 21)
+            };
+            for kind in faults {
+                let case = format!("{run_mode}/{codec}/{kind:?}");
+                let fault = kind.map(|kind| FaultPlan { kind, nth_send: 40 });
+                let trace = Arc::new(TraceRecorder::new());
+                let run = flight::doctor_run(&spec, fault, Some(trace.clone()));
+                assert_eq!(run.fault_fired_at.is_some(), kind.is_some(), "{case}");
+                assert!(
+                    run.report.finding(Monitor::MassConservation).checked > 0,
+                    "{case}"
+                );
+                assert_eq!(kind.is_none(), run.report.passed(), "{case}");
+
+                let full = trace.events();
+                let verdict = AuditReport::evaluate_with_mass_tolerance(&full, tol);
+                assert_eq!(run.report, verdict, "{case}");
+                assert_eq!(run.report.primary(), verdict.primary(), "{case}");
+                let kept: Vec<Event> = full.into_iter().filter(audited).collect();
+                assert_eq!(
+                    run.events, kept,
+                    "{case}: trail is not the audited subsequence"
+                );
+
+                let bare = flight::doctor_run(&spec, fault, None);
+                assert_eq!(
+                    (bare.report, bare.events),
+                    (run.report, run.events),
+                    "{case}"
+                );
+            }
+        }
     }
 }
 

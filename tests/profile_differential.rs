@@ -24,15 +24,21 @@
 //!    already-quiescent cluster executes nothing: zero steps, zero
 //!    virtual time, and the settle-phase probe circuits still
 //!    certify termination.
+//! 5. **Stream parity.** The `span_closed` events a recorder receives
+//!    as spans close rebuild exactly the profile the retaining
+//!    profiled run computes, and the health event's live fold of the
+//!    inbox depths equals the fold recomputed from those spans.
 
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
+use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan};
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::event::{
     run_chaotic, run_chaotic_profiled, ChaoticConfig, ChaoticOutcome, LatencyModel,
 };
-use distributed_pagerank::telemetry::{Event, Metric, SpanKind, TraceRecorder, NOOP};
+use distributed_pagerank::telemetry::span::step_fold_depths;
+use distributed_pagerank::telemetry::{Event, Metric, Profile, SpanKind, TraceRecorder, NOOP};
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
@@ -356,4 +362,66 @@ fn zero_injection_run_terminates_immediately() {
         ranks_before, ranks_after,
         "zero-injection run moved the ranks"
     );
+}
+
+/// Contract 5: streaming spans at close loses nothing. For chaotic
+/// Priority/LAN, clean and with a staged lost frame, the profile cut
+/// from the `span_closed` events of a recorded `run_chaotic` equals
+/// `run_chaotic_profiled`'s, and the `chaotic_health` fold (coalesce
+/// hits, deepest inbox) and the inbox-depth histogram equal
+/// `step_fold_depths` over the streamed spans.
+#[test]
+fn streamed_spans_rebuild_the_profiled_run() {
+    let cfg = ChaoticConfig {
+        seed: 21,
+        latency: LatencyModel::Lan,
+        sched: SchedMode::Priority,
+        epsilon: 1e-4,
+    };
+    for fault in [None, Some(FaultKind::LostFrame)] {
+        let build = || {
+            let (mut cluster, peers) = paper_cluster(400, 8, cfg.epsilon, cfg.seed, cfg.sched);
+            if let Some(kind) = fault {
+                cluster.inject_transport_fault(FaultPlan { kind, nth_send: 25 });
+            }
+            (cluster, peers, TerminationDetector::new(8))
+        };
+        let (mut cluster, peers, mut det) = build();
+        let (profiled, profile) =
+            run_chaotic_profiled(&mut cluster, &peers, &cfg, &mut det, 200_000_000, &NOOP);
+        assert_eq!(cluster.fault_fired_at().is_some(), fault.is_some());
+
+        let (mut cluster, peers, mut det) = build();
+        let rec = TraceRecorder::new();
+        let recorded = run_chaotic(&mut cluster, &peers, &cfg, &mut det, 200_000_000, &rec);
+        assert_eq!(recorded, profiled, "{fault:?}");
+        let events = rec.events();
+        let segments = Profile::segments_from_events(&events).unwrap();
+        assert_eq!(segments, vec![profile], "{fault:?}");
+
+        let depths = step_fold_depths(&segments[0].spans);
+        let hits = depths.iter().filter(|&&(_, d)| d >= 2).count() as u64;
+        let deepest = depths.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        let health = events
+            .iter()
+            .find_map(|e| match *e {
+                Event::ChaoticHealth {
+                    coalesce_hits,
+                    max_inbox_depth,
+                    ..
+                } => Some((coalesce_hits, max_inbox_depth)),
+                _ => None,
+            })
+            .expect("chaotic run emitted no health event");
+        assert_eq!(health, (hits, deepest), "{fault:?}");
+        assert!(
+            hits > 0,
+            "{fault:?}: no step coalesced — the fold is untested"
+        );
+        assert_eq!(rec.counter(Metric::CoalesceHits), hits, "{fault:?}");
+        let hist = rec.histogram(Metric::InboxDepth);
+        assert_eq!(hist.count(), depths.len() as u64, "{fault:?}");
+        let consumed: u64 = depths.iter().map(|&(_, d)| d).sum();
+        assert_eq!(hist.sum(), consumed, "{fault:?}");
+    }
 }
