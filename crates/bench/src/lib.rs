@@ -212,6 +212,13 @@ pub struct Cell {
     pub l1_per_doc_vs_rounds: Option<f64>,
     /// Byte reduction against the raw-codec cell of the same size.
     pub byte_reduction_vs_raw: Option<f64>,
+    /// FNV-1a over the chaotic runtime's executed event schedule (0
+    /// under the engine and rounds).
+    #[serde(skip)]
+    pub schedule_fnv: u64,
+    /// The chaotic event clock at quiescence, in nanoseconds.
+    #[serde(skip)]
+    pub virtual_ns: u64,
     /// Converged per-document ranks (shared: a row cloned out of a
     /// cell does not copy them).
     #[serde(skip)]
@@ -263,8 +270,9 @@ pub fn converged_runs() -> usize {
 ///
 /// # Panics
 ///
-/// If the run does not converge or quiesce, or a chaotic run's causal
-/// profile does not telescope to its virtual clock exactly.
+/// If the run does not converge or quiesce, if Safra does not announce
+/// a chaotic run's quiescence, or if its causal profile does not
+/// telescope to its virtual clock exactly.
 pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
     let shape = (w.graph.num_nodes(), w.num_peers);
     assert_eq!(
@@ -331,7 +339,10 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
         (Layer::Cluster, RunMode::Chaotic) => {
             let run = profile_run(w, spec, None, &dpr_telemetry::NOOP);
             let (out, p) = (run.outcome, run.profile);
-            assert!(out.quiesced, "chaotic cell must quiesce");
+            assert!(
+                out.quiesced && out.announced,
+                "chaotic cell must quiesce, certified by Safra"
+            );
             // The profiler's acceptance gate at bench scale: the
             // critical-path attribution sums to the runtime's virtual
             // clock, integer-exactly.
@@ -347,6 +358,8 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
                 remote_messages: run.remote_messages,
                 wire_bytes: run.wire_bytes,
                 virtual_secs: Some(out.virtual_ns as f64 / 1e9),
+                schedule_fnv: out.schedule_fnv,
+                virtual_ns: out.virtual_ns,
                 compute_pct: Some(p.compute_pct()),
                 wire_pct: Some(p.wire_pct()),
                 wait_pct: Some(p.wait_pct()),

@@ -249,36 +249,6 @@ impl TerminationDetector {
     }
 }
 
-/// Runs the cluster with Safra-based termination: rounds proceed until
-/// the *protocol* announces termination (or `max_rounds`). Returns
-/// `(rounds, announced)`. No global state is consulted for the
-/// decision — only the detector.
-pub fn run_with_termination_detection(
-    cluster: &mut Cluster,
-    peers: &mut PeerTable,
-    max_rounds: usize,
-) -> (usize, bool) {
-    run_with_termination_detection_observed(cluster, peers, max_rounds, &NOOP)
-}
-
-/// [`run_with_termination_detection`] recording telemetry: observed
-/// cluster rounds plus one termination probe per token evaluation.
-pub fn run_with_termination_detection_observed<R: Recorder + ?Sized>(
-    cluster: &mut Cluster,
-    peers: &mut PeerTable,
-    max_rounds: usize,
-    rec: &R,
-) -> (usize, bool) {
-    let mut detector = TerminationDetector::new(cluster.num_peers());
-    let mut rounds = 0;
-    while rounds < max_rounds && !detector.announced() {
-        cluster.round_observed(peers, None, rec);
-        rounds += 1;
-        detector.advance_observed(cluster, peers, rec, rounds as u64);
-    }
-    (rounds, detector.announced())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,9 +275,17 @@ mod tests {
     #[test]
     fn detector_announces_and_is_sound() {
         let mut cluster = build(600, 12, 1e-5, 101);
-        let mut peers = PeerTable::new(12);
-        let (rounds, announced) = run_with_termination_detection(&mut cluster, &mut peers, 50_000);
-        assert!(announced, "no announcement in {rounds} rounds");
+        let peers = PeerTable::new(12);
+        let mut detector = TerminationDetector::new(12);
+        let mut rounds = 0;
+        // Rounds proceed until the *protocol* announces: no global
+        // state is consulted for the decision, only the detector.
+        while rounds < 50_000 && !detector.announced() {
+            cluster.round(&peers);
+            rounds += 1;
+            detector.advance(&cluster, &peers);
+        }
+        assert!(detector.announced(), "no announcement in {rounds} rounds");
         // Soundness: the protocol may only announce when the system is
         // actually quiescent.
         assert!(cluster.is_quiescent(), "announced while messages in flight");
@@ -385,11 +363,16 @@ mod tests {
     fn probes_carry_a_sound_invariant() {
         use dpr_telemetry::{Event, TraceRecorder};
         let mut cluster = build(500, 10, 1e-5, 107);
-        let mut peers = PeerTable::new(10);
+        let peers = PeerTable::new(10);
         let rec = TraceRecorder::new();
-        let (rounds, announced) =
-            run_with_termination_detection_observed(&mut cluster, &mut peers, 50_000, &rec);
-        assert!(announced, "no announcement in {rounds} rounds");
+        let mut detector = TerminationDetector::new(10);
+        let mut rounds = 0;
+        while rounds < 50_000 && !detector.announced() {
+            cluster.round(&peers);
+            rounds += 1;
+            detector.advance_observed(&cluster, &peers, &rec, rounds);
+        }
+        assert!(detector.announced(), "no announcement in {rounds} rounds");
         let probes: Vec<_> = rec
             .events()
             .into_iter()

@@ -16,7 +16,6 @@
 //! its model.
 
 use crate::{guid::Guid, peer::PeerId, ring::Ring};
-use dpr_telemetry::{Event, Metric, Recorder};
 use fxhash::FxHashMap;
 
 /// Result of routing a lookup through the overlay.
@@ -104,33 +103,6 @@ impl Router {
             assert!(hops <= max_hops, "routing loop detected");
         }
         Route { owner, hops, path }
-    }
-
-    /// [`Router::route`] recording the resolution: one
-    /// [`Event::RouteResolved`] (with `cached: false` — a full overlay
-    /// lookup) plus the [`Metric::RouteHops`] distribution and the
-    /// [`Metric::RoutedHops`] running total. Callers that satisfy a
-    /// lookup from an address cache instead record the hit themselves
-    /// and never reach this method.
-    pub fn route_observed<R: Recorder + ?Sized>(
-        &mut self,
-        ring: &Ring,
-        from: PeerId,
-        target: Guid,
-        rec: &R,
-    ) -> Route {
-        let route = self.route(ring, from, target);
-        if rec.enabled() {
-            rec.counter_add(Metric::RoutedHops, u64::from(route.hops));
-            rec.observe(Metric::RouteHops, u64::from(route.hops));
-            rec.event(&Event::RouteResolved {
-                src: from.0,
-                dst: route.owner.0,
-                hops: route.hops,
-                cached: false,
-            });
-        }
-        route
     }
 
     /// The next peer on the path from `current` toward `target`: the
@@ -260,38 +232,6 @@ mod tests {
         let after = router.route(&ring, PeerId(1), target);
         assert_ne!(before.owner, after.owner);
         assert_eq!(after.owner, ring.successor(target));
-    }
-
-    #[test]
-    fn observed_route_records_metrics_and_event() {
-        use dpr_telemetry::TraceRecorder;
-        let ring = Ring::with_peers(64);
-        let mut router = Router::new();
-        let target = Guid::for_document(DocId(5));
-        let owner = ring.successor(target);
-        let src = ring.peers().find(|&p| p != owner).unwrap();
-        let rec = TraceRecorder::new();
-        let r = router.route_observed(&ring, src, target, &rec);
-        assert!(r.hops >= 1);
-        assert_eq!(rec.counter(Metric::RoutedHops), u64::from(r.hops));
-        assert_eq!(rec.histogram(Metric::RouteHops).count(), 1);
-        match &rec.events()[..] {
-            [Event::RouteResolved {
-                src: s,
-                dst,
-                hops,
-                cached,
-            }] => {
-                assert_eq!(*s, src.0);
-                assert_eq!(*dst, r.owner.0);
-                assert_eq!(*hops, r.hops);
-                assert!(!cached);
-            }
-            other => panic!("unexpected events {other:?}"),
-        }
-        // The no-op recorder records nothing and routes identically.
-        let r2 = router.route_observed(&ring, src, target, &dpr_telemetry::NOOP);
-        assert_eq!(r2, r);
     }
 
     #[test]

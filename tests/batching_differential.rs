@@ -6,9 +6,11 @@
 //! (`==` on every `f64`) of the unbatched single-message cluster. The
 //! coalesced per-destination group sums are the canonical fold in both
 //! wire modes, so framing only changes payload packing — never a rank
-//! bit.
+//! bit. (On the paper workload, singles and frames give equal rank
+//! bits, and frames really frame, under every scheduler: laws of the
+//! regime table, `crates/bench/tests/regimes.rs`.)
 
-use distributed_pagerank::node::node::{PeerNode, WireMode};
+use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::Cluster;
 use distributed_pagerank::prelude::*;
 use proptest::collection::vec as prop_vec;
@@ -123,41 +125,6 @@ proptest! {
     }
 }
 
-/// Fixed-seed regression: a real power-law workload, all caps agree
-/// with the unbatched run (and stay correct vs the synchronous
-/// solver) — pins the shared reference so it cannot drift silently.
-#[test]
-fn fixed_workload_all_caps_identical() {
-    let workload = Workload::paper(600, 12, 21);
-    let run = |wire: WireMode| {
-        let mut cluster = Cluster::build_with(
-            &workload.graph,
-            &workload.placement,
-            12,
-            EngineConfig::with_epsilon(1e-5),
-            wire,
-        );
-        let mut peers = workload.peer_table();
-        let (_, ok) = cluster.run_to_convergence(&mut peers, 100_000, None);
-        assert!(ok);
-        cluster.collect_ranks(600)
-    };
-    let single = run(WireMode::Single);
-    for cap in CAPS {
-        assert_eq!(
-            run(WireMode::Frames {
-                max_frame_bytes: cap
-            }),
-            single,
-            "cap {cap}"
-        );
-    }
-    let reference = SyncSolver::new().tolerance(1e-12).solve(&workload.graph);
-    for (a, b) in single.iter().zip(&reference.ranks) {
-        assert!((a - b).abs() / b < 1e-4, "{a} vs {b}");
-    }
-}
-
 /// Permanent departure with frames in flight: stranded frames are
 /// split per new holder without re-coalescing, so the batched run
 /// still lands bit-identical to the unbatched one.
@@ -206,27 +173,4 @@ fn departure_with_frames_in_flight_stays_identical() {
             "cap {cap}"
         );
     }
-}
-
-/// The caps under test are honest: a PeerNode in frames mode at cap
-/// 64 really emits multi-update frames (guards against a future
-/// regression that silently falls back to singles).
-#[test]
-fn frames_mode_really_frames() {
-    let workload = Workload::paper(300, 3, 44);
-    let mut cluster = Cluster::build_with(
-        &workload.graph,
-        &workload.placement,
-        3,
-        EngineConfig::with_epsilon(1e-3),
-        WireMode::Frames {
-            max_frame_bytes: 64,
-        },
-    );
-    let mut peers = workload.peer_table();
-    let (_, ok) = cluster.run_to_convergence(&mut peers, 100_000, None);
-    assert!(ok);
-    let stats: Vec<_> = (0..3u32).map(|p| cluster.node(PeerId(p)).stats()).collect();
-    assert!(stats.iter().all(|s| s.frames_sent > 0));
-    let _: &PeerNode = cluster.node(PeerId(0));
 }

@@ -3,9 +3,7 @@
 //! placement.
 
 use distributed_pagerank::graph::partition::link_aware_partition;
-use distributed_pagerank::node::termination::{
-    run_with_termination_detection, TerminationDetector,
-};
+use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
 use distributed_pagerank::prelude::*;
 use rand::SeedableRng;
@@ -26,12 +24,15 @@ fn link_aware_cluster_with_termination_detection() {
             num_peers,
             EngineConfig::with_epsilon(1e-6),
         );
-        let mut peers = PeerTable::new(num_peers);
-        let (rounds, announced) = run_with_termination_detection(&mut cluster, &mut peers, 50_000);
-        assert!(
-            announced,
-            "termination detection stalled after {rounds} rounds"
-        );
+        let peers = PeerTable::new(num_peers);
+        let mut detector = TerminationDetector::new(num_peers);
+        let mut rounds = 0;
+        while rounds < 50_000 && !detector.announced() {
+            cluster.round(&peers);
+            rounds += 1;
+            detector.advance(&cluster, &peers);
+        }
+        assert!(detector.announced(), "no announcement in {rounds} rounds");
         assert!(cluster.is_quiescent(), "announcement must be sound");
         (cluster.collect_ranks(nodes), cluster.traffic().sent)
     };

@@ -1,30 +1,27 @@
 //! Differential tests for the causal span profiler of the chaotic
 //! event runtime.
 //!
-//! Four contracts:
+//! That span tracing is pure observation — untraced, live-recorded and
+//! profiled runs of one scenario give the same ranks, schedule and
+//! outcome — is a law of the regime table
+//! (`crates/bench/tests/regimes.rs`). Four contracts here:
 //!
-//! 1. **Zero perturbation.** Span tracing is pure observation: the
-//!    same chaotic scenario run untraced (`NOOP`), run under a live
-//!    `TraceRecorder`, and run through `run_chaotic_profiled` must
-//!    produce bit-identical final ranks, an identical
-//!    `schedule_fnv`, and an identical outcome — across latency
-//!    models and both schedulers.
-//! 2. **Well-formedness.** On random graphs, every recorded span
+//! 1. **Well-formedness.** On random graphs, every recorded span
 //!    closes with `end >= start`, causal edges point strictly
 //!    backward (`cause < id`, `consumed < id`), the critical path
 //!    tiles `[0, virtual_ns]` contiguously, and the
 //!    compute/wire/wait breakdown telescopes *exactly* (integer
 //!    equality, not within a tolerance) to the virtual wall clock.
-//! 3. **Backpressure.** A star workload (one slow hub peer fed by
+//! 2. **Backpressure.** A star workload (one slow hub peer fed by
 //!    many fast leaves) drives the hub inbox past its saturation
 //!    cap; the runtime must count the saturations, report the depth
 //!    high-water mark through the chaotic-health event, and still
 //!    quiesce with Safra announcing termination.
-//! 4. **Zero injection.** Re-running the chaotic runtime on an
+//! 3. **Zero injection.** Re-running the chaotic runtime on an
 //!    already-quiescent cluster executes nothing: zero steps, zero
 //!    virtual time, and the settle-phase probe circuits still
 //!    certify termination.
-//! 5. **Stream parity.** The `span_closed` events a recorder receives
+//! 4. **Stream parity.** The `span_closed` events a recorder receives
 //!    as spans close rebuild exactly the profile the retaining
 //!    profiled run computes, and the health event's live fold of the
 //!    inbox depths equals the fold recomputed from those spans.
@@ -35,108 +32,20 @@ use distributed_pagerank::node::Cluster;
 use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan};
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::event::{
-    run_chaotic, run_chaotic_profiled, ChaoticConfig, ChaoticOutcome, LatencyModel,
+    run_chaotic, run_chaotic_profiled, ChaoticConfig, LatencyModel,
 };
+use distributed_pagerank::sim::ScenarioSpec;
 use distributed_pagerank::telemetry::span::step_fold_depths;
 use distributed_pagerank::telemetry::{Event, Metric, Profile, SpanKind, TraceRecorder, NOOP};
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
-/// Builds the message-level cluster for one paper workload. Each call
-/// constructs an identical cluster — the zero-perturbation tests rely
-/// on that to re-run the same scenario under different recorders.
-fn paper_cluster(
-    nodes: usize,
-    num_peers: usize,
-    epsilon: f64,
-    seed: u64,
-    sched: SchedMode,
-) -> (Cluster, PeerTable) {
-    let w = Workload::paper(nodes, num_peers, seed);
-    let cluster = Cluster::build_with(
-        &w.graph,
-        &w.placement,
-        num_peers,
-        EngineConfig::with_epsilon(epsilon).with_sched(sched),
-        WireMode::frames(),
-    );
-    let peers = w.peer_table();
-    (cluster, peers)
-}
-
-/// Runs one chaotic scenario and returns the outcome plus the final
-/// rank bits (bits, not floats — the contract is bit identity).
-fn chaotic_ranks<R: distributed_pagerank::telemetry::Recorder + ?Sized>(
-    nodes: usize,
-    num_peers: usize,
-    cfg: &ChaoticConfig,
-    sched: SchedMode,
-    rec: &R,
-    profiled: bool,
-) -> (ChaoticOutcome, Vec<u64>) {
-    let (mut cluster, peers) = paper_cluster(nodes, num_peers, cfg.epsilon, cfg.seed, sched);
-    let mut det = TerminationDetector::new(num_peers);
-    let out = if profiled {
-        run_chaotic_profiled(&mut cluster, &peers, cfg, &mut det, 200_000_000, rec).0
-    } else {
-        run_chaotic(&mut cluster, &peers, cfg, &mut det, 200_000_000, rec)
-    };
-    let bits = cluster
-        .collect_ranks(nodes)
-        .iter()
-        .map(|r| r.to_bits())
-        .collect();
-    (out, bits)
-}
-
-/// Contract 1: tracing cannot move the run. Ranks, schedule
-/// fingerprint and outcome are bit-identical whether the recorder is
-/// the no-op, a live trace recorder (which also streams `span_closed`
-/// events), or the forced-tracing profiled entry point.
-#[test]
-fn span_tracing_is_zero_perturbation() {
-    let combos = [
-        (LatencyModel::Lan, SchedMode::Pass),
-        (LatencyModel::Modem, SchedMode::Priority),
-        (LatencyModel::Broadband, SchedMode::Priority),
-    ];
-    for (latency, sched) in combos {
-        let cfg = ChaoticConfig {
-            seed: 2003,
-            latency,
-            sched,
-            epsilon: 1e-4,
-        };
-        let (base, base_bits) = chaotic_ranks(800, 6, &cfg, sched, &NOOP, false);
-        assert!(base.quiesced, "{latency:?}/{sched:?} failed to quiesce");
-
-        let rec = TraceRecorder::new();
-        let (traced, traced_bits) = chaotic_ranks(800, 6, &cfg, sched, &rec, false);
-        assert_eq!(
-            traced, base,
-            "{latency:?}/{sched:?}: live recorder perturbed the outcome"
-        );
-        assert_eq!(
-            traced_bits, base_bits,
-            "{latency:?}/{sched:?}: live recorder perturbed the ranks"
-        );
-        assert!(
-            rec.events()
-                .iter()
-                .any(|e| matches!(e, Event::SpanClosed { .. })),
-            "live recorder saw no spans — the differential is vacuous"
-        );
-
-        let (profiled, profiled_bits) = chaotic_ranks(800, 6, &cfg, sched, &NOOP, true);
-        assert_eq!(
-            profiled, base,
-            "{latency:?}/{sched:?}: forced tracing perturbed the outcome"
-        );
-        assert_eq!(
-            profiled_bits, base_bits,
-            "{latency:?}/{sched:?}: forced tracing perturbed the ranks"
-        );
-    }
+/// The message-level cluster `spec` describes. Each call builds an
+/// identical cluster, so a scenario can be re-run under different
+/// recorders.
+fn paper_cluster(spec: &ScenarioSpec) -> (Cluster, PeerTable) {
+    let w = spec.workload();
+    (spec.cluster(&w), w.peer_table())
 }
 
 /// Strategy: a random directed graph as (n, edge list).
@@ -151,7 +60,7 @@ fn arb_graph(
 }
 
 proptest! {
-    /// Contract 2: on arbitrary graphs, under every latency model and
+    /// Contract 1: on arbitrary graphs, under every latency model and
     /// both schedulers, the span record is structurally sound and the
     /// critical-path breakdown telescopes exactly.
     #[test]
@@ -234,7 +143,7 @@ proptest! {
     }
 }
 
-/// Contract 3: a star workload saturates the hub inbox. Peer 0 owns
+/// Contract 2: a star workload saturates the hub inbox. Peer 0 owns
 /// 160 documents (120 ms modeled compute per step) while 40 leaf
 /// peers own one document each (the 100 µs floor), with every leaf
 /// exchanging rank mass with the hub over LAN links. Between two hub
@@ -318,20 +227,18 @@ fn saturated_inbox_backpressure_engages_and_still_quiesces() {
     );
 }
 
-/// Contract 4: zero injection terminates immediately. After a run
+/// Contract 3: zero injection terminates immediately. After a run
 /// quiesces, a second run on the same cluster (fresh detector, fresh
 /// clock) finds no peer with work: it must execute zero steps, spend
 /// zero virtual time, and still certify termination through the
 /// settle-phase probe circuits.
 #[test]
 fn zero_injection_run_terminates_immediately() {
-    let (mut cluster, peers) = paper_cluster(300, 5, 1e-4, 11, SchedMode::Priority);
-    let cfg = ChaoticConfig {
-        seed: 11,
-        latency: LatencyModel::Broadband,
+    let spec = ScenarioSpec {
         sched: SchedMode::Priority,
-        epsilon: 1e-4,
+        ..ScenarioSpec::new(300, 5, 1e-4, 11)
     };
+    let ((mut cluster, peers), cfg) = (paper_cluster(&spec), spec.chaotic_config());
     let mut det = TerminationDetector::new(5);
     let first = run_chaotic(&mut cluster, &peers, &cfg, &mut det, 200_000_000, &NOOP);
     assert!(
@@ -364,7 +271,7 @@ fn zero_injection_run_terminates_immediately() {
     );
 }
 
-/// Contract 5: streaming spans at close loses nothing. For chaotic
+/// Contract 4: streaming spans at close loses nothing. For chaotic
 /// Priority/LAN, clean and with a staged lost frame, the profile cut
 /// from the `span_closed` events of a recorded `run_chaotic` equals
 /// `run_chaotic_profiled`'s, and the `chaotic_health` fold (coalesce
@@ -372,15 +279,15 @@ fn zero_injection_run_terminates_immediately() {
 /// `step_fold_depths` over the streamed spans.
 #[test]
 fn streamed_spans_rebuild_the_profiled_run() {
-    let cfg = ChaoticConfig {
-        seed: 21,
-        latency: LatencyModel::Lan,
+    let spec = ScenarioSpec {
         sched: SchedMode::Priority,
-        epsilon: 1e-4,
+        latency: LatencyModel::Lan,
+        ..ScenarioSpec::new(400, 8, 1e-4, 21)
     };
+    let cfg = spec.chaotic_config();
     for fault in [None, Some(FaultKind::LostFrame)] {
         let build = || {
-            let (mut cluster, peers) = paper_cluster(400, 8, cfg.epsilon, cfg.seed, cfg.sched);
+            let (mut cluster, peers) = paper_cluster(&spec);
             if let Some(kind) = fault {
                 cluster.inject_transport_fault(FaultPlan { kind, nth_send: 25 });
             }

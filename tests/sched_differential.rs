@@ -9,8 +9,9 @@
 //!    full-sweep engine once both quiesce at a tiny ε.
 //! 2. **Bit identity**: both selective schedules are functions of the
 //!    dirty *set*, so every sharded thread count must reproduce the
-//!    sequential trajectory bit for bit, and the two wire modes must
-//!    converge a message-level cluster to identical bits.
+//!    sequential trajectory bit for bit. (That the two wire modes
+//!    converge a cluster to identical bits is a law of the regime
+//!    table, `crates/bench/tests/regimes.rs`.)
 //! 3. **Pinned ordering**: a fixed-seed peer-node run emits its wire
 //!    messages in a deterministic order; an FNV fingerprint over the
 //!    full destination/payload byte sequence pins that order, so a
@@ -20,8 +21,6 @@
 use distributed_pagerank::core::parallel::ShardedExecutor;
 use distributed_pagerank::node::node::{PeerNode, WireMode};
 use distributed_pagerank::prelude::*;
-use distributed_pagerank::sim::batch::run_wire_mode;
-use distributed_pagerank::sim::ScenarioSpec;
 use dpr_graph::CsrGraph as Csr;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -165,38 +164,6 @@ proptest! {
                 prop_assert_eq!(&ranks, &sel_ranks, "{} ranks diverged at {} threads", sched, threads);
                 prop_assert_eq!(&stats, &sel_stats, "{} stats diverged at {} threads", sched, threads);
             }
-        }
-    }
-}
-
-/// The wire path cannot perturb the schedule: a message-level cluster
-/// running a selective scheduler converges bit-identically whether
-/// updates travel as single messages or batched frames, and lands
-/// within O(ε) of the pass cluster. The workloads keep enough
-/// documents per peer that residual selection actually engages.
-#[test]
-fn selective_clusters_are_bit_identical_across_wire_modes() {
-    for seed in [3u64, 17] {
-        let spec = |sched, wire| ScenarioSpec {
-            sched,
-            wire,
-            ..ScenarioSpec::new(1_000, 8, 1e-6, seed)
-        };
-        let w = Workload::paper(1_000, 8, seed);
-        let pass = run_wire_mode(&w, &spec(SchedMode::Pass, WireMode::Single), false, None);
-        for sched in [SchedMode::Priority, SchedMode::Greedy] {
-            let single = run_wire_mode(&w, &spec(sched, WireMode::Single), false, None);
-            let frames = run_wire_mode(&w, &spec(sched, WireMode::frames()), true, None);
-            assert_eq!(
-                single.ranks, frames.ranks,
-                "{sched} wire modes diverged at seed {seed}"
-            );
-
-            let gap = l1_per_doc(&single.ranks, &pass.ranks);
-            assert!(
-                gap < 1e-6,
-                "cluster {sched} vs pass gap {gap:e} at seed {seed}"
-            );
         }
     }
 }

@@ -1,11 +1,18 @@
 //! Workspace-level serving-path guarantees, exercised through the
 //! facade crate: serving telemetry is pure observation (bit-identical
 //! rank schedule and quantiles with the recorder on or off), the
-//! served run is deterministic per seed, and the SLO verdict collapses
-//! correctly in both directions.
+//! served run is deterministic per seed and matches its cross-commit
+//! pin, and the SLO verdict collapses correctly in both directions.
 
-use distributed_pagerank::sim::event::LatencyModel;
+use distributed_pagerank::node::termination::TerminationDetector;
+use distributed_pagerank::prelude::*;
+use distributed_pagerank::sim::churn::Schedule;
+use distributed_pagerank::sim::event::{
+    run_chaotic_serving, ChurnPlan, Inject, InjectionPlan, LatencyModel, ServingHooks,
+};
 use distributed_pagerank::sim::serving::{serving_experiment, ServeStrategy, ServingConfig};
+use distributed_pagerank::sim::ScenarioSpec;
+use distributed_pagerank::telemetry::replay::fnv64_ranks;
 use distributed_pagerank::telemetry::slo::SloSpec;
 use distributed_pagerank::telemetry::{Event, TraceRecorder, NOOP};
 
@@ -82,6 +89,62 @@ fn served_runs_are_deterministic_per_seed() {
     // A different seed takes a different schedule.
     let c = serving_experiment(&cfg(78), &NOOP).report;
     assert_ne!(a.schedule_fnv, c.schedule_fnv);
+}
+
+/// Updates and queries every 4 ms of virtual time under transient
+/// churn (three quarters of the peers online): a path no row of
+/// `crates/bench/tests/regimes.rs` runs, pinned with the same seven
+/// values, captured at `c035511`.
+#[test]
+fn served_run_with_updates_and_churn_matches_its_pin() {
+    let spec = ScenarioSpec {
+        sched: SchedMode::Priority,
+        ..ScenarioSpec::new(2_000, 100, 1e-4, 2003)
+    };
+    let w = spec.workload();
+    let (mut cluster, mut peers) = (spec.cluster(&w), w.peer_table());
+    let plan: Vec<InjectionPlan> = (0..60u32)
+        .map(|i| InjectionPlan {
+            at_ns: 4_000_000 * (u64::from(i) + 1),
+            what: if i % 3 == 0 {
+                Inject::Query(i)
+            } else {
+                Inject::Update {
+                    doc: DocId(i * 31 % 2_000),
+                    delta: if i % 2 == 0 { 0.25 } else { -0.05 },
+                }
+            },
+        })
+        .collect();
+    let mut queries = 0usize;
+    let out = run_chaotic_serving(
+        &mut cluster,
+        &mut peers,
+        &spec.chaotic_config(),
+        &mut TerminationDetector::new(100),
+        200_000_000,
+        &NOOP,
+        ServingHooks {
+            plan: &plan,
+            churn: Some(ChurnPlan {
+                schedule: Schedule::fraction(0.75, 11),
+                every_ns: 30_000_000,
+                until_ns: 400_000_000,
+            }),
+            on_query: &mut |_, _, _| queries += 1,
+        },
+    );
+    assert!(out.quiesced && out.announced, "{out:?}");
+    assert_eq!(queries, 20, "every planned query fires");
+    assert_eq!(peers.num_online(), 100, "churn chain ends fully online");
+    assert!(cluster.traffic().parked > 0, "churn must park frames");
+    let emitted = (0..100).map(|p| cluster.node(PeerId(p)).stats().emitted_remote);
+    let rank_fnv = fnv64_ranks(&cluster.collect_ranks(2_000));
+    let pin = [out.schedule_fnv, out.steps, out.deliveries, out.virtual_ns];
+    let traffic = [emitted.sum(), cluster.traffic().bytes_sent, rank_fnv];
+    #[rustfmt::skip]
+    let want = [0xe5df32f7e7ba1e3d, 4778, 98928, 10269656787, 123561, 2275712, 0x3187fff7b9675a2d];
+    assert_eq!([&pin[..], &traffic[..]].concat(), want);
 }
 
 #[test]

@@ -1,53 +1,20 @@
 //! Differential tests for the telemetry layer.
 //!
 //! The contract under test is *zero perturbation*: attaching a live
-//! [`TraceRecorder`] to any run loop must not move a single rank bit
-//! or change a single traffic tally, under either wire mode. A third test exercises the end-to-end
-//! acceptance path: a continuous-churn run writes a JSONL trace that
-//! re-parses schema-valid and whose per-run residual series is
-//! monotone non-increasing after the last injection event.
+//! [`TraceRecorder`] to a run loop must not move a single rank bit or
+//! change a single tally. (The static engine, rounds and chaotic runs
+//! are re-run traced against their rows in the regime table,
+//! `crates/bench/tests/regimes.rs`.) Here: churned convergence, and
+//! the end-to-end acceptance path — a continuous-churn run writes a
+//! JSONL trace that re-parses schema-valid and whose per-run residual
+//! series is monotone non-increasing after the last injection event.
 
-use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::prelude::*;
-use distributed_pagerank::sim::batch::run_wire_mode;
 use distributed_pagerank::sim::scenario::{continuous_update_experiment, run_convergence};
 use distributed_pagerank::sim::ScenarioSpec;
 use dpr_telemetry::{Recorder, TraceRecorder, TraceSummary, NOOP};
-use std::sync::Arc;
 
 const SEED: u64 = 2003;
-
-/// Observing the engine run loop yields bit-identical ranks and
-/// identical run statistics.
-#[test]
-fn engine_ranks_are_bit_identical_with_telemetry_on() {
-    let w = Workload::paper(2_000, 50, SEED);
-    let ranks_plain = {
-        let mut eng = ChaoticEngine::new(
-            w.graph.clone(),
-            w.owners(),
-            EngineConfig::with_epsilon(1e-3),
-        );
-        let mut peers = w.peer_table();
-        let run = eng.run_observed(&mut peers, None, &NOOP, "run");
-        assert!(run.converged);
-        eng.ranks().to_vec()
-    };
-    let rec = TraceRecorder::new();
-    let ranks_traced = {
-        let mut eng = ChaoticEngine::new(
-            w.graph.clone(),
-            w.owners(),
-            EngineConfig::with_epsilon(1e-3),
-        );
-        let mut peers = w.peer_table();
-        let run = eng.run_observed(&mut peers, None, &rec, "diff");
-        assert!(run.converged);
-        eng.ranks().to_vec()
-    };
-    assert_eq!(ranks_plain, ranks_traced, "ranks diverged");
-    assert!(rec.event_count() > 0, "live recorder saw no events");
-}
 
 /// The churned convergence scenario reports identical pass and
 /// message tallies whether or not a recorder is attached.
@@ -63,33 +30,6 @@ fn churned_convergence_stats_are_unchanged_by_telemetry() {
     assert_eq!(plain.total_remote_messages, traced.total_remote_messages);
     assert_eq!(plain.messages_per_node, traced.messages_per_node);
     assert!(rec.enabled() && rec.event_count() > 0);
-}
-
-/// Observing the message-level cluster (both wire modes, with the
-/// address cache on) yields bit-identical ranks and byte-identical
-/// traffic accounting.
-#[test]
-fn cluster_runs_are_bit_identical_with_telemetry_on() {
-    let w = Workload::paper(1_000, 32, SEED);
-    for wire in [WireMode::Single, WireMode::frames()] {
-        let spec = ScenarioSpec {
-            wire,
-            ..ScenarioSpec::new(1_000, 32, 1e-3, SEED)
-        };
-        let plain = run_wire_mode(&w, &spec, true, None);
-        let rec: Arc<TraceRecorder> = Arc::new(TraceRecorder::new());
-        let traced = run_wire_mode(&w, &spec, true, Some(rec.clone()));
-        assert_eq!(plain.ranks, traced.ranks, "ranks diverged under {wire:?}");
-        let (p, t) = (plain.traffic, traced.traffic);
-        assert_eq!(p.rounds, t.rounds);
-        assert_eq!(p.updates, t.updates);
-        assert_eq!(p.entries, t.entries);
-        assert_eq!(p.frames, t.frames);
-        assert_eq!(p.payloads, t.payloads);
-        assert_eq!(p.bytes_on_wire, t.bytes_on_wire);
-        assert_eq!(p.routed_messages, t.routed_messages);
-        assert!(rec.event_count() > 0, "live recorder saw no events");
-    }
 }
 
 /// The acceptance path end to end: a continuous-churn run traced to
