@@ -13,7 +13,7 @@
 //! kept sorted by pagerank descending so the incremental search can
 //! cut the top x % without re-sorting.
 
-use crate::{corpus::Corpus, TermId};
+use crate::{corpus::Corpus, idset::IdSet, TermId};
 use dpr_graph::DocId;
 use dpr_p2p::{guid::Guid, peer::PeerId, ring::Ring};
 
@@ -33,10 +33,11 @@ pub struct DistributedIndex {
     postings: Vec<Vec<Posting>>,
     /// The peer owning each term's index entry.
     term_owner: Vec<PeerId>,
-    /// Index-update messages sent while building / refreshing ranks
-    /// (one per document per term entry, as in the paper's "an index
-    /// update message is sent").
+    /// Index-update messages sent while building (one per document per
+    /// term entry, as in the paper's "an index update message is sent").
     update_messages: u64,
+    /// Documents in the corpus (the universe of [`Self::doc_set`]).
+    num_docs: usize,
 }
 
 impl DistributedIndex {
@@ -50,18 +51,25 @@ impl DistributedIndex {
     pub fn build(corpus: &Corpus, ranks: &[f64], ring: &Ring) -> Self {
         assert_eq!(ranks.len(), corpus.num_docs(), "one rank per document");
         let vocab = corpus.vocab_size() as usize;
-        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); vocab];
-        let mut update_messages = 0u64;
-        for (d, &rank) in ranks.iter().enumerate() {
-            let doc = DocId::from(d);
+        // One sort over the documents; appending each one's postings in
+        // that order leaves every list in its final order.
+        let mut order: Vec<u32> = (0..ranks.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            ranks[b as usize]
+                .partial_cmp(&ranks[a as usize])
+                .expect("NaN rank")
+                .then(a.cmp(&b))
+        });
+        let mut postings: Vec<Vec<Posting>> = (0..vocab as u32)
+            .map(|t| Vec::with_capacity(corpus.doc_freq(t) as usize))
+            .collect();
+        for d in order {
+            let (doc, rank) = (DocId(d), ranks[d as usize]);
             for &t in corpus.terms_of(doc) {
                 postings[t as usize].push(Posting { doc, rank });
-                update_messages += 1;
             }
         }
-        for list in &mut postings {
-            sort_by_rank(list);
-        }
+        let update_messages = postings.iter().map(|l| l.len() as u64).sum();
         let term_owner = (0..vocab as u32)
             .map(|t| ring.successor(Guid::for_term(&term_name(t))))
             .collect();
@@ -69,6 +77,7 @@ impl DistributedIndex {
             postings,
             term_owner,
             update_messages,
+            num_docs: ranks.len(),
         }
     }
 
@@ -92,24 +101,18 @@ impl DistributedIndex {
         self.postings.len() as u32
     }
 
-    /// Index-update messages sent so far (build + rank refreshes).
+    /// Index-update messages sent while building.
     pub fn update_messages(&self) -> u64 {
         self.update_messages
     }
 
-    /// Records a new pagerank for `doc` in every term entry that lists
-    /// it, counting one index-update message per affected entry. This
-    /// is the paper's "when the pagerank has been computed for a node,
-    /// an index update message is sent".
-    pub fn refresh_rank(&mut self, corpus: &Corpus, doc: DocId, rank: f64) {
-        for &t in corpus.terms_of(doc) {
-            let list = &mut self.postings[t as usize];
-            if let Some(pos) = list.iter().position(|p| p.doc == doc) {
-                list[pos].rank = rank;
-                self.update_messages += 1;
-            }
-            sort_by_rank(list);
+    /// The documents containing `term`, as a bitset over the corpus.
+    pub fn doc_set(&self, term: TermId) -> IdSet {
+        let mut set = IdSet::new(self.num_docs);
+        for p in self.postings(term) {
+            set.insert(p.doc.0);
         }
+        set
     }
 }
 
@@ -117,17 +120,6 @@ impl DistributedIndex {
 /// DHT key ("term0017" etc.).
 pub fn term_name(t: TermId) -> String {
     format!("term{t:04}")
-}
-
-fn sort_by_rank(list: &mut [Posting]) {
-    // Stable ordering: rank descending, doc id ascending as the tie
-    // breaker so results are deterministic.
-    list.sort_by(|a, b| {
-        b.rank
-            .partial_cmp(&a.rank)
-            .expect("NaN rank")
-            .then(a.doc.0.cmp(&b.doc.0))
-    });
 }
 
 #[cfg(test)]
@@ -193,22 +185,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "NaN rank")]
+    fn nan_rank_rejected() {
+        let (corpus, mut ranks, ring) = setup();
+        ranks[7] = f64::NAN;
+        DistributedIndex::build(&corpus, &ranks, &ring);
+    }
+
+    #[test]
     fn build_counts_one_update_message_per_posting() {
         let (corpus, ranks, ring) = setup();
         let idx = DistributedIndex::build(&corpus, &ranks, &ring);
         let total_postings: u64 = (0..100u32).map(|t| idx.num_hits(t) as u64).sum();
         assert_eq!(idx.update_messages(), total_postings);
-    }
-
-    #[test]
-    fn refresh_rank_moves_a_document_up() {
-        let (corpus, ranks, ring) = setup();
-        let mut idx = DistributedIndex::build(&corpus, &ranks, &ring);
-        let doc = DocId(7);
-        let t = corpus.terms_of(doc)[0];
-        let before = idx.update_messages();
-        idx.refresh_rank(&corpus, doc, 1e9);
-        assert!(idx.update_messages() > before);
-        assert_eq!(idx.postings(t)[0].doc, doc, "doc with huge rank is first");
     }
 }

@@ -23,12 +23,15 @@
 //! * [`fasd`] — the FASD/Freenet-style alternative (paper Sec. 2.4.1):
 //!   metadata-key vectors, closeness + pagerank scoring, and a
 //!   TTL-limited greedy walk over a small-world overlay.
+//! * [`idset`] — the bitset over ids that the corpus dedups through and
+//!   the query path intersects through.
 
 #![warn(missing_docs)]
 
 pub mod bloom;
 pub mod corpus;
 pub mod fasd;
+pub mod idset;
 pub mod index;
 pub mod query;
 

@@ -40,10 +40,10 @@ impl Query {
     /// Panics if empty or containing duplicate terms.
     pub fn new(terms: Vec<TermId>) -> Self {
         assert!(!terms.is_empty(), "empty query");
-        let mut d = terms.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), terms.len(), "duplicate query terms");
+        assert!(
+            (1..terms.len()).all(|i| !terms[..i].contains(&terms[i])),
+            "duplicate query terms"
+        );
         Query { terms }
     }
 }
@@ -111,12 +111,11 @@ impl SearchOutcome {
 /// Intersects `current` (sorted by rank desc) with the posting list of
 /// `term`, keeping `current`'s rank ordering.
 fn intersect(current: &[Posting], index: &DistributedIndex, term: TermId) -> Vec<Posting> {
-    let mut member: Vec<u32> = index.postings(term).iter().map(|p| p.doc.0).collect();
-    member.sort_unstable();
+    let member = index.doc_set(term);
     current
         .iter()
         .copied()
-        .filter(|p| member.binary_search(&p.doc.0).is_ok())
+        .filter(|p| member.contains(p.doc.0))
         .collect()
 }
 

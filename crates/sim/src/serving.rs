@@ -294,11 +294,7 @@ fn serve_query(index: &DistributedIndex, query: &Query, strategy: ServeStrategy)
             }
         }
         ServeStrategy::Bloom => {
-            let sorted_ids = |t| {
-                let mut ids: Vec<DocId> = index.postings(t).iter().map(|p| p.doc).collect();
-                ids.sort_unstable();
-                ids
-            };
+            let sorted_ids = |t| index.doc_set(t).iter().map(DocId).collect::<Vec<_>>();
             let mut current = sorted_ids(query.terms[0]);
             let mut per_hop_bytes = Vec::new();
             let mut ids_processed = 0u64;

@@ -4,6 +4,7 @@ use distributed_pagerank::core::incremental::propagate_burst_localized;
 use distributed_pagerank::core::sync_solver::fixed_point_residual;
 use distributed_pagerank::graph::scc::SccIndex;
 use distributed_pagerank::prelude::*;
+use distributed_pagerank::search::index::Posting;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -274,6 +275,150 @@ proptest! {
         }
         for h in &incr.hits {
             prop_assert!(base_docs.contains(&h.doc.0));
+        }
+    }
+
+    /// The rank-ordered index build and the bitset intersection equal
+    /// the sorting models, bit for bit, on rank vectors full of ties and
+    /// signed zeros.
+    #[test]
+    fn index_and_queries_match_the_sorting_models(
+        (n, palette) in (20usize..300).prop_flat_map(|n| (Just(n), vec(0usize..6, n..n + 1))),
+        (vocab, tokens, seed) in (20u32..120, 3usize..40, any::<u64>()),
+        picks in vec(0usize..12, 1..4),
+        (frac, floor) in (0.05f64..0.6, 0usize..30),
+    ) {
+        const RANKS: [f64; 6] = [0.0, -0.0, 0.15, 0.15, 1.0, 2.5];
+        let corpus = Corpus::generate(&CorpusConfig {
+            num_docs: n, vocab_size: vocab, tokens_per_doc: tokens, seed,
+            ..Default::default()
+        });
+        let ranks: Vec<f64> = palette.iter().map(|&i| RANKS[i]).collect();
+        let index = DistributedIndex::build(&corpus, &ranks, &Ring::with_peers(10));
+        let lists = model_lists(&corpus, &ranks);
+        let bits = |l: &[Posting]| l.iter().map(|p| (p.doc.0, p.rank.to_bits())).collect::<Vec<_>>();
+        for (t, list) in lists.iter().enumerate() {
+            prop_assert_eq!(bits(index.postings(t as u32)), bits(list), "term {}", t);
+        }
+
+        let top = corpus.top_terms(12);
+        let mut terms: Vec<u32> = Vec::new();
+        for &i in &picks {
+            if !terms.contains(&top[i]) {
+                terms.push(top[i]);
+            }
+        }
+        let q = Query::new(terms.clone());
+        let cfg = IncrementalConfig { forward_fraction: frac, min_forward: floor, ..IncrementalConfig::top10() };
+        for (out, cut) in [
+            (execute_baseline(&index, &q, TrafficModel::AllHopsRemote), None),
+            (execute_incremental(&index, &q, cfg), Some((frac, floor))),
+        ] {
+            let (hits, per_hop) = model_execute(&lists, &terms, cut);
+            prop_assert_eq!(bits(&out.hits), bits(&hits));
+            prop_assert_eq!(out.traffic_ids, per_hop.iter().sum::<u64>());
+            prop_assert_eq!(out.per_hop_ids, per_hop);
+        }
+    }
+}
+
+/// The index build before it sorted once: each term's doc-order list,
+/// stably sorted by rank descending, doc ascending.
+fn model_lists(corpus: &Corpus, ranks: &[f64]) -> Vec<Vec<Posting>> {
+    let mut lists = vec![Vec::new(); corpus.vocab_size() as usize];
+    for (d, &rank) in ranks.iter().enumerate() {
+        let doc = DocId::from(d);
+        for &t in corpus.terms_of(doc) {
+            lists[t as usize].push(Posting { doc, rank });
+        }
+    }
+    for list in &mut lists {
+        list.sort_by(|a: &Posting, b: &Posting| {
+            b.rank
+                .partial_cmp(&a.rank)
+                .unwrap()
+                .then(a.doc.0.cmp(&b.doc.0))
+        });
+    }
+    lists
+}
+
+/// The query path before bitsets, under `AllHopsRemote`: each hop
+/// forwards (for the incremental strategy, the top `frac` unless under
+/// `floor`) and intersects through a sorted id list and
+/// `binary_search`. Returns the hits and the ids moved per hop.
+fn model_execute(
+    lists: &[Vec<Posting>],
+    terms: &[u32],
+    cut: Option<(f64, usize)>,
+) -> (Vec<Posting>, Vec<u64>) {
+    let mut current = lists[terms[0] as usize].clone();
+    let mut per_hop = Vec::new();
+    for &t in &terms[1..] {
+        if let Some((frac, floor)) = cut {
+            let top = (frac * current.len() as f64).ceil() as usize;
+            if top >= floor {
+                current.truncate(top);
+            }
+        }
+        per_hop.push(current.len() as u64);
+        let mut member: Vec<u32> = lists[t as usize].iter().map(|p| p.doc.0).collect();
+        member.sort_unstable();
+        current.retain(|p| member.binary_search(&p.doc.0).is_ok());
+    }
+    per_hop.push(current.len() as u64);
+    (current, per_hop)
+}
+
+/// `Corpus::generate` dedups through a bitset; the model sorts and
+/// dedups each document's tokens, drawn from the same Zipf stream.
+#[test]
+fn corpus_matches_the_sort_dedup_model() {
+    use distributed_pagerank::graph::distr::Zipf;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    let configs = [
+        CorpusConfig {
+            num_docs: 500,
+            vocab_size: 200,
+            tokens_per_doc: 50,
+            ..Default::default()
+        },
+        CorpusConfig {
+            num_docs: 300,
+            seed: 7,
+            ..Default::default()
+        },
+        CorpusConfig {
+            num_docs: 200,
+            vocab_size: 3,
+            tokens_per_doc: 10,
+            zipf_skew: 0.5,
+            seed: 1,
+        },
+    ];
+    for cfg in &configs {
+        let corpus = Corpus::generate(cfg);
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let zipf = Zipf::new(cfg.vocab_size, cfg.zipf_skew);
+        let mut doc_freq = vec![0u32; cfg.vocab_size as usize];
+        for d in 0..cfg.num_docs {
+            let mut terms: Vec<u32> = (0..cfg.tokens_per_doc)
+                .map(|_| zipf.sample(&mut rng) - 1)
+                .collect();
+            terms.sort_unstable();
+            terms.dedup();
+            assert_eq!(
+                corpus.terms_of(DocId::from(d)),
+                &terms[..],
+                "{cfg:?} doc {d}"
+            );
+            for &t in &terms {
+                doc_freq[t as usize] += 1;
+            }
+        }
+        for (t, &f) in doc_freq.iter().enumerate() {
+            assert_eq!(corpus.doc_freq(t as u32), f, "{cfg:?} term {t}");
         }
     }
 }
