@@ -17,7 +17,7 @@
 //! `serving_differential.rs` (serving plus churn), the two hand-stepped
 //! `PeerNode` message-order fingerprints in `sched_differential.rs`,
 //! the 500-document sequential-engine fingerprint in
-//! `parallel_differential.rs`, and the two Capture v3 fixtures
+//! `kernel_reference.rs`, and the two Capture v3 fixtures
 //! `audit_differential.rs` replays.
 
 use dpr_bench::{run_cell, Cell, Layer};

@@ -229,11 +229,19 @@ pub fn partition(args: &Args) -> Result<(), String> {
     rep.finish()
 }
 
+/// The wave flags of `insert` and `delete`, refused where
+/// `incremental` would assert: ε ≤ 0 or NaN, damping outside (0, 1] or
+/// NaN.
 fn wave_cfg(args: &Args) -> Result<PropagationConfig, String> {
-    Ok(PropagationConfig {
-        damping: args.get("damping", dpr_core::DEFAULT_DAMPING)?,
-        epsilon: args.get("eps", dpr_core::RECOMMENDED_EPSILON)?,
-    })
+    let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING)?;
+    let epsilon: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON)?;
+    if epsilon.is_nan() || epsilon <= 0.0 {
+        return Err(format!("--eps must be positive, got {epsilon}"));
+    }
+    if damping.is_nan() || damping <= 0.0 || damping > 1.0 {
+        return Err(format!("--damping must be in (0, 1], got {damping}"));
+    }
+    Ok(PropagationConfig { damping, epsilon })
 }
 
 /// `dpr insert` — simulate inserting a document with given out-links.
@@ -1399,6 +1407,18 @@ mod tests {
             .unwrap_err();
             assert!(e.contains(field), "{flags}: {e}");
             assert!(!cap.exists(), "{flags}: nothing may be written");
+        }
+        // The wave flags `incremental` asserts on.
+        let g = graph_file(&dir, 50);
+        for (name, cmd, flags, flag) in [
+            ("insert", insert as Cmd, "--links 1 --eps 0", "--eps"),
+            ("insert", insert, "--links 1 --eps nan", "--eps"),
+            ("insert", insert, "--links 1 --damping 1.5", "--damping"),
+            ("delete", delete, "--doc 3 --damping 0", "--damping"),
+            ("delete", delete, "--doc 3 --damping nan", "--damping"),
+        ] {
+            let e = cmd(&args(&format!("--graph {g} {flags} --quiet"))).unwrap_err();
+            assert!(e.contains(flag), "dpr {name} {flags}: {e}");
         }
         // The same through a capture file: a header edited to a
         // degenerate scenario is refused by name, by both replayers.

@@ -134,7 +134,7 @@ pub struct PassStats {
 
 impl PassStats {
     /// Copies the per-pass scheduler outcome into the stats.
-    pub(crate) fn record_sched(&mut self, sel: &SchedStats) {
+    fn record_sched(&mut self, sel: &SchedStats) {
         self.queued = sel.queued;
         self.selected = sel.selected;
         self.deferred = sel.deferred;
@@ -190,7 +190,7 @@ impl RunStats {
 
     /// Folds one pass into the totals, retaining the per-pass entry
     /// only while fewer than `cap` are held.
-    pub(crate) fn record_pass(&mut self, stats: PassStats, cap: usize) {
+    fn record_pass(&mut self, stats: PassStats, cap: usize) {
         self.passes += 1;
         self.total_remote_messages += stats.remote_messages;
         self.total_local_updates += stats.local_updates;
@@ -253,89 +253,16 @@ fn observe_sched<R: Recorder + ?Sized>(
     });
 }
 
-/// The run loop of both executors: calls `pass` until `eng` is
-/// quiescent or its pass budget is spent, running `churn` between
-/// passes, and — when `rec` is enabled — emitting one `PassCompleted`,
-/// `ConvergenceCheck`, mass-ledger and scheduler snapshot per pass and
-/// a `PeerChurn` event per presence flip.
-pub(crate) fn run_passes<R: Recorder + ?Sized>(
-    eng: &mut ChaoticEngine,
-    peers: &mut PeerTable,
-    mut churn: Option<&mut ChurnFn<'_>>,
-    rec: &R,
-    run_label: &str,
-    mut pass: impl FnMut(&mut ChaoticEngine, &PeerTable) -> PassStats,
-) -> RunStats {
-    let cfg = eng.config();
-    let mut run = RunStats::default();
-    while !eng.is_quiescent() && run.passes < cfg.max_passes {
-        let t0 = rec.enabled().then(Instant::now);
-        let stats = pass(eng, peers);
-        if let Some(t0) = t0 {
-            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            rec.observe(Metric::PassDurationNs, duration_ns);
-            rec.event(&Event::PassCompleted {
-                run: run_label.to_string(),
-                pass: stats.pass as u64,
-                applied: stats.applied,
-                remote_messages: stats.remote_messages,
-                local_updates: stats.local_updates,
-                senders: stats.senders,
-                max_relative_change: stats.max_relative_change,
-                hops: stats.hops,
-                duration_ns,
-            });
-            rec.event(&Event::ConvergenceCheck {
-                run: run_label.to_string(),
-                pass: stats.pass as u64,
-                active_docs: eng.active_docs() as u64,
-                residual: eng.residual_mass(),
-            });
-            // Between passes every emitted increment is already folded
-            // into `pending`, so the in-flight term of the ledger is zero.
-            rec.event(&eng.mass_breakdown().ledger_event(
-                run_label,
-                stats.pass as u64,
-                0.0,
-                cfg.damping,
-                eng.expected_mass(),
-            ));
-            observe_sched(rec, cfg.sched, &stats, run_label);
-        }
-        run.record_pass(stats, cfg.effective_pass_stats_cap());
-        if let Some(f) = churn.as_deref_mut() {
-            if rec.enabled() {
-                let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
-                f(run.passes, peers);
-                for (i, was) in before.iter().enumerate() {
-                    let now = peers.is_online(PeerId(i as u32));
-                    if now != *was {
-                        rec.event(&Event::PeerChurn {
-                            round: run.passes as u64,
-                            peer: i as u32,
-                            online: now,
-                        });
-                    }
-                }
-            } else {
-                f(run.passes, peers);
-            }
-        }
-    }
-    run.converged = eng.is_quiescent();
-    run
-}
-
 /// The documents holding a parked or in-flight increment: one bit per
 /// document plus the population count. Iteration is ascending document
 /// order by construction, which is the order every floating-point fold
 /// of a pass runs in — so no pass ever sorts.
 #[derive(Debug, Clone)]
-pub(crate) struct Frontier {
+struct Frontier {
     /// Bit `d % 64` of word `d / 64` is document `d`; bits at and above
     /// the document count are never set. A pass writes these directly
     /// and owes a [`Frontier::recount`] before it returns.
-    pub(crate) words: Vec<u64>,
+    words: Vec<u64>,
     len: usize,
 }
 
@@ -349,11 +276,11 @@ impl Frontier {
         Frontier { words, len: n }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn insert(&mut self, d: u32) {
+    fn insert(&mut self, d: u32) {
         let (word, bit) = (&mut self.words[d as usize / 64], 1u64 << (d % 64));
         self.len += usize::from(*word & bit == 0);
         *word |= bit;
@@ -366,14 +293,15 @@ impl Frontier {
     }
 
     /// The set documents, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         (self.words.iter().enumerate())
             .flat_map(|(wi, &word)| ones(word).map(move |b| (wi * 64) as u32 + b))
     }
 
     /// Re-derives the count after a pass wrote `words` directly (the
-    /// diffuse and pull inner loops set bits without counting).
-    pub(crate) fn recount(&mut self) {
+    /// apply scan clears bits and the diffuse loop sets them, neither
+    /// counting).
+    fn recount(&mut self) {
         self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 }
@@ -385,146 +313,25 @@ fn ones(word: u64) -> impl Iterator<Item = u32> {
         .map(u64::trailing_zeros)
 }
 
-/// What every apply scan reads and none writes.
-pub(crate) struct ApplyCtx<'a> {
-    pub(crate) graph: &'a CsrGraph,
-    pub(crate) owner: &'a [PeerId],
-    pub(crate) remote_out: &'a [u32],
-    pub(crate) peers: &'a PeerTable,
-    pub(crate) epsilon: f64,
-}
-
-/// One document range of the engine's arrays, starting on a 64-document
-/// boundary so that it owns whole frontier words.
-pub(crate) struct Slab<'a> {
-    /// First document id of the range.
-    pub(crate) base: usize,
-    pub(crate) frontier: &'a mut [u64],
-    pub(crate) ranks: &'a mut [f64],
-    pub(crate) advertised: &'a mut [f64],
-    pub(crate) pending: &'a mut [f64],
-}
-
-/// What an apply scan hands to the emission side, in ascending document
-/// order: 4 bytes per sender, the contribution change is recomputed
-/// from `rank − advertised` when it is emitted.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ApplyOut {
-    /// Linked documents that must re-advertise; `advertised` is not yet
-    /// updated for them ([`advertise`] does that).
-    pub(crate) senders: Vec<u32>,
-    /// `rank − advertised` of every dangling document that advertised.
-    pub(crate) dangling: Vec<f64>,
-}
-
-/// The apply half of Fig. 1 for one document range — the only copy,
-/// run over the whole graph by [`ChaoticEngine::pass_with_hops`] and
-/// over one range per worker by the sharded executor. Every frontier
-/// document whose peer is online has its parked increment applied and
-/// leaves the frontier (offline ones stay: store-and-resend); where the
-/// rank then differs from the advertised one by more than ε the
-/// document is recorded as a sender, or, if it has no out-links,
-/// advertises into the dangling sink on the spot. No edge is walked:
-/// the message counts come from `remote_out`. Emission is the caller's,
-/// after *every* range has been applied, so that nothing emitted in a
-/// pass is applied in it.
-pub(crate) fn apply_range(
-    sh: &mut Slab<'_>,
-    ctx: &ApplyCtx<'_>,
-    out: &mut ApplyOut,
-    stats: &mut PassStats,
-) {
-    out.senders.clear();
-    out.dangling.clear();
-    let offsets = ctx.graph.offsets();
-    for (wi, word) in sh.frontier.iter_mut().enumerate() {
-        let mut parked = 0u64;
-        for b in ones(*word) {
-            let li = wi * 64 + b as usize;
-            let i = sh.base + li;
-            if !ctx.peers.is_online(ctx.owner[i]) {
-                parked |= 1 << b;
-                continue;
-            }
-            let rank = sh.ranks[li] + std::mem::take(&mut sh.pending[li]);
-            sh.ranks[li] = rank;
-            stats.applied += 1;
-            let gap = rank - sh.advertised[li];
-            let rel = gap.abs() / rank.abs().max(f64::MIN_POSITIVE);
-            stats.max_relative_change = stats.max_relative_change.max(rel);
-            if rel <= ctx.epsilon {
-                continue;
-            }
-            let degree = offsets[i + 1] - offsets[i];
-            if degree == 0 {
-                // Dangling document: nothing to forward, but the rank
-                // is now advertised (prevents re-evaluation forever).
-                sh.advertised[li] = rank;
-                out.dangling.push(gap);
-                continue;
-            }
-            out.senders.push(i as u32);
-            stats.senders += 1;
-            let remote = u64::from(ctx.remote_out[i]);
-            stats.remote_messages += remote;
-            stats.local_updates += degree - remote;
-        }
-        *word = parked;
-    }
-}
-
-/// Commits a sender's advertisement and returns the contribution change
-/// each of its `degree` out-links carries. Both emission sides call
-/// this, so the value is the same bits whichever side emits it.
-#[inline]
-pub(crate) fn advertise(rank: f64, advertised: &mut f64, damping: f64, degree: usize) -> f64 {
-    let send = damping * (rank - *advertised) / degree as f64;
-    *advertised = rank;
-    send
-}
-
-/// Charges `model` for every cross-peer link of `senders`: senders in
-/// the order given (ascending), links in row order. The model is
-/// stateful, so this one walk *is* the call sequence of a pass under
-/// either executor.
-pub(crate) fn charge_hops(
-    graph: &CsrGraph,
-    owner: &[PeerId],
-    senders: impl IntoIterator<Item = u32>,
-    model: &mut HopModel<'_>,
-) -> u64 {
-    let mut hops = 0;
-    for s in senders {
-        let p = owner[s as usize];
-        for &t in graph.out_neighbors(DocId(s)) {
-            let tp = owner[t as usize];
-            if tp != p {
-                hops += u64::from(model(p, tp, DocId(t)));
-            }
-        }
-    }
-    hops
-}
-
 /// The distributed pagerank engine.
 #[derive(Clone)]
 pub struct ChaoticEngine {
-    pub(crate) graph: Arc<CsrGraph>,
-    pub(crate) owner: Vec<PeerId>,
+    graph: Arc<CsrGraph>,
+    owner: Vec<PeerId>,
     cfg: EngineConfig,
     /// Current rank per document.
-    pub(crate) ranks: Vec<f64>,
+    ranks: Vec<f64>,
     /// Rank last advertised to out-links.
-    pub(crate) advertised: Vec<f64>,
+    advertised: Vec<f64>,
     /// Parked + in-flight increments per document.
-    pub(crate) pending: Vec<f64>,
+    pending: Vec<f64>,
     /// Documents with a parked or in-flight increment.
-    pub(crate) frontier: Frontier,
+    frontier: Frontier,
     passes: usize,
     /// Cumulative advertised delta of dangling (out-degree 0)
     /// documents — the mass the damping sink absorbed, a term of the
     /// flight recorder's conserved potential Φ.
-    pub(crate) dangling_advertised: f64,
+    dangling_advertised: f64,
     /// Cumulative externally injected mass
     /// ([`ChaoticEngine::inject_delta`]), which shifts Φ by
     /// `Σδ / (1 − d)`.
@@ -535,15 +342,9 @@ pub struct ChaoticEngine {
     /// built by the first pass (so not at construction) and shared by
     /// clones.
     remote_out: Option<Arc<[u32]>>,
-    /// The transposed graph — row `t` lists the documents linking to
-    /// `t` in ascending order, one entry per link — which only the
-    /// sharded executor's pull phase reads. Built by the first sharded
-    /// pass and, like `remote_out`, held here rather than in an
-    /// executor that may be handed a different engine next.
-    pub(crate) inbound: Option<Arc<CsrGraph>>,
     /// Pass-scratch buffers, kept on the engine so steady-state passes
-    /// allocate nothing: the apply scan's outputs,
-    scratch_applied: ApplyOut,
+    /// allocate nothing: the apply scan's sender list,
+    scratch_senders: Vec<u32>,
     /// the frontier as a list for the selective schedulers,
     scratch_work: Vec<u32>,
     /// the documents the scheduler parked this pass, out of the
@@ -592,8 +393,7 @@ impl ChaoticEngine {
             dangling_advertised: 0.0,
             injected_mass: 0.0,
             remote_out: None,
-            inbound: None,
-            scratch_applied: ApplyOut::default(),
+            scratch_senders: Vec::new(),
             scratch_work: Vec::new(),
             scratch_deferred: Vec::new(),
             scratch_buckets: Vec::new(),
@@ -756,9 +556,8 @@ impl ChaoticEngine {
     /// (`Priority`) or [`sched::partition_by_greedy`] (`Greedy`); the
     /// deferred documents leave the frontier for `scratch_deferred`,
     /// their pending mass intact, until [`ChaoticEngine::finish_pass`]
-    /// returns them. Both executors call this on the coordinating
-    /// thread, so the selected set is identical at every thread count.
-    pub(crate) fn begin_pass(&mut self) -> PassStats {
+    /// returns them.
+    fn begin_pass(&mut self) -> PassStats {
         self.passes += 1;
         let mut stats = PassStats {
             pass: self.passes,
@@ -795,8 +594,8 @@ impl ChaoticEngine {
 
     /// Closes a pass: the deferred documents rejoin the frontier with
     /// their pending mass intact — residual carryover, never lost —
-    /// and the count catches up with the bits the emission side set.
-    pub(crate) fn finish_pass(&mut self) {
+    /// and the count catches up with the bits the pass wrote.
+    fn finish_pass(&mut self) {
         for d in self.scratch_deferred.drain(..) {
             self.frontier.insert(d);
         }
@@ -804,7 +603,7 @@ impl ChaoticEngine {
     }
 
     /// The per-document cross-peer out-link counts, built on first use.
-    pub(crate) fn remote_out(&mut self) -> Arc<[u32]> {
+    fn remote_out(&mut self) -> Arc<[u32]> {
         let (graph, owner) = (&self.graph, &self.owner);
         Arc::clone(self.remote_out.get_or_insert_with(|| {
             graph
@@ -817,6 +616,62 @@ impl ChaoticEngine {
                 })
                 .collect()
         }))
+    }
+
+    /// The apply half of Fig. 1, the engine's one scan. Every frontier
+    /// document whose peer is online has its parked increment applied
+    /// and leaves the frontier (offline ones stay: store-and-resend);
+    /// where the rank then differs from the advertised one by more than
+    /// ε the document is listed in `senders`, or, if it has no
+    /// out-links, advertises into the dangling sink on the spot. No edge
+    /// is walked: the message counts come from `remote_out`. Emission is
+    /// the caller's, after the whole scan, so that nothing emitted in a
+    /// pass is applied in it.
+    fn apply_range(
+        &mut self,
+        peers: &PeerTable,
+        remote_out: &[u32],
+        senders: &mut Vec<u32>,
+        stats: &mut PassStats,
+    ) {
+        senders.clear();
+        let offsets = self.graph.offsets();
+        let (owner, epsilon) = (&self.owner[..], self.cfg.epsilon);
+        let (ranks, advertised) = (&mut self.ranks[..], &mut self.advertised[..]);
+        let pending = &mut self.pending[..];
+        for (wi, word) in self.frontier.words.iter_mut().enumerate() {
+            let mut parked = 0u64;
+            for b in ones(*word) {
+                let i = wi * 64 + b as usize;
+                if !peers.is_online(owner[i]) {
+                    parked |= 1 << b;
+                    continue;
+                }
+                let rank = ranks[i] + std::mem::take(&mut pending[i]);
+                ranks[i] = rank;
+                stats.applied += 1;
+                let gap = rank - advertised[i];
+                let rel = gap.abs() / rank.abs().max(f64::MIN_POSITIVE);
+                stats.max_relative_change = stats.max_relative_change.max(rel);
+                if rel <= epsilon {
+                    continue;
+                }
+                let degree = offsets[i + 1] - offsets[i];
+                if degree == 0 {
+                    // Dangling document: nothing to forward, but the rank
+                    // is now advertised (prevents re-evaluation forever).
+                    advertised[i] = rank;
+                    self.dangling_advertised += gap;
+                    continue;
+                }
+                senders.push(i as u32);
+                stats.senders += 1;
+                let remote = u64::from(remote_out[i]);
+                stats.remote_messages += remote;
+                stats.local_updates += degree - remote;
+            }
+            *word = parked;
+        }
     }
 
     /// Executes one pass; all peers in `peers` that are online
@@ -834,58 +689,51 @@ impl ChaoticEngine {
     ) -> PassStats {
         let mut stats = self.begin_pass();
         let remote_out = self.remote_out();
-        let mut out = std::mem::take(&mut self.scratch_applied);
+        let mut senders = std::mem::take(&mut self.scratch_senders);
         // Every frontier document may send (on the first pass all do);
         // growing the list by doubling instead costs 1.8 MiB of peak
         // RSS at 250k documents.
-        out.senders.reserve_exact(self.frontier.len());
+        senders.reserve_exact(self.frontier.len());
 
         // Phase 1: apply what was parked before this pass, everywhere,
         // before anything is emitted: what a sender emits below belongs
         // to the *next* pass, so order within a pass cannot matter.
-        let ctx = ApplyCtx {
-            graph: &self.graph,
-            owner: &self.owner,
-            remote_out: &remote_out,
-            peers,
-            epsilon: self.cfg.epsilon,
-        };
-        let mut whole = Slab {
-            base: 0,
-            frontier: &mut self.frontier.words,
-            ranks: &mut self.ranks,
-            advertised: &mut self.advertised,
-            pending: &mut self.pending,
-        };
-        apply_range(&mut whole, &ctx, &mut out, &mut stats);
-        for gap in &out.dangling {
-            self.dangling_advertised += gap;
-        }
+        self.apply_range(peers, &remote_out, &mut senders, &mut stats);
 
-        // Phase 2: diffuse. Every sender adds the change in its
-        // contribution to each out-link's parked increment.
+        // Phase 2: diffuse. Every sender advertises its rank and adds
+        // the change in its contribution to each out-link's parked
+        // increment.
         let words = &mut self.frontier.words;
-        for &s in &out.senders {
+        for &s in &senders {
             let row = self.graph.out_neighbors(DocId(s));
             let i = s as usize;
-            let send = advertise(
-                self.ranks[i],
-                &mut self.advertised[i],
-                self.cfg.damping,
-                row.len(),
-            );
+            let send = self.cfg.damping * (self.ranks[i] - self.advertised[i]) / row.len() as f64;
+            self.advertised[i] = self.ranks[i];
             for &t in row {
                 self.pending[t as usize] += send;
                 words[t as usize / 64] |= 1 << (t % 64);
             }
         }
+
+        // The hop model is stateful, so its call order is part of the
+        // result: senders ascending, each cross-peer link in row order.
         stats.hops = match hop_model {
             Some(model) => {
-                charge_hops(&self.graph, &self.owner, out.senders.iter().copied(), model)
+                let mut hops = 0;
+                for &s in &senders {
+                    let p = self.owner[s as usize];
+                    for &t in self.graph.out_neighbors(DocId(s)) {
+                        let tp = self.owner[t as usize];
+                        if tp != p {
+                            hops += u64::from(model(p, tp, DocId(t)));
+                        }
+                    }
+                }
+                hops
             }
             None => stats.remote_messages,
         };
-        self.scratch_applied = out;
+        self.scratch_senders = senders;
         self.finish_pass();
         stats
     }
@@ -904,9 +752,10 @@ impl ChaoticEngine {
     }
 
     /// [`ChaoticEngine::run_to_convergence`] recording telemetry: one
-    /// `PassCompleted` + `ConvergenceCheck` per pass (tagged with
-    /// `run_label` so multi-run traces keep their curves apart) and a
-    /// `PeerChurn` event per presence flip the churn callback makes.
+    /// `PassCompleted` + `ConvergenceCheck` + mass-ledger (+ scheduler)
+    /// snapshot per pass, tagged with `run_label` so multi-run traces
+    /// keep their curves apart, and a `PeerChurn` event per presence
+    /// flip the churn callback makes.
     ///
     /// Recording never touches the computation — with the no-op
     /// recorder this *is* `run_to_convergence`, and with a real one
@@ -915,13 +764,68 @@ impl ChaoticEngine {
     pub fn run_observed<R: Recorder + ?Sized>(
         &mut self,
         peers: &mut PeerTable,
-        churn: Option<&mut ChurnFn<'_>>,
+        mut churn: Option<&mut ChurnFn<'_>>,
         rec: &R,
         run_label: &str,
     ) -> RunStats {
-        run_passes(self, peers, churn, rec, run_label, |eng, peers| {
-            eng.pass(peers)
-        })
+        let cfg = self.cfg;
+        let mut run = RunStats::default();
+        while !self.is_quiescent() && run.passes < cfg.max_passes {
+            let t0 = rec.enabled().then(Instant::now);
+            let stats = self.pass(peers);
+            if let Some(t0) = t0 {
+                let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                rec.observe(Metric::PassDurationNs, duration_ns);
+                rec.event(&Event::PassCompleted {
+                    run: run_label.to_string(),
+                    pass: stats.pass as u64,
+                    applied: stats.applied,
+                    remote_messages: stats.remote_messages,
+                    local_updates: stats.local_updates,
+                    senders: stats.senders,
+                    max_relative_change: stats.max_relative_change,
+                    hops: stats.hops,
+                    duration_ns,
+                });
+                rec.event(&Event::ConvergenceCheck {
+                    run: run_label.to_string(),
+                    pass: stats.pass as u64,
+                    active_docs: self.active_docs() as u64,
+                    residual: self.residual_mass(),
+                });
+                // Between passes every emitted increment is already folded
+                // into `pending`, so the in-flight term of the ledger is zero.
+                rec.event(&self.mass_breakdown().ledger_event(
+                    run_label,
+                    stats.pass as u64,
+                    0.0,
+                    cfg.damping,
+                    self.expected_mass(),
+                ));
+                observe_sched(rec, cfg.sched, &stats, run_label);
+            }
+            run.record_pass(stats, cfg.effective_pass_stats_cap());
+            if let Some(f) = churn.as_deref_mut() {
+                if rec.enabled() {
+                    let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
+                    f(run.passes, peers);
+                    for (i, was) in before.iter().enumerate() {
+                        let now = peers.is_online(PeerId(i as u32));
+                        if now != *was {
+                            rec.event(&Event::PeerChurn {
+                                round: run.passes as u64,
+                                peer: i as u32,
+                                online: now,
+                            });
+                        }
+                    }
+                } else {
+                    f(run.passes, peers);
+                }
+            }
+        }
+        run.converged = self.is_quiescent();
+        run
     }
 
     /// Convenience: run with all peers online and no churn.
@@ -1393,6 +1297,31 @@ mod tests {
         assert_eq!(s.retained_passes, 3);
         assert_eq!(s.total_remote_messages, rc.total_remote_messages);
         assert!(s.converged);
+    }
+
+    #[test]
+    fn observed_residual_series_is_monotone_non_increasing() {
+        use dpr_telemetry::TraceRecorder;
+        let g = paper_graph(900, 63);
+        let n = g.num_nodes();
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let owner: Vec<PeerId> = (0..n).map(|_| PeerId(rng.gen_range(0..8))).collect();
+        let mut eng = ChaoticEngine::new(Arc::new(g), owner, EngineConfig::with_epsilon(1e-4));
+        let rec = TraceRecorder::new();
+        let run = eng.run_observed(&mut PeerTable::new(8), None, &rec, "mono");
+        assert!(run.converged);
+        let mut prev: Option<f64> = None;
+        let mut pass_seen = 0u64;
+        for e in rec.events() {
+            if let Event::ConvergenceCheck { pass, residual, .. } = e {
+                pass_seen = pass;
+                if let Some(p) = prev {
+                    assert!(residual <= p * (1.0 + 1e-9) + 1e-12, "{residual} > {p}");
+                }
+                prev = Some(residual);
+            }
+        }
+        assert!(pass_seen > 1);
     }
 
     #[test]

@@ -33,11 +33,9 @@
 //!   and the aggregate serialized-transfer model behind Table 3's
 //!   hours columns, plus the Sec. 4.6.2 Internet-scale estimate).
 //! * [`message`] — the update-message type and its 24-byte wire form.
-//! * [`parallel`] — the sharded pass executor: apply in parallel over
-//!   contiguous document ranges, then every target pulls from its
-//!   in-neighbours over a transposed CSR in the sequential fold order,
-//!   which makes every pass bit-identical to the sequential engine at
-//!   any thread count. Benchmarked, not selectable.
+//! * [`parallel`] — a shim over [`engine`] with the sharded
+//!   executor's old signatures, kept only for the frozen `perf/`
+//!   benchmark. There is no threaded pass.
 
 #![warn(missing_docs)]
 
@@ -52,7 +50,6 @@ pub mod sync_solver;
 
 pub use engine::{ChaoticEngine, EngineConfig, PassStats, RunStats};
 pub use message::RankUpdate;
-pub use parallel::ShardedExecutor;
 pub use sched::{RunMode, SchedMode, SCHED_HELP};
 pub use sync_solver::SyncSolver;
 

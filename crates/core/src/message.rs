@@ -106,7 +106,7 @@ impl UpdateFrame {
 ///
 /// Increments pushed for the same document coalesce into one entry by
 /// *adding in push order* — exactly the fold the receiver would have
-/// performed on its own zero-seeded inbound accumulator had each
+/// performed on its own zero-seeded receiving accumulator had each
 /// increment travelled alone, which is what keeps batched and
 /// unbatched runs bit-identical (see DESIGN.md "Wire protocol &
 /// aggregation").

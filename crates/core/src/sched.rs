@@ -21,9 +21,9 @@
 //! down until the selected mass reaches the adaptive emission budget
 //! ([`PRIORITY_BUDGET_FRACTION`] of the total queued mass). Selecting
 //! whole buckets keeps the selected set a pure function of the queued
-//! *set* and the engine state — independent of queue order, shard
-//! layout, and thread count — which is what lets the sharded executor
-//! keep its bit-identity contract in `Priority` mode.
+//! *set* and the engine state: the caller lists the set ascending (see
+//! [`partition_by_residual`]), so the order the documents were queued
+//! in cannot move the cut.
 //!
 //! ## Residual carryover
 //!
@@ -44,8 +44,7 @@
 //! mass meets the emission budget, instead of rounding the cut up to a
 //! whole log2 bucket. The ranking is a total order ((score desc, doc
 //! asc), compared bit-exactly), so the selected set is still a pure
-//! function of the queued set and engine state, and the sharded
-//! executor's determinism carries over unchanged.
+//! function of the queued set and engine state, as in `Priority`.
 
 use dpr_telemetry::hist::bucket_of;
 
@@ -171,8 +170,8 @@ pub fn residual_bucket(residual: f64) -> usize {
     bucket_of((residual.abs() * RESIDUAL_SCALE) as u64)
 }
 
-/// Per-pass outcome of the work selection, identical across executors
-/// by construction (and asserted by the differential tests).
+/// Per-pass outcome of the work selection, a function of the queued
+/// set and the engine state (asserted by `tests/kernel_reference.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedStats {
     /// Documents queued when the pass started.
@@ -209,7 +208,7 @@ impl SchedStats {
 /// The caller must present `work` in a canonical order (the engine
 /// lists its frontier ascending): the per-bucket mass sums are
 /// floating-point folds over `work`, and the budget cut compares them —
-/// so two executors agree on the selected set exactly when they fold in
+/// so two passes agree on the selected set exactly when they fold in
 /// the same order.
 pub fn partition_by_residual(
     work: &mut Vec<u32>,

@@ -35,7 +35,7 @@ impl CsrGraph {
     /// Row order is **not** checked: ascending rows are the caller's
     /// contract. [`CsrGraph::has_edge`] binary-searches a
     /// row and answers wrongly on an unsorted one; everything else —
-    /// the rank engines and the sharded executor's pull path included —
+    /// the rank engines included —
     /// reads rows as multisets in stored order and must keep doing so
     /// (a duplicate edge is two links, a self-loop is a link).
     pub fn from_parts(offsets: Vec<u64>, targets: Vec<u32>) -> Self {

@@ -2,14 +2,14 @@
 //!
 //! A [`Counter`] is a small array of cache-line-padded `AtomicU64`
 //! stripes; each thread adds to its own stripe (assigned round-robin
-//! on first use), so concurrent recording from the sharded executor's
-//! workers never contends on one cache line. Reads sum the stripes —
+//! on first use), so concurrent recording from several threads never
+//! contends on one cache line. Reads sum the stripes —
 //! counters are write-often read-rarely.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of stripes per counter. Covers the executor's worker-count
-/// cap without making snapshot sums expensive.
+/// Number of stripes per counter. Covers a handful of recording
+/// threads without making snapshot sums expensive.
 pub const STRIPES: usize = 8;
 
 /// One cache line worth of counter.

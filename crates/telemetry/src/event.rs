@@ -55,7 +55,9 @@ pub enum Event {
         /// Unpropagated rank mass after the pass.
         residual: f64,
     },
-    /// Per-shard phase timings of one parallel pass.
+    /// Per-shard phase timings of one parallel pass. Nothing emits it
+    /// since the sharded executor was deleted; it stays so that old
+    /// traces still parse.
     ShardPhase {
         /// Engine-run label.
         run: String,

@@ -5,7 +5,7 @@
 //! ~10x wire-traffic cut of aggregation. Watching those trajectories
 //! needs a telemetry substrate that (a) never perturbs the computation
 //! it observes — the workspace's determinism contracts promise
-//! bit-identical ranks at every thread count and wire mode — and
+//! bit-identical ranks with tracing on or off, in every wire mode — and
 //! (b) costs nothing when it is off, so hot loops stay hot.
 //!
 //! The design, bottom to top:

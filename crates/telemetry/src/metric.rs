@@ -95,9 +95,10 @@ metrics! {
     PassDurationNs = 14 => Histogram, "dpr_pass_duration_ns",
         "Wall-clock nanoseconds per engine pass";
     // Nothing emits the four executor metrics (15, 16, 20, 21) or
-    // `Event::ShardPhase` since the executor lost its observed run
-    // loop; they stay registered because checked-in traces and
-    // Prometheus names are a published format.
+    // `Event::ShardPhase`: the sharded executor they timed is deleted.
+    // They stay registered because checked-in traces and Prometheus
+    // names are a published format — an old trace or scrape must still
+    // parse, and a new metric must not reuse their ids or names.
     ShardApplyNs = 15 => Histogram, "dpr_shard_apply_ns",
         "Nanoseconds per shard in the apply phase";
     ShardMergeNs = 16 => Histogram, "dpr_shard_merge_ns",

@@ -1,24 +1,23 @@
 //! Differential tests for the selective schedulers (priority and
 //! greedy matching pursuit).
 //!
-//! Three contracts, mirroring `parallel_differential.rs`:
+//! Three contracts:
 //!
 //! 1. **Approximation**: on random graphs, under arbitrary churn and
 //!    arbitrary insert/delete increment injections, each selective
 //!    schedule lands within 1e-9 L1 per document of the classic
 //!    full-sweep engine once both quiesce at a tiny ε.
-//! 2. **Bit identity**: both selective schedules are functions of the
-//!    dirty *set*, so every sharded thread count must reproduce the
-//!    sequential trajectory bit for bit. (That the two wire modes
-//!    converge a cluster to identical bits is a law of the regime
-//!    table, `crates/bench/tests/regimes.rs`.)
+//! 2. **Bit identity**: that the two wire modes converge a cluster to
+//!    identical bits is a law of the regime table,
+//!    `crates/bench/tests/regimes.rs`; that the engine's selective pass
+//!    matches a dirty-list reference model bit for bit is
+//!    `tests/kernel_reference.rs`.
 //! 3. **Pinned ordering**: a fixed-seed peer-node run emits its wire
 //!    messages in a deterministic order; an FNV fingerprint over the
 //!    full destination/payload byte sequence pins that order, so a
 //!    change to residual bucketing, greedy scoring, or flush fill
 //!    order cannot land silently.
 
-use distributed_pagerank::core::parallel::ShardedExecutor;
 use distributed_pagerank::node::node::{PeerNode, WireMode};
 use distributed_pagerank::prelude::*;
 use dpr_graph::CsrGraph as Csr;
@@ -81,16 +80,14 @@ fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
 /// One full scheduled life: churned passes following `plan`, then the
 /// insert/delete increments of `deltas` parked via
 /// [`ChaoticEngine::inject_delta`], then every peer back online and
-/// the engine drained to quiescence. Returns the final ranks and the
-/// exact per-pass stats ( `threads == 0` means the sequential engine).
+/// the engine drained to quiescence. Returns the final ranks.
 fn run_sched_trajectory(
     graph: &Arc<Csr>,
     owner: &[PeerId],
     plan: &[Vec<bool>],
     deltas: &[(u32, f64)],
     sched: SchedMode,
-    threads: usize,
-) -> (Vec<f64>, Vec<PassStats>) {
+) -> Vec<f64> {
     let mut eng = ChaoticEngine::new(
         graph.clone(),
         owner.to_vec(),
@@ -98,20 +95,11 @@ fn run_sched_trajectory(
     );
     let num_peers = owner.iter().map(|p| p.index() + 1).max().unwrap_or(1);
     let mut peers = PeerTable::new(num_peers);
-    let mut exec = ShardedExecutor::new(threads.max(1));
-    let mut stats = Vec::new();
-    let mut pass = |eng: &mut ChaoticEngine, peers: &PeerTable| {
-        if threads == 0 {
-            eng.pass(peers)
-        } else {
-            exec.pass(eng, peers)
-        }
-    };
 
     // Phase 1: churn.
     for row in plan {
         apply_mask(&mut peers, row);
-        stats.push(pass(&mut eng, &peers));
+        eng.pass(&peers);
     }
     // Phase 2: park external insert/delete increments.
     for &(doc, delta) in deltas {
@@ -125,10 +113,10 @@ fn run_sched_trajectory(
         if eng.is_quiescent() {
             break;
         }
-        stats.push(pass(&mut eng, &peers));
+        eng.pass(&peers);
     }
     assert!(eng.is_quiescent(), "trajectory failed to quiesce");
-    (eng.ranks().to_vec(), stats)
+    eng.ranks().to_vec()
 }
 
 fn l1_per_doc(a: &[f64], b: &[f64]) -> f64 {
@@ -136,12 +124,11 @@ fn l1_per_doc(a: &[f64], b: &[f64]) -> f64 {
 }
 
 proptest! {
-    /// The tentpole contract: under churn and insert/delete injections
-    /// each selective schedule (a) reaches the full-sweep fixed point
-    /// to within 1e-9 per document, and (b) is reproduced bit for bit
-    /// by every sharded thread count.
+    /// Contract 1: under churn and insert/delete injections each
+    /// selective schedule reaches the full-sweep fixed point to within
+    /// 1e-9 per document.
     #[test]
-    fn selective_scheds_match_pass_and_are_bit_identical_across_executors(
+    fn selective_scheds_match_pass(
         (n, edges) in arb_graph(80, 300),
         num_peers in 1usize..7,
         plan in arb_churn_plan(7),
@@ -149,27 +136,17 @@ proptest! {
     ) {
         let graph = build(n, &edges);
         let owner = owners(n, num_peers);
-        let (pass_ranks, _) =
-            run_sched_trajectory(&graph, &owner, &plan, &deltas, SchedMode::Pass, 0);
+        let pass_ranks = run_sched_trajectory(&graph, &owner, &plan, &deltas, SchedMode::Pass);
         for sched in [SchedMode::Priority, SchedMode::Greedy] {
-            let (sel_ranks, sel_stats) =
-                run_sched_trajectory(&graph, &owner, &plan, &deltas, sched, 0);
-
+            let sel_ranks = run_sched_trajectory(&graph, &owner, &plan, &deltas, sched);
             let gap = l1_per_doc(&sel_ranks, &pass_ranks);
             prop_assert!(gap <= 1e-9, "{sched} vs pass gap {gap:e} per doc");
-
-            for threads in [1usize, 2, 4] {
-                let (ranks, stats) =
-                    run_sched_trajectory(&graph, &owner, &plan, &deltas, sched, threads);
-                prop_assert_eq!(&ranks, &sel_ranks, "{} ranks diverged at {} threads", sched, threads);
-                prop_assert_eq!(&stats, &sel_stats, "{} stats diverged at {} threads", sched, threads);
-            }
         }
     }
 }
 
 /// FNV-1a-style fold matching the fingerprint idiom of
-/// `parallel_differential.rs`.
+/// `kernel_reference.rs`.
 fn fold(acc: u64, byte: u64) -> u64 {
     acc.wrapping_mul(0x100000001b3).wrapping_add(byte)
 }
