@@ -383,6 +383,7 @@ pub fn search(args: &Args) -> Result<(), String> {
 /// Serving is pure observation: the rank schedule and final ranks are
 /// bit-identical with and without it.
 pub fn serve(args: &Args) -> Result<(), String> {
+    use dpr_search::corpus::QUERY_TERM_POOL;
     use dpr_sim::serving::{serving_experiment, ServeStrategy, ServingConfig};
     use dpr_telemetry::SloSpec;
 
@@ -427,6 +428,13 @@ pub fn serve(args: &Args) -> Result<(), String> {
     };
     if cfg.queries == 0 || cfg.vocab_size == 0 || cfg.query_len == 0 {
         return Err("--queries, --vocab and --query-len must be positive".into());
+    }
+    let pool = QUERY_TERM_POOL.min(cfg.vocab_size as usize);
+    if cfg.query_len > pool {
+        return Err(format!(
+            "--query-len {} exceeds the {pool} top terms queries draw from (min(100, --vocab))",
+            cfg.query_len
+        ));
     }
     if cfg.qps.is_nan() || cfg.qps <= 0.0 {
         return Err("--qps must be positive".into());
@@ -1419,6 +1427,11 @@ mod tests {
         ] {
             let e = cmd(&args(&format!("--graph {g} {flags} --quiet"))).unwrap_err();
             assert!(e.contains(flag), "dpr {name} {flags}: {e}");
+        }
+        // More terms per query than the pool queries draw from.
+        for flags in ["--query-len 101", "--vocab 1"] {
+            let e = serve(&args(&format!("{flags} --quiet"))).unwrap_err();
+            assert!(e.contains("--query-len"), "dpr serve {flags}: {e}");
         }
         // The same through a capture file: a header edited to a
         // degenerate scenario is refused by name, by both replayers.

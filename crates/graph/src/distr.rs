@@ -12,11 +12,20 @@
 //!   is what our synthetic corpus uses in place of the authors'
 //!   unavailable 2003 news crawl.
 //!
-//! Both samplers precompute a cumulative table and sample by binary
-//! search, so drawing is O(log k) with no floating-point rejection
-//! loops — important when generating 5M-node graphs.
+//! Both samplers precompute a cumulative table and invert it: the
+//! draw's uniform `u` maps to the first entry `≥ u`, with no
+//! floating-point rejection loops — important when generating 5M-node
+//! graphs. A guide table of 1,025 entries narrows that search to the
+//! entries inside `u`'s 1/1024-wide slice of `[0, 1)`, so a draw costs
+//! a few comparisons where the head of the law is heavy (degree 1,
+//! term rank 1) and a search over one slice in the tail, never more
+//! than the O(log k) of a search over the whole table.
 
 use rand::Rng;
+
+/// A draw's top `GUIDE_BITS` bits name the slice of `[0, 1)` its
+/// uniform falls in.
+const GUIDE_BITS: u32 = 10;
 
 /// Sampler for a bounded discrete power law `P(X = i) ∝ i^-exponent`
 /// on the support `min ..= max`.
@@ -25,6 +34,10 @@ pub struct PowerLaw {
     min: u32,
     /// cdf[j] = P(X <= min + j), normalized so the last entry is 1.
     cdf: Vec<f64>,
+    /// guide[b] = the first j with cdf[j] >= b / 1024, for b in
+    /// 0..=1024: the entries a uniform in [b/1024, (b+1)/1024) can
+    /// land on are exactly cdf[guide[b]..=guide[b+1]].
+    guide: Vec<u32>,
 }
 
 impl PowerLaw {
@@ -51,7 +64,13 @@ impl PowerLaw {
         // Guard against floating-point drift: the last entry must be
         // exactly 1 so sampling can never fall off the end.
         *cdf.last_mut().unwrap() = 1.0;
-        PowerLaw { min, cdf }
+        // The slice bounds b / 1024 are exact dyadics, so each entry
+        // is the search answer at the slice's lower end.
+        let slices = 1u32 << GUIDE_BITS;
+        let guide = (0..=slices)
+            .map(|b| cdf.partition_point(|&c| c < f64::from(b) / f64::from(slices)) as u32)
+            .collect();
+        PowerLaw { min, cdf, guide }
     }
 
     /// Smallest value in the support.
@@ -64,10 +83,16 @@ impl PowerLaw {
         self.min + self.cdf.len() as u32 - 1
     }
 
-    /// Draws one value.
+    /// Draws one value: the first `j` with `cdf[j] >= u` for the
+    /// uniform `u` that `rng.gen::<f64>()` makes of the same word.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let u: f64 = rng.gen();
-        let idx = self.cdf.partition_point(|&c| c < u);
+        let x = rng.next_u64();
+        let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // u lies in [b/1024, (b+1)/1024), so by monotonicity the
+        // answer lies in guide[b]..=guide[b+1].
+        let b = (x >> (64 - GUIDE_BITS)) as usize;
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
         self.min + idx.min(self.cdf.len() - 1) as u32
     }
 

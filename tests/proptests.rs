@@ -4,6 +4,7 @@ use distributed_pagerank::core::incremental::propagate_burst_localized;
 use distributed_pagerank::core::sync_solver::fixed_point_residual;
 use distributed_pagerank::graph::scc::SccIndex;
 use distributed_pagerank::prelude::*;
+use distributed_pagerank::search::bloom::{bloom_intersect, BloomIntersectTraffic};
 use distributed_pagerank::search::index::Posting;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -200,7 +201,6 @@ proptest! {
         a in vec(0u32..5_000, 0..400),
         b in vec(0u32..5_000, 0..400),
     ) {
-        use distributed_pagerank::search::bloom::bloom_intersect;
         let mut a: Vec<DocId> = a.into_iter().map(DocId).collect();
         let mut b: Vec<DocId> = b.into_iter().map(DocId).collect();
         a.sort_unstable(); a.dedup();
@@ -211,6 +211,54 @@ proptest! {
             .filter(|d| a.binary_search(d).is_ok())
             .collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// The member-skipping pass returns what filtering all of `b` and
+    /// then merging with `a` did, traffic included, whether `a`'s
+    /// membership comes from its sorted list or from a bitset. A
+    /// quarter of the cases each take an empty `a`, an empty `b`, and
+    /// `a ⊆ b`.
+    #[test]
+    fn bloom_intersect_matches_the_filter_then_merge_model(
+        a in vec(0u32..3_000, 0..300),
+        b in vec(0u32..3_000, 0..300),
+        fp in 0.001f64..0.5,
+        shape in 0u8..4,
+    ) {
+        use distributed_pagerank::search::idset::IdSet;
+        let ids = |mut v: Vec<u32>| {
+            v.sort_unstable();
+            v.dedup();
+            v.into_iter().map(DocId).collect::<Vec<_>>()
+        };
+        let a = if shape == 0 { Vec::new() } else { ids(a) };
+        let b = match shape {
+            1 => Vec::new(),
+            2 => ids(b.into_iter().chain(a.iter().map(|d| d.0)).collect()),
+            _ => ids(b),
+        };
+        let want = model_bloom_intersect(&a, &b, fp);
+        let filter = BloomFilter::from_docs(&a, fp);
+        let mut set = IdSet::new(3_000);
+        a.iter().for_each(|d| set.insert(d.0));
+        prop_assert_eq!(&bloom_intersect(&a, &b, fp), &want);
+        prop_assert_eq!(&filter.intersect(&a[..], b.iter().copied()), &want);
+        prop_assert_eq!(&filter.intersect(&set, b.iter().copied()), &want);
+    }
+
+    /// The guided sampler lands where a search of the whole table does,
+    /// on the same words.
+    #[test]
+    fn power_law_sample_matches_the_full_search_model(
+        (exponent, min, span) in (0.5f64..3.0, 1u32..50, 0u32..5_000),
+        words in vec(any::<u64>(), 1..200),
+    ) {
+        use distributed_pagerank::graph::distr::PowerLaw;
+        let law = PowerLaw::new(exponent, min, min + span);
+        let model = ModelPowerLaw::new(exponent, min, min + span);
+        for &x in &words {
+            prop_assert_eq!(law.sample(&mut Word(x)), model.sample(x), "word {:#x}", x);
+        }
     }
 
     /// Ring successor is consistent with a brute-force linear scan and
@@ -419,6 +467,96 @@ fn corpus_matches_the_sort_dedup_model() {
         }
         for (t, &f) in doc_freq.iter().enumerate() {
             assert_eq!(corpus.doc_freq(t as u32), f, "{cfg:?} term {t}");
+        }
+    }
+}
+
+/// `bloom_intersect` before it skipped members: B filters all of `b`
+/// through `Bloom(a)`, A merges the candidates with `a`.
+fn model_bloom_intersect(a: &[DocId], b: &[DocId], fp: f64) -> (Vec<DocId>, BloomIntersectTraffic) {
+    let filter = BloomFilter::from_docs(a, fp);
+    let candidates: Vec<DocId> = b.iter().copied().filter(|&d| filter.contains(d)).collect();
+    let mut i = 0;
+    let result: Vec<DocId> = candidates
+        .iter()
+        .copied()
+        .filter(|&d| {
+            while i < a.len() && a[i] < d {
+                i += 1;
+            }
+            a.get(i) == Some(&d)
+        })
+        .collect();
+    let traffic = BloomIntersectTraffic {
+        filter_bytes: filter.wire_bytes(),
+        candidate_ids: candidates.len() as u64,
+        result_ids: result.len() as u64,
+    };
+    (result, traffic)
+}
+
+/// `PowerLaw` before its guide table: the same cumulative table,
+/// searched whole for the uniform `rng.gen::<f64>()` makes of a word.
+struct ModelPowerLaw {
+    min: u32,
+    cdf: Vec<f64>,
+}
+
+impl ModelPowerLaw {
+    fn new(exponent: f64, min: u32, max: u32) -> Self {
+        let mut cdf = Vec::new();
+        let mut acc = 0.0f64;
+        for i in min..=max {
+            acc += (i as f64).powf(-exponent);
+            cdf.push(acc);
+        }
+        for c in &mut cdf {
+            *c /= acc;
+        }
+        *cdf.last_mut().unwrap() = 1.0;
+        ModelPowerLaw { min, cdf }
+    }
+
+    fn sample(&self, word: u64) -> u32 {
+        let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let idx = self.cdf.partition_point(|&c| c < u);
+        self.min + idx.min(self.cdf.len() - 1) as u32
+    }
+}
+
+/// An rng that returns one word, over and over.
+struct Word(u64);
+
+impl rand::RngCore for Word {
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// On each side of every guide-slice boundary (`b << 54` and the word
+/// below it), the guided sampler equals the full search, for supports
+/// of one value, of the corpus vocabulary, and of 100,000 values.
+#[test]
+fn power_law_sample_matches_the_model_at_every_slice_boundary() {
+    use distributed_pagerank::graph::distr::PowerLaw;
+    for (exponent, min, max) in [
+        (1.0, 1, 1),
+        (2.4, 7, 7),
+        (1.0, 1, 1_880),
+        (2.1, 1, 1_880),
+        (2.4, 1, 100_000),
+        (0.7, 3, 100_002),
+    ] {
+        let law = PowerLaw::new(exponent, min, max);
+        let model = ModelPowerLaw::new(exponent, min, max);
+        for b in 0..=1024u64 {
+            for x in [b << 54, (b << 54).wrapping_sub(1), (b << 54) | 0x3ff] {
+                assert_eq!(
+                    law.sample(&mut Word(x)),
+                    model.sample(x),
+                    "x^{exponent} on {min}..={max}, word {x:#x}"
+                );
+            }
         }
     }
 }

@@ -147,6 +147,30 @@ fn served_run_with_updates_and_churn_matches_its_pin() {
     assert_eq!([&pin[..], &traffic[..]].concat(), want);
 }
 
+/// The Bloom strategy's report at two and three terms per query,
+/// captured at `851c952`, before the per-run term memo and the
+/// member-skipping intersection: the three-term rows run the
+/// unmemoized filter over an intersection at the second hop.
+#[test]
+fn bloom_reports_match_their_pins() {
+    for (query_len, traffic, hits, bytes, p99) in [
+        (2, 25298, 324.1666666666667, 8428.0, 14938171),
+        (3, 28266, 184.55555555555554, 9412.388888888889, 19211306),
+    ] {
+        let r = serving_experiment(
+            &ServingConfig {
+                query_len,
+                strategy: ServeStrategy::Bloom,
+                ..cfg(31)
+            },
+            &NOOP,
+        )
+        .report;
+        let got = (r.total_traffic_ids, r.avg_hits, r.avg_bytes, r.p99_ns);
+        assert_eq!(got, (traffic, hits, bytes, p99), "query_len {query_len}");
+    }
+}
+
 #[test]
 fn slo_verdict_gates_in_both_directions() {
     let mut pass_cfg = cfg(5);
