@@ -292,12 +292,13 @@ fn ablation_link_aware_placement(nodes: usize, seed: u64) {
 
 /// 8. Per-peer aggregation × IP caching, on the message-level cluster.
 ///
-/// When tracing is on, the "frames + IP cache" cell (the shipping
+/// One framed run per routing policy; its singles cell is the run's
+/// unbatched shadow under the same policy (see `dpr_sim::batch`). When
+/// tracing is on, the "frames + IP cache" run (the shipping
 /// configuration) runs observed so the trace describes one coherent
-/// run rather than four interleaved ones.
+/// run rather than two interleaved ones.
 fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
-    use dpr_node::node::WireMode;
-    use dpr_sim::batch::run_wire_mode;
+    use dpr_sim::batch::{run_with_unbatched, WireTraffic};
     println!("\n== ablation 8: per-peer aggregation x IP caching ==\n");
     let spec = ScenarioSpec::new(2_000, 64, 1e-3, seed);
     let w = spec.workload();
@@ -308,29 +309,27 @@ fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
         "routed msgs",
         "hops/payload",
     ]);
-    let mut ranks: Option<Vec<f64>> = None;
-    for (name, wire, cache) in [
-        ("singles, route every msg", WireMode::Single, false),
-        ("singles + IP cache", WireMode::Single, true),
-        ("frames, route every frame", WireMode::frames(), false),
-        ("frames + IP cache", WireMode::frames(), true),
-    ] {
-        let observe = cache && matches!(wire, WireMode::Frames { .. });
-        let rec = trace.recorder_arc().filter(|_| observe);
-        let run = run_wire_mode(&w, &ScenarioSpec { wire, ..spec }, cache, rec);
-        match &ranks {
-            Some(r) => assert_eq!(r, &run.ranks, "all four cells must agree bitwise"),
-            None => ranks = Some(run.ranks),
-        }
-        let t = run.traffic;
+    let [(routed, unbatched_routed), (cached, unbatched_cached)] = [false, true].map(|cache| {
+        let rec = trace.recorder_arc().filter(|_| cache);
+        run_with_unbatched(&w, &spec, cache, cache, rec)
+    });
+    assert_eq!(
+        routed.ranks, cached.ranks,
+        "all four cells must agree bitwise"
+    );
+    let mut row = |name: &str, t: WireTraffic| {
         table.push([
             name.to_string(),
             t.payloads.to_string(),
             fmt_bytes(t.bytes_on_wire),
             t.routed_messages.to_string(),
             format!("{:.2}", t.routed_messages as f64 / t.payloads.max(1) as f64),
-        ]);
-    }
+        ])
+    };
+    row("singles, route every msg", unbatched_routed);
+    row("singles + IP cache", unbatched_cached);
+    row("frames, route every frame", routed.traffic);
+    row("frames + IP cache", cached.traffic);
     println!("{}", table.render());
     println!(
         "the two optimizations compose: aggregation divides the payload count,\n\

@@ -21,9 +21,9 @@
 //!
 //! * `--regimes` → `BENCH_regimes.json`: the Sched × RunMode × Latency
 //!   grid on the reference scenario — array engine, round-barrier
-//!   cluster (singles and frames, default and dense sharding) and the
-//!   chaotic runtime under every latency model, at the working ε and
-//!   the strict parity ε, each cell converged once and compared against
+//!   cluster (default and dense sharding) and the chaotic runtime
+//!   under every latency model, at the working ε and the strict
+//!   parity ε, each cell converged once and compared against
 //!   the pass-scheduled cell of its group and the round-barrier pass
 //!   cluster. `[--nodes 10000] [--peers 500] [--eps 1e-3]
 //!   [--parity-eps 1e-9]`
@@ -35,8 +35,9 @@
 //!   sweep of graph sizes under both wire codecs. `[--sizes
 //!   10000,100000,1000000] [--peers 500] [--eps 1e-3]`
 //! * `--batch-scaling` → `BENCH_node_batching.json`: the same cluster
-//!   unbatched and batched at a sweep of frame-size caps. `[--nodes
-//!   10000] [--peers 500] [--eps 1e-3]`
+//!   batched at a sweep of frame-size caps, and unbatched (the paper's
+//!   24-byte message per update, charged as a shadow of the first
+//!   framed run). `[--nodes 10000] [--peers 500] [--eps 1e-3]`
 //! * `--serving` → `BENCH_serving.json`: a Poisson query stream served
 //!   against the live rank computation under each latency model and
 //!   query strategy. `[--nodes 2000] [--peers 32] [--queries 120]
@@ -69,9 +70,8 @@ fn regimes(args: &Args) {
         "Regime grid ({nodes} docs, {peers_n} peers, working eps {eps}, \
          parity eps {parity_eps})\n"
     );
-    let rounds = |epsilon, wire| ScenarioSpec {
+    let rounds = |epsilon| ScenarioSpec {
         epsilon,
-        wire,
         run_mode: RunMode::Rounds,
         ..spec
     };
@@ -79,24 +79,22 @@ fn regimes(args: &Args) {
         epsilon,
         latency,
         run_mode: RunMode::Chaotic,
-        wire: WireMode::frames(),
         ..spec
     };
     // ~250 docs per peer instead of the paper's 20.
     let dense = ScenarioSpec {
         num_peers: (nodes / 250).max(4),
-        ..rounds(eps, WireMode::Single)
+        ..rounds(eps)
     };
     let (all, two) = (&[Pass, Priority, Greedy][..], &[Pass, Priority][..]);
-    // The grid: each group is one (layer, run mode, latency, wire, ε,
+    // The grid: each group is one (layer, run mode, latency, ε,
     // sharding) point under its schedulers, pass first. The engine
     // reads only ε and the scheduler of its spec.
     let grid = [
-        (Layer::Engine, rounds(eps, WireMode::frames()), all),
-        (Layer::Engine, rounds(parity_eps, WireMode::frames()), two),
-        (Layer::Cluster, rounds(parity_eps, WireMode::Single), two),
-        (Layer::Cluster, rounds(parity_eps, WireMode::frames()), two),
-        (Layer::Cluster, rounds(eps, WireMode::frames()), two),
+        (Layer::Engine, rounds(eps), all),
+        (Layer::Engine, rounds(parity_eps), two),
+        (Layer::Cluster, rounds(parity_eps), two),
+        (Layer::Cluster, rounds(eps), two),
         (Layer::Cluster, dense, two),
         (Layer::Cluster, chaotic(eps, Modem), all),
         (Layer::Cluster, chaotic(eps, Broadband), all),
@@ -114,7 +112,7 @@ fn regimes(args: &Args) {
         let cells: Vec<_> = cells.map(|cell| run_cell(w, layer, &cell)).collect();
         let rd = ScenarioSpec {
             sched: Pass,
-            ..rounds(at.epsilon, WireMode::frames())
+            ..rounds(at.epsilon)
         };
         let rd = reference.then(|| run_cell(w, Layer::Cluster, &rd));
         let compared = cells.iter().map(|c| {
@@ -128,8 +126,7 @@ fn regimes(args: &Args) {
         });
         compared.collect::<Vec<Cell>>()
     });
-    let [engine, engine_strict, singles, frames, working, dense, modem, broadband, lan, matched] =
-        &groups;
+    let [engine, engine_strict, strict, working, dense, modem, broadband, lan, matched] = &groups;
     let saved = |c: &Cell| c.msg_reduction_vs_pass.expect("compared");
     let gap = |c: &Cell| c.l1_per_doc_vs_pass.expect("compared");
 
@@ -154,16 +151,11 @@ fn regimes(args: &Args) {
     // 2. Rank parity at the strict ε: vs the pass schedule the gap is
     // O(ε) per document — on the engine, and on the message-level
     // cluster, where deferred residual mass interoperates with flush
-    // scheduling and store-and-resend and the wire path must not
-    // perturb the schedule.
-    for (layer, pair) in [("engine", engine_strict), ("cluster", singles)] {
+    // scheduling and store-and-resend.
+    for (layer, pair) in [("engine", engine_strict), ("cluster", strict)] {
         let l1 = gap(&pair[1]);
         assert!(l1 <= 1e-9, "{layer} parity: l1 per doc {l1:e} exceeds 1e-9");
     }
-    assert_eq!(
-        singles[1].ranks, frames[1].ranks,
-        "wire path must not perturb the priority schedule"
-    );
 
     // 3. The round-barrier cluster. At the paper's reference sharding
     // each peer holds only nodes/peers documents — below the bypass
@@ -173,7 +165,7 @@ fn regimes(args: &Args) {
     // chaotic rows beat). At the denser sharding the per-peer residual
     // queues clear the threshold: selection engages at the node layer
     // too and the wire itself carries strictly fewer logical updates.
-    for pair in [singles, frames, working, dense] {
+    for pair in [strict, working, dense] {
         let (pass, pri) = (pair[0].remote_messages, pair[1].remote_messages);
         assert!(
             pri <= pass && (pri < pass || pair[0].peers == peers_n),
@@ -287,9 +279,8 @@ fn regimes(args: &Args) {
     let table = format!(
         "{}\n({} rows from {} converged runs. Engine-layer priority reduction at eps \
          {eps}: {:.1}%; best chaotic\n cluster reduction: {:.1}% — {:.0}% of the engine win \
-         recovered at the cluster layer, vs 0% under\n round barriers. Priority rows are \
-         bit-identical across wire modes; deferred residual mass is\n never lost — \
-         quiescence still means no residual above eps.)\n",
+         recovered at the cluster layer, vs 0% under\n round barriers. Deferred residual \
+         mass is never lost — quiescence still means no residual\n above eps.)\n",
         table.render(),
         rows.len(),
         converged_runs(),
@@ -539,9 +530,11 @@ fn scale(args: &Args) {
 }
 
 /// One row of `BENCH_node_batching.json`: a full cluster convergence
-/// run at one frame-size cap (`max_frame_bytes == 0` is the unbatched
-/// single-message baseline). `baseline_bytes` is the paper's
-/// 24-bytes-per-entry charge for the same wire-crossing updates.
+/// run at one frame-size cap. `max_frame_bytes == 0` is the unbatched
+/// baseline — the paper's one 24-byte message per entry, charged as the
+/// shadow of the first framed run (`dpr_sim::batch`), not a cap.
+/// `baseline_bytes` is the paper's 24-bytes-per-entry charge for the
+/// same wire-crossing updates.
 #[derive(Debug, Clone, Serialize)]
 struct FrameCapRow {
     max_frame_bytes: usize,
@@ -557,36 +550,39 @@ struct FrameCapRow {
 }
 
 fn batch_scaling(args: &Args) {
+    use dpr_sim::batch::{run_wire_mode, run_with_unbatched};
     let spec = args.paper_spec(10_000, &[]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let w = spec.workload();
-    // Unbatched, then 36 B = 2 entries/frame (the worst useful cap) up
-    // to 64 KiB (effectively uncapped at this scale); 1400 B is the
-    // default Ethernet-MTU-ish cap.
-    let caps = [0usize, 36, 164, DEFAULT_MAX_FRAME_BYTES, 65_536];
+    // 36 B = 2 entries/frame (the worst useful cap) up to 64 KiB
+    // (effectively uncapped at this scale); 1400 B is the default
+    // Ethernet-MTU-ish cap.
+    let caps = [36usize, 164, DEFAULT_MAX_FRAME_BYTES, 65_536];
+    let at = |max_frame_bytes| ScenarioSpec {
+        wire: WireMode { max_frame_bytes },
+        ..spec
+    };
 
     println!("Frame-cap scaling on the message-level cluster ({nodes} docs, {peers_n} peers, eps {eps})\n");
-    let mut unbatched = None;
-    let rows: Vec<FrameCapRow> = caps
+    // The unbatched row (cap 0) is the shadow of the first framed run.
+    let (first, unbatched) = run_with_unbatched(&w, &at(caps[0]), true, false, None);
+    let mut runs = vec![(0, unbatched), (caps[0], first.traffic)];
+    for &cap in &caps[1..] {
+        let run = run_wire_mode(&w, &at(cap), true, None);
+        assert_eq!(
+            first.ranks, run.ranks,
+            "frame caps must converge to bit-identical ranks"
+        );
+        runs.push((cap, run.traffic));
+    }
+    let rows: Vec<FrameCapRow> = runs
         .into_iter()
-        .map(|max_frame_bytes| {
-            let wire = match max_frame_bytes {
-                0 => WireMode::Single,
-                _ => WireMode::Frames { max_frame_bytes },
-            };
-            let cell = run_cell(&w, Layer::Cluster, &ScenarioSpec { wire, ..spec });
-            let t = cell.traffic.expect("rounds cell");
-            let base = unbatched.get_or_insert_with(|| cell.clone());
-            assert_eq!(
-                base.ranks, cell.ranks,
-                "wire modes must converge to bit-identical ranks"
-            );
+        .map(|(max_frame_bytes, t)| {
             let baseline_bytes = RANK_UPDATE_WIRE_BYTES as u64 * t.entries;
             assert!(
                 max_frame_bytes == 0 || t.bytes_on_wire < baseline_bytes,
                 "cap {max_frame_bytes}: frame bytes must beat the 24-byte-per-update baseline"
             );
-            let routed = base.traffic.expect("rounds cell").routed_messages;
             FrameCapRow {
                 max_frame_bytes,
                 updates: t.updates,
@@ -596,7 +592,8 @@ fn batch_scaling(args: &Args) {
                 bytes_on_wire: t.bytes_on_wire,
                 baseline_bytes,
                 routed_messages: t.routed_messages,
-                routed_reduction: routed as f64 / t.routed_messages.max(1) as f64,
+                routed_reduction: unbatched.routed_messages as f64
+                    / t.routed_messages.max(1) as f64,
                 byte_reduction: baseline_bytes as f64 / t.bytes_on_wire.max(1) as f64,
             }
         })

@@ -9,13 +9,14 @@
 //! With `--internet`, also prints the Sec. 4.6.2 extrapolation: a
 //! 3-billion-document web served by web servers over T3 links.
 //!
-//! With `--batch`, runs the *message-level cluster* in both wire modes
-//! instead of the array engine, and prints the aggregation columns:
-//! logical messages, coalesced entries, frames, measured bytes on the
-//! wire vs the paper's 24-byte-per-update baseline, and routed overlay
-//! transmissions (per-update DHT routing vs one route — then one
-//! cached IP send — per frame). Ranks are asserted bit-identical
-//! between the modes. `--frame-bytes N` sets the frame size cap.
+//! With `--batch`, runs the *message-level cluster* instead of the array
+//! engine, and prints the aggregation columns: logical messages,
+//! coalesced entries, frames, measured bytes on the wire vs the paper's
+//! 24-byte-per-update baseline, and routed overlay transmissions
+//! (per-update DHT routing, charged as a shadow of the framed run, vs
+//! one route — then one cached IP send — per frame). Every frame cap
+//! converges to bit-identical ranks, one entry per payload included
+//! (see `dpr_sim::batch`). `--frame-bytes N` sets the frame size cap.
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin table3 [--sizes ...] \
@@ -36,15 +37,15 @@ use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
 use dpr_telemetry::table::TextTable;
 
 /// The ε sweep of the `--batch` mode. The cluster simulates every
-/// wire payload individually (twice — once per mode), so the sweep
-/// stops at 1e-3; override with `--eps`.
+/// wire payload individually, so the sweep stops at 1e-3; override
+/// with `--eps`.
 const BATCH_EPSILONS: [f64; 4] = [0.2, 1e-1, 1e-2, 1e-3];
 
 fn batch_mode(args: &Args) {
     let trace = args.trace();
     let cap: usize = args.get("frame-bytes", DEFAULT_MAX_FRAME_BYTES);
     let base = ScenarioSpec {
-        wire: WireMode::Frames {
+        wire: WireMode {
             max_frame_bytes: cap,
         },
         // `--sizes` and ε (a comma list here) are the sweep axes.
@@ -90,7 +91,7 @@ fn batch_mode(args: &Args) {
                 r.report.batched.entries.to_string(),
                 r.report.batched.frames.to_string(),
                 fmt_bytes(r.report.batched.bytes_on_wire),
-                fmt_bytes(r.report.baseline_bytes),
+                fmt_bytes(r.report.unbatched.bytes_on_wire),
                 r.report.unbatched.routed_messages.to_string(),
                 r.report.batched.routed_messages.to_string(),
                 format!("{:.1}x", r.report.routed_reduction),

@@ -44,7 +44,6 @@
 
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::RunMode;
-use dpr_node::node::WireMode;
 use dpr_sim::batch::{run_wire_mode, WireTraffic};
 use dpr_sim::flags::Reporter;
 use dpr_sim::flight::profile_run;
@@ -173,7 +172,7 @@ pub struct Cell {
     pub latency: String,
     /// Scheduler.
     pub sched: String,
-    /// `array` (engine), `single` or `frames`.
+    /// `array` (engine) or `frames`.
     pub wire: String,
     /// Frame codec.
     pub codec: String,
@@ -264,9 +263,8 @@ pub fn converged_runs() -> usize {
 /// Converges `spec` over `w` (which must be `spec.workload()`) on
 /// `layer` and describes the run as a [`Cell`] — the one place a sweep
 /// runs the engine, the rounds cluster ([`run_wire_mode`], frames over
-/// cached addresses, singles routed per update) or the chaotic runtime
-/// ([`profile_run`]). A repeated `(layer, spec)` returns the first
-/// run's cell.
+/// cached addresses) or the chaotic runtime ([`profile_run`]). A
+/// repeated `(layer, spec)` returns the first run's cell.
 ///
 /// # Panics
 ///
@@ -289,16 +287,12 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
         return cell;
     }
     let (sched, eps) = (spec.sched, spec.epsilon);
-    let wire = match spec.wire {
-        WireMode::Single => "single",
-        WireMode::Frames { .. } => "frames",
-    };
     let axes = Cell {
         layer: format!("{layer:?}").to_lowercase(),
         run_mode: spec.run_mode.to_string(),
         latency: "none".into(),
         sched: sched.to_string(),
-        wire: wire.into(),
+        wire: "frames".into(),
         codec: spec.codec.to_string(),
         docs: spec.nodes,
         peers: spec.num_peers,
@@ -306,7 +300,7 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
         ..Cell::default()
     };
     eprintln!(
-        "  … {layer:?} ({} docs, {} peers, {}, {wire}, {}), {sched} sched, eps {eps}",
+        "  … {layer:?} ({} docs, {} peers, {}, frames, {}), {sched} sched, eps {eps}",
         spec.nodes, spec.num_peers, spec.run_mode, spec.codec
     );
     let mut cell = match (layer, spec.run_mode) {
@@ -325,8 +319,7 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
             }
         }
         (Layer::Cluster, RunMode::Rounds) => {
-            let cached = matches!(spec.wire, WireMode::Frames { .. });
-            let run = run_wire_mode(w, spec, cached, None);
+            let run = run_wire_mode(w, spec, true, None);
             Cell {
                 steps: run.traffic.rounds as u64,
                 remote_messages: run.traffic.updates,

@@ -32,10 +32,9 @@ fn regimes_emitted_twice_differ_only_in_provenance() {
     let (_, second) = regimes_into(&root.join("b"), "second");
     std::fs::remove_dir_all(&root).expect("clean up");
 
-    // Ten groups, 24 cells, each converged once (the three sweeps this
-    // mode replaced ran 34).
+    // Nine groups, 22 cells, each converged once.
     assert!(
-        stdout.contains("24 rows from 24 converged runs"),
+        stdout.contains("22 rows from 22 converged runs"),
         "{stdout}"
     );
     assert!(first.contains("\"git_sha\": \"first\"") && second.contains("\"git_sha\": \"second\""));

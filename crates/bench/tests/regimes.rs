@@ -1,12 +1,11 @@
-//! The regime table: every distinct cell of the Sched × Wire × Codec ×
-//! RunMode × Latency grid, converged once through [`run_cell`] and
-//! pinned in `fixtures/regimes.tsv`. At 2,000 documents on 16 peers
-//! (above the selective schedulers' bypass), ε 1e-4, seed 2003: 3
-//! engine cells, 9 rounds cells (3 scheds × singles, frames-raw,
-//! frames-compact) and those nine chaotic under each latency — 39 of
-//! 72 nominal cells, as latency is not an axis of rounds nor the codec
-//! of singles (both laws below). Twelve chaotic frames cells at 100
-//! peers (below the bypass) complete the table.
+//! The regime table: every distinct cell of the Sched × Codec × RunMode
+//! × Latency grid, converged once through [`run_cell`] and pinned in
+//! `fixtures/regimes.tsv`. At 2,000 documents on 16 peers (above the
+//! selective schedulers' bypass), ε 1e-4, seed 2003: 3 engine cells, 6
+//! rounds cells (3 scheds × raw, compact frames) and those six chaotic
+//! under each latency — 27 distinct cells, as latency is not an axis of
+//! rounds (a law below). Twelve chaotic cells at 100 peers (below the
+//! bypass) complete the table's 39 rows.
 //!
 //! A row pins the rank bits' FNV-1a, `schedule_fnv`, steps,
 //! deliveries, `virtual_ns`, remote messages and wire bytes. On a
@@ -22,7 +21,6 @@
 
 use dpr_bench::{run_cell, Cell, Layer};
 use dpr_core::{RunMode, SchedMode};
-use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
 use dpr_node::termination::TerminationDetector;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::WireCodec::{self, Compact, Raw};
@@ -36,15 +34,9 @@ use SchedMode::{Greedy, Pass, Priority};
 
 const EPSILON: f64 = 1e-4;
 const SCHEDS: [SchedMode; 3] = [Pass, Priority, Greedy];
-type Wire = (WireMode, WireCodec);
-const FRAMES: WireMode = WireMode::Frames {
-    max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-};
-const SINGLES: Wire = (WireMode::Single, Raw);
-const RAW: Wire = (FRAMES, Raw);
-/// The distinct wire × codec pairs, and below the distinct run mode ×
-/// latency pairs, in row order.
-const WIRES: [Wire; 3] = [SINGLES, RAW, (FRAMES, Compact)];
+/// The frame codecs, and below the distinct run mode × latency pairs,
+/// in row order.
+const CODECS: [WireCodec; 2] = [Raw, Compact];
 #[rustfmt::skip]
 const MODES: [(RunMode, LatencyModel); 4] = [(Rounds, Broadband), (Chaotic, Lan), (Chaotic, Broadband), (Chaotic, Modem)];
 /// Columns that name a row; the seven pinned values follow.
@@ -52,9 +44,9 @@ const KEY: usize = 6;
 const HEADER: &str = "peers\trun_mode\tlatency\tsched\twire\tcodec\trank_fnv\tschedule_fnv\t\
                       steps\tdeliveries\tvirtual_ns\tremote_messages\twire_bytes\n";
 
-fn spec(w: &Workload, s: SchedMode, wire: Wire, m: RunMode, l: LatencyModel) -> ScenarioSpec {
+fn spec(w: &Workload, s: SchedMode, c: WireCodec, m: RunMode, l: LatencyModel) -> ScenarioSpec {
     let mut x = ScenarioSpec::new(w.graph.num_nodes(), w.num_peers, EPSILON, 2003);
-    (x.sched, (x.wire, x.codec), x.run_mode, x.latency) = (s, wire, m, l);
+    (x.sched, x.codec, x.run_mode, x.latency) = (s, c, m, l);
     x
 }
 
@@ -101,11 +93,11 @@ fn compare(expected: &str, observed: &str, out: &Path) -> Result<(), String> {
     ))
 }
 
-/// The twelve chaotic frames cells at 100 peers, as (row, L1/doc off
-/// the synchronous solution).
+/// The twelve chaotic cells at 100 peers, as (row, L1/doc off the
+/// synchronous solution).
 fn sparse_rows() -> Vec<(String, f64)> {
     let w = Workload::paper(2_000, 100, 2003);
-    let at = |l, s, c| run_cell(&w, Layer::Cluster, &spec(&w, s, (FRAMES, c), Chaotic, l));
+    let at = |l, s, c| run_cell(&w, Layer::Cluster, &spec(&w, s, c, Chaotic, l));
     let cells = [Broadband, Modem].map(|l| SCHEDS.map(|s| [Raw, Compact].map(|c| at(l, s, c))));
     let cells = cells.iter().flatten().flatten();
     cells.map(|c| (line(c), c.l1_per_doc_vs_sync)).collect()
@@ -115,20 +107,12 @@ fn sparse_rows() -> Vec<(String, f64)> {
 /// the cell does not have, and asserts that each reproduces its row
 /// (and, under rounds, every wire counter).
 fn rerun_cells(w: &Workload) {
-    let at = |sched, wire, mode, l| run_cell(w, Layer::Cluster, &spec(w, sched, wire, mode, l));
-    // Singles never encode a frame, so the codec cannot reach them.
-    let singles = |sched, mode| {
-        let single = |codec| at(sched, (WireMode::Single, codec), mode, Broadband);
-        let [raw, compact] = [Raw, Compact].map(single);
-        assert_eq!(pinned(&line(&raw)), pinned(&line(&compact)), "{sched}");
-    };
-    singles(Priority, Chaotic);
+    let at = |sched, codec, mode, l| run_cell(w, Layer::Cluster, &spec(w, sched, codec, mode, l));
     for sched in SCHEDS {
-        singles(sched, Rounds);
         // Rounds deliver at the barrier, so latency cannot reach them.
-        let [broadband, modem] = [Broadband, Modem].map(|l| at(sched, RAW, Rounds, l));
+        let [broadband, modem] = [Broadband, Modem].map(|l| at(sched, Raw, Rounds, l));
         assert_eq!(line(&broadband), line(&modem));
-        let s = spec(w, sched, RAW, Rounds, Broadband);
+        let s = spec(w, sched, Raw, Rounds, Broadband);
         let (c, rec) = (run_cell(w, Layer::Engine, &s), TraceRecorder::new());
         let mut engine = s.engine(w);
         let run = engine.run_observed(&mut w.peer_table(), None, &rec, "regimes");
@@ -136,10 +120,10 @@ fn rerun_cells(w: &Workload) {
         assert_eq!(traced, (c.steps, c.remote_messages));
         assert_eq!(fnv64_ranks(engine.ranks()), fnv64_ranks(&c.ranks));
         assert!(rec.event_count() > 0, "the recorder saw nothing");
-        for wire in WIRES {
-            let s = spec(w, sched, wire, Rounds, Broadband);
+        for codec in CODECS {
+            let s = spec(w, sched, codec, Rounds, Broadband);
             let rec = Arc::new(TraceRecorder::new());
-            let run = run_wire_mode(w, &s, wire != SINGLES, Some(rec.clone()));
+            let run = run_wire_mode(w, &s, true, Some(rec.clone()));
             let c = run_cell(w, Layer::Cluster, &s);
             let traced = (fnv64_ranks(&run.ranks), format!("{:?}", run.traffic));
             let row = (fnv64_ranks(&c.ranks), format!("{:?}", c.traffic.unwrap()));
@@ -149,7 +133,7 @@ fn rerun_cells(w: &Workload) {
     }
     // Untraced through `run_chaotic`, and traced through `profile_run`.
     for (l, sched) in [(Lan, Pass), (Modem, Priority), (Broadband, Priority)] {
-        let s = spec(w, sched, RAW, Chaotic, l);
+        let s = spec(w, sched, Raw, Chaotic, l);
         let c = run_cell(w, Layer::Cluster, &s);
         let rerun = |out: &ChaoticOutcome, ranks, remote_messages, wire_bytes| {
             line(&Cell {
@@ -182,16 +166,16 @@ fn rerun_cells(w: &Workload) {
 #[test]
 fn every_cell_matches_its_row_and_the_laws_hold() {
     let w = Workload::paper(2_000, 16, 2003);
-    let at = |sched, wire, mode, l| run_cell(&w, Layer::Cluster, &spec(&w, sched, wire, mode, l));
-    let rounds = |sched, wire| at(sched, wire, Rounds, Broadband);
-    let engine = SCHEDS.map(|s| run_cell(&w, Layer::Engine, &spec(&w, s, RAW, Rounds, Broadband)));
+    let at = |sched, codec, mode, l| run_cell(&w, Layer::Cluster, &spec(&w, sched, codec, mode, l));
+    let rounds = |sched, codec| at(sched, codec, Rounds, Broadband);
+    let engine = SCHEDS.map(|s| run_cell(&w, Layer::Engine, &spec(&w, s, Raw, Rounds, Broadband)));
     let mut cells = engine.to_vec();
     // The 100-peer rows converge on a second core meanwhile.
     let sparse = std::thread::scope(|scope| {
         let sparse = scope.spawn(sparse_rows);
         for (mode, l) in MODES {
             for sched in SCHEDS {
-                cells.extend(WIRES.map(|wire| at(sched, wire, mode, l)));
+                cells.extend(CODECS.map(|codec| at(sched, codec, mode, l)));
             }
         }
         rerun_cells(&w);
@@ -211,17 +195,14 @@ fn every_cell_matches_its_row_and_the_laws_hold() {
         assert!(*gap <= 10.0 * EPSILON, "{gap:e}/doc off sync: {row}");
     }
     for sched in SCHEDS {
-        let [single, raw, compact] = WIRES.map(|wire| rounds(sched, wire));
-        // Framing changes the packing, never the fold, and frames frame.
-        assert!(single.ranks == raw.ranks && single.remote_messages == raw.remote_messages);
-        assert!(single.traffic.unwrap().frames == 0 && raw.traffic.unwrap().frames > 0);
+        let [raw, compact] = CODECS.map(|codec| rounds(sched, codec));
         // Compact carries ≤ 0.70× raw's bytes, and stays within 1e-7/doc
         // of raw where its f32 rounding leaves the selection alone.
         assert!(10 * compact.wire_bytes <= 7 * raw.wire_bytes, "{sched}");
         let drift = compact.versus(&raw).1;
         assert!(sched == Greedy || drift <= 1e-7, "{sched}: {drift:e}/doc");
-        for wire in WIRES {
-            assert!(rounds(sched, wire).remote_messages <= rounds(Pass, wire).remote_messages);
+        for codec in CODECS {
+            assert!(rounds(sched, codec).remote_messages <= rounds(Pass, codec).remote_messages);
         }
     }
     // Above the bypass Greedy and Priority select differently; below it
@@ -229,8 +210,8 @@ fn every_cell_matches_its_row_and_the_laws_hold() {
     let values = |c: &Cell| pinned(&line(c)).to_string();
     assert_ne!(values(&engine[1]), values(&engine[2]));
     for (mode, l) in MODES {
-        for wire in WIRES {
-            let [g, p] = [Greedy, Priority].map(|sched| values(&at(sched, wire, mode, l)));
+        for codec in CODECS {
+            let [g, p] = [Greedy, Priority].map(|sched| values(&at(sched, codec, mode, l)));
             assert_ne!(g, p, "{mode} {l}");
         }
     }
@@ -250,7 +231,7 @@ fn a_mismatch_names_the_first_differing_row_and_column() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("regimes.doctored.tsv");
     let _ = std::fs::remove_file(&out);
     let err = compare(&expected, observed, &out).unwrap_err();
-    let named = "row `16 chaotic modem pass frames raw` (line 33), column rank_fnv";
+    let named = "row `16 chaotic modem pass frames raw` (line 23), column rank_fnv";
     assert!(err.starts_with(named), "{err}");
     assert_eq!(std::fs::read_to_string(&out).unwrap(), observed);
     assert_eq!(compare(observed, observed, &out), Ok(()));

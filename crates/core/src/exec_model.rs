@@ -68,7 +68,7 @@ pub fn aggregate_time_secs(
 /// the run's traffic is `total_frames` frame headers plus
 /// `total_entries` packed 16-byte updates instead of
 /// `total_entries` (or more — coalescing also removes duplicates)
-/// 24-byte singles.
+/// 24-byte messages.
 pub fn batched_aggregate_time_secs(
     total_frames: u64,
     total_entries: u64,

@@ -7,9 +7,10 @@
 //! story — the paper's future work, "implement the distributed
 //! computation of the pagerank on a P2P system": every peer is a
 //! self-contained state machine ([`node::PeerNode`]) holding only its
-//! own documents, a GUID index, and an outbox, exchanging **encoded
-//! 24-byte wire messages** (128-bit GUID + 64-bit value, Sec. 4.6.1)
-//! through the churn-tolerant transport of `dpr-p2p`.
+//! own documents, a frame-tag index, and an outbox, exchanging
+//! **encoded multi-update frames** (the per-destination aggregate of
+//! the paper's 24-byte GUID + value messages, Sec. 4.6.1) through the
+//! churn-tolerant transport of `dpr-p2p`.
 //!
 //! [`cluster::Cluster`] wires a set of peer nodes to the transport and
 //! runs the pass loop; its result is validated against the array

@@ -2,16 +2,15 @@
 //!
 //! A [`PeerNode`] owns a set of documents, knows each document's
 //! out-links and which peer holds each linked document (resolved once
-//! through the DHT, then cached — Sec. 3.2), and speaks the paper's
-//! wire protocol: incoming messages are 24-byte `(GUID, f64)` rank
-//! updates; outgoing messages are the same. The node is completely
-//! ignorant of any global state — everything it does is local, which
-//! is the property that makes the algorithm deployable.
+//! through the DHT, then cached — Sec. 3.2), and exchanges rank
+//! updates with other peers as multi-update frames. The node is
+//! completely ignorant of any global state — everything it does is
+//! local, which is the property that makes the algorithm deployable.
 //!
 //! # Document storage
 //!
 //! Documents live in a dense slab (`Vec<DocState>`, one slot per
-//! document in arrival order). The GUID and frame-tag indexes map
+//! document in arrival order). The document and frame-tag indexes map
 //! straight to slot offsets, and every locally-held out-link caches its
 //! target's slot — so the apply and emit hot paths never touch a hash
 //! map. The side-indexes are rebuildable from the slab alone; they are
@@ -30,20 +29,15 @@
 //! per destination during phase 2, coalescing same-document increments
 //! into one entry (added in emission order), and flushes at the end of
 //! the step — the semantics of [`dpr_core::message::FlushBuffer`], run
-//! hash-free over the out-links' pre-resolved slots. Aggregation is
-//! part of the protocol; [`WireMode`] only chooses the *wire format* of
-//! a flush:
+//! hash-free over the out-links' pre-resolved slots. Each destination's
+//! entries leave packed into length-prefixed multi-update frames of at
+//! most [`WireMode::max_frame_bytes`], one routed payload per frame.
 //!
-//! * [`WireMode::Single`] — each coalesced entry leaves as its own
-//!   24-byte `(GUID, f64)` message (the paper's wire format);
-//! * [`WireMode::Frames`] — each destination's entries leave packed
-//!   into length-prefixed multi-update frames of at most
-//!   `max_frame_bytes`, one routed payload per frame.
-//!
-//! Because both modes emit the *same coalesced group sums in the same
-//! order* and the receiver folds them into `pending` one addition per
-//! entry in arrival order, converged ranks are bit-identical across
-//! wire modes and frame-size caps (see DESIGN.md "Wire protocol &
+//! Every cap emits the *same coalesced group sums in the same order*
+//! and the receiver folds them into `pending` one addition per entry in
+//! arrival order, so converged ranks are bit-identical across frame-size
+//! caps — the one-entry cap included, which puts one update per payload
+//! as the paper's 24-byte message did (see DESIGN.md "Wire protocol &
 //! aggregation").
 //!
 //! # Priority scheduling
@@ -67,35 +61,30 @@ use dpr_graph::DocId;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{
-    max_entries_for, CompactEntry, CompactFrameWire, FrameEntry, PayloadKind, RankUpdateWire,
-    UpdateFrameWire, WireCodec,
+    max_entries_for, CompactEntry, CompactFrameWire, FrameEntry, PayloadKind, UpdateFrameWire,
+    WireCodec,
 };
 use dpr_telemetry::{Metric, Recorder, NOOP};
 use fxhash::FxHashMap;
 use std::cmp::Reverse;
 
-/// How a node puts updates on the wire.
+/// How a node puts updates on the wire: per-destination aggregation,
+/// updates accumulating during the step and leaving at its end as
+/// multi-update frames of at most `max_frame_bytes` each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// One 24-byte message per update (the paper's baseline).
-    Single,
-    /// Per-destination aggregation: updates accumulate during the step
-    /// and leave as multi-update frames of at most `max_frame_bytes`
-    /// each at its end.
-    Frames {
-        /// Size cap per frame, in wire bytes (at least one entry is
-        /// always allowed).
-        max_frame_bytes: usize,
-    },
+pub struct WireMode {
+    /// Size cap per frame, in wire bytes (at least one entry is always
+    /// allowed, so 0 caps every frame at one entry).
+    pub max_frame_bytes: usize,
 }
 
 /// Default frame-size cap: one MTU-sized payload (87 entries).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 1400;
 
 impl WireMode {
-    /// Frames mode with the default MTU-sized cap.
+    /// The default MTU-sized cap.
     pub fn frames() -> WireMode {
-        WireMode::Frames {
+        WireMode {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
         }
     }
@@ -158,10 +147,9 @@ pub struct NodeStats {
     /// Rank updates received over the wire and applied (frame entries
     /// count individually).
     pub received: u64,
-    /// Rank updates put on the wire — coalesced entries, whether they
-    /// travelled as singles or frame entries. Conserved against
-    /// `received` (Safra's termination detection counts on this
-    /// invariant).
+    /// Rank updates put on the wire — coalesced frame entries.
+    /// Conserved against `received` (Safra's termination detection
+    /// counts on this invariant).
     pub sent_remote: u64,
     /// Remote link emissions before coalescing — the number of wire
     /// messages the paper's one-message-per-update model would have
@@ -169,7 +157,7 @@ pub struct NodeStats {
     pub emitted_remote: u64,
     /// Same-peer link updates (no wire message).
     pub local_updates: u64,
-    /// Multi-update frames emitted (zero in [`WireMode::Single`]).
+    /// Multi-update frames emitted.
     pub frames_sent: u64,
     /// Messages that failed to decode or referenced unknown GUIDs.
     pub rejected: u64,
@@ -276,13 +264,12 @@ pub struct PeerNode {
     cfg: EngineConfig,
     wire: WireMode,
     /// Frame encoding: bit-identity `Raw` (default) or varint/f32
-    /// `Compact`. Singles always travel raw — see [`WireCodec`].
+    /// `Compact` — see [`WireCodec`].
     codec: WireCodec,
     /// The document slab, indexed by local slot (arrival order).
     slots: Vec<DocState>,
     /// Rebuildable side-indexes into the slab.
     doc_index: FxHashMap<DocId, u32>,
-    guid_index: FxHashMap<Guid, u32>,
     /// Frame-entry demultiplexer: 64-bit tag -> slab slot.
     tag_index: FxHashMap<u64, u32>,
     /// Set when slab membership or link holders changed; the links'
@@ -308,9 +295,9 @@ pub struct PeerNode {
 }
 
 impl PeerNode {
-    /// A node with no documents, sending unbatched single messages.
+    /// A node with no documents, sending frames at the default cap.
     pub fn new(id: PeerId, cfg: EngineConfig) -> Self {
-        PeerNode::with_wire(id, cfg, WireMode::Single)
+        PeerNode::with_wire(id, cfg, WireMode::frames())
     }
 
     /// A node with no documents and an explicit wire mode.
@@ -322,7 +309,6 @@ impl PeerNode {
             codec: WireCodec::Raw,
             slots: Vec::new(),
             doc_index: FxHashMap::default(),
-            guid_index: FxHashMap::default(),
             tag_index: FxHashMap::default(),
             links_dirty: false,
             remote: Vec::new(),
@@ -418,9 +404,9 @@ impl PeerNode {
             "document {doc} already stored on {}",
             self.id
         );
-        let guid = Guid::for_document(doc);
-        self.guid_index.insert(guid, slot);
-        let prev_tag = self.tag_index.insert(guid.frame_tag(), slot);
+        let prev_tag = self
+            .tag_index
+            .insert(Guid::for_document(doc).frame_tag(), slot);
         assert!(
             prev_tag.is_none(),
             "frame tag collision between {doc} and {} on {}",
@@ -491,8 +477,8 @@ impl PeerNode {
         self.handle_message_with(&mut StepScratch::default(), &payload)
     }
 
-    /// Handles one incoming wire payload in place, in whichever of the
-    /// three formats [`PayloadKind::of`] finds it.
+    /// Handles one incoming wire payload in place, in whichever frame
+    /// codec [`PayloadKind::of`] finds it.
     ///
     /// A frame is atomic: every entry must validate and resolve before
     /// any is applied (a malformed payload outranks an unknown
@@ -506,12 +492,6 @@ impl PeerNode {
         sc.resolved.clear();
         let (resolved, mut unknown) = (&mut sc.resolved, None);
         let walked = match PayloadKind::of(payload) {
-            PayloadKind::Single => {
-                RankUpdateWire::parse(payload).map(|w| match self.guid_index.get(&Guid(w.guid)) {
-                    Some(&slot) => resolved.push((slot, w.value)),
-                    None => unknown = Some(MessageError::UnknownGuid(Guid(w.guid))),
-                })
-            }
             PayloadKind::Compact => {
                 CompactFrameWire::visit(payload, |e| match self.doc_index.get(&DocId(e.doc)) {
                     Some(&slot) => resolved.push((slot, f64::from(e.value))),
@@ -639,14 +619,13 @@ impl PeerNode {
     /// One local pass: apply every selected pending increment, then
     /// emit updates for documents whose rank moved more than ε. Remote
     /// emissions coalesce per target and group per destination in
-    /// `sc`, and leave in `sc.outbox` at pass end — one 24-byte message
-    /// per coalesced entry in [`WireMode::Single`], packed frames in
-    /// [`WireMode::Frames`]. Same-peer updates are applied directly
-    /// (visible on the *next* step, matching the engine's two-phase
-    /// pass). `rec` sees the flush-occupancy distribution (coalesced
-    /// entries per destination), the remote/local/frame counters and
-    /// the selective schedulers' queue series; the protocol never
-    /// sees `rec`.
+    /// `sc`, and leave in `sc.outbox` at pass end packed into frames of
+    /// at most [`WireMode::max_frame_bytes`]. Same-peer updates are
+    /// applied directly (visible on the *next* step, matching the
+    /// engine's two-phase pass). `rec` sees the flush-occupancy
+    /// distribution (coalesced entries per destination), the
+    /// remote/local/frame counters and the selective schedulers' queue
+    /// series; the protocol never sees `rec`.
     pub fn step_with<R: Recorder + ?Sized>(&mut self, sc: &mut StepScratch, rec: &R) {
         if self.links_dirty {
             self.resolve_links(sc);
@@ -705,10 +684,11 @@ impl PeerNode {
         self.dirty.append(&mut sc.deferred);
         // Phase 3: flush-on-pass-end. Destinations leave in
         // first-touch order, entries within a destination in
-        // first-emission order — the canonical fold order both wire
-        // formats serialize.
+        // first-emission order — the canonical fold order every codec
+        // and cap serializes; the size cap splits an oversized run.
         sc.group(&self.remote);
         let (remote, mut start) = (&self.remote, 0);
+        let cap = max_entries_for(self.wire.max_frame_bytes);
         for &to in &sc.dest_order {
             let end = sc.dests[to.index()].1 as usize;
             let run = &sc.grouped[std::mem::replace(&mut start, end)..end];
@@ -716,37 +696,28 @@ impl PeerNode {
                 rec.observe(Metric::FlushOccupancy, run.len() as u64);
             }
             self.stats.sent_remote += run.len() as u64;
-            match self.wire {
-                WireMode::Single => sc.outbox.extend(run.iter().map(|&(t, value)| {
-                    let guid = Guid::for_document(remote[t as usize].doc).0;
-                    (to, RankUpdateWire { guid, value }.encode())
-                })),
-                // The size cap splits an oversized run.
-                WireMode::Frames { max_frame_bytes } => {
-                    for frame in run.chunks(max_entries_for(max_frame_bytes)) {
-                        let payload = match self.codec {
-                            WireCodec::Raw => UpdateFrameWire::encode_entries(
-                                &mut sc.wire,
-                                frame.iter().map(|&(t, value)| FrameEntry {
-                                    tag: remote[t as usize].tag,
-                                    value,
-                                }),
-                            ),
-                            WireCodec::Compact => {
-                                sc.compact.clear();
-                                sc.compact
-                                    .extend(frame.iter().map(|&(t, value)| CompactEntry {
-                                        doc: remote[t as usize].doc.0,
-                                        value: value as f32,
-                                    }));
-                                sc.compact.sort_unstable_by_key(|e| e.doc);
-                                CompactFrameWire::encode_entries(&mut sc.wire, &sc.compact)
-                            }
-                        };
-                        self.stats.frames_sent += 1;
-                        sc.outbox.push((to, payload));
+            for frame in run.chunks(cap) {
+                let payload = match self.codec {
+                    WireCodec::Raw => UpdateFrameWire::encode_entries(
+                        &mut sc.wire,
+                        frame.iter().map(|&(t, value)| FrameEntry {
+                            tag: remote[t as usize].tag,
+                            value,
+                        }),
+                    ),
+                    WireCodec::Compact => {
+                        sc.compact.clear();
+                        sc.compact
+                            .extend(frame.iter().map(|&(t, value)| CompactEntry {
+                                doc: remote[t as usize].doc.0,
+                                value: value as f32,
+                            }));
+                        sc.compact.sort_unstable_by_key(|e| e.doc);
+                        CompactFrameWire::encode_entries(&mut sc.wire, &sc.compact)
                     }
-                }
+                };
+                self.stats.frames_sent += 1;
+                sc.outbox.push((to, payload));
             }
         }
         if rec.enabled() {
@@ -778,7 +749,6 @@ impl PeerNode {
     pub fn export_documents(&mut self) -> Vec<DocExport> {
         self.dirty.clear();
         self.doc_index.clear();
-        self.guid_index.clear();
         self.tag_index.clear();
         self.slots
             .drain(..)
@@ -853,7 +823,7 @@ pub struct DocExport {
 mod tests {
     use super::*;
     use dpr_core::message::{RankUpdate, UpdateFrame};
-    use dpr_p2p::transport::{COMPACT_MAGIC, RANK_UPDATE_WIRE_BYTES};
+    use dpr_p2p::transport::{frame_wire_bytes, RANK_UPDATE_WIRE_BYTES};
 
     fn cfg(eps: f64) -> EngineConfig {
         EngineConfig::with_epsilon(eps)
@@ -888,7 +858,7 @@ mod tests {
         let out = n.drain_outbox();
         assert_eq!(out.len(), 1, "one remote target");
         assert_eq!(out[0].0, PeerId(1));
-        assert_eq!(out[0].1.len(), 24, "paper wire size");
+        assert_eq!(out[0].1.len(), frame_wire_bytes(1), "one-entry frame");
         // The same-peer update landed on doc 3's pending.
         assert!(n.has_work());
         let s = n.stats();
@@ -896,13 +866,18 @@ mod tests {
         assert_eq!(s.local_updates, 1);
     }
 
+    /// One update as a one-entry raw frame.
+    fn one(doc: u32, delta: f64) -> Bytes {
+        let updates = vec![RankUpdate::new(DocId(doc), delta)];
+        UpdateFrame { updates }.to_wire().encode()
+    }
+
     #[test]
     fn handle_message_applies_increment() {
         let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
         n.add_document(DocId(2), vec![]);
         n.step(); // absorb base rank
-        let wire = RankUpdate::new(DocId(2), 0.25).to_wire().encode();
-        n.handle_message(wire).unwrap();
+        n.handle_message(one(2, 0.25)).unwrap();
         assert!(n.has_work());
         n.step();
         let r = n.rank_of(DocId(2)).unwrap();
@@ -912,10 +887,21 @@ mod tests {
 
     #[test]
     fn unknown_guid_rejected_and_counted() {
+        // A compact entry names its document by id: a stranger's id is
+        // reported by the document's GUID.
         let mut n = PeerNode::new(PeerId(1), cfg(1e-3));
         n.add_document(DocId(2), vec![]);
-        let wire = RankUpdate::new(DocId(99), 0.25).to_wire().encode();
-        assert!(n.handle_message(wire).is_err());
+        let entry = CompactEntry {
+            doc: 99,
+            value: 0.25,
+        };
+        let err = n
+            .handle_message(CompactFrameWire::new(vec![entry]).encode())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MessageError::UnknownGuid(Guid::for_document(DocId(99)))
+        );
         assert_eq!(n.stats().rejected, 1);
     }
 
@@ -968,7 +954,7 @@ mod tests {
         let mut n = PeerNode::with_wire(
             PeerId(0),
             cfg(1e-6),
-            WireMode::Frames {
+            WireMode {
                 max_frame_bytes: 20,
             },
         );
@@ -1001,35 +987,33 @@ mod tests {
     }
 
     #[test]
-    fn single_mode_node_accepts_frames_too() {
-        // Wire mode governs sending; any node can receive frames.
+    fn compact_node_accepts_raw_frames_too() {
+        // The codec governs sending; any node receives either codec.
         let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
+        n.set_codec(WireCodec::Compact);
         n.add_document(DocId(2), vec![]);
         n.step();
-        let frame = UpdateFrame {
-            updates: vec![RankUpdate::new(DocId(2), 0.25)],
-        };
-        n.handle_message(frame.to_wire().encode()).unwrap();
+        n.handle_message(one(2, 0.25)).unwrap();
         n.step();
         assert!((n.rank_of(DocId(2)).unwrap() - 0.40).abs() < 1e-12);
     }
 
     #[test]
-    fn single_mode_coalesces_before_sending() {
-        // Two docs linking the same remote target: one coalesced
-        // 24-byte message, not two — aggregation is part of the
-        // protocol in both wire modes, so ranks cannot depend on the
-        // wire format.
-        let mut n = PeerNode::new(PeerId(0), cfg(1e-6));
+    fn one_entry_frames_coalesce_before_sending() {
+        // Two docs linking the same remote target: one coalesced entry,
+        // not two, even at one entry per payload — aggregation is part
+        // of the protocol at every cap, so ranks cannot depend on it.
+        let one_entry = WireMode { max_frame_bytes: 0 };
+        let mut n = PeerNode::with_wire(PeerId(0), cfg(1e-6), one_entry);
         n.add_document(DocId(1), vec![(DocId(10), PeerId(1))]);
         n.add_document(DocId(2), vec![(DocId(10), PeerId(1))]);
         n.step();
         let out = n.drain_outbox();
-        assert_eq!(out.len(), 1, "coalesced into one single");
-        assert_eq!(out[0].1.len(), 24);
+        assert_eq!(out.len(), 1, "coalesced into one payload");
+        assert_eq!(out[0].1.len(), frame_wire_bytes(1));
         assert_eq!(n.stats().emitted_remote, 2, "logical updates still 2");
         assert_eq!(n.stats().sent_remote, 1, "one coalesced entry on the wire");
-        assert_eq!(n.stats().frames_sent, 0);
+        assert_eq!(n.stats().frames_sent, 1);
         // The payload carries the sum of both contributions.
         let mut m = PeerNode::new(PeerId(1), cfg(1e-6));
         m.add_document(DocId(10), vec![]);
@@ -1047,8 +1031,7 @@ mod tests {
         n.step(); // absorb base
         let mut sc = StepScratch::default();
         for i in 0..DEFAULT_INBOX_CAP {
-            let wire = RankUpdate::new(DocId(2), 1e-3).to_wire().encode();
-            let status = n.on_deliver(&mut sc, &wire).unwrap();
+            let status = n.on_deliver(&mut sc, &one(2, 1e-3)).unwrap();
             if i + 1 < DEFAULT_INBOX_CAP {
                 assert_eq!(status, DeliverStatus::Accepted, "arrival {i}");
             } else {
@@ -1058,9 +1041,8 @@ mod tests {
         assert_eq!(n.arrival_depth(), DEFAULT_INBOX_CAP);
         n.step();
         assert_eq!(n.arrival_depth(), 0, "step resets the arrival bound");
-        let wire = RankUpdate::new(DocId(2), 1e-3).to_wire().encode();
         assert_eq!(
-            n.on_deliver(&mut sc, &wire).unwrap(),
+            n.on_deliver(&mut sc, &one(2, 1e-3)).unwrap(),
             DeliverStatus::Accepted
         );
         // Every delivery was folded in: received counts all of them.
@@ -1139,10 +1121,10 @@ mod tests {
         n.step();
         let out = n.drain_outbox();
         assert!(!out.is_empty());
-        let wire = RankUpdateWire::decode(out[0].1.clone()).unwrap();
+        let frame = UpdateFrameWire::decode(out[0].1.clone()).unwrap();
         assert_eq!(
-            wire.guid,
-            Guid::for_document(DocId(1042)).0,
+            frame.entries[0].tag,
+            Guid::for_document(DocId(1042)).frame_tag(),
             "highest-residual doc flushes first"
         );
     }
@@ -1212,21 +1194,11 @@ mod tests {
             let mut outbox = Vec::new();
             for dst in order {
                 let buf = flush.get_mut(&dst).unwrap();
-                let cap = match self.wire {
-                    WireMode::Single => usize::MAX,
-                    WireMode::Frames { max_frame_bytes } => max_frame_bytes,
-                };
-                for frame in buf.flush(cap) {
+                for frame in buf.flush(self.wire.max_frame_bytes) {
                     self.stats.sent_remote += frame.updates.len() as u64;
-                    match (self.wire, self.codec) {
-                        (WireMode::Single, _) => {
-                            for u in &frame.updates {
-                                outbox.push((dst, u.to_wire().encode()));
-                            }
-                            continue;
-                        }
-                        (_, WireCodec::Raw) => outbox.push((dst, frame.to_wire().encode())),
-                        (_, WireCodec::Compact) => {
+                    match self.codec {
+                        WireCodec::Raw => outbox.push((dst, frame.to_wire().encode())),
+                        WireCodec::Compact => {
                             let entries = frame.updates.iter().map(|u| CompactEntry {
                                 doc: u.doc.0,
                                 value: u.delta as f32,
@@ -1246,22 +1218,19 @@ mod tests {
         /// destination order, entry order, value bits and frame split
         /// points — byte-identical payloads — for arbitrary link
         /// shapes and frame caps (the 1-entry cap included), in both
-        /// wire modes and both codecs, with one scratch lent to two
-        /// nodes in turn over several steps.
+        /// codecs, with one scratch lent to two nodes in turn over
+        /// several steps.
         #[test]
         fn emit_path_matches_the_flush_buffer_model(
             shapes in proptest::collection::vec(
                 proptest::collection::vec((0u32..24, 1u32..6), 0..14), 1..9),
             extras in proptest::collection::vec(0.01f64..3.0, 27..28),
             max_frame_bytes in 0usize..120,
-            mode in 0u8..3,
+            compact in proptest::prelude::any::<bool>(),
             steps in 1usize..4,
         ) {
-            let wire = match mode {
-                0 => WireMode::Single,
-                _ => WireMode::Frames { max_frame_bytes },
-            };
-            let codec = if mode == 2 { WireCodec::Compact } else { WireCodec::Raw };
+            let wire = WireMode { max_frame_bytes };
+            let codec = if compact { WireCodec::Compact } else { WireCodec::Raw };
             // Node B holds the same documents with reversed link lists.
             let mut pairs = Vec::new();
             for reversed in [false, true] {
@@ -1302,7 +1271,8 @@ mod tests {
         /// flips, NaN values, unknown documents and noise: the same
         /// `Ok` / `Err`, one `rejected` per refusal, and an unknown tag
         /// or bad value anywhere in a frame leaves every `pending`
-        /// untouched.
+        /// untouched. Kind 0 is the paper's 24-byte single update,
+        /// which no node sends: it is refused as a wire error.
         #[test]
         fn in_place_handling_matches_decode_then_resolve(
             kind in 0u8..3,
@@ -1345,16 +1315,7 @@ mod tests {
 
             // The model: decode whole, resolve whole, then apply.
             let want: Result<Vec<(DocId, f64)>, MessageError> =
-                if payload.len() == RANK_UPDATE_WIRE_BYTES {
-                    RankUpdateWire::decode(payload.clone())
-                        .map_err(MessageError::Wire)
-                        .and_then(|w| {
-                            RankUpdate::from_wire(w, |g| {
-                                (0..32).map(DocId).find(|&d| Guid::for_document(d) == g)
-                            })
-                        })
-                        .map(|u| vec![(u.doc, u.delta)])
-                } else if payload.first() == Some(&COMPACT_MAGIC) {
+                if PayloadKind::of(&payload) == PayloadKind::Compact {
                     CompactFrameWire::decode(payload.clone())
                         .map_err(MessageError::Wire)
                         .and_then(|f| {
@@ -1376,6 +1337,9 @@ mod tests {
                         })
                         .map(|f| f.updates.iter().map(|u| (u.doc, u.delta)).collect())
                 };
+            if payload.len() == RANK_UPDATE_WIRE_BYTES {
+                proptest::prop_assert!(matches!(want, Err(MessageError::Wire(_))));
+            }
             let got = node.handle_message(payload);
             proptest::prop_assert_eq!(got, want.as_ref().map(|_| ()).map_err(|e| *e));
             match &want {

@@ -152,11 +152,6 @@ impl FaultTarget for Bytes {
 
     fn leak_mass(&self) -> Option<Self> {
         match PayloadKind::of(self) {
-            PayloadKind::Single => {
-                let mut m = RankUpdateWire::decode(self.clone()).ok()?;
-                m.value += MASS_LEAK_DELTA;
-                m.value.is_finite().then(|| m.encode())
-            }
             PayloadKind::Compact => {
                 let mut f = CompactFrameWire::decode(self.clone()).ok()?;
                 let e = f.entries.first_mut()?;
@@ -409,19 +404,15 @@ impl<M: WireSize + FaultTarget> Transport<M> {
     }
 }
 
-/// Update entries carried by one wire payload: one for a single, the
-/// compact frame's declared count, or the `4 + 16k` raw frame's `k`
-/// (0 for a payload too short to say).
+/// Update entries carried by one wire payload: the compact frame's
+/// declared count, or the `4 + 16k` raw frame's `k` (0 for a payload
+/// too short to say, and for a 24-byte one — a length no frame takes).
 pub fn payload_entries(payload: &Bytes) -> u64 {
+    let len = payload.len();
     match PayloadKind::of(payload) {
-        PayloadKind::Single => 1,
-        PayloadKind::Compact if payload.len() >= COMPACT_HEADER_BYTES => {
-            u64::from(u16::from_le_bytes([payload[2], payload[3]]))
-        }
-        PayloadKind::Raw if payload.len() >= FRAME_HEADER_BYTES => {
-            ((payload.len() - FRAME_HEADER_BYTES) / FRAME_ENTRY_BYTES) as u64
-        }
-        _ => 0,
+        _ if len < FRAME_HEADER_BYTES || len == RANK_UPDATE_WIRE_BYTES => 0,
+        PayloadKind::Compact => u64::from(u16::from_le_bytes([payload[2], payload[3]])),
+        PayloadKind::Raw => ((len - FRAME_HEADER_BYTES) / FRAME_ENTRY_BYTES) as u64,
     }
 }
 
@@ -433,7 +424,6 @@ pub fn payload_entries(payload: &Bytes) -> u64 {
 pub fn payload_mass(payload: &Bytes) -> f64 {
     let mut mass = 0.0;
     let walked = match PayloadKind::of(payload) {
-        PayloadKind::Single => RankUpdateWire::parse(payload).map(|m| mass = m.value),
         PayloadKind::Compact => CompactFrameWire::visit(payload, |e| mass += f64::from(e.value)),
         PayloadKind::Raw => UpdateFrameWire::visit(payload, |e| mass += e.value),
     };
@@ -470,7 +460,11 @@ impl Transport<Bytes> {
 }
 
 /// The paper's pagerank update message: "128 bits for GUID, 64 bits
-/// for pagerank value" — 24 bytes on the wire (Sec. 4.6.1).
+/// for pagerank value" — 24 bytes on the wire (Sec. 4.6.1). Nodes
+/// never send it (they send frames); it is the unit of the paper's
+/// traffic model, which the batching experiments charge as a shadow
+/// of the framed run. No frame is ever 24 bytes long, so a payload of
+/// this length is refused by every decoder and carries no entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankUpdateWire {
     /// GUID of the document whose rank is being updated.
@@ -484,11 +478,9 @@ pub struct RankUpdateWire {
 /// execution-time model.
 pub const RANK_UPDATE_WIRE_BYTES: usize = 24;
 
-/// Which of the three wire formats a payload is in.
+/// Which of the two frame codecs a payload is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// One 24-byte [`RankUpdateWire`].
-    Single,
     /// A [`CompactFrameWire`].
     Compact,
     /// An [`UpdateFrameWire`].
@@ -496,15 +488,12 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
-    /// The wire-format rule: exactly 24 bytes is a single update;
-    /// otherwise the first byte selects the frame codec
-    /// ([`COMPACT_MAGIC`] ⇒ compact, else raw). Raw frame lengths are
-    /// `4 + 16k`, never 24, and compact frames pad away from 24, so
-    /// the dispatch is unambiguous.
+    /// The wire-format rule: the first byte selects the frame codec
+    /// ([`COMPACT_MAGIC`] ⇒ compact, else raw); the codec's decoder
+    /// then refuses whatever is not a well-formed frame of its kind.
     #[inline]
     pub fn of(payload: &[u8]) -> Self {
         match payload.first() {
-            _ if payload.len() == RANK_UPDATE_WIRE_BYTES => PayloadKind::Single,
             Some(&COMPACT_MAGIC) => PayloadKind::Compact,
             _ => PayloadKind::Raw,
         }
@@ -551,9 +540,8 @@ impl RankUpdateWire {
 /// and a frame of k updates costs `4 + 16k < 24k` bytes for every
 /// k ≥ 1.
 ///
-/// Frame lengths are `4 + 16k` (20, 36, 52, …) and a single update is
-/// exactly 24 bytes, so the two payload kinds never collide on length;
-/// receivers dispatch on `len == RANK_UPDATE_WIRE_BYTES`.
+/// Frame lengths are `4 + 16k` (20, 36, 52, …), never the 24 bytes of
+/// a [`RankUpdateWire`].
 ///
 /// [`Guid::frame_tag`]: crate::guid::Guid::frame_tag
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -673,8 +661,7 @@ impl UpdateFrameWire {
 /// Wire decoding failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// Payload length fits neither a 24-byte single update nor the
-    /// declared frame entry count.
+    /// Payload length does not fit the declared frame entry count.
     BadLength(usize),
     /// Rank value was NaN or infinite.
     NonFiniteValue,
@@ -712,8 +699,6 @@ impl std::error::Error for WireError {}
 /// and varint/delta-encoded, values are quantized to `f32` — a
 /// bounded-error mode (per-doc relative error ≤ the f32 quantization
 /// step, ~1.2e-7) whose parity bound is pinned by a differential test.
-/// Single 24-byte updates always travel raw in either codec: routing a
-/// single needs the full 128-bit GUID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
     /// Full-fidelity frames (`f64` values, 64-bit tags).
@@ -771,9 +756,9 @@ pub struct CompactEntry {
 /// sorted by doc id strictly ascending (a flush buffer coalesces, so a
 /// frame never repeats a doc); the first entry carries its absolute
 /// doc id, each later entry the LEB128 varint of the gap to its
-/// predecessor. When the encoded length would collide with the
-/// 24-byte single-update dispatch, one pad byte is appended (decoders
-/// ignore a single trailing byte).
+/// predecessor. When the encoded length would be the 24 bytes of a
+/// [`RankUpdateWire`], one pad byte is appended: decoders ignore a
+/// single trailing byte, and refuse a 24-byte payload outright.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompactFrameWire {
     /// The updates, sorted by doc id strictly ascending.
@@ -864,7 +849,7 @@ impl CompactFrameWire {
     /// to `f` in wire order (the [`UpdateFrameWire::visit`] contract).
     pub fn visit(mut bytes: &[u8], mut f: impl FnMut(CompactEntry)) -> Result<(), WireError> {
         let len = bytes.len();
-        if len < COMPACT_HEADER_BYTES {
+        if len < COMPACT_HEADER_BYTES || len == RANK_UPDATE_WIRE_BYTES {
             return Err(WireError::BadLength(len));
         }
         let magic = bytes.get_u8();
@@ -1227,9 +1212,9 @@ mod tests {
         let mut peers = PeerTable::new(3);
         peers.go_offline(PeerId(2));
         let mut t: Transport<Bytes> = Transport::new(3);
-        t.send(&peers, PeerId(0), PeerId(1), single(7, 0.25));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.25]));
         t.send(&peers, PeerId(0), PeerId(1), frame(&[0.5, 0.125]));
-        t.send(&peers, PeerId(1), PeerId(2), single(9, 1.0)); // parked
+        t.send(&peers, PeerId(1), PeerId(2), frame(&[1.0])); // parked
         assert_eq!(t.in_flight_entries(), 4);
         assert_eq!(t.in_flight_entries_to(PeerId(1)), 3);
         assert_eq!(t.in_flight_entries_to(PeerId(2)), 1);
@@ -1247,19 +1232,24 @@ mod tests {
             kind: FaultKind::MassLeak,
             nth_send: 1,
         });
-        t.send(&peers, PeerId(0), PeerId(1), single(7, 0.25));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.25]));
         t.send(&peers, PeerId(0), PeerId(1), frame(&[0.5, 0.125]));
-        t.send(&peers, PeerId(0), PeerId(1), single(8, 1.0));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[1.0]));
         assert_eq!(t.fault_fired_at(), Some(1));
         // First payload untouched, second leaked on its first entry
         // (still structurally valid), third untouched (strike once).
-        let a = RankUpdateWire::decode(t.receive(PeerId(1)).unwrap().payload).unwrap();
-        assert_eq!(a.value, 0.25);
-        let b = UpdateFrameWire::decode(t.receive(PeerId(1)).unwrap().payload).unwrap();
+        let mut received = || UpdateFrameWire::decode(t.receive(PeerId(1)).unwrap().payload);
+        assert_eq!(
+            received().unwrap(),
+            UpdateFrameWire::decode(frame(&[0.25])).unwrap()
+        );
+        let b = received().unwrap();
         assert_eq!(b.entries[0].value, 0.5 + MASS_LEAK_DELTA);
         assert_eq!(b.entries[1].value, 0.125);
-        let c = RankUpdateWire::decode(t.receive(PeerId(1)).unwrap().payload).unwrap();
-        assert_eq!(c.value, 1.0);
+        assert_eq!(
+            received().unwrap(),
+            UpdateFrameWire::decode(frame(&[1.0])).unwrap()
+        );
         // The counters are none the wiser: that is the point.
         assert_eq!(t.stats().sent, 3);
         assert_eq!(t.stats().delivered, 3);
@@ -1273,8 +1263,8 @@ mod tests {
             kind: FaultKind::DupFrame,
             nth_send: 0,
         });
-        t.send(&peers, PeerId(0), PeerId(1), single(7, 0.25));
-        t.send(&peers, PeerId(0), PeerId(1), single(8, 0.5));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.25]));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.5]));
         assert_eq!(t.fault_fired_at(), Some(0));
         assert_eq!(t.stats().sent, 2);
         assert_eq!(t.inbox_len(PeerId(1)), 3, "victim arrived twice");
@@ -1292,9 +1282,9 @@ mod tests {
             kind: FaultKind::LostFrame,
             nth_send: 1,
         });
-        t.send(&peers, PeerId(0), PeerId(1), single(7, 0.25));
-        t.send(&peers, PeerId(0), PeerId(1), single(8, 0.5));
-        t.send(&peers, PeerId(0), PeerId(1), single(9, 1.0));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.25]));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[0.5]));
+        t.send(&peers, PeerId(0), PeerId(1), frame(&[1.0]));
         assert_eq!(t.fault_fired_at(), Some(1));
         assert_eq!(t.stats().sent, 3, "the victim is still counted sent");
         assert_eq!(t.stats().delivered, 2);
@@ -1323,11 +1313,11 @@ mod tests {
             kind: FaultKind::LostFrame,
             nth_send: 5,
         });
-        for g in 0..5 {
-            tb.send(&peers, PeerId(0), PeerId(1), single(g, 0.1));
+        for _ in 0..5 {
+            tb.send(&peers, PeerId(0), PeerId(1), frame(&[0.1]));
         }
         assert_eq!(tb.fault_fired_at(), None);
-        tb.send(&peers, PeerId(0), PeerId(1), single(99, 0.1));
+        tb.send(&peers, PeerId(0), PeerId(1), frame(&[0.1]));
         assert_eq!(tb.fault_fired_at(), Some(5));
     }
 
@@ -1364,7 +1354,12 @@ mod tests {
         let collide = compact(&[(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)]);
         let b = collide.encode();
         assert_eq!(b.len(), 25, "pad byte dodges the single-update length");
-        assert_eq!(CompactFrameWire::decode(b).unwrap(), collide);
+        assert_eq!(CompactFrameWire::decode(b.clone()).unwrap(), collide);
+        // Unpadded, the same bytes are refused: no frame is 24 long.
+        assert_eq!(
+            CompactFrameWire::decode(Bytes::from(&b[..RANK_UPDATE_WIRE_BYTES])),
+            Err(WireError::BadLength(RANK_UPDATE_WIRE_BYTES))
+        );
     }
 
     #[test]
@@ -1471,7 +1466,8 @@ mod tests {
 
     /// The frame decoders as they stood before the in-place visitors
     /// (a `Bytes` read cursor, entries collected as they parse), kept
-    /// verbatim as the reference model of the proptests below.
+    /// as the reference model of the proptests below — verbatim but for
+    /// the compact decoder's refusal of the 24-byte length.
     mod cursor_model {
         use super::*;
 
@@ -1526,7 +1522,7 @@ mod tests {
 
         pub fn compact(mut bytes: Bytes) -> Result<CompactFrameWire, WireError> {
             let len = bytes.len();
-            if len < COMPACT_HEADER_BYTES {
+            if len < COMPACT_HEADER_BYTES || len == RANK_UPDATE_WIRE_BYTES {
                 return Err(WireError::BadLength(len));
             }
             let magic = bytes.get_u8();
@@ -1571,7 +1567,8 @@ mod tests {
         }
     }
 
-    /// A well-formed payload of one of the three kinds, then damaged:
+    /// A well-formed payload of one of three kinds — a 24-byte
+    /// [`RankUpdateWire`], a raw frame, a compact frame — then damaged:
     /// `mutation` 0 leaves it alone, 1 truncates at `at`, 2 flips bit
     /// `at`, 3 overwrites the value of entry `at` with a NaN, 4 replaces
     /// the payload with `noise`.
@@ -1661,6 +1658,14 @@ mod tests {
             let mass = payload_mass(&payload);
             proptest::prop_assert!(mass.is_finite());
             payload_entries(&payload);
+            // A 24-byte payload — the paper's single update, which no
+            // node sends — is no frame: nothing decodes, counts or leaks.
+            if payload.len() == RANK_UPDATE_WIRE_BYTES {
+                proptest::prop_assert!(UpdateFrameWire::decode(payload.clone()).is_err());
+                proptest::prop_assert!(CompactFrameWire::decode(payload.clone()).is_err());
+                proptest::prop_assert_eq!((payload_entries(&payload), mass), (0, 0.0));
+                proptest::prop_assert_eq!(payload.leak_mass(), None);
+            }
         }
 
         /// The transport against a naive model — one `Vec` per inbox

@@ -1,37 +1,34 @@
 //! Batched vs unbatched wire traffic — the per-peer aggregation
 //! experiment.
 //!
-//! The paper charges one 24-byte message per remote rank update
-//! (Sec. 4.6). Per-peer aggregation keeps that *logical* update stream
-//! but coalesces each pass's updates per destination peer and packs
-//! them into multi-update frames, so the wire carries one frame header
-//! per destination instead of one routed message per update. This
-//! module runs the same workload through both wire modes of the
-//! message-level [`Cluster`](dpr_node::cluster::Cluster) and reports:
+//! The paper charges one 24-byte message per remote rank update, routed
+//! on the document's GUID (Sec. 4.6, 3.2). Per-peer aggregation keeps
+//! that *logical* update stream but coalesces each pass's updates per
+//! destination peer into multi-update frames, each routed once (then
+//! sent to a cached address) to the destination *peer*. This module
+//! runs the message-level [`Cluster`](dpr_node::cluster::Cluster) once,
+//! framed, and charges the paper's unbatched wire as a shadow of the
+//! same run: every frame entry as its own message.
 //!
-//! * **updates** — logical remote emissions (the paper's message
-//!   metric, identical in both modes);
-//! * **entries** — coalesced flush-buffer entries that actually cross
-//!   the wire (also identical: coalescing is part of the protocol);
-//! * **payloads / frames** — transport sends (24-byte singles vs
-//!   length-prefixed frames);
-//! * **bytes on wire** — measured payload bytes vs the `24·k` baseline;
-//! * **routed messages** — overlay point-to-point transmissions: every
-//!   hop of every DHT route plus every direct cached send. Unbatched,
-//!   each update routes on its *document* GUID; batched, each frame
-//!   costs one route (or one cached IP send) to its *destination
-//!   peer*.
-//!
-//! Both modes converge to bit-identical ranks (asserted here), so the
-//! comparison isolates pure wire-path cost.
+//! The shadow is exact without a second run. Every frame cap — the
+//! one-entry cap, which is the unbatched wire, included — runs the same
+//! schedule to bit-identical ranks, so the unbatched wire would send
+//! exactly this run's entries. Routing every message, a route's cost
+//! depends only on its (sender, document); caching after the first, the
+//! total is Σ first-route cost + (sends − distinct pairs), whatever the
+//! send order, as a static run evicts nothing.
 
 use crate::hops::HopAccounting;
 use crate::spec::ScenarioSpec;
 use crate::workload::Workload;
+use bytes::Bytes;
 use dpr_graph::DocId;
 use dpr_node::node::WireMode;
 use dpr_p2p::guid::Guid;
-use dpr_p2p::transport::{PayloadKind, RankUpdateWire, WireCodec};
+use dpr_p2p::peer::PeerId;
+use dpr_p2p::transport::{
+    CompactFrameWire, PayloadKind, UpdateFrameWire, WireCodec, RANK_UPDATE_WIRE_BYTES,
+};
 use dpr_telemetry::Recorder;
 use fxhash::FxHashMap;
 use serde::Serialize;
@@ -48,9 +45,9 @@ pub struct WireTraffic {
     pub entries: u64,
     /// Multi-update frames sent (zero when unbatched).
     pub frames: u64,
-    /// Wire payloads handed to the transport (singles + frames).
+    /// Wire payloads handed to the transport.
     pub payloads: u64,
-    /// Measured payload bytes on the wire.
+    /// Payload bytes on the wire.
     pub bytes_on_wire: u64,
     /// Overlay point-to-point transmissions: Σ hops over every send
     /// (routing a message over h hops transmits it h times).
@@ -58,7 +55,7 @@ pub struct WireTraffic {
 }
 
 /// One run of a [`Cluster`](dpr_node::cluster::Cluster) under an
-/// explicit wire mode and routing policy: converged ranks plus measured
+/// explicit frame cap and routing policy: converged ranks plus measured
 /// traffic.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
@@ -68,12 +65,19 @@ pub struct ClusterRun {
     pub traffic: WireTraffic,
 }
 
+fn accounting(w: &Workload, cache_ips: bool) -> HopAccounting {
+    if cache_ips {
+        HopAccounting::cached(w.ring.clone())
+    } else {
+        HopAccounting::routed(w.ring.clone())
+    }
+}
+
 /// Runs `w` to quiescence on the message-level cluster `spec`
-/// describes (scheduler, wire mode, codec; rounds driver), charging
-/// overlay hops for every send: singles route on the document's GUID,
-/// frames on the destination peer's GUID. With `cache_ips`, the first
-/// send per destination routes and caches the address (paper Sec. 3.2)
-/// and later sends go direct in one hop.
+/// describes (scheduler, frame cap, codec; rounds driver), charging
+/// overlay hops for every frame, routed on the destination peer's GUID.
+/// With `cache_ips`, the first send per destination routes and caches
+/// the address (paper Sec. 3.2) and later sends go direct in one hop.
 ///
 /// The codec only changes how frames are *encoded*
 /// ([`WireCodec::Compact`] sends varint-delta doc ids and `f32`
@@ -94,30 +98,67 @@ pub fn run_wire_mode(
     cache_ips: bool,
     rec: Option<Arc<dyn Recorder>>,
 ) -> ClusterRun {
-    let mut cluster = spec.cluster(w);
-    let mut acc = if cache_ips {
-        HopAccounting::cached(w.ring.clone())
-    } else {
-        HopAccounting::routed(w.ring.clone())
+    drive(w, spec, cache_ips, rec, |_, _, _| {})
+}
+
+/// [`run_wire_mode`] plus the paper's unbatched wire as a shadow of the
+/// same run (see the module docs): every frame entry charged as its own
+/// message on its document's GUID through a second, unobserved hop
+/// accounting, which caches after the first route iff
+/// `unbatched_cache_ips`. Returns the framed run and the unbatched
+/// traffic: the run's rounds, updates and entries, one 24-byte payload
+/// per entry, and the shadow's routed messages.
+pub fn run_with_unbatched(
+    w: &Workload,
+    spec: &ScenarioSpec,
+    cache_ips: bool,
+    unbatched_cache_ips: bool,
+    rec: Option<Arc<dyn Recorder>>,
+) -> (ClusterRun, WireTraffic) {
+    let mut acc = accounting(w, unbatched_cache_ips);
+    // Raw frame entries name their document by frame tag.
+    let docs = (0..w.graph.num_nodes()).map(DocId::from);
+    let doc_of_tag: FxHashMap<u64, DocId> = docs
+        .map(|d| (Guid::for_document(d).frame_tag(), d))
+        .collect();
+    let mut routed = 0u64;
+    let run = drive(w, spec, cache_ips, rec, |src, dst, payload| {
+        let mut charge = |doc| routed += u64::from(acc.charge(src, dst, doc));
+        match PayloadKind::of(payload) {
+            PayloadKind::Compact => CompactFrameWire::visit(payload, |e| charge(DocId(e.doc))),
+            PayloadKind::Raw => UpdateFrameWire::visit(payload, |e| charge(doc_of_tag[&e.tag])),
+        }
+        .expect("cluster peers send well-formed frames");
+    });
+    let t = run.traffic;
+    let unbatched = WireTraffic {
+        frames: 0,
+        payloads: t.entries,
+        bytes_on_wire: RANK_UPDATE_WIRE_BYTES as u64 * t.entries,
+        routed_messages: routed,
+        ..t
     };
+    (run, unbatched)
+}
+
+/// The rounds loop, with `also` seeing every send before its frame is
+/// charged.
+fn drive(
+    w: &Workload,
+    spec: &ScenarioSpec,
+    cache_ips: bool,
+    rec: Option<Arc<dyn Recorder>>,
+    mut also: impl FnMut(PeerId, PeerId, &[u8]),
+) -> ClusterRun {
+    let mut cluster = spec.cluster(w);
+    let mut acc = accounting(w, cache_ips);
     if let Some(rec) = &rec {
         cluster.set_recorder(rec.clone());
         acc.set_recorder(rec.clone());
     }
-    // Singles name their document only by GUID on the wire; map them
-    // back so the hop model can route on the document as a real DHT
-    // lookup would.
-    let doc_of_guid: FxHashMap<u128, DocId> = (0..w.graph.num_nodes())
-        .map(|d| (Guid::for_document(DocId::from(d)).0, DocId::from(d)))
-        .collect();
-    let mut hook = |src, dst, payload: &bytes::Bytes| {
-        if PayloadKind::of(payload) == PayloadKind::Single {
-            let wire = RankUpdateWire::decode(payload.clone()).expect("well-formed single");
-            let doc = doc_of_guid[&wire.guid];
-            acc.charge(src, dst, doc)
-        } else {
-            acc.charge_peer(src, dst)
-        }
+    let mut hook = |src, dst, payload: &Bytes| {
+        also(src, dst, payload);
+        acc.charge_peer(src, dst)
     };
 
     let peers = w.peer_table();
@@ -135,7 +176,7 @@ pub fn run_wire_mode(
 
     let (mut updates, mut entries, mut frames) = (0u64, 0u64, 0u64);
     for p in 0..w.num_peers as u32 {
-        let s = cluster.node(dpr_p2p::peer::PeerId(p)).stats();
+        let s = cluster.node(PeerId(p)).stats();
         updates += s.emitted_remote;
         entries += s.sent_remote;
         frames += s.frames_sent;
@@ -191,89 +232,47 @@ pub struct BatchReport {
     pub epsilon: f64,
     /// Frame size cap (bytes) of the batched run.
     pub max_frame_bytes: usize,
-    /// Unbatched run: singles, routed per update on the document GUID.
+    /// Unbatched: one 24-byte message per entry, routed per message on
+    /// the document GUID (the shadow of the batched run).
     pub unbatched: WireTraffic,
     /// Batched run: frames, one route (then cached IP) per frame.
     pub batched: WireTraffic,
-    /// The paper's byte baseline for the same wire-crossing updates:
-    /// `24 · entries`.
-    pub baseline_bytes: u64,
     /// `unbatched.routed_messages / batched.routed_messages`.
     pub routed_reduction: f64,
-    /// `baseline_bytes / batched.bytes_on_wire`.
+    /// `unbatched.bytes_on_wire / batched.bytes_on_wire`.
     pub byte_reduction: f64,
-    /// Whether both modes converged to bit-identical ranks (always
-    /// true; also asserted).
-    pub ranks_identical: bool,
 }
 
-/// Runs both wire modes on `w` and reports the saving, returning the
-/// batched run alongside (for callers that score its ranks). The
-/// unbatched baseline is the paper's default DHT path — every update
-/// routed on its document GUID, no address cache, never traced; the
-/// batched run is the full aggregation feature as `spec` describes it
-/// — coalesced frames at `spec.wire`'s cap, one route per frame,
-/// cached destination IPs (the Sec. 3.2 cache, now per peer instead of
-/// per document), traced through `rec` so the trace's frame/round
-/// series describes one coherent run. The Sec. 3.2 cache alone
-/// (unbatched + cached) is covered by the ablation grid, not here.
-///
-/// # Panics
-///
-/// Panics if `spec.wire` is not a framed mode, or if the two modes
-/// disagree on any converged rank bit — the aggregation layer's
-/// determinism contract.
+/// Runs `w` once and reports the saving, returning the batched run
+/// alongside (for callers that score its ranks). The unbatched baseline
+/// is the paper's default DHT path — every update routed on its
+/// document GUID, no address cache — charged as a shadow of the batched
+/// run, untraced; the batched run is the full aggregation feature as
+/// `spec` describes it — coalesced frames at `spec.wire`'s cap, one
+/// route per frame, cached destination IPs (the Sec. 3.2 cache, now per
+/// peer instead of per document), traced through `rec` so the trace's
+/// frame/round series describes one coherent run. The Sec. 3.2 cache
+/// alone (unbatched + cached) is covered by the ablation grid, not
+/// here.
 pub fn batching_experiment(
     w: &Workload,
     spec: &ScenarioSpec,
     rec: Option<Arc<dyn Recorder>>,
 ) -> (BatchReport, ClusterRun) {
-    let WireMode::Frames { max_frame_bytes } = spec.wire else {
-        panic!("the batched side of the comparison needs a framed wire mode");
-    };
-    let singles = ScenarioSpec {
-        wire: WireMode::Single,
-        ..*spec
-    };
-    let unbatched = run_wire_mode(w, &singles, false, None);
-    let batched = run_wire_mode(w, spec, true, rec);
-    let report = compare_runs(w, spec.epsilon, max_frame_bytes, &unbatched, &batched);
-    (report, batched)
-}
-
-/// Builds the [`BatchReport`] from two already-measured runs (lets a
-/// caller that needs the ranks — e.g. for quality scoring — run the
-/// modes itself without paying for them twice).
-///
-/// # Panics
-///
-/// Same determinism contract as [`batching_experiment`].
-pub fn compare_runs(
-    w: &Workload,
-    epsilon: f64,
-    max_frame_bytes: usize,
-    unbatched: &ClusterRun,
-    batched: &ClusterRun,
-) -> BatchReport {
-    assert_eq!(
-        unbatched.ranks, batched.ranks,
-        "wire modes must converge to bit-identical ranks"
-    );
-    let baseline_bytes =
-        dpr_p2p::transport::RANK_UPDATE_WIRE_BYTES as u64 * batched.traffic.entries;
-    BatchReport {
+    let (batched, unbatched) = run_with_unbatched(w, spec, true, false, rec);
+    let report = BatchReport {
         graph_size: w.graph.num_nodes(),
         num_peers: w.num_peers,
-        epsilon,
-        max_frame_bytes,
-        unbatched: unbatched.traffic,
+        epsilon: spec.epsilon,
+        max_frame_bytes: spec.wire.max_frame_bytes,
+        unbatched,
         batched: batched.traffic,
-        baseline_bytes,
-        routed_reduction: unbatched.traffic.routed_messages as f64
+        routed_reduction: unbatched.routed_messages as f64
             / batched.traffic.routed_messages.max(1) as f64,
-        byte_reduction: baseline_bytes as f64 / batched.traffic.bytes_on_wire.max(1) as f64,
-        ranks_identical: true,
-    }
+        byte_reduction: unbatched.bytes_on_wire as f64
+            / batched.traffic.bytes_on_wire.max(1) as f64,
+    };
+    (report, batched)
 }
 
 #[cfg(test)]
@@ -288,18 +287,16 @@ mod tests {
         let spec = ScenarioSpec::new(1_500, 8, 1e-3, 11);
         let w = spec.workload();
         let (r, _) = batching_experiment(&w, &spec, None);
-        assert!(r.ranks_identical);
-        // Same logical protocol in both modes.
+        // Same logical protocol on both sides.
         assert_eq!(r.unbatched.updates, r.batched.updates);
         assert_eq!(r.unbatched.entries, r.batched.entries);
         assert_eq!(r.unbatched.frames, 0);
         assert!(r.batched.frames > 0);
         // Frames pack at least one entry, so payloads can only shrink;
-        // 30 peers with 50 docs each coalesce well below 1:1.
+        // 8 peers with ~190 docs each coalesce well below 1:1.
         assert!(r.batched.payloads < r.unbatched.payloads);
         // 4 + 16k < 24k for every frame.
-        assert!(r.batched.bytes_on_wire < r.baseline_bytes);
-        assert_eq!(r.unbatched.bytes_on_wire, r.baseline_bytes);
+        assert!(r.batched.bytes_on_wire < r.unbatched.bytes_on_wire);
         // Routing per frame + cached IPs beats routing per update by
         // at least the mean DHT route length.
         assert!(
@@ -314,38 +311,35 @@ mod tests {
     fn priority_sched_cuts_updates_and_keeps_wire_modes_identical() {
         // 8 peers -> ~190 docs per peer, comfortably above the
         // priority bypass threshold so residual selection engages.
-        let pass_spec = ScenarioSpec {
-            wire: WireMode::Single,
-            ..ScenarioSpec::new(1_500, 8, 1e-3, 11)
-        };
+        let pass_spec = ScenarioSpec::new(1_500, 8, 1e-3, 11);
         let pri_spec = ScenarioSpec {
             sched: SchedMode::Priority,
             ..pass_spec
         };
-        let w = pass_spec.workload();
-        let pass = run_wire_mode(&w, &pass_spec, false, None);
-        let pri_single = run_wire_mode(&w, &pri_spec, false, None);
-        let framed = ScenarioSpec {
-            wire: WireMode::frames(),
+        let one_entry = ScenarioSpec {
+            wire: WireMode { max_frame_bytes: 0 },
             ..pri_spec
         };
-        let pri_frames = run_wire_mode(&w, &framed, true, None);
-        // The wire path cannot perturb the priority schedule: singles
-        // and frames converge bit-identically.
-        assert_eq!(pri_single.ranks, pri_frames.ranks);
+        let w = pass_spec.workload();
+        let pass = run_wire_mode(&w, &pass_spec, true, None);
+        let pri = run_wire_mode(&w, &pri_spec, true, None);
+        let pri_one_entry = run_wire_mode(&w, &one_entry, false, None);
+        // The frame cap cannot perturb the priority schedule: one entry
+        // per payload and full frames converge bit-identically.
+        assert_eq!(pri_one_entry.ranks, pri.ranks);
         // Residual-driven selection clears the same ε with fewer
         // logical remote updates …
         assert!(
-            pri_single.traffic.updates < pass.traffic.updates,
+            pri.traffic.updates < pass.traffic.updates,
             "priority {} vs pass {}",
-            pri_single.traffic.updates,
+            pri.traffic.updates,
             pass.traffic.updates
         );
         // … and lands on the same fixed point to O(ε) per document.
         let l1: f64 = pass
             .ranks
             .iter()
-            .zip(&pri_single.ranks)
+            .zip(&pri.ranks)
             .map(|(a, b)| (a - b).abs())
             .sum();
         let per_doc = l1 / w.graph.num_nodes() as f64;
@@ -356,20 +350,26 @@ mod tests {
     fn frame_cap_changes_payloads_not_ranks() {
         let spec = ScenarioSpec::new(800, 10, 1e-3, 12);
         let w = spec.workload();
-        let (loose, _) = batching_experiment(&w, &spec, None);
-        // 2 entries/frame. batching_experiment already asserts batched
-        // == unbatched ranks inside each call, and the unbatched run is
-        // shared protocol — so ranks agree across caps transitively.
+        let (loose, loose_run) = batching_experiment(&w, &spec, None);
+        // 2 entries/frame.
         let two_entries = ScenarioSpec {
-            wire: WireMode::Frames {
+            wire: WireMode {
                 max_frame_bytes: 36,
             },
             ..spec
         };
-        let (tight, _) = batching_experiment(&w, &two_entries, None);
+        let (tight, tight_run) = batching_experiment(&w, &two_entries, None);
+        assert_eq!(loose_run.ranks, tight_run.ranks);
         assert_eq!(loose.batched.entries, tight.batched.entries);
         assert!(tight.batched.frames > loose.batched.frames);
         assert!(tight.batched.bytes_on_wire > loose.batched.bytes_on_wire);
-        assert!(tight.batched.bytes_on_wire < tight.baseline_bytes);
+        assert!(tight.batched.bytes_on_wire < tight.unbatched.bytes_on_wire);
+        // The shadow sees the entries, not their framing, under either
+        // routing policy.
+        for cache_ips in [false, true] {
+            let [a, b] =
+                [spec, two_entries].map(|s| run_with_unbatched(&w, &s, true, cache_ips, None).1);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
     }
 }

@@ -243,11 +243,7 @@ pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
 /// nodes' emitted remote entries to `remote_messages`, and
 /// additionally pins the executed event schedule via `schedule_fnv`.
 fn fly_chaotic<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
-    // Flights frame their traffic; the header records no wire mode.
-    let spec = ScenarioSpec {
-        wire: WireMode::frames(),
-        ..cfg.spec
-    };
+    let spec = cfg.spec;
     let w = spec.workload();
     let mut cluster = spec.cluster(&w);
     let peers = w.peer_table();

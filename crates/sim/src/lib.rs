@@ -15,7 +15,8 @@
 //! * [`hops`] — overlay hop accounting: routed-every-message vs the
 //!   Sec. 3.2 address cache (the caching ablation).
 //! * [`batch`] — batched vs unbatched wire traffic on the
-//!   message-level cluster (the per-peer aggregation experiment).
+//!   message-level cluster (the per-peer aggregation experiment; the
+//!   unbatched side is a shadow of the one framed run).
 //! * [`event`] — the discrete-event chaotic runtime: seeded
 //!   deterministic event queue, per-link latency/bandwidth models, and
 //!   residual-driven step timing (`--run-mode chaotic`).

@@ -243,12 +243,11 @@ impl QualitySweep {
         }
     }
 
-    /// Runs the message-level cluster at `spec`'s ε and scheduler in
-    /// both wire modes (unbatched singles and `spec.wire`'s capped
-    /// frames; see [`batching_experiment`]), asserts their ranks are
-    /// bit-identical, and scores them against the synchronous
-    /// reference — a Table 3 row with frames and bytes columns. The
-    /// *batched* run is traced through `rec`.
+    /// Runs the message-level cluster at `spec`'s ε, scheduler and
+    /// frame cap, charges the unbatched wire as its shadow (see
+    /// [`batching_experiment`]), and scores the ranks against the
+    /// synchronous reference — a Table 3 row with frames and bytes
+    /// columns. The run is traced through `rec`.
     ///
     /// Cluster rounds deliver within the round (a different, equally
     /// valid chaotic schedule than the array engine), so the scored
@@ -274,7 +273,8 @@ impl QualitySweep {
 pub struct BatchedQualityResult {
     /// Error threshold ε.
     pub epsilon: f64,
-    /// The wire-traffic comparison (both modes run to quiescence).
+    /// The wire-traffic comparison (one run to quiescence, unbatched
+    /// side charged as its shadow).
     pub report: crate::batch::BatchReport,
     /// Relative-error distribution of the batched cluster's ranks vs
     /// the synchronous reference.

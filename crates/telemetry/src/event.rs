@@ -89,8 +89,7 @@ pub enum Event {
         /// the round.
         pending: u64,
     },
-    /// One wire payload (single update or multi-update frame) left a
-    /// node's outbox.
+    /// One wire payload (a multi-update frame) left a node's outbox.
     FrameSent {
         /// Round index the send happened in.
         round: u64,
@@ -98,7 +97,7 @@ pub enum Event {
         from: u32,
         /// Destination peer.
         to: u32,
-        /// Coalesced update entries in the payload (1 for singles).
+        /// Coalesced update entries in the payload.
         entries: u64,
         /// Payload bytes on the wire.
         bytes: u64,

@@ -71,7 +71,7 @@ metrics! {
     FramesSent = 2 => Counter, "dpr_frames_sent",
         "Multi-update frames handed to the transport";
     PayloadsSent = 3 => Counter, "dpr_payloads_sent",
-        "Wire payloads (singles + frames) handed to the transport";
+        "Wire payloads handed to the transport";
     BytesOnWire = 4 => Counter, "dpr_bytes_on_wire",
         "Payload bytes handed to the transport";
     ParkedMessages = 5 => Counter, "dpr_parked_messages",

@@ -1,8 +1,9 @@
-//! The deployable path: peers exchanging real 24-byte wire messages.
+//! The deployable path: peers exchanging real wire frames.
 //!
 //! Everything the other examples do through the fast array simulator,
 //! this one does at message level: self-contained peer nodes, encoded
-//! `(GUID, rank)` updates through the store-and-resend transport, a
+//! frames of `(document tag, rank)` updates — one frame per destination
+//! peer and pass — through the store-and-resend transport, a
 //! permanent peer departure with document handoff, and Safra's
 //! termination detection deciding — with no global view — that the
 //! computation has converged.
@@ -69,7 +70,7 @@ fn main() {
     );
     let t = cluster.traffic();
     println!(
-        "wire traffic: {} sent ({} parked for offline peers, {} redelivered)",
+        "wire traffic: {} frames sent ({} parked for offline peers, {} redelivered)",
         t.sent, t.parked, t.redelivered
     );
 

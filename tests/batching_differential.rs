@@ -3,12 +3,12 @@
 //! The contract under test is *bit* identity, not approximation: on
 //! arbitrary graphs, under arbitrary churn schedules, at every frame
 //! size cap, the batched cluster must converge to exactly the ranks
-//! (`==` on every `f64`) of the unbatched single-message cluster. The
-//! coalesced per-destination group sums are the canonical fold in both
-//! wire modes, so framing only changes payload packing — never a rank
-//! bit. (On the paper workload, singles and frames give equal rank
-//! bits, and frames really frame, under every scheduler: laws of the
-//! regime table, `crates/bench/tests/regimes.rs`.)
+//! (`==` on every `f64`) of the unbatched cluster — one entry per
+//! frame, the paper's one message per update. The coalesced
+//! per-destination group sums are the canonical fold at every cap, so
+//! framing only changes payload packing — never a rank bit. This is
+//! what lets `dpr_sim::batch` charge the unbatched wire as a shadow of
+//! one framed run.
 
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::Cluster;
@@ -19,6 +19,9 @@ use proptest::prelude::*;
 /// The frame-size caps under differential test: 64 B (3 entries),
 /// 256 B (15), 1024 B (63), and effectively uncapped.
 const CAPS: [usize; 4] = [64, 256, 1024, 1 << 20];
+
+/// The reference: one entry per frame.
+const UNBATCHED: WireMode = WireMode { max_frame_bytes: 0 };
 
 /// Strategy: a random directed graph as (n, edge list).
 fn arb_graph(
@@ -105,21 +108,19 @@ proptest! {
     ) {
         let graph = build_graph(n, &edges);
         let placement = round_robin_placement(n, 4);
-        let single = run_churned(
-            &graph, &placement, 4, WireMode::Single, &plan, churn_rounds,
-        );
+        let single = run_churned(&graph, &placement, 4, UNBATCHED, &plan, churn_rounds);
         for cap in CAPS {
             let framed = run_churned(
                 &graph,
                 &placement,
                 4,
-                WireMode::Frames { max_frame_bytes: cap },
+                WireMode { max_frame_bytes: cap },
                 &plan,
                 churn_rounds,
             );
             prop_assert_eq!(
                 &framed, &single,
-                "cap {} diverged from the single-message wire", cap
+                "cap {} diverged from one entry per frame", cap
             );
         }
     }
@@ -161,12 +162,12 @@ fn departure_with_frames_in_flight_stays_identical() {
         assert!(ok, "no quiescence in {rounds} rounds");
         cluster.collect_ranks(400)
     };
-    let single = run(WireMode::Single);
+    let single = run(UNBATCHED);
     // A tight cap forces multi-frame flushes so departures actually
     // split frames.
     for cap in [64usize, 1 << 20] {
         assert_eq!(
-            run(WireMode::Frames {
+            run(WireMode {
                 max_frame_bytes: cap
             }),
             single,

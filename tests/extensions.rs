@@ -10,7 +10,8 @@ use rand::SeedableRng;
 
 /// A link-aware-placed, message-level cluster with protocol-level
 /// termination detection still computes the correct ranks — and pays
-/// fewer wire messages than a randomly placed one.
+/// fewer remote messages (the paper's one per update) than a randomly
+/// placed one.
 #[test]
 fn link_aware_cluster_with_termination_detection() {
     let nodes = 1_200;
@@ -34,7 +35,8 @@ fn link_aware_cluster_with_termination_detection() {
         }
         assert!(detector.announced(), "no announcement in {rounds} rounds");
         assert!(cluster.is_quiescent(), "announcement must be sound");
-        (cluster.collect_ranks(nodes), cluster.traffic().sent)
+        let emitted = (0..num_peers as u32).map(|p| cluster.node(PeerId(p)).stats().emitted_remote);
+        (cluster.collect_ranks(nodes), emitted.sum::<u64>())
     };
 
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(202);
@@ -46,13 +48,13 @@ fn link_aware_cluster_with_termination_detection() {
     let (ranks_random, wire_random) = run(random);
     let (ranks_aware, wire_aware) = run(aware);
 
-    // Same answer, fewer wire messages.
+    // Same answer, fewer remote messages.
     for (a, b) in ranks_random.iter().zip(&ranks_aware) {
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
     assert!(
         wire_aware < wire_random,
-        "link-aware {wire_aware} vs random {wire_random} wire messages"
+        "link-aware {wire_aware} vs random {wire_random} remote messages"
     );
     // And the answer is the right one.
     let reference = SyncSolver::new().solve(&graph).ranks;

@@ -7,18 +7,18 @@
 //!    arbitrary insert/delete increment injections, each selective
 //!    schedule lands within 1e-9 L1 per document of the classic
 //!    full-sweep engine once both quiesce at a tiny ε.
-//! 2. **Bit identity**: that the two wire modes converge a cluster to
-//!    identical bits is a law of the regime table,
-//!    `crates/bench/tests/regimes.rs`; that the engine's selective pass
-//!    matches a dirty-list reference model bit for bit is
-//!    `tests/kernel_reference.rs`.
+//! 2. **Bit identity**: that every frame cap converges a cluster to
+//!    identical bits is `tests/batching_differential.rs`; that the
+//!    engine's selective pass matches a dirty-list reference model bit
+//!    for bit is `tests/kernel_reference.rs`.
 //! 3. **Pinned ordering**: a fixed-seed peer-node run emits its wire
-//!    messages in a deterministic order; an FNV fingerprint over the
-//!    full destination/payload byte sequence pins that order, so a
+//!    updates in a deterministic order; an FNV fingerprint over the
+//!    full destination/update byte sequence pins that order, so a
 //!    change to residual bucketing, greedy scoring, or flush fill
 //!    order cannot land silently.
 
-use distributed_pagerank::node::node::{PeerNode, WireMode};
+use distributed_pagerank::node::node::PeerNode;
+use distributed_pagerank::p2p::transport::{RankUpdateWire, UpdateFrameWire};
 use distributed_pagerank::prelude::*;
 use dpr_graph::CsrGraph as Csr;
 use proptest::collection::vec as prop_vec;
@@ -152,13 +152,16 @@ fn fold(acc: u64, byte: u64) -> u64 {
 }
 
 /// Drives a fixed-seed peer-node cluster by hand (synchronous rounds,
-/// nodes stepped in id order) and fingerprints every wire message in
-/// emission order: destination, then payload bytes.
+/// nodes stepped in id order) and fingerprints every frame entry in
+/// emission order as the paper's 24-byte message it replaces:
+/// destination, then the message's bytes.
 fn message_order_fingerprint(sched: SchedMode) -> u64 {
     let w = Workload::paper(600, 4, 2003);
     let cfg = EngineConfig::with_epsilon(1e-6).with_sched(sched);
-    let mut nodes: Vec<PeerNode> = (0..4u32)
-        .map(|i| PeerNode::with_wire(PeerId(i), cfg, WireMode::Single))
+    let mut nodes: Vec<PeerNode> = (0..4u32).map(|i| PeerNode::new(PeerId(i), cfg)).collect();
+    let guid_of_tag: std::collections::HashMap<u64, Guid> = (0..w.graph.num_nodes())
+        .map(|d| Guid::for_document(DocId::from(d)))
+        .map(|g| (g.frame_tag(), g))
         .collect();
     for d in 0..w.graph.num_nodes() {
         let doc = DocId::from(d);
@@ -177,9 +180,18 @@ fn message_order_fingerprint(sched: SchedMode) -> u64 {
         for node in &mut nodes {
             node.step();
             for (dst, payload) in node.drain_outbox() {
-                fp = fold(fp, dst.index() as u64 + 1);
-                for &b in payload.iter() {
-                    fp = fold(fp, b as u64);
+                let frame = UpdateFrameWire::decode(payload.clone()).expect("raw frame");
+                for e in frame.entries {
+                    let guid = guid_of_tag[&e.tag].0;
+                    let single = RankUpdateWire {
+                        guid,
+                        value: e.value,
+                    }
+                    .encode();
+                    fp = fold(fp, dst.index() as u64 + 1);
+                    for &b in single.iter() {
+                        fp = fold(fp, b as u64);
+                    }
                 }
                 inboxes[dst.index()].push(payload);
             }
