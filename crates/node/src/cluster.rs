@@ -118,20 +118,24 @@ impl Cluster {
         wire: WireMode,
     ) -> Self {
         assert_eq!(placement.num_docs(), graph.num_nodes());
-        let mut nodes: Vec<PeerNode> = (0..num_peers as u32)
-            .map(|i| PeerNode::with_wire(PeerId(i), cfg, wire))
+        let holder_of: Vec<PeerId> = (0..graph.num_nodes())
+            .map(|d| placement.owner(DocId::from(d)))
             .collect();
-        let mut holder_of = Vec::with_capacity(graph.num_nodes());
-        for d in 0..graph.num_nodes() {
+        // Size every node once for its documents and links, then stream
+        // each document's links straight into its holder's link array.
+        let mut sizes = vec![(0, 0); num_peers];
+        for (d, holder) in holder_of.iter().enumerate() {
+            let size = &mut sizes[holder.index()];
+            *size = (size.0 + 1, size.1 + graph.out_degree(DocId::from(d)));
+        }
+        let mut nodes: Vec<PeerNode> = (sizes.into_iter().zip(0..))
+            .map(|((docs, links), i)| PeerNode::sized(PeerId(i), cfg, wire, docs, links))
+            .collect();
+        for (d, holder) in holder_of.iter().enumerate() {
             let doc = DocId::from(d);
-            let holder = placement.owner(doc);
-            holder_of.push(holder);
-            let out: Vec<(DocId, PeerId)> = graph
-                .out_neighbors(doc)
-                .iter()
-                .map(|&t| (DocId(t), placement.owner(DocId(t))))
-                .collect();
-            nodes[holder.index()].add_document(doc, out);
+            let out = graph.out_neighbors(doc).iter();
+            let out = out.map(|&t| (DocId(t), holder_of[t as usize]));
+            nodes[holder.index()].push_document(doc, out);
         }
         Cluster {
             nodes,

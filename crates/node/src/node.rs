@@ -9,12 +9,15 @@
 //!
 //! # Document storage
 //!
-//! Documents live in a dense slab (`Vec<DocState>`, one slot per
-//! document in arrival order). The document and frame-tag indexes map
-//! straight to slot offsets, and every locally-held out-link caches its
-//! target's slot — so the apply and emit hot paths never touch a hash
-//! map. The side-indexes are rebuildable from the slab alone; they are
-//! a cache, not state.
+//! Documents live in a struct-of-arrays slab, one slot per document in
+//! arrival order (`docs`, `rank`, `advertised`, `pending`, `queued`).
+//! Out-links sit in one contiguous array, slot `s` owning
+//! `first[s]..first[s + 1]`: hot resolved target codes (a local slot,
+//! or a remote slot tagged by the `REMOTE` bit) over cold
+//! `(target, holder)` pairs. The document and frame-tag indexes map
+//! straight to slot offsets, so the apply and emit hot paths never
+//! touch a hash map. Indexes and codes are rebuildable from the slab
+//! alone; they are a cache, not state.
 //!
 //! A step's working memory is not the node's: coalescing, grouping,
 //! encoding and frame resolution run over a [`StepScratch`] the driver
@@ -107,15 +110,9 @@ pub enum DeliverStatus {
     Saturated,
 }
 
-/// One out-link: the target document, the peer holding it (the
-/// Sec. 3.2 address-cache entry), and the resolved `slot` — the target's
-/// slab slot if held here, else its index in `PeerNode::remote`.
-#[derive(Debug, Clone, Copy)]
-struct OutLink {
-    target: DocId,
-    holder: PeerId,
-    slot: u32,
-}
+/// Tag bit of a resolved link code naming a remote slot (an index into
+/// `PeerNode::remote`); a code without it is a local slab slot.
+const REMOTE: u32 = 1 << 31;
 
 /// One distinct remote `(target, holder)` of a node's out-links, with
 /// the target's cached [`Guid::frame_tag`].
@@ -124,21 +121,6 @@ struct RemoteTarget {
     doc: DocId,
     holder: PeerId,
     tag: u64,
-}
-
-/// Per-document protocol state, one slab slot each.
-#[derive(Debug, Clone)]
-struct DocState {
-    doc: DocId,
-    rank: f64,
-    advertised: f64,
-    pending: f64,
-    /// Whether this slot is on the dirty queue (pending mass may sit
-    /// at exactly zero after a cancellation, and a deferred document
-    /// stays queued across steps — the flag is the single source of
-    /// truth, so the queue never holds duplicates).
-    queued: bool,
-    out: Vec<OutLink>,
 }
 
 /// Counters a node keeps about its own behaviour.
@@ -266,14 +248,27 @@ pub struct PeerNode {
     /// Frame encoding: bit-identity `Raw` (default) or varint/f32
     /// `Compact` — see [`WireCodec`].
     codec: WireCodec,
-    /// The document slab, indexed by local slot (arrival order).
-    slots: Vec<DocState>,
+    /// The document slab: parallel vectors, one entry per slot.
+    docs: Vec<DocId>,
+    rank: Vec<f64>,
+    advertised: Vec<f64>,
+    pending: Vec<f64>,
+    /// Whether a slot is on the dirty queue: the one source of truth, so
+    /// the queue never holds duplicates (a queued slot's pending mass may
+    /// sit at exactly zero, and a deferred one stays queued across steps).
+    queued: Vec<bool>,
+    /// Slot `s`'s out-links are `links[first[s]..first[s + 1]]`: the
+    /// target and the peer holding it (the Sec. 3.2 address-cache
+    /// entry), resolved into `codes` over the same range.
+    first: Vec<u32>,
+    links: Vec<(DocId, PeerId)>,
+    codes: Vec<u32>,
     /// Rebuildable side-indexes into the slab.
     doc_index: FxHashMap<DocId, u32>,
     /// Frame-entry demultiplexer: 64-bit tag -> slab slot.
     tag_index: FxHashMap<u64, u32>,
-    /// Set when slab membership or link holders changed; the links'
-    /// resolved form is rebuilt on the next step.
+    /// Set when slab membership or link holders changed; `codes` is
+    /// rebuilt on the next step.
     links_dirty: bool,
     /// The distinct remote targets of the out-links (rebuildable, like
     /// the indexes above).
@@ -302,17 +297,38 @@ impl PeerNode {
 
     /// A node with no documents and an explicit wire mode.
     pub fn with_wire(id: PeerId, cfg: EngineConfig, wire: WireMode) -> Self {
+        PeerNode::sized(id, cfg, wire, 0, 0)
+    }
+
+    /// [`PeerNode::with_wire`] with room for `docs` documents holding
+    /// `links` out-links, so that a bulk build grows nothing.
+    pub(crate) fn sized(
+        id: PeerId,
+        cfg: EngineConfig,
+        wire: WireMode,
+        docs: usize,
+        links: usize,
+    ) -> Self {
+        let mut first = Vec::with_capacity(docs + 1);
+        first.push(0);
         PeerNode {
             id,
             cfg,
             wire,
             codec: WireCodec::Raw,
-            slots: Vec::new(),
-            doc_index: FxHashMap::default(),
-            tag_index: FxHashMap::default(),
+            docs: Vec::with_capacity(docs),
+            rank: Vec::with_capacity(docs),
+            advertised: Vec::with_capacity(docs),
+            pending: Vec::with_capacity(docs),
+            queued: Vec::with_capacity(docs),
+            first,
+            links: Vec::with_capacity(links),
+            codes: Vec::new(),
+            doc_index: FxHashMap::with_capacity_and_hasher(docs, Default::default()),
+            tag_index: FxHashMap::with_capacity_and_hasher(docs, Default::default()),
             links_dirty: false,
             remote: Vec::new(),
-            dirty: Vec::new(),
+            dirty: Vec::with_capacity(docs),
             outbox: Vec::new(),
             stats: NodeStats::default(),
             arrivals_since_step: 0,
@@ -333,7 +349,7 @@ impl PeerNode {
 
     /// Number of documents stored here.
     pub fn num_docs(&self) -> usize {
-        self.slots.len()
+        self.docs.len()
     }
 
     /// The node's counters.
@@ -350,10 +366,10 @@ impl PeerNode {
             dangling: self.dangling_advertised,
             ..Default::default()
         };
-        for s in &self.slots {
-            mb.ranks += s.rank;
-            mb.unadvertised += s.rank - s.advertised;
-            mb.pending += s.pending;
+        for s in 0..self.docs.len() {
+            mb.ranks += self.rank[s];
+            mb.unadvertised += self.rank[s] - self.advertised[s];
+            mb.pending += self.pending[s];
         }
         mb
     }
@@ -363,10 +379,11 @@ impl PeerNode {
     /// the same relative criterion the ε re-advertisement check uses,
     /// so at quiescence it is at most ε.
     pub fn max_relative_residual(&self) -> f64 {
-        self.slots
-            .iter()
+        (0..self.docs.len())
             .map(|s| {
-                (s.pending + s.rank - s.advertised).abs() / s.rank.abs().max(f64::MIN_POSITIVE)
+                let rank = self.rank[s];
+                (self.pending[s] + rank - self.advertised[s]).abs()
+                    / rank.abs().max(f64::MIN_POSITIVE)
             })
             .fold(0.0, f64::max)
     }
@@ -379,6 +396,17 @@ impl PeerNode {
     ///
     /// Panics if the document is already stored here.
     pub fn add_document(&mut self, doc: DocId, out: Vec<(DocId, PeerId)>) {
+        self.push_document(doc, out);
+    }
+
+    /// [`PeerNode::add_document`] from any link stream: the bulk path
+    /// of [`Cluster::build`](crate::cluster::Cluster::build), which
+    /// never materializes a per-document link vector.
+    pub(crate) fn push_document(
+        &mut self,
+        doc: DocId,
+        out: impl IntoIterator<Item = (DocId, PeerId)>,
+    ) {
         let base = 1.0 - self.cfg.damping;
         let slot = self.insert_slot(doc, 0.0, 0.0, base, true, out);
         self.dirty.push(slot);
@@ -395,9 +423,9 @@ impl PeerNode {
         advertised: f64,
         pending: f64,
         queued: bool,
-        out: Vec<(DocId, PeerId)>,
+        out: impl IntoIterator<Item = (DocId, PeerId)>,
     ) -> u32 {
-        let slot = self.slots.len() as u32;
+        let slot = self.docs.len() as u32;
         let prev = self.doc_index.insert(doc, slot);
         assert!(
             prev.is_none(),
@@ -410,66 +438,63 @@ impl PeerNode {
         assert!(
             prev_tag.is_none(),
             "frame tag collision between {doc} and {} on {}",
-            self.slots[prev_tag.unwrap() as usize].doc,
+            self.docs[prev_tag.unwrap() as usize],
             self.id
         );
-        self.slots.push(DocState {
-            doc,
-            rank,
-            advertised,
-            pending,
-            queued,
-            out: out
-                .into_iter()
-                .map(|(target, holder)| OutLink {
-                    target,
-                    holder,
-                    slot: u32::MAX,
-                })
-                .collect(),
-        });
+        self.docs.push(doc);
+        self.rank.push(rank);
+        self.advertised.push(advertised);
+        self.pending.push(pending);
+        self.queued.push(queued);
+        self.links.extend(out);
+        assert!(self.links.len() < REMOTE as usize, "too many links");
+        self.first.push(self.links.len() as u32);
         self.links_dirty = true;
         slot
     }
 
-    /// Rebuilds the resolved form of every out-link — runs at the
-    /// start of the next step after slab membership or link holders
-    /// changed, restoring the no-hash-lookup emit path.
+    /// Slot `s`'s range in the link array.
+    fn out_range(&self, s: usize) -> std::ops::Range<usize> {
+        self.first[s] as usize..self.first[s + 1] as usize
+    }
+
+    /// Rebuilds the resolved link codes — runs at the start of the
+    /// next step after slab membership or link holders changed,
+    /// restoring the no-hash-lookup emit path.
     fn resolve_links(&mut self, sc: &mut StepScratch) {
         self.links_dirty = false;
         let (id, doc_index, remote) = (self.id, &self.doc_index, &mut self.remote);
         remote.clear();
-        for link in self.slots.iter_mut().flat_map(|s| s.out.iter_mut()) {
-            link.slot = if link.holder == id {
-                *doc_index
-                    .get(&link.target)
-                    .expect("locally-held link target stored on this peer")
-            } else {
-                let key = (link.target, link.holder);
-                *sc.remote_ix.entry(key).or_insert_with(|| {
-                    remote.push(RemoteTarget {
-                        doc: link.target,
-                        holder: link.holder,
-                        tag: Guid::for_document(link.target).frame_tag(),
-                    });
-                    remote.len() as u32 - 1
-                })
-            };
-        }
+        self.codes.clear();
+        self.codes
+            .extend(self.links.iter().map(|&(target, holder)| {
+                if holder == id {
+                    return *doc_index
+                        .get(&target)
+                        .expect("locally-held link target stored on this peer");
+                }
+                REMOTE
+                    | *sc.remote_ix.entry((target, holder)).or_insert_with(|| {
+                        remote.push(RemoteTarget {
+                            doc: target,
+                            holder,
+                            tag: Guid::for_document(target).frame_tag(),
+                        });
+                        remote.len() as u32 - 1
+                    })
+            }));
         remote.shrink_to_fit();
         sc.remote_ix.clear();
     }
 
     /// Current rank of a local document, if stored here.
     pub fn rank_of(&self, doc: DocId) -> Option<f64> {
-        self.doc_index
-            .get(&doc)
-            .map(|&s| self.slots[s as usize].rank)
+        self.doc_index.get(&doc).map(|&s| self.rank[s as usize])
     }
 
     /// Every stored document with its current rank, in slab order.
     pub fn doc_ranks(&self) -> impl Iterator<Item = (DocId, f64)> + '_ {
-        self.slots.iter().map(|s| (s.doc, s.rank))
+        self.docs.iter().copied().zip(self.rank.iter().copied())
     }
 
     /// [`PeerNode::handle_message_with`] with a scratch of its own.
@@ -556,12 +581,12 @@ impl PeerNode {
 
     /// The slab-slot increment path shared by every apply route.
     fn apply_slot(&mut self, slot: u32, delta: f64) {
-        let state = &mut self.slots[slot as usize];
-        if !state.queued && delta != 0.0 {
-            state.queued = true;
+        let s = slot as usize;
+        if !self.queued[s] && delta != 0.0 {
+            self.queued[s] = true;
             self.dirty.push(slot);
         }
-        state.pending += delta;
+        self.pending[s] += delta;
     }
 
     /// Whether this node has pending work (deferred documents count).
@@ -588,10 +613,10 @@ impl PeerNode {
         // Canonical order: the selection must be a function of the
         // dirty *set*, not of arrival order (see sched module docs).
         work.sort_unstable();
-        let slots = &self.slots;
+        let (pending, rank, advertised) = (&self.pending, &self.rank, &self.advertised);
         let residual = |s: u32| {
-            let d = &slots[s as usize];
-            d.pending + d.rank - d.advertised
+            let s = s as usize;
+            pending[s] + rank[s] - advertised[s]
         };
         match self.cfg.sched {
             SchedMode::Pass => unreachable!("handled above"),
@@ -602,7 +627,7 @@ impl PeerNode {
             }
             SchedMode::Greedy => {
                 partition_by_greedy(work, &mut sc.deferred, &mut sc.keys, residual, |s| {
-                    slots[s as usize].out.len()
+                    self.out_range(s as usize).len()
                 })
             }
         }
@@ -644,40 +669,39 @@ impl PeerNode {
         // Phase 1: apply.
         sc.senders.clear();
         for &slot in &sc.work {
-            let state = &mut self.slots[slot as usize];
-            state.queued = false;
-            let delta = std::mem::take(&mut state.pending);
-            state.rank += delta;
-            let rel =
-                (state.rank - state.advertised).abs() / state.rank.abs().max(f64::MIN_POSITIVE);
+            let s = slot as usize;
+            self.queued[s] = false;
+            let rank = self.rank[s] + std::mem::take(&mut self.pending[s]);
+            self.rank[s] = rank;
+            let rel = (rank - self.advertised[s]).abs() / rank.abs().max(f64::MIN_POSITIVE);
             if rel > self.cfg.epsilon {
-                sc.senders.push((slot, state.rank));
+                sc.senders.push((slot, rank));
             }
         }
         sc.work.clear();
-        // Phase 2: send.
+        // Phase 2: send, walking each sender's range of the link array.
         sc.begin(self.remote.len());
         for k in 0..sc.senders.len() {
             let (slot, rank) = sc.senders[k];
-            let state = &mut self.slots[slot as usize];
-            let moved = rank - state.advertised;
-            state.advertised = rank;
-            if state.out.is_empty() {
+            let s = slot as usize;
+            let moved = rank - self.advertised[s];
+            self.advertised[s] = rank;
+            let out = self.out_range(s);
+            if out.is_empty() {
                 self.dangling_advertised += moved;
                 continue;
             }
-            let send = self.cfg.damping * moved / state.out.len() as f64;
-            let out = std::mem::take(&mut state.out);
-            for link in &out {
-                if link.holder == self.id {
-                    self.apply_slot(link.slot, send);
+            let send = self.cfg.damping * moved / out.len() as f64;
+            for i in out {
+                let code = self.codes[i];
+                if code & REMOTE == 0 {
+                    self.apply_slot(code, send);
                     self.stats.local_updates += 1;
                 } else {
-                    sc.emit(link.slot, &self.remote, send);
+                    sc.emit(code & !REMOTE, &self.remote, send);
                     self.stats.emitted_remote += 1;
                 }
             }
-            self.slots[slot as usize].out = out;
         }
         // Deferred documents rejoin the queue behind any work phase 2
         // freshly produced; they kept `queued` and their pending mass.
@@ -750,16 +774,24 @@ impl PeerNode {
         self.dirty.clear();
         self.doc_index.clear();
         self.tag_index.clear();
-        self.slots
-            .drain(..)
+        let exports = (0..self.docs.len())
             .map(|s| DocExport {
-                doc: s.doc,
-                rank: s.rank,
-                advertised: s.advertised,
-                pending: s.pending,
-                out: s.out.iter().map(|l| (l.target, l.holder)).collect(),
+                doc: self.docs[s],
+                rank: self.rank[s],
+                advertised: self.advertised[s],
+                pending: self.pending[s],
+                out: self.links[self.out_range(s)].to_vec(),
             })
-            .collect()
+            .collect();
+        self.docs.clear();
+        for v in [&mut self.rank, &mut self.advertised, &mut self.pending] {
+            v.clear();
+        }
+        self.queued.clear();
+        self.first.truncate(1);
+        self.links.clear();
+        self.links_dirty = true;
+        exports
     }
 
     /// Imports a migrated document, preserving its protocol state.
@@ -789,12 +821,10 @@ impl PeerNode {
     /// fresh lookup, done eagerly here).
     pub fn rehome_links(&mut self, departed: PeerId, reassign: &dyn Fn(DocId) -> PeerId) -> usize {
         let mut updated = 0;
-        for state in &mut self.slots {
-            for link in state.out.iter_mut() {
-                if link.holder == departed {
-                    link.holder = reassign(link.target);
-                    updated += 1;
-                }
+        for (target, holder) in &mut self.links {
+            if *holder == departed {
+                *holder = reassign(*target);
+                updated += 1;
             }
         }
         if updated > 0 {
@@ -1219,7 +1249,10 @@ mod tests {
         /// points — byte-identical payloads — for arbitrary link
         /// shapes and frame caps (the 1-entry cap included), in both
         /// codecs, with one scratch lent to two nodes in turn over
-        /// several steps.
+        /// several steps. Mid-run each node exports every document,
+        /// imports them back in the same order and re-homes one
+        /// holder's links onto a spare peer and back: the rebuilt link
+        /// array and slot map must not move a byte.
         #[test]
         fn emit_path_matches_the_flush_buffer_model(
             shapes in proptest::collection::vec(
@@ -1228,6 +1261,8 @@ mod tests {
             max_frame_bytes in 0usize..120,
             compact in proptest::prelude::any::<bool>(),
             steps in 1usize..4,
+            handoff_at in 0usize..3,
+            departed in 1u32..6,
         ) {
             let wire = WireMode { max_frame_bytes };
             let codec = if compact { WireCodec::Compact } else { WireCodec::Raw };
@@ -1250,8 +1285,17 @@ mod tests {
             }
             let mut sc = StepScratch::default();
             let mut extra = extras.iter().cycle();
-            for _ in 0..steps {
+            for step in 0..steps {
                 for (node, model) in &mut pairs {
+                    if step == handoff_at % steps {
+                        for export in node.export_documents() {
+                            node.import_document(export);
+                        }
+                        let spare = PeerId(9);
+                        let away = node.rehome_links(PeerId(departed), &|_| spare);
+                        let back = node.rehome_links(spare, &|_| PeerId(departed));
+                        proptest::prop_assert_eq!(away, back);
+                    }
                     node.step_with(&mut sc, &NOOP);
                     let got: Vec<(PeerId, Bytes)> = sc.outbox.drain(..).collect();
                     proptest::prop_assert_eq!(got, model.step(1e-9));

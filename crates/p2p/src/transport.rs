@@ -14,7 +14,7 @@
 //! counts are the paper's primary traffic metric (Table 3).
 
 use crate::peer::{PeerId, PeerTable};
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 use dpr_telemetry::{Metric, Recorder};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -515,15 +515,16 @@ impl RankUpdateWire {
     }
 
     /// [`RankUpdateWire::decode`] over a borrowed payload.
-    pub fn parse(mut bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() != RANK_UPDATE_WIRE_BYTES {
+    pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+        // Three little-endian words: GUID low half, GUID high half, value.
+        let ([lo, hi, value], []) = bytes.as_chunks::<8>() else {
             return Err(WireError::BadLength(bytes.len()));
-        }
-        let guid = bytes.get_u128_le();
-        let value = bytes.get_f64_le();
+        };
+        let value = f64::from_le_bytes(*value);
         if !value.is_finite() {
             return Err(WireError::NonFiniteValue);
         }
+        let guid = u128::from(u64::from_le_bytes(*lo)) | u128::from(u64::from_le_bytes(*hi)) << 64;
         Ok(RankUpdateWire { guid, value })
     }
 }
@@ -605,12 +606,11 @@ impl UpdateFrameWire {
         assert!(entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
         buf.clear();
         buf.reserve(frame_wire_bytes(entries.len()));
-        buf.put_u8(FRAME_MAGIC);
-        buf.put_u8(FRAME_VERSION);
-        buf.put_u16_le(entries.len() as u16);
+        buf.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION]);
+        buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
         for e in entries {
-            buf.put_u64_le(e.tag);
-            buf.put_f64_le(e.value);
+            buf.extend_from_slice(&e.tag.to_le_bytes());
+            buf.extend_from_slice(&e.value.to_le_bytes());
         }
         Bytes::from(buf.as_slice())
     }
@@ -626,33 +626,36 @@ impl UpdateFrameWire {
     /// in wire order. `f` may already have seen a prefix when a later
     /// entry fails validation, so callers that must stay atomic stage
     /// what they see and commit only on `Ok`.
-    pub fn visit(mut bytes: &[u8], mut f: impl FnMut(FrameEntry)) -> Result<(), WireError> {
+    pub fn visit(bytes: &[u8], mut f: impl FnMut(FrameEntry)) -> Result<(), WireError> {
         let len = bytes.len();
-        if len < FRAME_HEADER_BYTES {
+        let Some((&[magic, version, lo, hi], body)) = bytes.split_first_chunk() else {
             return Err(WireError::BadLength(len));
-        }
-        let magic = bytes.get_u8();
+        };
         if magic != FRAME_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = bytes.get_u8();
         if version != FRAME_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let count = bytes.get_u16_le() as usize;
+        let count = u16::from_le_bytes([lo, hi]) as usize;
         if count == 0 {
             return Err(WireError::EmptyFrame);
         }
         if len != frame_wire_bytes(count) {
             return Err(WireError::BadLength(len));
         }
-        for _ in 0..count {
-            let tag = bytes.get_u64_le();
-            let value = bytes.get_f64_le();
+        // Exactly `count` entries are left; read as a little-endian
+        // u128, each holds the tag in its low half, the value's bits high.
+        for entry in body.as_chunks::<FRAME_ENTRY_BYTES>().0 {
+            let bits = u128::from_le_bytes(*entry);
+            let value = f64::from_bits((bits >> 64) as u64);
             if !value.is_finite() {
                 return Err(WireError::NonFiniteValue);
             }
-            f(FrameEntry { tag, value });
+            f(FrameEntry {
+                tag: bits as u64,
+                value,
+            });
         }
         Ok(())
     }
@@ -767,20 +770,20 @@ pub struct CompactFrameWire {
 
 fn put_varint(b: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
-        b.put_u8((v as u8 & 0x7f) | 0x80);
+        b.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
     }
-    b.put_u8(v as u8);
+    b.push(v as u8);
 }
 
 fn get_varint(bytes: &mut &[u8]) -> Result<u32, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if bytes.is_empty() || shift > 28 {
+        let Some((&byte, rest)) = bytes.split_first().filter(|_| shift <= 28) else {
             return Err(WireError::BadDocEncoding);
-        }
-        let byte = bytes.get_u8();
+        };
+        *bytes = rest;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             break;
@@ -816,9 +819,8 @@ impl CompactFrameWire {
         assert!(entries.len() <= FRAME_MAX_ENTRIES, "oversized frame");
         buf.clear();
         buf.reserve(COMPACT_HEADER_BYTES + entries.len() * 9);
-        buf.put_u8(COMPACT_MAGIC);
-        buf.put_u8(COMPACT_VERSION);
-        buf.put_u16_le(entries.len() as u16);
+        buf.extend_from_slice(&[COMPACT_MAGIC, COMPACT_VERSION]);
+        buf.extend_from_slice(&(entries.len() as u16).to_le_bytes());
         let mut prev: Option<u32> = None;
         for e in entries {
             assert!(e.value.is_finite(), "non-finite value in compact frame");
@@ -830,10 +832,10 @@ impl CompactFrameWire {
                 }
             }
             prev = Some(e.doc);
-            buf.put_u32_le(e.value.to_bits());
+            buf.extend_from_slice(&e.value.to_le_bytes());
         }
         if buf.len() == RANK_UPDATE_WIRE_BYTES {
-            buf.put_u8(0);
+            buf.push(0);
         }
         Bytes::from(buf.as_slice())
     }
@@ -847,20 +849,21 @@ impl CompactFrameWire {
 
     /// Validates a compact frame payload in place, handing each entry
     /// to `f` in wire order (the [`UpdateFrameWire::visit`] contract).
-    pub fn visit(mut bytes: &[u8], mut f: impl FnMut(CompactEntry)) -> Result<(), WireError> {
+    pub fn visit(bytes: &[u8], mut f: impl FnMut(CompactEntry)) -> Result<(), WireError> {
         let len = bytes.len();
-        if len < COMPACT_HEADER_BYTES || len == RANK_UPDATE_WIRE_BYTES {
+        let Some((&[magic, version, lo, hi], mut bytes)) = bytes
+            .split_first_chunk()
+            .filter(|_| len != RANK_UPDATE_WIRE_BYTES)
+        else {
             return Err(WireError::BadLength(len));
-        }
-        let magic = bytes.get_u8();
+        };
         if magic != COMPACT_MAGIC {
             return Err(WireError::BadMagic(magic));
         }
-        let version = bytes.get_u8();
         if version != COMPACT_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let count = bytes.get_u16_le() as usize;
+        let count = u16::from_le_bytes([lo, hi]) as usize;
         if count == 0 {
             return Err(WireError::EmptyFrame);
         }
@@ -877,10 +880,11 @@ impl CompactFrameWire {
                 }
             };
             prev = Some(doc);
-            if bytes.len() < 4 {
+            let Some((&value, rest)) = bytes.split_first_chunk() else {
                 return Err(WireError::BadLength(len));
-            }
-            let value = f32::from_bits(bytes.get_u32_le());
+            };
+            bytes = rest;
+            let value = f32::from_le_bytes(value);
             if !value.is_finite() {
                 return Err(WireError::NonFiniteValue);
             }
@@ -897,7 +901,7 @@ impl CompactFrameWire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{Buf, BufMut, BytesMut};
 
     // Toy payloads for transport-mechanics tests report their
     // in-memory size and opt out of fault corruption (the trait's
@@ -1464,12 +1468,64 @@ mod tests {
         assert_eq!(got.entries[0].value, 0.5 + MASS_LEAK_DELTA as f32);
     }
 
-    /// The frame decoders as they stood before the in-place visitors
-    /// (a `Bytes` read cursor, entries collected as they parse), kept
-    /// as the reference model of the proptests below — verbatim but for
-    /// the compact decoder's refusal of the 24-byte length.
+    /// The codecs as they stood on `bytes::{Buf, BufMut}` — a `Bytes`
+    /// read cursor and one `put_*` call per field — kept as the
+    /// reference model of the proptests below. The decoders are verbatim
+    /// but for the compact decoder's refusal of the 24-byte length.
     mod cursor_model {
         use super::*;
+
+        pub fn encode_raw(entries: &[FrameEntry]) -> Bytes {
+            let mut buf = Vec::with_capacity(frame_wire_bytes(entries.len()));
+            buf.put_u8(FRAME_MAGIC);
+            buf.put_u8(FRAME_VERSION);
+            buf.put_u16_le(entries.len() as u16);
+            for e in entries {
+                buf.put_u64_le(e.tag);
+                buf.put_f64_le(e.value);
+            }
+            Bytes::from(buf)
+        }
+
+        fn put_varint(b: &mut Vec<u8>, mut v: u32) {
+            while v >= 0x80 {
+                b.put_u8((v as u8 & 0x7f) | 0x80);
+                v >>= 7;
+            }
+            b.put_u8(v as u8);
+        }
+
+        pub fn encode_compact(entries: &[CompactEntry]) -> Bytes {
+            let mut buf = Vec::with_capacity(COMPACT_HEADER_BYTES + entries.len() * 9);
+            buf.put_u8(COMPACT_MAGIC);
+            buf.put_u8(COMPACT_VERSION);
+            buf.put_u16_le(entries.len() as u16);
+            let mut prev: Option<u32> = None;
+            for e in entries {
+                match prev {
+                    None => put_varint(&mut buf, e.doc),
+                    Some(p) => put_varint(&mut buf, e.doc - p),
+                }
+                prev = Some(e.doc);
+                buf.put_u32_le(e.value.to_bits());
+            }
+            if buf.len() == RANK_UPDATE_WIRE_BYTES {
+                buf.put_u8(0);
+            }
+            Bytes::from(buf)
+        }
+
+        pub fn single(mut bytes: Bytes) -> Result<RankUpdateWire, WireError> {
+            if bytes.len() != RANK_UPDATE_WIRE_BYTES {
+                return Err(WireError::BadLength(bytes.len()));
+            }
+            let guid = bytes.get_u128_le();
+            let value = bytes.get_f64_le();
+            if !value.is_finite() {
+                return Err(WireError::NonFiniteValue);
+            }
+            Ok(RankUpdateWire { guid, value })
+        }
 
         pub fn raw(mut bytes: Bytes) -> Result<UpdateFrameWire, WireError> {
             let len = bytes.len();
@@ -1567,11 +1623,27 @@ mod tests {
         }
     }
 
+    /// `bytes` damaged: `mutation` 1 truncates at `at`, 2 flips bit
+    /// `at`, 4 replaces the payload with `noise`, 5 zeroes the header's
+    /// entry count, 6 appends two or more trailing bytes of `noise`;
+    /// anything else leaves it alone.
+    fn damage(mut bytes: Vec<u8>, mutation: u8, at: usize, noise: &[u8]) -> Bytes {
+        let n = bytes.len();
+        match mutation {
+            1 => bytes.truncate(at % (n + 1)),
+            2 if n > 0 => bytes[at / 8 % n] ^= 1 << (at % 8),
+            4 => bytes = noise.to_vec(),
+            5 if n >= 4 => bytes[2..4].fill(0),
+            6 => bytes.extend([0xA5, 0x5A].iter().chain(noise).take(2 + at % 7)),
+            _ => {}
+        }
+        Bytes::from(bytes)
+    }
+
     /// A well-formed payload of one of three kinds — a 24-byte
-    /// [`RankUpdateWire`], a raw frame, a compact frame — then damaged:
-    /// `mutation` 0 leaves it alone, 1 truncates at `at`, 2 flips bit
-    /// `at`, 3 overwrites the value of entry `at` with a NaN, 4 replaces
-    /// the payload with `noise`.
+    /// [`RankUpdateWire`], a raw frame, a compact frame — then
+    /// [`damage`]d, or with `mutation` 3 the value of entry `at`
+    /// overwritten with a NaN.
     fn damaged_payload(
         kind: u8,
         entries: &[(u32, f64)],
@@ -1599,18 +1671,14 @@ mod tests {
             }
         }
         .to_vec();
-        let n = bytes.len();
         match mutation {
-            1 => bytes.truncate(at % (n + 1)),
-            2 => bytes[at / 8 % n] ^= 1 << (at % 8),
             // The value field of the single, or of raw entry `at`.
             3 if kind == 0 => bytes[16..].copy_from_slice(&f64::NAN.to_le_bytes()),
             3 if kind == 1 => {
                 let off = FRAME_HEADER_BYTES + FRAME_ENTRY_BYTES * (at % entries.len()) + 8;
                 bytes[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
             }
-            4 => bytes = noise.to_vec(),
-            _ => {}
+            _ => return damage(bytes, mutation, at, noise),
         }
         Bytes::from(bytes)
     }
@@ -1625,7 +1693,7 @@ mod tests {
         fn visitors_match_the_cursor_decoders(
             kind in 0u8..3,
             entries in proptest::collection::vec((0u32..400, -4.0f64..4.0), 1..40),
-            mutation in 0u8..5,
+            mutation in 0u8..7,
             at in 0usize..4096,
             noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
         ) {
@@ -1648,8 +1716,12 @@ mod tests {
                 proptest::prop_assert_eq!(&seen, &frame.entries);
             }
 
-            // A single either parses or names the same error, and the
-            // borrowed and owned entry points agree.
+            // A single either parses or names the same error as the
+            // cursor model, and the borrowed and owned entry points agree.
+            proptest::prop_assert_eq!(
+                RankUpdateWire::parse(&payload),
+                cursor_model::single(payload.clone())
+            );
             proptest::prop_assert_eq!(
                 RankUpdateWire::parse(&payload),
                 RankUpdateWire::decode(payload.clone())
@@ -1838,6 +1910,87 @@ mod tests {
             .encode();
             proptest::prop_assert_eq!(payload_entries(&raw), payload_entries(&b));
             proptest::prop_assert_eq!(payload_mass(&raw), payload_mass(&b));
+        }
+
+        /// The slice codecs against the `Buf`/`BufMut` models: arbitrary
+        /// raw entries (any tag, any finite value bits) and compact frames
+        /// whose doc gaps run from 1 up to near `u32::MAX` — or, with
+        /// `pad`, four one-byte gaps, the 24-byte case that takes the pad
+        /// byte — encode to byte-equal payloads; and those payloads
+        /// truncated, bit-flipped, replaced by noise, zero-counted or given
+        /// trailing bytes decode to the same entries or the same
+        /// [`WireError`] variant.
+        #[test]
+        fn slice_codecs_match_the_buf_models(
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()), 1..40),
+            first in proptest::prelude::any::<u32>(),
+            gaps in proptest::collection::vec((0u8..3, proptest::prelude::any::<u32>()), 0..40),
+            values in proptest::collection::vec(proptest::prelude::any::<u32>(), 41..42),
+            pad in proptest::prelude::any::<bool>(),
+            mutation in 0u8..7,
+            at in 0usize..4096,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..60),
+        ) {
+            let raw: Vec<FrameEntry> = raw
+                .iter()
+                .map(|&(tag, bits)| {
+                    let value = f64::from_bits(bits);
+                    FrameEntry { tag, value: if value.is_finite() { value } else { -0.5 } }
+                })
+                .collect();
+            // Docs ascend by small, mid-sized or near-`u32::MAX` gaps until
+            // the next one would overflow.
+            let mut docs = vec![if pad { first % 128 } else { first }];
+            for &(size, g) in &gaps {
+                let gap = match size {
+                    _ if pad => 1 + g % 127,
+                    0 => 1 + g % 300,
+                    1 => 1 + g % (1 << 21),
+                    _ => u32::MAX - g % 1024,
+                };
+                match docs.last().unwrap().checked_add(gap) {
+                    Some(doc) => docs.push(doc),
+                    None => break,
+                }
+            }
+            if pad {
+                docs.resize(4, 0);
+                for i in 1..4 {
+                    docs[i] = docs[i - 1] + 1 + gaps.get(i).map_or(0, |g| g.1 % 127);
+                }
+            }
+            let compact: Vec<CompactEntry> = docs
+                .iter()
+                .zip(&values)
+                .map(|(&doc, &bits)| {
+                    let value = f32::from_bits(bits);
+                    CompactEntry { doc, value: if value.is_finite() { value } else { 0.25 } }
+                })
+                .collect();
+
+            let raw_bytes = UpdateFrameWire { entries: raw.clone() }.encode();
+            let compact_bytes = CompactFrameWire { entries: compact.clone() }.encode();
+            proptest::prop_assert_eq!(&raw_bytes, &cursor_model::encode_raw(&raw));
+            proptest::prop_assert_eq!(&compact_bytes, &cursor_model::encode_compact(&compact));
+            if pad {
+                proptest::prop_assert_eq!(compact_bytes.len(), RANK_UPDATE_WIRE_BYTES + 1);
+            }
+            for good in [raw_bytes, compact_bytes] {
+                let payload = damage(good.to_vec(), mutation, at, &noise);
+                proptest::prop_assert_eq!(
+                    UpdateFrameWire::decode(payload.clone()),
+                    cursor_model::raw(payload.clone())
+                );
+                proptest::prop_assert_eq!(
+                    CompactFrameWire::decode(payload.clone()),
+                    cursor_model::compact(payload.clone())
+                );
+                proptest::prop_assert_eq!(
+                    RankUpdateWire::parse(&payload),
+                    cursor_model::single(payload.clone())
+                );
+            }
         }
     }
 }

@@ -41,6 +41,9 @@ enum Policy {
 /// Hop-charging state shared across a run.
 pub struct HopAccounting {
     ring: Ring,
+    /// Each peer's GUID by peer id, hashed once here so that a
+    /// per-frame charge never re-hashes its destination.
+    peer_guids: Vec<Guid>,
     router: Router,
     caches: CacheSet,
     policy: Policy,
@@ -62,25 +65,23 @@ impl std::fmt::Debug for HopAccounting {
 impl HopAccounting {
     /// Route every message through the overlay.
     pub fn routed(ring: Ring) -> Self {
-        let n = ring.len();
-        HopAccounting {
-            ring,
-            router: Router::new(),
-            caches: CacheSet::new(n),
-            policy: Policy::RouteEveryMessage,
-            rec: None,
-        }
+        HopAccounting::with_policy(ring, Policy::RouteEveryMessage)
     }
 
     /// Route the first message per (source peer, document), then cache
     /// the destination address and go direct.
     pub fn cached(ring: Ring) -> Self {
-        let n = ring.len();
+        HopAccounting::with_policy(ring, Policy::CacheAfterFirst)
+    }
+
+    fn with_policy(ring: Ring, policy: Policy) -> Self {
+        let ids = ring.peers().map(|p| p.0 + 1).max().unwrap_or(0);
         HopAccounting {
+            peer_guids: (0..ids).map(Guid::for_peer).collect(),
+            caches: CacheSet::new(ring.len()),
             ring,
             router: Router::new(),
-            caches: CacheSet::new(n),
-            policy: Policy::CacheAfterFirst,
+            policy,
             rec: None,
         }
     }
@@ -126,7 +127,10 @@ impl HopAccounting {
     /// per-frame charge that replaces per-update routing when
     /// aggregation is on.
     pub fn charge_peer(&mut self, src: PeerId, dst: PeerId) -> u32 {
-        let guid = Guid::for_peer(dst.0);
+        let guid = match self.peer_guids.get(dst.index()) {
+            Some(&guid) => guid,
+            None => Guid::for_peer(dst.0),
+        };
         match self.policy {
             Policy::RouteEveryMessage => self.route_cost(src, dst, guid),
             Policy::CacheAfterFirst => {
