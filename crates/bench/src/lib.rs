@@ -24,8 +24,7 @@
 //! (the shared [`dpr_core::SCHED_HELP`] mode list) to pick the
 //! scheduler: full sweep, residual-driven Gauss–Southwell bucket
 //! selection, or greedy matching pursuit. A flag no binary reads is an
-//! error, not silence. `cargo bench -p dpr-bench` runs the criterion
-//! micro-benchmarks over the hot kernels.
+//! error, not silence.
 //!
 //! The ledger — the checked-in `BENCH_*.json` files, modelled units
 //! only (`perf/` owns host seconds) — is written by `continuous`'s

@@ -22,7 +22,6 @@
 use dpr_bench::{run_cell, Cell, Layer};
 use dpr_core::{RunMode, SchedMode};
 use dpr_node::termination::TerminationDetector;
-use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::WireCodec::{self, Compact, Raw};
 use dpr_sim::event::{run_chaotic, ChaoticOutcome, LatencyModel};
 use dpr_sim::{batch::run_wire_mode, flight::profile_run, spec::ScenarioSpec, Workload};
@@ -150,9 +149,8 @@ fn rerun_cells(w: &Workload) {
         let (mut cluster, mut det) = (s.cluster(w), TerminationDetector::new(w.num_peers));
         let (peers, config) = (w.peer_table(), s.chaotic_config());
         let out = run_chaotic(&mut cluster, &peers, &config, &mut det, 1 << 30, &NOOP);
-        let node = |p| cluster.node(PeerId(p)).stats().emitted_remote;
         let (ranks, bytes) = (cluster.collect_ranks(2_000), cluster.traffic().bytes_sent);
-        let emitted = (0..w.num_peers as u32).map(node).sum();
+        let emitted = cluster.node_stats().emitted_remote;
         assert_eq!(rerun(&out, ranks, emitted, bytes), line(&c));
         let rec = TraceRecorder::new();
         let run = profile_run(w, &s, None, &rec);

@@ -837,9 +837,10 @@ fn report_fault(
 /// fingerprint-verified first, so the profile describes a proven
 /// bit-exact schedule), or an already-recorded trace JSONL with
 /// `span_closed` events (`--input`). Each chaotic segment becomes one
-/// [`Profile`]: the compute/wire/wait breakdown of the virtual
-/// wall-clock, the critical path from the quiescence announcement back
-/// to the seed, per-link utilization, and per-peer convergence lag.
+/// [`Profile`](dpr_telemetry::Profile): the compute/wire/wait
+/// breakdown of the virtual wall-clock, the critical path from the
+/// quiescence announcement back to the seed, per-link utilization, and
+/// per-peer convergence lag.
 /// The breakdown is checked to telescope exactly to the segment's
 /// virtual time — a mismatch is a profiler bug and exits nonzero.
 /// `--perfetto-out` writes all segments as Chrome trace-event JSON

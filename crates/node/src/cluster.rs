@@ -8,7 +8,7 @@
 //! deployable shape of the algorithm — nothing in it reads global
 //! state except the test-only convergence check.
 
-use crate::node::{DeliverStatus, PeerNode, StepScratch, WireMode};
+use crate::node::{DeliverStatus, NodeStats, PeerNode, StepScratch, WireMode};
 use bytes::Bytes;
 use dpr_core::engine::EngineConfig;
 use dpr_graph::{CsrGraph, DocId};
@@ -155,9 +155,9 @@ impl Cluster {
     }
 
     /// Installs a telemetry recorder on the underlying transport, so
-    /// every wire send feeds the payload/byte/parked series. Round- and
-    /// node-level events still require driving the cluster through
-    /// [`Cluster::round_observed`] / [`Cluster::run_observed`].
+    /// every wire send feeds the payload/byte/parked series. Round-,
+    /// node- and certificate events come only from the recorder handed
+    /// to [`Cluster::run_observed`] (or one [`Cluster::round_observed`]).
     pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
         self.transport.set_recorder(rec);
     }
@@ -174,6 +174,24 @@ impl Cluster {
     /// The node of peer `p`.
     pub fn node(&self, p: PeerId) -> &PeerNode {
         &self.nodes[p.index()]
+    }
+
+    /// Every node's counters summed, except `inbox_hwm`: the largest
+    /// node's high-water mark.
+    pub fn node_stats(&self) -> NodeStats {
+        let add = |t: NodeStats, s: NodeStats| NodeStats {
+            received: t.received + s.received,
+            sent_remote: t.sent_remote + s.sent_remote,
+            emitted_remote: t.emitted_remote + s.emitted_remote,
+            local_updates: t.local_updates + s.local_updates,
+            frames_sent: t.frames_sent + s.frames_sent,
+            rejected: t.rejected + s.rejected,
+            inbox_hwm: t.inbox_hwm.max(s.inbox_hwm),
+        };
+        self.nodes
+            .iter()
+            .map(PeerNode::stats)
+            .fold(NodeStats::default(), add)
     }
 
     /// Executes one round over the online peers.
@@ -381,15 +399,10 @@ impl Cluster {
     /// calls this on a virtual-time cadence with its own tick.
     /// O(docs + queued payloads).
     pub fn audit_at<R: Recorder + ?Sized>(&self, round: u64, rec: &R) {
-        let mut mb = MassBreakdown::default();
-        let (mut docs, mut emitted, mut sent, mut received) = (0usize, 0u64, 0u64, 0u64);
+        let (mut mb, mut docs) = (MassBreakdown::default(), 0usize);
         for n in &self.nodes {
             mb.merge(n.mass_breakdown());
             docs += n.num_docs();
-            let s = n.stats();
-            emitted += s.emitted_remote;
-            sent += s.sent_remote;
-            received += s.received;
         }
         rec.event(&mb.ledger_event(
             "cluster",
@@ -418,11 +431,12 @@ impl Cluster {
                 (skew_peer, skew) = (i as u32, s);
             }
         }
+        let t = self.node_stats();
         rec.event(&Event::BalanceLedger {
             round,
-            emitted,
-            sent,
-            received,
+            emitted: t.emitted_remote,
+            sent: t.sent_remote,
+            received: t.received,
             in_flight_entries: self.transport.in_flight_entries(),
             skew_peer,
             skew,
@@ -439,19 +453,13 @@ impl Cluster {
         if !rec.enabled() {
             return;
         }
-        let (mut sent, mut received) = (0u64, 0u64);
-        for n in &self.nodes {
-            let s = n.stats();
-            sent += s.sent_remote;
-            received += s.received;
-        }
-        let in_flight_entries = self.transport.in_flight_entries();
+        let (t, in_flight_entries) = (self.node_stats(), self.transport.in_flight_entries());
         rec.event(&Event::QuiescenceCert {
             round: self.rounds as u64,
             in_flight_entries,
             parked: self.transport.total_pending() as u64,
             nodes_with_work: self.nodes.iter().filter(|n| n.has_work()).count() as u64,
-            token: sent as i64 - received as i64 - in_flight_entries as i64,
+            token: t.sent_remote as i64 - t.received as i64 - in_flight_entries as i64,
             max_residual: self
                 .nodes
                 .iter()
@@ -489,22 +497,26 @@ impl Cluster {
         max_rounds: usize,
         churn: Option<&mut dpr_core::engine::ChurnFn<'_>>,
     ) -> (usize, bool) {
-        self.run_observed(peers, max_rounds, churn, &NOOP)
+        self.run_observed(peers, max_rounds, churn, None, &NOOP)
     }
 
-    /// [`Cluster::run_to_convergence`] recording telemetry: observed
-    /// rounds plus one [`Event::PeerChurn`] per presence flip the
-    /// churn callback makes.
+    /// The cluster's one rounds-to-quiescence loop:
+    /// [`Cluster::run_to_convergence`] with the per-send hop model of
+    /// [`Cluster::round_with_hops`], recording observed rounds, one
+    /// [`Event::PeerChurn`] per presence flip the churn callback makes,
+    /// and the closing [`Event::QuiescenceCert`]. The protocol never
+    /// sees `rec`: every recorder gives the same rounds and ranks.
     pub fn run_observed<R: Recorder + ?Sized>(
         &mut self,
         peers: &mut PeerTable,
         max_rounds: usize,
         mut churn: Option<&mut dpr_core::engine::ChurnFn<'_>>,
+        mut hops: Option<&mut HopHook<'_>>,
         rec: &R,
     ) -> (usize, bool) {
         let mut executed = 0;
         while executed < max_rounds && !self.is_quiescent() {
-            self.round_observed(peers, None, rec);
+            self.round_observed(peers, hops.as_deref_mut(), rec);
             executed += 1;
             if let Some(f) = churn.as_deref_mut() {
                 if rec.enabled() {
@@ -900,7 +912,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new());
         observed.set_recorder(rec.clone());
         let mut peers2 = PeerTable::new(8);
-        let (rounds2, ok2) = observed.run_observed(&mut peers2, 10_000, None, rec.as_ref());
+        let (rounds2, ok2) = observed.run_observed(&mut peers2, 10_000, None, None, rec.as_ref());
         assert!(ok2);
         assert_eq!(rounds1, rounds2);
         assert_eq!(
@@ -940,6 +952,62 @@ mod tests {
     }
 
     #[test]
+    fn run_observed_is_the_hand_loop_of_hop_charged_rounds() {
+        use dpr_telemetry::{Event, TraceRecorder};
+        type Log = Vec<(PeerId, PeerId, usize, u32)>;
+        // A stateful hop model: each charge depends on how many sends it
+        // has seen, so a skipped, repeated or reordered call moves the sum.
+        fn logging(log: &mut Log) -> impl FnMut(PeerId, PeerId, &Bytes) -> u32 + '_ {
+            move |from, to, payload| {
+                let hops = (log.len() % 5) as u32 + from.0 % 3;
+                log.push((from, to, payload.len(), hops));
+                hops
+            }
+        }
+        fn one_loop<R: Recorder + ?Sized>(rec: &R) -> (Cluster, usize, Log) {
+            let (mut cluster, mut log) = (build(800, 16, 1e-4, 90).0, Log::new());
+            let mut peers = PeerTable::new(16);
+            let mut hook = logging(&mut log);
+            let (rounds, ok) = cluster.run_observed(&mut peers, 10_000, None, Some(&mut hook), rec);
+            assert!(ok);
+            drop(hook);
+            (cluster, rounds, log)
+        }
+
+        let (mut hand, mut hand_log) = (build(800, 16, 1e-4, 90).0, Log::new());
+        let peers = PeerTable::new(16);
+        let (mut hand_rounds, mut hand_hops, mut hook) = (0, 0u64, logging(&mut hand_log));
+        while !hand.is_quiescent() {
+            hand_hops += hand.round_with_hops(&peers, Some(&mut hook)).hops;
+            hand_rounds += 1;
+        }
+        drop(hook);
+        assert!(hand_hops > 0);
+        let bits = |c: &Cluster| {
+            c.collect_ranks(800)
+                .iter()
+                .map(|r| r.to_bits())
+                .collect::<Vec<_>>()
+        };
+
+        let rec = Arc::new(TraceRecorder::new());
+        for (run, traced) in [(one_loop(&NOOP), false), (one_loop(rec.as_ref()), true)] {
+            let (cluster, rounds, log) = run;
+            assert_eq!(rounds, hand_rounds, "traced: {traced}");
+            assert_eq!(log, hand_log, "traced: {traced}");
+            assert_eq!(log.iter().map(|l| u64::from(l.3)).sum::<u64>(), hand_hops);
+            assert_eq!(bits(&cluster), bits(&hand), "traced: {traced}");
+            assert_eq!(cluster.traffic(), hand.traffic(), "traced: {traced}");
+        }
+        let certs = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::QuiescenceCert { .. }))
+            .count();
+        assert_eq!(certs, 1);
+    }
+
+    #[test]
     fn observed_run_audits_clean_and_faults_localize() {
         use dpr_p2p::transport::FaultKind;
         use dpr_telemetry::audit::Monitor;
@@ -953,7 +1021,7 @@ mod tests {
                 cluster.inject_transport_fault(plan);
             }
             let mut peers = PeerTable::new(8);
-            let (rounds, ok) = cluster.run_observed(&mut peers, 10_000, None, rec.as_ref());
+            let (rounds, ok) = cluster.run_observed(&mut peers, 10_000, None, None, rec.as_ref());
             assert!(ok, "no quiescence in {rounds} rounds");
             if fault.is_some() {
                 assert!(cluster.fault_fired_at().is_some(), "fault never fired");

@@ -29,7 +29,7 @@ use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{
     CompactFrameWire, PayloadKind, UpdateFrameWire, WireCodec, RANK_UPDATE_WIRE_BYTES,
 };
-use dpr_telemetry::Recorder;
+use dpr_telemetry::{Recorder, NOOP};
 use fxhash::FxHashMap;
 use serde::Serialize;
 use std::sync::Arc;
@@ -89,9 +89,9 @@ fn accounting(w: &Workload, cache_ips: bool) -> HopAccounting {
 ///
 /// With `rec`, the cluster's transport mirrors its byte counters into
 /// the recorder, every round emits `frame_sent` / `round_completed`
-/// events, and the hop model feeds the route/cache metrics. The
-/// measured run is unchanged by observation (same rounds, ranks, and
-/// traffic).
+/// events, the run closes with a `quiescence_cert`, and the hop model
+/// feeds the route/cache metrics. The measured run is unchanged by
+/// observation (same rounds, ranks, and traffic).
 pub fn run_wire_mode(
     w: &Workload,
     spec: &ScenarioSpec,
@@ -141,8 +141,8 @@ pub fn run_with_unbatched(
     (run, unbatched)
 }
 
-/// The rounds loop, with `also` seeing every send before its frame is
-/// charged.
+/// One [`Cluster::run_observed`](dpr_node::cluster::Cluster::run_observed)
+/// call, its hop hook charging every frame after `also` has seen it.
 fn drive(
     w: &Workload,
     spec: &ScenarioSpec,
@@ -156,39 +156,29 @@ fn drive(
         cluster.set_recorder(rec.clone());
         acc.set_recorder(rec.clone());
     }
+    let mut routed = 0u64;
     let mut hook = |src, dst, payload: &Bytes| {
         also(src, dst, payload);
-        acc.charge_peer(src, dst)
+        let hops = acc.charge_peer(src, dst);
+        routed += u64::from(hops);
+        hops
     };
 
-    let peers = w.peer_table();
-    let mut rounds = 0usize;
-    let mut routed = 0u64;
-    while !cluster.is_quiescent() {
-        let stats = match &rec {
-            Some(r) => cluster.round_observed(&peers, Some(&mut hook), r.as_ref()),
-            None => cluster.round_with_hops(&peers, Some(&mut hook)),
-        };
-        routed += stats.hops;
-        rounds += 1;
-        assert!(rounds < 100_000, "static cluster run must quiesce");
-    }
+    let mut peers = w.peer_table();
+    let (rounds, quiet) = match rec.as_deref() {
+        Some(r) => cluster.run_observed(&mut peers, 100_000, None, Some(&mut hook), r),
+        None => cluster.run_observed(&mut peers, 100_000, None, Some(&mut hook), &NOOP),
+    };
+    assert!(quiet, "static cluster run must quiesce");
 
-    let (mut updates, mut entries, mut frames) = (0u64, 0u64, 0u64);
-    for p in 0..w.num_peers as u32 {
-        let s = cluster.node(PeerId(p)).stats();
-        updates += s.emitted_remote;
-        entries += s.sent_remote;
-        frames += s.frames_sent;
-    }
-    let t = cluster.traffic();
+    let (s, t) = (cluster.node_stats(), cluster.traffic());
     ClusterRun {
         ranks: cluster.collect_ranks(w.graph.num_nodes()),
         traffic: WireTraffic {
             rounds,
-            updates,
-            entries,
-            frames,
+            updates: s.emitted_remote,
+            entries: s.sent_remote,
+            frames: s.frames_sent,
             payloads: t.sent,
             bytes_on_wire: t.bytes_sent,
             routed_messages: routed,

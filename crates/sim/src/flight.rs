@@ -38,7 +38,6 @@ use dpr_graph::DocId;
 use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
 use dpr_node::termination::TerminationDetector;
-use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{FaultPlan, WireCodec};
 use dpr_telemetry::audit::AuditTrail;
 use dpr_telemetry::replay::{fnv64_ranks, Capture, CaptureHeader, Fingerprint};
@@ -159,15 +158,6 @@ impl FlightOutcome {
     }
 }
 
-/// Total (remote entries emitted, same-peer updates) over the nodes —
-/// the cluster-level counterparts of the engine's traffic counters.
-fn node_traffic(cluster: &Cluster) -> (u64, u64) {
-    (0..cluster.num_peers() as u32).fold((0, 0), |(remote, local), p| {
-        let stats = cluster.node(PeerId(p)).stats();
-        (remote + stats.emitted_remote, local + stats.local_updates)
-    })
-}
-
 /// The course both flight modes share — same seed, same draws, same
 /// checkpoints — flown by `system`: the initial solve, then each insert
 /// draws a target document and a seed mass, hands them to `inject`,
@@ -262,12 +252,12 @@ fn fly_chaotic<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutco
         cluster.apply_delta(doc, delta);
     };
     let injections = fly_course(cfg, rec, &mut cluster, inject, reconverge);
-    let (remote_messages, local_updates) = node_traffic(&cluster);
+    let t = cluster.node_stats();
     FlightOutcome {
         ranks: cluster.collect_ranks(spec.nodes),
         passes,
-        remote_messages,
-        local_updates,
+        remote_messages: t.emitted_remote,
+        local_updates: t.local_updates,
         schedule_fnv,
         injections,
     }
@@ -388,7 +378,7 @@ pub fn doctor_run(
     }
     let mut peers = w.peer_table();
     let (rounds, quiesced) = match spec.run_mode {
-        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, trail.as_ref()),
+        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, None, trail.as_ref()),
         RunMode::Chaotic => {
             let mut det = TerminationDetector::new(spec.num_peers);
             let out = run_chaotic(
@@ -497,7 +487,7 @@ pub fn profile_run<R: Recorder + ?Sized>(
         profile,
         fault_fired_at: cluster.fault_fired_at(),
         ranks: cluster.collect_ranks(w.graph.num_nodes()),
-        remote_messages: node_traffic(&cluster).0,
+        remote_messages: cluster.node_stats().emitted_remote,
         wire_bytes: cluster.traffic().bytes_sent,
     }
 }

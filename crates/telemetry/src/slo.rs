@@ -5,9 +5,8 @@
 //! allowed to violate the target before the SLO as a whole fails.
 //! Observations stream into [`SlidingWindows`], which shards them
 //! into fixed-width virtual-time windows each backed by a
-//! [`QuantileSketch`](crate::quantile::QuantileSketch); because the
-//! sketches merge losslessly, the same structure answers both
-//! per-window verdicts and whole-run quantiles.
+//! [`QuantileSketch`]; because the sketches merge losslessly, the same
+//! structure answers both per-window verdicts and whole-run quantiles.
 //!
 //! [`evaluate`] turns specs + windows into [`SloReport`]s, and
 //! [`verdict`] collapses a report set into the single pass/fail bit
