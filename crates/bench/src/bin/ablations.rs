@@ -193,7 +193,7 @@ fn ablation_store_and_resend(seed: u64) {
             }
         }
         (0..100).for_each(|p| {
-            peers.go_online(PeerId(p));
+            peers.set_online(PeerId(p), true);
         });
         eng.run_to_convergence(&mut peers, None);
         let err = error_stats::compare(eng.ranks(), &reference.ranks);

@@ -438,16 +438,6 @@ impl ChaoticEngine {
         self.frontier.iter().map(DocId)
     }
 
-    /// The peer holding document `d`.
-    pub fn owner_of(&self, d: DocId) -> PeerId {
-        self.owner[d.index()]
-    }
-
-    /// Passes executed so far.
-    pub fn passes_run(&self) -> usize {
-        self.passes
-    }
-
     /// True when no increment is parked or in flight — the paper's
     /// convergence condition.
     pub fn is_quiescent(&self) -> bool {
@@ -999,7 +989,7 @@ mod tests {
             assert!(
                 (phi(&e) - e.expected_mass()).abs() < tol,
                 "pass {}: Φ {} vs expected {}",
-                e.passes_run(),
+                e.passes,
                 phi(&e),
                 e.expected_mass(),
             );
@@ -1095,19 +1085,19 @@ mod tests {
         let mut e = ChaoticEngine::new(Arc::new(g), owner, EngineConfig::with_epsilon(1e-6));
         let mut peers = PeerTable::new(4);
         e.pass(&peers); // generate in-flight increments
-        peers.go_offline(PeerId(0));
+        peers.set_online(PeerId(0), false);
         e.pass(&peers); // increments for peer 0 park
         let dropped = e.drop_parked(&peers);
         assert!(dropped > 0, "something must have been parked");
         // The remaining system still reaches quiescence, but the total
         // rank is short of the full-run total.
-        peers.go_online(PeerId(0));
+        peers.set_online(PeerId(0), true);
         let run = e.run_to_convergence(&mut peers, None);
         assert!(run.converged);
         let lossy_total: f64 = e.ranks().iter().sum();
         let mut full = ChaoticEngine::new(
             e.graph().clone().into(),
-            (0..n).map(|i| e.owner_of(DocId(i as u32))).collect(),
+            e.owner.clone(),
             EngineConfig::with_epsilon(1e-6),
         );
         full.run_static();

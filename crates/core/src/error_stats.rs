@@ -75,15 +75,6 @@ pub fn compare(approx: &[f64], reference: &[f64]) -> ErrorDistribution {
     summarize(relative_errors(approx, reference))
 }
 
-/// Fraction of pages with relative error below `threshold` — used for
-/// the paper's "99 % of the nodes converged to within 1 % of R_c"
-/// style statements (Sec. 4.3).
-pub fn fraction_below(approx: &[f64], reference: &[f64], threshold: f64) -> f64 {
-    let errs = relative_errors(approx, reference);
-    let n = errs.len();
-    errs.into_iter().filter(|&e| e < threshold).count() as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,12 +103,6 @@ mod tests {
         for w in s.percentiles.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-    }
-
-    #[test]
-    fn fraction_below_counts_strictly() {
-        let f = fraction_below(&[1.0, 1.5, 2.0], &[1.0, 1.0, 1.0], 0.6);
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

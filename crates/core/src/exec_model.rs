@@ -1,33 +1,25 @@
 //! Analytic execution-time models (paper Sec. 4.6, Eq. 4).
 //!
 //! The paper estimates wall-clock convergence time from message counts
-//! rather than simulating network timing. Two models appear:
+//! rather than simulating network timing. **Equation 4** (per-pass,
+//! per-peer) gives the time of one pass at peer *i* as
+//! `T_i + Σ_j L_ij · s / r` — compute time plus the *serialized*
+//! transfer of the pass's messages to each other peer (`L_ij` =
+//! document links from peer *i* to peer *j*, `s` = message size, `r` =
+//! transfer rate). The event-driven chaotic runtime charges exactly
+//! those terms per step and per link, from the constants below.
 //!
-//! 1. **Equation 4** (per-pass, per-peer): the time of one pass at
-//!    peer *i* is `T_i + Σ_j L_ij · s / r` — compute time plus the
-//!    *serialized* transfer of the pass's messages to each other peer
-//!    (`L_ij` = document links from peer *i* to peer *j*, `s` =
-//!    message size, `r` = transfer rate).
-//! 2. **Aggregate serialized model** (Table 3's hours columns): the
-//!    paper's printed numbers equal `total_messages · s / r` — the
-//!    entire run's bytes pushed through one serialized `r`-rate pipe
-//!    (e.g. threshold 0.2, 5000k graph: 169.1 M messages × 24 B ÷
-//!    32 KB/s ≈ 33.7 h, matching the table). This is Eq. 4 summed
-//!    over all peers and passes, the stated "conservative" bound.
-//!
-//! Both are provided, along with the Sec. 4.6.2 Internet-scale
-//! estimate (3 billion documents on web servers linked at T3 rate).
+//! Table 3's hours columns use the **aggregate serialized model**: the
+//! paper's printed numbers equal `total_messages · s / r` — the entire
+//! run's bytes pushed through one serialized `r`-rate pipe (e.g.
+//! threshold 0.2, 5000k graph: 169.1 M messages × 24 B ÷ 32 KB/s ≈
+//! 33.7 h, matching the table). This is Eq. 4 summed over all peers and
+//! passes, the stated "conservative" bound. The Sec. 4.6.2
+//! Internet-scale estimate (3 billion documents on web servers linked
+//! at T3 rate) is the same model at Internet size.
 
 /// The paper's message size: 128-bit GUID + 64-bit rank = 24 bytes.
 pub const MESSAGE_BYTES: f64 = 24.0;
-
-/// Frame header size under per-peer aggregation (magic + version +
-/// entry count), in bytes. Mirrors `dpr_p2p::transport::FRAME_HEADER_BYTES`.
-pub const FRAME_HEADER_BYTES: f64 = 4.0;
-
-/// Per-update cost inside a frame: 64-bit demux tag + 64-bit rank.
-/// Mirrors `dpr_p2p::transport::FRAME_ENTRY_BYTES`.
-pub const FRAME_ENTRY_BYTES: f64 = 16.0;
 
 /// Conservative P2P transfer rate used in Table 3 (bytes/second).
 pub const RATE_32KBS: f64 = 32.0 * 1024.0;
@@ -62,61 +54,6 @@ pub fn aggregate_time_secs(
 ) -> f64 {
     assert!(rate > 0.0, "rate must be positive");
     total_messages as f64 * MESSAGE_BYTES / rate + passes as f64 * compute_per_pass
-}
-
-/// Aggregate serialized-transfer model under per-peer aggregation:
-/// the run's traffic is `total_frames` frame headers plus
-/// `total_entries` packed 16-byte updates instead of
-/// `total_entries` (or more — coalescing also removes duplicates)
-/// 24-byte messages.
-pub fn batched_aggregate_time_secs(
-    total_frames: u64,
-    total_entries: u64,
-    rate: f64,
-    passes: usize,
-    compute_per_pass: f64,
-) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    let bytes = total_frames as f64 * FRAME_HEADER_BYTES + total_entries as f64 * FRAME_ENTRY_BYTES;
-    bytes / rate + passes as f64 * compute_per_pass
-}
-
-/// Per-pass time at one peer under Equation 4 with aggregation:
-/// `T_i + Σ_j (H + E_ij·s')/r` — one frame header per destination
-/// peer the pass actually sends to (`frames_out`), plus the packed
-/// entries (`entries_out` = distinct remote documents updated, which
-/// replaces the raw link count `Σ_j L_ij` of the unbatched model).
-pub fn eq4_batched_pass_time_secs(
-    compute: f64,
-    frames_out: u64,
-    entries_out: u64,
-    rate: f64,
-) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    compute
-        + (frames_out as f64 * FRAME_HEADER_BYTES + entries_out as f64 * FRAME_ENTRY_BYTES) / rate
-}
-
-/// Per-pass time at one peer under Equation 4: `T_i + Σ_j L_ij·s/r`.
-///
-/// `remote_links_out` is the peer's total document links to documents
-/// on *other* peers (`Σ_j L_ij`).
-pub fn eq4_pass_time_secs(compute: f64, remote_links_out: u64, rate: f64) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    compute + remote_links_out as f64 * MESSAGE_BYTES / rate
-}
-
-/// Eq. 4 applied to a whole system for one pass: peers run
-/// concurrently, so the pass time is the *maximum* over peers.
-pub fn eq4_system_pass_time_secs(
-    compute: f64,
-    remote_links_out_per_peer: &[u64],
-    rate: f64,
-) -> f64 {
-    remote_links_out_per_peer
-        .iter()
-        .map(|&l| eq4_pass_time_secs(compute, l, rate))
-        .fold(0.0, f64::max)
 }
 
 /// Seconds in one hour, for reporting.
@@ -166,20 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn eq4_matches_hand_computation() {
-        // 100 remote links at 32 KB/s: 2400 B / 32768 B/s ≈ 73 ms.
-        let t = eq4_pass_time_secs(1.0, 100, RATE_32KBS);
-        assert!((t - (1.0 + 2400.0 / 32768.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq4_system_takes_the_slowest_peer() {
-        let t = eq4_system_pass_time_secs(0.0, &[10, 1000, 100], RATE_32KBS);
-        assert!((t - 1000.0 * 24.0 / RATE_32KBS).abs() < 1e-12);
-        assert_eq!(eq4_system_pass_time_secs(0.0, &[], RATE_32KBS), 0.0);
-    }
-
-    #[test]
     fn internet_scale_is_order_weeks() {
         // 3e9 docs, ~100 msgs/node (between the paper's eps=1e-5 and
         // 1e-6 rows), T3: the paper says "about 35 days".
@@ -194,29 +117,5 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn rejects_nonpositive_rate() {
         aggregate_time_secs(1, 0.0, 0, 0.0);
-    }
-
-    #[test]
-    fn batched_model_beats_unbatched_for_any_grouping() {
-        // k entries in one frame: 4 + 16k bytes < 24k bytes for k >= 1,
-        // so the batched time is strictly below the unbatched time even
-        // in the worst case of one entry per frame.
-        for k in [1u64, 2, 10, 87, 1000] {
-            let unbatched = aggregate_time_secs(k, RATE_32KBS, 0, 0.0);
-            let batched = batched_aggregate_time_secs(1, k, RATE_32KBS, 0, 0.0);
-            assert!(batched < unbatched, "k={k}: {batched} !< {unbatched}");
-        }
-        // Exact bytes: 3 frames x 4 B + 100 entries x 16 B = 1612 B.
-        let t = batched_aggregate_time_secs(3, 100, RATE_32KBS, 0, 0.0);
-        assert!((t - 1612.0 / RATE_32KBS).abs() < 1e-15);
-    }
-
-    #[test]
-    fn eq4_batched_matches_hand_computation() {
-        // 5 destination peers, 100 distinct remote docs: 5*4 + 100*16
-        // = 1620 B on the wire, vs 2400 B unbatched.
-        let t = eq4_batched_pass_time_secs(1.0, 5, 100, RATE_32KBS);
-        assert!((t - (1.0 + 1620.0 / 32768.0)).abs() < 1e-12);
-        assert!(t < eq4_pass_time_secs(1.0, 100, RATE_32KBS));
     }
 }

@@ -22,12 +22,12 @@
 //!
 //! The paper's protocol runs one wave per mutation. When mutations
 //! arrive in *bursts*, the per-mutation waves re-touch their shared
-//! downstream regions once each — [`propagate_burst`] instead merges
-//! the whole burst into a single generation-synchronous wave, so a
-//! document forwards its accumulated increment once per generation no
-//! matter how many origins feed it, and node coverage / message counts
-//! are deduplicated across the burst. [`propagate_burst_localized`]
-//! additionally consults an [`SccIndex`] downstream cone and *proves*
+//! downstream regions once each — [`propagate_burst_localized`]
+//! instead merges the whole burst into a single generation-synchronous
+//! wave, so a document forwards its accumulated increment once per
+//! generation no matter how many origins feed it, and node coverage /
+//! message counts are deduplicated across the burst. It also consults
+//! an [`SccIndex`] downstream cone and *proves*
 //! the wave stays inside it (every message target is asserted to be in
 //! the cone): upstream components receive nothing and are therefore
 //! fixed — the certification the engine's localized dirty-set seeding
@@ -118,25 +118,14 @@ pub fn propagate<G: OutLinks>(
     wave(graph, &[(origin, initial)], cfg, ranks, None)
 }
 
-/// Propagates a whole burst of increment waves as *one* merged
-/// generation-synchronous wave: every origin distributes its initial
-/// in generation zero, and from then on each document forwards its
+/// The shared wave core: every origin distributes its initial in
+/// generation zero, and from then on each document forwards its
 /// accumulated increment once per generation no matter how many
 /// origins' waves flow through it. Message and node-coverage counts
-/// are therefore deduplicated across the burst — never more than the
-/// sum of the per-origin waves, strictly fewer whenever the waves
-/// overlap.
-pub fn propagate_burst<G: OutLinks>(
-    graph: &G,
-    origins: &[(DocId, f64)],
-    cfg: PropagationConfig,
-    ranks: Option<&mut [f64]>,
-) -> PropagationStats {
-    wave(graph, origins, cfg, ranks, None)
-}
-
-/// The shared wave core. When `cone` is given, every message target is
-/// asserted to lie inside it — the upstream-fixedness certificate.
+/// are therefore deduplicated across a burst — never more than the sum
+/// of the per-origin waves, strictly fewer whenever the waves overlap.
+/// When `cone` is given, every message target is asserted to lie
+/// inside it — the upstream-fixedness certificate.
 fn wave<G: OutLinks>(
     graph: &G,
     origins: &[(DocId, f64)],
@@ -561,7 +550,7 @@ mod tests {
         let mut r1 = vec![0.0; 2_000];
         let mut r2 = vec![0.0; 2_000];
         let s1 = propagate(&g, DocId(17), 1.0, cfg, Some(&mut r1));
-        let s2 = propagate_burst(&g, &[(DocId(17), 1.0)], cfg, Some(&mut r2));
+        let s2 = wave(&g, &[(DocId(17), 1.0)], cfg, Some(&mut r2), None);
         assert_eq!(s1, s2);
         assert_eq!(r1, r2, "single-origin burst must be bit-identical");
     }
@@ -588,7 +577,7 @@ mod tests {
         let sep_b = propagate(&g, DocId(1), 1.0, cfg, None);
         assert_eq!(sep_a.messages + sep_b.messages, 4);
         assert_eq!(sep_a.node_coverage + sep_b.node_coverage, 4);
-        let burst = propagate_burst(&g, &[(DocId(0), 1.0), (DocId(1), 1.0)], cfg, None);
+        let burst = wave(&g, &[(DocId(0), 1.0), (DocId(1), 1.0)], cfg, None, None);
         assert_eq!(burst.messages, 3, "C must forward once, not twice");
         assert_eq!(burst.node_coverage, 2, "coverage counts distinct docs");
         assert_eq!(burst.path_length, 2);
@@ -612,7 +601,7 @@ mod tests {
             sum_messages += s.messages;
             sum_coverage += s.node_coverage;
         }
-        let burst = propagate_burst(&g, &origins, cfg, None);
+        let burst = wave(&g, &origins, cfg, None, None);
         assert!(
             burst.messages < sum_messages,
             "overlapping waves must coalesce: {} vs {sum_messages}",
@@ -636,8 +625,9 @@ mod tests {
         // Seed the burst deep in the DAG: documents whose component
         // ids are small sit near the sinks of the condensation, so
         // most of the graph stays strictly upstream of their cone.
+        let component = dpr_graph::scc::tarjan_scc_dynamic(&graph).component;
         let mut low: Vec<DocId> = (0..3_000u32).map(DocId).collect();
-        low.sort_by_key(|&d| index.component_of(d));
+        low.sort_by_key(|&d| component[d.index()]);
         let origins = [(low[0], 1.0), (low[1], -0.5)];
         let origin_docs = [low[0], low[1]];
         let before: Vec<f64> = (0..3_000).map(|i| i as f64 * 0.001).collect();

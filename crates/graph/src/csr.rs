@@ -33,11 +33,9 @@ impl CsrGraph {
     /// checked once at construction instead of on every access.
     ///
     /// Row order is **not** checked: ascending rows are the caller's
-    /// contract. [`CsrGraph::has_edge`] binary-searches a
-    /// row and answers wrongly on an unsorted one; everything else —
-    /// the rank engines included —
-    /// reads rows as multisets in stored order and must keep doing so
-    /// (a duplicate edge is two links, a self-loop is a link).
+    /// contract. Every traversal — the rank engines included — reads
+    /// rows as multisets in stored order and must keep doing so (a
+    /// duplicate edge is two links, a self-loop is a link).
     pub fn from_parts(offsets: Vec<u64>, targets: Vec<u32>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have n + 1 entries");
         assert_eq!(offsets[0], 0, "offsets must start at 0");
@@ -100,12 +98,6 @@ impl CsrGraph {
     pub fn out_neighbors(&self, v: DocId) -> &[u32] {
         let i = v.index();
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Whether the edge `from -> to` exists (binary search: rows must
-    /// be ascending, see [`CsrGraph::from_parts`]).
-    pub fn has_edge(&self, from: DocId, to: DocId) -> bool {
-        self.out_neighbors(from).binary_search(&to.0).is_ok()
     }
 
     /// Iterator over all node ids.
@@ -201,14 +193,6 @@ mod tests {
         assert_eq!(g.out_neighbors(DocId(0)), &[1, 2]);
         assert_eq!(g.out_degree(DocId(3)), 0);
         assert_eq!(g.num_dangling(), 1);
-    }
-
-    #[test]
-    fn has_edge_uses_sorted_lists() {
-        let g = diamond();
-        assert!(g.has_edge(DocId(0), DocId(2)));
-        assert!(!g.has_edge(DocId(0), DocId(3)));
-        assert!(!g.has_edge(DocId(3), DocId(0)));
     }
 
     #[test]

@@ -21,7 +21,7 @@ struct NodeData {
     inn: Vec<u32>,
 }
 
-/// A directed graph supporting node insertion/removal and edge updates.
+/// A directed graph supporting document insertion and deletion.
 #[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     nodes: Vec<Option<NodeData>>,
@@ -91,11 +91,6 @@ impl DynamicGraph {
         &self.node(v).out
     }
 
-    /// In-links of `v` (sources of links pointing at `v`).
-    pub fn in_links(&self, v: DocId) -> &[u32] {
-        &self.node(v).inn
-    }
-
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: DocId) -> usize {
         self.node(v).out.len()
@@ -121,36 +116,6 @@ impl DynamicGraph {
             }
         }
         id
-    }
-
-    /// Adds the edge `from -> to` if absent; returns whether it was
-    /// added. Used when an existing document gains a new hyperlink.
-    pub fn add_edge(&mut self, from: DocId, to: DocId) -> bool {
-        assert!(self.is_alive(from) && self.is_alive(to), "endpoint deleted");
-        if from == to || self.node(from).out.contains(&to.0) {
-            return false;
-        }
-        self.push_edge_unchecked(from, to);
-        true
-    }
-
-    /// Removes the edge `from -> to` if present; returns whether it
-    /// existed.
-    pub fn remove_edge(&mut self, from: DocId, to: DocId) -> bool {
-        assert!(self.is_alive(from) && self.is_alive(to), "endpoint deleted");
-        let out = &mut self.nodes[from.index()].as_mut().unwrap().out;
-        let Some(pos) = out.iter().position(|&t| t == to.0) else {
-            return false;
-        };
-        out.swap_remove(pos);
-        let inn = &mut self.nodes[to.index()].as_mut().unwrap().inn;
-        let ipos = inn
-            .iter()
-            .position(|&s| s == from.0)
-            .expect("in-link desync");
-        inn.swap_remove(ipos);
-        self.num_edges -= 1;
-        true
     }
 
     /// Deletes a document, removing all incident edges. Returns the
@@ -261,7 +226,7 @@ mod tests {
         assert_eq!(dg.num_alive(), 3);
         assert_eq!(dg.num_edges(), 3);
         assert_eq!(dg.out_links(DocId(0)), &[1, 2]);
-        assert_eq!(dg.in_links(DocId(2)), &[0, 1]);
+        assert_eq!(dg.node(DocId(2)).inn, [0, 1]);
         dg.check_invariants().unwrap();
     }
 
@@ -272,7 +237,7 @@ mod tests {
         assert_eq!(id, DocId(3));
         assert!(dg.is_alive(id));
         assert_eq!(dg.out_links(id), &[0, 2]);
-        assert!(dg.in_links(id).is_empty());
+        assert!(dg.node(id).inn.is_empty());
         assert_eq!(dg.num_alive(), 4);
         assert_eq!(dg.num_edges(), 5);
         dg.check_invariants().unwrap();
@@ -307,19 +272,6 @@ mod tests {
         let mut dg = base();
         dg.delete_document(DocId(2));
         dg.delete_document(DocId(2));
-    }
-
-    #[test]
-    fn add_and_remove_edges() {
-        let mut dg = base();
-        assert!(dg.add_edge(DocId(2), DocId(0)));
-        assert!(!dg.add_edge(DocId(2), DocId(0))); // duplicate
-        assert!(!dg.add_edge(DocId(2), DocId(2))); // self loop
-        assert_eq!(dg.num_edges(), 4);
-        assert!(dg.remove_edge(DocId(2), DocId(0)));
-        assert!(!dg.remove_edge(DocId(2), DocId(0)));
-        assert_eq!(dg.num_edges(), 3);
-        dg.check_invariants().unwrap();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! runs (e.g. re-running Table 2 with a different threshold) reuse the
 //! same workload instead of regenerating it.
 
-use crate::{builder::GraphBuilder, csr::CsrGraph};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use crate::csr::CsrGraph;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 
 /// Magic header of the binary format ("DPRG" + version 1).
 const MAGIC: &[u8; 8] = b"DPRG\x00\x00\x00\x01";
@@ -20,53 +20,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
         writeln!(w, "{} {}", e.from.0, e.to.0)?;
     }
     w.flush()
-}
-
-/// Reads a graph written by [`write_edge_list`]. Lines starting with
-/// `#` other than the header are ignored as comments.
-pub fn read_edge_list<R: Read>(r: R) -> io::Result<CsrGraph> {
-    let r = BufReader::new(r);
-    let mut num_nodes: Option<usize> = None;
-    let mut builder: Option<GraphBuilder> = None;
-    for line in r.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let mut it = rest.split_whitespace();
-            if it.next() == Some("nodes") {
-                let n = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad_data("malformed nodes header"))?;
-                num_nodes = Some(n);
-                builder = Some(GraphBuilder::new(n));
-            }
-            continue;
-        }
-        let b = builder
-            .as_mut()
-            .ok_or_else(|| bad_data("edge before '# nodes' header"))?;
-        let mut it = line.split_whitespace();
-        let from: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad_data("malformed edge line"))?;
-        let to: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad_data("malformed edge line"))?;
-        let n = num_nodes.unwrap();
-        if from >= n || to >= n {
-            return Err(bad_data("edge endpoint out of range"));
-        }
-        b.add_edge(from, to);
-    }
-    builder
-        .map(GraphBuilder::build)
-        .ok_or_else(|| bad_data("missing '# nodes' header"))
 }
 
 /// Writes a graph in the compact binary format: magic, node count,
@@ -162,12 +115,14 @@ mod tests {
     use crate::powerlaw::paper_graph;
 
     #[test]
-    fn edge_list_roundtrip() {
-        let g = paper_graph(500, 11);
+    fn edge_list_is_a_header_then_one_line_per_edge() {
+        let g = crate::builder::from_edges(
+            3,
+            [crate::Edge::new(0u32, 1u32), crate::Edge::new(2u32, 0u32)],
+        );
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(g, g2);
+        assert_eq!(String::from_utf8(buf).unwrap(), "# nodes 3\n0 1\n2 0\n");
     }
 
     #[test]
@@ -177,26 +132,6 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         let g2 = read_binary(buf.as_slice()).unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn edge_list_tolerates_comments_and_blanks() {
-        let text = "# generated by test\n# nodes 3\n\n0 1\n# a comment\n2 0\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn edge_list_rejects_missing_header() {
-        let err = read_edge_list("0 1\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn edge_list_rejects_out_of_range() {
-        let err = read_edge_list("# nodes 2\n0 5\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

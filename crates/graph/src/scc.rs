@@ -1,21 +1,15 @@
-//! Strongly connected components and bow-tie decomposition.
+//! Strongly connected components.
 //!
-//! The paper's graph model comes from Broder et al.'s web crawl, whose
-//! famous result is the *bow-tie*: a giant strongly connected core
-//! (SCC), an IN set that reaches the core, an OUT set reached from it,
-//! and disconnected tendrils. These measurements let tests and
-//! experiment reports characterize generated workloads the same way —
-//! and the SCC structure matters operationally: rank mass circulates
-//! inside the core but only flows one way through IN/OUT.
-//!
-//! The SCC algorithm is Tarjan's, implemented iteratively (an explicit
-//! work stack) because generated graphs reach millions of nodes and a
+//! The SCC structure matters operationally: rank mass circulates
+//! inside a component but only flows one way between components. The
+//! algorithm is Tarjan's, implemented iteratively (an explicit work
+//! stack) because generated graphs reach millions of nodes and a
 //! recursive formulation would overflow the thread stack.
 //!
 //! ## Localized recomputation machinery
 //!
-//! Beyond workload characterization, the decomposition drives the
-//! incremental engine's *localized* update waves: [`Condensation`]
+//! The decomposition drives the incremental engine's *localized*
+//! update waves: [`Condensation`]
 //! materializes the component DAG with its topological ordering,
 //! [`SccIndex`] keeps a decomposition valid across [`DynamicGraph`]
 //! mutations without a full Tarjan re-run per mutation, and
@@ -147,75 +141,6 @@ fn tarjan_scc_with<'g>(n: usize, out: impl Fn(u32) -> &'g [u32]) -> SccDecomposi
     }
 }
 
-/// Broder et al.'s bow-tie regions, by node count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub struct BowTie {
-    /// The giant strongly connected core.
-    pub core: usize,
-    /// Nodes that can reach the core but are not in it.
-    pub in_set: usize,
-    /// Nodes reachable from the core but not in it.
-    pub out_set: usize,
-    /// Everything else (tendrils, tubes, disconnected pieces).
-    pub other: usize,
-}
-
-/// Computes the bow-tie decomposition around the largest SCC.
-pub fn bow_tie(graph: &CsrGraph) -> BowTie {
-    let scc = tarjan_scc(graph);
-    let (core_id, core_size) = scc.largest();
-    let n = graph.num_nodes();
-
-    // OUT: BFS forward from any core node.
-    let mut reached_fwd = vec![false; n];
-    let mut reached_bwd = vec![false; n];
-    let seed = (0..n)
-        .find(|&v| scc.component[v] == core_id)
-        .expect("core non-empty");
-    let mut queue = std::collections::VecDeque::from([seed as u32]);
-    reached_fwd[seed] = true;
-    while let Some(v) = queue.pop_front() {
-        for &t in graph.out_neighbors(DocId(v)) {
-            if !reached_fwd[t as usize] {
-                reached_fwd[t as usize] = true;
-                queue.push_back(t);
-            }
-        }
-    }
-    // IN: BFS backward (over the transpose).
-    let transpose = graph.transpose();
-    let mut queue = std::collections::VecDeque::from([seed as u32]);
-    reached_bwd[seed] = true;
-    while let Some(v) = queue.pop_front() {
-        for &t in transpose.out_neighbors(DocId(v)) {
-            if !reached_bwd[t as usize] {
-                reached_bwd[t as usize] = true;
-                queue.push_back(t);
-            }
-        }
-    }
-
-    let (mut in_set, mut out_set, mut other) = (0usize, 0usize, 0usize);
-    for v in 0..n {
-        if scc.component[v] == core_id {
-            continue;
-        }
-        match (reached_bwd[v], reached_fwd[v]) {
-            (true, false) => in_set += 1,
-            (false, true) => out_set += 1,
-            // Reaching the core both ways would put the node *in* the
-            // core; (true, true) outside the core is impossible.
-            _ => other += 1,
-        }
-    }
-    BowTie {
-        core: core_size,
-        in_set,
-        out_set,
-        other,
-    }
-}
-
 /// The condensation DAG: one node per strongly connected component,
 /// cross-component edges deduplicated.
 ///
@@ -314,10 +239,6 @@ pub enum IndexFreshness {
     /// superset of the true cone — localization stays correct, just
     /// less tight.
     Coarse,
-    /// A back edge may have merged components: the partition and its
-    /// topological invariant can no longer be trusted. Cone queries
-    /// refuse to run until [`SccIndex::refresh`] rebuilds.
-    Stale,
 }
 
 /// Counters describing how the index has been maintained — the
@@ -329,12 +250,6 @@ pub struct SccIndexStats {
     pub rebuilds: u64,
     /// Document inserts absorbed exactly, without a rebuild.
     pub incremental_inserts: u64,
-    /// Edge insertions absorbed exactly (intra-component or
-    /// topology-respecting forward edges).
-    pub incremental_edges: u64,
-    /// Edge insertions that forced [`IndexFreshness::Stale`] (potential
-    /// component merge).
-    pub stale_edges: u64,
     /// Deletions absorbed as a sound coarsening.
     pub coarse_deletes: u64,
 }
@@ -342,18 +257,13 @@ pub struct SccIndexStats {
 /// An SCC decomposition kept *incrementally valid* across
 /// [`DynamicGraph`] mutations.
 ///
-/// The exact-maintenance cases lean on two facts. (1) A freshly
-/// inserted document has no in-links (the paper's insert model), so it
-/// is a source: it forms its own singleton component, and giving it
-/// the next id keeps the reverse-topological invariant — all its
-/// edges point at components with smaller ids. (2) An added edge
-/// `u → v` with `component(v) < component(u)` (or within one
-/// component) cannot create a new cycle through components: every
-/// component-DAG path still strictly decreases ids, so the partition
-/// and ordering survive unchanged. Everything else degrades gracefully
-/// — deletions coarsen (see [`IndexFreshness::Coarse`]), back edges
-/// mark the index stale and the next [`SccIndex::refresh`] re-runs
-/// Tarjan.
+/// Inserts are maintained exactly: a freshly inserted document has no
+/// in-links (the paper's insert model), so it is a source: it forms its
+/// own singleton component, and giving it the next id keeps the
+/// reverse-topological invariant — all its edges point at components
+/// with smaller ids. Deletions degrade gracefully: they coarsen (see
+/// [`IndexFreshness::Coarse`]) until the next [`SccIndex::refresh`]
+/// re-runs Tarjan.
 #[derive(Debug, Clone)]
 pub struct SccIndex {
     comp: Vec<u32>,
@@ -377,11 +287,6 @@ impl SccIndex {
         }
     }
 
-    /// The component of `doc`.
-    pub fn component_of(&self, doc: DocId) -> u32 {
-        self.comp[doc.index()]
-    }
-
     /// Number of components in the current partition.
     pub fn num_components(&self) -> usize {
         self.num_components
@@ -397,14 +302,6 @@ impl SccIndex {
         self.stats
     }
 
-    /// The current partition as an [`SccDecomposition`] view.
-    pub fn decomposition(&self) -> SccDecomposition {
-        SccDecomposition {
-            component: self.comp.clone(),
-            num_components: self.num_components,
-        }
-    }
-
     /// Absorbs a document insert (call right after
     /// [`DynamicGraph::insert_document`] returned `id`). Exact: the
     /// new document is a source and becomes its own component with the
@@ -418,28 +315,6 @@ impl SccIndex {
         self.comp.push(self.num_components as u32);
         self.num_components += 1;
         self.stats.incremental_inserts += 1;
-    }
-
-    /// Absorbs an edge insertion `from → to`. Exact for
-    /// intra-component and forward (topology-respecting) edges;
-    /// otherwise the index goes [`IndexFreshness::Stale`]. Returns
-    /// whether the edge was absorbed without losing exactness.
-    pub fn on_add_edge(&mut self, from: DocId, to: DocId) -> bool {
-        let (cf, ct) = (self.comp[from.index()], self.comp[to.index()]);
-        if ct <= cf {
-            self.stats.incremental_edges += 1;
-            true
-        } else {
-            self.freshness = IndexFreshness::Stale;
-            self.stats.stale_edges += 1;
-            false
-        }
-    }
-
-    /// Absorbs an edge removal. The partition coarsens (removal can
-    /// split a component but never merge).
-    pub fn on_remove_edge(&mut self, _from: DocId, _to: DocId) {
-        self.coarsen();
     }
 
     /// Absorbs a document deletion. The partition coarsens: the
@@ -473,17 +348,8 @@ impl SccIndex {
     /// The downstream cone of a burst: every document in a component
     /// reachable (in the condensation DAG) from an origin's component.
     /// Sound under [`IndexFreshness::Exact`] and
-    /// [`IndexFreshness::Coarse`]; panics on a stale index — call
-    /// [`SccIndex::refresh`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is stale.
+    /// [`IndexFreshness::Coarse`].
     pub fn downstream_cone(&self, graph: &DynamicGraph, origins: &[DocId]) -> ConeSet {
-        assert!(
-            self.freshness != IndexFreshness::Stale,
-            "stale SccIndex: refresh() before querying cones"
-        );
         let scc = SccDecomposition {
             component: self.comp.clone(),
             num_components: self.num_components,
@@ -584,38 +450,11 @@ mod tests {
     }
 
     #[test]
-    fn bow_tie_on_a_textbook_graph() {
-        // in(0) -> core{1,2} -> out(3); 4 disconnected.
-        let g = from_edges(
-            5,
-            [
-                Edge::new(0u32, 1u32),
-                Edge::new(1u32, 2u32),
-                Edge::new(2u32, 1u32),
-                Edge::new(2u32, 3u32),
-            ],
-        );
-        let bt = bow_tie(&g);
-        assert_eq!(
-            bt,
-            BowTie {
-                core: 2,
-                in_set: 1,
-                out_set: 1,
-                other: 1
-            }
-        );
-    }
-
-    #[test]
     fn powerlaw_graph_has_a_giant_core() {
-        // The Broder-style generator should produce a bow-tie with a
-        // substantial connected core, like the real web.
-        let g = paper_graph(20_000, 111);
-        let bt = bow_tie(&g);
-        assert_eq!(bt.core + bt.in_set + bt.out_set + bt.other, 20_000);
-        assert!(bt.core > 2_000, "core size {}", bt.core);
-        assert!(bt.in_set > 0 && bt.out_set > 0);
+        // The Broder-style generator should produce a substantial
+        // strongly connected core, like the real web.
+        let scc = tarjan_scc(&paper_graph(20_000, 111));
+        assert!(scc.largest().1 > 2_000, "core size {}", scc.largest().1);
     }
 
     #[test]
@@ -679,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn scc_index_absorbs_inserts_and_forward_edges_exactly() {
+    fn scc_index_absorbs_inserts_exactly() {
         // 0 <-> 1 -> 2
         let g = from_edges(
             3,
@@ -699,38 +538,14 @@ mod tests {
         idx.on_insert_document(id);
         assert_eq!(idx.freshness(), IndexFreshness::Exact);
         assert_eq!(idx.num_components(), 3);
-        assert_eq!(idx.component_of(id), 2);
-
-        // Forward edge (respects the topo order): absorbed exactly.
-        assert!(dg.add_edge(DocId(0), DocId(2)));
-        assert!(idx.on_add_edge(DocId(0), DocId(2)));
-        assert_eq!(idx.freshness(), IndexFreshness::Exact);
+        assert_eq!(idx.comp[id.index()], 2);
 
         // The exact index agrees with a from-scratch Tarjan.
         let fresh = tarjan_scc_dynamic(&dg);
-        assert_eq!(idx.decomposition().component, fresh.component);
+        assert_eq!(idx.comp, fresh.component);
         assert_eq!(idx.num_components(), fresh.num_components);
         assert_eq!(idx.stats().rebuilds, 1);
         assert_eq!(idx.stats().incremental_inserts, 1);
-        assert_eq!(idx.stats().incremental_edges, 1);
-    }
-
-    #[test]
-    fn scc_index_goes_stale_on_back_edges_and_recovers() {
-        // 0 -> 1 -> 2 (a chain; all singletons).
-        let g = from_edges(3, [Edge::new(0u32, 1u32), Edge::new(1u32, 2u32)]);
-        let mut dg = DynamicGraph::from_csr(&g);
-        let mut idx = SccIndex::new(&dg);
-        // Back edge 2 -> 0 closes a cycle: potential merge, stale.
-        assert!(dg.add_edge(DocId(2), DocId(0)));
-        assert!(!idx.on_add_edge(DocId(2), DocId(0)));
-        assert_eq!(idx.freshness(), IndexFreshness::Stale);
-        assert!(idx.refresh(&dg));
-        assert_eq!(idx.freshness(), IndexFreshness::Exact);
-        assert_eq!(idx.num_components(), 1, "the chain collapsed into one SCC");
-        assert_eq!(idx.stats().rebuilds, 2);
-        assert_eq!(idx.stats().stale_edges, 1);
-        assert!(!idx.refresh(&dg), "an exact index must not rebuild");
     }
 
     #[test]
@@ -809,7 +624,5 @@ mod tests {
         let g = CsrGraph::empty(1);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.num_components, 1);
-        let bt = bow_tie(&g);
-        assert_eq!(bt.core, 1);
     }
 }

@@ -19,16 +19,6 @@ pub fn mean(deg: &[u32]) -> f64 {
     deg.iter().map(|&d| d as f64).sum::<f64>() / deg.len() as f64
 }
 
-/// Histogram of degree values: `hist[d] = number of nodes with degree d`.
-pub fn degree_histogram(deg: &[u32]) -> Vec<usize> {
-    let max = deg.iter().copied().max().unwrap_or(0) as usize;
-    let mut hist = vec![0usize; max + 1];
-    for &d in deg {
-        hist[d as usize] += 1;
-    }
-    hist
-}
-
 /// Maximum-likelihood estimate of the exponent of a *truncated
 /// discrete* power law `P(X = i) ∝ i^-alpha` on `xmin ..= max(deg)`.
 ///
@@ -151,12 +141,6 @@ impl UnionFind {
     pub fn num_sets(&self) -> usize {
         self.sets
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 /// Summary of a graph printed by the experiment binaries.
@@ -239,15 +223,13 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(1, 2));
         assert_eq!(uf.num_sets(), 3);
-        assert_eq!(uf.set_size(2), 3);
-        assert_eq!(uf.set_size(4), 1);
+        let (r2, r4) = (uf.find(2), uf.find(4));
+        assert_eq!((uf.size[r2], uf.size[r4]), (3, 1));
     }
 
     #[test]
-    fn histogram_and_mean() {
+    fn mean_of_degrees() {
         let deg = vec![1, 1, 2, 4];
-        let h = degree_histogram(&deg);
-        assert_eq!(h, vec![0, 2, 1, 0, 1]);
         assert!((mean(&deg) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
     }

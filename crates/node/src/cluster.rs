@@ -61,7 +61,7 @@ pub struct SendOutcome {
     /// never desynchronize the event queue from the inboxes.
     pub enqueued: usize,
     /// Cluster-wide provenance id of this payload, stamped from a
-    /// monotone counter at hand-off (departure redirects included).
+    /// monotone counter at hand-off.
     /// The chaotic runtime threads it through its link-transfer and
     /// inbox-wait spans, so the causal profiler can name exactly which
     /// frame a critical-path hop rode.
@@ -87,8 +87,7 @@ pub struct Cluster {
     /// The one set of step / delivery working memory, lent to
     /// whichever node is stepping or receiving.
     scratch: StepScratch,
-    /// Which peer holds each document (indexed by doc id), kept
-    /// current across departures.
+    /// Which peer holds each document (indexed by doc id).
     holder_of: Vec<PeerId>,
 }
 
@@ -567,122 +566,6 @@ impl Cluster {
     pub fn traffic(&self) -> TrafficStats {
         self.transport.stats()
     }
-
-    /// Permanent departure of peer `p` (paper Sec. 3.1 distinguishes
-    /// transient leaves — handled by store-and-resend — from documents
-    /// that must survive their peer; a real deployment re-homes them
-    /// to the DHT successor). `reassign` names each document's new
-    /// holder (tests use `ring.successor`). The protocol:
-    ///
-    /// 1. `p`'s documents migrate with their full in-progress state;
-    /// 2. every remaining peer re-homes its out-link entries for `p`;
-    /// 3. messages already in `p`'s inbox, and messages parked for `p`
-    ///    at senders, are re-delivered to the new holders.
-    ///
-    /// Returns the number of migrated documents. After this call `p`
-    /// holds nothing and must stay offline in the caller's
-    /// [`PeerTable`].
-    pub fn peer_depart(
-        &mut self,
-        p: PeerId,
-        peers: &PeerTable,
-        reassign: &dyn Fn(DocId) -> PeerId,
-    ) -> usize {
-        self.peer_depart_redirecting(p, peers, reassign).0
-    }
-
-    /// [`Cluster::peer_depart`] additionally reporting every re-sent
-    /// payload as a [`SendOutcome`]. Under round-driven execution the
-    /// redirected envelopes are picked up by the next inbox drain, so
-    /// the outcomes can be ignored — but the event-driven runtime has
-    /// no such sweep: it must schedule a fresh `Deliver` event per
-    /// enqueued redirect (and lazily drop the stale events still
-    /// addressed to `p`), otherwise the redirected mass sits in an
-    /// inbox forever and the run never quiesces.
-    pub fn peer_depart_redirecting(
-        &mut self,
-        p: PeerId,
-        peers: &PeerTable,
-        reassign: &dyn Fn(DocId) -> PeerId,
-    ) -> (usize, Vec<SendOutcome>) {
-        assert!(
-            !peers.is_online(p),
-            "mark {p} offline before departing it permanently"
-        );
-        use dpr_p2p::guid::Guid;
-        use dpr_p2p::transport::{CompactFrameWire, PayloadKind, UpdateFrameWire};
-        // 1. Migrate documents (and remember their new homes by frame
-        //    tag, the name a raw frame entry gives its document).
-        let exports = self.nodes[p.index()].export_documents();
-        let migrated = exports.len();
-        let mut by_tag = fxhash::FxHashMap::<u64, PeerId>::default();
-        for e in exports {
-            let to = reassign(e.doc);
-            assert_ne!(to, p, "cannot reassign a document to the departed peer");
-            by_tag.insert(Guid::for_document(e.doc).frame_tag(), to);
-            self.holder_of[e.doc.index()] = to;
-            self.nodes[to.index()].import_document(e);
-        }
-        // 2. Re-home out-link entries everywhere.
-        for node in &mut self.nodes {
-            node.rehome_links(p, reassign);
-        }
-        // 3. Redirect in-flight traffic: p's inbox plus everything
-        //    parked for p. A frame entry's tag or doc id names the
-        //    document; its new holder mirrors a fresh DHT lookup. A
-        //    stranded frame may cover documents that re-homed to
-        //    different peers, so it is split: one frame per new holder,
-        //    entries kept in original order, each original frame split
-        //    independently (no cross-frame coalescing — the increments
-        //    were separate sends and must stay separate folds).
-        const MIGRATED: &str = "stranded update must target a migrated document";
-        fn regroup<E>(split: &mut Vec<(PeerId, Vec<E>)>, holder: PeerId, e: E) {
-            match split.iter_mut().find(|(h, _)| *h == holder) {
-                Some((_, es)) => es.push(e),
-                None => split.push((holder, vec![e])),
-            }
-        }
-        let mut stranded = self.transport.drain_inbox(p);
-        stranded.extend(self.transport.take_pending_for(p));
-        let mut redirects: Vec<SendOutcome> = Vec::new();
-        for env in stranded {
-            // `(new holder, entries, payload)` per piece of this payload.
-            let pieces: Vec<(PeerId, usize, Bytes)> = match PayloadKind::of(&env.payload) {
-                PayloadKind::Compact => {
-                    let mut split = Vec::new();
-                    CompactFrameWire::visit(&env.payload, |e| {
-                        regroup(&mut split, self.holder_of[e.doc as usize], e)
-                    })
-                    .expect(WELL_FORMED);
-                    let encode =
-                        |(h, es): (_, Vec<_>)| (h, es.len(), CompactFrameWire::new(es).encode());
-                    split.into_iter().map(encode).collect()
-                }
-                PayloadKind::Raw => {
-                    let mut split = Vec::new();
-                    UpdateFrameWire::visit(&env.payload, |e| {
-                        regroup(&mut split, *by_tag.get(&e.tag).expect(MIGRATED), e)
-                    })
-                    .expect(WELL_FORMED);
-                    let encode = |(h, entries): (_, Vec<_>)| {
-                        (h, entries.len(), UpdateFrameWire { entries }.encode())
-                    };
-                    split.into_iter().map(encode).collect()
-                }
-            };
-            // Redirected entries were charged to `p` in the send-side
-            // ledger but will now be received elsewhere, so the charge
-            // moves with them — otherwise every departure would read as
-            // a permanent deficit at `p` and a surplus at each new
-            // holder.
-            for (holder, entries, payload) in pieces {
-                self.sent_entries_to[p.index()] -= entries as u64;
-                self.sent_entries_to[holder.index()] += entries as u64;
-                redirects.push(self.send_counted(peers, env.from, holder, payload));
-            }
-        }
-        (migrated, redirects)
-    }
 }
 
 #[cfg(test)]
@@ -846,57 +729,6 @@ mod tests {
         let (cluster, _) = build(300, 6, 1e-3, 66);
         let total: usize = (0..6u32).map(|p| cluster.node(PeerId(p)).num_docs()).sum();
         assert_eq!(total, 300);
-    }
-
-    #[test]
-    fn permanent_departure_preserves_the_computation() {
-        // Run partway, permanently depart a peer mid-computation, and
-        // verify the system still converges to the correct fixed point
-        // with no rank mass lost.
-        let nodes = 500;
-        let graph = paper_graph(nodes, 68);
-        let ring = Ring::with_peers(8);
-        let mut rng = ChaCha8Rng::seed_from_u64(69);
-        let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-        let mut cluster = Cluster::build(&graph, &placement, 8, EngineConfig::with_epsilon(1e-8));
-        let mut peers = PeerTable::new(8);
-
-        // A few rounds to get messages in flight.
-        for _ in 0..3 {
-            cluster.round(&peers);
-        }
-        // Peer 3 goes away for good; its docs re-home round-robin to
-        // the other peers (stand-in for the ring successor).
-        let victim = PeerId(3);
-        peers.go_offline(victim);
-        // One more round so some messages park for the offline peer.
-        cluster.round(&peers);
-        let reassign = |d: DocId| {
-            let mut h = (d.0 as usize) % 8;
-            if h == victim.index() {
-                h = (h + 1) % 8;
-            }
-            PeerId(h as u32)
-        };
-        let migrated = cluster.peer_depart(victim, &peers, &reassign);
-        assert!(migrated > 0);
-        assert_eq!(cluster.node(victim).num_docs(), 0);
-
-        let (_, ok) = cluster.run_to_convergence(&mut peers, 10_000, None);
-        assert!(ok);
-        let ranks = cluster.collect_ranks(nodes);
-        let reference = SyncSolver::new().tolerance(1e-13).solve(&graph).ranks;
-        for (a, b) in ranks.iter().zip(&reference) {
-            assert!((a - b).abs() / b < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "mark p2 offline")]
-    fn departing_an_online_peer_panics() {
-        let (mut cluster, _) = build(100, 4, 1e-3, 70);
-        let peers = PeerTable::new(4);
-        cluster.peer_depart(PeerId(2), &peers, &|_| PeerId(0));
     }
 
     #[test]
@@ -1103,10 +935,10 @@ mod tests {
     }
 
     #[test]
-    fn priority_cluster_survives_churn_and_departure() {
-        // Deferred residuals + store-and-resend + permanent departure:
-        // parked mass and parked messages both drain, and the system
-        // still reaches the synchronous fixed point.
+    fn priority_cluster_survives_churn() {
+        // Deferred residuals + store-and-resend: parked mass and parked
+        // messages both drain, and the system still reaches the
+        // synchronous fixed point.
         let nodes = 500;
         let graph = paper_graph(nodes, 76);
         let ring = Ring::with_peers(8);
@@ -1118,21 +950,9 @@ mod tests {
         for _ in 0..3 {
             cluster.round(&peers);
         }
-        let victim = PeerId(5);
-        peers.go_offline(victim);
-        cluster.round(&peers);
-        let reassign = |d: DocId| {
-            let mut h = (d.0 as usize) % 8;
-            if h == victim.index() {
-                h = (h + 1) % 8;
-            }
-            PeerId(h as u32)
-        };
-        assert!(cluster.peer_depart(victim, &peers, &reassign) > 0);
         let mut churn_rng = ChaCha8Rng::seed_from_u64(78);
         let mut churn = move |_r: usize, p: &mut PeerTable| {
             p.set_online_fraction(0.6, &mut churn_rng);
-            p.go_offline(victim); // the departed peer never returns
         };
         let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, Some(&mut churn));
         assert!(ok, "no convergence in {rounds} rounds");
@@ -1140,78 +960,6 @@ mod tests {
         let reference = SyncSolver::new().tolerance(1e-13).solve(&graph).ranks;
         for (a, b) in ranks.iter().zip(&reference) {
             assert!((a - b).abs() / b < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn departure_redirects_stranded_frames_and_reports_outcomes() {
-        // Chaotic-mode departure: the victim's inbox holds undelivered
-        // frames (no round barrier drained them) and more are parked
-        // for it at senders. The redirect-reporting variant must
-        // conserve every in-flight entry and describe each re-sent
-        // payload so the event runtime can schedule its delivery.
-        let nodes = 400;
-        let graph = paper_graph(nodes, 81);
-        let ring = Ring::with_peers(8);
-        let mut rng = ChaCha8Rng::seed_from_u64(82);
-        let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-        let mut cluster = Cluster::build_with(
-            &graph,
-            &placement,
-            8,
-            EngineConfig::with_epsilon(1e-8),
-            WireMode::frames(),
-        );
-        let mut peers = PeerTable::new(8);
-
-        // Event-style stepping: every peer steps once with no inbox
-        // drain in between, so frames pile up undelivered.
-        for p in 0..8u32 {
-            cluster.step_peer_observed(PeerId(p), &peers, 0, &NOOP, |_| {});
-        }
-        let victim = PeerId(3);
-        assert!(cluster.in_flight_entries() > 0, "frames must be in flight");
-        peers.go_offline(victim);
-        // Another step round parks further frames for the offline
-        // victim at their senders.
-        for p in (0..8u32).filter(|&p| p != victim.0) {
-            cluster.step_peer_observed(PeerId(p), &peers, 1, &NOOP, |_| {});
-        }
-
-        let before = cluster.in_flight_entries();
-        let reassign = |d: DocId| {
-            let mut h = (d.0 as usize) % 8;
-            if h == victim.index() {
-                h = (h + 1) % 8;
-            }
-            PeerId(h as u32)
-        };
-        let (migrated, redirects) = cluster.peer_depart_redirecting(victim, &peers, &reassign);
-        assert!(migrated > 0);
-        assert!(!redirects.is_empty(), "stranded frames must be redirected");
-        assert_eq!(
-            cluster.in_flight_entries(),
-            before,
-            "departure must not lose or invent in-flight entries"
-        );
-        // Every reported redirect is deliverable on its link, exactly
-        // `enqueued` times.
-        for o in &redirects {
-            assert_ne!(o.to, victim, "no redirect may target the departed peer");
-            for _ in 0..o.enqueued {
-                assert!(
-                    cluster.deliver_from(o.to, o.from).is_some(),
-                    "redirect {o:?} promised an envelope that is not there"
-                );
-            }
-        }
-        // The computation still reaches the synchronous fixed point.
-        let (_, ok) = cluster.run_to_convergence(&mut peers, 10_000, None);
-        assert!(ok);
-        let ranks = cluster.collect_ranks(nodes);
-        let reference = SyncSolver::new().tolerance(1e-13).solve(&graph).ranks;
-        for (a, b) in ranks.iter().zip(&reference) {
-            assert!((a - b).abs() / b < 1e-5, "{a} vs {b}");
         }
     }
 

@@ -401,30 +401,16 @@ impl PeerNode {
 
     /// [`PeerNode::add_document`] from any link stream: the bulk path
     /// of [`Cluster::build`](crate::cluster::Cluster::build), which
-    /// never materializes a per-document link vector.
+    /// never materializes a per-document link vector. Appends a slab
+    /// slot holding the base rank as pending and registers it in every
+    /// side-index, rejecting duplicates and the ~2^-64 event of a
+    /// same-peer 64-bit frame-tag collision (a colliding frame entry
+    /// would silently credit the wrong document).
     pub(crate) fn push_document(
         &mut self,
         doc: DocId,
         out: impl IntoIterator<Item = (DocId, PeerId)>,
     ) {
-        let base = 1.0 - self.cfg.damping;
-        let slot = self.insert_slot(doc, 0.0, 0.0, base, true, out);
-        self.dirty.push(slot);
-    }
-
-    /// Appends a slab slot and registers it in every side-index,
-    /// rejecting duplicates and the ~2^-64 event of a same-peer 64-bit
-    /// frame-tag collision (a colliding frame entry would silently
-    /// credit the wrong document).
-    fn insert_slot(
-        &mut self,
-        doc: DocId,
-        rank: f64,
-        advertised: f64,
-        pending: f64,
-        queued: bool,
-        out: impl IntoIterator<Item = (DocId, PeerId)>,
-    ) -> u32 {
         let slot = self.docs.len() as u32;
         let prev = self.doc_index.insert(doc, slot);
         assert!(
@@ -442,15 +428,15 @@ impl PeerNode {
             self.id
         );
         self.docs.push(doc);
-        self.rank.push(rank);
-        self.advertised.push(advertised);
-        self.pending.push(pending);
-        self.queued.push(queued);
+        self.rank.push(0.0);
+        self.advertised.push(0.0);
+        self.pending.push(1.0 - self.cfg.damping);
+        self.queued.push(true);
         self.links.extend(out);
         assert!(self.links.len() < REMOTE as usize, "too many links");
         self.first.push(self.links.len() as u32);
         self.links_dirty = true;
-        slot
+        self.dirty.push(slot);
     }
 
     /// Slot `s`'s range in the link array.
@@ -495,11 +481,6 @@ impl PeerNode {
     /// Every stored document with its current rank, in slab order.
     pub fn doc_ranks(&self) -> impl Iterator<Item = (DocId, f64)> + '_ {
         self.docs.iter().copied().zip(self.rank.iter().copied())
-    }
-
-    /// [`PeerNode::handle_message_with`] with a scratch of its own.
-    pub fn handle_message(&mut self, payload: Bytes) -> Result<(), MessageError> {
-        self.handle_message_with(&mut StepScratch::default(), &payload)
     }
 
     /// Handles one incoming wire payload in place, in whichever frame
@@ -564,12 +545,6 @@ impl PeerNode {
         } else {
             Ok(DeliverStatus::Accepted)
         }
-    }
-
-    /// Payloads delivered through [`PeerNode::on_deliver`] since the
-    /// last step.
-    pub fn arrival_depth(&self) -> usize {
-        self.arrivals_since_step as usize
     }
 
     /// Applies a local increment (same-peer updates and the insert /
@@ -765,88 +740,6 @@ impl PeerNode {
     pub fn drain_outbox(&mut self) -> Vec<(PeerId, Bytes)> {
         std::mem::take(&mut self.outbox)
     }
-
-    /// Exports every document's full protocol state and clears the
-    /// node — the departing half of a document handoff (a peer that
-    /// leaves the network for good pushes its documents, with their
-    /// in-progress rank state, to their new DHT owners).
-    pub fn export_documents(&mut self) -> Vec<DocExport> {
-        self.dirty.clear();
-        self.doc_index.clear();
-        self.tag_index.clear();
-        let exports = (0..self.docs.len())
-            .map(|s| DocExport {
-                doc: self.docs[s],
-                rank: self.rank[s],
-                advertised: self.advertised[s],
-                pending: self.pending[s],
-                out: self.links[self.out_range(s)].to_vec(),
-            })
-            .collect();
-        self.docs.clear();
-        for v in [&mut self.rank, &mut self.advertised, &mut self.pending] {
-            v.clear();
-        }
-        self.queued.clear();
-        self.first.truncate(1);
-        self.links.clear();
-        self.links_dirty = true;
-        exports
-    }
-
-    /// Imports a migrated document, preserving its protocol state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the document is already stored here.
-    pub fn import_document(&mut self, export: DocExport) {
-        let DocExport {
-            doc,
-            rank,
-            advertised,
-            pending,
-            out,
-        } = export;
-        let queued = pending != 0.0;
-        let slot = self.insert_slot(doc, rank, advertised, pending, queued, out);
-        if queued {
-            self.dirty.push(slot);
-        }
-    }
-
-    /// Rewrites the holder of every out-link entry currently pointing
-    /// at `departed` using `reassign`. Returns the number of entries
-    /// updated. This is the address-cache refresh every remaining peer
-    /// performs after a permanent departure (Sec. 3.2 invalidation +
-    /// fresh lookup, done eagerly here).
-    pub fn rehome_links(&mut self, departed: PeerId, reassign: &dyn Fn(DocId) -> PeerId) -> usize {
-        let mut updated = 0;
-        for (target, holder) in &mut self.links {
-            if *holder == departed {
-                *holder = reassign(*target);
-                updated += 1;
-            }
-        }
-        if updated > 0 {
-            self.links_dirty = true;
-        }
-        updated
-    }
-}
-
-/// A document's full protocol state in transit between peers.
-#[derive(Debug, Clone)]
-pub struct DocExport {
-    /// The document.
-    pub doc: DocId,
-    /// Its current rank.
-    pub rank: f64,
-    /// The rank last advertised to its out-links.
-    pub advertised: f64,
-    /// Unapplied pending increment.
-    pub pending: f64,
-    /// Out-links with their holders.
-    pub out: Vec<(DocId, PeerId)>,
 }
 
 #[cfg(test)]
@@ -857,6 +750,11 @@ mod tests {
 
     fn cfg(eps: f64) -> EngineConfig {
         EngineConfig::with_epsilon(eps)
+    }
+
+    /// Handles one payload with a scratch of its own.
+    fn handle(n: &mut PeerNode, payload: &[u8]) -> Result<(), MessageError> {
+        n.handle_message_with(&mut StepScratch::default(), payload)
     }
 
     #[test]
@@ -907,7 +805,7 @@ mod tests {
         let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
         n.add_document(DocId(2), vec![]);
         n.step(); // absorb base rank
-        n.handle_message(one(2, 0.25)).unwrap();
+        handle(&mut n, &one(2, 0.25)).unwrap();
         assert!(n.has_work());
         n.step();
         let r = n.rank_of(DocId(2)).unwrap();
@@ -925,9 +823,7 @@ mod tests {
             doc: 99,
             value: 0.25,
         };
-        let err = n
-            .handle_message(CompactFrameWire::new(vec![entry]).encode())
-            .unwrap_err();
+        let err = handle(&mut n, &CompactFrameWire::new(vec![entry]).encode()).unwrap_err();
         assert_eq!(
             err,
             MessageError::UnknownGuid(Guid::for_document(DocId(99)))
@@ -938,7 +834,7 @@ mod tests {
     #[test]
     fn malformed_payload_rejected() {
         let mut n = PeerNode::new(PeerId(1), cfg(1e-3));
-        assert!(n.handle_message(Bytes::from_static(b"junk")).is_err());
+        assert!(handle(&mut n, &Bytes::from_static(b"junk")).is_err());
         assert_eq!(n.stats().rejected, 1);
     }
 
@@ -969,7 +865,7 @@ mod tests {
         m.add_document(DocId(11), vec![]);
         m.step(); // absorb base
         let (r10, r11) = (m.rank_of(DocId(10)).unwrap(), m.rank_of(DocId(11)).unwrap());
-        m.handle_message(out.into_iter().next().unwrap().1).unwrap();
+        handle(&mut m, &out.into_iter().next().unwrap().1).unwrap();
         assert_eq!(m.stats().received, 2);
         m.step();
         // doc 10 got 0.85*0.15/2 (from doc 1) + 0.85*0.15 (from doc 2).
@@ -1010,7 +906,7 @@ mod tests {
                 RankUpdate::new(DocId(99), 0.5),
             ],
         };
-        let err = n.handle_message(frame.to_wire().encode()).unwrap_err();
+        let err = handle(&mut n, &frame.to_wire().encode()).unwrap_err();
         assert!(matches!(err, MessageError::UnknownTag(_)));
         assert_eq!(n.stats().rejected, 1);
         assert!(!n.has_work(), "no entry applied from a bad frame");
@@ -1023,7 +919,7 @@ mod tests {
         n.set_codec(WireCodec::Compact);
         n.add_document(DocId(2), vec![]);
         n.step();
-        n.handle_message(one(2, 0.25)).unwrap();
+        handle(&mut n, &one(2, 0.25)).unwrap();
         n.step();
         assert!((n.rank_of(DocId(2)).unwrap() - 0.40).abs() < 1e-12);
     }
@@ -1048,7 +944,7 @@ mod tests {
         let mut m = PeerNode::new(PeerId(1), cfg(1e-6));
         m.add_document(DocId(10), vec![]);
         m.step();
-        m.handle_message(out.into_iter().next().unwrap().1).unwrap();
+        handle(&mut m, &out.into_iter().next().unwrap().1).unwrap();
         m.step();
         let exp = 0.85 * 0.15 + 0.85 * 0.15;
         assert!((m.rank_of(DocId(10)).unwrap() - 0.15 - exp).abs() < 1e-12);
@@ -1068,9 +964,9 @@ mod tests {
                 assert_eq!(status, DeliverStatus::Saturated, "arrival {i}");
             }
         }
-        assert_eq!(n.arrival_depth(), DEFAULT_INBOX_CAP);
+        assert_eq!(n.arrivals_since_step as usize, DEFAULT_INBOX_CAP);
         n.step();
-        assert_eq!(n.arrival_depth(), 0, "step resets the arrival bound");
+        assert_eq!(n.arrivals_since_step, 0, "step resets the arrival bound");
         assert_eq!(
             n.on_deliver(&mut sc, &one(2, 1e-3)).unwrap(),
             DeliverStatus::Accepted
@@ -1159,32 +1055,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn priority_import_preserves_deferred_pending() {
-        // Export mid-computation (deferred docs have pending mass) and
-        // import elsewhere: the pending survives and re-queues.
-        let mut n = PeerNode::new(PeerId(0), priority_cfg(1e-12));
-        for i in 0..100u32 {
-            n.add_document(DocId(i), vec![]);
-        }
-        n.apply(DocId(7), 32.0);
-        n.step();
-        assert!(n.has_work());
-        let exports = n.export_documents();
-        assert_eq!(n.num_docs(), 0);
-        assert!(!n.has_work());
-        let carried: f64 = exports.iter().map(|e| e.pending).sum();
-        assert!(carried > 0.0, "deferred pending travels with the export");
-        let mut m = PeerNode::new(PeerId(1), priority_cfg(1e-12));
-        for e in exports {
-            m.import_document(e);
-        }
-        assert!(m.has_work());
-        while m.has_work() {
-            m.step();
-        }
-        assert!((m.rank_of(DocId(7)).unwrap() - 32.15).abs() < 1e-9);
-    }
     /// The pre-scratch node as a reference model: phase 1 and the send
     /// arithmetic spelled out, every emission pushed into one
     /// [`FlushBuffer`] per destination peer, flushed in first-touch
@@ -1249,10 +1119,7 @@ mod tests {
         /// points — byte-identical payloads — for arbitrary link
         /// shapes and frame caps (the 1-entry cap included), in both
         /// codecs, with one scratch lent to two nodes in turn over
-        /// several steps. Mid-run each node exports every document,
-        /// imports them back in the same order and re-homes one
-        /// holder's links onto a spare peer and back: the rebuilt link
-        /// array and slot map must not move a byte.
+        /// several steps.
         #[test]
         fn emit_path_matches_the_flush_buffer_model(
             shapes in proptest::collection::vec(
@@ -1261,8 +1128,6 @@ mod tests {
             max_frame_bytes in 0usize..120,
             compact in proptest::prelude::any::<bool>(),
             steps in 1usize..4,
-            handoff_at in 0usize..3,
-            departed in 1u32..6,
         ) {
             let wire = WireMode { max_frame_bytes };
             let codec = if compact { WireCodec::Compact } else { WireCodec::Raw };
@@ -1285,17 +1150,8 @@ mod tests {
             }
             let mut sc = StepScratch::default();
             let mut extra = extras.iter().cycle();
-            for step in 0..steps {
+            for _ in 0..steps {
                 for (node, model) in &mut pairs {
-                    if step == handoff_at % steps {
-                        for export in node.export_documents() {
-                            node.import_document(export);
-                        }
-                        let spare = PeerId(9);
-                        let away = node.rehome_links(PeerId(departed), &|_| spare);
-                        let back = node.rehome_links(spare, &|_| PeerId(departed));
-                        proptest::prop_assert_eq!(away, back);
-                    }
                     node.step_with(&mut sc, &NOOP);
                     let got: Vec<(PeerId, Bytes)> = sc.outbox.drain(..).collect();
                     proptest::prop_assert_eq!(got, model.step(1e-9));
@@ -1384,7 +1240,7 @@ mod tests {
             if payload.len() == RANK_UPDATE_WIRE_BYTES {
                 proptest::prop_assert!(matches!(want, Err(MessageError::Wire(_))));
             }
-            let got = node.handle_message(payload);
+            let got = handle(&mut node, &payload);
             proptest::prop_assert_eq!(got, want.as_ref().map(|_| ()).map_err(|e| *e));
             match &want {
                 Ok(applied) => {

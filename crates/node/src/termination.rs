@@ -60,12 +60,6 @@ pub struct TerminationDetector {
     announced: bool,
     /// Completed token circuits (diagnostic).
     circuits: u64,
-    /// Permanently departed peers — skipped by the ring.
-    departed: Vec<bool>,
-    /// Final `sent − received` contribution of departed peers, folded
-    /// into every evaluation (their counters can no longer be read in
-    /// circuit).
-    base_count: i64,
 }
 
 impl TerminationDetector {
@@ -84,46 +78,12 @@ impl TerminationDetector {
             initiator: PeerId(0),
             announced: false,
             circuits: 0,
-            departed: vec![false; num_peers],
-            base_count: 0,
         }
     }
 
-    /// Registers the *permanent* departure of `p` (after
-    /// [`Cluster::peer_depart`]): its message counters are folded into
-    /// the detector's base count, the token is conservatively
-    /// blackened (messages may still be crossing the cut), and the
-    /// ring skips the peer from now on. Without this, the token would
-    /// wait forever for a holder that never returns.
-    pub fn peer_departed(&mut self, p: PeerId, cluster: &Cluster) {
-        assert!(!self.departed[p.index()], "peer {p} departed twice");
-        let stats = cluster.node(p).stats();
-        // The peer's lifetime counter can never be collected in
-        // circuit again; carry it permanently.
-        self.base_count += stats.sent_remote as i64 - stats.received as i64;
-        self.departed[p.index()] = true;
-        self.token.color = Color::Black;
-        let n = self.departed.len();
-        if self.departed[self.holder.index()] {
-            self.holder = self.next_alive(self.holder, n);
-        }
-        if self.departed[self.initiator.index()] {
-            self.initiator = self.next_alive(self.initiator, n);
-            // The new initiator must complete a fresh circuit.
-            self.token = Token {
-                count: 0,
-                color: Color::Black,
-            };
-        }
-    }
-
-    fn next_alive(&self, from: PeerId, n: usize) -> PeerId {
-        let mut i = (from.index() + 1) % n;
-        while self.departed[i] {
-            i = (i + 1) % n;
-            assert_ne!(i, from.index(), "every peer departed");
-        }
-        PeerId(i as u32)
+    /// The peer after `from` on the token ring of `n` peers.
+    fn next(from: PeerId, n: usize) -> PeerId {
+        PeerId(((from.index() + 1) % n) as u32)
     }
 
     /// Whether termination has been announced.
@@ -171,9 +131,6 @@ impl TerminationDetector {
         let n = cluster.num_peers();
         // Refresh colors from receive counters first.
         for i in 0..n {
-            if self.departed[i] {
-                continue;
-            }
             let stats = cluster.node(PeerId(i as u32)).stats();
             self.refresh_color(PeerId(i as u32), stats.received);
         }
@@ -194,22 +151,19 @@ impl TerminationDetector {
 
             if h == self.initiator && self.circuits > 0 {
                 // Token returned to the initiator: evaluate.
-                let total = self.token.count + local_count + self.base_count;
+                let total = self.token.count + local_count;
                 let all_white =
                     self.token.color == Color::White && self.color[h.index()] == Color::White;
                 let announce = all_white && total == 0;
                 if rec.enabled() {
                     // The detector's ground-truth invariant: lifetime
-                    // Σ sent − Σ received over every live peer plus
-                    // the folded-in counters of departed ones.
-                    let invariant: i64 = self.base_count
-                        + (0..n)
-                            .filter(|&i| !self.departed[i])
-                            .map(|i| {
-                                let s = cluster.node(PeerId(i as u32)).stats();
-                                s.sent_remote as i64 - s.received as i64
-                            })
-                            .sum::<i64>();
+                    // Σ sent − Σ received over every peer.
+                    let invariant: i64 = (0..n)
+                        .map(|i| {
+                            let s = cluster.node(PeerId(i as u32)).stats();
+                            s.sent_remote as i64 - s.received as i64
+                        })
+                        .sum();
                     rec.event(&Event::TerminationProbe {
                         round,
                         circuits: self.circuits,
@@ -230,7 +184,7 @@ impl TerminationDetector {
                 };
                 self.color[h.index()] = Color::White;
                 self.circuits += 1;
-                self.holder = self.next_alive(h, n);
+                self.holder = Self::next(h, n);
                 continue;
             }
 
@@ -240,7 +194,7 @@ impl TerminationDetector {
                 self.token.color = Color::Black;
             }
             self.color[h.index()] = Color::White;
-            let next = self.next_alive(h, n);
+            let next = Self::next(h, n);
             if next == self.initiator {
                 self.circuits += 1;
             }
@@ -323,7 +277,7 @@ mod tests {
                 peers.set_online_fraction(0.5, &mut rng);
             } else if rounds == 100 {
                 (0..6u32).for_each(|p| {
-                    peers.go_online(dpr_p2p::peer::PeerId(p));
+                    peers.set_online(dpr_p2p::peer::PeerId(p), true);
                 });
             }
             detector.advance(&cluster, &peers);
@@ -331,32 +285,6 @@ mod tests {
         assert!(detector.announced(), "no announcement in {rounds} rounds");
         assert!(cluster.is_quiescent());
         assert!(detector.circuits() >= 1);
-    }
-
-    #[test]
-    fn detection_survives_permanent_departure() {
-        use dpr_p2p::guid::Guid;
-        use dpr_p2p::ring::Ring;
-        let mut cluster = build(400, 8, 1e-5, 106);
-        let mut peers = PeerTable::new(8);
-        let mut detector = TerminationDetector::new(8);
-        let ring = Ring::with_peers(8);
-        let mut rounds = 0usize;
-        while rounds < 50_000 && !detector.announced() {
-            cluster.round(&peers);
-            rounds += 1;
-            if rounds == 5 {
-                let victim = dpr_p2p::peer::PeerId(3);
-                peers.go_offline(victim);
-                let mut shrunk = ring.clone();
-                shrunk.leave(victim);
-                cluster.peer_depart(victim, &peers, &|d| shrunk.successor(Guid::for_document(d)));
-                detector.peer_departed(victim, &cluster);
-            }
-            detector.advance(&cluster, &peers);
-        }
-        assert!(detector.announced(), "no announcement in {rounds} rounds");
-        assert!(cluster.is_quiescent(), "announcement must be sound");
     }
 
     #[test]
@@ -405,14 +333,14 @@ mod tests {
         assert!(ok);
         // Token starts at peer 0; take peer 0 offline — detection
         // cannot proceed.
-        peers.go_offline(dpr_p2p::peer::PeerId(0));
+        peers.set_online(dpr_p2p::peer::PeerId(0), false);
         let mut detector = TerminationDetector::new(4);
         for _ in 0..10 {
             detector.advance(&cluster, &peers);
         }
         assert!(!detector.announced(), "token must wait for its holder");
         // Holder returns: detection completes.
-        peers.go_online(dpr_p2p::peer::PeerId(0));
+        peers.set_online(dpr_p2p::peer::PeerId(0), true);
         for _ in 0..10 {
             detector.advance(&cluster, &peers);
         }

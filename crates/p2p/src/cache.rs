@@ -8,9 +8,8 @@
 //! this scheme scales linearly with the sum of the outlinks in all
 //! documents in a peer."
 //!
-//! The cache maps a document's GUID to the peer currently holding it.
-//! Entries are invalidated when the holding peer leaves, falling back
-//! to routing on the next send — which re-populates the entry.
+//! The cache maps a document's GUID to the peer holding it; a miss
+//! falls back to routing, which populates the entry.
 
 use crate::{guid::Guid, peer::PeerId};
 use fxhash::FxHashMap;
@@ -22,20 +21,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing (a routed lookup follows).
     pub misses: u64,
-    /// Entries dropped by peer invalidation.
-    pub invalidated: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// One peer's document-location cache.
@@ -68,16 +53,6 @@ impl AddressCache {
     /// Records that `doc` lives on `peer` (after a routed lookup).
     pub fn insert(&mut self, doc: Guid, peer: PeerId) {
         self.entries.insert(doc, peer);
-    }
-
-    /// Drops every entry pointing at `peer` (it left the network).
-    /// Returns how many entries were dropped.
-    pub fn invalidate_peer(&mut self, peer: PeerId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, &mut p| p != peer);
-        let dropped = before - self.entries.len();
-        self.stats.invalidated += dropped as u64;
-        dropped
     }
 
     /// Number of live entries — the paper's linear-in-outlinks storage
@@ -115,30 +90,6 @@ impl CacheSet {
     pub fn of(&mut self, p: PeerId) -> &mut AddressCache {
         &mut self.caches[p.index()]
     }
-
-    /// Invalidates `peer` in every cache (it left the network).
-    pub fn invalidate_peer_everywhere(&mut self, peer: PeerId) -> usize {
-        self.caches
-            .iter_mut()
-            .map(|c| c.invalidate_peer(peer))
-            .sum()
-    }
-
-    /// Aggregated statistics across all caches.
-    pub fn aggregate_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for c in &self.caches {
-            agg.hits += c.stats.hits;
-            agg.misses += c.stats.misses;
-            agg.invalidated += c.stats.invalidated;
-        }
-        agg
-    }
-
-    /// Total entries across all caches.
-    pub fn total_entries(&self) -> usize {
-        self.caches.iter().map(AddressCache::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -153,26 +104,13 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = AddressCache::new();
+        assert!(c.is_empty());
         assert_eq!(c.lookup(g(1)), None);
         c.insert(g(1), PeerId(4));
         assert_eq!(c.lookup(g(1)), Some(PeerId(4)));
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalidation_drops_only_that_peer() {
-        let mut c = AddressCache::new();
-        c.insert(g(1), PeerId(4));
-        c.insert(g(2), PeerId(4));
-        c.insert(g(3), PeerId(5));
-        assert_eq!(c.invalidate_peer(PeerId(4)), 2);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(g(3)), Some(PeerId(5)));
-        assert_eq!(c.lookup(g(1)), None);
-        assert_eq!(c.stats().invalidated, 2);
     }
 
     #[test]
@@ -182,24 +120,5 @@ mod tests {
         c.insert(g(1), PeerId(9));
         assert_eq!(c.lookup(g(1)), Some(PeerId(9)));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn cache_set_invalidates_everywhere() {
-        let mut s = CacheSet::new(3);
-        s.of(PeerId(0)).insert(g(1), PeerId(2));
-        s.of(PeerId(1)).insert(g(1), PeerId(2));
-        s.of(PeerId(1)).insert(g(2), PeerId(0));
-        assert_eq!(s.invalidate_peer_everywhere(PeerId(2)), 2);
-        assert_eq!(s.total_entries(), 1);
-        let agg = s.aggregate_stats();
-        assert_eq!(agg.invalidated, 2);
-    }
-
-    #[test]
-    fn empty_cache_hit_rate_is_zero() {
-        let c = AddressCache::new();
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        assert!(c.is_empty());
     }
 }

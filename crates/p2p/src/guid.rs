@@ -96,17 +96,6 @@ impl Guid {
         debug_assert!(k < 128);
         Guid(self.0.wrapping_add(1u128 << k))
     }
-
-    /// True if `self` lies in the half-open clockwise interval
-    /// `(from, to]` on the circle — the Chord "is this id mine"
-    /// predicate (a peer owns ids in `(predecessor, self]`).
-    pub fn in_interval(self, from: Guid, to: Guid) -> bool {
-        if from == to {
-            // Interval covers the whole circle (single-peer ring).
-            return true;
-        }
-        from.distance_to(self) <= from.distance_to(to) && self != from
-    }
 }
 
 impl std::fmt::Display for Guid {
@@ -155,21 +144,6 @@ mod tests {
         assert_eq!(a.distance_to(b), 5);
         assert_eq!(b.distance_to(a), u128::MAX - 4);
         assert_eq!(a.distance_to(a), 0);
-    }
-
-    #[test]
-    fn interval_membership() {
-        let (a, b, c) = (Guid(10), Guid(20), Guid(30));
-        assert!(b.in_interval(a, c));
-        assert!(c.in_interval(a, c)); // half-open: to is included
-        assert!(!a.in_interval(a, c)); // from is excluded
-        assert!(!Guid(31).in_interval(a, c));
-        // Wrapping interval (from > to).
-        assert!(Guid(5).in_interval(c, b));
-        assert!(Guid(u128::MAX).in_interval(c, b));
-        assert!(!Guid(25).in_interval(c, b));
-        // Degenerate interval covers everything.
-        assert!(Guid(99).in_interval(a, a));
     }
 
     #[test]

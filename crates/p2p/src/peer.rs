@@ -67,19 +67,10 @@ impl PeerTable {
         self.online[p.index()]
     }
 
-    /// Number of online peers.
-    pub fn num_online(&self) -> usize {
-        self.online.iter().filter(|&&b| b).count()
-    }
-
-    /// Marks `p` offline. Returns whether it was online.
-    pub fn go_offline(&mut self, p: PeerId) -> bool {
-        std::mem::replace(&mut self.online[p.index()], false)
-    }
-
-    /// Marks `p` online. Returns whether it was offline.
-    pub fn go_online(&mut self, p: PeerId) -> bool {
-        !std::mem::replace(&mut self.online[p.index()], true)
+    /// Marks `p` online or offline. Returns whether its presence
+    /// changed.
+    pub fn set_online(&mut self, p: PeerId, online: bool) -> bool {
+        std::mem::replace(&mut self.online[p.index()], online) != online
     }
 
     /// Iterator over all peer ids.
@@ -176,32 +167,6 @@ impl Placement {
     pub fn policy(&self) -> PlacementPolicy {
         self.policy
     }
-
-    /// Extends the placement with one newly inserted document.
-    pub fn place_new<R: Rng>(&mut self, ring: &Ring, rng: &mut R) -> PeerId {
-        let d = DocId::from(self.owner.len());
-        let p = match self.policy {
-            // A custom (link-aware) placement has no rule for unseen
-            // documents; fall back to random until the next
-            // repartitioning, like Random.
-            PlacementPolicy::Random | PlacementPolicy::Custom => {
-                let peers: Vec<PeerId> = ring.peers().collect();
-                peers[rng.gen_range(0..peers.len())]
-            }
-            PlacementPolicy::DhtSuccessor => ring.successor(Guid::for_document(d)),
-        };
-        self.owner.push(p);
-        p
-    }
-
-    /// Documents per peer, for load-balance reporting.
-    pub fn load_histogram(&self, num_peers: usize) -> Vec<usize> {
-        let mut h = vec![0usize; num_peers];
-        for &p in &self.owner {
-            h[p.index()] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -213,14 +178,14 @@ mod tests {
     #[test]
     fn peer_table_liveness_transitions() {
         let mut t = PeerTable::new(3);
-        assert_eq!(t.num_online(), 3);
-        assert!(t.go_offline(PeerId(1)));
-        assert!(!t.go_offline(PeerId(1)));
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 3);
+        assert!(t.set_online(PeerId(1), false));
+        assert!(!t.set_online(PeerId(1), false));
         assert!(!t.is_online(PeerId(1)));
-        assert_eq!(t.num_online(), 2);
-        assert!(t.go_online(PeerId(1)));
-        assert!(!t.go_online(PeerId(1)));
-        assert_eq!(t.num_online(), 3);
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 2);
+        assert!(t.set_online(PeerId(1), true));
+        assert!(!t.set_online(PeerId(1), true));
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 3);
     }
 
     #[test]
@@ -228,11 +193,11 @@ mod tests {
         let mut t = PeerTable::new(500);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         t.set_online_fraction(0.5, &mut rng);
-        assert_eq!(t.num_online(), 250);
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 250);
         t.set_online_fraction(0.75, &mut rng);
-        assert_eq!(t.num_online(), 375);
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 375);
         t.set_online_fraction(1.0, &mut rng);
-        assert_eq!(t.num_online(), 500);
+        assert_eq!(t.online.iter().filter(|&&b| b).count(), 500);
     }
 
     #[test]
@@ -240,7 +205,10 @@ mod tests {
         let ring = Ring::with_peers(50);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let p = Placement::assign(10_000, &ring, PlacementPolicy::Random, &mut rng);
-        let hist = p.load_histogram(50);
+        let mut hist = [0usize; 50];
+        for d in 0..10_000u32 {
+            hist[p.owner(DocId(d)).index()] += 1;
+        }
         // Expected load 200 per peer; allow generous slack.
         assert!(hist.iter().all(|&c| c > 100 && c < 320), "{hist:?}");
     }
@@ -256,15 +224,5 @@ mod tests {
                 ring.successor(Guid::for_document(DocId(d)))
             );
         }
-    }
-
-    #[test]
-    fn place_new_extends_the_map() {
-        let ring = Ring::with_peers(4);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut p = Placement::assign(10, &ring, PlacementPolicy::DhtSuccessor, &mut rng);
-        let owner = p.place_new(&ring, &mut rng);
-        assert_eq!(p.num_docs(), 11);
-        assert_eq!(p.owner(DocId(10)), owner);
     }
 }

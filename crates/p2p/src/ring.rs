@@ -56,18 +56,6 @@ impl Ring {
         }
     }
 
-    /// Removes a peer from the ring. Returns whether it was present.
-    pub fn leave(&mut self, p: PeerId) -> bool {
-        let g = Guid::for_peer(p.0);
-        match self.points.binary_search_by_key(&g, |&(g, _)| g) {
-            Ok(pos) => {
-                self.points.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Whether `p` is on the ring.
     pub fn contains(&self, p: PeerId) -> bool {
         let g = Guid::for_peer(p.0);
@@ -105,31 +93,6 @@ impl Ring {
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.points.iter().map(|&(_, p)| p)
     }
-
-    /// Ring position (guid) of peer `p`, if present.
-    pub fn guid_of(&self, p: PeerId) -> Option<Guid> {
-        let g = Guid::for_peer(p.0);
-        self.points
-            .binary_search_by_key(&g, |&(g, _)| g)
-            .ok()
-            .map(|_| g)
-    }
-
-    /// The arc of the circle owned by `p`: `(predecessor_guid, own_guid]`.
-    /// Returns `None` if `p` is not on the ring.
-    pub fn owned_interval(&self, p: PeerId) -> Option<(Guid, Guid)> {
-        let g = self.guid_of(p)?;
-        let pos = self
-            .points
-            .binary_search_by_key(&g, |&(g, _)| g)
-            .expect("guid_of said present");
-        let pred = if pos == 0 {
-            self.points[self.points.len() - 1].0
-        } else {
-            self.points[pos - 1].0
-        };
-        Some((pred, g))
-    }
 }
 
 #[cfg(test)]
@@ -137,17 +100,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn join_leave_contains() {
+    fn join_and_contains() {
         let mut r = Ring::new();
         assert!(r.is_empty());
         r.join(PeerId(0));
         r.join(PeerId(1));
         assert_eq!(r.len(), 2);
         assert!(r.contains(PeerId(0)));
-        assert!(r.leave(PeerId(0)));
-        assert!(!r.leave(PeerId(0)));
-        assert!(!r.contains(PeerId(0)));
-        assert_eq!(r.len(), 1);
+        assert!(!r.contains(PeerId(2)));
     }
 
     #[test]
@@ -191,10 +151,12 @@ mod tests {
             let id = Guid::for_document(dpr_graph::DocId(probe));
             let succ = r.successor(id);
             let pred = r.predecessor(id);
-            // pred's successor arc must contain id.
-            let (lo, hi) = r.owned_interval(succ).unwrap();
+            // id lies in succ's arc: after pred's point, at or before
+            // succ's.
+            let (lo, hi) = (Guid::for_peer(pred.0), Guid::for_peer(succ.0));
+            let into = lo.distance_to(id);
             assert!(
-                id.in_interval(lo, hi) || id == hi,
+                into > 0 && into <= lo.distance_to(hi),
                 "id {id} not in ({lo}, {hi}]"
             );
             assert_ne!(
@@ -211,20 +173,6 @@ mod tests {
             let id = Guid::for_document(dpr_graph::DocId(probe));
             assert_eq!(r.successor(id), PeerId(0));
         }
-        let (lo, hi) = r.owned_interval(PeerId(0)).unwrap();
-        assert_eq!(lo, hi, "single peer's interval is the whole circle");
-    }
-
-    #[test]
-    fn leave_reassigns_arc_to_successor() {
-        let mut r = Ring::with_peers(10);
-        let id = Guid::for_document(dpr_graph::DocId(123));
-        let owner = r.successor(id);
-        r.leave(owner);
-        let new_owner = r.successor(id);
-        assert_ne!(owner, new_owner);
-        // New owner must be the old owner's ring successor.
-        assert!(r.contains(new_owner));
     }
 
     #[test]
@@ -236,7 +184,7 @@ mod tests {
     #[test]
     fn peers_iterate_in_guid_order() {
         let r = Ring::with_peers(6);
-        let guids: Vec<Guid> = r.peers().map(|p| r.guid_of(p).unwrap()).collect();
+        let guids: Vec<Guid> = r.peers().map(|p| Guid::for_peer(p.0)).collect();
         assert!(guids.windows(2).all(|w| w[0] < w[1]));
     }
 }

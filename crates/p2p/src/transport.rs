@@ -172,9 +172,8 @@ impl FaultTarget for Bytes {
 pub struct Transport<M> {
     inboxes: Vec<VecDeque<Envelope<M>>>,
     /// Messages waiting for an offline destination, stored at the
-    /// sender as the paper prescribes — kept per *sender* so the
-    /// worst-case state bound (sum of outlinks at the sender) can be
-    /// audited via [`Transport::pending_at`].
+    /// sender as the paper prescribes — kept per *sender*, whose
+    /// worst-case state is bounded by the sum of its outlinks.
     pending: Vec<Vec<Envelope<M>>>,
     stats: TrafficStats,
     /// Optional telemetry recorder mirroring [`TrafficStats`] into the
@@ -237,22 +236,6 @@ impl<M> Transport<M> {
         self.inboxes.len()
     }
 
-    /// Removes and returns every message addressed to `dst` that is
-    /// currently parked at any sender. Used when `dst` departs
-    /// *permanently* and its documents are re-homed: the caller
-    /// re-sends these to the documents' new holders instead of letting
-    /// them wait forever for a peer that will never return.
-    pub fn take_pending_for(&mut self, dst: PeerId) -> Vec<Envelope<M>> {
-        let mut taken = Vec::new();
-        for sender in &mut self.pending {
-            let parked = std::mem::take(sender).into_iter();
-            let (gone, kept): (Vec<_>, Vec<_>) = parked.partition(|env| env.to == dst);
-            taken.extend(gone);
-            *sender = kept;
-        }
-        taken
-    }
-
     /// Pops the next message from `p`'s inbox.
     pub fn receive(&mut self, p: PeerId) -> Option<Envelope<M>> {
         self.inboxes[p.index()].pop_front()
@@ -271,20 +254,9 @@ impl<M> Transport<M> {
         inbox.remove(pos)
     }
 
-    /// Drains every message currently in `p`'s inbox.
-    pub fn drain_inbox(&mut self, p: PeerId) -> Vec<Envelope<M>> {
-        self.inboxes[p.index()].drain(..).collect()
-    }
-
     /// Number of messages waiting in `p`'s inbox.
     pub fn inbox_len(&self, p: PeerId) -> usize {
         self.inboxes[p.index()].len()
-    }
-
-    /// Number of messages parked at sender `p` (the paper's
-    /// linear-in-outlinks state bound applies to this value).
-    pub fn pending_at(&self, p: PeerId) -> usize {
-        self.pending[p.index()].len()
     }
 
     /// Total parked messages across all senders.
@@ -944,22 +916,22 @@ mod tests {
     #[test]
     fn offline_destination_parks_at_sender() {
         let mut peers = PeerTable::new(2);
-        peers.go_offline(PeerId(1));
+        peers.set_online(PeerId(1), false);
         let mut t: Transport<u32> = Transport::new(2);
         t.send(&peers, PeerId(0), PeerId(1), 7);
         assert_eq!(t.inbox_len(PeerId(1)), 0);
-        assert_eq!(t.pending_at(PeerId(0)), 1);
+        assert_eq!(t.total_pending(), 1);
         assert_eq!(t.stats().parked, 1);
 
         // Retry while still offline: stays parked.
         assert_eq!(t.retry_pending(&peers), 0);
         assert_eq!(t.stats().retry_failures, 1);
-        assert_eq!(t.pending_at(PeerId(0)), 1);
+        assert_eq!(t.total_pending(), 1);
 
         // Destination returns: message is redelivered exactly once.
-        peers.go_online(PeerId(1));
+        peers.set_online(PeerId(1), true);
         assert_eq!(t.retry_pending(&peers), 1);
-        assert_eq!(t.pending_at(PeerId(0)), 0);
+        assert_eq!(t.total_pending(), 0);
         assert_eq!(t.receive(PeerId(1)).unwrap().payload, 7);
         assert_eq!(t.stats().redelivered, 1);
     }
@@ -967,13 +939,13 @@ mod tests {
     #[test]
     fn retry_outcomes_report_each_redelivery() {
         let mut peers = PeerTable::new(3);
-        peers.go_offline(PeerId(1));
-        peers.go_offline(PeerId(2));
+        peers.set_online(PeerId(1), false);
+        peers.set_online(PeerId(2), false);
         let mut t: Transport<Bytes> = Transport::new(3);
         t.send(&peers, PeerId(0), PeerId(1), Bytes::from_static(&[0; 24]));
         t.send(&peers, PeerId(0), PeerId(2), Bytes::from_static(&[0; 20]));
         // Only peer 1 returns: one outcome, the other stays parked.
-        peers.go_online(PeerId(1));
+        peers.set_online(PeerId(1), true);
         let outcomes = t.retry_pending_outcomes(&peers);
         assert_eq!(outcomes, vec![(PeerId(0), PeerId(1), 24)]);
         assert_eq!(t.stats().redelivered, 1);
@@ -999,19 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_inbox_empties_queue() {
-        let peers = PeerTable::new(3);
-        let mut t: Transport<&str> = Transport::new(3);
-        t.send(&peers, PeerId(0), PeerId(2), "a");
-        t.send(&peers, PeerId(1), PeerId(2), "b");
-        let msgs = t.drain_inbox(PeerId(2));
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(msgs[0].from, PeerId(0));
-        assert_eq!(t.inbox_len(PeerId(2)), 0);
-        assert_eq!(t.in_flight(), 0);
-    }
-
-    #[test]
     fn wire_roundtrip_is_24_bytes() {
         let m = RankUpdateWire {
             guid: 0x0000_dead_beef_cafe_babe_0123,
@@ -1034,22 +993,6 @@ mod tests {
         }
         .encode();
         assert_eq!(RankUpdateWire::decode(nan), Err(WireError::NonFiniteValue));
-    }
-
-    #[test]
-    fn take_pending_for_extracts_only_that_destination() {
-        let mut peers = PeerTable::new(3);
-        peers.go_offline(PeerId(1));
-        peers.go_offline(PeerId(2));
-        let mut t: Transport<u8> = Transport::new(3);
-        t.send(&peers, PeerId(0), PeerId(1), 1);
-        t.send(&peers, PeerId(0), PeerId(2), 2);
-        t.send(&peers, PeerId(0), PeerId(1), 3);
-        let taken = t.take_pending_for(PeerId(1));
-        assert_eq!(taken.len(), 2);
-        assert!(taken.iter().all(|e| e.to == PeerId(1)));
-        assert_eq!(t.total_pending(), 1, "message for peer 2 stays parked");
-        assert!(t.take_pending_for(PeerId(1)).is_empty());
     }
 
     #[test]
@@ -1147,7 +1090,7 @@ mod tests {
         let mut peers = PeerTable::new(2);
         let mut t: Transport<Bytes> = Transport::new(2);
         t.send(&peers, PeerId(0), PeerId(1), Bytes::from_static(&[0; 24]));
-        peers.go_offline(PeerId(1));
+        peers.set_online(PeerId(1), false);
         t.send(&peers, PeerId(0), PeerId(1), Bytes::from_static(&[0; 20]));
         assert_eq!(t.stats().bytes_sent, 44);
         assert_eq!(
@@ -1155,7 +1098,7 @@ mod tests {
             24,
             "parked bytes not yet on the wire"
         );
-        peers.go_online(PeerId(1));
+        peers.set_online(PeerId(1), true);
         t.retry_pending(&peers);
         assert_eq!(t.stats().bytes_delivered, 44);
     }
@@ -1168,7 +1111,7 @@ mod tests {
         let rec = Arc::new(TraceRecorder::new());
         t.set_recorder(rec.clone());
         t.send(&peers, PeerId(0), PeerId(1), Bytes::from_static(&[0; 24]));
-        peers.go_offline(PeerId(1));
+        peers.set_online(PeerId(1), false);
         t.send(&peers, PeerId(0), PeerId(1), Bytes::from_static(&[0; 20]));
         assert_eq!(rec.counter(Metric::PayloadsSent), 2);
         assert_eq!(rec.counter(Metric::BytesOnWire), 44);
@@ -1187,7 +1130,7 @@ mod tests {
         let mut peers = PeerTable::new(2);
         let mut t: Transport<u8> = Transport::new(2);
         t.send(&peers, PeerId(0), PeerId(1), 1);
-        peers.go_offline(PeerId(1));
+        peers.set_online(PeerId(1), false);
         t.send(&peers, PeerId(0), PeerId(1), 2);
         assert_eq!(t.in_flight(), 2);
         assert_eq!(t.total_pending(), 1);
@@ -1214,7 +1157,7 @@ mod tests {
     #[test]
     fn in_flight_mass_and_entries_decode_queued_payloads() {
         let mut peers = PeerTable::new(3);
-        peers.go_offline(PeerId(2));
+        peers.set_online(PeerId(2), false);
         let mut t: Transport<Bytes> = Transport::new(3);
         t.send(&peers, PeerId(0), PeerId(1), frame(&[0.25]));
         t.send(&peers, PeerId(0), PeerId(1), frame(&[0.5, 0.125]));
@@ -1742,12 +1685,11 @@ mod tests {
 
         /// The transport against a naive model — one `Vec` per inbox
         /// and per sender's parked list — under interleaved sends,
-        /// presence flips, all three receive shapes, departures'
-        /// `take_pending_for`, retries, and a staged duplicate or lost
-        /// frame.
+        /// presence flips, both receive shapes, retries, and a staged
+        /// duplicate or lost frame.
         #[test]
         fn transport_matches_a_naive_vec_model(
-            ops in proptest::collection::vec((0u8..8, 0u32..4, 0u32..4), 1..120),
+            ops in proptest::collection::vec((0u8..7, 0u32..4, 0u32..4), 1..120),
             fault in 0u8..3,
             nth_send in 0u64..20,
         ) {
@@ -1808,23 +1750,9 @@ mod tests {
                     }
                     5 => {
                         if b % 2 == 0 {
-                            let want = std::mem::take(&mut inbox[a as usize]);
-                            proptest::prop_assert_eq!(t.drain_inbox(pa), want);
+                            peers.set_online(pa, false);
                         } else {
-                            let mut want = Vec::new();
-                            for list in &mut parked {
-                                let (gone, kept) = list.drain(..).partition(|e: &Env| e.to == pa);
-                                want.extend::<Vec<Env>>(gone);
-                                *list = kept;
-                            }
-                            proptest::prop_assert_eq!(t.take_pending_for(pa), want);
-                        }
-                    }
-                    6 => {
-                        if b % 2 == 0 {
-                            peers.go_offline(pa);
-                        } else {
-                            peers.go_online(pa);
+                            peers.set_online(pa, true);
                         }
                     }
                     _ => {
@@ -1847,14 +1775,14 @@ mod tests {
                 }
                 for (p, (inbox, parked)) in inbox.iter().zip(&parked).enumerate() {
                     proptest::prop_assert_eq!(t.inbox_len(PeerId(p as u32)), inbox.len());
-                    proptest::prop_assert_eq!(t.pending_at(PeerId(p as u32)), parked.len());
+                    proptest::prop_assert_eq!(t.pending[p].len(), parked.len());
                 }
                 proptest::prop_assert_eq!(t.stats(), stats);
                 proptest::prop_assert_eq!(t.fault_fired_at().is_some(), fired);
             }
             // What is left comes out in arrival order.
             for (p, inbox) in inbox.into_iter().enumerate() {
-                proptest::prop_assert_eq!(t.drain_inbox(PeerId(p as u32)), inbox);
+                proptest::prop_assert_eq!(t.inboxes[p].drain(..).collect::<Vec<_>>(), inbox);
             }
         }
     }

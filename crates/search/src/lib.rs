@@ -20,9 +20,6 @@
 //! * [`bloom`] — a from-scratch Bloom filter and the Bloom-assisted
 //!   intersection the paper cites (Reynolds–Vahdat) as a composable
 //!   further optimisation.
-//! * [`fasd`] — the FASD/Freenet-style alternative (paper Sec. 2.4.1):
-//!   metadata-key vectors, closeness + pagerank scoring, and a
-//!   TTL-limited greedy walk over a small-world overlay.
 //! * [`idset`] — the bitset over ids that the corpus dedups through and
 //!   the query path intersects through.
 
@@ -30,7 +27,6 @@
 
 pub mod bloom;
 pub mod corpus;
-pub mod fasd;
 pub mod idset;
 pub mod index;
 pub mod query;

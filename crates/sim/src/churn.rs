@@ -23,64 +23,6 @@ pub enum Schedule {
         /// Deterministic RNG for the re-sampling.
         rng: ChaCha8Rng,
     },
-    /// Session-based churn: each peer alternates between online
-    /// sessions and offline gaps with geometrically distributed
-    /// lengths (the discrete analogue of exponential session times
-    /// observed in deployed P2P systems). Steady-state presence is
-    /// `mean_online / (mean_online + mean_offline)` — but unlike
-    /// [`Schedule::Fraction`], membership changes are *incremental*
-    /// per pass, which is what store-and-resend actually faces.
-    Sessions(SessionChurn),
-}
-
-/// State of the session-based model.
-#[derive(Debug)]
-pub struct SessionChurn {
-    /// Per-pass probability an online peer goes offline.
-    leave_prob: f64,
-    /// Per-pass probability an offline peer returns.
-    join_prob: f64,
-    rng: ChaCha8Rng,
-}
-
-impl SessionChurn {
-    /// A model with the given mean session lengths (in passes).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both means are at least 1.
-    pub fn new(mean_online: f64, mean_offline: f64, seed: u64) -> Self {
-        assert!(
-            mean_online >= 1.0 && mean_offline >= 1.0,
-            "means must be >= 1 pass"
-        );
-        SessionChurn {
-            leave_prob: 1.0 / mean_online,
-            join_prob: 1.0 / mean_offline,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// Steady-state online fraction of the model.
-    pub fn steady_state_presence(&self) -> f64 {
-        let mean_on = 1.0 / self.leave_prob;
-        let mean_off = 1.0 / self.join_prob;
-        mean_on / (mean_on + mean_off)
-    }
-
-    fn step(&mut self, peers: &mut PeerTable) {
-        use rand::Rng;
-        for p in 0..peers.len() as u32 {
-            let pid = dpr_p2p::peer::PeerId(p);
-            if peers.is_online(pid) {
-                if self.rng.gen::<f64>() < self.leave_prob {
-                    peers.go_offline(pid);
-                }
-            } else if self.rng.gen::<f64>() < self.join_prob {
-                peers.go_online(pid);
-            }
-        }
-    }
 }
 
 impl Schedule {
@@ -102,12 +44,6 @@ impl Schedule {
         }
     }
 
-    /// A session-based schedule with the given mean online/offline
-    /// session lengths in passes.
-    pub fn sessions(mean_online: f64, mean_offline: f64, seed: u64) -> Self {
-        Schedule::Sessions(SessionChurn::new(mean_online, mean_offline, seed))
-    }
-
     /// Applies the schedule for the start of the next pass.
     pub fn apply(&mut self, peers: &mut PeerTable) {
         match self {
@@ -115,16 +51,6 @@ impl Schedule {
             Schedule::Fraction { fraction, rng } => {
                 peers.set_online_fraction(*fraction, rng);
             }
-            Schedule::Sessions(model) => model.step(peers),
-        }
-    }
-
-    /// The nominal online fraction.
-    pub fn nominal_fraction(&self) -> f64 {
-        match self {
-            Schedule::AlwaysOn => 1.0,
-            Schedule::Fraction { fraction, .. } => *fraction,
-            Schedule::Sessions(model) => model.steady_state_presence(),
         }
     }
 }
@@ -138,8 +64,7 @@ mod tests {
         let mut t = PeerTable::new(10);
         let mut s = Schedule::always_on();
         s.apply(&mut t);
-        assert_eq!(t.num_online(), 10);
-        assert_eq!(s.nominal_fraction(), 1.0);
+        assert!(t.peers().all(|p| t.is_online(p)));
     }
 
     #[test]
@@ -148,9 +73,8 @@ mod tests {
         let mut s = Schedule::fraction(0.75, 1);
         for _ in 0..5 {
             s.apply(&mut t);
-            assert_eq!(t.num_online(), 75);
+            assert_eq!(t.peers().filter(|&p| t.is_online(p)).count(), 75);
         }
-        assert_eq!(s.nominal_fraction(), 0.75);
     }
 
     #[test]
@@ -172,47 +96,5 @@ mod tests {
     #[should_panic(expected = "fraction in (0, 1]")]
     fn rejects_zero_fraction() {
         Schedule::fraction(0.0, 1);
-    }
-
-    #[test]
-    fn session_model_tracks_steady_state() {
-        let mut t = PeerTable::new(400);
-        let mut s = Schedule::sessions(30.0, 10.0, 5);
-        assert!((s.nominal_fraction() - 0.75).abs() < 1e-12);
-        // Warm up to steady state, then average presence over passes.
-        for _ in 0..200 {
-            s.apply(&mut t);
-        }
-        let mut total = 0usize;
-        for _ in 0..200 {
-            s.apply(&mut t);
-            total += t.num_online();
-        }
-        let avg = total as f64 / (200.0 * 400.0);
-        assert!((avg - 0.75).abs() < 0.06, "average presence {avg}");
-    }
-
-    #[test]
-    fn session_changes_are_incremental() {
-        // Unlike Fraction, only a small subset flips per pass.
-        let mut t = PeerTable::new(400);
-        let mut s = Schedule::sessions(50.0, 50.0, 6);
-        for _ in 0..100 {
-            s.apply(&mut t);
-        }
-        let before: Vec<bool> = (0..400)
-            .map(|i| t.is_online(dpr_p2p::peer::PeerId(i)))
-            .collect();
-        s.apply(&mut t);
-        let flips = (0..400)
-            .filter(|&i| t.is_online(dpr_p2p::peer::PeerId(i)) != before[i as usize])
-            .count();
-        assert!(flips < 40, "{flips} flips in one pass");
-    }
-
-    #[test]
-    #[should_panic(expected = "means must be")]
-    fn session_rejects_tiny_means() {
-        Schedule::sessions(0.5, 10.0, 1);
     }
 }

@@ -381,7 +381,7 @@ pub struct ChaoticOutcome {
     /// Envelopes delivered.
     pub deliveries: u64,
     /// `Deliver` events that found no envelope (displaced by a staged
-    /// lost-frame fault or a departure redirect).
+    /// lost-frame fault).
     pub displaced: u64,
     /// FNV-1a fingerprint over the executed `Step`/`Deliver` schedule.
     pub schedule_fnv: u64,
@@ -537,9 +537,7 @@ impl Runner<'_> {
 /// `detector` carries Safra state across segments of a continuous
 /// run; pass a fresh one for a single-shot run. Presence is frozen
 /// for the whole run (offline peers neither step nor receive);
-/// *transient* churn during a run is [`run_chaotic_serving`]'s
-/// domain, while *permanent* departures are handled by
-/// [`Cluster::peer_depart_redirecting`] between segments.
+/// churn during a run is [`run_chaotic_serving`]'s domain.
 pub fn run_chaotic<R: Recorder + ?Sized>(
     cluster: &mut Cluster,
     peers: &PeerTable,
@@ -793,7 +791,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
                     // End of the chain: restore full presence so
                     // nothing stays stranded at an offline peer.
                     for p in 0..n as u32 {
-                        peers.go_online(PeerId(p));
+                        peers.set_online(PeerId(p), true);
                     }
                 } else {
                     c.schedule.apply(peers);
@@ -1103,7 +1101,11 @@ mod tests {
                     on_query: &mut |_, _, _| queries += 1,
                 },
             );
-            assert_eq!(peers.num_online(), 8, "churn chain must end fully online");
+            assert_eq!(
+                peers.peers().filter(|&p| peers.is_online(p)).count(),
+                8,
+                "churn chain must end fully online"
+            );
             (out, cluster.collect_ranks(400), queries)
         };
         let (oa, ra, qa) = run_one(&NOOP);

@@ -64,25 +64,6 @@ pub struct FlightConfig {
 }
 
 impl FlightConfig {
-    /// The acceptance-scale flight: the paper's 10,000-document graph
-    /// on its 500 peers.
-    pub fn paper_scale() -> Self {
-        FlightConfig {
-            spec: ScenarioSpec::new(10_000, crate::workload::PAPER_NUM_PEERS, 1e-4, 2003),
-            inserts: 12,
-            checkpoints: 4,
-        }
-    }
-
-    /// A seconds-scale flight for CI smoke runs and tests.
-    pub fn smoke() -> Self {
-        FlightConfig {
-            spec: ScenarioSpec::new(1_200, 40, 1e-3, 7),
-            inserts: 6,
-            checkpoints: 2,
-        }
-    }
-
     /// Refuses what [`fly`] cannot run: a degenerate scenario, no
     /// checkpoint, or fewer inserts than checkpoints.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -174,7 +155,7 @@ fn fly_course<S, R: Recorder + ?Sized>(
     reconverge(system, "initial");
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.spec.seed ^ 0xf11e);
     let stride = cfg.inserts / cfg.checkpoints;
-    let mut injections = Vec::with_capacity(cfg.inserts);
+    let mut injections = Vec::new();
     for i in 1..=cfg.inserts {
         let doc = DocId(rng.gen_range(0..cfg.spec.nodes as u32));
         let delta = rng.gen_range(0.05..0.5);
@@ -278,7 +259,9 @@ pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, Fl
 /// Re-executes a capture and proves the re-run matched:
 /// the derived injection stream must equal the recorded one (so the
 /// comparison is about the same run), then every fingerprint field
-/// must agree bit for bit. The error names the first divergence.
+/// must agree bit for bit. The error names the first divergence. A
+/// capture whose header's insert count differs from its recorded
+/// injection stream is refused before anything flies.
 ///
 /// With `expect_codec`, first refuses captures recorded under a
 /// different wire codec than the one the replayer claims to run.
@@ -304,6 +287,16 @@ pub fn replay<R: Recorder + ?Sized>(
              — fingerprints are not comparable across codecs; pass --codec {} or \
              re-record the capture",
             cfg.spec.codec, cfg.spec.codec
+        ));
+    }
+    // A genuine capture records one injection per insert; refuse a
+    // header that promises another flight before flying it.
+    if cfg.inserts != capture.injections.len() {
+        return Err(format!(
+            "capture header records {} inserts but its injection stream holds {} \
+             — corrupted capture",
+            cfg.inserts,
+            capture.injections.len()
         ));
     }
     let out = fly(&cfg, rec);
@@ -498,9 +491,18 @@ mod tests {
     use dpr_p2p::transport::FaultKind;
     use dpr_telemetry::audit::Monitor;
 
+    /// A seconds-scale flight.
+    fn smoke() -> FlightConfig {
+        FlightConfig {
+            spec: ScenarioSpec::new(1_200, 40, 1e-3, 7),
+            inserts: 6,
+            checkpoints: 2,
+        }
+    }
+
     #[test]
     fn capture_replays_bit_identically() {
-        let cfg = FlightConfig::smoke();
+        let cfg = smoke();
         let (capture, original) = record(&cfg, &dpr_telemetry::NOOP);
         assert_eq!(capture.injections.len(), cfg.inserts);
 
@@ -513,20 +515,29 @@ mod tests {
 
     #[test]
     fn replay_detects_a_tampered_fingerprint() {
-        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
+        let (mut capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
         capture.fingerprint.remote_messages += 1;
         let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("remote_messages"), "{err}");
 
-        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
+        let (mut capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
         capture.injections.swap(0, 1);
         let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("index 0"), "{err}");
     }
 
     #[test]
+    fn replay_refuses_a_header_that_miscounts_its_inserts() {
+        let (mut capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
+        capture.header.inserts = 1_000_000_000_000_000_000;
+        let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
+        assert!(err.contains("1000000000000000000 inserts"), "{err}");
+        assert!(err.contains("holds 6"), "{err}");
+    }
+
+    #[test]
     fn replay_refuses_a_codec_mismatch() {
-        let (capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
+        let (capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
         assert_eq!(capture.header.codec, "raw");
         let err = replay(&capture, Some(WireCodec::Compact), &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("recorded under wire codec \"raw\""), "{err}");
@@ -548,7 +559,7 @@ mod tests {
 
     #[test]
     fn replay_refuses_foreign_scenarios() {
-        let (mut capture, _) = record(&FlightConfig::smoke(), &dpr_telemetry::NOOP);
+        let (mut capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
         capture.header.scenario = "other".into();
         assert!(replay(&capture, None, &dpr_telemetry::NOOP)
             .unwrap_err()

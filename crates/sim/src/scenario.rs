@@ -87,93 +87,6 @@ pub fn run_convergence<R: Recorder + ?Sized>(
 }
 
 // ---------------------------------------------------------------------------
-// Table 1 under the chaotic runtime: transient churn as events
-
-/// One Table 1 cell measured on the discrete-event runtime.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaoticChurnResult {
-    /// Documents in the graph.
-    pub graph_size: usize,
-    /// Peers in the system.
-    pub num_peers: usize,
-    /// Long-run fraction of peers online under the schedule.
-    pub nominal_presence: f64,
-    /// Error threshold ε.
-    pub epsilon: f64,
-    /// Network model name.
-    pub latency: String,
-    /// Local passes executed.
-    pub steps: u64,
-    /// Envelopes delivered.
-    pub deliveries: u64,
-    /// Virtual time to quiescence, milliseconds.
-    pub virtual_ms: f64,
-    /// Whether the run reached certified quiescence.
-    pub quiesced: bool,
-    /// FNV fingerprint of the executed schedule (determinism pin).
-    pub schedule_fnv: u64,
-}
-
-/// Runs Table 1's churn experiment on the chaotic event runtime
-/// (Table 1's cell under `--run-mode chaotic` instead of lockstep
-/// rounds): peer presence is redrawn from `schedule` as *transient*
-/// `Churn` events (offline peers buffer in-flight work via
-/// store-and-resend and catch up on return), rather than the
-/// rounds-mode per-pass redraw. `spec.latency` drives both link
-/// latency and the redraw cadence — one coalesce window per redraw,
-/// `redraws` of them before the system is left to settle (the final
-/// redraw restores every peer). Accepts any [`Schedule`] — `fraction`
-/// for Table 1's presence levels, `sessions` for the exponential
-/// session-length model.
-pub fn run_convergence_chaotic<R: Recorder + ?Sized>(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    redraws: u32,
-    schedule: Schedule,
-    rec: &R,
-) -> ChaoticChurnResult {
-    use crate::event::{run_chaotic_serving, ChurnPlan, ServingHooks};
-    use dpr_node::termination::TerminationDetector;
-
-    let nominal_presence = schedule.nominal_fraction();
-    let mut cluster = spec.cluster(w);
-    let mut peers = w.peer_table();
-    let mut detector = TerminationDetector::new(w.num_peers);
-    let every_ns = spec.latency.coalesce_window_ns();
-    let churn = (redraws > 0).then(|| ChurnPlan {
-        schedule,
-        every_ns,
-        until_ns: every_ns.saturating_mul(u64::from(redraws)),
-    });
-    let mut on_query = |_q: u32, _at: u64, _c: &dpr_node::Cluster| {};
-    let out = run_chaotic_serving(
-        &mut cluster,
-        &mut peers,
-        &spec.chaotic_config(),
-        &mut detector,
-        1_000_000_000,
-        rec,
-        ServingHooks {
-            plan: &[],
-            churn,
-            on_query: &mut on_query,
-        },
-    );
-    ChaoticChurnResult {
-        graph_size: w.graph.num_nodes(),
-        num_peers: w.num_peers,
-        nominal_presence,
-        epsilon: spec.epsilon,
-        latency: spec.latency.to_string(),
-        steps: out.steps,
-        deliveries: out.deliveries,
-        virtual_ms: out.virtual_ns as f64 / 1e6,
-        quiesced: out.quiesced,
-        schedule_fnv: out.schedule_fnv,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tables 2 & 3: quality and traffic vs epsilon
 
 /// One (graph, ε) run: quality against the synchronous reference plus
@@ -670,27 +583,6 @@ mod tests {
         }
         // Error accumulates slowly, not explosively.
         assert!(points.last().unwrap().avg_rel_error < 0.05);
-    }
-
-    #[test]
-    fn chaotic_runtime_converges_under_fraction_and_session_churn() {
-        let spec = ScenarioSpec {
-            latency: crate::event::LatencyModel::Lan,
-            ..ScenarioSpec::new(1_200, 16, 1e-3, 6)
-        };
-        let w = spec.workload();
-        let frac = run_convergence_chaotic(&w, &spec, 6, Schedule::fraction(0.7, 6), &NOOP);
-        assert!(frac.quiesced, "fraction churn must settle");
-        assert!((frac.nominal_presence - 0.7).abs() < 1e-9);
-        // Session-model churn (exponential on/off) also settles.
-        let sess = run_convergence_chaotic(&w, &spec, 6, Schedule::sessions(3.0, 1.0, 6), &NOOP);
-        assert!(sess.quiesced, "session churn must settle");
-        assert!(sess.nominal_presence > 0.5 && sess.nominal_presence < 1.0);
-        // Deterministic per seed: the executed schedule is pinned.
-        let again = run_convergence_chaotic(&w, &spec, 6, Schedule::fraction(0.7, 6), &NOOP);
-        assert_eq!(frac.schedule_fnv, again.schedule_fnv);
-        assert_eq!(frac.steps, again.steps);
-        assert_eq!(frac.deliveries, again.deliveries);
     }
 
     #[test]

@@ -349,7 +349,9 @@ impl AuditReport {
                     ..
                 } => {
                     balance.checked += 1;
-                    let surplus = (received + in_flight_entries).saturating_sub(*sent);
+                    // In u128: the three counters are untrusted input.
+                    let surplus = (u128::from(*received) + u128::from(*in_flight_entries))
+                        .saturating_sub(u128::from(*sent));
                     if *skew < 0 || surplus > 0 {
                         balance.record(Violation {
                             step: *round,
@@ -360,7 +362,7 @@ impl AuditReport {
                                     "peer {} received {} more entr{} than were ever \
                                      addressed to it (duplication)",
                                     skew_peer,
-                                    -skew,
+                                    skew.unsigned_abs(),
                                     if *skew == -1 { "y" } else { "ies" },
                                 )
                             } else {

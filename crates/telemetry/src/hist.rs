@@ -91,25 +91,6 @@ impl Histogram {
         }
         out
     }
-
-    /// Smallest bucket upper bound at or below which at least
-    /// `q × count` observations fall — a bucket-resolution quantile
-    /// (exact for q=1.0; within a factor of 2 otherwise).
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * n as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, c) in self.snapshot().iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper_bound(i);
-            }
-        }
-        u64::MAX
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +147,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap[0], 1);
         assert_eq!(snap[BUCKETS - 1], 1);
-        assert_eq!(h.quantile_upper_bound(1.0), u64::MAX);
     }
 
     #[test]
@@ -184,19 +164,6 @@ mod tests {
         assert_eq!(snap[2], 2); // 2, 3
         assert_eq!(snap[7], 1); // 100 ∈ [64, 128)
         assert_eq!(snap.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn quantiles_have_bucket_resolution() {
-        let h = Histogram::new();
-        for _ in 0..99 {
-            h.observe(1);
-        }
-        h.observe(1000);
-        assert_eq!(h.quantile_upper_bound(0.5), 1);
-        // 1000 ∈ [512, 1024): the p100 bound is that bucket's top.
-        assert_eq!(h.quantile_upper_bound(1.0), 1023);
-        assert_eq!(Histogram::new().quantile_upper_bound(0.9), 0);
     }
 
     proptest! {

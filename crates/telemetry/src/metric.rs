@@ -30,9 +30,6 @@ macro_rules! metrics {
             /// Every metric, in registry order.
             pub const ALL: &'static [Metric] = &[$(Metric::$variant),+];
 
-            /// Number of registered metrics (dense index bound).
-            pub const COUNT: usize = Metric::ALL.len();
-
             /// Counter vs histogram.
             pub fn kind(self) -> MetricKind {
                 match self {
@@ -55,7 +52,8 @@ macro_rules! metrics {
                 }
             }
 
-            /// Dense index of this metric (0..[`Metric::COUNT`]).
+            /// Dense index of this metric (its position in
+            /// [`Metric::ALL`]).
             pub fn index(self) -> usize {
                 self as usize
             }
@@ -139,7 +137,6 @@ mod tests {
 
     #[test]
     fn registry_is_dense_and_consistent() {
-        assert_eq!(Metric::ALL.len(), Metric::COUNT);
         for (i, m) in Metric::ALL.iter().enumerate() {
             assert_eq!(m.index(), i, "{m:?} out of registry order");
             assert!(m.name().starts_with("dpr_"));
@@ -168,7 +165,7 @@ mod tests {
             .iter()
             .filter(|m| m.kind() == MetricKind::Histogram)
             .count();
-        assert_eq!(counters + histograms, Metric::COUNT);
+        assert_eq!(counters + histograms, Metric::ALL.len());
         assert!(counters > 0 && histograms > 0);
     }
 }

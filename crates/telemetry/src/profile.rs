@@ -178,10 +178,12 @@ impl Profile {
             } else {
                 spans[s.cause as usize - 1].end_ns
             };
+            // A consistent causal chain telescopes to `virtual_ns`;
+            // an inconsistent one saturates and fails the check.
             let (c, w, q) = classify(s, base);
-            compute += c;
-            wire += w;
-            wait += q;
+            compute = compute.saturating_add(c);
+            wire = wire.saturating_add(w);
+            wait = wait.saturating_add(q);
             path.push(PathSegment {
                 span: cur,
                 kind: s.kind,
@@ -221,9 +223,9 @@ impl Profile {
                     });
                     let l = &mut links[i];
                     l.transfers += 1;
-                    l.bytes += s.bytes;
-                    l.wire_ns += s.duration_ns() - s.queue_ns;
-                    l.queue_ns += s.queue_ns;
+                    l.bytes = l.bytes.saturating_add(s.bytes);
+                    l.wire_ns = l.wire_ns.saturating_add(s.duration_ns() - s.queue_ns);
+                    l.queue_ns = l.queue_ns.saturating_add(s.queue_ns);
                     l.max_queue_ns = l.max_queue_ns.max(s.queue_ns);
                 }
                 SpanKind::InboxWait => {
@@ -239,7 +241,7 @@ impl Profile {
                     });
                     let p = &mut peers[i];
                     p.arrivals += 1;
-                    p.wait_ns += s.duration_ns();
+                    p.wait_ns = p.wait_ns.saturating_add(s.duration_ns());
                     p.max_wait_ns = p.max_wait_ns.max(s.duration_ns());
                 }
                 _ => {}
@@ -272,7 +274,8 @@ impl Profile {
 
     /// Splits a JSONL event stream into chaotic segments (span ids
     /// restart at 1 per segment) and profiles each. Non-span events
-    /// are ignored. Errors on non-dense ids.
+    /// are ignored. Errors on non-dense ids, on a span that ends before
+    /// it starts and on a span that queues longer than it lasts.
     pub fn segments_from_events(events: &[Event]) -> Result<Vec<Profile>, String> {
         let mut segments: Vec<Profile> = Vec::new();
         let mut cur: Vec<SpanRec> = Vec::new();
@@ -303,6 +306,18 @@ impl Profile {
                     cur.len()
                 ));
             }
+            let Some(duration) = end_ns.checked_sub(*start_ns) else {
+                return Err(format!(
+                    "span {span} ends at {end_ns} ns, before it starts at {start_ns} ns \
+                     — corrupted trace"
+                ));
+            };
+            if *queue_ns > duration {
+                return Err(format!(
+                    "span {span} queues {queue_ns} ns, longer than its {duration} ns \
+                     duration — corrupted trace"
+                ));
+            }
             cur.push(SpanRec {
                 kind: *kind,
                 peer: *peer,
@@ -326,7 +341,8 @@ impl Profile {
     /// terminal virtual time (it must — any mismatch means the span
     /// stream is corrupt, and the CLI/CI treat it as an error).
     pub fn breakdown_is_exact(&self) -> bool {
-        self.compute_ns + self.wire_ns + self.wait_ns == self.virtual_ns
+        let sum = self.compute_ns.checked_add(self.wire_ns);
+        sum.and_then(|s| s.checked_add(self.wait_ns)) == Some(self.virtual_ns)
     }
 
     /// Percent of the critical path spent in compute.
@@ -702,5 +718,33 @@ mod tests {
             consumed: 0,
         };
         assert!(Profile::segments_from_events(&[e]).is_err());
+    }
+
+    #[test]
+    fn rejects_reversed_and_overqueued_spans_by_name() {
+        let span = |start_ns, end_ns, queue_ns| Event::SpanClosed {
+            span: 1,
+            kind: SpanKind::LinkTransfer,
+            peer: 0,
+            peer2: 1,
+            start_ns,
+            end_ns,
+            queue_ns,
+            bytes: 64,
+            frame: 1,
+            cause: 0,
+            consumed: 0,
+        };
+        let err = Profile::segments_from_events(&[span(100, 50, 0)]).unwrap_err();
+        assert!(
+            err.contains("span 1 ends at 50 ns, before it starts at 100"),
+            "{err}"
+        );
+        let err = Profile::segments_from_events(&[span(100, 150, 51)]).unwrap_err();
+        assert!(
+            err.contains("span 1 queues 51 ns, longer than its 50 ns"),
+            "{err}"
+        );
+        assert!(Profile::segments_from_events(&[span(100, 150, 50)]).is_ok());
     }
 }

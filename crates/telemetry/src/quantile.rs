@@ -5,8 +5,8 @@
 //! depths; it is useless for latency SLOs, where p99 = 180 ms and
 //! p99 = 350 ms are different verdicts. This sketch subdivides every
 //! octave into [`SUBBUCKETS`] linear sub-buckets, so any reported
-//! quantile is within [`RELATIVE_ERROR_BOUND`] (= `1/SUBBUCKETS`,
-//! ~3.1%) of the exact order statistic — property-tested against a
+//! quantile is within `1/SUBBUCKETS` (~3.1%) of the exact order
+//! statistic — property-tested against a
 //! sorted oracle below.
 //!
 //! Layout: values `0..SUBBUCKETS` index directly (exact); a larger
@@ -26,10 +26,6 @@ pub const SUBBUCKETS: u64 = 32;
 
 /// `log2(SUBBUCKETS)`.
 const SUB_BITS: u32 = SUBBUCKETS.trailing_zeros();
-
-/// Guaranteed worst-case relative error of any quantile estimate:
-/// `1 / SUBBUCKETS`.
-pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / SUBBUCKETS as f64;
 
 /// Total bucket count: 59 groups of [`SUBBUCKETS`] cover all of `u64`.
 pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUBBUCKETS as usize;
@@ -144,7 +140,7 @@ impl QuantileSketch {
 
     /// The `q`-quantile estimate: the high edge of the bucket holding
     /// the `ceil(q·n)`-th smallest observation, clamped to the exact
-    /// observed maximum. Within [`RELATIVE_ERROR_BOUND`] of the exact
+    /// observed maximum. Within `1/SUBBUCKETS` of the exact
     /// order statistic; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -182,6 +178,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The worst-case relative error of any quantile estimate.
+    const BOUND: f64 = 1.0 / SUBBUCKETS as f64;
+
     #[test]
     fn small_values_are_exact() {
         for v in 0..SUBBUCKETS {
@@ -212,7 +211,7 @@ mod tests {
             let width = 1u64 << (group - 1);
             let low = hi - (width - 1);
             assert!(
-                (width - 1) as f64 <= RELATIVE_ERROR_BOUND * low as f64,
+                (width - 1) as f64 <= BOUND * low as f64,
                 "bucket {i}: width {width} low {low}"
             );
         }
@@ -236,7 +235,7 @@ mod tests {
         ] {
             let rel = (est as f64 - exact as f64).abs() / exact as f64;
             assert!(
-                est >= exact && rel <= RELATIVE_ERROR_BOUND,
+                est >= exact && rel <= BOUND,
                 "q{q}: est {est} vs exact {exact}"
             );
         }
@@ -266,7 +265,7 @@ mod tests {
             // The estimate never undershoots (bucket high edge) and
             // overshoots by at most the guaranteed relative error.
             prop_assert!(est >= exact, "est {est} < exact {exact}");
-            let slack = RELATIVE_ERROR_BOUND * exact as f64;
+            let slack = BOUND * exact as f64;
             prop_assert!(
                 est as f64 - exact as f64 <= slack.max(0.0),
                 "est {est} exact {exact} slack {slack}"

@@ -113,8 +113,7 @@ pub struct SpanRec {
     /// Transfers only: payload bytes on the wire.
     pub bytes: u64,
     /// Transfers and inbox waits: the cluster-wide frame provenance id
-    /// stamped by `step_peer_observed` (0 when unknown, e.g. a
-    /// departure redirect observed before tracing began).
+    /// stamped by `step_peer_observed` (0 when unknown).
     pub frame: u64,
     /// Id of the span whose completion scheduled this one (0 = run
     /// seed). Always a lower id: causal `cause` edges are acyclic by
@@ -376,7 +375,7 @@ impl SpanTracer {
 
     /// The next payload on `(from, to)` arrived at `now`. `folded` is
     /// whether the destination actually absorbed it (false for a
-    /// displaced delivery — a staged lost frame or departure redirect).
+    /// displaced delivery — a staged lost frame).
     /// Returns the closed [`SpanKind::LinkTransfer`] span id.
     #[inline(never)]
     pub fn on_deliver<R: Recorder + ?Sized>(

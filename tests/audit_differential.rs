@@ -24,6 +24,7 @@ use distributed_pagerank::p2p::transport::{FaultKind, FaultPlan, WireCodec};
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::event::{run_chaotic, ChaoticConfig, LatencyModel};
 use distributed_pagerank::sim::flight::{self, FlightConfig};
+use distributed_pagerank::sim::workload::PAPER_NUM_PEERS;
 use distributed_pagerank::sim::ScenarioSpec;
 use distributed_pagerank::telemetry::audit::{Monitor, COMPACT_MASS_TOLERANCE, MASS_TOLERANCE};
 use distributed_pagerank::telemetry::{AuditReport, Capture, Event, TraceRecorder, NOOP};
@@ -31,11 +32,24 @@ use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// A seconds-scale flight.
+fn smoke() -> FlightConfig {
+    FlightConfig {
+        spec: ScenarioSpec::new(1_200, 40, 1e-3, 7),
+        inserts: 6,
+        checkpoints: 2,
+    }
+}
+
 /// Paper-scale capture (10k docs / 500 peers, continuous updates)
 /// replays bit-identically through the serialized capture file.
 #[test]
 fn paper_scale_capture_replays_bit_identically() {
-    let cfg = FlightConfig::paper_scale();
+    let cfg = FlightConfig {
+        spec: ScenarioSpec::new(10_000, PAPER_NUM_PEERS, 1e-4, 2003),
+        inserts: 12,
+        checkpoints: 4,
+    };
     let (capture, recorded) = flight::record(&cfg, &NOOP);
 
     // The capture must survive its own wire format: replay from the
@@ -66,7 +80,7 @@ fn paper_scale_capture_replays_bit_identically() {
 /// check is not vacuous.
 #[test]
 fn replay_rejects_a_corrupted_capture() {
-    let cfg = FlightConfig::smoke();
+    let cfg = smoke();
     let (mut capture, _) = flight::record(&cfg, &NOOP);
     capture.fingerprint.ranks_fnv ^= 1;
     let err = flight::replay(&capture, None, &NOOP).unwrap_err();
@@ -102,7 +116,7 @@ fn checked_in_captures_replay_at_head() {
 /// a panic in the builders behind it.
 #[test]
 fn degenerate_capture_headers_are_errors_naming_the_field() {
-    let (recorded, _) = flight::record(&FlightConfig::smoke(), &NOOP);
+    let (recorded, _) = flight::record(&smoke(), &NOOP);
     type Tamper = fn(&mut distributed_pagerank::telemetry::replay::CaptureHeader);
     let cases: [(&str, Tamper); 6] = [
         ("nodes", |h| h.nodes = 0),
@@ -267,14 +281,10 @@ fn arb_churn_plan(num_peers: usize) -> impl Strategy<Value = Vec<Vec<bool>>> {
 /// online so every run can terminate.
 fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
     for (i, &on) in mask.iter().enumerate().take(peers.len()) {
-        if on {
-            peers.go_online(PeerId(i as u32));
-        } else {
-            peers.go_offline(PeerId(i as u32));
-        }
+        peers.set_online(PeerId(i as u32), on);
     }
-    if peers.num_online() == 0 {
-        peers.go_online(PeerId(0));
+    if !peers.peers().any(|p| peers.is_online(p)) {
+        peers.set_online(PeerId(0), true);
     }
 }
 
@@ -346,7 +356,7 @@ proptest! {
             assert_balanced(&cluster, num_peers)?;
         }
         for p in 0..num_peers as u32 {
-            peers.go_online(PeerId(p));
+            peers.set_online(PeerId(p), true);
         }
         let (rounds, ok) = cluster.run_to_convergence(&mut peers, 100_000, None);
         prop_assert!(ok, "no quiescence in {} rounds", rounds);

@@ -63,10 +63,10 @@ fn link_aware_cluster_with_termination_detection() {
     }
 }
 
-/// Safra detection is sound under session churn: it never announces
-/// while the system has work, even when peers flap.
+/// Safra detection is sound under churn: it never announces while the
+/// system has work, even when peers flap.
 #[test]
-fn termination_detection_sound_under_session_churn() {
+fn termination_detection_sound_under_churn() {
     use distributed_pagerank::sim::churn::Schedule;
     let nodes = 600;
     let num_peers = 8;
@@ -82,7 +82,7 @@ fn termination_detection_sound_under_session_churn() {
     );
     let mut peers = PeerTable::new(num_peers);
     let mut detector = TerminationDetector::new(num_peers);
-    let mut schedule = Schedule::sessions(25.0, 8.0, 208);
+    let mut schedule = Schedule::fraction(0.75, 208);
     let mut rounds = 0usize;
     while rounds < 50_000 && !detector.announced() {
         cluster.round(&peers);
@@ -91,7 +91,7 @@ fn termination_detection_sound_under_session_churn() {
             schedule.apply(&mut peers);
         } else if rounds == 60 {
             (0..num_peers as u32).for_each(|p| {
-                peers.go_online(PeerId(p));
+                peers.set_online(PeerId(p), true);
             });
         }
         detector.advance(&cluster, &peers);

@@ -278,9 +278,9 @@ fn lockstep(
     for (k, step) in script.iter().enumerate() {
         for (i, &off) in step.offline.iter().enumerate() {
             if off {
-                peers.go_offline(PeerId(i as u32));
+                peers.set_online(PeerId(i as u32), false);
             } else {
-                peers.go_online(PeerId(i as u32));
+                peers.set_online(PeerId(i as u32), true);
             }
         }
         let cancel = step.cancel.map(|d| (d, -model.pending[d as usize]));

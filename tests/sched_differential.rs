@@ -17,7 +17,7 @@
 //!    change to residual bucketing, greedy scoring, or flush fill
 //!    order cannot land silently.
 
-use distributed_pagerank::node::node::PeerNode;
+use distributed_pagerank::node::node::{PeerNode, StepScratch};
 use distributed_pagerank::p2p::transport::{RankUpdateWire, UpdateFrameWire};
 use distributed_pagerank::prelude::*;
 use dpr_graph::CsrGraph as Csr;
@@ -66,14 +66,10 @@ fn owners(n: usize, num_peers: usize) -> Vec<PeerId> {
 /// online so every run can terminate.
 fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
     for (i, &on) in mask.iter().enumerate().take(peers.len()) {
-        if on {
-            peers.go_online(PeerId(i as u32));
-        } else {
-            peers.go_offline(PeerId(i as u32));
-        }
+        peers.set_online(PeerId(i as u32), on);
     }
-    if peers.num_online() == 0 {
-        peers.go_online(PeerId(0));
+    if !peers.peers().any(|p| peers.is_online(p)) {
+        peers.set_online(PeerId(0), true);
     }
 }
 
@@ -107,7 +103,7 @@ fn run_sched_trajectory(
     }
     // Phase 3: everyone online, drain to quiescence.
     for i in 0..num_peers {
-        peers.go_online(PeerId(i as u32));
+        peers.set_online(PeerId(i as u32), true);
     }
     for _ in 0..20_000 {
         if eng.is_quiescent() {
@@ -197,9 +193,12 @@ fn message_order_fingerprint(sched: SchedMode) -> u64 {
             }
         }
         let mut delivered = false;
+        let mut sc = StepScratch::default();
         for (i, inbox) in inboxes.iter_mut().enumerate() {
             for payload in inbox.drain(..) {
-                nodes[i].handle_message(payload).expect("wire decode");
+                nodes[i]
+                    .handle_message_with(&mut sc, &payload)
+                    .expect("wire decode");
                 delivered = true;
             }
         }

@@ -136,7 +136,11 @@ fn served_run_with_updates_and_churn_matches_its_pin() {
     );
     assert!(out.quiesced && out.announced, "{out:?}");
     assert_eq!(queries, 20, "every planned query fires");
-    assert_eq!(peers.num_online(), 100, "churn chain ends fully online");
+    assert_eq!(
+        peers.peers().filter(|&p| peers.is_online(p)).count(),
+        100,
+        "churn chain ends fully online"
+    );
     assert!(cluster.traffic().parked > 0, "churn must park frames");
     let emitted = (0..100).map(|p| cluster.node(PeerId(p)).stats().emitted_remote);
     let rank_fnv = fnv64_ranks(&cluster.collect_ranks(2_000));
