@@ -56,6 +56,24 @@ mod tests {
         }
     }
 
+    /// A value the library would panic on, or that would make a CI gate
+    /// meaningless, is a clean `Err` naming what is wrong.
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        use crate::commands::{search, serve};
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let cases: [(Cmd, &str, &str); 4] = [
+            (search, "--docs 300 --query 5,5", "query term 5 repeated"),
+            (serve, "--slo-budget 2", "--slo-budget must be in [0, 1]"),
+            (serve, "--slo-budget nan", "--slo-budget must be in [0, 1]"),
+            (serve, "--slo-budget -1", "--slo-budget must be in [0, 1]"),
+        ];
+        for (cmd, flags, named) in cases {
+            let e = cmd(&parse(&format!("{flags} --quiet"))).unwrap_err();
+            assert!(e.contains(named), "{flags}: {e}");
+        }
+    }
+
     /// What `main` does after a command succeeds: a flag the command
     /// never read fails the invocation.
     #[test]

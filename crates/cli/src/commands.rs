@@ -332,9 +332,14 @@ pub fn search(args: &Args) -> Result<(), String> {
         Some(_) => args.get_list("query")?,
         None => corpus.top_terms(2),
     };
-    for &t in &terms {
+    for (i, &t) in terms.iter().enumerate() {
         if t >= vocab {
             return Err(format!("query term {t} out of vocabulary (0..{vocab})"));
+        }
+        if terms[..i].contains(&t) {
+            return Err(format!(
+                "query term {t} repeated: --query takes distinct terms"
+            ));
         }
     }
     let q = Query::new(terms.clone());
@@ -397,6 +402,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let window_ms: f64 = args.get("window-ms", 1_000.0)?;
     if slo_p99_ms <= 0.0 || window_ms <= 0.0 {
         return Err("--slo-p99-ms and --window-ms must be positive".into());
+    }
+    if !(0.0..=1.0).contains(&slo_budget) {
+        return Err(format!("--slo-budget must be in [0, 1], got {slo_budget}"));
     }
     let spec = scenario(args, &ScenarioSpec::new(2_000, 32, 1e-4, 2003))?;
     let cfg = ServingConfig {

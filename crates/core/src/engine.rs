@@ -37,12 +37,6 @@ use dpr_telemetry::{Event, Metric, Recorder, NOOP};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default cap on retained per-pass detail in [`RunStats::per_pass`]:
-/// far above any converging run, but it keeps a pathological 10k-pass
-/// run from holding 10k [`PassStats`] when the caller only reads the
-/// totals.
-pub const DEFAULT_PASS_STATS_CAP: usize = 1024;
-
 /// Tuning of the chaotic engine.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub struct EngineConfig {
@@ -56,10 +50,6 @@ pub struct EngineConfig {
     /// How each pass schedules the queued documents (full sweep vs
     /// residual-driven priority selection).
     pub sched: SchedMode,
-    /// How many [`PassStats`] entries a run retains in
-    /// [`RunStats::per_pass`] (the first `pass_stats_cap` passes;
-    /// totals always cover the whole run). `0` retains everything.
-    pub pass_stats_cap: usize,
 }
 
 impl Default for EngineConfig {
@@ -69,7 +59,6 @@ impl Default for EngineConfig {
             epsilon: crate::RECOMMENDED_EPSILON,
             max_passes: 10_000,
             sched: SchedMode::Pass,
-            pass_stats_cap: DEFAULT_PASS_STATS_CAP,
         }
     }
 }
@@ -87,15 +76,6 @@ impl EngineConfig {
     pub fn with_sched(mut self, sched: SchedMode) -> Self {
         self.sched = sched;
         self
-    }
-
-    /// Effective retained-pass cap (`usize::MAX` when unlimited).
-    pub fn effective_pass_stats_cap(&self) -> usize {
-        if self.pass_stats_cap == 0 {
-            usize::MAX
-        } else {
-            self.pass_stats_cap
-        }
     }
 }
 
@@ -156,29 +136,6 @@ pub struct RunStats {
     pub total_local_updates: u64,
     /// Sum of overlay hops over all passes.
     pub total_hops: u64,
-    /// Per-pass details for the first
-    /// [`EngineConfig::pass_stats_cap`] passes (totals always cover
-    /// the whole run).
-    pub per_pass: Vec<PassStats>,
-}
-
-/// Aggregate view of a run, independent of how much per-pass detail
-/// was retained — what long-running callers should read instead of
-/// [`RunStats::per_pass`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
-pub struct RunSummary {
-    /// Number of passes executed.
-    pub passes: usize,
-    /// Whether the run reached quiescence within the pass budget.
-    pub converged: bool,
-    /// Sum of remote messages over all passes.
-    pub total_remote_messages: u64,
-    /// Sum of same-peer updates over all passes.
-    pub total_local_updates: u64,
-    /// Sum of overlay hops over all passes.
-    pub total_hops: u64,
-    /// How many [`PassStats`] entries were actually retained.
-    pub retained_passes: usize,
 }
 
 impl RunStats {
@@ -188,29 +145,12 @@ impl RunStats {
         self.total_remote_messages as f64 / num_docs.max(1) as f64
     }
 
-    /// Folds one pass into the totals, retaining the per-pass entry
-    /// only while fewer than `cap` are held.
-    fn record_pass(&mut self, stats: PassStats, cap: usize) {
+    /// Folds one pass into the totals.
+    fn record_pass(&mut self, stats: &PassStats) {
         self.passes += 1;
         self.total_remote_messages += stats.remote_messages;
         self.total_local_updates += stats.local_updates;
         self.total_hops += stats.hops;
-        if self.per_pass.len() < cap {
-            self.per_pass.push(stats);
-        }
-    }
-
-    /// The totals-only summary (exact regardless of the retention
-    /// cap).
-    pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            passes: self.passes,
-            converged: self.converged,
-            total_remote_messages: self.total_remote_messages,
-            total_local_updates: self.total_local_updates,
-            total_hops: self.total_hops,
-            retained_passes: self.per_pass.len(),
-        }
     }
 }
 
@@ -411,11 +351,6 @@ impl ChaoticEngine {
     /// The engine's configuration.
     pub fn config(&self) -> EngineConfig {
         self.cfg
-    }
-
-    /// The document graph.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
     }
 
     /// Current ranks (documents on offline peers may be stale).
@@ -794,7 +729,7 @@ impl ChaoticEngine {
                 ));
                 observe_sched(rec, cfg.sched, &stats, run_label);
             }
-            run.record_pass(stats, cfg.effective_pass_stats_cap());
+            run.record_pass(&stats);
             if let Some(f) = churn.as_deref_mut() {
                 if rec.enabled() {
                     let before: Vec<bool> = peers.peers().map(|p| peers.is_online(p)).collect();
@@ -866,7 +801,7 @@ mod tests {
         let mut e = eng(g, 1e-8);
         let run = e.run_static();
         assert!(run.converged, "did not converge in {} passes", run.passes);
-        let res = fixed_point_residual(e.graph(), e.ranks(), crate::DEFAULT_DAMPING);
+        let res = fixed_point_residual(&e.graph, e.ranks(), crate::DEFAULT_DAMPING);
         // Residual is bounded by ~eps (un-advertised rank changes).
         assert!(res < 1e-6, "fixed point residual {res}");
     }
@@ -980,7 +915,11 @@ mod tests {
         // injection shifts the expectation.
         let g = paper_graph(800, 43);
         let mut e = eng(g, 1e-8);
-        let phi = |e: &ChaoticEngine| e.mass_breakdown().phi(0.0, e.config().damping);
+        let phi = |e: &ChaoticEngine| {
+            let b = e.mass_breakdown();
+            let d = e.config().damping;
+            dpr_telemetry::audit::phi(b.ranks, b.unadvertised, b.pending, 0.0, b.dangling, d)
+        };
         let tol = 1e-9 * 800.0;
         assert!((phi(&e) - e.expected_mass()).abs() < tol);
         let peers = PeerTable::new(1);
@@ -1096,7 +1035,7 @@ mod tests {
         assert!(run.converged);
         let lossy_total: f64 = e.ranks().iter().sum();
         let mut full = ChaoticEngine::new(
-            e.graph().clone().into(),
+            e.graph.clone(),
             e.owner.clone(),
             EngineConfig::with_epsilon(1e-6),
         );
@@ -1196,10 +1135,10 @@ mod tests {
             Arc::new(g),
             EngineConfig::with_epsilon(1e-6).with_sched(crate::SchedMode::Greedy),
         );
-        let run = e.run_static();
-        assert!(run.converged);
+        let peers = PeerTable::new(1);
         let mut saw_deferral = false;
-        for s in &run.per_pass {
+        while !e.is_quiescent() {
+            let s = e.pass(&peers);
             assert_eq!(s.queued, s.selected + s.deferred, "pass {}", s.pass);
             assert!(s.budget_hit > 0.0 && s.budget_hit <= 1.0);
             if s.deferred > 0 {
@@ -1217,10 +1156,10 @@ mod tests {
             Arc::new(g),
             EngineConfig::with_epsilon(1e-6).with_sched(crate::SchedMode::Priority),
         );
-        let run = e.run_static();
-        assert!(run.converged);
+        let peers = PeerTable::new(1);
         let mut saw_deferral = false;
-        for s in &run.per_pass {
+        while !e.is_quiescent() {
+            let s = e.pass(&peers);
             assert_eq!(s.queued, s.selected + s.deferred, "pass {}", s.pass);
             assert!(s.budget_hit > 0.0 && s.budget_hit <= 1.0);
             assert!(s.deferred_mass >= 0.0);
@@ -1251,42 +1190,6 @@ mod tests {
         let run = e.run_to_convergence(&mut peers, Some(&mut churn));
         assert!(run.converged, "passes {}", run.passes);
         assert!(e.is_quiescent());
-    }
-
-    #[test]
-    fn pass_stats_cap_bounds_retention_but_not_totals() {
-        let g = paper_graph(600, 42);
-        let mut capped = ChaoticEngine::local(
-            Arc::new(g.clone()),
-            EngineConfig {
-                epsilon: 1e-8,
-                pass_stats_cap: 3,
-                ..Default::default()
-            },
-        );
-        let mut full = ChaoticEngine::local(
-            Arc::new(g),
-            EngineConfig {
-                epsilon: 1e-8,
-                pass_stats_cap: 0, // unlimited
-                ..Default::default()
-            },
-        );
-        let rc = capped.run_static();
-        let rf = full.run_static();
-        assert!(rc.passes > 3, "need a multi-pass run");
-        assert_eq!(rc.per_pass.len(), 3);
-        assert_eq!(rf.per_pass.len(), rf.passes);
-        // The retained prefix is the same detail the uncapped run holds.
-        assert_eq!(rc.per_pass, rf.per_pass[..3]);
-        // Totals are exact either way.
-        assert_eq!(rc.total_remote_messages, rf.total_remote_messages);
-        assert_eq!(rc.total_local_updates, rf.total_local_updates);
-        let s = rc.summary();
-        assert_eq!(s.passes, rc.passes);
-        assert_eq!(s.retained_passes, 3);
-        assert_eq!(s.total_remote_messages, rc.total_remote_messages);
-        assert!(s.converged);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use dpr_graph::CsrGraph;
 /// Synchronous PageRank solver.
 #[derive(Debug, Clone)]
 pub struct SyncSolver {
-    damping: f64,
     tolerance: f64,
     max_iterations: usize,
 }
@@ -39,7 +38,6 @@ pub struct SyncResult {
 impl Default for SyncSolver {
     fn default() -> Self {
         SyncSolver {
-            damping: crate::DEFAULT_DAMPING,
             tolerance: 1e-12,
             max_iterations: 500,
         }
@@ -51,17 +49,6 @@ impl SyncSolver {
     /// (tolerance 1e-12, damping 0.85).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the damping factor `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < d <= 1`.
-    pub fn damping(mut self, d: f64) -> Self {
-        assert!(d > 0.0 && d <= 1.0, "damping must be in (0, 1]");
-        self.damping = d;
-        self
     }
 
     /// Sets the convergence tolerance on the max relative change.
@@ -80,7 +67,8 @@ impl SyncSolver {
     /// Solves for the pageranks of `graph`.
     pub fn solve(&self, graph: &CsrGraph) -> SyncResult {
         let n = graph.num_nodes();
-        let base = 1.0 - self.damping;
+        let damping = crate::DEFAULT_DAMPING;
+        let base = 1.0 - damping;
         let mut ranks = vec![1.0f64; n];
         let mut contrib = vec![0.0f64; n];
         let mut iterations = 0;
@@ -103,7 +91,7 @@ impl SyncSolver {
             }
             let mut max_rel = 0.0f64;
             for i in 0..n {
-                let new = base + self.damping * contrib[i];
+                let new = base + damping * contrib[i];
                 let rel = (new - ranks[i]).abs() / new.max(f64::MIN_POSITIVE);
                 max_rel = max_rel.max(rel);
                 ranks[i] = new;
@@ -223,29 +211,6 @@ mod tests {
             .solve(&g);
         assert_eq!(r.iterations, 3);
         assert!(!r.converged);
-    }
-
-    #[test]
-    fn damping_one_is_supported() {
-        // d = 1 on a cycle: pure rank circulation, uniform stays 1.
-        let g = from_edges(
-            3,
-            [
-                Edge::new(0u32, 1u32),
-                Edge::new(1u32, 2u32),
-                Edge::new(2u32, 0u32),
-            ],
-        );
-        let r = SyncSolver::new().damping(1.0).solve(&g);
-        for &x in &r.ranks {
-            assert!((x - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "damping")]
-    fn rejects_bad_damping() {
-        let _ = SyncSolver::new().damping(0.0);
     }
 
     #[test]

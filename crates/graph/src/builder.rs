@@ -14,7 +14,6 @@ use crate::{csr::CsrGraph, DocId, Edge};
 pub struct GraphBuilder {
     num_nodes: usize,
     edges: Vec<Edge>,
-    keep_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -23,7 +22,6 @@ impl GraphBuilder {
         GraphBuilder {
             num_nodes,
             edges: Vec::new(),
-            keep_self_loops: false,
         }
     }
 
@@ -31,22 +29,6 @@ impl GraphBuilder {
     pub fn with_edge_capacity(mut self, n: usize) -> Self {
         self.edges.reserve(n);
         self
-    }
-
-    /// Keep self-loops instead of dropping them (off by default).
-    pub fn keep_self_loops(mut self, keep: bool) -> Self {
-        self.keep_self_loops = keep;
-        self
-    }
-
-    /// Number of nodes the final graph will have.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of edges accumulated so far (before dedup).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds the directed edge `from -> to`.
@@ -78,9 +60,7 @@ impl GraphBuilder {
 
     /// Sorts, deduplicates, and packs the edges into CSR form.
     pub fn build(mut self) -> CsrGraph {
-        if !self.keep_self_loops {
-            self.edges.retain(|e| e.from != e.to);
-        }
+        self.edges.retain(|e| e.from != e.to);
         // Sort by (from, to) then dedup: gives sorted adjacency lists.
         self.edges.sort_unstable_by_key(|e| (e.from.0, e.to.0));
         self.edges.dedup();
@@ -121,15 +101,6 @@ mod tests {
         assert_eq!(g.out_neighbors(DocId(0)), &[1, 2]);
         assert_eq!(g.out_neighbors(DocId(1)), &[] as &[u32]);
         assert_eq!(g.out_neighbors(DocId(2)), &[0]);
-    }
-
-    #[test]
-    fn keep_self_loops_opt_in() {
-        let mut b = GraphBuilder::new(2).keep_self_loops(true);
-        b.add_edge(0u32, 0u32);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.out_neighbors(DocId(0)), &[0]);
     }
 
     #[test]

@@ -73,16 +73,6 @@ impl PowerLaw {
         PowerLaw { min, cdf, guide }
     }
 
-    /// Smallest value in the support.
-    pub fn min(&self) -> u32 {
-        self.min
-    }
-
-    /// Largest value in the support.
-    pub fn max(&self) -> u32 {
-        self.min + self.cdf.len() as u32 - 1
-    }
-
     /// Draws one value: the first `j` with `cdf[j] >= u` for the
     /// uniform `u` that `rng.gen::<f64>()` makes of the same word.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
@@ -94,26 +84,6 @@ impl PowerLaw {
         let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
         let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
         self.min + idx.min(self.cdf.len() - 1) as u32
-    }
-
-    /// Exact probability of value `i` under the (normalized) law.
-    pub fn pmf(&self, i: u32) -> f64 {
-        if i < self.min || i > self.max() {
-            return 0.0;
-        }
-        let j = (i - self.min) as usize;
-        if j == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[j] - self.cdf[j - 1]
-        }
-    }
-
-    /// Expected value of the distribution.
-    pub fn mean(&self) -> f64 {
-        (self.min..=self.max())
-            .map(|i| i as f64 * self.pmf(i))
-            .sum()
     }
 }
 
@@ -140,16 +110,6 @@ impl Zipf {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         self.inner.sample(rng)
     }
-
-    /// Probability of rank `k`.
-    pub fn pmf(&self, k: u32) -> f64 {
-        self.inner.pmf(k)
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> u32 {
-        self.inner.max()
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +118,19 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Exact probability of value `i` under `p`'s normalized law.
+    fn pmf(p: &PowerLaw, i: u32) -> f64 {
+        match i.checked_sub(p.min).map(|j| j as usize) {
+            Some(0) => p.cdf[0],
+            Some(j) if j < p.cdf.len() => p.cdf[j] - p.cdf[j - 1],
+            _ => 0.0,
+        }
+    }
+
     #[test]
     fn pmf_sums_to_one() {
         let p = PowerLaw::new(2.4, 1, 100);
-        let total: f64 = (1..=100).map(|i| p.pmf(i)).sum();
+        let total: f64 = (1..=100).map(|i| pmf(&p, i)).sum();
         assert!((total - 1.0).abs() < 1e-12, "pmf total {total}");
     }
 
@@ -181,8 +150,8 @@ mod tests {
         // grows and the tail shrinks.
         let light = PowerLaw::new(3.0, 1, 1000);
         let heavy = PowerLaw::new(1.5, 1, 1000);
-        assert!(light.pmf(1) > heavy.pmf(1));
-        assert!(light.pmf(1000) < heavy.pmf(1000));
+        assert!(pmf(&light, 1) > pmf(&heavy, 1));
+        assert!(pmf(&light, 1000) < pmf(&heavy, 1000));
     }
 
     #[test]
@@ -196,7 +165,7 @@ mod tests {
         }
         for i in 1..=5u32 {
             let emp = counts[i as usize] as f64 / n as f64;
-            let exp = p.pmf(i);
+            let exp = pmf(&p, i);
             assert!(
                 (emp - exp).abs() < 0.01,
                 "value {i}: empirical {emp:.4} vs pmf {exp:.4}"
@@ -208,15 +177,16 @@ mod tests {
     fn mean_matches_analytic_small_case() {
         // Support {1,2}, exponent 1: weights 1 and 1/2 -> P(1)=2/3.
         let p = PowerLaw::new(1.0, 1, 2);
-        assert!((p.pmf(1) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((p.mean() - (2.0 / 3.0 + 2.0 * 1.0 / 3.0)).abs() < 1e-12);
+        assert!((pmf(&p, 1) - 2.0 / 3.0).abs() < 1e-12);
+        let mean: f64 = (1..=2).map(|i| f64::from(i) * pmf(&p, i)).sum();
+        assert!((mean - (2.0 / 3.0 + 2.0 * 1.0 / 3.0)).abs() < 1e-12);
     }
 
     #[test]
     fn zipf_rank_one_is_most_likely() {
         let z = Zipf::new(1880, 1.0);
-        assert!(z.pmf(1) > z.pmf(2));
-        assert!(z.pmf(2) > z.pmf(100));
+        assert!(pmf(&z.inner, 1) > pmf(&z.inner, 2));
+        assert!(pmf(&z.inner, 2) > pmf(&z.inner, 100));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let v = z.sample(&mut rng);
         assert!((1..=1880).contains(&v));

@@ -26,15 +26,9 @@ struct NodeData {
 pub struct DynamicGraph {
     nodes: Vec<Option<NodeData>>,
     num_edges: usize,
-    num_alive: usize,
 }
 
 impl DynamicGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a dynamic graph mirroring a static one.
     pub fn from_csr(g: &CsrGraph) -> Self {
         let mut dg = DynamicGraph {
@@ -42,7 +36,6 @@ impl DynamicGraph {
                 .map(|_| Some(NodeData::default()))
                 .collect(),
             num_edges: 0,
-            num_alive: g.num_nodes(),
         };
         for e in g.edges() {
             dg.push_edge_unchecked(e.from, e.to);
@@ -59,16 +52,6 @@ impl DynamicGraph {
     /// Total id range (alive + tombstoned).
     pub fn id_bound(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of live documents.
-    pub fn num_alive(&self) -> usize {
-        self.num_alive
-    }
-
-    /// Number of live edges.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
     }
 
     /// Whether `v` is a live document.
@@ -91,11 +74,6 @@ impl DynamicGraph {
         &self.node(v).out
     }
 
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: DocId) -> usize {
-        self.node(v).out.len()
-    }
-
     /// Inserts a new document with the given out-links.
     ///
     /// Matches the paper's insert model: "When a new document is
@@ -108,7 +86,6 @@ impl DynamicGraph {
         }
         let id = DocId::from(self.nodes.len());
         self.nodes.push(Some(NodeData::default()));
-        self.num_alive += 1;
         let mut seen = std::collections::HashSet::new();
         for &t in out_links {
             if t != id && seen.insert(t) {
@@ -124,7 +101,6 @@ impl DynamicGraph {
     pub fn delete_document(&mut self, v: DocId) -> Vec<DocId> {
         assert!(self.is_alive(v), "double delete of {v}");
         let data = self.nodes[v.index()].take().unwrap();
-        self.num_alive -= 1;
         self.num_edges -= data.out.len();
         for &t in &data.out {
             let inn = &mut self.nodes[t as usize].as_mut().unwrap().inn;
@@ -223,8 +199,8 @@ mod tests {
     #[test]
     fn from_csr_preserves_structure() {
         let dg = base();
-        assert_eq!(dg.num_alive(), 3);
-        assert_eq!(dg.num_edges(), 3);
+        assert_eq!(dg.alive().count(), 3);
+        assert_eq!(dg.num_edges, 3);
         assert_eq!(dg.out_links(DocId(0)), &[1, 2]);
         assert_eq!(dg.node(DocId(2)).inn, [0, 1]);
         dg.check_invariants().unwrap();
@@ -238,8 +214,8 @@ mod tests {
         assert!(dg.is_alive(id));
         assert_eq!(dg.out_links(id), &[0, 2]);
         assert!(dg.node(id).inn.is_empty());
-        assert_eq!(dg.num_alive(), 4);
-        assert_eq!(dg.num_edges(), 5);
+        assert_eq!(dg.alive().count(), 4);
+        assert_eq!(dg.num_edges, 5);
         dg.check_invariants().unwrap();
     }
 
@@ -247,7 +223,7 @@ mod tests {
     fn insert_dedups_outlinks_and_drops_self() {
         let mut dg = base();
         let id = dg.insert_document(&[DocId(0), DocId(0), DocId(1)]);
-        assert_eq!(dg.out_degree(id), 2);
+        assert_eq!(dg.out_links(id).len(), 2);
         dg.check_invariants().unwrap();
     }
 
@@ -260,8 +236,8 @@ mod tests {
         s.sort_unstable();
         assert_eq!(s, vec![0, 1]);
         assert!(!dg.is_alive(DocId(2)));
-        assert_eq!(dg.num_alive(), 2);
-        assert_eq!(dg.num_edges(), 1); // only 0 -> 1 remains
+        assert_eq!(dg.alive().count(), 2);
+        assert_eq!(dg.num_edges, 1); // only 0 -> 1 remains
         assert_eq!(dg.out_links(DocId(0)), &[1]);
         dg.check_invariants().unwrap();
     }

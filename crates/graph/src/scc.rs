@@ -32,27 +32,6 @@ pub struct SccDecomposition {
     pub num_components: usize,
 }
 
-impl SccDecomposition {
-    /// Sizes of all components.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_components];
-        for &c in &self.component {
-            sizes[c as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Id and size of the largest component.
-    pub fn largest(&self) -> (u32, usize) {
-        self.sizes()
-            .into_iter()
-            .enumerate()
-            .max_by_key(|&(_, s)| s)
-            .map(|(c, s)| (c as u32, s))
-            .expect("at least one component")
-    }
-}
-
 /// Tarjan's algorithm, iterative, over a CSR snapshot.
 pub fn tarjan_scc(graph: &CsrGraph) -> SccDecomposition {
     tarjan_scc_with(graph.num_nodes(), |v| graph.out_neighbors(DocId(v)))
@@ -192,11 +171,6 @@ impl Condensation {
         )
     }
 
-    /// Number of components (DAG nodes).
-    pub fn num_components(&self) -> usize {
-        self.num_components
-    }
-
     /// Deduplicated successor components of `c`; every entry is `< c`.
     pub fn out_components(&self, c: u32) -> &[u32] {
         let i = c as usize;
@@ -241,19 +215,6 @@ pub enum IndexFreshness {
     Coarse,
 }
 
-/// Counters describing how the index has been maintained — the
-/// localized-recomputation telemetry the bench and experiment reports
-/// surface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct SccIndexStats {
-    /// Full Tarjan rebuilds (including the initial build).
-    pub rebuilds: u64,
-    /// Document inserts absorbed exactly, without a rebuild.
-    pub incremental_inserts: u64,
-    /// Deletions absorbed as a sound coarsening.
-    pub coarse_deletes: u64,
-}
-
 /// An SCC decomposition kept *incrementally valid* across
 /// [`DynamicGraph`] mutations.
 ///
@@ -269,7 +230,6 @@ pub struct SccIndex {
     comp: Vec<u32>,
     num_components: usize,
     freshness: IndexFreshness,
-    stats: SccIndexStats,
 }
 
 impl SccIndex {
@@ -280,26 +240,12 @@ impl SccIndex {
             comp: scc.component,
             num_components: scc.num_components,
             freshness: IndexFreshness::Exact,
-            stats: SccIndexStats {
-                rebuilds: 1,
-                ..SccIndexStats::default()
-            },
         }
-    }
-
-    /// Number of components in the current partition.
-    pub fn num_components(&self) -> usize {
-        self.num_components
     }
 
     /// Current freshness (see [`IndexFreshness`]).
     pub fn freshness(&self) -> IndexFreshness {
         self.freshness
-    }
-
-    /// Maintenance counters.
-    pub fn stats(&self) -> SccIndexStats {
-        self.stats
     }
 
     /// Absorbs a document insert (call right after
@@ -314,21 +260,13 @@ impl SccIndex {
         );
         self.comp.push(self.num_components as u32);
         self.num_components += 1;
-        self.stats.incremental_inserts += 1;
     }
 
     /// Absorbs a document deletion. The partition coarsens: the
     /// tombstone keeps its old component label, and surviving
     /// components can only have split.
     pub fn on_delete_document(&mut self, _id: DocId) {
-        self.coarsen();
-    }
-
-    fn coarsen(&mut self) {
-        if self.freshness == IndexFreshness::Exact {
-            self.freshness = IndexFreshness::Coarse;
-        }
-        self.stats.coarse_deletes += 1;
+        self.freshness = IndexFreshness::Coarse;
     }
 
     /// Rebuilds from scratch if the index is not exact. Returns
@@ -341,7 +279,6 @@ impl SccIndex {
         self.comp = scc.component;
         self.num_components = scc.num_components;
         self.freshness = IndexFreshness::Exact;
-        self.stats.rebuilds += 1;
         true
     }
 
@@ -389,11 +326,6 @@ impl ConeSet {
     pub fn contains(&self, doc: DocId) -> bool {
         self.in_cone.get(doc.index()).copied().unwrap_or(false)
     }
-
-    /// Total id range covered by the membership table.
-    pub fn id_bound(&self) -> usize {
-        self.in_cone.len()
-    }
 }
 
 #[cfg(test)]
@@ -402,6 +334,13 @@ mod tests {
     use crate::builder::from_edges;
     use crate::powerlaw::paper_graph;
     use crate::Edge;
+
+    /// The size of `scc`'s largest component.
+    fn largest(scc: &SccDecomposition) -> usize {
+        let mut sizes = vec![0usize; scc.num_components];
+        scc.component.iter().for_each(|&c| sizes[c as usize] += 1);
+        sizes.into_iter().max().unwrap()
+    }
 
     #[test]
     fn two_cycles_and_a_bridge() {
@@ -422,9 +361,7 @@ mod tests {
         assert_eq!(scc.component[2], scc.component[3]);
         assert_ne!(scc.component[0], scc.component[2]);
         assert_ne!(scc.component[4], scc.component[0]);
-        let sizes = scc.sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), 5);
-        assert_eq!(scc.largest().1, 2);
+        assert_eq!(largest(&scc), 2);
     }
 
     #[test]
@@ -454,7 +391,7 @@ mod tests {
         // The Broder-style generator should produce a substantial
         // strongly connected core, like the real web.
         let scc = tarjan_scc(&paper_graph(20_000, 111));
-        assert!(scc.largest().1 > 2_000, "core size {}", scc.largest().1);
+        assert!(largest(&scc) > 2_000, "core size {}", largest(&scc));
     }
 
     #[test]
@@ -497,7 +434,7 @@ mod tests {
         let dag = Condensation::new(&scc, g.edges().map(|e| (e.from.0, e.to.0)));
         // Every DAG edge points at a smaller id (reverse-topological
         // invariant), and topo_order visits sources before sinks.
-        for c in 0..dag.num_components() as u32 {
+        for c in 0..dag.num_components as u32 {
             for &succ in dag.out_components(c) {
                 assert!(succ < c, "edge {c} -> {succ} breaks the invariant");
             }
@@ -531,21 +468,19 @@ mod tests {
         let mut dg = DynamicGraph::from_csr(&g);
         let mut idx = SccIndex::new(&dg);
         assert_eq!(idx.freshness(), IndexFreshness::Exact);
-        assert_eq!(idx.num_components(), 2);
+        assert_eq!(idx.num_components, 2);
 
         // Insert: a fresh source document, absorbed exactly.
         let id = dg.insert_document(&[DocId(0), DocId(2)]);
         idx.on_insert_document(id);
         assert_eq!(idx.freshness(), IndexFreshness::Exact);
-        assert_eq!(idx.num_components(), 3);
+        assert_eq!(idx.num_components, 3);
         assert_eq!(idx.comp[id.index()], 2);
 
         // The exact index agrees with a from-scratch Tarjan.
         let fresh = tarjan_scc_dynamic(&dg);
         assert_eq!(idx.comp, fresh.component);
-        assert_eq!(idx.num_components(), fresh.num_components);
-        assert_eq!(idx.stats().rebuilds, 1);
-        assert_eq!(idx.stats().incremental_inserts, 1);
+        assert_eq!(idx.num_components, fresh.num_components);
     }
 
     #[test]

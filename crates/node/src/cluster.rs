@@ -93,22 +93,13 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster for `graph` with documents assigned by
-    /// `placement` across `num_peers` peers, framing at the default cap.
+    /// `placement` across `num_peers` peers, every node framing under
+    /// `wire`.
     ///
     /// Each document is registered on its holder with its out-links
     /// pre-resolved to `(target, holder)` pairs — the state the
     /// Sec. 3.2 address cache would hold after the first routed
     /// lookup.
-    pub fn build(
-        graph: &CsrGraph,
-        placement: &Placement,
-        num_peers: usize,
-        cfg: EngineConfig,
-    ) -> Self {
-        Cluster::build_with(graph, placement, num_peers, cfg, WireMode::frames())
-    }
-
-    /// [`Cluster::build`] with an explicit wire mode for every node.
     pub fn build_with(
         graph: &CsrGraph,
         placement: &Placement,
@@ -193,13 +184,8 @@ impl Cluster {
             .fold(NodeStats::default(), add)
     }
 
-    /// Executes one round over the online peers.
-    pub fn round(&mut self, peers: &PeerTable) -> RoundStats {
-        self.round_with_hops(peers, None)
-    }
-
-    /// [`Cluster::round`] with an optional overlay hop model charged
-    /// once per transport send.
+    /// Executes one round over the online peers, with an optional
+    /// overlay hop model charged once per transport send.
     pub fn round_with_hops(
         &mut self,
         peers: &PeerTable,
@@ -487,21 +473,11 @@ impl Cluster {
         self.transport.in_flight_entries()
     }
 
-    /// Runs rounds until the system quiesces (no node has pending
-    /// work, nothing in flight) or `max_rounds` is hit. Returns the
-    /// number of rounds and whether it converged.
-    pub fn run_to_convergence(
-        &mut self,
-        peers: &mut PeerTable,
-        max_rounds: usize,
-        churn: Option<&mut dpr_core::engine::ChurnFn<'_>>,
-    ) -> (usize, bool) {
-        self.run_observed(peers, max_rounds, churn, None, &NOOP)
-    }
-
-    /// The cluster's one rounds-to-quiescence loop:
-    /// [`Cluster::run_to_convergence`] with the per-send hop model of
-    /// [`Cluster::round_with_hops`], recording observed rounds, one
+    /// The cluster's one rounds-to-quiescence loop: runs rounds until
+    /// the system quiesces (no node has pending work, nothing in
+    /// flight) or `max_rounds` is hit, and returns the number of rounds
+    /// and whether it converged. It charges the per-send hop model of
+    /// [`Cluster::round_with_hops`] and records observed rounds, one
     /// [`Event::PeerChurn`] per presence flip the churn callback makes,
     /// and the closing [`Event::QuiescenceCert`]. The protocol never
     /// sees `rec`: every recorder gives the same rounds and ranks.
@@ -583,7 +559,13 @@ mod tests {
         let ring = Ring::with_peers(peers);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 1);
         let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-        let cluster = Cluster::build(&graph, &placement, peers, EngineConfig::with_epsilon(eps));
+        let cluster = Cluster::build_with(
+            &graph,
+            &placement,
+            peers,
+            EngineConfig::with_epsilon(eps),
+            WireMode::frames(),
+        );
         (cluster, graph)
     }
 
@@ -591,7 +573,7 @@ mod tests {
     fn cluster_converges_to_the_sync_solution() {
         let (mut cluster, graph) = build(800, 16, 1e-8, 61);
         let mut peers = PeerTable::new(16);
-        let (rounds, ok) = cluster.run_to_convergence(&mut peers, 10_000, None);
+        let (rounds, ok) = cluster.run_observed(&mut peers, 10_000, None, None, &NOOP);
         assert!(ok, "did not quiesce in {rounds} rounds");
         let ranks = cluster.collect_ranks(800);
         let reference = SyncSolver::new().tolerance(1e-13).solve(&graph).ranks;
@@ -609,9 +591,9 @@ mod tests {
         let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
         let cfg = EngineConfig::with_epsilon(1e-6);
 
-        let mut cluster = Cluster::build(&graph, &placement, 10, cfg);
+        let mut cluster = Cluster::build_with(&graph, &placement, 10, cfg, WireMode::frames());
         let mut peers = PeerTable::new(10);
-        let (_, ok) = cluster.run_to_convergence(&mut peers, 10_000, None);
+        let (_, ok) = cluster.run_observed(&mut peers, 10_000, None, None, &NOOP);
         assert!(ok);
 
         let owners: Vec<PeerId> = (0..nodes)
@@ -649,7 +631,7 @@ mod tests {
         let one_entry = WireMode { max_frame_bytes: 0 };
         let mut unbatched = Cluster::build_with(&graph, &placement, 10, cfg, one_entry);
         let mut peers_u = PeerTable::new(10);
-        let (_, ok) = unbatched.run_to_convergence(&mut peers_u, 10_000, None);
+        let (_, ok) = unbatched.run_observed(&mut peers_u, 10_000, None, None, &NOOP);
         assert!(ok);
         assert_eq!(
             unbatched.collect_ranks(nodes),
@@ -679,7 +661,7 @@ mod tests {
         let mut churn = move |_r: usize, p: &mut PeerTable| {
             p.set_online_fraction(0.5, &mut rng);
         };
-        let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, Some(&mut churn));
+        let (rounds, ok) = cluster.run_observed(&mut peers, 50_000, Some(&mut churn), None, &NOOP);
         assert!(ok, "no convergence in {rounds} rounds");
         assert!(cluster.traffic().parked > 0, "churn must park messages");
         assert_eq!(cluster.traffic().parked, cluster.traffic().redelivered);
@@ -712,7 +694,8 @@ mod tests {
             let mut churn = move |_r: usize, p: &mut PeerTable| {
                 p.set_online_fraction(0.5, &mut churn_rng);
             };
-            let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, Some(&mut churn));
+            let (rounds, ok) =
+                cluster.run_observed(&mut peers, 50_000, Some(&mut churn), None, &NOOP);
             assert!(ok, "no convergence in {rounds} rounds");
             (cluster.collect_ranks(500), cluster.traffic())
         };
@@ -737,7 +720,7 @@ mod tests {
         let build_pair = || build(400, 8, 1e-5, 71).0;
         let mut plain = build_pair();
         let mut peers1 = PeerTable::new(8);
-        let (rounds1, ok1) = plain.run_to_convergence(&mut peers1, 10_000, None);
+        let (rounds1, ok1) = plain.run_observed(&mut peers1, 10_000, None, None, &NOOP);
         assert!(ok1);
 
         let mut observed = build_pair();
@@ -864,8 +847,12 @@ mod tests {
         // Clean run: every monitor exercised, none violated.
         let clean = audited_run(None);
         assert!(clean.passed(), "{}", clean.diagnosis());
-        for f in clean.findings() {
-            assert!(f.checked > 0, "{} never exercised", f.monitor);
+        for m in [
+            Monitor::MassConservation,
+            Monitor::MessageBalance,
+            Monitor::Quiescence,
+        ] {
+            assert!(clean.finding(m).checked > 0, "{m} never exercised");
         }
 
         // Each canonical transport fault is caught, attributed to the
@@ -891,9 +878,9 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(73);
             let placement = Placement::assign(2000, &ring, PlacementPolicy::Random, &mut rng);
             let cfg = EngineConfig::with_epsilon(1e-9).with_sched(sched);
-            let mut cluster = Cluster::build(&graph, &placement, 16, cfg);
+            let mut cluster = Cluster::build_with(&graph, &placement, 16, cfg, WireMode::frames());
             let mut peers = PeerTable::new(16);
-            let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, None);
+            let (rounds, ok) = cluster.run_observed(&mut peers, 50_000, None, None, &NOOP);
             assert!(ok, "no convergence in {rounds} rounds");
             (cluster.collect_ranks(2000), cluster.traffic())
         };
@@ -921,7 +908,7 @@ mod tests {
             let cfg = EngineConfig::with_epsilon(1e-6).with_sched(dpr_core::SchedMode::Priority);
             let mut cluster = Cluster::build_with(&graph, &placement, 12, cfg, wire);
             let mut peers = PeerTable::new(12);
-            let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, None);
+            let (rounds, ok) = cluster.run_observed(&mut peers, 50_000, None, None, &NOOP);
             assert!(ok, "no convergence in {rounds} rounds");
             (cluster.collect_ranks(1500), cluster.traffic())
         };
@@ -945,16 +932,16 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
         let cfg = EngineConfig::with_epsilon(1e-8).with_sched(dpr_core::SchedMode::Priority);
-        let mut cluster = Cluster::build(&graph, &placement, 8, cfg);
+        let mut cluster = Cluster::build_with(&graph, &placement, 8, cfg, WireMode::frames());
         let mut peers = PeerTable::new(8);
         for _ in 0..3 {
-            cluster.round(&peers);
+            cluster.round_with_hops(&peers, None);
         }
         let mut churn_rng = ChaCha8Rng::seed_from_u64(78);
         let mut churn = move |_r: usize, p: &mut PeerTable| {
             p.set_online_fraction(0.6, &mut churn_rng);
         };
-        let (rounds, ok) = cluster.run_to_convergence(&mut peers, 50_000, Some(&mut churn));
+        let (rounds, ok) = cluster.run_observed(&mut peers, 50_000, Some(&mut churn), None, &NOOP);
         assert!(ok, "no convergence in {rounds} rounds");
         let ranks = cluster.collect_ranks(nodes);
         let reference = SyncSolver::new().tolerance(1e-13).solve(&graph).ranks;
@@ -967,9 +954,9 @@ mod tests {
     fn quiescent_round_is_a_noop() {
         let (mut cluster, _) = build(200, 4, 1e-3, 67);
         let mut peers = PeerTable::new(4);
-        cluster.run_to_convergence(&mut peers, 10_000, None);
+        cluster.run_observed(&mut peers, 10_000, None, None, &NOOP);
         let before = cluster.collect_ranks(200);
-        let stats = cluster.round(&peers);
+        let stats = cluster.round_with_hops(&peers, None);
         assert_eq!(stats, RoundStats::default());
         assert_eq!(cluster.collect_ranks(200), before);
     }

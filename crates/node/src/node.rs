@@ -290,11 +290,6 @@ pub struct PeerNode {
 }
 
 impl PeerNode {
-    /// A node with no documents, sending frames at the default cap.
-    pub fn new(id: PeerId, cfg: EngineConfig) -> Self {
-        PeerNode::with_wire(id, cfg, WireMode::frames())
-    }
-
     /// A node with no documents and an explicit wire mode.
     pub fn with_wire(id: PeerId, cfg: EngineConfig, wire: WireMode) -> Self {
         PeerNode::sized(id, cfg, wire, 0, 0)
@@ -340,11 +335,6 @@ impl PeerNode {
     /// codec-agnostic: any node accepts raw and compact frames alike).
     pub fn set_codec(&mut self, codec: WireCodec) {
         self.codec = codec;
-    }
-
-    /// This node's peer id.
-    pub fn id(&self) -> PeerId {
-        self.id
     }
 
     /// Number of documents stored here.
@@ -400,7 +390,7 @@ impl PeerNode {
     }
 
     /// [`PeerNode::add_document`] from any link stream: the bulk path
-    /// of [`Cluster::build`](crate::cluster::Cluster::build), which
+    /// of [`Cluster::build_with`](crate::cluster::Cluster::build_with), which
     /// never materializes a per-document link vector. Appends a slab
     /// slot holding the base rank as pending and registers it in every
     /// side-index, rejecting duplicates and the ~2^-64 event of a
@@ -745,11 +735,15 @@ impl PeerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpr_core::message::{RankUpdate, UpdateFrame};
-    use dpr_p2p::transport::{frame_wire_bytes, RANK_UPDATE_WIRE_BYTES};
+    use dpr_p2p::transport::{frame_wire_bytes, RankUpdateWire, RANK_UPDATE_WIRE_BYTES};
 
     fn cfg(eps: f64) -> EngineConfig {
         EngineConfig::with_epsilon(eps)
+    }
+
+    /// An empty node of peer `p` framing at the default cap.
+    fn peer(p: u32, eps: f64) -> PeerNode {
+        PeerNode::with_wire(PeerId(p), cfg(eps), WireMode::frames())
     }
 
     /// Handles one payload with a scratch of its own.
@@ -759,7 +753,7 @@ mod tests {
 
     #[test]
     fn add_and_query_documents() {
-        let mut n = PeerNode::new(PeerId(0), cfg(1e-3));
+        let mut n = peer(0, 1e-3);
         n.add_document(DocId(1), vec![(DocId(2), PeerId(1))]);
         assert_eq!(n.num_docs(), 1);
         assert_eq!(n.rank_of(DocId(1)), Some(0.0));
@@ -770,14 +764,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already stored")]
     fn duplicate_document_rejected() {
-        let mut n = PeerNode::new(PeerId(0), cfg(1e-3));
+        let mut n = peer(0, 1e-3);
         n.add_document(DocId(1), vec![]);
         n.add_document(DocId(1), vec![]);
     }
 
     #[test]
     fn step_applies_base_and_emits_wire_messages() {
-        let mut n = PeerNode::new(PeerId(0), cfg(1e-6));
+        let mut n = peer(0, 1e-6);
         n.add_document(DocId(1), vec![(DocId(2), PeerId(1)), (DocId(3), PeerId(0))]);
         n.add_document(DocId(3), vec![]);
         n.step();
@@ -794,15 +788,26 @@ mod tests {
         assert_eq!(s.local_updates, 1);
     }
 
+    /// `(doc, delta)` updates as one raw frame, in the given order.
+    fn raw_frame(updates: impl IntoIterator<Item = (u32, f64)>) -> Bytes {
+        let entries = updates.into_iter().map(|(doc, value)| FrameEntry {
+            tag: Guid::for_document(DocId(doc)).frame_tag(),
+            value,
+        });
+        UpdateFrameWire {
+            entries: entries.collect(),
+        }
+        .encode()
+    }
+
     /// One update as a one-entry raw frame.
     fn one(doc: u32, delta: f64) -> Bytes {
-        let updates = vec![RankUpdate::new(DocId(doc), delta)];
-        UpdateFrame { updates }.to_wire().encode()
+        raw_frame([(doc, delta)])
     }
 
     #[test]
     fn handle_message_applies_increment() {
-        let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
+        let mut n = peer(1, 1e-6);
         n.add_document(DocId(2), vec![]);
         n.step(); // absorb base rank
         handle(&mut n, &one(2, 0.25)).unwrap();
@@ -817,7 +822,7 @@ mod tests {
     fn unknown_guid_rejected_and_counted() {
         // A compact entry names its document by id: a stranger's id is
         // reported by the document's GUID.
-        let mut n = PeerNode::new(PeerId(1), cfg(1e-3));
+        let mut n = peer(1, 1e-3);
         n.add_document(DocId(2), vec![]);
         let entry = CompactEntry {
             doc: 99,
@@ -833,7 +838,7 @@ mod tests {
 
     #[test]
     fn malformed_payload_rejected() {
-        let mut n = PeerNode::new(PeerId(1), cfg(1e-3));
+        let mut n = peer(1, 1e-3);
         assert!(handle(&mut n, &Bytes::from_static(b"junk")).is_err());
         assert_eq!(n.stats().rejected, 1);
     }
@@ -842,7 +847,7 @@ mod tests {
     fn frames_mode_coalesces_per_destination() {
         // Two docs on peer 0 both link to docs on peer 1, one of them
         // twice to the same target: one frame, coalesced entries.
-        let mut n = PeerNode::with_wire(PeerId(0), cfg(1e-6), WireMode::frames());
+        let mut n = peer(0, 1e-6);
         n.add_document(
             DocId(1),
             vec![(DocId(10), PeerId(1)), (DocId(11), PeerId(1))],
@@ -860,7 +865,7 @@ mod tests {
         assert_eq!(s.frames_sent, 1);
 
         // The receiver resolves and folds both entries.
-        let mut m = PeerNode::with_wire(PeerId(1), cfg(1e-6), WireMode::frames());
+        let mut m = peer(1, 1e-6);
         m.add_document(DocId(10), vec![]);
         m.add_document(DocId(11), vec![]);
         m.step(); // absorb base
@@ -897,16 +902,10 @@ mod tests {
 
     #[test]
     fn frame_with_unknown_tag_is_rejected_atomically() {
-        let mut n = PeerNode::with_wire(PeerId(1), cfg(1e-6), WireMode::frames());
+        let mut n = peer(1, 1e-6);
         n.add_document(DocId(2), vec![]);
         n.step();
-        let frame = UpdateFrame {
-            updates: vec![
-                RankUpdate::new(DocId(2), 0.5),
-                RankUpdate::new(DocId(99), 0.5),
-            ],
-        };
-        let err = handle(&mut n, &frame.to_wire().encode()).unwrap_err();
+        let err = handle(&mut n, &raw_frame([(2, 0.5), (99, 0.5)])).unwrap_err();
         assert!(matches!(err, MessageError::UnknownTag(_)));
         assert_eq!(n.stats().rejected, 1);
         assert!(!n.has_work(), "no entry applied from a bad frame");
@@ -915,7 +914,7 @@ mod tests {
     #[test]
     fn compact_node_accepts_raw_frames_too() {
         // The codec governs sending; any node receives either codec.
-        let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
+        let mut n = peer(1, 1e-6);
         n.set_codec(WireCodec::Compact);
         n.add_document(DocId(2), vec![]);
         n.step();
@@ -941,7 +940,7 @@ mod tests {
         assert_eq!(n.stats().sent_remote, 1, "one coalesced entry on the wire");
         assert_eq!(n.stats().frames_sent, 1);
         // The payload carries the sum of both contributions.
-        let mut m = PeerNode::new(PeerId(1), cfg(1e-6));
+        let mut m = peer(1, 1e-6);
         m.add_document(DocId(10), vec![]);
         m.step();
         handle(&mut m, &out.into_iter().next().unwrap().1).unwrap();
@@ -952,7 +951,7 @@ mod tests {
 
     #[test]
     fn on_deliver_saturates_at_the_inbox_cap_and_steps_reset_it() {
-        let mut n = PeerNode::new(PeerId(1), cfg(1e-6));
+        let mut n = peer(1, 1e-6);
         n.add_document(DocId(2), vec![]);
         n.step(); // absorb base
         let mut sc = StepScratch::default();
@@ -977,7 +976,7 @@ mod tests {
 
     #[test]
     fn epsilon_suppresses_tiny_changes() {
-        let mut n = PeerNode::new(PeerId(0), cfg(0.5));
+        let mut n = peer(0, 0.5);
         n.add_document(DocId(1), vec![(DocId(2), PeerId(1))]);
         n.step(); // rel change = 1 > 0.5: sends
         assert_eq!(n.drain_outbox().len(), 1);
@@ -991,7 +990,7 @@ mod tests {
     fn exact_cancellation_does_not_duplicate_queue_entries() {
         // pending returns to exactly 0.0 while queued; a later apply
         // must not enqueue the slot a second time.
-        let mut n = PeerNode::new(PeerId(0), cfg(1e-6));
+        let mut n = peer(0, 1e-6);
         n.add_document(DocId(1), vec![]);
         n.apply(DocId(1), -(1.0 - 0.85)); // cancels the seeded base exactly
         n.apply(DocId(1), 0.25);
@@ -1009,7 +1008,7 @@ mod tests {
         // 200 isolated docs with geometrically spread extra pending:
         // one step over the bypass threshold must select the heavy
         // buckets and park the tail with its mass intact.
-        let mut n = PeerNode::new(PeerId(0), priority_cfg(1e-12));
+        let mut n = PeerNode::with_wire(PeerId(0), priority_cfg(1e-12), WireMode::frames());
         for i in 0..200u32 {
             n.add_document(DocId(i), vec![]);
         }
@@ -1039,7 +1038,7 @@ mod tests {
     fn priority_flush_fills_highest_residual_first() {
         // 100 remote-linking docs, one with a much larger residual:
         // the first payload out must carry that doc's update.
-        let mut n = PeerNode::new(PeerId(0), priority_cfg(1e-12));
+        let mut n = PeerNode::with_wire(PeerId(0), priority_cfg(1e-12), WireMode::frames());
         for i in 0..100u32 {
             n.add_document(DocId(i), vec![(DocId(1000 + i), PeerId(1))]);
         }
@@ -1083,10 +1082,10 @@ mod tests {
                 let send = 0.85 * (*rank - *advertised) / out.len() as f64;
                 *advertised = *rank;
                 for &(target, holder) in out.iter() {
-                    let buf = flush.entry(holder).or_default();
-                    if buf.is_empty() {
+                    let buf = flush.entry(holder).or_insert_with(|| {
                         order.push(holder);
-                    }
+                        FlushBuffer::new()
+                    });
                     buf.push(target, send);
                     self.stats.emitted_remote += 1;
                 }
@@ -1097,7 +1096,10 @@ mod tests {
                 for frame in buf.flush(self.wire.max_frame_bytes) {
                     self.stats.sent_remote += frame.updates.len() as u64;
                     match self.codec {
-                        WireCodec::Raw => outbox.push((dst, frame.to_wire().encode())),
+                        WireCodec::Raw => {
+                            let updates = frame.updates.iter().map(|u| (u.doc.0, u.delta));
+                            outbox.push((dst, raw_frame(updates)));
+                        }
                         WireCodec::Compact => {
                             let entries = frame.updates.iter().map(|u| CompactEntry {
                                 doc: u.doc.0,
@@ -1182,18 +1184,18 @@ mod tests {
             noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..60),
         ) {
             // Documents 0..32 are stored here; 32..40 are strangers.
-            let mut node = PeerNode::new(PeerId(1), cfg(1e-9));
-            let mut model = PeerNode::new(PeerId(1), cfg(1e-9));
+            let mut node = peer(1, 1e-9);
+            let mut model = peer(1, 1e-9);
             for d in 0..32u32 {
                 node.add_document(DocId(d), vec![]);
                 model.add_document(DocId(d), vec![]);
             }
-            let frame = UpdateFrame {
-                updates: entries.iter().map(|&(d, v)| RankUpdate::new(DocId(d), v)).collect(),
-            };
             let mut bytes = match kind {
-                0 => frame.updates[0].to_wire().encode(),
-                1 => frame.to_wire().encode(),
+                0 => {
+                    let (doc, value) = entries[0];
+                    RankUpdateWire { guid: Guid::for_document(DocId(doc)).0, value }.encode()
+                }
+                1 => raw_frame(entries.iter().copied()),
                 _ => {
                     let unique: std::collections::BTreeMap<u32, f32> =
                         entries.iter().map(|&(d, v)| (d, v as f32)).collect();
@@ -1231,11 +1233,17 @@ mod tests {
                     UpdateFrameWire::decode(payload.clone())
                         .map_err(MessageError::Wire)
                         .and_then(|f| {
-                            UpdateFrame::from_wire(&f, |t| {
-                                (0..32).map(DocId).find(|&d| Guid::for_document(d).frame_tag() == t)
-                            })
+                            f.entries
+                                .iter()
+                                .map(|e| {
+                                    (0..32)
+                                        .map(DocId)
+                                        .find(|&d| Guid::for_document(d).frame_tag() == e.tag)
+                                        .map(|d| (d, e.value))
+                                        .ok_or(MessageError::UnknownTag(e.tag))
+                                })
+                                .collect()
                         })
-                        .map(|f| f.updates.iter().map(|u| (u.doc, u.delta)).collect())
                 };
             if payload.len() == RANK_UPDATE_WIRE_BYTES {
                 proptest::prop_assert!(matches!(want, Err(MessageError::Wire(_))));

@@ -14,20 +14,10 @@
 use crate::{guid::Guid, peer::PeerId};
 use fxhash::FxHashMap;
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that found nothing (a routed lookup follows).
-    pub misses: u64,
-}
-
 /// One peer's document-location cache.
 #[derive(Debug, Default)]
 pub struct AddressCache {
     entries: FxHashMap<Guid, PeerId>,
-    stats: CacheStats,
 }
 
 impl AddressCache {
@@ -37,38 +27,13 @@ impl AddressCache {
     }
 
     /// Looks up the cached location of `doc`.
-    pub fn lookup(&mut self, doc: Guid) -> Option<PeerId> {
-        match self.entries.get(&doc) {
-            Some(&p) => {
-                self.stats.hits += 1;
-                Some(p)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    pub fn lookup(&self, doc: Guid) -> Option<PeerId> {
+        self.entries.get(&doc).copied()
     }
 
     /// Records that `doc` lives on `peer` (after a routed lookup).
     pub fn insert(&mut self, doc: Guid, peer: PeerId) {
         self.entries.insert(doc, peer);
-    }
-
-    /// Number of live entries — the paper's linear-in-outlinks storage
-    /// bound applies to this value.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -104,13 +69,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = AddressCache::new();
-        assert!(c.is_empty());
         assert_eq!(c.lookup(g(1)), None);
         c.insert(g(1), PeerId(4));
         assert_eq!(c.lookup(g(1)), Some(PeerId(4)));
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
     }
 
     #[test]
@@ -119,6 +80,6 @@ mod tests {
         c.insert(g(1), PeerId(4));
         c.insert(g(1), PeerId(9));
         assert_eq!(c.lookup(g(1)), Some(PeerId(9)));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
     }
 }

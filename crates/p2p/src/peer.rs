@@ -51,16 +51,6 @@ impl PeerTable {
         }
     }
 
-    /// Total number of peers (online or not).
-    pub fn len(&self) -> usize {
-        self.online.len()
-    }
-
-    /// True if there are no peers at all.
-    pub fn is_empty(&self) -> bool {
-        self.online.is_empty()
-    }
-
     /// Whether `p` is currently online.
     #[inline]
     pub fn is_online(&self, p: PeerId) -> bool {
@@ -103,17 +93,12 @@ pub enum PlacementPolicy {
     /// Each document goes to the DHT successor of its GUID — how a
     /// deployed Chord-like system places it.
     DhtSuccessor,
-    /// Owners supplied externally (e.g. the link-aware partitioner of
-    /// `dpr_graph::partition`, the paper's Sec. 6 future-work idea).
-    /// Only constructible through [`Placement::from_owner_vec`].
-    Custom,
 }
 
 /// The document → peer map.
 #[derive(Debug, Clone)]
 pub struct Placement {
     owner: Vec<PeerId>,
-    policy: PlacementPolicy,
 }
 
 impl Placement {
@@ -136,20 +121,15 @@ impl Placement {
             PlacementPolicy::DhtSuccessor => (0..num_docs)
                 .map(|d| ring.successor(Guid::for_document(DocId::from(d))))
                 .collect(),
-            PlacementPolicy::Custom => {
-                panic!("Custom placement comes from Placement::from_owner_vec")
-            }
         };
-        Placement { owner, policy }
+        Placement { owner }
     }
 
     /// Wraps an externally computed owner vector (e.g. a link-aware
-    /// partitioning) as a placement.
+    /// partitioning of `dpr_graph::partition`, the paper's Sec. 6
+    /// future-work idea) as a placement.
     pub fn from_owner_vec(owner: Vec<PeerId>) -> Self {
-        Placement {
-            owner,
-            policy: PlacementPolicy::Custom,
-        }
+        Placement { owner }
     }
 
     /// The peer holding document `d`.
@@ -161,11 +141,6 @@ impl Placement {
     /// Number of placed documents.
     pub fn num_docs(&self) -> usize {
         self.owner.len()
-    }
-
-    /// The policy used at assignment time.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
     }
 }
 

@@ -78,17 +78,6 @@ impl Ring {
         }
     }
 
-    /// The peer immediately preceding `id` (strictly before, wrapping).
-    pub fn predecessor(&self, id: Guid) -> PeerId {
-        assert!(!self.points.is_empty(), "predecessor on empty ring");
-        let pos = self.points.partition_point(|&(g, _)| g < id);
-        if pos == 0 {
-            self.points[self.points.len() - 1].1
-        } else {
-            self.points[pos - 1].1
-        }
-    }
-
     /// Iterator over peers in ring (guid) order.
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.points.iter().map(|&(_, p)| p)
@@ -150,7 +139,9 @@ mod tests {
         for probe in 0..200u32 {
             let id = Guid::for_document(dpr_graph::DocId(probe));
             let succ = r.successor(id);
-            let pred = r.predecessor(id);
+            // The peer point strictly before `id`, wrapping.
+            let pos = r.points.partition_point(|&(g, _)| g < id);
+            let pred = r.points[(pos + r.points.len() - 1) % r.points.len()].1;
             // id lies in succ's arc: after pred's point, at or before
             // succ's.
             let (lo, hi) = (Guid::for_peer(pred.0), Guid::for_peer(succ.0));

@@ -116,36 +116,6 @@ impl Router {
     }
 }
 
-/// Expected hop statistics over many routes — convenience for tests
-/// and the caching ablation bench.
-#[derive(Debug, Clone, Default, serde::Serialize)]
-pub struct HopStats {
-    /// Number of routes measured.
-    pub routes: u64,
-    /// Total hops across all routes.
-    pub total_hops: u64,
-    /// Maximum hops seen on a single route.
-    pub max_hops: u32,
-}
-
-impl HopStats {
-    /// Records a route.
-    pub fn record(&mut self, r: &Route) {
-        self.routes += 1;
-        self.total_hops += r.hops as u64;
-        self.max_hops = self.max_hops.max(r.hops);
-    }
-
-    /// Mean hops per route.
-    pub fn mean(&self) -> f64 {
-        if self.routes == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.routes as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,13 +151,17 @@ mod tests {
         // the mean should be well under 16 and the max under ~24.
         let ring = Ring::with_peers(256);
         let mut router = Router::new();
-        let mut stats = HopStats::default();
-        for d in 0..500u32 {
-            let r = router.route(&ring, PeerId(d % 256), Guid::for_document(DocId(d)));
-            stats.record(&r);
-        }
-        assert!(stats.mean() <= 8.0, "mean hops {}", stats.mean());
-        assert!(stats.max_hops <= 24, "max hops {}", stats.max_hops);
+        let hops: Vec<u32> = (0..500u32)
+            .map(|d| {
+                router
+                    .route(&ring, PeerId(d % 256), Guid::for_document(DocId(d)))
+                    .hops
+            })
+            .collect();
+        let mean = f64::from(hops.iter().sum::<u32>()) / hops.len() as f64;
+        let max_hops = hops.iter().max().unwrap();
+        assert!(mean <= 8.0, "mean hops {mean}");
+        assert!(*max_hops <= 24, "max hops {max_hops}");
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl<M> Transport<M> {
         self.rec = Some(rec);
     }
 
-    /// Number of peers.
-    pub fn num_peers(&self) -> usize {
-        self.inboxes.len()
-    }
-
     /// Pops the next message from `p`'s inbox.
     pub fn receive(&mut self, p: PeerId) -> Option<Envelope<M>> {
         self.inboxes[p.index()].pop_front()

@@ -19,7 +19,6 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     num_bits: u64,
     num_hashes: u32,
-    items: usize,
 }
 
 /// splitmix64 finalizer — a cheap, well-mixed 64-bit hash.
@@ -50,33 +49,12 @@ impl BloomFilter {
             bits: vec![0u64; m.div_ceil(64) as usize],
             num_bits: m,
             num_hashes: k,
-            items: 0,
         }
-    }
-
-    /// Number of bits in the filter (its wire size).
-    pub fn num_bits(&self) -> u64 {
-        self.num_bits
     }
 
     /// Wire size in bytes.
     pub fn wire_bytes(&self) -> u64 {
         self.num_bits.div_ceil(8)
-    }
-
-    /// Number of hash functions.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
-    }
-
-    /// Items inserted so far.
-    pub fn len(&self) -> usize {
-        self.items
-    }
-
-    /// Whether nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
     }
 
     #[inline]
@@ -93,7 +71,6 @@ impl BloomFilter {
         for p in self.bit_positions(doc) {
             self.bits[(p / 64) as usize] |= 1u64 << (p % 64);
         }
-        self.items += 1;
     }
 
     /// Whether `doc` may be in the set (false positives possible,
@@ -235,15 +212,14 @@ mod tests {
     fn sizing_follows_theory() {
         let f = BloomFilter::with_capacity(1000, 0.01);
         // Optimal: ~9.6 bits/item, ~7 hashes.
-        assert!((9_000..11_000).contains(&f.num_bits()), "{}", f.num_bits());
-        assert!((6..=8).contains(&f.num_hashes()), "{}", f.num_hashes());
-        assert_eq!(f.wire_bytes(), f.num_bits().div_ceil(8));
+        assert!((9_000..11_000).contains(&f.num_bits), "{}", f.num_bits);
+        assert!((6..=8).contains(&f.num_hashes), "{}", f.num_hashes);
+        assert_eq!(f.wire_bytes(), f.num_bits.div_ceil(8));
     }
 
     #[test]
     fn empty_filter_contains_nothing() {
         let f = BloomFilter::with_capacity(10, 0.01);
-        assert!(f.is_empty());
         assert!((0..100u32).all(|i| !f.contains(DocId(i))));
     }
 

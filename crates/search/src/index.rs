@@ -33,9 +33,6 @@ pub struct DistributedIndex {
     postings: Vec<Vec<Posting>>,
     /// The peer owning each term's index entry.
     term_owner: Vec<PeerId>,
-    /// Index-update messages sent while building (one per document per
-    /// term entry, as in the paper's "an index update message is sent").
-    update_messages: u64,
     /// Documents in the corpus (the universe of [`Self::doc_set`]).
     num_docs: usize,
 }
@@ -69,14 +66,12 @@ impl DistributedIndex {
                 postings[t as usize].push(Posting { doc, rank });
             }
         }
-        let update_messages = postings.iter().map(|l| l.len() as u64).sum();
         let term_owner = (0..vocab as u32)
             .map(|t| ring.successor(Guid::for_term(&term_name(t))))
             .collect();
         DistributedIndex {
             postings,
             term_owner,
-            update_messages,
             num_docs: ranks.len(),
         }
     }
@@ -99,11 +94,6 @@ impl DistributedIndex {
     /// Vocabulary size.
     pub fn vocab_size(&self) -> u32 {
         self.postings.len() as u32
-    }
-
-    /// Index-update messages sent while building.
-    pub fn update_messages(&self) -> u64 {
-        self.update_messages
     }
 
     /// The documents containing `term`, as a bitset over the corpus.
@@ -147,7 +137,7 @@ mod tests {
         for t in 0..100u32 {
             assert_eq!(idx.num_hits(t) as u32, corpus.doc_freq(t));
             for p in idx.postings(t) {
-                assert!(corpus.contains(p.doc, t));
+                assert!(corpus.terms_of(p.doc).contains(&t));
                 assert_eq!(p.rank, ranks[p.doc.index()]);
             }
         }
@@ -190,13 +180,5 @@ mod tests {
         let (corpus, mut ranks, ring) = setup();
         ranks[7] = f64::NAN;
         DistributedIndex::build(&corpus, &ranks, &ring);
-    }
-
-    #[test]
-    fn build_counts_one_update_message_per_posting() {
-        let (corpus, ranks, ring) = setup();
-        let idx = DistributedIndex::build(&corpus, &ranks, &ring);
-        let total_postings: u64 = (0..100u32).map(|t| idx.num_hits(t) as u64).sum();
-        assert_eq!(idx.update_messages(), total_postings);
     }
 }

@@ -236,7 +236,7 @@ mod tests {
         let expect: usize = (0..corpus.num_docs())
             .filter(|&d| {
                 let doc = dpr_graph::DocId::from(d);
-                corpus.contains(doc, 0) && corpus.contains(doc, 1)
+                corpus.terms_of(doc).contains(&0) && corpus.terms_of(doc).contains(&1)
             })
             .count();
         assert_eq!(out.hits_returned(), expect);

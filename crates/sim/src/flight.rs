@@ -299,6 +299,15 @@ pub fn replay<R: Recorder + ?Sized>(
             capture.injections.len()
         ));
     }
+    // A genuine capture's fingerprint covers exactly the header's
+    // documents; refuse a header that describes another graph.
+    if capture.header.nodes != capture.fingerprint.docs {
+        return Err(format!(
+            "capture header records {} nodes but its fingerprint covers {} docs \
+             — corrupted capture",
+            capture.header.nodes, capture.fingerprint.docs
+        ));
+    }
     let out = fly(&cfg, rec);
     if out.injections != capture.injections {
         let at = out
@@ -533,6 +542,20 @@ mod tests {
         let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
         assert!(err.contains("1000000000000000000 inserts"), "{err}");
         assert!(err.contains("holds 6"), "{err}");
+    }
+
+    #[test]
+    fn replay_refuses_a_header_whose_nodes_miss_its_fingerprint() {
+        let (mut capture, _) = record(&smoke(), &dpr_telemetry::NOOP);
+        let docs = capture.fingerprint.docs;
+        capture.header.nodes = docs + 1;
+        let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
+        assert!(err.contains(&format!("{} nodes", docs + 1)), "{err}");
+        assert!(err.contains(&format!("covers {docs} docs")), "{err}");
+        // Past the id space, the scenario itself is refused.
+        capture.header.nodes = 1_000_000_000_000_000;
+        let err = replay(&capture, None, &dpr_telemetry::NOOP).unwrap_err();
+        assert!(err.contains("scenario nodes: must be at most"), "{err}");
     }
 
     #[test]

@@ -118,8 +118,16 @@ impl ScenarioSpec {
     /// [`from_header`](Self::from_header) — so the builders' internal
     /// `assert!`s stay unreachable from flags and files.
     pub fn validate(&self) -> Result<(), SpecError> {
-        SpecError::unless_positive("nodes", self.nodes)?;
-        SpecError::unless_positive("num_peers", self.num_peers)?;
+        // Documents and peers are `u32` ids.
+        for (field, count) in [("nodes", self.nodes), ("num_peers", self.num_peers)] {
+            SpecError::unless_positive(field, count)?;
+            if count > u32::MAX as usize {
+                return Err(SpecError {
+                    field,
+                    problem: format!("must be at most {} (a u32 id), got {count}", u32::MAX),
+                });
+            }
+        }
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(SpecError {
                 field: "epsilon",
@@ -302,6 +310,20 @@ mod tests {
         let cases = [
             (ScenarioSpec { nodes: 0, ..ok }, "nodes"),
             (ScenarioSpec { num_peers: 0, ..ok }, "num_peers"),
+            (
+                ScenarioSpec {
+                    nodes: u32::MAX as usize + 1,
+                    ..ok
+                },
+                "nodes",
+            ),
+            (
+                ScenarioSpec {
+                    num_peers: 100_000_000_000,
+                    ..ok
+                },
+                "num_peers",
+            ),
             (ScenarioSpec { epsilon: 0.0, ..ok }, "epsilon"),
             (
                 ScenarioSpec {

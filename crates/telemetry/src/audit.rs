@@ -80,19 +80,6 @@ impl MassBreakdown {
         self.dangling += other.dangling;
     }
 
-    /// The conserved potential for this breakdown plus `in_flight`
-    /// wire mass under damping `d`.
-    pub fn phi(&self, in_flight: f64, damping: f64) -> f64 {
-        phi(
-            self.ranks,
-            self.unadvertised,
-            self.pending,
-            in_flight,
-            self.dangling,
-            damping,
-        )
-    }
-
     /// The [`Event::MassLedger`] snapshot for this breakdown.
     pub fn ledger_event(
         &self,
@@ -195,28 +182,12 @@ pub enum Monitor {
 }
 
 impl Monitor {
-    /// Every monitor, in report order.
-    pub const ALL: [Monitor; 3] = [
-        Monitor::MassConservation,
-        Monitor::MessageBalance,
-        Monitor::Quiescence,
-    ];
-
     /// Stable short name (used in tables and test assertions).
     pub fn name(self) -> &'static str {
         match self {
             Monitor::MassConservation => "mass-conservation",
             Monitor::MessageBalance => "message-balance",
             Monitor::Quiescence => "quiescence",
-        }
-    }
-
-    /// One-line statement of the owned invariant.
-    pub fn invariant(self) -> &'static str {
-        match self {
-            Monitor::MassConservation => "Φ(ranks, residual, in-flight) constant per run",
-            Monitor::MessageBalance => "received + in-flight ≤ sent, globally and per peer",
-            Monitor::Quiescence => "termination ⇒ nothing outstanding, token 0, residual ≤ ε",
         }
     }
 }
@@ -441,11 +412,6 @@ impl AuditReport {
         }
     }
 
-    /// All findings, in [`Monitor::ALL`] order.
-    pub fn findings(&self) -> &[MonitorFinding] {
-        &self.findings
-    }
-
     /// The finding of one monitor.
     pub fn finding(&self, m: Monitor) -> &MonitorFinding {
         self.findings
@@ -590,7 +556,7 @@ mod tests {
     fn unexercised_monitors_report_na() {
         let r = AuditReport::evaluate(&[]);
         assert!(r.passed());
-        for f in r.findings() {
+        for f in &r.findings {
             assert_eq!(f.status(), "n/a");
         }
     }

@@ -73,16 +73,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// Per-bucket counts, in bucket order.
     pub fn snapshot(&self) -> [u64; BUCKETS] {
         let mut out = [0u64; BUCKETS];
@@ -157,7 +147,6 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 106);
-        assert!((h.mean() - 21.2).abs() < 1e-12);
         let snap = h.snapshot();
         assert_eq!(snap[0], 1); // 0
         assert_eq!(snap[1], 1); // 1

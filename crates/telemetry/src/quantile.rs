@@ -62,7 +62,6 @@ pub struct QuantileSketch {
     buckets: Vec<u64>,
     count: u64,
     sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -72,7 +71,6 @@ impl Default for QuantileSketch {
             buckets: vec![0; NUM_BUCKETS],
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -89,7 +87,6 @@ impl QuantileSketch {
         self.buckets[index_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
@@ -101,20 +98,6 @@ impl QuantileSketch {
     /// Sum of all observations (wrapping at `u64::MAX`).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Exact smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Mean observation (0 when empty).
@@ -134,7 +117,6 @@ impl QuantileSketch {
         }
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
@@ -165,11 +147,6 @@ impl QuantileSketch {
             self.quantile(0.99),
             self.quantile(0.999),
         ]
-    }
-
-    /// Per-bucket counts (mostly for tests and merging proofs).
-    pub fn snapshot(&self) -> &[u64] {
-        &self.buckets
     }
 }
 
@@ -224,8 +201,7 @@ mod tests {
             s.observe(v);
         }
         assert_eq!(s.count(), 1000);
-        assert_eq!(s.min(), 1);
-        assert_eq!(s.max(), 1000);
+        assert_eq!(s.max, 1000);
         let [p50, p95, p99, p999] = s.latency_quantiles();
         for (q, exact, est) in [
             (0.50, 500u64, p50),
@@ -290,10 +266,9 @@ mod tests {
             ab.merge(&mk(&b));
             let mut ba = mk(&b);
             ba.merge(&mk(&a));
-            prop_assert_eq!(ab.snapshot(), ba.snapshot());
+            prop_assert_eq!(&ab.buckets, &ba.buckets);
             prop_assert_eq!(ab.count(), ba.count());
-            prop_assert_eq!(ab.min(), ba.min());
-            prop_assert_eq!(ab.max(), ba.max());
+            prop_assert_eq!(ab.max, ba.max);
             // ((a ∪ b) ∪ c) = (a ∪ (b ∪ c)) = one sketch of everything
             let mut abc = ab;
             abc.merge(&mk(&c));
@@ -301,12 +276,12 @@ mod tests {
             bc.merge(&mk(&c));
             let mut a_bc = mk(&a);
             a_bc.merge(&bc);
-            prop_assert_eq!(abc.snapshot(), a_bc.snapshot());
+            prop_assert_eq!(&abc.buckets, &a_bc.buckets);
             let mut whole = QuantileSketch::new();
             for &v in a.iter().chain(&b).chain(&c) {
                 whole.observe(v);
             }
-            prop_assert_eq!(abc.snapshot(), whole.snapshot());
+            prop_assert_eq!(&abc.buckets, &whole.buckets);
             prop_assert_eq!(abc.sum(), whole.sum());
         }
     }

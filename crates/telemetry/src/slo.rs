@@ -96,16 +96,6 @@ impl SlidingWindows {
         }
     }
 
-    /// Number of non-empty windows so far.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// True when no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Per-window `(start_ns, sketch)` pairs, in time order.
     pub fn windows(&self) -> &[(u64, QuantileSketch)] {
         &self.windows
@@ -130,7 +120,7 @@ pub fn evaluate(specs: &[SloSpec], windows: &SlidingWindows) -> Vec<SloReport> {
     specs
         .iter()
         .map(|spec| {
-            let total = windows.len() as u64;
+            let total = windows.windows().len() as u64;
             let violated = windows
                 .windows()
                 .iter()
@@ -175,11 +165,11 @@ mod tests {
             w.observe(i * 30 * MS, (i + 1) * MS);
         }
         // 0..100ms, 100..200ms, 200..300ms windows → 4+3+3 observations.
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.windows().len(), 3);
         let counts: Vec<u64> = w.windows().iter().map(|(_, s)| s.count()).collect();
         assert_eq!(counts, vec![4, 3, 3]);
         assert_eq!(w.merged().count(), 10);
-        assert_eq!(w.merged().max(), 10 * MS);
+        assert_eq!(w.merged().quantile(1.0), 10 * MS);
     }
 
     #[test]

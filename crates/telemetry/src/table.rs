@@ -32,16 +32,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -87,8 +77,7 @@ mod tests {
         assert!(lines[0].contains("size"));
         assert!(lines[2].ends_with("74"));
         assert!(lines[3].ends_with(" 1"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -37,10 +37,9 @@ fn main() {
     // lives on the DHT successor of the term's GUID.
     let ring = Ring::with_peers(50);
     let index = DistributedIndex::build(&corpus, engine.ranks(), &ring);
-    println!(
-        "distributed index built: {} index-update messages\n",
-        index.update_messages()
-    );
+    // One index-update message per posting.
+    let postings: usize = (0..corpus.vocab_size()).map(|t| index.num_hits(t)).sum();
+    println!("distributed index built: {postings} index-update messages\n");
 
     // Run a few queries from the top-100 most frequent terms.
     for (qlen, label) in [(2usize, "two-word"), (3usize, "three-word")] {

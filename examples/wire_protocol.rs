@@ -11,6 +11,7 @@
 //! cargo run --release --example wire_protocol [nodes] [peers]
 //! ```
 
+use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
 use distributed_pagerank::prelude::*;
@@ -27,11 +28,12 @@ fn main() {
     let ring = Ring::with_peers(num_peers);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(78);
     let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-    let mut cluster = Cluster::build(
+    let mut cluster = Cluster::build_with(
         &graph,
         &placement,
         num_peers,
         EngineConfig::with_epsilon(RECOMMENDED_EPSILON),
+        WireMode::frames(),
     );
     let mut peers = PeerTable::new(num_peers);
 
@@ -41,7 +43,7 @@ fn main() {
     let mut rounds = 0usize;
     let away = PeerId(5 % num_peers as u32);
     while !detector.announced() && rounds < 100_000 {
-        cluster.round(&peers);
+        cluster.round_with_hops(&peers, None);
         rounds += 1;
         // Mid-run, one peer leaves for 20 rounds and returns with its
         // documents: updates for it park at their senders meanwhile.
@@ -55,10 +57,7 @@ fn main() {
         detector.advance(&cluster, &peers);
     }
 
-    println!(
-        "terminated after {rounds} rounds ({} token circuits)",
-        detector.circuits()
-    );
+    println!("terminated after {rounds} rounds");
     let t = cluster.traffic();
     println!(
         "wire traffic: {} frames sent ({} parked for offline peers, {} redelivered)",

@@ -13,6 +13,7 @@
 use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::Cluster;
 use distributed_pagerank::prelude::*;
+use distributed_pagerank::telemetry::NOOP;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
@@ -54,7 +55,7 @@ fn round_robin_placement(n: usize, num_peers: usize) -> Placement {
 /// Applies one row of the churn plan, keeping at least one peer
 /// online so every run can terminate.
 fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
-    for (i, &on) in mask.iter().enumerate().take(peers.len()) {
+    for (i, &on) in mask.iter().enumerate().take(peers.peers().count()) {
         peers.set_online(PeerId(i as u32), on);
     }
     if !peers.peers().any(|p| peers.is_online(p)) {
@@ -83,12 +84,12 @@ fn run_churned(
     let mut peers = PeerTable::new(num_peers);
     for r in 0..churn_rounds {
         apply_mask(&mut peers, &plan[r % plan.len()]);
-        cluster.round(&peers);
+        cluster.round_with_hops(&peers, None);
     }
     for p in 0..num_peers as u32 {
         peers.set_online(PeerId(p), true);
     }
-    let (rounds, ok) = cluster.run_to_convergence(&mut peers, 100_000, None);
+    let (rounds, ok) = cluster.run_observed(&mut peers, 100_000, None, None, &NOOP);
     assert!(ok, "no quiescence in {rounds} rounds");
     cluster.collect_ranks(graph.num_nodes())
 }

@@ -15,6 +15,7 @@ use distributed_pagerank::node::Cluster;
 use distributed_pagerank::p2p::transport::WireCodec;
 use distributed_pagerank::prelude::*;
 use distributed_pagerank::sim::Workload;
+use distributed_pagerank::telemetry::NOOP;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
@@ -37,7 +38,7 @@ fn run_with_codec(w: &Workload, codec: WireCodec) -> (Vec<f64>, u64) {
     );
     cluster.set_codec(codec);
     let mut peers = PeerTable::new(w.num_peers);
-    let (rounds, ok) = cluster.run_to_convergence(&mut peers, 100_000, None);
+    let (rounds, ok) = cluster.run_observed(&mut peers, 100_000, None, None, &NOOP);
     assert!(ok, "no quiescence in {rounds} rounds under {codec}");
     (
         cluster.collect_ranks(w.graph.num_nodes()),

@@ -3,6 +3,7 @@
 //! placement.
 
 use distributed_pagerank::graph::partition::link_aware_partition;
+use distributed_pagerank::node::node::WireMode;
 use distributed_pagerank::node::termination::TerminationDetector;
 use distributed_pagerank::node::Cluster;
 use distributed_pagerank::prelude::*;
@@ -19,17 +20,18 @@ fn link_aware_cluster_with_termination_detection() {
     let graph = PowerLawConfig::paper(nodes, 201).generate();
 
     let run = |placement: Placement| {
-        let mut cluster = Cluster::build(
+        let mut cluster = Cluster::build_with(
             &graph,
             &placement,
             num_peers,
             EngineConfig::with_epsilon(1e-6),
+            WireMode::frames(),
         );
         let peers = PeerTable::new(num_peers);
         let mut detector = TerminationDetector::new(num_peers);
         let mut rounds = 0;
         while rounds < 50_000 && !detector.announced() {
-            cluster.round(&peers);
+            cluster.round_with_hops(&peers, None);
             rounds += 1;
             detector.advance(&cluster, &peers);
         }
@@ -74,18 +76,19 @@ fn termination_detection_sound_under_churn() {
     let ring = Ring::with_peers(num_peers);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(207);
     let placement = Placement::assign(nodes, &ring, PlacementPolicy::Random, &mut rng);
-    let mut cluster = Cluster::build(
+    let mut cluster = Cluster::build_with(
         &graph,
         &placement,
         num_peers,
         EngineConfig::with_epsilon(1e-4),
+        WireMode::frames(),
     );
     let mut peers = PeerTable::new(num_peers);
     let mut detector = TerminationDetector::new(num_peers);
     let mut schedule = Schedule::fraction(0.75, 208);
     let mut rounds = 0usize;
     while rounds < 50_000 && !detector.announced() {
-        cluster.round(&peers);
+        cluster.round_with_hops(&peers, None);
         rounds += 1;
         if rounds < 60 {
             schedule.apply(&mut peers);

@@ -568,7 +568,9 @@ proptest! {
         let scc = tarjan_scc(&g);
         prop_assert_eq!(scc.component.len(), n);
         prop_assert!(scc.num_components >= 1 && scc.num_components <= n);
-        prop_assert_eq!(scc.sizes().iter().sum::<usize>(), n);
+        // Ids are dense: every id below the count labels some node.
+        let ids: std::collections::BTreeSet<u32> = scc.component.iter().copied().collect();
+        prop_assert!(ids.iter().copied().eq(0..scc.num_components as u32));
         // Mutual reachability within a component (spot check node 0's
         // component against BFS both ways).
         let c0 = scc.component[0];

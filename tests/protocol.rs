@@ -1,7 +1,6 @@
 //! Protocol-level integration: transport, store-and-resend and wire
 //! format — the Sec. 3 machinery exercised together.
 
-use distributed_pagerank::core::RankUpdate;
 use distributed_pagerank::p2p::transport::{RankUpdateWire, Transport};
 use distributed_pagerank::prelude::*;
 use rand::SeedableRng;
@@ -25,13 +24,15 @@ fn message_level_exchange_with_churn() {
     .collect();
 
     // Peer 0 advertises doc 0's base rank to doc 1.
-    let update = RankUpdate::new(DocId(1), 0.85 * 0.15);
-    transport.send(&peers, PeerId(0), PeerId(1), update.to_wire().encode());
+    let update = |value| RankUpdateWire {
+        guid: Guid::for_document(DocId(1)).0,
+        value,
+    };
+    transport.send(&peers, PeerId(0), PeerId(1), update(0.85 * 0.15).encode());
 
     // Peer 1 goes offline before processing; peer 0 sends another.
     peers.set_online(PeerId(1), false);
-    let update2 = RankUpdate::new(DocId(1), 0.85 * 0.05);
-    transport.send(&peers, PeerId(0), PeerId(1), update2.to_wire().encode());
+    transport.send(&peers, PeerId(0), PeerId(1), update(0.85 * 0.05).encode());
     assert_eq!(transport.total_pending(), 1, "second update parked");
 
     // Peer 1 returns; retry delivers the parked update.
@@ -43,9 +44,8 @@ fn message_level_exchange_with_churn() {
     let mut received = 0;
     while let Some(env) = transport.receive(PeerId(1)) {
         let wire = RankUpdateWire::decode(env.payload).expect("valid wire");
-        let upd = RankUpdate::from_wire(wire, |g| guid_index.get(&g).copied()).expect("known guid");
-        assert_eq!(upd.doc, DocId(1));
-        rank1 += upd.delta;
+        assert_eq!(guid_index.get(&Guid(wire.guid)), Some(&DocId(1)));
+        rank1 += wire.value;
         received += 1;
     }
     assert_eq!(received, 2);

@@ -17,7 +17,7 @@
 //!    change to residual bucketing, greedy scoring, or flush fill
 //!    order cannot land silently.
 
-use distributed_pagerank::node::node::{PeerNode, StepScratch};
+use distributed_pagerank::node::node::{PeerNode, StepScratch, WireMode};
 use distributed_pagerank::p2p::transport::{RankUpdateWire, UpdateFrameWire};
 use distributed_pagerank::prelude::*;
 use dpr_graph::CsrGraph as Csr;
@@ -65,7 +65,7 @@ fn owners(n: usize, num_peers: usize) -> Vec<PeerId> {
 /// Applies one row of the churn plan, keeping at least one peer
 /// online so every run can terminate.
 fn apply_mask(peers: &mut PeerTable, mask: &[bool]) {
-    for (i, &on) in mask.iter().enumerate().take(peers.len()) {
+    for (i, &on) in mask.iter().enumerate().take(peers.peers().count()) {
         peers.set_online(PeerId(i as u32), on);
     }
     if !peers.peers().any(|p| peers.is_online(p)) {
@@ -154,7 +154,9 @@ fn fold(acc: u64, byte: u64) -> u64 {
 fn message_order_fingerprint(sched: SchedMode) -> u64 {
     let w = Workload::paper(600, 4, 2003);
     let cfg = EngineConfig::with_epsilon(1e-6).with_sched(sched);
-    let mut nodes: Vec<PeerNode> = (0..4u32).map(|i| PeerNode::new(PeerId(i), cfg)).collect();
+    let mut nodes: Vec<PeerNode> = (0..4u32)
+        .map(|i| PeerNode::with_wire(PeerId(i), cfg, WireMode::frames()))
+        .collect();
     let guid_of_tag: std::collections::HashMap<u64, Guid> = (0..w.graph.num_nodes())
         .map(|d| Guid::for_document(DocId::from(d)))
         .map(|g| (g.frame_tag(), g))
