@@ -230,13 +230,14 @@ pub fn partition(args: &Args) -> Result<(), String> {
 }
 
 /// The wave flags of `insert` and `delete`, refused where
-/// `incremental` would assert: ε ≤ 0 or NaN, damping outside (0, 1] or
-/// NaN.
+/// `incremental` would assert or where no increment could pass the
+/// threshold: ε not finite and positive (as for the scenario
+/// commands), damping outside (0, 1] or NaN.
 fn wave_cfg(args: &Args) -> Result<PropagationConfig, String> {
     let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING)?;
     let epsilon: f64 = args.get("eps", dpr_core::RECOMMENDED_EPSILON)?;
-    if epsilon.is_nan() || epsilon <= 0.0 {
-        return Err(format!("--eps must be positive, got {epsilon}"));
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(format!("--eps must be finite and positive, got {epsilon}"));
     }
     if damping.is_nan() || damping <= 0.0 || damping > 1.0 {
         return Err(format!("--damping must be in (0, 1], got {damping}"));
@@ -1430,6 +1431,9 @@ mod tests {
         for (name, cmd, flags, flag) in [
             ("insert", insert as Cmd, "--links 1 --eps 0", "--eps"),
             ("insert", insert, "--links 1 --eps nan", "--eps"),
+            ("insert", insert, "--links 1 --eps inf", "--eps"),
+            ("delete", delete, "--doc 3 --eps inf", "--eps"),
+            ("delete", delete, "--doc 3 --eps 1e309", "--eps"),
             ("insert", insert, "--links 1 --damping 1.5", "--damping"),
             ("delete", delete, "--doc 3 --damping 0", "--damping"),
             ("delete", delete, "--doc 3 --damping nan", "--damping"),

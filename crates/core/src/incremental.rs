@@ -27,11 +27,13 @@
 //! wave, so a document forwards its accumulated increment once per
 //! generation no matter how many origins feed it, and node coverage /
 //! message counts are deduplicated across the burst. It also consults
-//! an [`SccIndex`] downstream cone and *proves*
-//! the wave stays inside it (every message target is asserted to be in
-//! the cone): upstream components receive nothing and are therefore
-//! fixed — the certification the engine's localized dirty-set seeding
-//! relies on.
+//! an [`SccIndex`] downstream cone, copies the cone's links into one
+//! flat CSR snapshot and runs the wave over that, and *proves* the wave
+//! stays inside the cone: every link of every cone document is asserted
+//! to land in the cone as it is copied, a superset of the links any
+//! message crosses. Upstream components receive nothing and are
+//! therefore fixed — the certification the engine's localized
+//! dirty-set seeding relies on.
 
 use dpr_graph::scc::{ConeSet, SccIndex};
 use dpr_graph::{CsrGraph, DocId, DynamicGraph};
@@ -115,7 +117,7 @@ pub fn propagate<G: OutLinks>(
     cfg: PropagationConfig,
     ranks: Option<&mut [f64]>,
 ) -> PropagationStats {
-    wave(graph, &[(origin, initial)], cfg, ranks, None)
+    wave(graph, &[(origin, initial)], cfg, ranks)
 }
 
 /// The shared wave core: every origin distributes its initial in
@@ -124,19 +126,17 @@ pub fn propagate<G: OutLinks>(
 /// origins' waves flow through it. Message and node-coverage counts
 /// are therefore deduplicated across a burst — never more than the sum
 /// of the per-origin waves, strictly fewer whenever the waves overlap.
-/// When `cone` is given, every message target is asserted to lie
-/// inside it — the upstream-fixedness certificate.
 fn wave<G: OutLinks>(
     graph: &G,
     origins: &[(DocId, f64)],
     cfg: PropagationConfig,
     mut ranks: Option<&mut [f64]>,
-    cone: Option<&ConeSet>,
 ) -> PropagationStats {
     assert!(cfg.epsilon > 0.0, "epsilon must be positive");
     assert!(cfg.damping > 0.0 && cfg.damping <= 1.0, "damping in (0,1]");
+    let n = graph.len();
     let mut stats = PropagationStats::default();
-    let mut covered = vec![false; graph.len()];
+    let mut covered = vec![false; n];
 
     // Generation-synchronous wave: all increments reaching a document
     // within one generation are accumulated and forwarded as one
@@ -144,9 +144,15 @@ fn wave<G: OutLinks>(
     // the only formulation whose work is bounded by O(E) per
     // generation at very small thresholds (a per-message event queue
     // blows up combinatorially in cyclic graphs).
-    let mut acc = vec![0.0f64; graph.len()];
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut on_frontier = vec![false; graph.len()];
+    let mut acc = vec![0.0f64; n];
+    let mut on_frontier = vec![false; n];
+    // Two frontier buffers, swapped between generations. A message
+    // writes its target one past the queued prefix unconditionally and
+    // lengthens the prefix only if the target was not queued yet — no
+    // data-dependent branch; the spare slot keeps the write in bounds.
+    let mut frontier = vec![0u32; n + 1];
+    let mut next = vec![0u32; n + 1];
+    let mut len = 0usize;
     let mut depth = 0u32;
     // Safety valve: with damping = 1 on a cyclic graph the wave mass
     // never decays and the loop below would not terminate; cap the
@@ -157,39 +163,27 @@ fn wave<G: OutLinks>(
     // no damping — the full initial rank is what the new (or deleted)
     // document advertises (Fig. 2).
     for &(origin, initial) in origins {
-        if let Some(c) = cone {
-            assert!(c.contains(origin), "origin {origin} outside its own cone");
-        }
         let out = graph.out(origin);
         if out.is_empty() {
             continue;
         }
         let share = initial / out.len() as f64;
+        stats.messages += out.len() as u64;
         for &t in out {
-            stats.messages += 1;
-            if let Some(c) = cone {
-                assert!(
-                    c.contains(DocId(t)),
-                    "wave escaped the cone at document {t}"
-                );
-            }
-            if !covered[t as usize] {
-                covered[t as usize] = true;
-                stats.node_coverage += 1;
-            }
+            frontier[len] = t;
+            len += usize::from(!on_frontier[t as usize]);
+            on_frontier[t as usize] = true;
+            stats.node_coverage += usize::from(!covered[t as usize]);
+            covered[t as usize] = true;
             acc[t as usize] += share;
-            if !on_frontier[t as usize] {
-                on_frontier[t as usize] = true;
-                frontier.push(t);
-            }
         }
         depth = 1;
         stats.path_length = 1;
     }
 
-    while !frontier.is_empty() {
-        let mut next: Vec<u32> = Vec::new();
-        for &v in &frontier {
+    while len > 0 {
+        let live = std::mem::take(&mut len);
+        for &v in &frontier[..live] {
             on_frontier[v as usize] = false;
             let delta = std::mem::take(&mut acc[v as usize]);
             if let Some(r) = ranks.as_deref_mut() {
@@ -204,27 +198,18 @@ fn wave<G: OutLinks>(
                 continue;
             }
             let share = cfg.damping * delta / out.len() as f64;
+            stats.messages += out.len() as u64;
             for &t in out {
-                stats.messages += 1;
-                if let Some(c) = cone {
-                    assert!(
-                        c.contains(DocId(t)),
-                        "wave escaped the cone at document {t}"
-                    );
-                }
-                if !covered[t as usize] {
-                    covered[t as usize] = true;
-                    stats.node_coverage += 1;
-                }
+                next[len] = t;
+                len += usize::from(!on_frontier[t as usize]);
+                on_frontier[t as usize] = true;
+                stats.node_coverage += usize::from(!covered[t as usize]);
+                covered[t as usize] = true;
                 acc[t as usize] += share;
-                if !on_frontier[t as usize] {
-                    on_frontier[t as usize] = true;
-                    next.push(t);
-                }
             }
         }
-        frontier = next;
-        if !frontier.is_empty() {
+        std::mem::swap(&mut frontier, &mut next);
+        if len > 0 {
             depth += 1;
             stats.path_length = depth;
             if depth >= MAX_GENERATIONS {
@@ -250,15 +235,17 @@ pub struct BurstStats {
 }
 
 /// Runs a burst as one merged wave, restricted to — and certified
-/// against — the [`SccIndex`] downstream cone of its origins. Every
-/// update message is asserted to land inside the cone, so every
-/// document outside it provably receives nothing and keeps its rank
-/// bit-identically: upstream components are never re-swept.
+/// against — the [`SccIndex`] downstream cone of its origins. The wave
+/// runs over a CSR snapshot of the cone, and every link of every cone
+/// document is asserted to land inside the cone as it is copied, so
+/// every document outside it provably receives nothing and keeps its
+/// rank bit-identically: upstream components are never re-swept.
 ///
 /// # Panics
 ///
-/// Panics if `index` is stale (refresh it first) or if the wave would
-/// escape the cone (which would indicate index corruption).
+/// Panics if `index` is stale (refresh it first), or if an origin or a
+/// link of the cone leaves the cone (which would indicate index
+/// corruption).
 pub fn propagate_burst_localized(
     graph: &DynamicGraph,
     index: &SccIndex,
@@ -268,13 +255,45 @@ pub fn propagate_burst_localized(
 ) -> BurstStats {
     let origin_docs: Vec<DocId> = origins.iter().map(|&(d, _)| d).collect();
     let cone = index.downstream_cone(graph, &origin_docs);
-    let wave_stats = wave(graph, origins, cfg, ranks, Some(&cone));
+    let snapshot = cone_snapshot(graph, &cone, &origin_docs);
+    let wave_stats = wave(&snapshot, origins, cfg, ranks);
     BurstStats {
         wave: wave_stats,
         origins: origins.len(),
         cone_docs: cone.docs,
         cone_components: cone.components,
     }
+}
+
+/// The cone's adjacency as one flat CSR over all of `graph`'s ids:
+/// each cone document's out-links in *stored* order (the order decides
+/// the order of the wave's f64 additions, and deletes leave rows
+/// unsorted, so `to_csr`'s sorted rows would move rank bits), every
+/// other row empty. The upstream certificate is checked here, on every
+/// link the wave could cross.
+fn cone_snapshot(graph: &DynamicGraph, cone: &ConeSet, origins: &[DocId]) -> CsrGraph {
+    for &origin in origins {
+        assert!(
+            cone.contains(origin),
+            "origin {origin} outside its own cone"
+        );
+    }
+    let mut offsets = Vec::with_capacity(graph.id_bound() + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
+    for v in (0..graph.id_bound()).map(DocId::from) {
+        if cone.contains(v) {
+            for &t in graph.out_links(v) {
+                assert!(
+                    cone.contains(DocId(t)),
+                    "wave escaped the cone at document {t}"
+                );
+                targets.push(t);
+            }
+        }
+        offsets.push(targets.len() as u64);
+    }
+    CsrGraph::from_parts(offsets, targets)
 }
 
 /// Inserts a whole batch of documents structurally (updating `index`
@@ -375,6 +394,121 @@ mod tests {
     use dpr_graph::builder::from_edges;
     use dpr_graph::powerlaw::paper_graph;
     use dpr_graph::Edge;
+    use proptest::prelude::*;
+
+    /// The reference wave: the same generations as [`wave`], read
+    /// through [`OutLinks`] with a branch per queue and coverage test
+    /// and a fresh `Vec` per generation, and — given a cone — every
+    /// message target asserted to lie inside it. [`wave`] must match it
+    /// bit for bit.
+    fn wave_model<G: OutLinks>(
+        graph: &G,
+        origins: &[(DocId, f64)],
+        cfg: PropagationConfig,
+        mut ranks: Option<&mut [f64]>,
+        cone: Option<&ConeSet>,
+    ) -> PropagationStats {
+        assert!(cfg.epsilon > 0.0, "epsilon must be positive");
+        assert!(cfg.damping > 0.0 && cfg.damping <= 1.0, "damping in (0,1]");
+        let mut stats = PropagationStats::default();
+        let mut covered = vec![false; graph.len()];
+
+        // Generation-synchronous wave: all increments reaching a document
+        // within one generation are accumulated and forwarded as one
+        // message per out-link — what a peer batching its inbox does, and
+        // the only formulation whose work is bounded by O(E) per
+        // generation at very small thresholds (a per-message event queue
+        // blows up combinatorially in cyclic graphs).
+        let mut acc = vec![0.0f64; graph.len()];
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut on_frontier = vec![false; graph.len()];
+        let mut depth = 0u32;
+        // Safety valve: with damping = 1 on a cyclic graph the wave mass
+        // never decays and the loop below would not terminate; cap the
+        // generations far above anything a damped wave can reach.
+        const MAX_GENERATIONS: u32 = 1_000_000;
+
+        // Generation zero: every origin's initial distribution, carrying
+        // no damping — the full initial rank is what the new (or deleted)
+        // document advertises (Fig. 2).
+        for &(origin, initial) in origins {
+            if let Some(c) = cone {
+                assert!(c.contains(origin), "origin {origin} outside its own cone");
+            }
+            let out = graph.out(origin);
+            if out.is_empty() {
+                continue;
+            }
+            let share = initial / out.len() as f64;
+            for &t in out {
+                stats.messages += 1;
+                if let Some(c) = cone {
+                    assert!(
+                        c.contains(DocId(t)),
+                        "wave escaped the cone at document {t}"
+                    );
+                }
+                if !covered[t as usize] {
+                    covered[t as usize] = true;
+                    stats.node_coverage += 1;
+                }
+                acc[t as usize] += share;
+                if !on_frontier[t as usize] {
+                    on_frontier[t as usize] = true;
+                    frontier.push(t);
+                }
+            }
+            depth = 1;
+            stats.path_length = 1;
+        }
+
+        while !frontier.is_empty() {
+            let mut next: Vec<u32> = Vec::new();
+            for &v in &frontier {
+                on_frontier[v as usize] = false;
+                let delta = std::mem::take(&mut acc[v as usize]);
+                if let Some(r) = ranks.as_deref_mut() {
+                    r[v as usize] += delta;
+                }
+                // Forward while the received increment is significant.
+                if delta.abs() <= cfg.epsilon {
+                    continue;
+                }
+                let out = graph.out(DocId(v));
+                if out.is_empty() {
+                    continue;
+                }
+                let share = cfg.damping * delta / out.len() as f64;
+                for &t in out {
+                    stats.messages += 1;
+                    if let Some(c) = cone {
+                        assert!(
+                            c.contains(DocId(t)),
+                            "wave escaped the cone at document {t}"
+                        );
+                    }
+                    if !covered[t as usize] {
+                        covered[t as usize] = true;
+                        stats.node_coverage += 1;
+                    }
+                    acc[t as usize] += share;
+                    if !on_frontier[t as usize] {
+                        on_frontier[t as usize] = true;
+                        next.push(t);
+                    }
+                }
+            }
+            frontier = next;
+            if !frontier.is_empty() {
+                depth += 1;
+                stats.path_length = depth;
+                if depth >= MAX_GENERATIONS {
+                    break;
+                }
+            }
+        }
+        stats
+    }
 
     /// Figure 2's graph: G -> {H, I, J}; H -> {K, L}; I -> M.
     /// Ids: G=0, H=1, I=2, J=3, K=4, L=5, M=6.
@@ -550,7 +684,7 @@ mod tests {
         let mut r1 = vec![0.0; 2_000];
         let mut r2 = vec![0.0; 2_000];
         let s1 = propagate(&g, DocId(17), 1.0, cfg, Some(&mut r1));
-        let s2 = wave(&g, &[(DocId(17), 1.0)], cfg, Some(&mut r2), None);
+        let s2 = wave(&g, &[(DocId(17), 1.0)], cfg, Some(&mut r2));
         assert_eq!(s1, s2);
         assert_eq!(r1, r2, "single-origin burst must be bit-identical");
     }
@@ -577,7 +711,7 @@ mod tests {
         let sep_b = propagate(&g, DocId(1), 1.0, cfg, None);
         assert_eq!(sep_a.messages + sep_b.messages, 4);
         assert_eq!(sep_a.node_coverage + sep_b.node_coverage, 4);
-        let burst = wave(&g, &[(DocId(0), 1.0), (DocId(1), 1.0)], cfg, None, None);
+        let burst = wave(&g, &[(DocId(0), 1.0), (DocId(1), 1.0)], cfg, None);
         assert_eq!(burst.messages, 3, "C must forward once, not twice");
         assert_eq!(burst.node_coverage, 2, "coverage counts distinct docs");
         assert_eq!(burst.path_length, 2);
@@ -601,7 +735,7 @@ mod tests {
             sum_messages += s.messages;
             sum_coverage += s.node_coverage;
         }
-        let burst = wave(&g, &origins, cfg, None, None);
+        let burst = wave(&g, &origins, cfg, None);
         assert!(
             burst.messages < sum_messages,
             "overlapping waves must coalesce: {} vs {sum_messages}",
@@ -711,5 +845,147 @@ mod tests {
         assert_eq!(index.freshness(), dpr_graph::scc::IndexFreshness::Coarse);
         assert!(index.refresh(&graph));
         graph.check_invariants().unwrap();
+    }
+
+    /// `real` and `model` agree on every `PropagationStats` field and
+    /// on every rank bit.
+    fn assert_same(
+        real: (&PropagationStats, &[f64]),
+        model: (&PropagationStats, &[f64]),
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(real.0, model.0);
+        prop_assert_eq!(real.1.len(), model.1.len());
+        for (i, (a, b)) in real.1.iter().zip(model.1).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "doc {}: {} vs {}", i, a, b);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The snapshot wave and the wave model agree bit for
+        /// bit — every rank and every `PropagationStats` field — over
+        /// rounds of insert and delete bursts (deletes leave rows
+        /// unsorted) and over single waves on a `CsrGraph`, Figure 2's
+        /// at damping 1 among them. Ids `≡ 3 (mod 4)` have no
+        /// out-links: dangling documents.
+        #[test]
+        fn snapshot_wave_matches_the_model(
+            n in 4usize..24,
+            edges in prop_vec((any::<u32>(), any::<u32>()), 0..80),
+            rounds in prop_vec(
+                (
+                    prop_vec(prop_vec(any::<u32>(), 0..4), 1..4),
+                    prop_vec(any::<u32>(), 1..4),
+                ),
+                3..5,
+            ),
+            damping in 0usize..2,
+            epsilon in 0usize..3,
+        ) {
+            let (damping, epsilon) = ([0.5, 0.85][damping], [1e-3, 1e-7, 1e-12][epsilon]);
+            let n32 = n as u32;
+            let g = from_edges(
+                n,
+                edges
+                    .iter()
+                    .map(|&(a, b)| (a % n32, b % n32))
+                    .filter(|&(a, _)| a % 4 != 3)
+                    .map(|(a, b)| Edge::new(a, b)),
+            );
+            let cfg = PropagationConfig { damping, epsilon };
+            let fig2 = PropagationConfig { damping: 1.0, epsilon };
+            for (csr, cfg) in [(&g, cfg), (&figure2(), fig2)] {
+                for origin in csr.nodes() {
+                    let mut real = vec![0.25; csr.num_nodes()];
+                    let mut model = real.clone();
+                    let s = propagate(csr, origin, 1.0, cfg, Some(&mut real));
+                    let m = wave_model(csr, &[(origin, 1.0)], cfg, Some(&mut model), None);
+                    assert_same((&s, &real), (&m, &model))?;
+                }
+            }
+
+            let mut graph = DynamicGraph::from_csr(&g);
+            let mut index = SccIndex::new(&graph);
+            let mut ranks: Vec<f64> = (0..n).map(|i| 1.0 / (i + 2) as f64).collect();
+            for (batches, victims) in &rounds {
+                let alive: Vec<DocId> = graph.alive().collect();
+                let batches: Vec<Vec<DocId>> = batches
+                    .iter()
+                    .map(|b| b.iter().map(|&x| alive[x as usize % alive.len()]).collect())
+                    .collect();
+                let (mut m_graph, mut m_index, mut m_ranks) =
+                    (graph.clone(), index.clone(), ranks.clone());
+                let mut origins = Vec::new();
+                for links in &batches {
+                    let id = m_graph.insert_document(links);
+                    m_index.on_insert_document(id);
+                    m_ranks.push(1.0 - damping);
+                    origins.push((id, 1.0 - damping));
+                }
+                let ids: Vec<DocId> = origins.iter().map(|&(d, _)| d).collect();
+                let cone = m_index.downstream_cone(&m_graph, &ids);
+                let m = wave_model(&m_graph, &origins, cfg, Some(&mut m_ranks), Some(&cone));
+                let (new_ids, burst) = insert_burst(&mut graph, &mut index, &batches, &mut ranks, cfg);
+                prop_assert_eq!(new_ids, ids);
+                assert_same((&burst.wave, &ranks), (&m, &m_ranks))?;
+
+                // Distinct live victims, at least one survivor.
+                let mut alive: Vec<DocId> = graph.alive().collect();
+                let mut docs = Vec::new();
+                for &x in victims {
+                    if alive.len() > 1 {
+                        docs.push(alive.swap_remove(x as usize % alive.len()));
+                    }
+                }
+                let mut m_ranks = ranks.clone();
+                let origins: Vec<(DocId, f64)> =
+                    docs.iter().map(|&d| (d, -m_ranks[d.index()])).collect();
+                let cone = index.downstream_cone(&graph, &docs);
+                let m = wave_model(&graph, &origins, cfg, Some(&mut m_ranks), Some(&cone));
+                docs.iter().for_each(|d| m_ranks[d.index()] = 0.0);
+                let burst = delete_burst(&mut graph, &mut index, &docs, &mut ranks, cfg);
+                assert_same((&burst.wave, &ranks), (&m, &m_ranks))?;
+            }
+        }
+    }
+
+    /// A cone taken from a graph where 1 is a sink (0 -> 1): `{1}`.
+    fn sink_cone() -> ConeSet {
+        let a = DynamicGraph::from_csr(&from_edges(2, [Edge::new(0u32, 1u32)]));
+        SccIndex::new(&a).downstream_cone(&a, &[DocId(1)])
+    }
+
+    #[test]
+    #[should_panic(expected = "wave escaped the cone")]
+    fn certificate_fires_on_a_link_leaving_the_cone() {
+        // The same cone over a graph where 1 links back to 0.
+        let b = DynamicGraph::from_csr(&from_edges(
+            2,
+            [Edge::new(0u32, 1u32), Edge::new(1u32, 0u32)],
+        ));
+        cone_snapshot(&b, &sink_cone(), &[DocId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its own cone")]
+    fn certificate_fires_on_an_origin_outside_the_cone() {
+        let a = DynamicGraph::from_csr(&from_edges(2, [Edge::new(0u32, 1u32)]));
+        cone_snapshot(&a, &sink_cone(), &[DocId(0)]);
+    }
+
+    #[test]
+    fn snapshot_keeps_stored_row_order() {
+        // Deleting 1 swap-removes it from 0's row: [1, 2, 3, 4] -> [4, 2, 3].
+        let base = from_edges(5, (1..5u32).map(|t| Edge::new(0u32, t)));
+        let mut graph = DynamicGraph::from_csr(&base);
+        graph.delete_document(DocId(1));
+        assert_eq!(graph.out_links(DocId(0)), &[4, 2, 3]);
+        let index = SccIndex::new(&graph);
+        let cone = index.downstream_cone(&graph, &[DocId(0)]);
+        let snapshot = cone_snapshot(&graph, &cone, &[DocId(0)]);
+        for v in graph.alive() {
+            assert_eq!(snapshot.out_neighbors(v), graph.out_links(v), "row {v}");
+        }
+        assert!(snapshot.out_neighbors(DocId(1)).is_empty(), "tombstone row");
     }
 }
