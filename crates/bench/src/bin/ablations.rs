@@ -31,7 +31,7 @@
 //! cargo run --release -p dpr-bench --bin ablations [--nodes 20000] [--seed N]
 //! ```
 
-use dpr_bench::{run_cell, Args, Layer};
+use dpr_bench::{run_cell, Args};
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats;
 use dpr_core::sync_solver::SyncSolver;
@@ -43,11 +43,11 @@ use dpr_search::query::{
 };
 use dpr_sim::flags::Reporter;
 use dpr_sim::hops::HopAccounting;
-use dpr_sim::spec::ScenarioSpec;
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_sim::workload::Workload;
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
 use dpr_telemetry::table::TextTable;
-use dpr_telemetry::NOOP;
+use dpr_telemetry::{Recorder, NOOP};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -122,7 +122,11 @@ fn ablation_epsilon_suppression(nodes: usize, seed: u64) {
         "max rel err",
     ]);
     for epsilon in [0.2, 1e-2, 1e-4, 1e-6] {
-        let r = sweep.run(&ScenarioSpec { epsilon, ..spec }, &NOOP, "quality");
+        let cell = ScenarioSpec { epsilon, ..spec };
+        let r = sweep.score(
+            &cell,
+            &cell.run(sweep.workload(), Layer::Engine, Observe::new(&NOOP)),
+        );
         table.push([
             fmt_eps(epsilon),
             r.total_remote_messages.to_string(),
@@ -275,15 +279,13 @@ fn ablation_link_aware_placement(nodes: usize, seed: u64) {
         ),
     ] {
         let remote_links: u64 = w.remote_links_per_peer().iter().sum();
-        let mut eng = spec.engine(&w);
-        let mut peers = w.peer_table();
-        let run = eng.run_to_convergence(&mut peers, None);
+        let run = spec.run(&w, Layer::Engine, Observe::new(&NOOP));
         table.push([
             name.to_string(),
             remote_links.to_string(),
-            run.total_remote_messages.to_string(),
-            run.total_local_updates.to_string(),
-            run.passes.to_string(),
+            run.remote_messages.to_string(),
+            run.local_updates.to_string(),
+            run.steps.to_string(),
         ]);
     }
     println!("{}", table.render());
@@ -298,7 +300,7 @@ fn ablation_link_aware_placement(nodes: usize, seed: u64) {
 /// configuration) runs observed so the trace describes one coherent
 /// run rather than two interleaved ones.
 fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
-    use dpr_sim::batch::{run_with_unbatched, WireTraffic};
+    use dpr_sim::batch::WireTraffic;
     println!("\n== ablation 8: per-peer aggregation x IP caching ==\n");
     let spec = ScenarioSpec::new(2_000, 64, 1e-3, seed);
     let w = spec.workload();
@@ -309,14 +311,20 @@ fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
         "routed msgs",
         "hops/payload",
     ]);
-    let [(routed, unbatched_routed), (cached, unbatched_cached)] = [false, true].map(|cache| {
-        let rec = trace.recorder_arc().filter(|_| cache);
-        run_with_unbatched(&w, &spec, cache, cache, rec)
+    let [routed, cached] = [false, true].map(|cache| {
+        let untraced = Observe::new(&NOOP as &dyn Recorder);
+        let mut obs = if cache { trace.observe() } else { untraced };
+        (obs.hops, obs.unbatched) = (Some(cache), Some(cache));
+        let out = spec.run(&w, Layer::Cluster, obs);
+        assert!(out.quiesced, "static cluster run must quiesce");
+        out
     });
     assert_eq!(
         routed.ranks, cached.ranks,
         "all four cells must agree bitwise"
     );
+    let [unbatched_routed, unbatched_cached] = [&routed, &cached].map(|o| o.unbatched.unwrap());
+    let [routed, cached] = [&routed, &cached].map(|o| o.traffic.unwrap());
     let mut row = |name: &str, t: WireTraffic| {
         table.push([
             name.to_string(),
@@ -328,8 +336,8 @@ fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
     };
     row("singles, route every msg", unbatched_routed);
     row("singles + IP cache", unbatched_cached);
-    row("frames, route every frame", routed.traffic);
-    row("frames + IP cache", cached.traffic);
+    row("frames, route every frame", routed);
+    row("frames + IP cache", cached);
     println!("{}", table.render());
     println!(
         "the two optimizations compose: aggregation divides the payload count,\n\

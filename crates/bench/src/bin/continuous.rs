@@ -48,13 +48,13 @@
 //! `meta` envelope of the record beside the scenario parameters and the
 //! codec / run-mode / scheduler axes the rows cover.
 
-use dpr_bench::{converged_runs, emit, reduction, run_cell, Args, Cell, Layer};
+use dpr_bench::{converged_runs, emit, reduction, run_cell, Args, Cell};
 use dpr_core::{RunMode, SchedMode};
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
 use dpr_p2p::transport::{WireCodec, RANK_UPDATE_WIRE_BYTES};
 use dpr_sim::event::LatencyModel;
 use dpr_sim::scenario::continuous_update_experiment;
-use dpr_sim::spec::ScenarioSpec;
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
 use dpr_telemetry::table::TextTable;
 use serde::Serialize;
@@ -62,7 +62,7 @@ use serde::Serialize;
 fn regimes(args: &Args) {
     use LatencyModel::{Broadband, Lan, Modem};
     use SchedMode::{Greedy, Pass, Priority};
-    let spec = args.paper_spec(10_000, &[]);
+    let spec = args.paper_spec(10_000, &[], &["codec"]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let parity_eps: f64 = args.get("parity-eps", 1e-9);
     let w = spec.workload();
@@ -332,7 +332,7 @@ fn bursts(args: &Args) {
     use dpr_graph::scc::SccIndex;
     use dpr_graph::{DocId, DynamicGraph};
 
-    let spec = args.paper_spec(10_000, &[]);
+    let spec = args.paper_spec(10_000, &[], &[]);
     let nodes = spec.nodes;
     let burst_eps: f64 = args.get("burst-eps", 1e-14);
     let inserts: usize = args.get("inserts", 24);
@@ -475,7 +475,7 @@ fn bursts(args: &Args) {
 /// carry at least 30 % fewer payload bytes.
 fn scale(args: &Args) {
     let sizes = args.sizes_or(&[10_000, 100_000, 1_000_000]);
-    let spec = args.paper_spec(sizes[0], &[]);
+    let spec = args.paper_spec(sizes[0], &[], &["sched"]);
     let (peers_n, eps) = (spec.num_peers, spec.epsilon);
 
     println!("Wire-codec scale sweep ({peers_n} peers, eps {eps}, sizes {sizes:?})\n");
@@ -550,8 +550,7 @@ struct FrameCapRow {
 }
 
 fn batch_scaling(args: &Args) {
-    use dpr_sim::batch::{run_wire_mode, run_with_unbatched};
-    let spec = args.paper_spec(10_000, &[]);
+    let spec = args.paper_spec(10_000, &[], &["sched", "codec"]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let w = spec.workload();
     // 36 B = 2 entries/frame (the worst useful cap) up to 64 KiB
@@ -564,16 +563,25 @@ fn batch_scaling(args: &Args) {
     };
 
     println!("Frame-cap scaling on the message-level cluster ({nodes} docs, {peers_n} peers, eps {eps})\n");
+    let run = |cap, unbatched| {
+        let mut obs = Observe::new(&dpr_telemetry::NOOP);
+        (obs.hops, obs.unbatched) = (Some(true), unbatched);
+        let out = at(cap).run(&w, Layer::Cluster, obs);
+        assert!(out.quiesced, "static cluster run must quiesce");
+        out
+    };
     // The unbatched row (cap 0) is the shadow of the first framed run.
-    let (first, unbatched) = run_with_unbatched(&w, &at(caps[0]), true, false, None);
-    let mut runs = vec![(0, unbatched), (caps[0], first.traffic)];
+    let first = run(caps[0], Some(false));
+    let unbatched = first.unbatched.expect("charged with its shadow");
+    let framed = first.traffic.expect("a cluster run");
+    let mut runs = vec![(0, unbatched), (caps[0], framed)];
     for &cap in &caps[1..] {
-        let run = run_wire_mode(&w, &at(cap), true, None);
+        let out = run(cap, None);
         assert_eq!(
-            first.ranks, run.ranks,
+            first.ranks, out.ranks,
             "frame caps must converge to bit-identical ranks"
         );
-        runs.push((cap, run.traffic));
+        runs.push((cap, out.traffic.expect("a cluster run")));
     }
     let rows: Vec<FrameCapRow> = runs
         .into_iter()
@@ -656,7 +664,7 @@ fn serving(args: &Args) {
     use dpr_sim::serving::{serving_experiment, ServeStrategy, ServingConfig, ServingReport};
     use dpr_telemetry::{SloSpec, TraceRecorder};
 
-    let spec = args.spec(&ScenarioSpec::new(2_000, 32, 1e-4, 2003), &[]);
+    let spec = args.spec(&ScenarioSpec::new(2_000, 32, 1e-4, 2003), &[], &["sched"]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let queries: usize = args.get("queries", 120);
     let updates: usize = args.get("updates", 24);
@@ -799,7 +807,7 @@ fn serving(args: &Args) {
 /// The default mode: drift of incrementally maintained ranks.
 fn continuous_accuracy(args: &Args) {
     let trace = args.trace();
-    let spec = args.paper_spec(20_000, &[]);
+    let spec = args.paper_spec(20_000, &[], &["sched"]);
     let (nodes, eps) = (spec.nodes, spec.epsilon);
     let inserts: usize = args.get("inserts", 200);
     let checkpoints: usize = args.get("checkpoints", 5);

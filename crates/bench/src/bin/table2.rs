@@ -15,7 +15,7 @@
 
 use dpr_bench::{emit, Args, DEFAULT_SIZES, TABLE23_EPSILONS};
 use dpr_sim::scenario::{QualityResult, QualitySweep};
-use dpr_sim::spec::ScenarioSpec;
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_telemetry::fmt::fmt_eps;
 use dpr_telemetry::table::TextTable;
 
@@ -24,7 +24,7 @@ fn main() {
     let trace = args.trace();
     // `--sizes` and the ε list are the sweep axes; every other
     // scenario flag applies to each cell alike.
-    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"]);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched"]);
     let peers = base.num_peers;
 
     println!("Table 2 — relative error distribution (vs synchronous R_c)");
@@ -41,8 +41,11 @@ fn main() {
         let results: Vec<QualityResult> = TABLE23_EPSILONS
             .iter()
             .map(|&epsilon| {
+                let cell = ScenarioSpec { epsilon, ..spec };
                 let label = format!("{size}@{}", fmt_eps(epsilon));
-                sweep.run(&ScenarioSpec { epsilon, ..spec }, trace.recorder(), &label)
+                let mut obs = Observe::new(trace.recorder());
+                obs.label = &label;
+                sweep.score(&cell, &cell.run(sweep.workload(), Layer::Engine, obs))
             })
             .collect();
 

@@ -27,14 +27,27 @@
 //! ```
 
 use dpr_bench::{emit, Args, DEFAULT_SIZES, TABLE23_EPSILONS};
+use dpr_core::error_stats::ErrorDistribution;
 use dpr_core::exec_model::{
     aggregate_time_secs, internet_scale_days, RATE_200KBS, RATE_32KBS, RATE_T3, SECS_PER_HOUR,
 };
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
-use dpr_sim::scenario::{BatchedQualityResult, QualityResult, QualitySweep};
-use dpr_sim::spec::ScenarioSpec;
+use dpr_sim::batch::BatchReport;
+use dpr_sim::scenario::{QualityResult, QualitySweep};
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
 use dpr_telemetry::table::TextTable;
+use serde::Serialize;
+
+/// One (graph, ε, frame-cap) run of the batched wire path: the
+/// batched-vs-unbatched traffic comparison and the batched cluster's
+/// relative-error distribution vs the synchronous reference.
+#[derive(Serialize)]
+struct BatchedRow {
+    epsilon: f64,
+    report: BatchReport,
+    distribution: ErrorDistribution,
+}
 
 /// The ε sweep of the `--batch` mode. The cluster simulates every
 /// wire payload individually, so the sweep stops at 1e-3; override
@@ -49,7 +62,7 @@ fn batch_mode(args: &Args) {
             max_frame_bytes: cap,
         },
         // `--sizes` and ε (a comma list here) are the sweep axes.
-        ..args.paper_spec(DEFAULT_SIZES[0], &["eps"])
+        ..args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched", "codec"])
     };
     let peers = base.num_peers;
     let epsilons: Vec<f64> = match args.get("eps", String::new()) {
@@ -63,7 +76,7 @@ fn batch_mode(args: &Args) {
     println!("Table 3 (batched wire path) — traffic vs eps, frames capped at {cap} B");
     println!("(both wire modes converge to bit-identical ranks; asserted per row)\n");
 
-    let mut records: Vec<BatchedQualityResult> = Vec::new();
+    let mut records: Vec<BatchedRow> = Vec::new();
     for size in args.sizes() {
         eprintln!("  … running batched sweep for size {size}");
         let spec = ScenarioSpec {
@@ -84,7 +97,15 @@ fn batch_mode(args: &Args) {
             "max rel err",
         ]);
         for &epsilon in &epsilons {
-            let r = sweep.run_batched(&ScenarioSpec { epsilon, ..spec }, trace.recorder_arc());
+            let cell = ScenarioSpec { epsilon, ..spec };
+            let mut obs = trace.observe();
+            (obs.hops, obs.unbatched) = (Some(true), Some(false));
+            let out = cell.run(sweep.workload(), Layer::Cluster, obs);
+            let r = BatchedRow {
+                epsilon,
+                report: BatchReport::new(&cell, &out),
+                distribution: sweep.score(&cell, &out).distribution,
+            };
             table.push([
                 fmt_eps(epsilon),
                 r.report.batched.updates.to_string(),
@@ -122,7 +143,7 @@ fn main() {
         return;
     }
     let trace = args.trace();
-    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"]);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched"]);
     let peers = base.num_peers;
     // Per-pass computation time added to the transfer model. The paper
     // estimates "a minute or less" per pass for the 5000k graph;
@@ -162,7 +183,9 @@ fn main() {
                 epsilon: eps,
                 ..spec
             };
-            let r = sweep.run(&cell, trace.recorder(), &label);
+            let mut obs = Observe::new(trace.recorder());
+            obs.label = &label;
+            let r = sweep.score(&cell, &cell.run(sweep.workload(), Layer::Engine, obs));
             let t32 =
                 aggregate_time_secs(r.total_remote_messages, RATE_32KBS, r.passes, compute_secs)
                     / SECS_PER_HOUR;

@@ -43,11 +43,10 @@
 
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::RunMode;
-use dpr_sim::batch::{run_wire_mode, WireTraffic};
+use dpr_sim::batch::WireTraffic;
 use dpr_sim::flags::Reporter;
-use dpr_sim::flight::profile_run;
 use dpr_sim::report::{out_dir, BenchMeta, ExperimentRecord};
-use dpr_sim::spec::ScenarioSpec;
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_sim::workload::Workload;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -92,25 +91,26 @@ impl Args {
     }
 
     /// The run's scenario: `defaults` overridden by the scenario flags
-    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, `--sched`, …;
-    /// see [`ScenarioSpec::from_flags`]), validated.
+    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, and the
+    /// regime flags named in `regime`; see
+    /// [`ScenarioSpec::from_flags`]), validated.
     /// Flags named in `swept` are hidden from the scenario parser: the
     /// binary sweeps that axis itself and reads the flag, if at all,
     /// as a list.
-    pub fn spec(&self, defaults: &ScenarioSpec, swept: &[&str]) -> ScenarioSpec {
+    pub fn spec(&self, defaults: &ScenarioSpec, swept: &[&str], regime: &[&str]) -> ScenarioSpec {
         let lookup = |k: &str| self.0.optional(k).filter(|_| !swept.contains(&k));
-        ScenarioSpec::from_flags(lookup, defaults).unwrap_or_else(|e| panic!("{e}"))
+        ScenarioSpec::from_flags(lookup, defaults, regime).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`spec`](Self::spec) over the paper's reference scenario: `nodes`
     /// documents on its 500 peers at the recommended ε, seed 2003 (the
     /// venue year).
-    pub fn paper_spec(&self, nodes: usize, swept: &[&str]) -> ScenarioSpec {
+    pub fn paper_spec(&self, nodes: usize, swept: &[&str], regime: &[&str]) -> ScenarioSpec {
         let (peers, eps) = (
             dpr_sim::workload::PAPER_NUM_PEERS,
             dpr_core::RECOMMENDED_EPSILON,
         );
-        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), swept)
+        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), swept, regime)
     }
 
     /// A comma-separated list of sizes, honoring `--full`.
@@ -143,17 +143,6 @@ impl Args {
     pub fn trace(&self) -> Reporter {
         Reporter::from_args(&self.0).unwrap_or_else(|e| panic!("{e}"))
     }
-}
-
-/// Which system converges a [`Cell`]: the array engine (only the
-/// scheduler and ε of the spec apply) or the message-level cluster
-/// under the spec's driver, wire mode, codec and network model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
-    /// [`ScenarioSpec::engine`], run in passes.
-    Engine,
-    /// [`ScenarioSpec::cluster`], run in rounds or chaotically.
-    Cluster,
 }
 
 /// One converged run — the row type of the regime ledger. The axis
@@ -221,7 +210,7 @@ pub struct Cell {
     /// cell does not copy them).
     #[serde(skip)]
     pub ranks: Rc<Vec<f64>>,
-    /// Full wire counters of a rounds-driven cluster run.
+    /// Full wire counters of a cluster run.
     #[serde(skip)]
     pub traffic: Option<WireTraffic>,
 }
@@ -260,10 +249,10 @@ pub fn converged_runs() -> usize {
 }
 
 /// Converges `spec` over `w` (which must be `spec.workload()`) on
-/// `layer` and describes the run as a [`Cell`] — the one place a sweep
-/// runs the engine, the rounds cluster ([`run_wire_mode`], frames over
-/// cached addresses) or the chaotic runtime ([`profile_run`]). A
-/// repeated `(layer, spec)` returns the first run's cell.
+/// `layer` through [`ScenarioSpec::run`] and describes the run as a
+/// [`Cell`]: a rounds cluster charges its frames over cached addresses,
+/// a chaotic one keeps its causal profile. A repeated `(layer, spec)`
+/// returns the first run's cell.
 ///
 /// # Panics
 ///
@@ -286,89 +275,68 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
         return cell;
     }
     let (sched, eps) = (spec.sched, spec.epsilon);
-    let axes = Cell {
-        layer: format!("{layer:?}").to_lowercase(),
-        run_mode: spec.run_mode.to_string(),
-        latency: "none".into(),
-        sched: sched.to_string(),
-        wire: "frames".into(),
-        codec: spec.codec.to_string(),
-        docs: spec.nodes,
-        peers: spec.num_peers,
-        epsilon: eps,
-        ..Cell::default()
-    };
     eprintln!(
         "  … {layer:?} ({} docs, {} peers, {}, frames, {}), {sched} sched, eps {eps}",
         spec.nodes, spec.num_peers, spec.run_mode, spec.codec
     );
-    let mut cell = match (layer, spec.run_mode) {
-        (Layer::Engine, _) => {
-            let mut engine = spec.engine(w);
-            let run = engine.run_to_convergence(&mut w.peer_table(), None);
-            assert!(run.converged, "engine cell must converge");
-            Cell {
-                run_mode: "passes".into(),
-                wire: "array".into(),
-                codec: "none".into(),
-                steps: run.passes as u64,
-                remote_messages: run.total_remote_messages,
-                ranks: Rc::new(engine.ranks().to_vec()),
-                ..axes
-            }
-        }
-        (Layer::Cluster, RunMode::Rounds) => {
-            let run = run_wire_mode(w, spec, true, None);
-            Cell {
-                steps: run.traffic.rounds as u64,
-                remote_messages: run.traffic.updates,
-                wire_bytes: run.traffic.bytes_on_wire,
-                traffic: Some(run.traffic),
-                ranks: Rc::new(run.ranks),
-                ..axes
-            }
-        }
-        (Layer::Cluster, RunMode::Chaotic) => {
-            let run = profile_run(w, spec, None, &dpr_telemetry::NOOP);
-            let (out, p) = (run.outcome, run.profile);
-            assert!(
-                out.quiesced && out.announced,
-                "chaotic cell must quiesce, certified by Safra"
-            );
-            // The profiler's acceptance gate at bench scale: the
-            // critical-path attribution sums to the runtime's virtual
-            // clock, integer-exactly.
-            assert_eq!(
-                (p.compute_ns + p.wire_ns + p.wait_ns, p.virtual_ns),
-                (out.virtual_ns, out.virtual_ns),
-                "profile breakdown must telescope to the virtual clock"
-            );
-            Cell {
-                latency: spec.latency.to_string(),
-                steps: out.steps,
-                deliveries: out.deliveries,
-                remote_messages: run.remote_messages,
-                wire_bytes: run.wire_bytes,
-                virtual_secs: Some(out.virtual_ns as f64 / 1e9),
-                schedule_fnv: out.schedule_fnv,
-                virtual_ns: out.virtual_ns,
-                compute_pct: Some(p.compute_pct()),
-                wire_pct: Some(p.wire_pct()),
-                wait_pct: Some(p.wait_pct()),
-                ranks: Rc::new(run.ranks),
-                ..axes
-            }
-        }
+    let mut obs = Observe::new(&dpr_telemetry::NOOP);
+    let (cluster, rounds) = (layer == Layer::Cluster, spec.run_mode == RunMode::Rounds);
+    (obs.hops, obs.profile) = ((cluster && rounds).then_some(true), cluster && !rounds);
+    let out = spec.run(w, layer, obs);
+    assert!(out.quiesced, "{layer:?} cell must converge or quiesce");
+    // The axes a layer does not have read `none` / `array`.
+    let (run_mode, wire, codec) = match layer {
+        Layer::Engine => ("passes".into(), "array", "none".into()),
+        Layer::Cluster => (spec.run_mode.to_string(), "frames", spec.codec.to_string()),
     };
-    cell.wire_bytes_per_doc = cell.wire_bytes as f64 / spec.nodes as f64;
+    let wire_bytes = out.traffic.map_or(0, |t| t.bytes_on_wire);
+    let mut cell = Cell {
+        layer: format!("{layer:?}").to_lowercase(),
+        run_mode,
+        latency: "none".into(),
+        sched: sched.to_string(),
+        wire: wire.into(),
+        codec,
+        docs: spec.nodes,
+        peers: spec.num_peers,
+        epsilon: eps,
+        steps: out.steps,
+        deliveries: out.deliveries,
+        remote_messages: out.remote_messages,
+        wire_bytes,
+        wire_bytes_per_doc: wire_bytes as f64 / spec.nodes as f64,
+        schedule_fnv: out.schedule_fnv,
+        virtual_ns: out.virtual_ns,
+        traffic: out.traffic,
+        ..Cell::default()
+    };
+    if let Some(p) = &out.profile {
+        assert!(
+            out.announced,
+            "chaotic cell must quiesce, certified by Safra"
+        );
+        // The profiler's acceptance gate at bench scale: the
+        // critical-path attribution sums to the runtime's virtual
+        // clock, integer-exactly.
+        assert_eq!(
+            (p.compute_ns + p.wire_ns + p.wait_ns, p.virtual_ns),
+            (out.virtual_ns, out.virtual_ns),
+            "profile breakdown must telescope to the virtual clock"
+        );
+        cell.latency = spec.latency.to_string();
+        cell.virtual_secs = Some(out.virtual_ns as f64 / 1e9);
+        (cell.compute_pct, cell.wire_pct) = (Some(p.compute_pct()), Some(p.wire_pct()));
+        cell.wait_pct = Some(p.wait_pct());
+    }
     cell.l1_per_doc_vs_sync = SYNC.with(|s| {
         let mut s = s.borrow_mut();
         if (s.0, s.1) != (spec.nodes, spec.seed) {
             let solved = SyncSolver::new().tolerance(1e-13).solve(&w.graph).ranks;
             *s = (spec.nodes, spec.seed, solved);
         }
-        l1_per_doc(&cell.ranks, &s.2)
+        l1_per_doc(&out.ranks, &s.2)
     });
+    cell.ranks = Rc::new(out.ranks);
     let cell = Rc::new(cell);
     CONVERGED.with(|c| c.borrow_mut().push((layer, *spec, cell.clone())));
     cell
@@ -418,14 +386,14 @@ mod tests {
     }
 
     fn spec(s: &str) -> ScenarioSpec {
-        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[])
+        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[], &["sched"])
     }
 
     #[test]
     fn parses_values_and_switches() {
         let a = args("--seed 7 --json --sizes 100,200");
         assert_eq!(
-            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[])
+            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[], &[])
                 .seed,
             7
         );

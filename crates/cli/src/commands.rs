@@ -3,6 +3,7 @@
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::incremental::{propagate, PropagationConfig};
 use dpr_core::sync_solver::SyncSolver;
+use dpr_core::RunMode;
 use dpr_graph::{io, partition, powerlaw::PowerLawConfig, stats, CsrGraph, DocId, DynamicGraph};
 use dpr_p2p::peer::{Placement, PlacementPolicy};
 use dpr_p2p::ring::Ring;
@@ -13,7 +14,7 @@ use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
 use dpr_sim::flags::{Args, Reporter};
-use dpr_sim::spec::{ScenarioSpec, SCENARIO_FLAGS_HELP};
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec, SCENARIO_FLAGS_HELP};
 use dpr_sim::Workload;
 use dpr_telemetry::{AuditReport, Capture, Event, TraceSummary};
 use rand::SeedableRng;
@@ -28,9 +29,11 @@ fn diagnostic_scenario() -> ScenarioSpec {
 }
 
 /// The command's scenario: its defaults overridden by the scenario
-/// flags present, validated.
-fn scenario(args: &Args, defaults: &ScenarioSpec) -> Result<ScenarioSpec, String> {
-    Ok(ScenarioSpec::from_flags(|k| args.optional(k), defaults)?)
+/// flags present — of the regime flags, those in `regime`, the ones the
+/// command honours — validated.
+fn scenario(args: &Args, defaults: &ScenarioSpec, regime: &[&str]) -> Result<ScenarioSpec, String> {
+    let lookup = |k: &str| args.optional(k);
+    Ok(ScenarioSpec::from_flags(lookup, defaults, regime)?)
 }
 
 /// Top-level usage text. Built, not const, so the scenario flags'
@@ -147,7 +150,7 @@ pub fn rank(args: &Args) -> Result<(), String> {
     let rep = Reporter::from_args(args)?;
     let graph = Arc::new(load_graph(args)?);
     let defaults = ScenarioSpec::new(graph.num_nodes(), 500, dpr_core::RECOMMENDED_EPSILON, 2003);
-    let spec = scenario(args, &defaults)?;
+    let spec = scenario(args, &defaults, &["sched"])?;
     let top: usize = args.get("top", 10)?;
 
     let ranks: Vec<f64> = if args.has("sync") {
@@ -170,17 +173,17 @@ pub fn rank(args: &Args) -> Result<(), String> {
             placement,
             num_peers: spec.num_peers,
         };
-        let mut engine = spec.engine(&w);
-        let mut table = w.peer_table();
-        let run = engine.run_observed(&mut table, None, rep.recorder(), "rank");
+        let mut obs = Observe::new(rep.recorder());
+        obs.label = "rank";
+        let run = spec.run(&w, Layer::Engine, obs);
         rep.say(format!(
             "distributed solve: {} passes, {} remote messages ({:.1}/doc), converged: {}",
-            run.passes,
-            run.total_remote_messages,
-            run.messages_per_node(graph.num_nodes()),
-            run.converged
+            run.steps,
+            run.remote_messages,
+            run.remote_messages as f64 / graph.num_nodes().max(1) as f64,
+            run.quiesced
         ));
-        engine.ranks().to_vec()
+        run.ranks
     };
 
     let mut order: Vec<usize> = (0..ranks.len()).collect();
@@ -407,7 +410,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
     if !(0.0..=1.0).contains(&slo_budget) {
         return Err(format!("--slo-budget must be in [0, 1], got {slo_budget}"));
     }
-    let spec = scenario(args, &ScenarioSpec::new(2_000, 32, 1e-4, 2003))?;
+    let defaults = ScenarioSpec::new(2_000, 32, 1e-4, 2003);
+    let spec = scenario(args, &defaults, &["sched", "latency"])?;
     let cfg = ServingConfig {
         num_docs: spec.nodes,
         vocab_size: args.get("vocab", 400)?,
@@ -724,7 +728,8 @@ pub fn trace(args: &Args) -> Result<(), String> {
 pub fn doctor(args: &Args) -> Result<(), String> {
     use dpr_sim::flight::{self, FlightConfig};
     let rep = Reporter::from_args(args)?;
-    let spec = scenario(args, &diagnostic_scenario())?;
+    let regime = ["sched", "codec", "run-mode", "latency"];
+    let spec = scenario(args, &diagnostic_scenario(), &regime)?;
 
     // Replay mode: prove a capture reproduces bit for bit. A capture
     // recorded under a different wire codec is refused outright —
@@ -739,7 +744,7 @@ pub fn doctor(args: &Args) -> Result<(), String> {
             "{path}: replay matched — {} docs, {} passes, {} remote messages, \
              ranks fnv {:#018x}",
             out.ranks.len(),
-            out.passes,
+            out.steps,
             out.remote_messages,
             capture.fingerprint.ranks_fnv,
         ));
@@ -763,7 +768,7 @@ pub fn doctor(args: &Args) -> Result<(), String> {
              ({} passes, {} remote messages)",
             capture.injections.len(),
             outcome.ranks.len(),
-            outcome.passes,
+            outcome.steps,
             outcome.remote_messages,
         ));
         return rep.finish();
@@ -860,7 +865,10 @@ pub fn profile(args: &Args) -> Result<(), String> {
     use dpr_telemetry::Profile;
 
     let rep = Reporter::from_args(args)?;
-    let spec = scenario(args, &diagnostic_scenario())?;
+    let spec = ScenarioSpec {
+        run_mode: RunMode::Chaotic,
+        ..scenario(args, &diagnostic_scenario(), &["sched", "codec", "latency"])?
+    };
     let top: usize = args.get("top", 8)?;
 
     let segments: Vec<Profile> = if let Some(input) = args.optional("input") {
@@ -906,17 +914,19 @@ pub fn profile(args: &Args) -> Result<(), String> {
         segs
     } else {
         let fault = fault_plan(args)?;
-        let run = flight::profile_run(&spec.workload(), &spec, fault, rep.recorder());
+        let mut obs = Observe::new(rep.recorder());
+        (obs.fault, obs.profile) = (fault, true);
+        let run = spec.run(&spec.workload(), Layer::Cluster, obs);
         rep.say(format!(
             "scenario: {spec}, {} sched, {} latency: {} steps in {:.3} virtual ms, quiesced: {}",
             spec.sched,
             spec.latency,
-            run.outcome.steps,
-            run.outcome.virtual_ns as f64 / 1e6,
-            run.outcome.quiesced
+            run.steps,
+            run.virtual_ns as f64 / 1e6,
+            run.quiesced
         ));
         report_fault(&rep, fault, run.fault_fired_at)?;
-        vec![run.profile]
+        vec![run.profile.expect("a profiled chaotic run")]
     };
 
     // The profiler's own acceptance gate: every segment's attribution
@@ -1386,11 +1396,44 @@ mod tests {
         let usage = usage();
         assert!(usage.contains(SCENARIO_FLAGS_HELP) && usage.contains(dpr_core::SCHED_HELP));
         let d = diagnostic_scenario();
-        assert_eq!(scenario(&args(""), &d).unwrap(), d);
+        assert_eq!(scenario(&args(""), &d, &[]).unwrap(), d);
         for flags in ["--docs 1200", "--peers 24", "--eps 1e-4", "--seed 2003"] {
             assert!(usage.contains(&format!("[{flags}]")), "{flags}");
-            assert_eq!(scenario(&args(flags), &d).unwrap(), d, "{flags}");
+            assert_eq!(scenario(&args(flags), &d, &[]).unwrap(), d, "{flags}");
         }
+    }
+
+    /// A regime flag a command does not honour is left unread, so the
+    /// invocation fails on it instead of running something else.
+    #[test]
+    fn regime_flags_a_command_does_not_honour_fail_the_invocation() {
+        let dir = tmpdir("regime");
+        let g = graph_file(&dir, 300);
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let cases: [(Cmd, String, &str); 3] = [
+            (
+                rank,
+                format!("--graph {g} --peers 4 --run-mode chaotic --codec compact --latency modem"),
+                "--codec, --latency, --run-mode",
+            ),
+            (
+                profile,
+                "--docs 300 --peers 4 --run-mode rounds".into(),
+                "--run-mode",
+            ),
+            (
+                serve,
+                "--docs 300 --peers 4 --queries 4 --updates 2 --codec compact --run-mode rounds"
+                    .into(),
+                "--codec, --run-mode",
+            ),
+        ];
+        for (cmd, flags, unknown) in cases {
+            let a = args(&format!("{flags} --quiet"));
+            let e = cmd(&a).and_then(|()| a.reject_unread()).unwrap_err();
+            assert_eq!(e, format!("unknown flag {unknown}"), "{flags}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Every degenerate scenario is a clean `Err` (the dispatcher

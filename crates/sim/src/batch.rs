@@ -5,10 +5,12 @@
 //! on the document's GUID (Sec. 4.6, 3.2). Per-peer aggregation keeps
 //! that *logical* update stream but coalesces each pass's updates per
 //! destination peer into multi-update frames, each routed once (then
-//! sent to a cached address) to the destination *peer*. This module
-//! runs the message-level [`Cluster`](dpr_node::cluster::Cluster) once,
-//! framed, and charges the paper's unbatched wire as a shadow of the
-//! same run: every frame entry as its own message.
+//! sent to a cached address) to the destination *peer*. A rounds run of
+//! the message-level [`Cluster`] under
+//! [`Observe::hops`](crate::spec::Observe::hops) charges its frames that
+//! way; [`Observe::unbatched`](crate::spec::Observe::unbatched) charges
+//! the paper's unbatched wire as a shadow of the same run: every frame
+//! entry as its own message.
 //!
 //! The shadow is exact without a second run. Every frame cap — the
 //! one-entry cap, which is the unbatched wire, included — runs the same
@@ -19,10 +21,10 @@
 //! send order, as a static run evicts nothing.
 
 use crate::hops::HopAccounting;
-use crate::spec::ScenarioSpec;
+use crate::spec::{Layer, Observe, Outcome, ScenarioSpec};
 use crate::workload::Workload;
-use bytes::Bytes;
 use dpr_graph::DocId;
+use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::peer::PeerId;
@@ -54,9 +56,37 @@ pub struct WireTraffic {
     pub routed_messages: u64,
 }
 
-/// One run of a [`Cluster`](dpr_node::cluster::Cluster) under an
-/// explicit frame cap and routing policy: converged ranks plus measured
-/// traffic.
+impl WireTraffic {
+    /// What `cluster` has sent in `rounds`, `routed` transmissions
+    /// charged.
+    pub(crate) fn of(cluster: &Cluster, rounds: u64, routed: u64) -> Self {
+        let (s, t) = (cluster.node_stats(), cluster.traffic());
+        WireTraffic {
+            rounds: rounds as usize,
+            updates: s.emitted_remote,
+            entries: s.sent_remote,
+            frames: s.frames_sent,
+            payloads: t.sent,
+            bytes_on_wire: t.bytes_sent,
+            routed_messages: routed,
+        }
+    }
+
+    /// The unbatched wire of the same entries: one 24-byte payload per
+    /// entry, `routed` transmissions charged.
+    pub(crate) fn unbatched(self, routed: u64) -> Self {
+        WireTraffic {
+            frames: 0,
+            payloads: self.entries,
+            bytes_on_wire: RANK_UPDATE_WIRE_BYTES as u64 * self.entries,
+            routed_messages: routed,
+            ..self
+        }
+    }
+}
+
+/// One run of a [`Cluster`] under an explicit frame cap and routing
+/// policy: converged ranks plus measured traffic.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
     /// Converged per-document ranks.
@@ -73,123 +103,60 @@ fn accounting(w: &Workload, cache_ips: bool) -> HopAccounting {
     }
 }
 
-/// Runs `w` to quiescence on the message-level cluster `spec`
-/// describes (scheduler, frame cap, codec; rounds driver), charging
-/// overlay hops for every frame, routed on the destination peer's GUID.
-/// With `cache_ips`, the first send per destination routes and caches
-/// the address (paper Sec. 3.2) and later sends go direct in one hop.
-///
-/// The codec only changes how frames are *encoded*
-/// ([`WireCodec::Compact`] sends varint-delta doc ids and `f32`
-/// values), so rounds and update counts are unchanged — only
-/// `bytes_on_wire` and (within the pinned parity bound) the low rank
-/// bits move. Under a selective scheduler each step processes only the
-/// top residual-mass buckets and defers the rest; quiescence still
-/// means "no residual anywhere above ε".
-///
-/// With `rec`, the cluster's transport mirrors its byte counters into
-/// the recorder, every round emits `frame_sent` / `round_completed`
-/// events, the run closes with a `quiescence_cert`, and the hop model
-/// feeds the route/cache metrics. The measured run is unchanged by
-/// observation (same rounds, ranks, and traffic).
-pub fn run_wire_mode(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    cache_ips: bool,
-    rec: Option<Arc<dyn Recorder>>,
-) -> ClusterRun {
-    drive(w, spec, cache_ips, rec, |_, _, _| {})
+/// The overlay hops one rounds run is charged, and its unbatched
+/// shadow's through a second, unobserved accounting.
+pub(crate) struct Charges {
+    hops: HopAccounting,
+    /// Transmissions charged so far.
+    pub(crate) routed: u64,
+    /// The shadow's accounting, the document each raw frame entry names
+    /// by its tag, and the shadow's transmissions so far.
+    pub(crate) shadow: Option<(HopAccounting, FxHashMap<u64, DocId>, u64)>,
 }
 
-/// [`run_wire_mode`] plus the paper's unbatched wire as a shadow of the
-/// same run (see the module docs): every frame entry charged as its own
-/// message on its document's GUID through a second, unobserved hop
-/// accounting, which caches after the first route iff
-/// `unbatched_cache_ips`. Returns the framed run and the unbatched
-/// traffic: the run's rounds, updates and entries, one 24-byte payload
-/// per entry, and the shadow's routed messages.
-pub fn run_with_unbatched(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    cache_ips: bool,
-    unbatched_cache_ips: bool,
-    rec: Option<Arc<dyn Recorder>>,
-) -> (ClusterRun, WireTraffic) {
-    let mut acc = accounting(w, unbatched_cache_ips);
-    // Raw frame entries name their document by frame tag.
-    let docs = (0..w.graph.num_nodes()).map(DocId::from);
-    let doc_of_tag: FxHashMap<u64, DocId> = docs
-        .map(|d| (Guid::for_document(d).frame_tag(), d))
-        .collect();
-    let mut routed = 0u64;
-    let run = drive(w, spec, cache_ips, rec, |src, dst, payload| {
-        let mut charge = |doc| routed += u64::from(acc.charge(src, dst, doc));
-        match PayloadKind::of(payload) {
-            PayloadKind::Compact => CompactFrameWire::visit(payload, |e| charge(DocId(e.doc))),
-            PayloadKind::Raw => UpdateFrameWire::visit(payload, |e| charge(doc_of_tag[&e.tag])),
+impl Charges {
+    /// Hops over `w`'s ring, caching iff `cache_ips`, observed by
+    /// `rec`; with `unbatched`, the shadow's too.
+    pub(crate) fn new(
+        w: &Workload,
+        cache_ips: bool,
+        unbatched: Option<bool>,
+        rec: Option<&Arc<dyn Recorder>>,
+    ) -> Self {
+        let mut hops = accounting(w, cache_ips);
+        if let Some(rec) = rec {
+            hops.set_recorder(rec.clone());
         }
-        .expect("cluster peers send well-formed frames");
-    });
-    let t = run.traffic;
-    let unbatched = WireTraffic {
-        frames: 0,
-        payloads: t.entries,
-        bytes_on_wire: RANK_UPDATE_WIRE_BYTES as u64 * t.entries,
-        routed_messages: routed,
-        ..t
-    };
-    (run, unbatched)
-}
-
-/// One [`Cluster::run_observed`](dpr_node::cluster::Cluster::run_observed)
-/// call, its hop hook charging every frame after `also` has seen it.
-fn drive(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    cache_ips: bool,
-    rec: Option<Arc<dyn Recorder>>,
-    mut also: impl FnMut(PeerId, PeerId, &[u8]),
-) -> ClusterRun {
-    let mut cluster = spec.cluster(w);
-    let mut acc = accounting(w, cache_ips);
-    if let Some(rec) = &rec {
-        cluster.set_recorder(rec.clone());
-        acc.set_recorder(rec.clone());
+        let docs = (0..w.graph.num_nodes()).map(DocId::from);
+        let tags = docs.map(|d| (Guid::for_document(d).frame_tag(), d));
+        Charges {
+            hops,
+            routed: 0,
+            shadow: unbatched.map(|cache_ips| (accounting(w, cache_ips), tags.collect(), 0)),
+        }
     }
-    let mut routed = 0u64;
-    let mut hook = |src, dst, payload: &Bytes| {
-        also(src, dst, payload);
-        let hops = acc.charge_peer(src, dst);
-        routed += u64::from(hops);
+
+    /// Charges one frame from `src` to `dst` — its entries to the
+    /// shadow first — and returns its hops.
+    pub(crate) fn charge(&mut self, src: PeerId, dst: PeerId, payload: &[u8]) -> u32 {
+        if let Some((acc, doc_of_tag, routed)) = &mut self.shadow {
+            let mut charge = |doc| *routed += u64::from(acc.charge(src, dst, doc));
+            match PayloadKind::of(payload) {
+                PayloadKind::Compact => CompactFrameWire::visit(payload, |e| charge(DocId(e.doc))),
+                PayloadKind::Raw => UpdateFrameWire::visit(payload, |e| charge(doc_of_tag[&e.tag])),
+            }
+            .expect("cluster peers send well-formed frames");
+        }
+        let hops = self.hops.charge_peer(src, dst);
+        self.routed += u64::from(hops);
         hops
-    };
-
-    let mut peers = w.peer_table();
-    let (rounds, quiet) = match rec.as_deref() {
-        Some(r) => cluster.run_observed(&mut peers, 100_000, None, Some(&mut hook), r),
-        None => cluster.run_observed(&mut peers, 100_000, None, Some(&mut hook), &NOOP),
-    };
-    assert!(quiet, "static cluster run must quiesce");
-
-    let (s, t) = (cluster.node_stats(), cluster.traffic());
-    ClusterRun {
-        ranks: cluster.collect_ranks(w.graph.num_nodes()),
-        traffic: WireTraffic {
-            rounds,
-            updates: s.emitted_remote,
-            entries: s.sent_remote,
-            frames: s.frames_sent,
-            payloads: t.sent,
-            bytes_on_wire: t.bytes_sent,
-            routed_messages: routed,
-        },
     }
 }
 
-/// [`run_wire_mode`] under positional arguments, untraced. Kept, with
-/// this exact signature, only because the frozen `perf/` benchmark
-/// calls it; the next benchmark PR should move `perf/` to
-/// [`run_wire_mode`] and delete this.
+/// An untraced rounds run of the cluster over `w` with hops charged.
+/// Kept, with this exact signature, only because the frozen `perf/`
+/// benchmark calls it; the next benchmark PR should move `perf/` to
+/// [`ScenarioSpec::run`] and delete this.
 pub fn run_wire_mode_codec(
     w: &Workload,
     epsilon: f64,
@@ -199,16 +166,20 @@ pub fn run_wire_mode_codec(
 ) -> ClusterRun {
     // The rounds driver never draws from the seed.
     let shape = ScenarioSpec::new(w.graph.num_nodes(), w.num_peers, epsilon, 0);
-    run_wire_mode(
-        w,
-        &ScenarioSpec {
-            wire,
-            codec,
-            ..shape
-        },
-        cache_ips,
-        None,
-    )
+    let spec = ScenarioSpec {
+        wire,
+        codec,
+        ..shape
+    };
+    let mut obs = Observe::new(&NOOP);
+    obs.hops = Some(cache_ips);
+    let out = spec.run(w, Layer::Cluster, obs);
+    assert!(out.quiesced, "static cluster run must quiesce");
+    let traffic = out.traffic.expect("a cluster run has traffic");
+    ClusterRun {
+        ranks: out.ranks,
+        traffic,
+    }
 }
 
 /// The full batched-vs-unbatched comparison on one workload.
@@ -233,36 +204,33 @@ pub struct BatchReport {
     pub byte_reduction: f64,
 }
 
-/// Runs `w` once and reports the saving, returning the batched run
-/// alongside (for callers that score its ranks). The unbatched baseline
-/// is the paper's default DHT path — every update routed on its
-/// document GUID, no address cache — charged as a shadow of the batched
-/// run, untraced; the batched run is the full aggregation feature as
-/// `spec` describes it — coalesced frames at `spec.wire`'s cap, one
-/// route per frame, cached destination IPs (the Sec. 3.2 cache, now per
-/// peer instead of per document), traced through `rec` so the trace's
-/// frame/round series describes one coherent run. The Sec. 3.2 cache
-/// alone (unbatched + cached) is covered by the ablation grid, not
-/// here.
-pub fn batching_experiment(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    rec: Option<Arc<dyn Recorder>>,
-) -> (BatchReport, ClusterRun) {
-    let (batched, unbatched) = run_with_unbatched(w, spec, true, false, rec);
-    let report = BatchReport {
-        graph_size: w.graph.num_nodes(),
-        num_peers: w.num_peers,
-        epsilon: spec.epsilon,
-        max_frame_bytes: spec.wire.max_frame_bytes,
-        unbatched,
-        batched: batched.traffic,
-        routed_reduction: unbatched.routed_messages as f64
-            / batched.traffic.routed_messages.max(1) as f64,
-        byte_reduction: unbatched.bytes_on_wire as f64
-            / batched.traffic.bytes_on_wire.max(1) as f64,
-    };
-    (report, batched)
+impl BatchReport {
+    /// The saving of `out`, a rounds run of `spec` charged with its
+    /// unbatched shadow. The paper's default DHT path — every update
+    /// routed on its document GUID, no address cache — is the shadow
+    /// under `unbatched: Some(false)`; the full aggregation feature is
+    /// the run under `hops: Some(true)`: frames at `spec.wire`'s cap,
+    /// one route per frame, cached destination IPs (the Sec. 3.2
+    /// cache, now per peer instead of per document). The Sec. 3.2
+    /// cache alone (unbatched + cached) is covered by the ablation
+    /// grid, not here.
+    pub fn new(spec: &ScenarioSpec, out: &Outcome) -> Self {
+        let batched = out.traffic.expect("a cluster run");
+        let unbatched = out
+            .unbatched
+            .expect("a run charged with its unbatched shadow");
+        BatchReport {
+            graph_size: spec.nodes,
+            num_peers: spec.num_peers,
+            epsilon: spec.epsilon,
+            max_frame_bytes: spec.wire.max_frame_bytes,
+            unbatched,
+            batched,
+            routed_reduction: unbatched.routed_messages as f64
+                / batched.routed_messages.max(1) as f64,
+            byte_reduction: unbatched.bytes_on_wire as f64 / batched.bytes_on_wire.max(1) as f64,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -270,13 +238,27 @@ mod tests {
     use super::*;
     use dpr_core::SchedMode;
 
+    /// A rounds run of `spec` with hops charged under `cache_ips` and,
+    /// with `unbatched`, its shadow.
+    fn run(w: &Workload, spec: &ScenarioSpec, cache_ips: bool, unbatched: Option<bool>) -> Outcome {
+        let mut obs = Observe::new(&NOOP);
+        (obs.hops, obs.unbatched) = (Some(cache_ips), unbatched);
+        spec.run(w, Layer::Cluster, obs)
+    }
+
+    /// The saving the batched run of `spec` reports, and its ranks.
+    fn report(w: &Workload, spec: &ScenarioSpec) -> (BatchReport, Vec<f64>) {
+        let out = run(w, spec, true, Some(false));
+        (BatchReport::new(spec, &out), out.ranks)
+    }
+
     #[test]
     fn batching_cuts_routed_messages_and_bytes() {
         // 8 peers -> ~190 docs per peer, comfortably above the
         // priority bypass threshold so residual selection engages.
         let spec = ScenarioSpec::new(1_500, 8, 1e-3, 11);
         let w = spec.workload();
-        let (r, _) = batching_experiment(&w, &spec, None);
+        let (r, _) = report(&w, &spec);
         // Same logical protocol on both sides.
         assert_eq!(r.unbatched.updates, r.batched.updates);
         assert_eq!(r.unbatched.entries, r.batched.entries);
@@ -311,19 +293,19 @@ mod tests {
             ..pri_spec
         };
         let w = pass_spec.workload();
-        let pass = run_wire_mode(&w, &pass_spec, true, None);
-        let pri = run_wire_mode(&w, &pri_spec, true, None);
-        let pri_one_entry = run_wire_mode(&w, &one_entry, false, None);
+        let pass = run(&w, &pass_spec, true, None);
+        let pri = run(&w, &pri_spec, true, None);
+        let pri_one_entry = run(&w, &one_entry, false, None);
         // The frame cap cannot perturb the priority schedule: one entry
         // per payload and full frames converge bit-identically.
         assert_eq!(pri_one_entry.ranks, pri.ranks);
         // Residual-driven selection clears the same ε with fewer
         // logical remote updates …
         assert!(
-            pri.traffic.updates < pass.traffic.updates,
+            pri.remote_messages < pass.remote_messages,
             "priority {} vs pass {}",
-            pri.traffic.updates,
-            pass.traffic.updates
+            pri.remote_messages,
+            pass.remote_messages
         );
         // … and lands on the same fixed point to O(ε) per document.
         let l1: f64 = pass
@@ -340,7 +322,7 @@ mod tests {
     fn frame_cap_changes_payloads_not_ranks() {
         let spec = ScenarioSpec::new(800, 10, 1e-3, 12);
         let w = spec.workload();
-        let (loose, loose_run) = batching_experiment(&w, &spec, None);
+        let (loose, loose_ranks) = report(&w, &spec);
         // 2 entries/frame.
         let two_entries = ScenarioSpec {
             wire: WireMode {
@@ -348,8 +330,8 @@ mod tests {
             },
             ..spec
         };
-        let (tight, tight_run) = batching_experiment(&w, &two_entries, None);
-        assert_eq!(loose_run.ranks, tight_run.ranks);
+        let (tight, tight_ranks) = report(&w, &two_entries);
+        assert_eq!(loose_ranks, tight_ranks);
         assert_eq!(loose.batched.entries, tight.batched.entries);
         assert!(tight.batched.frames > loose.batched.frames);
         assert!(tight.batched.bytes_on_wire > loose.batched.bytes_on_wire);
@@ -357,8 +339,7 @@ mod tests {
         // The shadow sees the entries, not their framing, under either
         // routing policy.
         for cache_ips in [false, true] {
-            let [a, b] =
-                [spec, two_entries].map(|s| run_with_unbatched(&w, &s, true, cache_ips, None).1);
+            let [a, b] = [spec, two_entries].map(|s| run(&w, &s, true, Some(cache_ips)).unbatched);
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
     }

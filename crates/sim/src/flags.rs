@@ -18,6 +18,7 @@
 //! drivers. [`Reporter::finish`] flushes the sinks and writes the
 //! Prometheus snapshot.
 
+use crate::spec::Observe;
 use dpr_telemetry::{Recorder, TraceRecorder, NOOP};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -173,6 +174,15 @@ impl Reporter {
     /// cluster transport and hop models); `None` when tracing is off.
     pub fn recorder_arc(&self) -> Option<Arc<dyn Recorder>> {
         self.rec.as_ref().map(|r| r.clone() as Arc<dyn Recorder>)
+    }
+
+    /// A run watched through this invocation's trace, if any: its run
+    /// loop, and a cluster's transport and hop accounting.
+    pub fn observe(&self) -> Observe<'_, dyn Recorder + '_> {
+        Observe {
+            shared: self.recorder_arc(),
+            ..Observe::new(self.recorder())
+        }
     }
 
     /// The live aggregate, for commands that read the run's events or

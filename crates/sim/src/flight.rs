@@ -10,11 +10,11 @@
 //!   final rank bits plus the traffic counters). Replaying re-executes
 //!   from the header and proves the re-run matched. A mismatch is a
 //!   determinism bug with a one-file repro.
-//! * [`doctor_run`] — drive the message-level [`Cluster`] with the
-//!   flight recorder on, optionally staging one transport fault, and
-//!   return the [`AuditReport`] verdict over the events the monitors
-//!   read. This is the scenario half of `dpr doctor`; the monitors are
-//!   in `dpr_telemetry::audit`.
+//! * [`doctor_run`] — run the message-level cluster with the flight
+//!   recorder on, optionally staging one transport fault, and return
+//!   the [`AuditReport`] verdict over the events the monitors read.
+//!   This is the scenario half of `dpr doctor`; the monitors are in
+//!   `dpr_telemetry::audit`.
 //!
 //! The continuous updates are modeled at engine level: each "insert"
 //! injects the arriving document's seed mass at a randomly chosen
@@ -26,22 +26,15 @@
 //! the flight scenario trades it for multi-peer remote traffic, which
 //! is what the capture's fingerprint must pin down.
 
-use crate::event::{
-    fold_schedule_fnv, run_chaotic, run_chaotic_profiled, ChaoticOutcome, LatencyModel,
-    SCHEDULE_FNV_SEED,
-};
-use crate::spec::{ScenarioSpec, SpecError};
-use crate::workload::Workload;
-use dpr_core::engine::ChaoticEngine;
+use crate::event::{fold_schedule_fnv, LatencyModel, SCHEDULE_FNV_SEED};
+use crate::spec::{Built, Layer, Observe, Outcome, ScenarioSpec, SpecError};
 use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
-use dpr_node::cluster::Cluster;
 use dpr_node::node::WireMode;
-use dpr_node::termination::TerminationDetector;
 use dpr_p2p::transport::{FaultPlan, WireCodec};
 use dpr_telemetry::audit::AuditTrail;
 use dpr_telemetry::replay::{fnv64_ranks, Capture, CaptureHeader, Fingerprint};
-use dpr_telemetry::{AuditReport, Event, Profile, Recorder};
+use dpr_telemetry::{AuditReport, Event, Recorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -64,7 +57,7 @@ pub struct FlightConfig {
 }
 
 impl FlightConfig {
-    /// Refuses what [`fly`] cannot run: a degenerate scenario, no
+    /// Refuses what a flight cannot run: a degenerate scenario, no
     /// checkpoint, or fewer inserts than checkpoints.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.spec.validate()?;
@@ -105,61 +98,50 @@ impl FlightConfig {
     }
 }
 
-/// What one flight produced: the final ranks, the traffic counters the
-/// fingerprint pins, and the injection stream actually performed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightOutcome {
-    /// Final per-document ranks.
-    pub ranks: Vec<f64>,
-    /// Total engine passes across the initial solve and every
-    /// checkpoint reconvergence.
-    pub passes: u64,
-    /// Total remote messages (the paper's traffic metric).
-    pub remote_messages: u64,
-    /// Total same-peer updates.
-    pub local_updates: u64,
-    /// FNV-1a over the executed event schedule, folded across the
-    /// scenario's chaotic segments; zero for rounds-mode flights.
-    pub schedule_fnv: u64,
-    /// The injections performed, in order.
-    pub injections: Vec<Event>,
-}
-
-impl FlightOutcome {
-    /// The bit-exact fingerprint a replay must reproduce.
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            ranks_fnv: fnv64_ranks(&self.ranks),
-            docs: self.ranks.len() as u64,
-            passes: self.passes,
-            remote_messages: self.remote_messages,
-            local_updates: self.local_updates,
-            schedule_fnv: self.schedule_fnv,
-        }
+/// The bit-exact fingerprint of a flight's outcome that a replay must
+/// reproduce: its rank bits, steps as `passes`, traffic counters and
+/// folded schedule fingerprint.
+pub fn fingerprint(out: &Outcome) -> Fingerprint {
+    Fingerprint {
+        ranks_fnv: fnv64_ranks(&out.ranks),
+        docs: out.ranks.len() as u64,
+        passes: out.steps,
+        remote_messages: out.remote_messages,
+        local_updates: out.local_updates,
+        schedule_fnv: out.schedule_fnv,
     }
 }
 
-/// The course both flight modes share — same seed, same draws, same
-/// checkpoints — flown by `system`: the initial solve, then each insert
-/// draws a target document and a seed mass, hands them to `inject`,
-/// and emits the injection event; `reconverge` runs for the initial
-/// solve and at every checkpoint. Returns the injections performed, in
-/// order.
-fn fly_course<S, R: Recorder + ?Sized>(
-    cfg: &FlightConfig,
-    rec: &R,
-    system: &mut S,
-    inject: impl Fn(&mut S, DocId, f64),
-    mut reconverge: impl FnMut(&mut S, &str),
-) -> Vec<Event> {
-    reconverge(system, "initial");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.spec.seed ^ 0xf11e);
+/// Executes one flight, tracing through `rec`: the initial solve, then
+/// each insert draws a target document and a seed mass, injects them
+/// and emits the injection event, with a reconvergence at every
+/// checkpoint. The outcome is a pure function of `cfg` (the determinism
+/// contract) and `rec` never perturbs it. Rounds flights run the array
+/// engine; chaotic flights the cluster under the event runtime, whose
+/// segments' schedule fingerprints fold into the outcome's
+/// `schedule_fnv` (zero for rounds flights). Returns the outcome and
+/// the injections performed, in order.
+fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Outcome, Vec<Event>) {
+    assert!(cfg.checkpoints >= 1 && cfg.inserts >= cfg.checkpoints);
+    let spec = &cfg.spec;
+    let layer = match spec.run_mode {
+        RunMode::Rounds => Layer::Engine,
+        RunMode::Chaotic => Layer::Cluster,
+    };
+    let mut system = spec.build(&spec.workload(), layer, &Observe::new(rec));
+    let mut schedule_fnv = SCHEDULE_FNV_SEED;
+    let mut reconverge = |label: &str, system: &mut Built| {
+        let segment = system.segment(rec, label);
+        assert!(segment.quiesced, "every segment of a flight must quiesce");
+        schedule_fnv = fold_schedule_fnv(schedule_fnv, segment.schedule_fnv);
+    };
+    reconverge("initial", &mut system);
+    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed ^ 0xf11e);
     let stride = cfg.inserts / cfg.checkpoints;
     let mut injections = Vec::new();
     for i in 1..=cfg.inserts {
-        let doc = DocId(rng.gen_range(0..cfg.spec.nodes as u32));
-        let delta = rng.gen_range(0.05..0.5);
-        inject(system, doc, delta);
+        let doc = DocId(rng.gen_range(0..spec.nodes as u32));
+        system.inject(doc, rng.gen_range(0.05..0.5));
         let ev = Event::DocInserted {
             seq: i as u64,
             doc: u64::from(doc.0),
@@ -169,89 +151,28 @@ fn fly_course<S, R: Recorder + ?Sized>(
         }
         injections.push(ev);
         if i % stride == 0 || i == cfg.inserts {
-            reconverge(system, &format!("update@{i}"));
+            reconverge(&format!("update@{i}"), &mut system);
         }
     }
-    injections
-}
-
-/// Executes one flight, tracing through `rec`. The outcome is a pure
-/// function of `cfg` (the determinism contract) and `rec` never
-/// perturbs it. Chaotic flights run the message-level cluster under
-/// the event runtime ([`crate::event`]).
-pub fn fly<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
-    assert!(cfg.checkpoints >= 1 && cfg.inserts >= cfg.checkpoints);
-    let spec = &cfg.spec;
-    if spec.run_mode == RunMode::Chaotic {
-        return fly_chaotic(cfg, rec);
-    }
-    let w = spec.workload();
-    let mut engine = spec.engine(&w);
-    let mut peers = w.peer_table();
-    let (mut passes, mut remote, mut local) = (0u64, 0u64, 0u64);
-    let reconverge = |engine: &mut ChaoticEngine, label: &str| {
-        let run = engine.run_observed(&mut peers, None, rec, label);
-        assert!(run.converged, "every solve of a flight must converge");
-        passes += run.passes as u64;
-        remote += run.total_remote_messages;
-        local += run.total_local_updates;
+    let mut out = system.finish();
+    // A rounds flight has no event schedule to pin.
+    out.schedule_fnv = if layer == Layer::Cluster {
+        schedule_fnv
+    } else {
+        0
     };
-    let inject = |engine: &mut ChaoticEngine, doc, delta| engine.inject_delta(doc, delta);
-    let injections = fly_course(cfg, rec, &mut engine, inject, reconverge);
-    FlightOutcome {
-        ranks: engine.ranks().to_vec(),
-        passes,
-        remote_messages: remote,
-        local_updates: local,
-        schedule_fnv: 0,
-        injections,
-    }
-}
-
-/// The chaotic half of [`fly`]: the same continuous-update scenario
-/// driven through the message-level [`Cluster`] under the
-/// discrete-event runtime. The fingerprint maps steps to `passes`, the
-/// nodes' emitted remote entries to `remote_messages`, and
-/// additionally pins the executed event schedule via `schedule_fnv`.
-fn fly_chaotic<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> FlightOutcome {
-    let spec = cfg.spec;
-    let w = spec.workload();
-    let mut cluster = spec.cluster(&w);
-    let peers = w.peer_table();
-    let ccfg = spec.chaotic_config();
-    let (mut passes, mut schedule_fnv) = (0u64, SCHEDULE_FNV_SEED);
-    // One detector per segment: Safra's counters are lifetime sums,
-    // which balance exactly at each segment's quiescence.
-    let reconverge = |cluster: &mut Cluster, _label: &str| {
-        let mut det = TerminationDetector::new(spec.num_peers);
-        let out = run_chaotic(cluster, &peers, &ccfg, &mut det, 1_000_000_000, rec);
-        assert!(out.quiesced, "chaotic segment must quiesce");
-        schedule_fnv = fold_schedule_fnv(schedule_fnv, out.schedule_fnv);
-        passes += out.steps;
-    };
-    let inject = |cluster: &mut Cluster, doc, delta| {
-        cluster.apply_delta(doc, delta);
-    };
-    let injections = fly_course(cfg, rec, &mut cluster, inject, reconverge);
-    let t = cluster.node_stats();
-    FlightOutcome {
-        ranks: cluster.collect_ranks(spec.nodes),
-        passes,
-        remote_messages: t.emitted_remote,
-        local_updates: t.local_updates,
-        schedule_fnv,
-        injections,
-    }
+    (out, injections)
 }
 
 /// Runs the flight, tracing through `rec`, and packages it as a
-/// [`Capture`].
-pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, FlightOutcome) {
-    let out = fly(cfg, rec);
+/// [`Capture`]. The outcome's `schedule_fnv` folds every chaotic
+/// segment's (zero for a rounds flight), as the fingerprint pins it.
+pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, Outcome) {
+    let (out, injections) = fly(cfg, rec);
     let capture = Capture {
         header: cfg.header(),
-        injections: out.injections.clone(),
-        fingerprint: out.fingerprint(),
+        injections,
+        fingerprint: fingerprint(&out),
     };
     (capture, out)
 }
@@ -270,7 +191,7 @@ pub fn record<R: Recorder + ?Sized>(cfg: &FlightConfig, rec: &R) -> (Capture, Fl
 /// would report a phantom determinism bug.
 ///
 /// The re-execution traces through `rec` exactly as the original
-/// [`fly`] would have, so a chaotic capture replays into a full
+/// [`record`] would have, so a chaotic capture replays into a full
 /// `span_closed` stream — this is how `dpr profile --replay` turns a
 /// one-file repro into a causal profile. The fingerprint proof is
 /// unchanged (recording never perturbs the run; that is the
@@ -279,7 +200,7 @@ pub fn replay<R: Recorder + ?Sized>(
     capture: &Capture,
     expect_codec: Option<WireCodec>,
     rec: &R,
-) -> Result<FlightOutcome, String> {
+) -> Result<Outcome, String> {
     let cfg = FlightConfig::from_header(&capture.header)?;
     if let Some(codec) = expect_codec.filter(|&c| c != cfg.spec.codec) {
         return Err(format!(
@@ -308,22 +229,21 @@ pub fn replay<R: Recorder + ?Sized>(
             capture.header.nodes, capture.fingerprint.docs
         ));
     }
-    let out = fly(&cfg, rec);
-    if out.injections != capture.injections {
-        let at = out
-            .injections
+    let (out, injections) = fly(&cfg, rec);
+    if injections != capture.injections {
+        let at = injections
             .iter()
             .zip(&capture.injections)
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| out.injections.len().min(capture.injections.len()));
+            .unwrap_or_else(|| injections.len().min(capture.injections.len()));
         return Err(format!(
             "replayed injection stream diverges from the capture at index {at} \
              (replayed {} vs recorded {})",
-            out.injections.len(),
+            injections.len(),
             capture.injections.len(),
         ));
     }
-    let (got, want) = (out.fingerprint(), capture.fingerprint.clone());
+    let (got, want) = (fingerprint(&out), capture.fingerprint.clone());
     for (field, g, w) in [
         ("ranks_fnv", got.ranks_fnv, want.ranks_fnv),
         ("docs", got.docs, want.docs),
@@ -358,7 +278,7 @@ pub struct DoctorRun {
     pub events: Vec<Event>,
 }
 
-/// Drives the message-level cluster `spec` describes to quiescence,
+/// Runs the message-level cluster `spec` describes to quiescence,
 /// recording into an [`AuditTrail`] that forwards to `sink`, optionally
 /// stages one transport `fault`, and audits the trail. `spec.run_mode`
 /// picks the barrier loop or the event runtime (whose trace
@@ -372,28 +292,9 @@ pub fn doctor_run(
     sink: Option<Arc<dyn Recorder>>,
 ) -> DoctorRun {
     let trail = Arc::new(AuditTrail::new(sink));
-    let w = spec.workload();
-    let mut cluster = spec.cluster(&w);
-    cluster.set_recorder(trail.clone());
-    if let Some(plan) = fault {
-        cluster.inject_transport_fault(plan);
-    }
-    let mut peers = w.peer_table();
-    let (rounds, quiesced) = match spec.run_mode {
-        RunMode::Rounds => cluster.run_observed(&mut peers, 100_000, None, None, trail.as_ref()),
-        RunMode::Chaotic => {
-            let mut det = TerminationDetector::new(spec.num_peers);
-            let out = run_chaotic(
-                &mut cluster,
-                &peers,
-                &spec.chaotic_config(),
-                &mut det,
-                1_000_000_000,
-                trail.as_ref(),
-            );
-            (out.steps as usize, out.quiesced)
-        }
-    };
+    let mut obs = Observe::shared(&trail);
+    obs.fault = fault;
+    let out = spec.run(&spec.workload(), Layer::Cluster, obs);
     let events = trail.take_events();
     let mass_tol = match spec.codec {
         WireCodec::Raw => dpr_telemetry::audit::MASS_TOLERANCE,
@@ -401,9 +302,9 @@ pub fn doctor_run(
     };
     DoctorRun {
         report: AuditReport::evaluate_with_mass_tolerance(&events, mass_tol),
-        rounds,
-        quiesced,
-        fault_fired_at: cluster.fault_fired_at(),
+        rounds: out.steps as usize,
+        quiesced: out.quiesced,
+        fault_fired_at: out.fault_fired_at,
         events,
     }
 }
@@ -435,70 +336,12 @@ pub fn doctor_run_mode(
     doctor_run(&spec, fault, None)
 }
 
-/// One live profiled run — the scenario half of `dpr profile`.
-#[derive(Debug)]
-pub struct ProfileRun {
-    /// The chaotic runtime's outcome (steps, traffic, `virtual_ns`,
-    /// schedule fingerprint).
-    pub outcome: ChaoticOutcome,
-    /// The causal profile extracted from the run's span stream.
-    pub profile: Profile,
-    /// The send index the staged fault fired at, if one was staged and
-    /// struck.
-    pub fault_fired_at: Option<u64>,
-    /// Final per-document ranks.
-    pub ranks: Vec<f64>,
-    /// Remote entries the peers emitted (the paper's traffic metric,
-    /// counted identically to the round-driven cluster runs).
-    pub remote_messages: u64,
-    /// Payload bytes the transport carried.
-    pub wire_bytes: u64,
-}
-
-/// Drives one chaotic reconvergence of the cluster `spec` describes
-/// over `w` with span tracing forced on and returns its causal profile
-/// (critical-path compute/wire/wait attribution of the virtual
-/// wall-clock). This is the live half of `dpr profile`; the offline
-/// halves consume a Capture v3 ([`replay`]) or an already-recorded
-/// trace JSONL. A staged transport `fault` lets the profiler show
-/// *where* the virtual time goes when a frame is lost (the settle
-/// phase's probe circuits dominate the critical path instead of
-/// compute).
-pub fn profile_run<R: Recorder + ?Sized>(
-    w: &Workload,
-    spec: &ScenarioSpec,
-    fault: Option<FaultPlan>,
-    rec: &R,
-) -> ProfileRun {
-    let mut cluster = spec.cluster(w);
-    if let Some(plan) = fault {
-        cluster.inject_transport_fault(plan);
-    }
-    let peers = w.peer_table();
-    let mut det = TerminationDetector::new(w.num_peers);
-    let (outcome, profile) = run_chaotic_profiled(
-        &mut cluster,
-        &peers,
-        &spec.chaotic_config(),
-        &mut det,
-        1_000_000_000,
-        rec,
-    );
-    ProfileRun {
-        outcome,
-        profile,
-        fault_fired_at: cluster.fault_fired_at(),
-        ranks: cluster.collect_ranks(w.graph.num_nodes()),
-        remote_messages: cluster.node_stats().emitted_remote,
-        wire_bytes: cluster.traffic().bytes_sent,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpr_p2p::transport::FaultKind;
     use dpr_telemetry::audit::Monitor;
+    use dpr_telemetry::Profile;
 
     /// A seconds-scale flight.
     fn smoke() -> FlightConfig {
@@ -519,7 +362,7 @@ mod tests {
         let parsed = Capture::from_jsonl(&capture.to_jsonl()).unwrap();
         let out = replay(&parsed, None, &dpr_telemetry::NOOP).unwrap();
         assert_eq!(out.ranks, original.ranks, "ranks must be bitwise equal");
-        assert_eq!(out.fingerprint(), capture.fingerprint);
+        assert_eq!(fingerprint(&out), capture.fingerprint);
     }
 
     #[test]
@@ -651,18 +494,22 @@ mod tests {
     fn profile_run_is_exact_and_chaotic_replay_streams_spans() {
         let spec = ScenarioSpec {
             sched: SchedMode::Priority,
+            run_mode: RunMode::Chaotic,
             latency: LatencyModel::Lan,
             ..ScenarioSpec::new(400, 8, 1e-4, 21)
         };
-        let run = profile_run(&spec.workload(), &spec, None, &dpr_telemetry::NOOP);
-        assert!(run.outcome.quiesced);
+        let mut obs = Observe::new(&dpr_telemetry::NOOP);
+        obs.profile = true;
+        let run = spec.run(&spec.workload(), Layer::Cluster, obs);
+        assert!(run.quiesced);
         assert!(run.fault_fired_at.is_none());
-        assert!(run.profile.breakdown_is_exact());
+        let profile = run.profile.expect("a profiled chaotic run");
+        assert!(profile.breakdown_is_exact());
         assert_eq!(
-            run.profile.virtual_ns, run.outcome.virtual_ns,
+            profile.virtual_ns, run.virtual_ns,
             "profile horizon equals the runtime's virtual clock"
         );
-        assert!(!run.profile.path.is_empty());
+        assert!(!profile.path.is_empty());
 
         // Replaying a chaotic capture under a live recorder yields the
         // full span stream: one profile segment per reconvergence, and

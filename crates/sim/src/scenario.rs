@@ -4,9 +4,8 @@
 //! serializable record; the `table*` binaries in `dpr-bench` print
 //! these as the paper's tables.
 
-use crate::batch::batching_experiment;
 use crate::churn::Schedule;
-use crate::spec::ScenarioSpec;
+use crate::spec::{Outcome, ScenarioSpec};
 use crate::workload::Workload;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats::{self, ErrorDistribution};
@@ -130,68 +129,33 @@ impl QualitySweep {
         }
     }
 
-    /// Runs the distributed engine at `spec`'s ε and scheduler over
-    /// the sweep's workload and scores it, traced through `rec` under
-    /// `run_label`. Scores are unchanged by observation;
-    /// [`SchedMode::Priority`](dpr_core::SchedMode::Priority) reaches
-    /// the same fixed point to O(ε) with fewer messages.
-    pub fn run<R: Recorder + ?Sized>(
-        &self,
-        spec: &ScenarioSpec,
-        rec: &R,
-        run_label: &str,
-    ) -> QualityResult {
-        let mut engine = spec.engine(&self.workload);
-        let mut peers = self.workload.peer_table();
-        let run = engine.run_observed(&mut peers, None, rec, run_label);
-        assert!(run.converged, "static run must converge");
-        let distribution = error_stats::compare(engine.ranks(), &self.reference);
-        QualityResult {
-            graph_size: self.workload.graph.num_nodes(),
-            epsilon: spec.epsilon,
-            passes: run.passes,
-            total_remote_messages: run.total_remote_messages,
-            messages_per_node: run.messages_per_node(self.workload.graph.num_nodes()),
-            distribution,
-        }
+    /// The workload the sweep's runs converge over.
+    pub fn workload(&self) -> &Workload {
+        &self.workload
     }
 
-    /// Runs the message-level cluster at `spec`'s ε, scheduler and
-    /// frame cap, charges the unbatched wire as its shadow (see
-    /// [`batching_experiment`]), and scores the ranks against the
-    /// synchronous reference — a Table 3 row with frames and bytes
-    /// columns. The run is traced through `rec`.
+    /// Scores `out`, a converged run of `spec` over the sweep's
+    /// workload, against the synchronous reference. Scores are
+    /// unchanged by observation; a cluster run delivers within the
+    /// round (a different, equally valid chaotic schedule than the
+    /// array engine), so its scored error matches the engine's to
+    /// O(ε), not bitwise.
     ///
-    /// Cluster rounds deliver within the round (a different, equally
-    /// valid chaotic schedule than the array engine), so the scored
-    /// error matches [`QualitySweep::run`] to O(ε), not bitwise.
-    pub fn run_batched(
-        &self,
-        spec: &ScenarioSpec,
-        rec: Option<std::sync::Arc<dyn Recorder>>,
-    ) -> BatchedQualityResult {
-        let (report, batched) = batching_experiment(&self.workload, spec, rec);
-        BatchedQualityResult {
+    /// # Panics
+    ///
+    /// If the run did not converge.
+    pub fn score(&self, spec: &ScenarioSpec, out: &Outcome) -> QualityResult {
+        assert!(out.quiesced, "static run must converge");
+        let docs = self.workload.graph.num_nodes();
+        QualityResult {
+            graph_size: docs,
             epsilon: spec.epsilon,
-            report,
-            distribution: error_stats::compare(&batched.ranks, &self.reference),
+            passes: out.steps as usize,
+            total_remote_messages: out.remote_messages,
+            messages_per_node: out.remote_messages as f64 / docs.max(1) as f64,
+            distribution: error_stats::compare(&out.ranks, &self.reference),
         }
     }
-}
-
-/// One (graph, ε, frame-cap) run of the *batched* wire path: the
-/// quality scoring of [`QualityResult`] plus the batched-vs-unbatched
-/// traffic comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchedQualityResult {
-    /// Error threshold ε.
-    pub epsilon: f64,
-    /// The wire-traffic comparison (one run to quiescence, unbatched
-    /// side charged as its shadow).
-    pub report: crate::batch::BatchReport,
-    /// Relative-error distribution of the batched cluster's ranks vs
-    /// the synchronous reference.
-    pub distribution: ErrorDistribution,
 }
 
 // ---------------------------------------------------------------------------
@@ -481,8 +445,15 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Layer, Observe};
     use dpr_core::SchedMode;
     use dpr_telemetry::NOOP;
+
+    /// `spec` run on the engine over the sweep's workload, scored.
+    fn scored(sweep: &QualitySweep, spec: &ScenarioSpec) -> QualityResult {
+        let out = spec.run(sweep.workload(), Layer::Engine, Observe::new(&NOOP));
+        sweep.score(spec, &out)
+    }
 
     #[test]
     fn convergence_scales_with_presence() {
@@ -507,12 +478,12 @@ mod tests {
     fn priority_sched_cuts_messages_at_equal_quality() {
         let spec = ScenarioSpec::new(2_000, 100, 1e-3, 5);
         let sweep = QualitySweep::new(&spec);
-        let pass = sweep.run(&spec, &NOOP, "pass");
+        let pass = scored(&sweep, &spec);
         let priority = ScenarioSpec {
             sched: SchedMode::Priority,
             ..spec
         };
-        let pri = sweep.run(&priority, &NOOP, "priority");
+        let pri = scored(&sweep, &priority);
         // Residual-driven selection spends meaningfully fewer remote
         // messages to clear the same ε …
         assert!(
@@ -533,14 +504,13 @@ mod tests {
     fn quality_improves_with_smaller_epsilon() {
         let spec = ScenarioSpec::new(2_000, 100, 0.2, 2);
         let sweep = QualitySweep::new(&spec);
-        let loose = sweep.run(&spec, &NOOP, "quality");
-        let tight = sweep.run(
+        let loose = scored(&sweep, &spec);
+        let tight = scored(
+            &sweep,
             &ScenarioSpec {
                 epsilon: 1e-4,
                 ..spec
             },
-            &NOOP,
-            "quality",
         );
         assert!(tight.distribution.avg < loose.distribution.avg);
         assert!(

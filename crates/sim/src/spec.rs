@@ -1,4 +1,4 @@
-//! The one scenario description.
+//! The one scenario description, and the one way to run it.
 //!
 //! Every table in the paper's evaluation is the same simulator under
 //! one parameter tuple (Sec. 4.2: graph size, peers, ε, plus the
@@ -6,18 +6,27 @@
 //! module is the only place that knows how to turn it into a running
 //! system: the experiment drivers, the `dpr` subcommands and the bench
 //! sweeps all describe their run as a spec, [`validate`] it once where
-//! it enters the program (flags, capture headers), and build from it.
+//! it enters the program (flags, capture headers), and run it through
+//! [`ScenarioSpec::run`] on a [`Layer`], watched as an [`Observe`]
+//! says, into one [`Outcome`].
 //!
 //! [`validate`]: ScenarioSpec::validate
 
-use crate::event::{ChaoticConfig, LatencyModel};
+use crate::batch::{Charges, WireTraffic};
+use crate::event::{run_chaotic, run_chaotic_profiled, ChaoticConfig, LatencyModel};
 use crate::workload::Workload;
+use bytes::Bytes;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::{RunMode, SchedMode};
-use dpr_node::cluster::Cluster;
+use dpr_graph::DocId;
+use dpr_node::cluster::{Cluster, HopHook};
 use dpr_node::node::WireMode;
-use dpr_p2p::transport::WireCodec;
+use dpr_node::termination::TerminationDetector;
+use dpr_p2p::peer::{PeerId, PeerTable};
+use dpr_p2p::transport::{FaultPlan, WireCodec};
 use dpr_telemetry::replay::{CaptureHeader, CAPTURE_VERSION};
+use dpr_telemetry::{Profile, Recorder};
+use std::sync::Arc;
 
 /// The usage-banner block for the flags [`ScenarioSpec::from_flags`]
 /// owns: the value lists, once, for every command that lists the flag
@@ -177,14 +186,18 @@ impl ScenarioSpec {
         }
     }
 
-    /// Reads the scenario flags — `--docs`/`--nodes`, `--peers`,
-    /// `--eps`, `--seed`, `--sched`, `--codec`, `--run-mode`,
-    /// `--latency` — through `lookup` (flag name without dashes →
-    /// value), falling back to `defaults` per absent flag, and
-    /// validates the result. The wire mode has no flag.
+    /// Reads the scenario flags through `lookup` (flag name without
+    /// dashes → value), falling back to `defaults` per absent flag,
+    /// and validates the result: the shape flags `--docs`/`--nodes`,
+    /// `--peers`, `--eps` and `--seed` always, and of the regime flags
+    /// `--sched`, `--codec`, `--run-mode` and `--latency` only those
+    /// named in `regime` — the ones the caller's run honours. A regime
+    /// flag it does not honour is left unread, so the caller's
+    /// unknown-flag check refuses it. The wire mode has no flag.
     pub fn from_flags<'a>(
         lookup: impl Fn(&str) -> Option<&'a str>,
         defaults: &ScenarioSpec,
+        regime: &[&str],
     ) -> Result<Self, SpecError> {
         fn flag<T: std::str::FromStr>(
             value: Option<&str>,
@@ -201,6 +214,7 @@ impl ScenarioSpec {
                 })
             })
         }
+        let honoured = |name| regime.contains(&name).then(|| lookup(name)).flatten();
         let nodes = match lookup("docs") {
             Some(v) => flag(Some(v), "docs", defaults.nodes)?,
             None => flag(lookup("nodes"), "nodes", defaults.nodes)?,
@@ -210,11 +224,11 @@ impl ScenarioSpec {
             num_peers: flag(lookup("peers"), "peers", defaults.num_peers)?,
             seed: flag(lookup("seed"), "seed", defaults.seed)?,
             epsilon: flag(lookup("eps"), "eps", defaults.epsilon)?,
-            sched: flag(lookup("sched"), "sched", defaults.sched)?,
+            sched: flag(honoured("sched"), "sched", defaults.sched)?,
             wire: defaults.wire,
-            codec: flag(lookup("codec"), "codec", defaults.codec)?,
-            run_mode: flag(lookup("run-mode"), "run-mode", defaults.run_mode)?,
-            latency: flag(lookup("latency"), "latency", defaults.latency)?,
+            codec: flag(honoured("codec"), "codec", defaults.codec)?,
+            run_mode: flag(honoured("run-mode"), "run-mode", defaults.run_mode)?,
+            latency: flag(honoured("latency"), "latency", defaults.latency)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -251,7 +265,7 @@ impl ScenarioSpec {
             "latency" => Some(h.latency.as_str()),
             _ => None,
         };
-        ScenarioSpec::from_flags(regime, &shape)
+        ScenarioSpec::from_flags(regime, &shape, &["sched", "codec", "run-mode", "latency"])
     }
 }
 
@@ -267,6 +281,278 @@ impl std::fmt::Display for ScenarioSpec {
     }
 }
 
+/// Which system converges a scenario: the array engine (only the
+/// spec's ε and scheduler apply) or the message-level cluster under
+/// the spec's run mode, wire mode, codec and network model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// [`ScenarioSpec::engine`], run in passes.
+    Engine,
+    /// [`ScenarioSpec::cluster`], run in rounds or chaotically.
+    Cluster,
+}
+
+/// How a run is watched and what it is charged, beside the scenario
+/// itself. [`Observe::new`] and [`Observe::shared`] watch through one
+/// recorder and charge nothing; the caller sets the other fields it
+/// wants, and [`ScenarioSpec::run`] refuses one the run would ignore.
+pub struct Observe<'a, R: Recorder + ?Sized> {
+    /// The recorder every pass, round or event reports to. Recording
+    /// never perturbs the run.
+    pub(crate) rec: &'a R,
+    /// The same recorder, for the cluster's transport (byte counters)
+    /// and the hop accounting (route and cache metrics).
+    pub(crate) shared: Option<Arc<dyn Recorder>>,
+    /// The run label of an engine's passes in the trace.
+    pub label: &'a str,
+    /// Overlay hops of a rounds cluster run: every frame routed on its
+    /// destination peer's GUID, `Some(cache_ips)` caching the address
+    /// after the first route (paper Sec. 3.2) iff `cache_ips`.
+    pub hops: Option<bool>,
+    /// The paper's unbatched wire, charged alongside `hops` as a shadow
+    /// of the run ([`crate::batch`]) under the same kind of policy.
+    pub unbatched: Option<bool>,
+    /// One transport fault staged on the cluster.
+    pub fault: Option<FaultPlan>,
+    /// Whether a chaotic run keeps its causal [`Profile`].
+    pub profile: bool,
+}
+
+impl<'a, R: Recorder + ?Sized> Observe<'a, R> {
+    /// Watched through `rec` in the run loop alone, labelled `run`,
+    /// charged nothing.
+    pub fn new(rec: &'a R) -> Self {
+        Observe {
+            rec,
+            shared: None,
+            label: "run",
+            hops: None,
+            unbatched: None,
+            fault: None,
+            profile: false,
+        }
+    }
+}
+
+impl<'a, R: Recorder + 'static> Observe<'a, R> {
+    /// [`new`](Self::new), and `rec` installed on a cluster's transport
+    /// and hop accounting too.
+    pub fn shared(rec: &'a Arc<R>) -> Self {
+        let shared: Arc<dyn Recorder> = rec.clone();
+        Observe {
+            shared: Some(shared),
+            ..Observe::new(rec.as_ref())
+        }
+    }
+}
+
+/// What a run did. Steps, deliveries and the engine's update counts
+/// sum over a flight's segments; the cluster's counters are lifetime
+/// sums anyway. `quiesced`, `announced`, `schedule_fnv`, `virtual_ns`
+/// and `profile` are the last segment's.
+#[derive(Debug, Clone, Default)]
+pub struct Outcome {
+    /// Converged per-document ranks.
+    pub ranks: Vec<f64>,
+    /// Engine passes, cluster rounds, or chaotic peer steps.
+    pub steps: u64,
+    /// Whether the run converged or quiesced within its budget.
+    pub quiesced: bool,
+    /// Whether Safra announced a chaotic run's quiescence.
+    pub announced: bool,
+    /// Remote rank updates emitted — the paper's message metric.
+    pub remote_messages: u64,
+    /// Same-peer updates.
+    pub local_updates: u64,
+    /// Wire counters of a cluster run.
+    pub traffic: Option<WireTraffic>,
+    /// The unbatched shadow's, if [`Observe::unbatched`] asked for it.
+    pub unbatched: Option<WireTraffic>,
+    /// Envelopes the chaotic runtime delivered.
+    pub deliveries: u64,
+    /// FNV-1a over a chaotic run's executed event schedule (0 else).
+    pub schedule_fnv: u64,
+    /// The chaotic event clock at quiescence, in nanoseconds.
+    pub virtual_ns: u64,
+    /// The causal profile, if [`Observe::profile`] asked for it.
+    pub profile: Option<Profile>,
+    /// The send index the staged fault fired at, if it struck.
+    pub fault_fired_at: Option<u64>,
+}
+
+impl ScenarioSpec {
+    /// Converges this scenario over `w` on `layer`, watched and charged
+    /// as `obs` says. `w` is normally [`workload`](Self::workload); a
+    /// run over another placement of the same shape is valid too. The
+    /// budgets are 100,000 rounds and 10⁹ chaotic events; whether the
+    /// run made it is [`Outcome::quiesced`], for the caller to assert.
+    ///
+    /// # Panics
+    ///
+    /// If `obs` asks for what this run would ignore: hops (or their
+    /// unbatched shadow) off a rounds cluster, a shadow without hops, a
+    /// fault on the engine, or a profile off a chaotic cluster.
+    pub fn run<R: Recorder + ?Sized>(
+        &self,
+        w: &Workload,
+        layer: Layer,
+        obs: Observe<'_, R>,
+    ) -> Outcome {
+        let mut built = self.build(w, layer, &obs);
+        built.segment(obs.rec, obs.label);
+        built.finish()
+    }
+
+    /// The system [`run`](Self::run) converges, built but not run, for
+    /// callers that reconverge it more than once.
+    pub(crate) fn build<R: Recorder + ?Sized>(
+        &self,
+        w: &Workload,
+        layer: Layer,
+        obs: &Observe<'_, R>,
+    ) -> Built {
+        let cluster = layer == Layer::Cluster;
+        let rounds = cluster && self.run_mode == RunMode::Rounds;
+        let chaotic = cluster && self.run_mode == RunMode::Chaotic;
+        let ignored = [
+            obs.hops.is_some() && !rounds,
+            obs.unbatched.is_some() && obs.hops.is_none(),
+            obs.fault.is_some() && !cluster,
+            obs.profile && !chaotic,
+        ];
+        let mode = self.run_mode;
+        assert_eq!(
+            ignored, [false; 4],
+            "a {layer:?} {mode} run cannot honour the asks marked true in [hops, unbatched, fault, profile]"
+        );
+        let (system, charges) = match layer {
+            Layer::Engine => (System::Engine(Box::new(self.engine(w))), None),
+            Layer::Cluster => {
+                let mut cluster = self.cluster(w);
+                if let Some(rec) = &obs.shared {
+                    cluster.set_recorder(rec.clone());
+                }
+                if let Some(plan) = obs.fault {
+                    cluster.inject_transport_fault(plan);
+                }
+                let rec = obs.shared.as_ref();
+                let charges = obs
+                    .hops
+                    .map(|cache| Charges::new(w, cache, obs.unbatched, rec));
+                (System::Cluster(Box::new(cluster)), charges)
+            }
+        };
+        Built {
+            spec: *self,
+            peers: w.peer_table(),
+            system,
+            charges,
+            profile: obs.profile,
+            out: Outcome::default(),
+        }
+    }
+}
+
+/// A built scenario: its system, peer table and hop charges, and the
+/// outcome so far.
+pub(crate) struct Built {
+    spec: ScenarioSpec,
+    peers: PeerTable,
+    system: System,
+    charges: Option<Charges>,
+    profile: bool,
+    out: Outcome,
+}
+
+enum System {
+    Engine(Box<ChaoticEngine>),
+    Cluster(Box<Cluster>),
+}
+
+impl Built {
+    /// Converges the system once more, from wherever it stands,
+    /// tracing through `rec` (an engine's passes under `label`). A
+    /// chaotic segment runs under a fresh termination detector: Safra's
+    /// counters are lifetime sums, which balance exactly at each
+    /// segment's quiescence.
+    pub(crate) fn segment<R: Recorder + ?Sized>(&mut self, rec: &R, label: &str) -> &Outcome {
+        let out = &mut self.out;
+        match &mut self.system {
+            System::Engine(engine) => {
+                let run = engine.run_observed(&mut self.peers, None, rec, label);
+                out.steps += run.passes as u64;
+                out.quiesced = run.converged;
+                out.remote_messages += run.total_remote_messages;
+                out.local_updates += run.total_local_updates;
+            }
+            System::Cluster(cluster) if self.spec.run_mode == RunMode::Rounds => {
+                let charges = self.charges.as_mut();
+                let mut charge = charges
+                    .map(|c| move |src: PeerId, dst: PeerId, p: &Bytes| c.charge(src, dst, p));
+                let hook = charge.as_mut().map(|c| c as &mut HopHook<'_>);
+                let (rounds, quiesced) =
+                    cluster.run_observed(&mut self.peers, 100_000, None, hook, rec);
+                out.steps += rounds as u64;
+                out.quiesced = quiesced;
+            }
+            System::Cluster(cluster) => {
+                let (peers, cfg) = (&self.peers, self.spec.chaotic_config());
+                let mut det = TerminationDetector::new(self.spec.num_peers);
+                let (run, profile) = if self.profile {
+                    let (run, p) =
+                        run_chaotic_profiled(cluster, peers, &cfg, &mut det, 1_000_000_000, rec);
+                    (run, Some(p))
+                } else {
+                    (
+                        run_chaotic(cluster, peers, &cfg, &mut det, 1_000_000_000, rec),
+                        None,
+                    )
+                };
+                out.steps += run.steps;
+                out.deliveries += run.deliveries;
+                (out.quiesced, out.announced) = (run.quiesced, run.announced);
+                (out.schedule_fnv, out.virtual_ns) = (run.schedule_fnv, run.virtual_ns);
+                out.profile = profile;
+            }
+        }
+        &self.out
+    }
+
+    /// Adds `delta` rank mass at `doc`, as an insert wave would.
+    pub(crate) fn inject(&mut self, doc: DocId, delta: f64) {
+        match &mut self.system {
+            System::Engine(engine) => engine.inject_delta(doc, delta),
+            System::Cluster(cluster) => {
+                cluster.apply_delta(doc, delta);
+            }
+        }
+    }
+
+    /// The outcome, ranks and cluster counters read off the system.
+    pub(crate) fn finish(mut self) -> Outcome {
+        match &self.system {
+            System::Engine(engine) => self.out.ranks = engine.ranks().to_vec(),
+            System::Cluster(cluster) => {
+                let charges = self.charges.as_ref();
+                let traffic =
+                    WireTraffic::of(cluster, self.out.steps, charges.map_or(0, |c| c.routed));
+                let shadow = charges.and_then(|c| c.shadow.as_ref()).map(|s| s.2);
+                let stats = cluster.node_stats();
+                self.out = Outcome {
+                    ranks: cluster.collect_ranks(self.spec.nodes),
+                    remote_messages: stats.emitted_remote,
+                    local_updates: stats.local_updates,
+                    traffic: Some(traffic),
+                    unbatched: shadow.map(|routed| traffic.unbatched(routed)),
+                    fault_fired_at: cluster.fault_fired_at(),
+                    ..self.out
+                };
+            }
+        }
+        self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +560,8 @@ mod tests {
 
     fn parse(flags: &[(&str, &str)], defaults: &ScenarioSpec) -> Result<ScenarioSpec, SpecError> {
         let map: HashMap<&str, &str> = flags.iter().copied().collect();
-        ScenarioSpec::from_flags(|k| map.get(k).copied(), defaults)
+        let regime = ["sched", "codec", "run-mode", "latency"];
+        ScenarioSpec::from_flags(|k| map.get(k).copied(), defaults, &regime)
     }
 
     #[test]
@@ -464,6 +751,47 @@ mod tests {
             (5, LatencyModel::Lan, SchedMode::Priority, 1e-3)
         );
         assert_eq!(spec.to_string(), "300 docs on 6 peers, ε 0.001");
+    }
+
+    #[test]
+    fn run_refuses_what_it_would_ignore() {
+        let rounds = ScenarioSpec::new(60, 3, 1e-2, 1);
+        let chaotic = ScenarioSpec {
+            run_mode: RunMode::Chaotic,
+            ..rounds
+        };
+        let w = rounds.workload();
+        type Ask = fn(&mut Observe<'_, dpr_telemetry::NoopRecorder>);
+        let asks: [(Ask, &[(ScenarioSpec, Layer)]); 4] = [
+            (
+                |o| o.hops = Some(true),
+                &[(rounds, Layer::Engine), (chaotic, Layer::Cluster)],
+            ),
+            (|o| o.unbatched = Some(false), &[(rounds, Layer::Cluster)]),
+            (
+                |o| {
+                    o.fault = Some(dpr_p2p::transport::FaultPlan {
+                        kind: dpr_p2p::transport::FaultKind::LostFrame,
+                        nth_send: 1,
+                    })
+                },
+                &[(rounds, Layer::Engine)],
+            ),
+            (
+                |o| o.profile = true,
+                &[(rounds, Layer::Cluster), (chaotic, Layer::Engine)],
+            ),
+        ];
+        for (ask, refused) in asks {
+            for &(spec, layer) in refused {
+                let mut obs = Observe::new(&dpr_telemetry::NOOP);
+                ask(&mut obs);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    spec.run(&w, layer, obs)
+                }));
+                assert!(run.is_err(), "{layer:?} {}", spec.run_mode);
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn paper_scale_capture_replays_bit_identically() {
             "doc {doc} rank diverged: {r:e} vs {w:e}"
         );
     }
-    assert_eq!(replayed.passes, recorded.passes, "passes");
+    assert_eq!(replayed.steps, recorded.steps, "passes");
     assert_eq!(
         replayed.remote_messages, recorded.remote_messages,
         "remote traffic"
@@ -108,7 +108,7 @@ fn checked_in_captures_replay_at_head() {
         assert_eq!(cfg.header(), capture.header, "{file}");
         let out = flight::replay(&capture, Some(cfg.spec.codec), &NOOP)
             .unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(out.fingerprint(), capture.fingerprint, "{file}");
+        assert_eq!(flight::fingerprint(&out), capture.fingerprint, "{file}");
     }
 }
 

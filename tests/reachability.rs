@@ -23,8 +23,8 @@
 //! reference a test compares against, or as the one public way to read
 //! state a test asserts; the reason names that test.
 
-use std::collections::BTreeSet;
-use std::path::Path;
+use std::collections::{BTreeSet, HashMap};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
@@ -112,28 +112,46 @@ fn use_lines(text: &str) -> BTreeSet<usize> {
     lines
 }
 
-/// `from` copied into `to`, build output left out. A non-test `.rs`
-/// file under `crates/` is written marked; `rel` is its path in the
-/// copy, and its marks go to `marks`.
+/// `from` copied into `to`, build output left out, and whatever `to`
+/// holds that `from` does not removed. A non-test `.rs` file under
+/// `crates/` is written marked; `rel` is its path in the copy, and its
+/// marks go to `marks`. A file is written only when its text differs
+/// from the copy's, so `cargo check` re-checks only what changed.
 fn copy_marked(from: &Path, to: &Path, rel: &Path, marks: &mut Vec<String>) {
     if from.is_dir() {
-        std::fs::create_dir_all(to).unwrap();
+        if !to.is_dir() {
+            let _ = std::fs::remove_file(to);
+            std::fs::create_dir_all(to).unwrap();
+        }
+        for entry in std::fs::read_dir(to).unwrap() {
+            let name = entry.unwrap().file_name();
+            let gone = to.join(&name);
+            if name == "target" || !from.join(&name).exists() {
+                let _ = std::fs::remove_dir_all(&gone).or_else(|_| std::fs::remove_file(&gone));
+            }
+        }
         for entry in std::fs::read_dir(from).unwrap() {
             let name = entry.unwrap().file_name();
             if name != "target" {
                 copy_marked(&from.join(&name), &to.join(&name), &rel.join(&name), marks);
             }
         }
-    } else if rel.starts_with("crates")
+        return;
+    }
+    let mut bytes = std::fs::read(from).unwrap();
+    if rel.starts_with("crates")
         && rel.extension().is_some_and(|e| e == "rs")
         && !rel.iter().any(|c| c == "tests")
     {
-        let text = std::fs::read_to_string(from).unwrap();
-        let (text, found) = mark(rel.to_str().unwrap(), &text);
-        std::fs::write(to, text).unwrap();
+        let (text, found) = mark(rel.to_str().unwrap(), std::str::from_utf8(&bytes).unwrap());
+        bytes = text.into_bytes();
         marks.extend(found);
-    } else {
-        std::fs::copy(from, to).unwrap();
+    }
+    if std::fs::read(to).ok().as_ref() != Some(&bytes) {
+        if to.is_dir() {
+            std::fs::remove_dir_all(to).unwrap();
+        }
+        std::fs::write(to, bytes).unwrap();
     }
 }
 
@@ -148,6 +166,7 @@ struct Sweep {
 /// The `use of deprecated` warnings of `cargo check <args>` run in
 /// `dir` of the marked copy `copy`, outside `use` statements.
 fn check(copy: &Path, dir: &str, args: &[&str], uses: &mut Vec<(String, String)>) {
+    let mut use_sites: HashMap<PathBuf, BTreeSet<usize>> = HashMap::new();
     let out = Command::new(env!("CARGO"))
         .current_dir(copy.join(dir))
         .args("check --offline --color never --message-format short".split(' '))
@@ -170,8 +189,10 @@ fn check(copy: &Path, dir: &str, args: &[&str], uses: &mut Vec<(String, String)>
         // `dir`, and one of a path dependency absolutely.
         let path = Path::new(dir).join(parts.next().unwrap());
         let file = path.strip_prefix(copy).unwrap_or(&path);
-        let text = std::fs::read_to_string(copy.join(file)).unwrap();
-        if !use_lines(&text).contains(&line_no) {
+        let in_use = use_sites
+            .entry(file.to_path_buf())
+            .or_insert_with(|| use_lines(&std::fs::read_to_string(copy.join(file)).unwrap()));
+        if !in_use.contains(&line_no) {
             uses.push((file.to_str().unwrap().to_string(), format!("reach@{mark}")));
         }
     }
@@ -184,7 +205,6 @@ fn sweep() -> &'static Sweep {
     SWEEP.get_or_init(|| {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         let copy = Path::new(env!("CARGO_TARGET_TMPDIR")).join("reach-src");
-        let _ = std::fs::remove_dir_all(&copy);
         std::fs::create_dir_all(&copy).unwrap();
         let mut marks = Vec::new();
         for e in "Cargo.toml Cargo.lock src crates vendor perf".split(' ') {
