@@ -914,7 +914,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
         segs
     } else {
         let fault = fault_plan(args)?;
-        let mut obs = Observe::new(rep.recorder());
+        let mut obs = rep.observe();
         (obs.fault, obs.profile) = (fault, true);
         let run = spec.run(&spec.workload(), Layer::Cluster, obs);
         rep.say(format!(
@@ -1532,6 +1532,38 @@ mod tests {
             let prom = std::fs::read_to_string(&prom_out).unwrap();
             assert!(prom.contains("dpr_events_recorded_total"), "{name}: {prom}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A live `profile --prom-out` snapshot counts the traffic its run
+    /// sent: the command's recorder reaches the cluster's transport.
+    #[test]
+    fn profile_prom_counts_the_run_traffic() {
+        let dir = tmpdir("profile-prom");
+        let prom_out = dir.join("profile.prom");
+        let flags = "--docs 400 --peers 8 --eps 1e-4 --seed 21";
+        profile(&args(&format!(
+            "{flags} --quiet --prom-out {}",
+            prom_out.display()
+        )))
+        .unwrap();
+        let prom = std::fs::read_to_string(&prom_out).unwrap();
+        let counter = |name: &str| -> u64 {
+            let value = prom
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+            value.and_then(|v| v.parse().ok()).expect(name)
+        };
+        let spec = ScenarioSpec {
+            run_mode: RunMode::Chaotic,
+            ..scenario(&args(flags), &diagnostic_scenario(), &[]).unwrap()
+        };
+        let untraced = Observe::new(&dpr_telemetry::NOOP);
+        let run = spec.run(&spec.workload(), Layer::Cluster, untraced);
+        let traffic = run.traffic.unwrap();
+        assert!(traffic.payloads > 0 && traffic.bytes_on_wire > 0);
+        assert_eq!(counter("dpr_payloads_sent_total"), traffic.payloads);
+        assert_eq!(counter("dpr_bytes_on_wire_total"), traffic.bytes_on_wire);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

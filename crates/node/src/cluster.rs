@@ -195,7 +195,8 @@ impl Cluster {
     }
 
     /// [`Cluster::round_with_hops`] recording telemetry: one
-    /// [`Event::FrameSent`] per wire payload leaving an outbox, one
+    /// [`Event::FrameSent`] per wire payload leaving an outbox (if
+    /// [`Recorder::detailed`]), one
     /// [`Event::RoundCompleted`] per round, and the store-and-resend
     /// depth into [`Metric::PendingDepth`]. With the no-op recorder
     /// this *is* `round_with_hops` — the protocol never sees `rec`.
@@ -212,6 +213,7 @@ impl Cluster {
             redelivered: self.transport.retry_pending(peers),
             ..RoundStats::default()
         };
+        let detailed = rec.detailed();
 
         for i in 0..self.nodes.len() {
             let pid = PeerId(i as u32);
@@ -232,7 +234,7 @@ impl Cluster {
                 if let Some(model) = hops.as_deref_mut() {
                     stats.hops += model(pid, to, &payload) as u64;
                 }
-                if rec.enabled() {
+                if detailed {
                     rec.event(&Event::FrameSent {
                         round: self.rounds as u64,
                         from: pid.0,
@@ -303,9 +305,10 @@ impl Cluster {
     /// Event-driven step of a single peer: runs one local pass and
     /// hands its payloads to the transport, recording one
     /// [`Event::FrameSent`] per payload (tagged with the runtime's
-    /// `tick` in the round field). `sent` sees one [`SendOutcome`] per
-    /// payload, in flush order, so the runtime can schedule the
-    /// matching `Deliver` events on its virtual clock.
+    /// `tick` in the round field) if [`Recorder::detailed`]. `sent`
+    /// sees one [`SendOutcome`] per payload, in flush order, so the
+    /// runtime can schedule the matching `Deliver` events on its
+    /// virtual clock.
     pub fn step_peer_observed<R: Recorder + ?Sized>(
         &mut self,
         p: PeerId,
@@ -317,9 +320,10 @@ impl Cluster {
         self.nodes[p.index()].step_with(&mut self.scratch, rec);
         // Taken (and handed back) so the loop may borrow all of `self`.
         let mut outbox = std::mem::take(&mut self.scratch.outbox);
+        let detailed = rec.detailed();
         for (to, payload) in outbox.drain(..) {
             let entries = payload_entries(&payload);
-            if rec.enabled() {
+            if detailed {
                 rec.event(&Event::FrameSent {
                     round: tick,
                     from: p.0,

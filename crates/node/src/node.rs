@@ -615,7 +615,8 @@ impl PeerNode {
     /// engine's two-phase pass). `rec` sees the flush-occupancy
     /// distribution (coalesced entries per destination), the
     /// remote/local/frame counters and the selective schedulers' queue
-    /// series; the protocol never sees `rec`.
+    /// series, all per-event detail ([`Recorder::detailed`]); the
+    /// protocol never sees `rec`.
     pub fn step_with<R: Recorder + ?Sized>(&mut self, sc: &mut StepScratch, rec: &R) {
         if self.links_dirty {
             self.resolve_links(sc);
@@ -623,7 +624,8 @@ impl PeerNode {
         self.arrivals_since_step = 0;
         let before = self.stats;
         let sel = self.take_step_work(sc);
-        if rec.enabled() && self.cfg.sched.is_selective() {
+        let detailed = rec.detailed();
+        if detailed && self.cfg.sched.is_selective() {
             rec.observe(Metric::SchedQueueDepth, sel.queued);
             rec.observe(Metric::SchedDeferredDocs, sel.deferred);
             rec.observe(
@@ -681,7 +683,7 @@ impl PeerNode {
         for &to in &sc.dest_order {
             let end = sc.dests[to.index()].1 as usize;
             let run = &sc.grouped[std::mem::replace(&mut start, end)..end];
-            if rec.enabled() {
+            if detailed {
                 rec.observe(Metric::FlushOccupancy, run.len() as u64);
             }
             self.stats.sent_remote += run.len() as u64;
@@ -709,7 +711,7 @@ impl PeerNode {
                 sc.outbox.push((to, payload));
             }
         }
-        if rec.enabled() {
+        if detailed {
             rec.counter_add(
                 Metric::RemoteUpdates,
                 self.stats.emitted_remote - before.emitted_remote,

@@ -116,7 +116,8 @@ pub(crate) struct Charges {
 
 impl Charges {
     /// Hops over `w`'s ring, caching iff `cache_ips`, observed by
-    /// `rec`; with `unbatched`, the shadow's too.
+    /// `rec` (a [`Recorder::detailed`] one: routes are per send); with
+    /// `unbatched`, the shadow's too.
     pub(crate) fn new(
         w: &Workload,
         cache_ips: bool,

@@ -444,7 +444,8 @@ struct Runner<'a> {
     /// Deliveries that saturated the destination inbox (backpressure).
     saturated: u64,
     detector: &'a mut TerminationDetector,
-    /// Causal span observer (`None` = tracing off). A pure reader of
+    /// Causal span observer (`None` = tracing off: neither profiled
+    /// nor a [`Recorder::detailed`] recorder). A pure reader of
     /// the schedule: it never touches the queue, the clock, or node
     /// state, so traced and untraced runs execute bit-identically.
     tracer: Option<SpanTracer>,
@@ -546,7 +547,7 @@ pub fn run_chaotic<R: Recorder + ?Sized>(
     max_events: u64,
     rec: &R,
 ) -> ChaoticOutcome {
-    // With a live recorder the run also traces causal spans, so the
+    // With a detailed recorder the run also traces causal spans, so the
     // JSONL trace carries the full `span_closed` stream plus the
     // `chaotic_health` summary for `dpr profile --input`.
     run_chaotic_inner(
@@ -656,7 +657,7 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
         displaced: 0,
         saturated: 0,
         detector,
-        tracer: (profiled || rec.enabled()).then(|| SpanTracer::new(n, profiled)),
+        tracer: (profiled || rec.detailed()).then(|| SpanTracer::new(n, profiled)),
     };
     // Seed the schedule: one step per online peer with queued work.
     for p in 0..n as u32 {

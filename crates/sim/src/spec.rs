@@ -301,7 +301,8 @@ pub struct Observe<'a, R: Recorder + ?Sized> {
     /// never perturbs the run.
     pub(crate) rec: &'a R,
     /// The same recorder, for the cluster's transport (byte counters)
-    /// and the hop accounting (route and cache metrics).
+    /// and the hop accounting (route and cache metrics), which install
+    /// it only if it is [`Recorder::detailed`].
     pub(crate) shared: Option<Arc<dyn Recorder>>,
     /// The run label of an engine's passes in the trace.
     pub label: &'a str,
@@ -429,13 +430,14 @@ impl ScenarioSpec {
             Layer::Engine => (System::Engine(Box::new(self.engine(w))), None),
             Layer::Cluster => {
                 let mut cluster = self.cluster(w);
-                if let Some(rec) = &obs.shared {
+                // The transport and the hops report per send: detail.
+                let rec = obs.shared.as_ref().filter(|r| r.detailed());
+                if let Some(rec) = rec {
                     cluster.set_recorder(rec.clone());
                 }
                 if let Some(plan) = obs.fault {
                     cluster.inject_transport_fault(plan);
                 }
-                let rec = obs.shared.as_ref();
                 let charges = obs
                     .hops
                     .map(|cache| Charges::new(w, cache, obs.unbatched, rec));

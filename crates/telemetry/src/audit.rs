@@ -118,8 +118,10 @@ pub fn phi(
 
 /// The recorder of an audited run: keeps, in stream order, only the
 /// events [`AuditReport::evaluate`] reads, and forwards everything to
-/// its sink. Always enabled, so the run emits exactly what it would
-/// into a [`crate::TraceRecorder`].
+/// its sink. Always enabled, so the run emits every ledger; detailed
+/// only if its sink is, so a sinkless trail costs no spans, frame
+/// events or wire metrics, and a trail over a
+/// [`crate::TraceRecorder`] emits exactly what that recorder would.
 pub struct AuditTrail {
     kept: Mutex<Vec<Event>>,
     sink: Arc<dyn Recorder>,
@@ -143,6 +145,10 @@ impl AuditTrail {
 impl Recorder for AuditTrail {
     fn enabled(&self) -> bool {
         true
+    }
+
+    fn detailed(&self) -> bool {
+        self.sink.detailed()
     }
 
     fn event(&self, event: &Event) {

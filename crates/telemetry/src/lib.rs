@@ -49,8 +49,10 @@
 //! 1. **Per-pass / per-round** (residual scans, event construction):
 //!    guarded by `rec.enabled()`; with [`NoopRecorder`] the guard is a
 //!    constant `false` and the whole block folds away.
-//! 2. **Per-message counters** (transport bytes, route hops): one
-//!    predictable branch on an `Option`/`enabled()` check when off;
+//! 2. **Per-step, per-message and per-span detail** (transport bytes,
+//!    route hops, `frame_sent`, spans): guarded by `rec.detailed()`
+//!    (installed only for a detailed recorder where it is stored), so
+//!    a recorder that keeps only ledgers pays one predictable branch;
 //!    one relaxed atomic add per event when on.
 //! 3. **Never in the innermost arithmetic**: the engine's
 //!    apply/emit inner loops are not touched — passes are observed at

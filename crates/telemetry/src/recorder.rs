@@ -27,6 +27,14 @@ pub trait Recorder: Send + Sync {
         false
     }
 
+    /// Whether this recorder keeps per-event detail: spans, one event
+    /// per payload, per-step and per-send metrics. Producers that run
+    /// O(events) times guard on this; once-per-round, per-probe and
+    /// per-audit producers guard on [`enabled`](Self::enabled).
+    fn detailed(&self) -> bool {
+        self.enabled()
+    }
+
     /// Records a structured event.
     fn event(&self, _event: &Event) {}
 

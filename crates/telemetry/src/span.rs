@@ -253,7 +253,7 @@ impl SpanTracer {
             consumed,
         };
         self.closed += 1;
-        if rec.enabled() {
+        if rec.detailed() {
             rec.event(&span.closed_event(self.closed));
         }
         if let Some(spans) = &mut self.spans {
@@ -325,7 +325,9 @@ impl SpanTracer {
         let consumed = std::mem::take(&mut self.pending[peer as usize]);
         let depth = consumed.len() as u64;
         if depth > 0 {
-            rec.observe(Metric::InboxDepth, depth);
+            if rec.detailed() {
+                rec.observe(Metric::InboxDepth, depth);
+            }
             self.coalesce_hits += u64::from(depth >= 2);
             self.max_inbox_depth = self.max_inbox_depth.max(depth);
         }

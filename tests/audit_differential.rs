@@ -32,6 +32,9 @@ use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod common;
+use common::LedgerOnly;
+
 /// A seconds-scale flight.
 fn smoke() -> FlightConfig {
     FlightConfig {
@@ -195,8 +198,10 @@ fn each_fault_is_owned_by_exactly_one_monitor() {
 /// mode × codec × staged fault, `doctor_run`'s report over its trail
 /// equals the report over the full trace its sink received — every
 /// finding, `checked` count and violation, hence `primary()` — and the
-/// trail is exactly that trace's audited subsequence. A sink changes
-/// neither.
+/// trail is exactly that trace's audited subsequence. Neither a sink
+/// nor its detail changes the verdict, the trail, the rounds or the
+/// fault: a trail without one (which declines per-event detail) and
+/// one over a ledgers-only sink give what the traced trail gives.
 #[test]
 fn the_audit_trail_gives_the_full_trace_verdict() {
     let audited = |e: &Event| {
@@ -249,12 +254,28 @@ fn the_audit_trail_gives_the_full_trace_verdict() {
                     "{case}: trail is not the audited subsequence"
                 );
 
+                // Without a sink the trail declines per-event detail;
+                // the audit must not notice.
                 let bare = flight::doctor_run(&spec, fault, None);
-                assert_eq!(
-                    (bare.report, bare.events),
-                    (run.report, run.events),
-                    "{case}"
-                );
+                let pin = |r: &flight::DoctorRun| {
+                    let verdict = (r.report.render().render(), r.report.clone());
+                    (
+                        verdict,
+                        r.events.clone(),
+                        r.rounds,
+                        r.quiesced,
+                        r.fault_fired_at,
+                    )
+                };
+                assert_eq!(pin(&bare), pin(&run), "{case}");
+
+                // A sink that is not detailed sees every ledger and
+                // none of the detail.
+                let ledgers = Arc::new(LedgerOnly::default());
+                let coarse = flight::doctor_run(&spec, fault, Some(ledgers.clone()));
+                assert_eq!(pin(&coarse), pin(&run), "{case}");
+                let detail = ledgers.detail_seen(true);
+                assert!(detail.is_empty(), "{case}: detail reached it: {detail:?}");
             }
         }
     }

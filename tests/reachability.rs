@@ -78,15 +78,32 @@ fn defined_item(line: &str) -> Option<&str> {
     (!name.is_empty()).then_some(name)
 }
 
-/// `text`, the file `rel`, with every public item above its first
-/// `#[cfg(test)]` marked deprecated, and the marks it put in.
+/// `text`, the file `rel`, with every public item outside its
+/// `#[cfg(test)]` items marked deprecated, and the marks it put in.
+/// The code is rustfmt'd (CI checks it), so a `#[cfg(test)]` item ends
+/// at the first line after the attribute, at the attribute's indent,
+/// that ends in `}` or `;`: a test module's closing brace, or a
+/// one-line item such as `mod args;`.
 fn mark(rel: &str, text: &str) -> (String, Vec<String>) {
-    let (mut out, mut marks, mut testing) = (String::new(), Vec::new(), false);
+    let (mut out, mut marks) = (String::new(), Vec::new());
+    // The indent of the `#[cfg(test)]` item being skipped, if any.
+    let mut testing: Option<&str> = None;
     for (i, line) in text.lines().enumerate() {
-        testing |= line.contains("#[cfg(test)]");
-        if let Some(name) = defined_item(line).filter(|_| !testing) {
+        let indent = &line[..line.len() - line.trim_start().len()];
+        let test_line = match testing {
+            Some(at) => {
+                let end = indent == at && (line.ends_with('}') || line.ends_with(';'));
+                testing = testing.filter(|_| !end);
+                true
+            }
+            None => {
+                let attr = line.trim() == "#[cfg(test)]";
+                testing = attr.then_some(indent);
+                attr
+            }
+        };
+        if let Some(name) = defined_item(line).filter(|_| !test_line) {
             let mark = format!("reach@{rel}:{}:{name}", i + 1);
-            let indent = &line[..line.len() - line.trim_start().len()];
             out += &format!("{indent}#[deprecated = \"{mark}\"]\n");
             marks.push(mark);
         }
@@ -286,11 +303,14 @@ fn every_public_module_is_reached_by_code_that_runs() {
 
 #[test]
 fn the_sweep_marks_definitions_and_skips_use_statements() {
+    // An item after a test module is checked like one before it.
     let text = "pub fn run(x: u32) {}\n    pub const fn new() -> Self {\n\
                 pub(crate) fn hidden() {}\npub use crate::ring::Ring;\n\
-                #[cfg(test)]\npub fn helper() {}\n";
+                #[cfg(test)]\npub fn helper() {}\n#[cfg(test)]\nmod tests {\n\
+                \x20   pub fn inner() {\n    }\n}\npub fn after() {}\n";
     let (marked, marks) = mark("a.rs", text);
-    assert_eq!(marks, ["reach@a.rs:1:run", "reach@a.rs:2:new"]);
+    let after = "reach@a.rs:12:after";
+    assert_eq!(marks, ["reach@a.rs:1:run", "reach@a.rs:2:new", after]);
     assert!(marked.starts_with(
         "#[deprecated = \"reach@a.rs:1:run\"]\npub fn run(x: u32) {}\n    \
          #[deprecated = \"reach@a.rs:2:new\"]\n    pub const fn new"

@@ -20,6 +20,9 @@ use dpr_telemetry::replay::fnv64_ranks;
 use dpr_telemetry::{Event, Recorder, TraceRecorder, TraceSummary, NOOP};
 use std::sync::Arc;
 
+mod common;
+use common::LedgerOnly;
+
 const SEED: u64 = 2003;
 
 /// What a run must reproduce under observation: every rank bit, step
@@ -50,9 +53,11 @@ fn charged<R: Recorder + ?Sized>(
 /// scheduler; the rounds cluster under every scheduler, both codecs,
 /// clean and with a staged lost frame; and the chaotic cluster under
 /// every (latency model, scheduler) pair the same ways. Each run goes
-/// untraced and again traced — the recorder also on the transport and
-/// the hop accounting, a chaotic run profiled too — and both must pin
-/// the same values.
+/// untraced, again traced — the recorder also on the transport and
+/// the hop accounting, a chaotic run profiled too — and again through a
+/// recorder that keeps the ledgers but declines per-event detail, which
+/// must see no span, frame or route event and no per-step or per-send
+/// metric. All three must pin the same values.
 #[test]
 fn a_recorder_never_perturbs_a_run() {
     use LatencyModel::{Broadband, Lan, Modem};
@@ -105,6 +110,16 @@ fn a_recorder_never_perturbs_a_run() {
         assert!(!events.is_empty(), "{case}: the recorder saw nothing");
         let spans = events.iter().any(|e| matches!(e, Event::SpanClosed { .. }));
         assert_eq!(spans, chaotic, "{case}: span stream");
+
+        let ledgers = Arc::new(LedgerOnly::default());
+        let mut obs = charged(Observe::shared(&ledgers), rounds, fault);
+        obs.profile = chaotic;
+        let coarse = spec.run(&w, layer, obs);
+        assert_eq!(pinned(&coarse), pinned(&bare), "{case}: ledgers only");
+        assert_eq!(coarse.profile.is_some(), chaotic, "{case}: ledgers only");
+        assert!(ledgers.seen().contains_key("mass_ledger"), "{case}");
+        let detail = ledgers.detail_seen(layer == Layer::Cluster);
+        assert!(detail.is_empty(), "{case}: detail reached it: {detail:?}");
     }
 }
 
