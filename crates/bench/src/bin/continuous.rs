@@ -62,7 +62,7 @@ use serde::Serialize;
 fn regimes(args: &Args) {
     use LatencyModel::{Broadband, Lan, Modem};
     use SchedMode::{Greedy, Pass, Priority};
-    let spec = args.paper_spec(10_000, &[], &["codec"]);
+    let spec = args.paper_spec(10_000, &["nodes", "peers", "eps", "seed", "codec"]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let parity_eps: f64 = args.get("parity-eps", 1e-9);
     let w = spec.workload();
@@ -332,7 +332,7 @@ fn bursts(args: &Args) {
     use dpr_graph::scc::SccIndex;
     use dpr_graph::{DocId, DynamicGraph};
 
-    let spec = args.paper_spec(10_000, &[], &[]);
+    let spec = args.paper_spec(10_000, &["nodes", "seed"]);
     let nodes = spec.nodes;
     let burst_eps: f64 = args.get("burst-eps", 1e-14);
     let inserts: usize = args.get("inserts", 24);
@@ -475,7 +475,7 @@ fn bursts(args: &Args) {
 /// carry at least 30 % fewer payload bytes.
 fn scale(args: &Args) {
     let sizes = args.sizes_or(&[10_000, 100_000, 1_000_000]);
-    let spec = args.paper_spec(sizes[0], &[], &["sched"]);
+    let spec = args.paper_spec(sizes[0], &["peers", "eps", "seed", "sched"]);
     let (peers_n, eps) = (spec.num_peers, spec.epsilon);
 
     println!("Wire-codec scale sweep ({peers_n} peers, eps {eps}, sizes {sizes:?})\n");
@@ -550,7 +550,7 @@ struct FrameCapRow {
 }
 
 fn batch_scaling(args: &Args) {
-    let spec = args.paper_spec(10_000, &[], &["sched", "codec"]);
+    let spec = args.paper_spec(10_000, &["nodes", "peers", "eps", "seed", "sched", "codec"]);
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let w = spec.workload();
     // 36 B = 2 entries/frame (the worst useful cap) up to 64 KiB
@@ -664,7 +664,10 @@ fn serving(args: &Args) {
     use dpr_sim::serving::{serving_experiment, ServeStrategy, ServingConfig, ServingReport};
     use dpr_telemetry::{SloSpec, TraceRecorder};
 
-    let spec = args.spec(&ScenarioSpec::new(2_000, 32, 1e-4, 2003), &[], &["sched"]);
+    let spec = args.spec(
+        &ScenarioSpec::new(2_000, 32, 1e-4, 2003),
+        &["nodes", "peers", "eps", "seed", "sched"],
+    );
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let queries: usize = args.get("queries", 120);
     let updates: usize = args.get("updates", 24);
@@ -807,7 +810,7 @@ fn serving(args: &Args) {
 /// The default mode: drift of incrementally maintained ranks.
 fn continuous_accuracy(args: &Args) {
     let trace = args.trace();
-    let spec = args.paper_spec(20_000, &[], &["sched"]);
+    let spec = args.paper_spec(20_000, &["nodes", "peers", "eps", "seed", "sched"]);
     let (nodes, eps) = (spec.nodes, spec.epsilon);
     let inserts: usize = args.get("inserts", 200);
     let checkpoints: usize = args.get("checkpoints", 5);

@@ -21,7 +21,7 @@ fn main() {
     let trace = args.trace();
     // `--sizes` is the sweep axis; every other scenario flag applies
     // to each size alike.
-    let base = args.paper_spec(DEFAULT_SIZES[0], &[], &["sched"]);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["peers", "eps", "seed", "sched"]);
     let (peers, eps) = (base.num_peers, base.epsilon);
     let presences = [1.0f64, 0.75, 0.5];
 

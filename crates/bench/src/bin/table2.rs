@@ -24,7 +24,7 @@ fn main() {
     let trace = args.trace();
     // `--sizes` and the ε list are the sweep axes; every other
     // scenario flag applies to each cell alike.
-    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched"]);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["peers", "seed", "sched"]);
     let peers = base.num_peers;
 
     println!("Table 2 — relative error distribution (vs synchronous R_c)");

@@ -62,7 +62,7 @@ fn batch_mode(args: &Args) {
             max_frame_bytes: cap,
         },
         // `--sizes` and ε (a comma list here) are the sweep axes.
-        ..args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched", "codec"])
+        ..args.paper_spec(DEFAULT_SIZES[0], &["peers", "seed", "sched", "codec"])
     };
     let peers = base.num_peers;
     let epsilons: Vec<f64> = match args.get("eps", String::new()) {
@@ -143,7 +143,7 @@ fn main() {
         return;
     }
     let trace = args.trace();
-    let base = args.paper_spec(DEFAULT_SIZES[0], &["eps"], &["sched"]);
+    let base = args.paper_spec(DEFAULT_SIZES[0], &["peers", "seed", "sched"]);
     let peers = base.num_peers;
     // Per-pass computation time added to the transfer model. The paper
     // estimates "a minute or less" per pass for the 5000k graph;

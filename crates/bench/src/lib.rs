@@ -62,11 +62,18 @@ pub const TABLE4_EPSILONS: [f64; 6] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
 pub const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
 
 /// The experiment binaries' edge of the shared flag parser
-/// ([`dpr_sim::flags::Args`]): every bad flag is a panic here — these
-/// are experiment binaries, so failing loudly beats a typed error
-/// nobody handles.
+/// ([`dpr_sim::flags::Args`]): a bad flag is a panic here — these are
+/// experiment binaries, so failing loudly beats a typed error nobody
+/// handles — except a bad scenario or an unknown flag, which exits
+/// with `error: …` as `dpr` does.
 #[derive(Debug)]
 pub struct Args(dpr_sim::flags::Args);
+
+/// Prints `error: {e}` and exits 1.
+fn refuse(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(1)
+}
 
 impl Args {
     /// Parses the process arguments.
@@ -91,26 +98,24 @@ impl Args {
     }
 
     /// The run's scenario: `defaults` overridden by the scenario flags
-    /// present (`--nodes`, `--peers`, `--eps`, `--seed`, and the
-    /// regime flags named in `regime`; see
-    /// [`ScenarioSpec::from_flags`]), validated.
-    /// Flags named in `swept` are hidden from the scenario parser: the
-    /// binary sweeps that axis itself and reads the flag, if at all,
-    /// as a list.
-    pub fn spec(&self, defaults: &ScenarioSpec, swept: &[&str], regime: &[&str]) -> ScenarioSpec {
-        let lookup = |k: &str| self.0.optional(k).filter(|_| !swept.contains(&k));
-        ScenarioSpec::from_flags(lookup, defaults, regime).unwrap_or_else(|e| panic!("{e}"))
+    /// present of those named in `honoured` (see
+    /// [`ScenarioSpec::from_flags`]), validated. A swept axis is not
+    /// honoured: the binary reads that flag itself, if at all, as a
+    /// list.
+    pub fn spec(&self, defaults: &ScenarioSpec, honoured: &[&str]) -> ScenarioSpec {
+        let lookup = |k: &str| self.0.optional(k);
+        ScenarioSpec::from_flags(lookup, defaults, honoured).unwrap_or_else(|e| refuse(e))
     }
 
     /// [`spec`](Self::spec) over the paper's reference scenario: `nodes`
     /// documents on its 500 peers at the recommended ε, seed 2003 (the
     /// venue year).
-    pub fn paper_spec(&self, nodes: usize, swept: &[&str], regime: &[&str]) -> ScenarioSpec {
+    pub fn paper_spec(&self, nodes: usize, honoured: &[&str]) -> ScenarioSpec {
         let (peers, eps) = (
             dpr_sim::workload::PAPER_NUM_PEERS,
             dpr_core::RECOMMENDED_EPSILON,
         );
-        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), swept, regime)
+        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), honoured)
     }
 
     /// A comma-separated list of sizes, honoring `--full`.
@@ -130,10 +135,12 @@ impl Args {
         }
     }
 
-    /// Panics on any flag given that nothing read — a typo, or a
-    /// flag of another binary or mode. The last line of every `main`.
+    /// Exits with `error: unknown flag …` on any flag given that
+    /// nothing read — a typo, a flag of another binary or mode, or a
+    /// scenario flag the run does not honour. The last line of every
+    /// `main`.
     pub fn reject_unread(&self) {
-        self.0.reject_unread().unwrap_or_else(|e| panic!("{e}"));
+        self.0.reject_unread().unwrap_or_else(|e| refuse(e));
     }
 
     /// The telemetry side-channel from `--trace-out FILE` (JSONL event
@@ -386,14 +393,15 @@ mod tests {
     }
 
     fn spec(s: &str) -> ScenarioSpec {
-        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[], &["sched"])
+        let honoured = ["nodes", "peers", "eps", "seed", "sched"];
+        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &honoured)
     }
 
     #[test]
     fn parses_values_and_switches() {
         let a = args("--seed 7 --json --sizes 100,200");
         assert_eq!(
-            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &[], &[])
+            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &["seed"])
                 .seed,
             7
         );
@@ -417,11 +425,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag --threads")]
     fn rejects_a_flag_nothing_read() {
         let a = args("--seed 7 --threads 4");
         assert_eq!(a.get("seed", 0), 7);
-        a.reject_unread();
+        let e = a.0.reject_unread().unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag --threads");
     }
 
     #[test]

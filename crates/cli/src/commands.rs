@@ -14,7 +14,7 @@ use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
 use dpr_sim::flags::{Args, Reporter};
-use dpr_sim::spec::{Layer, Observe, ScenarioSpec, SCENARIO_FLAGS_HELP};
+use dpr_sim::spec::{Layer, Observe, ScenarioSpec, SCENARIO_FLAGS, SCENARIO_FLAGS_HELP};
 use dpr_sim::Workload;
 use dpr_telemetry::{AuditReport, Capture, Event, TraceSummary};
 use rand::SeedableRng;
@@ -28,12 +28,19 @@ fn diagnostic_scenario() -> ScenarioSpec {
     ScenarioSpec::new(1_200, 24, 1e-4, 2003)
 }
 
+/// The scenario flags `dpr profile` honours: a live run is chaotic.
+const PROFILE_FLAGS: [&str; 7] = ["nodes", "peers", "eps", "seed", "sched", "codec", "latency"];
+
 /// The command's scenario: its defaults overridden by the scenario
-/// flags present — of the regime flags, those in `regime`, the ones the
-/// command honours — validated.
-fn scenario(args: &Args, defaults: &ScenarioSpec, regime: &[&str]) -> Result<ScenarioSpec, String> {
+/// flags present of those in `honoured`, the ones the command honours,
+/// validated.
+fn scenario(
+    args: &Args,
+    defaults: &ScenarioSpec,
+    honoured: &[&str],
+) -> Result<ScenarioSpec, String> {
     let lookup = |k: &str| args.optional(k);
-    Ok(ScenarioSpec::from_flags(lookup, defaults, regime)?)
+    Ok(ScenarioSpec::from_flags(lookup, defaults, honoured)?)
 }
 
 /// Top-level usage text. Built, not const, so the scenario flags'
@@ -150,7 +157,13 @@ pub fn rank(args: &Args) -> Result<(), String> {
     let rep = Reporter::from_args(args)?;
     let graph = Arc::new(load_graph(args)?);
     let defaults = ScenarioSpec::new(graph.num_nodes(), 500, dpr_core::RECOMMENDED_EPSILON, 2003);
-    let spec = scenario(args, &defaults, &["sched"])?;
+    // The graph comes from the file; the synchronous solver reads ε only.
+    let honoured: &[&str] = if args.has("sync") {
+        &["eps"]
+    } else {
+        &["peers", "eps", "seed", "sched"]
+    };
+    let spec = scenario(args, &defaults, honoured)?;
     let top: usize = args.get("top", 10)?;
 
     let ranks: Vec<f64> = if args.has("sync") {
@@ -411,7 +424,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
         return Err(format!("--slo-budget must be in [0, 1], got {slo_budget}"));
     }
     let defaults = ScenarioSpec::new(2_000, 32, 1e-4, 2003);
-    let spec = scenario(args, &defaults, &["sched", "latency"])?;
+    let honoured = ["nodes", "peers", "eps", "seed", "sched", "latency"];
+    let spec = scenario(args, &defaults, &honoured)?;
     let cfg = ServingConfig {
         num_docs: spec.nodes,
         vocab_size: args.get("vocab", 400)?,
@@ -728,8 +742,7 @@ pub fn trace(args: &Args) -> Result<(), String> {
 pub fn doctor(args: &Args) -> Result<(), String> {
     use dpr_sim::flight::{self, FlightConfig};
     let rep = Reporter::from_args(args)?;
-    let regime = ["sched", "codec", "run-mode", "latency"];
-    let spec = scenario(args, &diagnostic_scenario(), &regime)?;
+    let spec = scenario(args, &diagnostic_scenario(), &SCENARIO_FLAGS)?;
 
     // Replay mode: prove a capture reproduces bit for bit. A capture
     // recorded under a different wire codec is refused outright —
@@ -867,7 +880,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
     let rep = Reporter::from_args(args)?;
     let spec = ScenarioSpec {
         run_mode: RunMode::Chaotic,
-        ..scenario(args, &diagnostic_scenario(), &["sched", "codec", "latency"])?
+        ..scenario(args, &diagnostic_scenario(), &PROFILE_FLAGS)?
     };
     let top: usize = args.get("top", 8)?;
 
@@ -1396,21 +1409,37 @@ mod tests {
         let usage = usage();
         assert!(usage.contains(SCENARIO_FLAGS_HELP) && usage.contains(dpr_core::SCHED_HELP));
         let d = diagnostic_scenario();
-        assert_eq!(scenario(&args(""), &d, &[]).unwrap(), d);
+        assert_eq!(scenario(&args(""), &d, &SCENARIO_FLAGS).unwrap(), d);
         for flags in ["--docs 1200", "--peers 24", "--eps 1e-4", "--seed 2003"] {
             assert!(usage.contains(&format!("[{flags}]")), "{flags}");
-            assert_eq!(scenario(&args(flags), &d, &[]).unwrap(), d, "{flags}");
+            assert_eq!(
+                scenario(&args(flags), &d, &SCENARIO_FLAGS).unwrap(),
+                d,
+                "{flags}"
+            );
         }
     }
 
-    /// A regime flag a command does not honour is left unread, so the
-    /// invocation fails on it instead of running something else.
+    /// A scenario flag, regime or shape, that a command does not honour
+    /// is left unread, so the invocation fails on it instead of running
+    /// something else: `dpr rank` takes its graph's size from the file,
+    /// and its synchronous solver reads only ε.
     #[test]
     fn regime_flags_a_command_does_not_honour_fail_the_invocation() {
         let dir = tmpdir("regime");
         let g = graph_file(&dir, 300);
         type Cmd = fn(&Args) -> Result<(), String>;
-        let cases: [(Cmd, String, &str); 3] = [
+        let cases: [(Cmd, String, &str); 5] = [
+            (
+                rank,
+                format!("--graph {g} --docs 5 --nodes 7"),
+                "--docs, --nodes",
+            ),
+            (
+                rank,
+                format!("--graph {g} --sync --peers 4 --seed 9"),
+                "--peers, --seed",
+            ),
             (
                 rank,
                 format!("--graph {g} --peers 4 --run-mode chaotic --codec compact --latency modem"),
@@ -1556,7 +1585,7 @@ mod tests {
         };
         let spec = ScenarioSpec {
             run_mode: RunMode::Chaotic,
-            ..scenario(&args(flags), &diagnostic_scenario(), &[]).unwrap()
+            ..scenario(&args(flags), &diagnostic_scenario(), &PROFILE_FLAGS).unwrap()
         };
         let untraced = Observe::new(&dpr_telemetry::NOOP);
         let run = spec.run(&spec.workload(), Layer::Cluster, untraced);

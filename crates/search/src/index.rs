@@ -9,9 +9,10 @@
 //! index."
 //!
 //! Each term's posting list lives on the DHT successor of
-//! `Guid::for_term(term)`; postings carry `(DocId, pagerank)` and are
-//! kept sorted by pagerank descending so the incremental search can
-//! cut the top x % without re-sorting.
+//! `Guid::for_term(term)`. A rank depends only on its document, so a
+//! list is stored as document ids, sorted by pagerank descending (the
+//! incremental search cuts the top x % without re-sorting), and each
+//! rank is stored once; a [`Postings`] view pairs the two on read.
 
 use crate::{corpus::Corpus, idset::IdSet, TermId};
 use dpr_graph::DocId;
@@ -29,12 +30,28 @@ pub struct Posting {
 /// The distributed inverted index.
 #[derive(Debug, Clone)]
 pub struct DistributedIndex {
-    /// Posting lists per term, sorted by rank descending.
-    postings: Vec<Vec<Posting>>,
+    /// Each term's documents, sorted by rank descending, then doc.
+    postings: Vec<Vec<DocId>>,
+    /// Each document's pagerank (the universe of [`Self::doc_set`]).
+    ranks: Vec<f64>,
     /// The peer owning each term's index entry.
     term_owner: Vec<PeerId>,
-    /// Documents in the corpus (the universe of [`Self::doc_set`]).
-    num_docs: usize,
+}
+
+/// A term's posting list: its documents, best pagerank first, each
+/// paired with its rank from the index's rank table.
+#[derive(Debug, Clone, Copy)]
+pub struct Postings<'a> {
+    index: &'a DistributedIndex,
+    term: TermId,
+}
+
+impl<'a> Postings<'a> {
+    /// The postings, best pagerank first.
+    pub fn iter(self) -> impl Iterator<Item = Posting> + 'a {
+        let Postings { index, term } = self;
+        index.docs(term).iter().map(|&doc| index.posting(doc))
+    }
 }
 
 impl DistributedIndex {
@@ -57,22 +74,21 @@ impl DistributedIndex {
                 .expect("NaN rank")
                 .then(a.cmp(&b))
         });
-        let mut postings: Vec<Vec<Posting>> = (0..vocab as u32)
-            .map(|t| Vec::with_capacity(corpus.doc_freq(t) as usize))
-            .collect();
+        let df = |t: usize| corpus.doc_freq(t as u32) as usize;
+        let mut postings: Vec<Vec<DocId>> = (0..vocab).map(|t| Vec::with_capacity(df(t))).collect();
         for d in order {
-            let (doc, rank) = (DocId(d), ranks[d as usize]);
-            for &t in corpus.terms_of(doc) {
-                postings[t as usize].push(Posting { doc, rank });
+            for &t in corpus.terms_of(DocId(d)) {
+                postings[t as usize].push(DocId(d));
             }
         }
+        debug_assert!(postings.iter().enumerate().all(|(t, l)| l.len() == df(t)));
         let term_owner = (0..vocab as u32)
             .map(|t| ring.successor(Guid::for_term(&term_name(t))))
             .collect();
         DistributedIndex {
             postings,
+            ranks: ranks.to_vec(),
             term_owner,
-            num_docs: ranks.len(),
         }
     }
 
@@ -82,25 +98,39 @@ impl DistributedIndex {
     }
 
     /// Posting list of `term`, sorted by pagerank descending.
-    pub fn postings(&self, term: TermId) -> &[Posting] {
+    pub fn postings(&self, term: TermId) -> Postings<'_> {
+        Postings { index: self, term }
+    }
+
+    /// The documents containing `term`, best pagerank first: the ids
+    /// of [`Self::postings`].
+    pub fn docs(&self, term: TermId) -> &[DocId] {
         &self.postings[term as usize]
+    }
+
+    /// `doc` with its pagerank as recorded in the index.
+    pub(crate) fn posting(&self, doc: DocId) -> Posting {
+        Posting {
+            doc,
+            rank: self.ranks[doc.index()],
+        }
     }
 
     /// Number of documents containing `term`.
     pub fn num_hits(&self, term: TermId) -> usize {
-        self.postings[term as usize].len()
+        self.docs(term).len()
     }
 
     /// Vocabulary size.
     pub fn vocab_size(&self) -> u32 {
-        self.postings.len() as u32
+        self.term_owner.len() as u32
     }
 
     /// The documents containing `term`, as a bitset over the corpus.
     pub fn doc_set(&self, term: TermId) -> IdSet {
-        let mut set = IdSet::new(self.num_docs);
-        for p in self.postings(term) {
-            set.insert(p.doc.0);
+        let mut set = IdSet::new(self.ranks.len());
+        for d in self.docs(term) {
+            set.insert(d.0);
         }
         set
     }
@@ -136,7 +166,7 @@ mod tests {
         let idx = DistributedIndex::build(&corpus, &ranks, &ring);
         for t in 0..100u32 {
             assert_eq!(idx.num_hits(t) as u32, corpus.doc_freq(t));
-            for p in idx.postings(t) {
+            for p in idx.postings(t).iter() {
                 assert!(corpus.terms_of(p.doc).contains(&t));
                 assert_eq!(p.rank, ranks[p.doc.index()]);
             }
@@ -148,12 +178,38 @@ mod tests {
         let (corpus, ranks, ring) = setup();
         let idx = DistributedIndex::build(&corpus, &ranks, &ring);
         for t in 0..100u32 {
-            let list = idx.postings(t);
+            let list: Vec<Posting> = idx.postings(t).iter().collect();
             for w in list.windows(2) {
                 assert!(
                     w[0].rank > w[1].rank || (w[0].rank == w[1].rank && w[0].doc.0 < w[1].doc.0)
                 );
             }
+        }
+    }
+
+    /// Terms no document holds, at either end of the vocabulary and
+    /// inside it, have empty lists, and their neighbours' lists hold
+    /// exactly their own documents.
+    #[test]
+    fn terms_in_no_document_have_empty_runs() {
+        // Terms 0, 3 and 6 (the first, a middle and the last) are in
+        // no document.
+        let corpus = Corpus::from_term_sets(7, vec![vec![1, 2, 5], vec![1, 4, 5], vec![2, 4]]);
+        let idx = DistributedIndex::build(&corpus, &[0.5, 2.0, 1.0], &Ring::with_peers(4));
+        for t in [0, 3, 6] {
+            assert_eq!(idx.postings(t).iter().count(), 0, "term {t}");
+            assert_eq!(idx.num_hits(t), 0, "term {t}");
+            assert_eq!(idx.doc_set(t).iter().count(), 0, "term {t}");
+        }
+        let ids = |t| idx.docs(t).iter().map(|d| d.0).collect::<Vec<_>>();
+        for (t, mut expect) in [(1, [1, 0]), (2, [2, 0]), (4, [1, 2]), (5, [1, 0])] {
+            assert_eq!(ids(t), expect, "term {t}");
+            expect.sort_unstable();
+            assert_eq!(
+                idx.doc_set(t).iter().collect::<Vec<_>>(),
+                expect,
+                "term {t}"
+            );
         }
     }
 

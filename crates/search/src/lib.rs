@@ -12,8 +12,8 @@
 //!   crawl (11k documents, 1880-term vocabulary; see DESIGN.md
 //!   substitution #1).
 //! * [`index`] — the distributed inverted index: each term's posting
-//!   list lives on the DHT successor of the term's GUID and carries
-//!   the documents' pageranks (paper Sec. 2.4.2).
+//!   list lives on the DHT successor of the term's GUID, as document
+//!   ids read against one table of pageranks (paper Sec. 2.4.2).
 //! * [`query`] — boolean multi-word query execution: the baseline
 //!   (ship every id) and the incremental top-x% algorithm of
 //!   Sec. 2.4.3, both with exact traffic accounting.

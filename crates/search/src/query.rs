@@ -23,6 +23,7 @@
 //! only true cross-peer hops.
 
 use crate::{index::DistributedIndex, index::Posting, TermId};
+use dpr_graph::DocId;
 use serde::Serialize;
 
 /// A boolean AND query over distinct terms.
@@ -110,12 +111,12 @@ impl SearchOutcome {
 
 /// Intersects `current` (sorted by rank desc) with the posting list of
 /// `term`, keeping `current`'s rank ordering.
-fn intersect(current: &[Posting], index: &DistributedIndex, term: TermId) -> Vec<Posting> {
+fn intersect(current: &[DocId], index: &DistributedIndex, term: TermId) -> Vec<DocId> {
     let member = index.doc_set(term);
     current
         .iter()
         .copied()
-        .filter(|p| member.contains(p.doc.0))
+        .filter(|d| member.contains(d.0))
         .collect()
 }
 
@@ -146,7 +147,7 @@ pub fn execute_baseline(
     query: &Query,
     model: TrafficModel,
 ) -> SearchOutcome {
-    let mut current: Vec<Posting> = index.postings(query.terms[0]).to_vec();
+    let mut current: Vec<DocId> = index.docs(query.terms[0]).to_vec();
     let mut per_hop = Vec::new();
     let mut traffic = 0u64;
     for (i, &t) in query.terms.iter().enumerate().skip(1) {
@@ -163,7 +164,7 @@ pub fn execute_baseline(
     SearchOutcome {
         traffic_ids: traffic,
         per_hop_ids: per_hop,
-        hits: current,
+        hits: current.into_iter().map(|d| index.posting(d)).collect(),
     }
 }
 
@@ -177,7 +178,7 @@ pub fn execute_incremental(
         cfg.forward_fraction > 0.0 && cfg.forward_fraction <= 1.0,
         "forward fraction in (0, 1]"
     );
-    let mut current: Vec<Posting> = index.postings(query.terms[0]).to_vec();
+    let mut current: Vec<DocId> = index.docs(query.terms[0]).to_vec();
     let mut per_hop = Vec::new();
     let mut traffic = 0u64;
     for (i, &t) in query.terms.iter().enumerate().skip(1) {
@@ -200,7 +201,7 @@ pub fn execute_incremental(
     SearchOutcome {
         traffic_ids: traffic,
         per_hop_ids: per_hop,
-        hits: current,
+        hits: current.into_iter().map(|d| index.posting(d)).collect(),
     }
 }
 

@@ -55,7 +55,8 @@ use serde::Serialize;
 use std::cell::OnceCell;
 
 /// Bytes per document id + pagerank shipped between peers (u32 id,
-/// f64 rank — the index's posting shape).
+/// f64 rank): a posting on the modelled wire, however the index
+/// stores it.
 const POSTING_BYTES: u64 = 12;
 
 /// Modeled intersection cost per candidate id at the intersecting
@@ -294,10 +295,8 @@ impl<'a> TermMemo<'a> {
     }
 
     fn filter(&self, t: TermId) -> &BloomFilter {
-        self.filters[t as usize].get_or_init(|| {
-            let docs: Vec<DocId> = self.index.postings(t).iter().map(|p| p.doc).collect();
-            BloomFilter::from_docs(&docs, BLOOM_FP_RATE)
-        })
+        self.filters[t as usize]
+            .get_or_init(|| BloomFilter::from_docs(self.index.docs(t), BLOOM_FP_RATE))
     }
 }
 
@@ -352,12 +351,7 @@ fn serve_bloom(memo: &TermMemo, query: &Query) -> Served {
     per_hop_bytes.push(hits * POSTING_BYTES);
     traffic_ids += hits;
     let in_result = |d: &DocId| current.as_ref().is_none_or(|c| c.binary_search(d).is_ok());
-    let top_doc = memo
-        .index
-        .postings(t0)
-        .iter()
-        .find(|p| in_result(&p.doc))
-        .map(|p| p.doc);
+    let top_doc = memo.index.docs(t0).iter().copied().find(in_result);
     Served {
         per_hop_bytes,
         ids_processed,

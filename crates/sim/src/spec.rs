@@ -37,6 +37,12 @@ scenario flag values (each command lists the flags it honours):
   --run-mode rounds|chaotic      --latency modem|broadband|lan
   --nodes N (same as --docs N)";
 
+/// The scenario flags, by the names [`ScenarioSpec::from_flags`] takes:
+/// `nodes` stands for `--docs` and its alias `--nodes`.
+pub const SCENARIO_FLAGS: [&str; 8] = [
+    "nodes", "peers", "eps", "seed", "sched", "codec", "run-mode", "latency",
+];
+
 /// What a run is built from: the workload's shape and seed, the
 /// convergence threshold, and the regime (scheduler, wire path,
 /// driver, network model) it runs under.
@@ -188,16 +194,15 @@ impl ScenarioSpec {
 
     /// Reads the scenario flags through `lookup` (flag name without
     /// dashes → value), falling back to `defaults` per absent flag,
-    /// and validates the result: the shape flags `--docs`/`--nodes`,
-    /// `--peers`, `--eps` and `--seed` always, and of the regime flags
-    /// `--sched`, `--codec`, `--run-mode` and `--latency` only those
-    /// named in `regime` — the ones the caller's run honours. A regime
-    /// flag it does not honour is left unread, so the caller's
+    /// and validates the result. Only the flags named in `honoured`
+    /// are read: the fields the caller's run honours, out of
+    /// [`SCENARIO_FLAGS`] (`nodes` reads `--docs` or its alias
+    /// `--nodes`). Any other is left unread, so the caller's
     /// unknown-flag check refuses it. The wire mode has no flag.
     pub fn from_flags<'a>(
         lookup: impl Fn(&str) -> Option<&'a str>,
         defaults: &ScenarioSpec,
-        regime: &[&str],
+        honoured: &[&str],
     ) -> Result<Self, SpecError> {
         fn flag<T: std::str::FromStr>(
             value: Option<&str>,
@@ -214,21 +219,22 @@ impl ScenarioSpec {
                 })
             })
         }
-        let honoured = |name| regime.contains(&name).then(|| lookup(name)).flatten();
-        let nodes = match lookup("docs") {
+        let read = |key, name| honoured.contains(&key).then(|| lookup(name)).flatten();
+        let value = |name| read(name, name);
+        let nodes = match read("nodes", "docs") {
             Some(v) => flag(Some(v), "docs", defaults.nodes)?,
-            None => flag(lookup("nodes"), "nodes", defaults.nodes)?,
+            None => flag(value("nodes"), "nodes", defaults.nodes)?,
         };
         let spec = ScenarioSpec {
             nodes,
-            num_peers: flag(lookup("peers"), "peers", defaults.num_peers)?,
-            seed: flag(lookup("seed"), "seed", defaults.seed)?,
-            epsilon: flag(lookup("eps"), "eps", defaults.epsilon)?,
-            sched: flag(honoured("sched"), "sched", defaults.sched)?,
+            num_peers: flag(value("peers"), "peers", defaults.num_peers)?,
+            seed: flag(value("seed"), "seed", defaults.seed)?,
+            epsilon: flag(value("eps"), "eps", defaults.epsilon)?,
+            sched: flag(value("sched"), "sched", defaults.sched)?,
             wire: defaults.wire,
-            codec: flag(honoured("codec"), "codec", defaults.codec)?,
-            run_mode: flag(honoured("run-mode"), "run-mode", defaults.run_mode)?,
-            latency: flag(honoured("latency"), "latency", defaults.latency)?,
+            codec: flag(value("codec"), "codec", defaults.codec)?,
+            run_mode: flag(value("run-mode"), "run-mode", defaults.run_mode)?,
+            latency: flag(value("latency"), "latency", defaults.latency)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -265,7 +271,7 @@ impl ScenarioSpec {
             "latency" => Some(h.latency.as_str()),
             _ => None,
         };
-        ScenarioSpec::from_flags(regime, &shape, &["sched", "codec", "run-mode", "latency"])
+        ScenarioSpec::from_flags(regime, &shape, &SCENARIO_FLAGS)
     }
 }
 
@@ -562,8 +568,7 @@ mod tests {
 
     fn parse(flags: &[(&str, &str)], defaults: &ScenarioSpec) -> Result<ScenarioSpec, SpecError> {
         let map: HashMap<&str, &str> = flags.iter().copied().collect();
-        let regime = ["sched", "codec", "run-mode", "latency"];
-        ScenarioSpec::from_flags(|k| map.get(k).copied(), defaults, &regime)
+        ScenarioSpec::from_flags(|k| map.get(k).copied(), defaults, &SCENARIO_FLAGS)
     }
 
     #[test]

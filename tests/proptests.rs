@@ -341,7 +341,8 @@ proptest! {
         let lists = model_lists(&corpus, &ranks);
         let bits = |l: &[Posting]| l.iter().map(|p| (p.doc.0, p.rank.to_bits())).collect::<Vec<_>>();
         for (t, list) in lists.iter().enumerate() {
-            prop_assert_eq!(bits(index.postings(t as u32)), bits(list), "term {}", t);
+            let stored: Vec<Posting> = index.postings(t as u32).iter().collect();
+            prop_assert_eq!(bits(&stored), bits(list), "term {}", t);
         }
 
         let top = corpus.top_terms(12);
