@@ -742,13 +742,24 @@ pub fn trace(args: &Args) -> Result<(), String> {
 pub fn doctor(args: &Args) -> Result<(), String> {
     use dpr_sim::flight::{self, FlightConfig};
     let rep = Reporter::from_args(args)?;
-    let spec = scenario(args, &diagnostic_scenario(), &SCENARIO_FLAGS)?;
+    // Each mode reads only the scenario flags it honours, so one it
+    // would ignore fails the invocation: a replay re-runs its capture's
+    // scenario and checks only the wire codec against it, and an audit
+    // of a recorded trace runs no scenario at all.
+    let replay = args.optional("replay");
+    let input = replay.is_none().then(|| args.optional("input")).flatten();
+    let honoured: &[&str] = match (replay, input) {
+        (Some(_), _) => &["codec"],
+        (None, Some(_)) => &[],
+        (None, None) => &SCENARIO_FLAGS,
+    };
+    let spec = scenario(args, &diagnostic_scenario(), honoured)?;
 
     // Replay mode: prove a capture reproduces bit for bit. A capture
     // recorded under a different wire codec is refused outright —
     // compact quantizes to f32, so its fingerprint says nothing about
     // a raw run (and vice versa).
-    if let Some(path) = args.optional("replay") {
+    if let Some(path) = replay {
         let capture =
             Capture::read(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
         let out = flight::replay(&capture, Some(spec.codec), rep.recorder())
@@ -788,7 +799,7 @@ pub fn doctor(args: &Args) -> Result<(), String> {
     }
 
     // Audit: an ingested trace, or a fresh instrumented scenario run.
-    let (report, source) = if let Some(input) = args.optional("input") {
+    let (report, source) = if let Some(input) = input {
         let summary = load_summary(input)?;
         report_unknown(input, &summary, |l| rep.say(l));
         rep.say(format!(
@@ -810,6 +821,10 @@ pub fn doctor(args: &Args) -> Result<(), String> {
         report_fault(&rep, fault, run.fault_fired_at)?;
         (run.report, "doctor run".to_string())
     };
+    if report.checked() == 0 {
+        rep.finish()?;
+        return Err(format!("{source}: no ledger snapshot to audit"));
+    }
 
     rep.print(report.render().render());
     let verdict = if report.passed() {
@@ -878,13 +893,21 @@ pub fn profile(args: &Args) -> Result<(), String> {
     use dpr_telemetry::Profile;
 
     let rep = Reporter::from_args(args)?;
+    // A recorded trace or a replayed capture fixes its own scenario,
+    // so either refuses the scenario flags as unknown.
+    let input = args.optional("input");
+    let replay = input.is_none().then(|| args.optional("replay")).flatten();
+    let honoured: &[&str] = match input.or(replay) {
+        Some(_) => &[],
+        None => &PROFILE_FLAGS,
+    };
     let spec = ScenarioSpec {
         run_mode: RunMode::Chaotic,
-        ..scenario(args, &diagnostic_scenario(), &PROFILE_FLAGS)?
+        ..scenario(args, &diagnostic_scenario(), honoured)?
     };
     let top: usize = args.get("top", 8)?;
 
-    let segments: Vec<Profile> = if let Some(input) = args.optional("input") {
+    let segments: Vec<Profile> = if let Some(input) = input {
         let summary = load_summary(input)?;
         report_unknown(input, &summary, |l| rep.say(l));
         let segs =
@@ -901,7 +924,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
             summary.events().len()
         ));
         segs
-    } else if let Some(path) = args.optional("replay") {
+    } else if let Some(path) = replay {
         let capture =
             Capture::read(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
         if capture.header.run_mode != "chaotic" {
@@ -1423,13 +1446,30 @@ mod tests {
     /// A scenario flag, regime or shape, that a command does not honour
     /// is left unread, so the invocation fails on it instead of running
     /// something else: `dpr rank` takes its graph's size from the file,
-    /// and its synchronous solver reads only ε.
+    /// and its synchronous solver reads only ε; a replayed capture or a
+    /// recorded trace fixes the scenario of `doctor` and `profile`,
+    /// where a doctor replay still checks `--codec`.
     #[test]
     fn regime_flags_a_command_does_not_honour_fail_the_invocation() {
         let dir = tmpdir("regime");
         let g = graph_file(&dir, 300);
+        // A chaotic capture and its run's trace, for the modes that
+        // take their scenario from a file.
+        let (cap, trace) = (dir.join("cap.jsonl"), dir.join("trace.jsonl"));
+        doctor(&args(&format!(
+            "--docs 300 --peers 4 --inserts 1 --checkpoints 1 --run-mode chaotic --quiet \
+             --capture-out {}",
+            cap.display()
+        )))
+        .unwrap();
+        doctor(&args(&format!(
+            "--docs 300 --peers 4 --run-mode chaotic --quiet --trace-out {}",
+            trace.display()
+        )))
+        .unwrap();
+        let (cap, trace) = (cap.display(), trace.display());
         type Cmd = fn(&Args) -> Result<(), String>;
-        let cases: [(Cmd, String, &str); 5] = [
+        let cases: [(Cmd, String, &str); 10] = [
             (
                 rank,
                 format!("--graph {g} --docs 5 --nodes 7"),
@@ -1456,12 +1496,44 @@ mod tests {
                     .into(),
                 "--codec, --run-mode",
             ),
+            (doctor, format!("--replay {cap} --docs 5"), "--docs"),
+            (
+                doctor,
+                format!("--replay {cap} --codec raw --peers 4 --inject-fault dup-frame"),
+                "--inject-fault, --peers",
+            ),
+            (doctor, format!("--input {trace} --seed 9"), "--seed"),
+            (
+                profile,
+                format!("--replay {cap} --latency modem"),
+                "--latency",
+            ),
+            (
+                profile,
+                format!("--input {trace} --docs 5 --eps 1e-2"),
+                "--docs, --eps",
+            ),
         ];
         for (cmd, flags, unknown) in cases {
             let a = args(&format!("{flags} --quiet"));
             let e = cmd(&a).and_then(|()| a.reject_unread()).unwrap_err();
             assert_eq!(e, format!("unknown flag {unknown}"), "{flags}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A trace that holds no ledger snapshot proves nothing, so its
+    /// audit is an error rather than a pass over zero snapshots.
+    #[test]
+    fn doctor_refuses_a_trace_with_no_ledger_snapshot() {
+        let dir = tmpdir("empty-audit");
+        let empty = dir.join("empty.jsonl");
+        std::fs::write(&empty, "").unwrap();
+        let e = doctor(&args(&format!("--quiet --input {}", empty.display()))).unwrap_err();
+        assert_eq!(
+            e,
+            format!("{}: no ledger snapshot to audit", empty.display())
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

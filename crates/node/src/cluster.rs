@@ -12,9 +12,10 @@ use crate::node::{DeliverStatus, NodeStats, PeerNode, StepScratch, WireMode};
 use bytes::Bytes;
 use dpr_core::engine::EngineConfig;
 use dpr_graph::{CsrGraph, DocId};
+use dpr_p2p::frame::Frame;
 use dpr_p2p::peer::{PeerId, PeerTable, Placement};
 use dpr_p2p::transport::WireCodec;
-use dpr_p2p::transport::{payload_entries, FaultPlan, TrafficStats, Transport};
+use dpr_p2p::transport::{payload_entries, FaultPlan, Handle, Handles, TrafficStats, Transport};
 use dpr_telemetry::{Event, MassBreakdown, Metric, Recorder, NOOP};
 use std::sync::Arc;
 
@@ -54,12 +55,11 @@ pub struct SendOutcome {
     /// Payload size on the wire, in bytes (drives the latency model's
     /// serialization term).
     pub bytes: usize,
-    /// Envelopes this send actually enqueued in the destination inbox:
-    /// 1 normally, 0 for a lost frame or an offline (parked)
-    /// destination, 2 for a duplicated frame. The runtime schedules
-    /// exactly this many `Deliver` events, so staged transport faults
-    /// never desynchronize the event queue from the inboxes.
-    pub enqueued: usize,
+    /// The transport handles this send enqueued (see
+    /// [`Transport::send`]); the runtime schedules one `Deliver` event
+    /// per handle, so staged transport faults never desynchronize the
+    /// event queue from the inboxes.
+    pub handles: Handles,
     /// Cluster-wide provenance id of this payload, stamped from a
     /// monotone counter at hand-off.
     /// The chaotic runtime threads it through its link-transfer and
@@ -72,7 +72,7 @@ pub struct SendOutcome {
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<PeerNode>,
-    transport: Transport<Bytes>,
+    transport: Transport<Frame>,
     rounds: usize,
     cfg: EngineConfig,
     /// Cumulative coalesced entries handed to the transport per
@@ -210,11 +210,9 @@ impl Cluster {
         // Parked messages whose destination returned get delivered
         // first (the periodic resend of Sec. 3.1).
         let mut stats = RoundStats {
-            redelivered: self.transport.retry_pending(peers),
+            redelivered: self.transport.retry_pending(peers).len() as u64,
             ..RoundStats::default()
         };
-        let detailed = rec.detailed();
-
         for i in 0..self.nodes.len() {
             let pid = PeerId(i as u32);
             if !peers.is_online(pid) {
@@ -227,26 +225,19 @@ impl Cluster {
                     .expect(WELL_FORMED);
                 stats.delivered += 1;
             }
-            // Local pass.
+            // Local pass, then outbox -> transport.
             self.nodes[i].step_with(&mut self.scratch, rec);
-            // Outbox -> transport.
-            for (to, payload) in self.scratch.outbox.drain(..) {
+            let mut outbox = std::mem::take(&mut self.scratch.outbox);
+            for (to, payload) in outbox.drain(..) {
                 if let Some(model) = hops.as_deref_mut() {
-                    stats.hops += model(pid, to, &payload) as u64;
+                    // The hop model reads a `Bytes`: an inline frame is
+                    // copied into one only while a model is installed.
+                    stats.hops += model(pid, to, &payload.bytes()) as u64;
                 }
-                if detailed {
-                    rec.event(&Event::FrameSent {
-                        round: self.rounds as u64,
-                        from: pid.0,
-                        to: to.0,
-                        entries: payload_entries(&payload),
-                        bytes: payload.len() as u64,
-                    });
-                }
-                self.sent_entries_to[to.index()] += payload_entries(&payload);
-                self.transport.send(peers, pid, to, payload);
+                self.hand_off(peers, pid, to, payload, self.rounds as u64, rec);
                 stats.sent += 1;
             }
+            self.scratch.outbox = outbox;
         }
         if rec.enabled() {
             let pending = self.transport.total_pending() as u64;
@@ -264,42 +255,48 @@ impl Cluster {
         stats
     }
 
-    /// Hands one payload to the transport and reports it as a
-    /// [`SendOutcome`] — with how many envelopes actually landed in
-    /// `to`'s inbox (0 after a lost frame or park, 2 after a
-    /// duplication), the ground truth the event-driven runtime
-    /// schedules its `Deliver` events from.
-    fn send_counted(
+    /// Hands one payload to the transport, recording its
+    /// [`Event::FrameSent`] (stamped `tick`) if [`Recorder::detailed`],
+    /// and reports it as a [`SendOutcome`].
+    fn hand_off<R: Recorder + ?Sized>(
         &mut self,
         peers: &PeerTable,
         from: PeerId,
         to: PeerId,
-        payload: Bytes,
+        payload: Frame,
+        tick: u64,
+        rec: &R,
     ) -> SendOutcome {
-        let (bytes, before) = (payload.len(), self.transport.inbox_len(to));
-        self.transport.send(peers, from, to, payload);
+        let (entries, bytes) = (payload_entries(&payload), payload.len());
+        if rec.detailed() {
+            rec.event(&Event::FrameSent {
+                round: tick,
+                from: from.0,
+                to: to.0,
+                entries,
+                bytes: bytes as u64,
+            });
+        }
+        self.sent_entries_to[to.index()] += entries;
+        let handles = self.transport.send(peers, from, to, payload);
         self.next_frame += 1;
         SendOutcome {
             from,
             to,
             bytes,
-            enqueued: self.transport.inbox_len(to) - before,
+            handles,
             frame: self.next_frame,
         }
     }
 
-    /// Event-driven delivery: pops the next envelope `from` sent to
-    /// `to` (per-link FIFO) and folds it into `to`'s node, tracking
-    /// the bounded arrival depth. Returns `None` when no envelope from
-    /// that sender is waiting — a `Deliver` event displaced by a lost
-    /// frame, which the runtime tolerates.
-    pub fn deliver_from(&mut self, to: PeerId, from: PeerId) -> Option<DeliverStatus> {
-        let env = self.transport.receive_from(to, from)?;
-        Some(
-            self.nodes[to.index()]
-                .on_deliver(&mut self.scratch, &env.payload)
-                .expect(WELL_FORMED),
-        )
+    /// Event-driven delivery: folds the envelope at `handle` into its
+    /// destination's node, tracking the bounded arrival depth. Returns
+    /// its `(from, to)` and the node's status, or `None` for a free handle.
+    pub fn deliver(&mut self, handle: Handle) -> Option<(PeerId, PeerId, DeliverStatus)> {
+        let env = self.transport.take(handle)?;
+        let node = &mut self.nodes[env.to.index()];
+        let status = node.on_deliver(&mut self.scratch, &env.payload);
+        Some((env.from, env.to, status.expect(WELL_FORMED)))
     }
 
     /// Event-driven step of a single peer: runs one local pass and
@@ -320,20 +317,8 @@ impl Cluster {
         self.nodes[p.index()].step_with(&mut self.scratch, rec);
         // Taken (and handed back) so the loop may borrow all of `self`.
         let mut outbox = std::mem::take(&mut self.scratch.outbox);
-        let detailed = rec.detailed();
         for (to, payload) in outbox.drain(..) {
-            let entries = payload_entries(&payload);
-            if detailed {
-                rec.event(&Event::FrameSent {
-                    round: tick,
-                    from: p.0,
-                    to: to.0,
-                    entries,
-                    bytes: payload.len() as u64,
-                });
-            }
-            self.sent_entries_to[to.index()] += entries;
-            sent(self.send_counted(peers, p, to, payload));
+            sent(self.hand_off(peers, p, to, payload, tick, rec));
         }
         self.scratch.outbox = outbox;
     }
@@ -365,15 +350,15 @@ impl Cluster {
     /// always enqueue exactly one envelope.
     pub fn retry_pending_outcomes(&mut self, peers: &PeerTable) -> Vec<SendOutcome> {
         self.transport
-            .retry_pending_outcomes(peers)
+            .retry_pending(peers)
             .into_iter()
-            .map(|(from, to, bytes)| {
+            .map(|(from, to, bytes, handle)| {
                 self.next_frame += 1;
                 SendOutcome {
                     from,
                     to,
                     bytes,
-                    enqueued: 1,
+                    handles: [Some(handle), None],
                     frame: self.next_frame,
                 }
             })

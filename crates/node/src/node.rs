@@ -61,6 +61,7 @@ use dpr_core::sched::{
     partition_by_greedy, partition_by_residual, residual_bucket, SchedMode, SchedStats,
 };
 use dpr_graph::DocId;
+use dpr_p2p::frame::Frame;
 use dpr_p2p::guid::Guid;
 use dpr_p2p::peer::PeerId;
 use dpr_p2p::transport::{
@@ -152,7 +153,8 @@ pub struct NodeStats {
 /// The working memory of one step or delivery, lent by the driver: a
 /// [`Cluster`](crate::cluster::Cluster) keeps one set, grown to its
 /// largest node's needs and reused by every node in turn, so a
-/// steady-state step allocates only the payloads it sends. The
+/// steady-state step allocates only the payloads it sends that are too
+/// long to travel inline (see [`Frame`]). The
 /// coalescing table is indexed by the stepping node's dense remote
 /// slots and the grouping table by peer id (nothing is hashed), and both
 /// are epoch-stamped (nothing is cleared between steps).
@@ -184,7 +186,7 @@ pub struct StepScratch {
     /// Dedup index, live only while a node re-resolves its links.
     remote_ix: FxHashMap<(DocId, PeerId), u32>,
     /// The step's payloads, in flush order; the driver drains it.
-    pub outbox: Vec<(PeerId, Bytes)>,
+    pub outbox: Vec<(PeerId, Frame)>,
 }
 
 impl StepScratch {
@@ -603,7 +605,11 @@ impl PeerNode {
     pub fn step(&mut self) {
         let mut sc = StepScratch::default();
         self.step_with(&mut sc, &NOOP);
-        self.outbox.append(&mut sc.outbox);
+        let sent = sc
+            .outbox
+            .iter()
+            .map(|(to, frame)| (*to, frame.bytes().into_owned()));
+        self.outbox.extend(sent);
     }
 
     /// One local pass: apply every selected pending increment, then
@@ -1157,7 +1163,8 @@ mod tests {
             for _ in 0..steps {
                 for (node, model) in &mut pairs {
                     node.step_with(&mut sc, &NOOP);
-                    let got: Vec<(PeerId, Bytes)> = sc.outbox.drain(..).collect();
+                    let got = sc.outbox.drain(..).map(|(to, f)| (to, f.bytes().into_owned()));
+                    let got: Vec<(PeerId, Bytes)> = got.collect();
                     proptest::prop_assert_eq!(got, model.step(1e-9));
                     proptest::prop_assert_eq!(node.stats(), model.stats);
                     // Fresh increments for the next step, in doc order.

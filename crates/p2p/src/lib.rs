@@ -17,6 +17,7 @@
 //! * [`transport`] — message delivery with per-peer inboxes, the
 //!   store-and-resend buffer for messages addressed to offline peers
 //!   (paper Sec. 3.1), and traffic accounting.
+//! * [`frame`] — the cluster's wire payload, kept inline when short.
 //! * [`cache`] — the per-peer address cache that short-circuits routing
 //!   after the first successful lookup.
 //!
@@ -28,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod frame;
 pub mod guid;
 pub mod peer;
 pub mod ring;

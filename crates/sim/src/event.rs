@@ -48,7 +48,9 @@
 //! The runtime owns the clock, the queue and the link tables; a step's
 //! or delivery's working memory is the one
 //! [`dpr_node::node::StepScratch`] the [`Cluster`] lends its nodes, so
-//! in steady state an event allocates only the payloads it sends.
+//! in steady state an event allocates only the payloads it sends that
+//! are too long to travel inline. A `Deliver` event carries the
+//! transport handle of its envelope and takes it out in O(1).
 //!
 //! Every executed `Step`/`Deliver` event folds into a FNV-1a
 //! **schedule fingerprint**; the Capture v3 format records it so
@@ -76,6 +78,7 @@ use dpr_node::node::DeliverStatus;
 use dpr_node::termination::TerminationDetector;
 use dpr_node::{Cluster, SendOutcome};
 use dpr_p2p::peer::{PeerId, PeerTable};
+use dpr_p2p::transport::Handle;
 use dpr_telemetry::profile::Profile;
 use dpr_telemetry::span::{SpanRec, SpanTracer};
 use dpr_telemetry::{Event, Metric, Recorder};
@@ -177,13 +180,9 @@ impl std::str::FromStr for LatencyModel {
 /// The event kinds of the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    /// Pop the next envelope `from → to` and fold it into `to`.
-    Deliver {
-        /// Sending peer of the envelope to pop (per-link FIFO).
-        from: PeerId,
-        /// Destination peer.
-        to: PeerId,
-    },
+    /// Fold the envelope at this transport handle into its
+    /// destination.
+    Deliver(Handle),
     /// Run one local pass at `peer` and put its outbox on the wire.
     Step {
         /// The stepping peer.
@@ -218,7 +217,7 @@ enum Ev {
 /// and re-filing is stable, so events at one time stay in push order
 /// and no sequence number is stored. A drained bucket keeps its
 /// storage only up to [`RETAINED_ENTRIES`], so the queue's memory is at
-/// most twice the live events (24 bytes each, `Vec` doubling) plus a
+/// most twice the live events (16 bytes each, `Vec` doubling) plus a
 /// constant — not the sum of every bucket's high-water mark.
 #[derive(Debug)]
 struct EventQueue {
@@ -380,8 +379,7 @@ pub struct ChaoticOutcome {
     pub steps: u64,
     /// Envelopes delivered.
     pub deliveries: u64,
-    /// `Deliver` events that found no envelope (displaced by a staged
-    /// lost-frame fault).
+    /// `Deliver` events whose handle named no queued envelope.
     pub displaced: u64,
     /// FNV-1a fingerprint over the executed `Step`/`Deliver` schedule.
     pub schedule_fnv: u64,
@@ -452,11 +450,12 @@ struct Runner<'a> {
 }
 
 impl Runner<'_> {
-    /// Schedules the delivery of one payload on `(from, to)`: the
-    /// transmission queues behind whatever the link is already sending
-    /// (store-and-forward at the model's byte rate), then propagates at
-    /// the link's base latency — sampled on the link's first send from
-    /// a rng seeded by `seed ⊕ hash(from, to)`.
+    /// Schedules the delivery of each envelope `o` enqueued on
+    /// `(from, to)`: a transmission queues behind whatever the link is
+    /// already sending (store-and-forward at the model's byte rate),
+    /// then propagates at the link's base latency — sampled on the
+    /// link's first send from a rng seeded by `seed ⊕ hash(from, to)`.
+    /// So arrivals on a link keep their send order.
     fn schedule_delivery(&mut self, o: SendOutcome) {
         let (from, to, bytes, cfg) = (o.from, o.to, o.bytes, self.cfg);
         let tx_ns = (bytes as f64 / cfg.latency.rate_bytes_per_sec() * 1e9) as u64;
@@ -469,14 +468,16 @@ impl Runner<'_> {
                 clear_ns: 0,
             }
         });
-        let depart = link.clear_ns.max(self.now);
-        link.clear_ns = depart + tx_ns;
-        let arrival = depart + tx_ns + link.latency_ns;
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.on_send(o.frame, from.0, to.0, bytes as u64, self.now, depart);
+        for handle in o.handles.into_iter().flatten() {
+            let depart = link.clear_ns.max(self.now);
+            link.clear_ns = depart + tx_ns;
+            let arrival = depart + tx_ns + link.latency_ns;
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.on_send(o.frame, from.0, to.0, bytes as u64, self.now, depart);
+            }
+            self.queue.push(arrival, Ev::Deliver(handle));
+            self.live += 1;
         }
-        self.queue.push(arrival, Ev::Deliver { from, to });
-        self.live += 1;
     }
 
     fn schedule_step(&mut self, p: PeerId, at: u64) {
@@ -704,45 +705,39 @@ fn run_chaotic_inner<'p, R: Recorder + ?Sized>(
                     tr.on_step_executed(peer.0, t, r.compute_ns[peer.index()], rec);
                 }
                 let tick = r.tick();
-                cluster.step_peer_observed(peer, &peers, tick, rec, |o| {
-                    for _ in 0..o.enqueued {
-                        r.schedule_delivery(o);
-                    }
-                });
+                cluster.step_peer_observed(peer, &peers, tick, rec, |o| r.schedule_delivery(o));
                 // Deferred or self-applied work re-queues the peer.
                 if cluster.node(peer).has_work() {
                     let delay = r.step_delay(cluster, peer);
                     r.request_step(peer, r.now + delay);
                 }
             }
-            Ev::Deliver { from, to } => {
+            Ev::Deliver(handle) => {
                 r.live -= 1;
                 r.now = t;
+                let Some((from, to, status)) = cluster.deliver(handle) else {
+                    r.displaced += 1;
+                    continue;
+                };
                 r.fold_event(2, from.0, to.0);
-                let status = cluster.deliver_from(to, from);
                 if let Some(tr) = r.tracer.as_mut() {
-                    tr.on_deliver(from.0, to.0, t, status.is_some(), rec);
+                    tr.on_deliver(from.0, to.0, t, rec);
                 }
-                match status {
-                    None => r.displaced += 1,
-                    Some(status) => {
-                        r.deliveries += 1;
-                        if status == DeliverStatus::Saturated {
-                            r.saturated += 1;
-                        }
-                        // An in-flight frame still lands in an
-                        // offline peer's mailbox, but the peer steps
-                        // only once churn brings it back.
-                        if peers.is_online(to) && cluster.node(to).has_work() {
-                            let delay = match status {
-                                // Backpressure: a saturated inbox
-                                // forfeits its coalescing window.
-                                DeliverStatus::Saturated => r.compute_ns[to.index()],
-                                DeliverStatus::Accepted => r.step_delay(cluster, to),
-                            };
-                            r.request_step(to, r.now + delay);
-                        }
-                    }
+                r.deliveries += 1;
+                if status == DeliverStatus::Saturated {
+                    r.saturated += 1;
+                }
+                // An in-flight frame still lands in an offline peer's
+                // mailbox, but the peer steps only once churn brings
+                // it back.
+                if peers.is_online(to) && cluster.node(to).has_work() {
+                    let delay = match status {
+                        // Backpressure: a saturated inbox forfeits its
+                        // coalescing window.
+                        DeliverStatus::Saturated => r.compute_ns[to.index()],
+                        DeliverStatus::Accepted => r.step_delay(cluster, to),
+                    };
+                    r.request_step(to, r.now + delay);
                 }
             }
             Ev::Probe => {

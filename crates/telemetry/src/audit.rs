@@ -426,6 +426,12 @@ impl AuditReport {
             .expect("every monitor has a finding")
     }
 
+    /// Snapshots audited, summed over the monitors: 0 for a trace that
+    /// holds no ledger snapshot, which proves nothing either way.
+    pub fn checked(&self) -> u64 {
+        self.findings.iter().map(|f| f.checked).sum()
+    }
+
     /// Whether every monitor held.
     pub fn passed(&self) -> bool {
         self.findings.iter().all(|f| f.violation.is_none())
@@ -450,8 +456,7 @@ impl AuditReport {
     /// One-sentence verdict naming the suspected fault archetype.
     pub fn diagnosis(&self) -> String {
         let Some(f) = self.primary() else {
-            let checked: u64 = self.findings.iter().map(|f| f.checked).sum();
-            return format!("all invariants held ({checked} snapshots audited)");
+            return format!("all invariants held ({} snapshots audited)", self.checked());
         };
         let v = f.violation.as_ref().expect("primary is violated");
         let locus = match (&v.run, v.peer) {

@@ -614,7 +614,7 @@ mod tests {
         tr.on_step_scheduled(1, 0);
         tr.on_step_executed(1, 100, 100, &NOOP); // span 1: compute [0,100]
         tr.on_send(7, 1, 0, 64, 100, 150);
-        tr.on_deliver(1, 0, 500, true, &NOOP); // span 2: link [100,500] q=50
+        tr.on_deliver(1, 0, 500, &NOOP); // span 2: link [100,500] q=50
         tr.on_step_scheduled(0, 500);
         tr.on_step_executed(0, 800, 100, &NOOP); // 3: hold [500,700], 4: step [700,800], 5: inbox
         tr.on_probe(820, true, &NOOP); // span 6: probe [0? -> last_probe_end=0 min 820]

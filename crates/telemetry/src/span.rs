@@ -375,17 +375,15 @@ impl SpanTracer {
             });
     }
 
-    /// The next payload on `(from, to)` arrived at `now`. `folded` is
-    /// whether the destination actually absorbed it (false for a
-    /// displaced delivery — a staged lost frame).
-    /// Returns the closed [`SpanKind::LinkTransfer`] span id.
+    /// The next payload on `(from, to)` arrived at `now` and its
+    /// destination folded it in. Returns the closed
+    /// [`SpanKind::LinkTransfer`] span id.
     #[inline(never)]
     pub fn on_deliver<R: Recorder + ?Sized>(
         &mut self,
         from: u32,
         to: u32,
         now: u64,
-        folded: bool,
         rec: &R,
     ) -> u64 {
         let flight = self
@@ -415,14 +413,12 @@ impl SpanTracer {
         );
         self.cur = id;
         self.last_work = id;
-        if folded {
-            self.pending[to as usize].push(ArrivalRec {
-                arrival_ns: now,
-                from,
-                link_span: id,
-                frame: flight.frame,
-            });
-        }
+        self.pending[to as usize].push(ArrivalRec {
+            arrival_ns: now,
+            from,
+            link_span: id,
+            frame: flight.frame,
+        });
         id
     }
 
@@ -569,7 +565,7 @@ mod tests {
         tr.on_step_scheduled(1, 0);
         let s1 = tr.on_step_executed(1, 100, 100, rec);
         tr.on_send(7, 1, 0, 64, 100, 150);
-        let link = tr.on_deliver(1, 0, 500, true, rec);
+        let link = tr.on_deliver(1, 0, 500, rec);
         tr.on_step_scheduled(0, 500);
         let s0 = tr.on_step_executed(0, 800, 100, rec);
         tr.finish(800, rec);
@@ -629,7 +625,7 @@ mod tests {
         let mut tr = SpanTracer::new(2, true);
         tr.on_send(1, 0, 1, 32, 10, 10);
         tr.on_send(2, 0, 1, 32, 20, 42);
-        tr.on_deliver(0, 1, 60, true, &NOOP); // folded but never stepped
+        tr.on_deliver(0, 1, 60, &NOOP); // folded but never stepped
         tr.finish(100, &NOOP);
         let spans = tr.into_spans();
         assert_eq!(spans.len(), 3);
@@ -644,12 +640,12 @@ mod tests {
         let mut tr = SpanTracer::new(3, true);
         for _ in 0..3 {
             tr.on_send(0, 1, 2, 8, 0, 0);
-            tr.on_deliver(1, 2, 10, true, &NOOP);
+            tr.on_deliver(1, 2, 10, &NOOP);
         }
         tr.on_step_scheduled(2, 10);
         tr.on_step_executed(2, 20, 10, &NOOP);
         tr.on_send(0, 1, 0, 8, 20, 20);
-        tr.on_deliver(1, 0, 30, true, &NOOP);
+        tr.on_deliver(1, 0, 30, &NOOP);
         tr.on_step_scheduled(0, 30);
         tr.on_step_executed(0, 40, 10, &NOOP);
         assert_eq!(tr.inbox_health(), (1, 3), "folded live, as executed");

@@ -37,7 +37,7 @@ fn message_level_exchange_with_churn() {
 
     // Peer 1 returns; retry delivers the parked update.
     peers.set_online(PeerId(1), true);
-    assert_eq!(transport.retry_pending(&peers), 1);
+    assert_eq!(transport.retry_pending(&peers).len(), 1);
 
     // Peer 1 decodes both updates and applies them.
     let mut rank1 = 0.15f64;
