@@ -15,17 +15,16 @@
 //! Both samplers precompute a cumulative table and invert it: the
 //! draw's uniform `u` maps to the first entry `≥ u`, with no
 //! floating-point rejection loops — important when generating 5M-node
-//! graphs. A guide table of 1,025 entries narrows that search to the
-//! entries inside `u`'s 1/1024-wide slice of `[0, 1)`, so a draw costs
-//! a few comparisons where the head of the law is heavy (degree 1,
-//! term rank 1) and a search over one slice in the tail, never more
-//! than the O(log k) of a search over the whole table.
+//! graphs. A guide table cuts `[0, 1)` into `2^bits` equal slices,
+//! about four per table entry (2^10 ..= 2^16 of them), and narrows that
+//! search to the entries inside `u`'s slice: a slice of a Zipf law's
+//! tail holds at most two, so a draw costs a few comparisons, and a
+//! steep law's last slice is searched in O(log k).
 
 use rand::Rng;
 
-/// A draw's top `GUIDE_BITS` bits name the slice of `[0, 1)` its
-/// uniform falls in.
-const GUIDE_BITS: u32 = 10;
+/// The fewest and most bits of a draw that name its guide slice.
+const GUIDE_BITS: std::ops::RangeInclusive<u32> = 10..=16;
 
 /// Sampler for a bounded discrete power law `P(X = i) ∝ i^-exponent`
 /// on the support `min ..= max`.
@@ -34,8 +33,10 @@ pub struct PowerLaw {
     min: u32,
     /// cdf[j] = P(X <= min + j), normalized so the last entry is 1.
     cdf: Vec<f64>,
-    /// guide[b] = the first j with cdf[j] >= b / 1024, for b in
-    /// 0..=1024: the entries a uniform in [b/1024, (b+1)/1024) can
+    /// A draw's top `bits` bits name its slice.
+    bits: u32,
+    /// guide[b] = the first j with cdf[j] >= b / 2^bits, for b in
+    /// 0..=2^bits: the entries a uniform in [b, b + 1) / 2^bits can
     /// land on are exactly cdf[guide[b]..=guide[b+1]].
     guide: Vec<u32>,
 }
@@ -64,13 +65,26 @@ impl PowerLaw {
         // Guard against floating-point drift: the last entry must be
         // exactly 1 so sampling can never fall off the end.
         *cdf.last_mut().unwrap() = 1.0;
-        // The slice bounds b / 1024 are exact dyadics, so each entry
-        // is the search answer at the slice's lower end.
-        let slices = 1u32 << GUIDE_BITS;
+        // The slice bounds b / 2^bits are exact dyadics, so each entry
+        // is the search answer at the slice's lower end; one sweep
+        // finds them all, as both sequences ascend.
+        let bits = (4 * cdf.len()).next_power_of_two().trailing_zeros();
+        let bits = bits.clamp(*GUIDE_BITS.start(), *GUIDE_BITS.end());
+        let slices = 1u32 << bits;
+        let mut j = 0;
         let guide = (0..=slices)
-            .map(|b| cdf.partition_point(|&c| c < f64::from(b) / f64::from(slices)) as u32)
+            .map(|b| {
+                let bound = f64::from(b) / f64::from(slices);
+                j += cdf[j..].iter().take_while(|&&c| c < bound).count();
+                j as u32
+            })
             .collect();
-        PowerLaw { min, cdf, guide }
+        PowerLaw {
+            min,
+            cdf,
+            bits,
+            guide,
+        }
     }
 
     /// Draws one value: the first `j` with `cdf[j] >= u` for the
@@ -78,12 +92,12 @@ impl PowerLaw {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let x = rng.next_u64();
         let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        // u lies in [b/1024, (b+1)/1024), so by monotonicity the
-        // answer lies in guide[b]..=guide[b+1].
-        let b = (x >> (64 - GUIDE_BITS)) as usize;
+        // u lies in [b, b + 1) / 2^bits, so by monotonicity the answer
+        // lies in guide[b]..=guide[b+1], which never passes the last
+        // entry (it is 1).
+        let b = (x >> (64 - self.bits)) as usize;
         let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
-        self.min + idx.min(self.cdf.len() - 1) as u32
+        self.min + (lo + self.cdf[lo..hi].partition_point(|&c| c < u)) as u32
     }
 }
 
@@ -190,6 +204,26 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let v = z.sample(&mut rng);
         assert!((1..=1880).contains(&v));
+    }
+
+    #[test]
+    fn guide_holds_about_four_slices_per_entry_within_its_bounds() {
+        // (support, guide entries): the corpus vocabulary, the degree
+        // laws of 30k- and 250k-document graphs, and both clamps.
+        for (max, entries) in [
+            (1_880, 8_193),
+            (173, 1_025),
+            (500, 2_049),
+            (1, 1_025),
+            (100_000, 65_537),
+        ] {
+            let law = PowerLaw::new(1.0, 1, max);
+            assert_eq!(law.guide.len(), entries, "support 1..={max}");
+            assert_eq!(law.guide.len(), (1 << law.bits) + 1);
+        }
+        // A slice of the Zipf(1,880) tail spans at most two entries.
+        let zipf = Zipf::new(1_880, 1.0).inner;
+        assert!(zipf.guide.windows(2).all(|g| g[1] - g[0] <= 2));
     }
 
     #[test]

@@ -43,6 +43,11 @@ pub struct RoundStats {
 /// aggregation assumption is after.
 pub type HopHook<'a> = dyn FnMut(PeerId, PeerId, &Bytes) -> u32 + 'a;
 
+/// [`HopHook`] reading the payload as a slice, as
+/// [`Cluster::round_observed`] and [`Cluster::run_observed`] charge it:
+/// no frame is copied for the model.
+pub type PayloadHook<'a> = dyn FnMut(PeerId, PeerId, &[u8]) -> u32 + 'a;
+
 /// One wire payload handed to the transport by an event-driven step
 /// ([`Cluster::step_peer_observed`]): everything the discrete-event
 /// runtime needs to schedule the matching `Deliver` events.
@@ -191,10 +196,18 @@ impl Cluster {
         peers: &PeerTable,
         hops: Option<&mut HopHook<'_>>,
     ) -> RoundStats {
-        self.round_observed(peers, hops, &NOOP)
+        match hops {
+            // The hop model reads a `Bytes`: an inline frame is copied
+            // into one.
+            Some(model) => {
+                self.round_charged(peers, |from, to, f| model(from, to, &f.bytes()), &NOOP)
+            }
+            None => self.round_charged(peers, |_, _, _| 0, &NOOP),
+        }
     }
 
-    /// [`Cluster::round_with_hops`] recording telemetry: one
+    /// [`Cluster::round_with_hops`] with a hop model that reads the
+    /// payload as a slice, recording telemetry: one
     /// [`Event::FrameSent`] per wire payload leaving an outbox (if
     /// [`Recorder::detailed`]), one
     /// [`Event::RoundCompleted`] per round, and the store-and-resend
@@ -203,7 +216,20 @@ impl Cluster {
     pub fn round_observed<R: Recorder + ?Sized>(
         &mut self,
         peers: &PeerTable,
-        mut hops: Option<&mut HopHook<'_>>,
+        hops: Option<&mut PayloadHook<'_>>,
+        rec: &R,
+    ) -> RoundStats {
+        match hops {
+            Some(model) => self.round_charged(peers, |from, to, f| model(from, to, f), rec),
+            None => self.round_charged(peers, |_, _, _| 0, rec),
+        }
+    }
+
+    /// One round, charging `hops` once per transport send.
+    fn round_charged<R: Recorder + ?Sized>(
+        &mut self,
+        peers: &PeerTable,
+        mut hops: impl FnMut(PeerId, PeerId, &Frame) -> u32,
         rec: &R,
     ) -> RoundStats {
         self.rounds += 1;
@@ -229,11 +255,7 @@ impl Cluster {
             self.nodes[i].step_with(&mut self.scratch, rec);
             let mut outbox = std::mem::take(&mut self.scratch.outbox);
             for (to, payload) in outbox.drain(..) {
-                if let Some(model) = hops.as_deref_mut() {
-                    // The hop model reads a `Bytes`: an inline frame is
-                    // copied into one only while a model is installed.
-                    stats.hops += model(pid, to, &payload.bytes()) as u64;
-                }
+                stats.hops += u64::from(hops(pid, to, &payload));
                 self.hand_off(peers, pid, to, payload, self.rounds as u64, rec);
                 stats.sent += 1;
             }
@@ -475,7 +497,7 @@ impl Cluster {
         peers: &mut PeerTable,
         max_rounds: usize,
         mut churn: Option<&mut dpr_core::engine::ChurnFn<'_>>,
-        mut hops: Option<&mut HopHook<'_>>,
+        mut hops: Option<&mut PayloadHook<'_>>,
         rec: &R,
     ) -> (usize, bool) {
         let mut executed = 0;
@@ -761,7 +783,7 @@ mod tests {
         type Log = Vec<(PeerId, PeerId, usize, u32)>;
         // A stateful hop model: each charge depends on how many sends it
         // has seen, so a skipped, repeated or reordered call moves the sum.
-        fn logging(log: &mut Log) -> impl FnMut(PeerId, PeerId, &Bytes) -> u32 + '_ {
+        fn logging(log: &mut Log) -> impl FnMut(PeerId, PeerId, &[u8]) -> u32 + '_ {
             move |from, to, payload| {
                 let hops = (log.len() % 5) as u32 + from.0 % 3;
                 log.push((from, to, payload.len(), hops));
@@ -780,7 +802,8 @@ mod tests {
 
         let (mut hand, mut hand_log) = (build(800, 16, 1e-4, 90).0, Log::new());
         let peers = PeerTable::new(16);
-        let (mut hand_rounds, mut hand_hops, mut hook) = (0, 0u64, logging(&mut hand_log));
+        let (mut hand_rounds, mut hand_hops, mut log) = (0, 0u64, logging(&mut hand_log));
+        let mut hook = move |from, to, payload: &Bytes| log(from, to, payload);
         while !hand.is_quiescent() {
             hand_hops += hand.round_with_hops(&peers, Some(&mut hook)).hops;
             hand_rounds += 1;

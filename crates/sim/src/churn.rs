@@ -20,8 +20,9 @@ pub enum Schedule {
     Fraction {
         /// Fraction of peers online (0, 1].
         fraction: f64,
-        /// Deterministic RNG for the re-sampling.
-        rng: ChaCha8Rng,
+        /// Deterministic RNG for the re-sampling (boxed: it buffers
+        /// four cipher blocks).
+        rng: Box<ChaCha8Rng>,
     },
 }
 
@@ -40,7 +41,7 @@ impl Schedule {
         assert!(fraction > 0.0 && fraction <= 1.0, "fraction in (0, 1]");
         Schedule::Fraction {
             fraction,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: Box::new(ChaCha8Rng::seed_from_u64(seed)),
         }
     }
 
@@ -49,7 +50,7 @@ impl Schedule {
         match self {
             Schedule::AlwaysOn => {}
             Schedule::Fraction { fraction, rng } => {
-                peers.set_online_fraction(*fraction, rng);
+                peers.set_online_fraction(*fraction, rng.as_mut());
             }
         }
     }

@@ -45,7 +45,13 @@ pub struct HopAccounting {
     /// per-frame charge never re-hashes its destination.
     peer_guids: Vec<Guid>,
     router: Router,
+    /// Per-document address caches, for [`HopAccounting::charge`].
     caches: CacheSet,
+    /// The peer-level address cache of [`HopAccounting::charge_peer`]:
+    /// bit `dst` of sender `src`'s row, `row_words` words from
+    /// `src * row_words`, is set once a frame `src → dst` has routed.
+    charged: Vec<u64>,
+    row_words: usize,
     policy: Policy,
     rec: Option<Arc<dyn Recorder>>,
 }
@@ -76,9 +82,12 @@ impl HopAccounting {
 
     fn with_policy(ring: Ring, policy: Policy) -> Self {
         let ids = ring.peers().map(|p| p.0 + 1).max().unwrap_or(0);
+        let row_words = (ids as usize).div_ceil(64);
         HopAccounting {
             peer_guids: (0..ids).map(Guid::for_peer).collect(),
             caches: CacheSet::new(ring.len()),
+            charged: vec![0; ids as usize * row_words],
+            row_words,
             ring,
             router: Router::new(),
             policy,
@@ -125,22 +134,20 @@ impl HopAccounting {
     /// under the caching policy, one cache entry per destination
     /// *peer* makes every later frame a single direct hop. This is the
     /// per-frame charge that replaces per-update routing when
-    /// aggregation is on.
+    /// aggregation is on. Both peers must be on the ring.
     pub fn charge_peer(&mut self, src: PeerId, dst: PeerId) -> u32 {
-        let guid = match self.peer_guids.get(dst.index()) {
-            Some(&guid) => guid,
-            None => Guid::for_peer(dst.0),
-        };
+        let guid = self.peer_guids[dst.index()];
         match self.policy {
             Policy::RouteEveryMessage => self.route_cost(src, dst, guid),
             Policy::CacheAfterFirst => {
-                if let Some(peer) = self.caches.of(src).lookup(guid) {
-                    debug_assert_eq!(peer, dst, "stale peer cache in static run");
+                let word = &mut self.charged[src.index() * self.row_words + dst.index() / 64];
+                let bit = 1 << (dst.index() % 64);
+                if *word & bit != 0 {
                     self.record_hit();
                     1
                 } else {
+                    *word |= bit;
                     let hops = self.route_cost(src, dst, guid);
-                    self.caches.of(src).insert(guid, dst);
                     self.record_miss(src, dst, hops);
                     hops
                 }
@@ -244,6 +251,34 @@ mod tests {
         // A different destination peer is a separate cache entry.
         let other_first = cached.charge_peer(PeerId(0), PeerId(33));
         assert!(other_first >= 1);
+    }
+
+    /// The dense peer cache charges what a per-sender GUID-keyed
+    /// address cache does, send for send.
+    #[test]
+    fn peer_charges_follow_a_guid_keyed_cache() {
+        let ring = Ring::with_peers(150);
+        let (mut cached, mut routed) = (
+            HopAccounting::cached(ring.clone()),
+            HopAccounting::routed(ring),
+        );
+        let mut model = CacheSet::new(150);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (src, dst) = (PeerId((x % 150) as u32), PeerId((x >> 32) as u32 % 150));
+            let guid = Guid::for_peer(dst.0);
+            let want = match model.of(src).lookup(guid) {
+                Some(_) => 1,
+                None => {
+                    model.of(src).insert(guid, dst);
+                    routed.charge_peer(src, dst)
+                }
+            };
+            assert_eq!(cached.charge_peer(src, dst), want, "{src:?} -> {dst:?}");
+        }
     }
 
     #[test]

@@ -15,11 +15,10 @@
 use crate::batch::{Charges, WireTraffic};
 use crate::event::{run_chaotic, run_chaotic_profiled, ChaoticConfig, LatencyModel};
 use crate::workload::Workload;
-use bytes::Bytes;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
-use dpr_node::cluster::{Cluster, HopHook};
+use dpr_node::cluster::{Cluster, PayloadHook};
 use dpr_node::node::WireMode;
 use dpr_node::termination::TerminationDetector;
 use dpr_p2p::peer::{PeerId, PeerTable};
@@ -496,8 +495,8 @@ impl Built {
             System::Cluster(cluster) if self.spec.run_mode == RunMode::Rounds => {
                 let charges = self.charges.as_mut();
                 let mut charge = charges
-                    .map(|c| move |src: PeerId, dst: PeerId, p: &Bytes| c.charge(src, dst, p));
-                let hook = charge.as_mut().map(|c| c as &mut HopHook<'_>);
+                    .map(|c| move |src: PeerId, dst: PeerId, p: &[u8]| c.charge(src, dst, p));
+                let hook = charge.as_mut().map(|c| c as &mut PayloadHook<'_>);
                 let (rounds, quiesced) =
                     cluster.run_observed(&mut self.peers, 100_000, None, hook, rec);
                 out.steps += rounds as u64;
