@@ -3,10 +3,6 @@
 //! 1. **Chaotic vs synchronous iteration** — message cost of the
 //!    threshold-gated asynchronous scheme vs a synchronous solver
 //!    where every document re-sends on every sweep.
-//! 2. **ε-suppression** — the message/quality trade-off of the send
-//!    threshold itself.
-//! 3. **Address caching vs routing every message** — overlay hops
-//!    with and without the Sec. 3.2 cache.
 //! 4. **Store-and-resend vs dropping updates** — rank mass lost when
 //!    updates to offline peers are discarded.
 //! 5. **Min-forward floor** — how the incremental-search floor (=20)
@@ -18,20 +14,20 @@
 //!    for the four combinations of batched frames and the Sec. 3.2
 //!    address cache, charging one route (or one cached send) per
 //!    frame rather than per update when aggregation is on.
-//! 9. **Priority and greedy vs pass scheduling** — the residual-driven
-//!    Gauss-Southwell bucket ordering and the greedy matching-pursuit
-//!    budget cut against the classic full sweep: messages and passes
-//!    to clear the same ε, and the rank agreement between the fixed
-//!    points.
 //!
-//! (Numbers are stable across removals: 7, extrapolation-accelerated
-//! solvers, went with its solver; EXPERIMENTS.md keeps the result.)
+//! Numbers are stable across removals. 7, extrapolation-accelerated
+//! solvers, went with its solver; EXPERIMENTS.md keeps the result.
+//! Three re-measured rows another artefact holds: 2 (the ε trade-off)
+//! is Tables 2 and 3 (`table3`), 3 (routed vs cached hops) is the two
+//! "singles" rows of 8, and 9 (pass vs priority vs greedy scheduling)
+//! is the engine rows of `BENCH_regimes.json` (`continuous
+//! --regimes`).
 //!
 //! ```text
 //! cargo run --release -p dpr-bench --bin ablations [--nodes 20000] [--seed N]
 //! ```
 
-use dpr_bench::{run_cell, Args};
+use dpr_bench::run_cell;
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats;
 use dpr_core::sync_solver::SyncSolver;
@@ -41,8 +37,7 @@ use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
     execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
 };
-use dpr_sim::flags::Reporter;
-use dpr_sim::hops::HopAccounting;
+use dpr_sim::flags::{Args, Reporter};
 use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_sim::workload::Workload;
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
@@ -52,21 +47,20 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    let args = Args::parse();
-    let trace = args.trace();
-    let nodes: usize = args.get("nodes", 20_000);
-    let seed: u64 = args.get("seed", 2003);
+    dpr_bench::main(run)
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let trace = Reporter::from_args(args)?;
+    let nodes: usize = args.get("nodes", 20_000)?;
+    let seed: u64 = args.get("seed", 2003)?;
 
     ablation_sync_vs_async(nodes, seed);
-    ablation_epsilon_suppression(nodes, seed);
-    ablation_caching(seed, &trace);
     ablation_store_and_resend(seed);
     ablation_min_forward_floor(seed);
     ablation_link_aware_placement(nodes, seed);
     ablation_aggregation_grid(seed, &trace);
-    ablation_priority_sched(nodes, seed);
-    trace.finish().expect("write trace sinks");
-    args.reject_unread();
+    trace.finish()
 }
 
 /// 1. Chaotic+threshold vs synchronous all-send.
@@ -107,73 +101,6 @@ fn ablation_sync_vs_async(nodes: usize, seed: u64) {
     ]);
     println!("{}", table.render());
     println!("threshold gating sends only what changed; all-send pays every link every sweep\n");
-}
-
-/// 2. The send threshold's message/quality trade-off.
-fn ablation_epsilon_suppression(nodes: usize, seed: u64) {
-    println!("== ablation 2: epsilon send-suppression trade-off ==\n");
-    let spec = ScenarioSpec::new(nodes, 500, 0.2, seed);
-    let sweep = dpr_sim::scenario::QualitySweep::new(&spec);
-    let mut table = TextTable::new([
-        "eps",
-        "remote msgs",
-        "msgs/node",
-        "avg rel err",
-        "max rel err",
-    ]);
-    for epsilon in [0.2, 1e-2, 1e-4, 1e-6] {
-        let cell = ScenarioSpec { epsilon, ..spec };
-        let r = sweep.score(
-            &cell,
-            &cell.run(sweep.workload(), Layer::Engine, Observe::new(&NOOP)),
-        );
-        table.push([
-            fmt_eps(epsilon),
-            r.total_remote_messages.to_string(),
-            format!("{:.1}", r.messages_per_node),
-            format!("{:.2e}", r.distribution.avg),
-            format!("{:.2e}", r.distribution.max),
-        ]);
-    }
-    println!("{}", table.render());
-    println!("~3x the messages buys ~4 more digits of accuracy (log-linear trade)\n");
-}
-
-/// 3. Address caching vs routing every message.
-fn ablation_caching(seed: u64, trace: &Reporter) {
-    println!("== ablation 3: address caching vs routing every message ==\n");
-    let w = Workload::build(
-        3_000,
-        64,
-        seed,
-        dpr_p2p::peer::PlacementPolicy::DhtSuccessor,
-    );
-    let mut table = TextTable::new(["policy", "remote msgs", "overlay hops", "hops/msg"]);
-    for (name, mut acc) in [
-        ("route every message", HopAccounting::routed(w.ring.clone())),
-        ("cache after first", HopAccounting::cached(w.ring.clone())),
-    ] {
-        if let Some(rec) = trace.recorder_arc() {
-            acc.set_recorder(rec);
-        }
-        let mut eng = ScenarioSpec::new(3_000, 64, 1e-4, seed).engine(&w);
-        let peers = w.peer_table();
-        let (mut msgs, mut hops) = (0u64, 0u64);
-        let mut model = acc.model();
-        while !eng.is_quiescent() {
-            let s = eng.pass_with_hops(&peers, Some(&mut model));
-            msgs += s.remote_messages;
-            hops += s.hops;
-        }
-        table.push([
-            name.to_string(),
-            msgs.to_string(),
-            hops.to_string(),
-            format!("{:.2}", hops as f64 / msgs.max(1) as f64),
-        ]);
-    }
-    println!("{}", table.render());
-    println!("caching amortizes the O(log n) route to ~1 hop per message (Sec. 3.2)\n");
 }
 
 /// 4. Store-and-resend vs dropping updates for offline peers.
@@ -342,52 +269,5 @@ fn ablation_aggregation_grid(seed: u64, trace: &Reporter) {
     println!(
         "the two optimizations compose: aggregation divides the payload count,\n\
          caching divides the hops per payload — and neither moves a single rank bit"
-    );
-}
-
-/// 9. Residual-driven priority and greedy matching-pursuit
-///    scheduling vs the classic full sweep.
-fn ablation_priority_sched(nodes: usize, seed: u64) {
-    use dpr_core::SchedMode;
-    println!("\n== ablation 9: priority (Gauss-Southwell) and greedy vs pass scheduling ==\n");
-    let at = |eps, sched| ScenarioSpec {
-        sched,
-        ..ScenarioSpec::new(nodes, 500, eps, seed)
-    };
-    let w = at(1e-3, SchedMode::Pass).workload();
-    let reference = SyncSolver::new().tolerance(1e-12).solve(&w.graph);
-    let mut table = TextTable::new([
-        "scheduler",
-        "eps",
-        "passes",
-        "remote msgs",
-        "saving",
-        "max rel err",
-    ]);
-    for eps in [1e-3, 1e-6] {
-        let pass = run_cell(&w, Layer::Engine, &at(eps, SchedMode::Pass));
-        for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
-            let cell = run_cell(&w, Layer::Engine, &at(eps, sched));
-            let saving = match sched {
-                SchedMode::Pass => "—".to_string(),
-                _ => format!("{:.1}%", 100.0 * cell.versus(&pass).0),
-            };
-            let err = error_stats::compare(&cell.ranks, &reference.ranks);
-            table.push([
-                sched.to_string(),
-                fmt_eps(eps),
-                cell.steps.to_string(),
-                cell.remote_messages.to_string(),
-                saving,
-                format!("{:.2e}", err.max),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    println!(
-        "pushing the largest residuals first suppresses low-value re-advertisements;\n\
-         the deferred mass is carried, not dropped, so every scheduler clears the\n\
-         same ε — priority with a fraction of the messages, and greedy's exact\n\
-         per-message budget cut at or below priority's whole-bucket boundary"
     );
 }

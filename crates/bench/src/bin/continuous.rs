@@ -48,23 +48,25 @@
 //! `meta` envelope of the record beside the scenario parameters and the
 //! codec / run-mode / scheduler axes the rows cover.
 
-use dpr_bench::{converged_runs, emit, reduction, run_cell, Args, Cell};
+use dpr_bench::{converged_runs, emit, paper_spec, reduction, run_cell, Cell};
 use dpr_core::{RunMode, SchedMode};
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
 use dpr_p2p::transport::{WireCodec, RANK_UPDATE_WIRE_BYTES};
 use dpr_sim::event::LatencyModel;
+use dpr_sim::flags::{Args, Reporter};
 use dpr_sim::scenario::continuous_update_experiment;
 use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_telemetry::fmt::{fmt_bytes, fmt_eps};
 use dpr_telemetry::table::TextTable;
 use serde::Serialize;
 
-fn regimes(args: &Args) {
+fn regimes(args: &Args) -> Result<(), String> {
     use LatencyModel::{Broadband, Lan, Modem};
     use SchedMode::{Greedy, Pass, Priority};
-    let spec = args.paper_spec(10_000, &["nodes", "peers", "eps", "seed", "codec"]);
+    let spec = paper_spec(args, 10_000, &["nodes", "peers", "eps", "seed", "codec"])?;
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
-    let parity_eps: f64 = args.get("parity-eps", 1e-9);
+    let parity_eps: f64 = args.get("parity-eps", 1e-9)?;
+    positive("parity-eps", parity_eps)?;
     let w = spec.workload();
     println!(
         "Regime grid ({nodes} docs, {peers_n} peers, working eps {eps}, \
@@ -294,7 +296,7 @@ fn regimes(args: &Args) {
     );
     let codec = spec.codec.to_string();
     let axes = [&codec, "passes+rounds+chaotic", "pass+priority+greedy"];
-    emit(args, "BENCH_regimes", params, axes, rows, &table);
+    emit(args, "BENCH_regimes", params, axes, rows, &table)
 }
 
 /// One row of `BENCH_bursts.json`: one mutation burst (`insert` or
@@ -324,7 +326,7 @@ struct BurstRow {
 /// pure wave-merging truncation — O(ε × generations), held under
 /// 1e-9/doc — while the merged wave must generate strictly fewer
 /// update messages.
-fn bursts(args: &Args) {
+fn bursts(args: &Args) -> Result<(), String> {
     use dpr_core::incremental::{
         delete_burst, delete_document, insert_burst, insert_document, BurstStats,
         PropagationConfig, PropagationStats,
@@ -332,11 +334,12 @@ fn bursts(args: &Args) {
     use dpr_graph::scc::SccIndex;
     use dpr_graph::{DocId, DynamicGraph};
 
-    let spec = args.paper_spec(10_000, &["nodes", "seed"]);
+    let spec = paper_spec(args, 10_000, &["nodes", "seed"])?;
     let nodes = spec.nodes;
-    let burst_eps: f64 = args.get("burst-eps", 1e-14);
-    let inserts: usize = args.get("inserts", 24);
-    let deletes: usize = args.get("deletes", 12).min(inserts);
+    let burst_eps: f64 = args.get("burst-eps", 1e-14)?;
+    positive("burst-eps", burst_eps)?;
+    let inserts: usize = args.get("inserts", 24)?;
+    let deletes: usize = args.get("deletes", 12)?.min(inserts);
     println!(
         "Mutation bursts ({nodes} docs, burst eps {burst_eps}, {inserts} inserts / \
          {deletes} deletes)\n"
@@ -466,16 +469,16 @@ fn bursts(args: &Args) {
         spec.seed
     );
     let axes = ["none", "waves", "global+localized"];
-    emit(args, "BENCH_bursts", params, axes, rows, &table);
+    emit(args, "BENCH_bursts", params, axes, rows, &table)
 }
 
 /// `--scale`: two cells per graph size — the message-level cluster run
 /// to quiescence under the raw and the compact codec. The codec only
 /// changes frame encoding, never the schedule; the compact cell must
 /// carry at least 30 % fewer payload bytes.
-fn scale(args: &Args) {
-    let sizes = args.sizes_or(&[10_000, 100_000, 1_000_000]);
-    let spec = args.paper_spec(sizes[0], &["peers", "eps", "seed", "sched"]);
+fn scale(args: &Args) -> Result<(), String> {
+    let sizes = dpr_bench::sizes(args, &[10_000, 100_000, 1_000_000])?;
+    let spec = paper_spec(args, sizes[0], &["peers", "eps", "seed", "sched"])?;
     let (peers_n, eps) = (spec.num_peers, spec.epsilon);
 
     println!("Wire-codec scale sweep ({peers_n} peers, eps {eps}, sizes {sizes:?})\n");
@@ -526,7 +529,7 @@ fn scale(args: &Args) {
     );
     let params = format!("peers={peers_n} eps={eps} seed={}", spec.seed);
     let axes = ["raw+compact", "rounds", &spec.sched.to_string()];
-    emit(args, "BENCH_scale", params, axes, rows, &table);
+    emit(args, "BENCH_scale", params, axes, rows, &table)
 }
 
 /// One row of `BENCH_node_batching.json`: a full cluster convergence
@@ -549,8 +552,12 @@ struct FrameCapRow {
     byte_reduction: f64,
 }
 
-fn batch_scaling(args: &Args) {
-    let spec = args.paper_spec(10_000, &["nodes", "peers", "eps", "seed", "sched", "codec"]);
+fn batch_scaling(args: &Args) -> Result<(), String> {
+    let spec = paper_spec(
+        args,
+        10_000,
+        &["nodes", "peers", "eps", "seed", "sched", "codec"],
+    )?;
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
     let w = spec.workload();
     // 36 B = 2 entries/frame (the worst useful cap) up to 64 KiB
@@ -646,7 +653,7 @@ fn batch_scaling(args: &Args) {
     );
     let params = format!("nodes={nodes} peers={peers_n} eps={eps} seed={}", spec.seed);
     let axes = [&spec.codec.to_string(), "rounds", &spec.sched.to_string()];
-    emit(args, "BENCH_node_batching", params, axes, rows, &table);
+    emit(args, "BENCH_node_batching", params, axes, rows, &table)
 }
 
 /// `--serving`: the serving-path workload. Serves a Poisson query
@@ -660,19 +667,21 @@ fn batch_scaling(args: &Args) {
 /// SLO verdict must pass, serving must be deterministic per seed, and
 /// telemetry must not perturb the served run (bit-identical schedule
 /// fingerprint and quantiles with the recorder on).
-fn serving(args: &Args) {
+fn serving(args: &Args) -> Result<(), String> {
     use dpr_sim::serving::{serving_experiment, ServeStrategy, ServingConfig, ServingReport};
     use dpr_telemetry::{SloSpec, TraceRecorder};
 
-    let spec = args.spec(
+    let spec = dpr_bench::spec(
+        args,
         &ScenarioSpec::new(2_000, 32, 1e-4, 2003),
         &["nodes", "peers", "eps", "seed", "sched"],
-    );
+    )?;
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
-    let queries: usize = args.get("queries", 120);
-    let updates: usize = args.get("updates", 24);
-    let qps: f64 = args.get("qps", 20.0);
-    let churn: f64 = args.get("churn", 0.8);
+    let queries: usize = args.get("queries", 120)?;
+    let updates: usize = args.get("updates", 24)?;
+    let qps: f64 = args.get("qps", 20.0)?;
+    let churn: f64 = args.get("churn", 0.8)?;
+    let vocab = args.get("vocab", 400)?;
     println!(
         "Serving-path workload ({nodes} docs, {peers_n} peers, {queries} queries at \
          {qps} qps, {updates} concurrent updates, churn {churn})\n"
@@ -680,7 +689,7 @@ fn serving(args: &Args) {
 
     let base_cfg = |latency: LatencyModel, strategy: ServeStrategy| ServingConfig {
         num_docs: nodes,
-        vocab_size: args.get("vocab", 400),
+        vocab_size: vocab,
         num_peers: peers_n,
         queries,
         query_len: 2,
@@ -804,16 +813,19 @@ fn serving(args: &Args) {
         ["raw", "chaotic+serving", &sched],
         rows,
         &table,
-    );
+    )
 }
 
 /// The default mode: drift of incrementally maintained ranks.
-fn continuous_accuracy(args: &Args) {
-    let trace = args.trace();
-    let spec = args.paper_spec(20_000, &["nodes", "peers", "eps", "seed", "sched"]);
+fn continuous_accuracy(args: &Args) -> Result<(), String> {
+    let trace = Reporter::from_args(args)?;
+    let spec = paper_spec(args, 20_000, &["nodes", "peers", "eps", "seed", "sched"])?;
     let (nodes, eps) = (spec.nodes, spec.epsilon);
-    let inserts: usize = args.get("inserts", 200);
-    let checkpoints: usize = args.get("checkpoints", 5);
+    let inserts: usize = args.get("inserts", 200)?;
+    let checkpoints: usize = args.get("checkpoints", 5)?;
+    if checkpoints == 0 || inserts < checkpoints {
+        return Err("--inserts must be at least --checkpoints, and that at least 1".into());
+    }
 
     println!(
         "Continuous accuracy under document churn \
@@ -861,24 +873,33 @@ fn continuous_accuracy(args: &Args) {
         ["none", "rounds", &sched],
         points,
         &table,
-    );
-    trace.finish().expect("write trace sinks");
+    )?;
+    trace.finish()
+}
+
+/// Refuses a threshold flag that is not a finite, positive number.
+fn positive(flag: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("--{flag} must be finite and positive, got {value}"))
+    }
 }
 
 fn main() {
-    let args = Args::parse();
-    if args.has("regimes") {
-        regimes(&args);
-    } else if args.has("bursts") {
-        bursts(&args);
-    } else if args.has("scale") {
-        scale(&args);
-    } else if args.has("batch-scaling") {
-        batch_scaling(&args);
-    } else if args.has("serving") {
-        serving(&args);
-    } else {
-        continuous_accuracy(&args);
-    }
-    args.reject_unread();
+    dpr_bench::main(|args| {
+        if args.has("regimes") {
+            regimes(args)
+        } else if args.has("bursts") {
+            bursts(args)
+        } else if args.has("scale") {
+            scale(args)
+        } else if args.has("batch-scaling") {
+            batch_scaling(args)
+        } else if args.has("serving") {
+            serving(args)
+        } else {
+            continuous_accuracy(args)
+        }
+    })
 }

@@ -11,17 +11,21 @@
 //!     [--sched pass|priority|greedy] [--json] [--full]
 //! ```
 
-use dpr_bench::{emit, Args, DEFAULT_SIZES};
+use dpr_bench::{emit, paper_spec, sizes, DEFAULT_SIZES};
+use dpr_sim::flags::{Args, Reporter};
 use dpr_sim::scenario::{run_convergence, ConvergenceResult};
 use dpr_sim::spec::ScenarioSpec;
 use dpr_telemetry::table::TextTable;
 
 fn main() {
-    let args = Args::parse();
-    let trace = args.trace();
+    dpr_bench::main(run)
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let trace = Reporter::from_args(args)?;
     // `--sizes` is the sweep axis; every other scenario flag applies
     // to each size alike.
-    let base = args.paper_spec(DEFAULT_SIZES[0], &["peers", "eps", "seed", "sched"]);
+    let base = paper_spec(args, DEFAULT_SIZES[0], &["peers", "eps", "seed", "sched"])?;
     let (peers, eps) = (base.num_peers, base.epsilon);
     let presences = [1.0f64, 0.75, 0.5];
 
@@ -30,7 +34,7 @@ fn main() {
 
     let mut table = TextTable::new(["graph size", "100%", "75%", "50%"]);
     let mut rows: Vec<ConvergenceResult> = Vec::new();
-    for size in args.sizes() {
+    for size in sizes(args, &DEFAULT_SIZES)? {
         let spec = ScenarioSpec {
             nodes: size,
             ..base
@@ -53,14 +57,7 @@ fn main() {
     );
     let sched = base.sched.to_string();
     let params = format!("peers={peers} eps={eps} sched={sched} seed={}", base.seed);
-    emit(
-        &args,
-        "table1",
-        params,
-        ["none", "passes", &sched],
-        rows,
-        &table,
-    );
-    trace.finish().expect("write trace sinks");
-    args.reject_unread();
+    let axes = ["none", "passes", &sched];
+    emit(args, "table1", params, axes, rows, &table)?;
+    trace.finish()
 }

@@ -11,21 +11,28 @@
 //!     [--samples 1000] [--damping 0.85] [--seed N] [--json] [--full]
 //! ```
 
-use dpr_bench::{emit, Args, TABLE4_EPSILONS};
+use dpr_bench::{emit, sizes, DEFAULT_SIZES, TABLE4_EPSILONS};
 use dpr_graph::powerlaw::paper_graph;
+use dpr_sim::flags::Args;
 use dpr_sim::scenario::{insert_experiment, InsertResult};
 use dpr_telemetry::fmt::fmt_eps;
 use dpr_telemetry::table::TextTable;
 
 fn main() {
-    let args = Args::parse();
-    let samples: usize = args.get("samples", 1000);
-    let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING);
-    let seed: u64 = args.get("seed", 2003);
+    dpr_bench::main(run)
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let samples: usize = args.get("samples", 1000)?;
+    let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING)?;
+    let seed: u64 = args.get("seed", 2003)?;
+    if samples == 0 {
+        return Err("--samples must be at least 1".into());
+    }
 
     println!("Table 4 — insert propagation ({samples} random origins, damping {damping})\n");
 
-    let sizes = args.sizes();
+    let sizes = sizes(args, &DEFAULT_SIZES)?;
     let graphs: Vec<_> = sizes
         .iter()
         .map(|&s| {
@@ -63,12 +70,11 @@ fn main() {
                 bounded by graph size at tiny thresholds)\n";
     let params = format!("samples={samples} damping={damping} seed={seed}");
     emit(
-        &args,
+        args,
         "table4",
         params,
         ["none", "waves", "none"],
         records,
         note,
-    );
-    args.reject_unread();
+    )
 }

@@ -54,8 +54,8 @@ fn main() {
         None => println!("Convergence: (run table1 --json first)"),
     }
 
-    // Quality (table2).
-    match load("table2") {
+    // Quality (Table 2's rows, in table3's record).
+    match load("table3") {
         Some(v) => {
             let at_1e3: Vec<f64> = rows(&v)
                 .iter()
@@ -73,7 +73,7 @@ fn main() {
                     .join(" / ")
             );
         }
-        None => println!("Pagerank quality: (run table2 --json first)"),
+        None => println!("Pagerank quality: (run table3 --json first)"),
     }
 
     // Traffic (table3).

@@ -12,19 +12,23 @@
 //!     [--vocab 1880] [--peers 50] [--queries 20] [--seed N] [--json]
 //! ```
 
-use dpr_bench::{emit, Args};
+use dpr_bench::emit;
+use dpr_sim::flags::Args;
 use dpr_sim::scenario::{search_experiment, SearchExperimentConfig, SearchRow};
 use dpr_telemetry::table::TextTable;
 
 fn main() {
-    let args = Args::parse();
+    dpr_bench::main(run)
+}
+
+fn run(args: &Args) -> Result<(), String> {
     let cfg = SearchExperimentConfig {
-        num_docs: args.get("docs", 11_000),
-        vocab_size: args.get("vocab", 1880u32),
-        num_peers: args.get("peers", 50),
-        queries_per_len: args.get("queries", 20),
-        pagerank_epsilon: args.get("eps", dpr_core::RECOMMENDED_EPSILON),
-        seed: args.get("seed", 2003),
+        num_docs: args.get("docs", 11_000)?,
+        vocab_size: args.get("vocab", 1880u32)?,
+        num_peers: args.get("peers", 50)?,
+        queries_per_len: args.get("queries", 20)?,
+        pagerank_epsilon: args.get("eps", dpr_core::RECOMMENDED_EPSILON)?,
+        seed: args.get("seed", 2003)?,
     };
 
     println!(
@@ -67,6 +71,5 @@ fn main() {
     let note = "(paper: 12.2 / 11.9 reduction at top-10%, 6.5 / 6.9 at top-20%;\n \
                 baseline returns 1603.9 / 835.6 hits)\n";
     let axes = ["none", "search", "none"];
-    emit(&args, "table6", format!("{cfg:?}"), axes, rows, note);
-    args.reject_unread();
+    emit(args, "table6", format!("{cfg:?}"), axes, rows, note)
 }

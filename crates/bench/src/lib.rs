@@ -5,8 +5,7 @@
 //! | binary | regenerates | paper section |
 //! |--------|-------------|---------------|
 //! | `table1` | convergence passes vs size × presence | Sec. 4.3, Table 1 |
-//! | `table2` | relative-error distribution vs ε | Sec. 4.4, Table 2 |
-//! | `table3` | message traffic + execution time vs ε | Sec. 4.5/4.6, Table 3 |
+//! | `table3` | relative-error distribution (Table 2), message traffic + execution time (Table 3) vs ε, from one sweep | Sec. 4.4–4.6, Tables 2–3 |
 //! | `table4` | insert path length & node coverage vs ε | Sec. 4.7, Table 4 |
 //! | `table5` | qualitative summary from measured JSON | Table 5 |
 //! | `table6` | incremental-search traffic reduction | Sec. 4.9, Table 6 |
@@ -16,15 +15,15 @@
 //!
 //! Every binary accepts `--sizes a,b,c`, `--seed n`, `--json` (dump a
 //! JSON record into `results/`), and `--full` (paper-scale sizes; slow
-//! on a laptop). The engine-driving binaries (`table1`–`table3`,
+//! on a laptop). The engine-driving binaries (`table1`, `table3`,
 //! `continuous`, `ablations`) also take `--trace-out FILE` (JSONL
 //! telemetry event trace, viewable with `dpr trace`) and `--prom-out
 //! FILE` (Prometheus text snapshot of the run's metrics), and
-//! `table1`–`table3`/`continuous` take `--sched pass|priority|greedy`
+//! `table1`/`table3`/`continuous` take `--sched pass|priority|greedy`
 //! (the shared [`dpr_core::SCHED_HELP`] mode list) to pick the
 //! scheduler: full sweep, residual-driven Gauss–Southwell bucket
-//! selection, or greedy matching pursuit. A flag no binary reads is an
-//! error, not silence.
+//! selection, or greedy matching pursuit. A flag no binary reads, or a
+//! value it cannot take, is an error (see [`main`]), not silence.
 //!
 //! The ledger — the checked-in `BENCH_*.json` files, modelled units
 //! only (`perf/` owns host seconds) — is written by `continuous`'s
@@ -40,11 +39,13 @@
 //!
 //! A sweep converges a cell through [`run_cell`] — once per distinct
 //! `(layer, spec)` — and every binary's record leaves through [`emit`].
+//! `scripts/ledger-drift.sh` regenerates every checked-in record, the
+//! `results/*.json` tables and the ledger alike, and diffs it.
 
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::RunMode;
 use dpr_sim::batch::WireTraffic;
-use dpr_sim::flags::Reporter;
+use dpr_sim::flags::Args;
 use dpr_sim::report::{out_dir, BenchMeta, ExperimentRecord};
 use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_sim::workload::Workload;
@@ -61,95 +62,60 @@ pub const TABLE4_EPSILONS: [f64; 6] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
 /// Default graph sizes for laptop runs.
 pub const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
 
-/// The experiment binaries' edge of the shared flag parser
-/// ([`dpr_sim::flags::Args`]): a bad flag is a panic here — these are
-/// experiment binaries, so failing loudly beats a typed error nobody
-/// handles — except a bad scenario or an unknown flag, which exits
-/// with `error: …` as `dpr` does.
-#[derive(Debug)]
-pub struct Args(dpr_sim::flags::Args);
-
-/// Prints `error: {e}` and exits 1.
-fn refuse(e: impl std::fmt::Display) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(1)
+/// The `main` of every experiment binary: parses the process
+/// arguments and runs `body` over them, then refuses any flag given
+/// that nothing read — a typo, a flag of another binary or mode, or a
+/// scenario flag the run does not honour. Every flag error, a bad value
+/// or an unknown flag alike, leaves through here: `error: …` on stderr
+/// and exit status 1, as `dpr` does.
+pub fn main(body: impl FnOnce(&Args) -> Result<(), String>) {
+    let args = Args::parse(std::env::args().skip(1).collect());
+    if let Err(e) = args.and_then(|a| body(&a).and_then(|()| a.reject_unread())) {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    }
 }
 
-impl Args {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
+/// The run's scenario: `defaults` overridden by the scenario flags
+/// present of those named in `honoured` (see
+/// [`ScenarioSpec::from_flags`]), validated. A swept axis is not
+/// honoured: the binary reads that flag itself, if at all, as a list.
+pub fn spec(
+    args: &Args,
+    defaults: &ScenarioSpec,
+    honoured: &[&str],
+) -> Result<ScenarioSpec, String> {
+    Ok(ScenarioSpec::from_flags(
+        |k| args.optional(k),
+        defaults,
+        honoured,
+    )?)
+}
 
-    /// Parses an explicit argument list (testable).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let parsed = dpr_sim::flags::Args::parse(args.into_iter().collect());
-        Args(parsed.unwrap_or_else(|e| panic!("{e}")))
-    }
+/// [`spec`] over the paper's reference scenario: `nodes` documents on
+/// its 500 peers at the recommended ε, seed 2003 (the venue year).
+pub fn paper_spec(args: &Args, nodes: usize, honoured: &[&str]) -> Result<ScenarioSpec, String> {
+    let (peers, eps) = (
+        dpr_sim::workload::PAPER_NUM_PEERS,
+        dpr_core::RECOMMENDED_EPSILON,
+    );
+    spec(args, &ScenarioSpec::new(nodes, peers, eps, 2003), honoured)
+}
 
-    /// Whether a bare switch was given.
-    pub fn has(&self, name: &str) -> bool {
-        self.0.has(name)
+/// The comma-separated `--sizes` list; without it, the paper's sizes
+/// under `--full` and `default` otherwise.
+pub fn sizes(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
+    let sizes = args.get_list("sizes")?;
+    if sizes.contains(&0) {
+        return Err("--sizes: a graph has at least one document".into());
     }
-
-    /// A typed value with a default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.0.get(name, default).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The run's scenario: `defaults` overridden by the scenario flags
-    /// present of those named in `honoured` (see
-    /// [`ScenarioSpec::from_flags`]), validated. A swept axis is not
-    /// honoured: the binary reads that flag itself, if at all, as a
-    /// list.
-    pub fn spec(&self, defaults: &ScenarioSpec, honoured: &[&str]) -> ScenarioSpec {
-        let lookup = |k: &str| self.0.optional(k);
-        ScenarioSpec::from_flags(lookup, defaults, honoured).unwrap_or_else(|e| refuse(e))
-    }
-
-    /// [`spec`](Self::spec) over the paper's reference scenario: `nodes`
-    /// documents on its 500 peers at the recommended ε, seed 2003 (the
-    /// venue year).
-    pub fn paper_spec(&self, nodes: usize, honoured: &[&str]) -> ScenarioSpec {
-        let (peers, eps) = (
-            dpr_sim::workload::PAPER_NUM_PEERS,
-            dpr_core::RECOMMENDED_EPSILON,
-        );
-        self.spec(&ScenarioSpec::new(nodes, peers, eps, 2003), honoured)
-    }
-
-    /// A comma-separated list of sizes, honoring `--full`.
-    pub fn sizes(&self) -> Vec<usize> {
-        self.sizes_or(&DEFAULT_SIZES)
-    }
-
-    /// Like [`sizes`](Self::sizes), but with an explicit fallback when
-    /// neither `--sizes` nor `--full` was given (for experiments whose
-    /// natural sweep differs from [`DEFAULT_SIZES`]).
-    pub fn sizes_or(&self, default: &[usize]) -> Vec<usize> {
-        match self.0.get_list("sizes") {
-            Err(e) => panic!("{e}"),
-            Ok(sizes) if !sizes.is_empty() => sizes,
-            Ok(_) if self.has("full") => dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec(),
-            Ok(_) => default.to_vec(),
-        }
-    }
-
-    /// Exits with `error: unknown flag …` on any flag given that
-    /// nothing read — a typo, a flag of another binary or mode, or a
-    /// scenario flag the run does not honour. The last line of every
-    /// `main`.
-    pub fn reject_unread(&self) {
-        self.0.reject_unread().unwrap_or_else(|e| refuse(e));
-    }
-
-    /// The telemetry side-channel from `--trace-out FILE` (JSONL event
-    /// trace) and `--prom-out FILE` (Prometheus snapshot, written at
-    /// [`Reporter::finish`]). Without either flag the reporter's
-    /// recorder is the no-op one and `finish` does nothing.
-    pub fn trace(&self) -> Reporter {
-        Reporter::from_args(&self.0).unwrap_or_else(|e| panic!("{e}"))
-    }
+    Ok(if !sizes.is_empty() {
+        sizes
+    } else if args.has("full") {
+        dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec()
+    } else {
+        default.to_vec()
+    })
 }
 
 /// One converged run — the row type of the regime ledger. The axis
@@ -363,12 +329,12 @@ pub fn emit<T: Serialize>(
     axes: [&str; 3],
     rows: Vec<T>,
     table: &str,
-) {
+) -> Result<(), String> {
     print!("{table}");
     let [codec, run_mode, sched] = axes.map(String::from);
     let meta = BenchMeta {
-        git_sha: args.get("git-sha", "unknown".to_string()),
-        timestamp: args.get("stamp", "unknown".to_string()),
+        git_sha: args.get("git-sha", "unknown".to_string())?,
+        timestamp: args.get("stamp", "unknown".to_string())?,
         scenario: params.clone(),
         codec,
         run_mode,
@@ -379,34 +345,33 @@ pub fn emit<T: Serialize>(
         let dir = out_dir(if ledger { "." } else { "results" });
         let path = ExperimentRecord::new(name, params, meta, rows)
             .write_to_dir(dir)
-            .unwrap_or_else(|e| panic!("write {name}.json: {e}"));
+            .map_err(|e| format!("write {name}.json: {e}"))?;
         println!("\nwrote {}", path.display());
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpr_sim::flags::Reporter;
 
     fn args(s: &str) -> Args {
-        Args::from_args(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from).collect())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn spec(s: &str) -> ScenarioSpec {
         let honoured = ["nodes", "peers", "eps", "seed", "sched"];
-        args(s).spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &honoured)
+        paper_spec(&args(s), 10_000, &honoured).unwrap()
     }
 
     #[test]
     fn parses_values_and_switches() {
         let a = args("--seed 7 --json --sizes 100,200");
-        assert_eq!(
-            a.spec(&ScenarioSpec::new(10_000, 500, 1e-3, 2003), &["seed"])
-                .seed,
-            7
-        );
+        assert_eq!(paper_spec(&a, 10_000, &["seed"]).unwrap().seed, 7);
         assert!(a.has("json"));
-        assert_eq!(a.sizes(), vec![100, 200]);
+        assert_eq!(sizes(&a, &DEFAULT_SIZES), Ok(vec![100, 200]));
         assert!(!a.has("full"));
     }
 
@@ -415,20 +380,22 @@ mod tests {
         let a = args("");
         assert_eq!(spec("").seed, 2003);
         assert!(!a.has("json"));
-        assert_eq!(a.sizes(), DEFAULT_SIZES.to_vec());
+        assert_eq!(sizes(&a, &DEFAULT_SIZES), Ok(DEFAULT_SIZES.to_vec()));
     }
 
     #[test]
     fn full_selects_paper_sizes() {
         let a = args("--full");
-        assert_eq!(a.sizes(), dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec());
+        let paper = dpr_sim::workload::PAPER_GRAPH_SIZES.to_vec();
+        assert_eq!(sizes(&a, &DEFAULT_SIZES), Ok(paper));
+        assert!(sizes(&args("--sizes abc"), &DEFAULT_SIZES).is_err());
     }
 
     #[test]
     fn rejects_a_flag_nothing_read() {
         let a = args("--seed 7 --threads 4");
-        assert_eq!(a.get("seed", 0), 7);
-        let e = a.0.reject_unread().unwrap_err();
+        assert_eq!(a.get("seed", 0), Ok(7));
+        let e = a.reject_unread().unwrap_err();
         assert_eq!(e.to_string(), "unknown flag --threads");
     }
 
@@ -443,10 +410,8 @@ mod tests {
     #[test]
     fn typed_get() {
         let a = args("--eps 0.5");
-        let eps: f64 = a.get("eps", 1.0);
-        assert_eq!(eps, 0.5);
-        let missing: usize = a.get("nope", 9);
-        assert_eq!(missing, 9);
+        assert_eq!(a.get("eps", 1.0), Ok(0.5));
+        assert_eq!(a.get("nope", 9usize), Ok(9));
     }
 
     #[test]
@@ -490,14 +455,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dpr-bench-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.jsonl");
-        let t = args(&format!("--trace-out {}", p.display())).trace();
+        let t = Reporter::from_args(&args(&format!("--trace-out {}", p.display()))).unwrap();
         assert!(t.recorder().enabled());
         assert!(t.recorder_arc().is_some());
         t.finish().unwrap();
         assert!(p.exists());
         std::fs::remove_dir_all(&dir).unwrap();
 
-        let off = args("").trace();
+        let off = Reporter::from_args(&args("")).unwrap();
         assert!(!off.recorder().enabled());
         assert!(off.recorder_arc().is_none());
         off.finish().unwrap();

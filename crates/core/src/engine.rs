@@ -94,9 +94,6 @@ pub struct PassStats {
     pub applied: u64,
     /// Largest relative rank change seen during apply.
     pub max_relative_change: f64,
-    /// Overlay hops consumed by remote messages (only populated when a
-    /// hop model is installed; otherwise equals `remote_messages`).
-    pub hops: u64,
     /// Documents queued when the pass started.
     pub queued: u64,
     /// Documents the scheduler selected for this pass (equals `queued`
@@ -134,8 +131,6 @@ pub struct RunStats {
     pub total_remote_messages: u64,
     /// Sum of same-peer updates over all passes.
     pub total_local_updates: u64,
-    /// Sum of overlay hops over all passes.
-    pub total_hops: u64,
 }
 
 impl RunStats {
@@ -150,15 +145,8 @@ impl RunStats {
         self.passes += 1;
         self.total_remote_messages += stats.remote_messages;
         self.total_local_updates += stats.local_updates;
-        self.total_hops += stats.hops;
     }
 }
-
-/// Callback charging overlay hops for one remote message
-/// (src peer, dst peer, document). Lets the simulation layer model
-/// routed vs. direct (cached) delivery without coupling the engine to
-/// the router. Returning 1 models a direct IP connection.
-pub type HopModel<'a> = dyn FnMut(PeerId, PeerId, DocId) -> u32 + 'a;
 
 /// Between-pass churn callback: receives the pass number and may
 /// rewrite peer liveness.
@@ -602,16 +590,6 @@ impl ChaoticEngine {
     /// Executes one pass; all peers in `peers` that are online
     /// participate. Returns the pass statistics.
     pub fn pass(&mut self, peers: &PeerTable) -> PassStats {
-        self.pass_with_hops(peers, None)
-    }
-
-    /// [`ChaoticEngine::pass`] with an optional hop model charging
-    /// overlay hops per remote message.
-    pub fn pass_with_hops(
-        &mut self,
-        peers: &PeerTable,
-        hop_model: Option<&mut HopModel<'_>>,
-    ) -> PassStats {
         let mut stats = self.begin_pass();
         let remote_out = self.remote_out();
         let mut senders = std::mem::take(&mut self.scratch_senders);
@@ -639,25 +617,6 @@ impl ChaoticEngine {
                 words[t as usize / 64] |= 1 << (t % 64);
             }
         }
-
-        // The hop model is stateful, so its call order is part of the
-        // result: senders ascending, each cross-peer link in row order.
-        stats.hops = match hop_model {
-            Some(model) => {
-                let mut hops = 0;
-                for &s in &senders {
-                    let p = self.owner[s as usize];
-                    for &t in self.graph.out_neighbors(DocId(s)) {
-                        let tp = self.owner[t as usize];
-                        if tp != p {
-                            hops += u64::from(model(p, tp, DocId(t)));
-                        }
-                    }
-                }
-                hops
-            }
-            None => stats.remote_messages,
-        };
         self.scratch_senders = senders;
         self.finish_pass();
         stats
@@ -709,7 +668,9 @@ impl ChaoticEngine {
                     local_updates: stats.local_updates,
                     senders: stats.senders,
                     max_relative_change: stats.max_relative_change,
-                    hops: stats.hops,
+                    // Overlay hops are charged on the cluster; the
+                    // engine's remote message is one hop.
+                    hops: stats.remote_messages,
                     duration_ns,
                 });
                 rec.event(&Event::ConvergenceCheck {
@@ -960,28 +921,6 @@ mod tests {
         let run = e.run_static();
         assert!(run.converged);
         assert!(e.ranks()[0] > before[0]);
-    }
-
-    #[test]
-    fn hop_model_is_consulted_per_remote_message() {
-        let g = from_edges(2, [Edge::new(0u32, 1u32), Edge::new(1u32, 0u32)]);
-        let owner = vec![PeerId(0), PeerId(1)];
-        let mut e = ChaoticEngine::new(Arc::new(g), owner, EngineConfig::with_epsilon(1e-6));
-        let peers = PeerTable::new(2);
-        let mut calls = 0u64;
-        let mut model = |_s: PeerId, _d: PeerId, _doc: DocId| {
-            calls += 1;
-            3u32
-        };
-        let mut total_remote = 0u64;
-        let mut total_hops = 0u64;
-        while !e.is_quiescent() {
-            let s = e.pass_with_hops(&peers, Some(&mut model));
-            total_remote += s.remote_messages;
-            total_hops += s.hops;
-        }
-        assert_eq!(calls, total_remote);
-        assert_eq!(total_hops, 3 * total_remote);
     }
 
     #[test]

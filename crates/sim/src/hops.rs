@@ -8,7 +8,9 @@
 //! address is cached at the source node, and subsequent update
 //! messages can be exchanged directly."
 //!
-//! [`HopAccounting`] provides both policies as engine hop models:
+//! [`HopAccounting`] charges both policies on the message-level
+//! cluster — per frame ([`HopAccounting::charge_peer`]) and, for the
+//! unbatched shadow, per update ([`HopAccounting::charge`]):
 //!
 //! * [`HopAccounting::routed`] — every message is routed through the
 //!   overlay (what Freenet-style anonymity requires, Sec. 3.2's last
@@ -188,11 +190,6 @@ impl HopAccounting {
                 cached: false,
             });
         }
-    }
-
-    /// Adapter: a closure usable as the engine's hop model.
-    pub fn model(&mut self) -> impl FnMut(PeerId, PeerId, DocId) -> u32 + '_ {
-        move |src, dst, doc| self.charge(src, dst, doc)
     }
 }
 

@@ -36,7 +36,8 @@ pub enum Event {
         senders: u64,
         /// Largest relative rank change seen in the pass.
         max_relative_change: f64,
-        /// Overlay hops charged by the hop model during the pass.
+        /// Overlay hops of the pass: one per remote message (the
+        /// engine charges no routes; the cluster does).
         hops: u64,
         /// Wall-clock duration of the pass in nanoseconds.
         duration_ns: u64,

@@ -103,40 +103,37 @@ fn placement_and_churn_invariance() {
 /// shows the benefit of the Sec. 3.2 address cache.
 #[test]
 fn dht_placement_with_hop_accounting() {
-    use distributed_pagerank::sim::hops::HopAccounting;
+    use distributed_pagerank::sim::spec::{Layer, Observe, ScenarioSpec};
 
     let nodes = 1_500;
-    let workload = distributed_pagerank::sim::workload::Workload::build(
-        nodes,
-        64,
-        12,
-        PlacementPolicy::DhtSuccessor,
-    );
+    let workload = Workload::build(nodes, 64, 12, PlacementPolicy::DhtSuccessor);
+    let spec = ScenarioSpec::new(nodes, 64, 1e-3, 12);
 
-    let run_with = |mut acc: HopAccounting| {
-        let mut engine = ChaoticEngine::new(
-            workload.graph.clone(),
-            workload.owners(),
-            EngineConfig::with_epsilon(1e-3),
-        );
-        let peers = workload.peer_table();
-        let mut total_hops = 0u64;
-        let mut total_msgs = 0u64;
-        let mut model = acc.model();
-        while !engine.is_quiescent() {
-            let s = engine.pass_with_hops(&peers, Some(&mut model));
-            total_hops += s.hops;
-            total_msgs += s.remote_messages;
-        }
-        (total_msgs, total_hops)
+    // A rounds cluster charging its frames' overlay hops, and the
+    // paper's unbatched wire as its shadow: one message per entry that
+    // crossed the wire, routed on its document's GUID.
+    let run_with = |cache_ips| {
+        let mut obs = Observe::new(&distributed_pagerank::telemetry::NOOP);
+        (obs.hops, obs.unbatched) = (Some(cache_ips), Some(cache_ips));
+        let out = spec.run(&workload, Layer::Cluster, obs);
+        assert!(out.quiesced);
+        let singles = out.unbatched.expect("charged with its shadow");
+        let frames = out.traffic.expect("a cluster run");
+        assert_eq!(singles.payloads, frames.entries, "one message per entry");
+        (
+            singles.payloads,
+            singles.routed_messages,
+            frames.routed_messages,
+        )
     };
 
-    let (msgs_routed, hops_routed) = run_with(HopAccounting::routed(workload.ring.clone()));
-    let (msgs_cached, hops_cached) = run_with(HopAccounting::cached(workload.ring.clone()));
+    let (msgs_routed, hops_routed, frame_hops_routed) = run_with(false);
+    let (msgs_cached, hops_cached, frame_hops_cached) = run_with(true);
     assert_eq!(msgs_routed, msgs_cached, "same logical messages");
     assert!(
-        hops_cached < hops_routed,
-        "caching must cut overlay hops: {hops_cached} vs {hops_routed}"
+        hops_cached < hops_routed && frame_hops_cached < frame_hops_routed,
+        "caching must cut overlay hops: {hops_cached} vs {hops_routed}, \
+         {frame_hops_cached} vs {frame_hops_routed} framed"
     );
     // With ~64 peers, routing costs ~log2(64)/2 ≈ 3 hops per message;
     // caching amortizes to ~1.

@@ -8,8 +8,8 @@
 //! theirs. Scripted runs (offline sets, injections including negative
 //! and exactly-cancelling ones, `drop_parked`) are driven through the
 //! model and the engine in lockstep; after every pass the `PassStats`,
-//! the bits of rank / pending / advertised / dangling sink, the
-//! frontier *set* and the hop model's call sequence must all be equal.
+//! the bits of rank / pending / advertised / dangling sink and the
+//! frontier *set* must all be equal.
 //! Sizes straddle the 64-document word: a ragged last word and graph
 //! sizes on both sides of a multiple of 64. A fixed-seed run pins the
 //! engine's converged output itself.
@@ -113,11 +113,7 @@ impl Reference {
         (work, sel)
     }
 
-    fn pass_with_hops(
-        &mut self,
-        peers: &PeerTable,
-        mut hop_model: Option<&mut dyn FnMut(PeerId, PeerId, DocId) -> u32>,
-    ) -> PassStats {
+    fn pass(&mut self, peers: &PeerTable) -> PassStats {
         self.passes += 1;
         let mut stats = PassStats {
             pass: self.passes,
@@ -182,10 +178,6 @@ impl Reference {
                     stats.local_updates += 1;
                 } else {
                     stats.remote_messages += 1;
-                    stats.hops += match hop_model.as_deref_mut() {
-                        Some(f) => f(p, self.owner[ti], DocId(t)) as u64,
-                        None => 1,
-                    };
                 }
             }
         }
@@ -262,19 +254,11 @@ fn lockstep(
     num_peers: usize,
     cfg: EngineConfig,
     script: &[Step],
-    with_hops: bool,
 ) {
-    let what = format!(
-        "n {} sched {} hops {with_hops}",
-        graph.num_nodes(),
-        cfg.sched
-    );
+    let what = format!("n {} sched {}", graph.num_nodes(), cfg.sched);
     let mut model = Reference::new(graph.clone(), owner.to_vec(), cfg);
     let mut eng = ChaoticEngine::new(graph.clone(), owner.to_vec(), cfg);
     let mut peers = PeerTable::new(num_peers);
-    // The hop model's answer depends on how many calls came before, so
-    // a reordering shows in `PassStats::hops` as well as in the log.
-    let (mut want_calls, mut got_calls) = (Vec::new(), Vec::new());
     for (k, step) in script.iter().enumerate() {
         for (i, &off) in step.offline.iter().enumerate() {
             if off {
@@ -291,19 +275,10 @@ fn lockstep(
         if step.drop_parked {
             assert_eq!(model.drop_parked(&peers), eng.drop_parked(&peers), "{what}");
         }
-        let mut want_model = |s: PeerId, d: PeerId, doc: DocId| {
-            want_calls.push((s, d, doc));
-            (want_calls.len() % 3) as u32
-        };
-        let mut got_model = |s: PeerId, d: PeerId, doc: DocId| {
-            got_calls.push((s, d, doc));
-            (got_calls.len() % 3) as u32
-        };
-        let want = model.pass_with_hops(&peers, with_hops.then_some(&mut want_model as _));
-        let got = eng.pass_with_hops(&peers, with_hops.then_some(&mut got_model as _));
+        let want = model.pass(&peers);
+        let got = eng.pass(&peers);
         let what = format!("{what} step {k}");
         assert_eq!(want, got, "{what}");
-        assert_eq!(want_calls, got_calls, "{what}");
         assert_eq!(bits(&model.ranks), bits(eng.ranks()), "{what}");
         assert_eq!(bits(&model.pending), bits(eng.pending()), "{what}");
         assert_eq!(bits(&model.advertised), bits(eng.advertised()), "{what}");
@@ -336,9 +311,7 @@ fn engine_matches_the_reference_model() {
         let script = script(n, num_peers, &mut rng);
         for sched in [SchedMode::Pass, SchedMode::Priority, SchedMode::Greedy] {
             let cfg = EngineConfig::with_epsilon(1e-3).with_sched(sched);
-            for with_hops in [false, true] {
-                lockstep(&graph, &owner, num_peers, cfg, &script, with_hops);
-            }
+            lockstep(&graph, &owner, num_peers, cfg, &script);
         }
     }
 }
