@@ -27,7 +27,7 @@
 //! cargo run --release -p dpr-bench --bin ablations [--nodes 20000] [--seed N]
 //! ```
 
-use dpr_bench::run_cell;
+use dpr_bench::{count, run_cell};
 use dpr_core::engine::{ChaoticEngine, EngineConfig};
 use dpr_core::error_stats;
 use dpr_core::sync_solver::SyncSolver;
@@ -52,7 +52,7 @@ fn main() {
 
 fn run(args: &Args) -> Result<(), String> {
     let trace = Reporter::from_args(args)?;
-    let nodes: usize = args.get("nodes", 20_000)?;
+    let nodes = count(args, "nodes", 20_000)?;
     let seed: u64 = args.get("seed", 2003)?;
 
     ablation_sync_vs_async(nodes, seed);

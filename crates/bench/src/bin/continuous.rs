@@ -48,7 +48,7 @@
 //! `meta` envelope of the record beside the scenario parameters and the
 //! codec / run-mode / scheduler axes the rows cover.
 
-use dpr_bench::{converged_runs, emit, paper_spec, reduction, run_cell, Cell};
+use dpr_bench::{converged_runs, count, emit, paper_spec, reduction, run_cell, Cell};
 use dpr_core::{RunMode, SchedMode};
 use dpr_node::node::{WireMode, DEFAULT_MAX_FRAME_BYTES};
 use dpr_p2p::transport::{WireCodec, RANK_UPDATE_WIRE_BYTES};
@@ -677,7 +677,7 @@ fn serving(args: &Args) -> Result<(), String> {
         &["nodes", "peers", "eps", "seed", "sched"],
     )?;
     let (nodes, peers_n, eps) = (spec.nodes, spec.num_peers, spec.epsilon);
-    let queries: usize = args.get("queries", 120)?;
+    let queries = count(args, "queries", 120)?;
     let updates: usize = args.get("updates", 24)?;
     let qps: f64 = args.get("qps", 20.0)?;
     let churn: f64 = args.get("churn", 0.8)?;

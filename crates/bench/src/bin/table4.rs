@@ -11,7 +11,7 @@
 //!     [--samples 1000] [--damping 0.85] [--seed N] [--json] [--full]
 //! ```
 
-use dpr_bench::{emit, sizes, DEFAULT_SIZES, TABLE4_EPSILONS};
+use dpr_bench::{count, emit, sizes, DEFAULT_SIZES, TABLE4_EPSILONS};
 use dpr_graph::powerlaw::paper_graph;
 use dpr_sim::flags::Args;
 use dpr_sim::scenario::{insert_experiment, InsertResult};
@@ -23,11 +23,11 @@ fn main() {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let samples: usize = args.get("samples", 1000)?;
+    let samples = count(args, "samples", 1000)?;
     let damping: f64 = args.get("damping", dpr_core::DEFAULT_DAMPING)?;
     let seed: u64 = args.get("seed", 2003)?;
-    if samples == 0 {
-        return Err("--samples must be at least 1".into());
+    if damping.is_nan() || damping <= 0.0 || damping > 1.0 {
+        return Err(format!("--damping must be in (0, 1], got {damping}"));
     }
 
     println!("Table 4 — insert propagation ({samples} random origins, damping {damping})\n");

@@ -12,7 +12,7 @@
 //!     [--vocab 1880] [--peers 50] [--queries 20] [--seed N] [--json]
 //! ```
 
-use dpr_bench::emit;
+use dpr_bench::{count, emit};
 use dpr_sim::flags::Args;
 use dpr_sim::scenario::{search_experiment, SearchExperimentConfig, SearchRow};
 use dpr_telemetry::table::TextTable;
@@ -23,7 +23,7 @@ fn main() {
 
 fn run(args: &Args) -> Result<(), String> {
     let cfg = SearchExperimentConfig {
-        num_docs: args.get("docs", 11_000)?,
+        num_docs: count(args, "docs", 11_000)?,
         vocab_size: args.get("vocab", 1880u32)?,
         num_peers: args.get("peers", 50)?,
         queries_per_len: args.get("queries", 20)?,

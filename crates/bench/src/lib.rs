@@ -102,6 +102,15 @@ pub fn paper_spec(args: &Args, nodes: usize, honoured: &[&str]) -> Result<Scenar
     spec(args, &ScenarioSpec::new(nodes, peers, eps, 2003), honoured)
 }
 
+/// The value of the count flag `name`, `default` without it, refused
+/// below 1.
+pub fn count(args: &Args, name: &str, default: usize) -> Result<usize, String> {
+    match args.get(name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 /// The comma-separated `--sizes` list; without it, the paper's sizes
 /// under `--full` and `default` otherwise.
 pub fn sizes(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {

@@ -99,6 +99,26 @@ fn values_a_run_cannot_take_are_refused_before_it() {
             "--bursts --nodes 400 --burst-eps 0",
             "error: --burst-eps must be finite and positive",
         ),
+        (
+            env!("CARGO_BIN_EXE_ablations"),
+            "--nodes 0",
+            "error: --nodes must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            "--docs 0",
+            "error: --docs must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table4"),
+            "--sizes 300 --samples 3 --damping 2",
+            "error: --damping must be in (0, 1], got 2",
+        ),
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--serving --nodes 400 --peers 16 --queries 0",
+            "error: --queries must be at least 1",
+        ),
     ];
     for (bin, flags, error) in cases {
         let stderr = refused(bin, flags);

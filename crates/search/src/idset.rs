@@ -1,8 +1,9 @@
 //! A bitset over `u32` ids below a fixed bound (documents or terms):
-//! one word probe per membership test, ascending iteration, no sorting.
+//! one word probe per membership test, ascending iteration, no sorting,
+//! and set algebra a word at a time.
 
 /// A set of ids below a fixed bound, one bit per id.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IdSet {
     words: Vec<u64>,
 }
@@ -36,15 +37,30 @@ impl IdSet {
 
     /// The ids in the set, ascending.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
-                rest &= rest - 1;
-                Some(i as u32 * 64 + bit)
-            })
-        })
+        members(self.words.iter().copied())
     }
+
+    /// The set's words, id `64 i + b` at bit `b` of word `i`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
+/// The ids whose bits `words` set, ascending: the members of a set
+/// computed a word at a time.
+pub(crate) fn members(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u32> {
+    words
+        .enumerate()
+        .flat_map(|(i, w)| bits(w).map(move |b| i as u32 * 64 + b))
+}
+
+/// The positions of `w`'s set bits, ascending.
+pub(crate) fn bits(mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let bit = (w != 0).then(|| w.trailing_zeros())?;
+        w &= w - 1;
+        Some(bit)
+    })
 }
 
 #[cfg(test)]

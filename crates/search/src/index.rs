@@ -13,10 +13,14 @@
 //! list is stored as document ids, sorted by pagerank descending (the
 //! incremental search cuts the top x % without re-sorting), and each
 //! rank is stored once; a [`Postings`] view pairs the two on read.
+//! Each term's documents are also kept as a bitset, built the first
+//! time a query asks for it: the index does not change once built, so
+//! the set never goes stale.
 
 use crate::{corpus::Corpus, idset::IdSet, TermId};
 use dpr_graph::DocId;
 use dpr_p2p::{guid::Guid, peer::PeerId, ring::Ring};
+use std::sync::OnceLock;
 
 /// One posting: a document and its pagerank.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -36,6 +40,8 @@ pub struct DistributedIndex {
     ranks: Vec<f64>,
     /// The peer owning each term's index entry.
     term_owner: Vec<PeerId>,
+    /// Each term's documents as a bitset, built on first use.
+    sets: Vec<OnceLock<IdSet>>,
 }
 
 /// A term's posting list: its documents, best pagerank first, each
@@ -89,6 +95,7 @@ impl DistributedIndex {
             postings,
             ranks: ranks.to_vec(),
             term_owner,
+            sets: std::iter::repeat_with(OnceLock::new).take(vocab).collect(),
         }
     }
 
@@ -126,13 +133,16 @@ impl DistributedIndex {
         self.term_owner.len() as u32
     }
 
-    /// The documents containing `term`, as a bitset over the corpus.
-    pub fn doc_set(&self, term: TermId) -> IdSet {
-        let mut set = IdSet::new(self.ranks.len());
-        for d in self.docs(term) {
-            set.insert(d.0);
-        }
-        set
+    /// The documents containing `term`, as a bitset over the corpus,
+    /// built on the first call and kept.
+    pub fn doc_set(&self, term: TermId) -> &IdSet {
+        self.sets[term as usize].get_or_init(|| {
+            let mut set = IdSet::new(self.ranks.len());
+            for d in self.docs(term) {
+                set.insert(d.0);
+            }
+            set
+        })
     }
 }
 

@@ -38,21 +38,16 @@ use dpr_core::{RunMode, SchedMode};
 use dpr_graph::DocId;
 use dpr_node::termination::TerminationDetector;
 use dpr_node::Cluster;
-use dpr_p2p::peer::PeerId;
-use dpr_search::bloom::BloomFilter;
 use dpr_search::corpus::{generate_queries, Corpus, CorpusConfig};
-use dpr_search::idset::IdSet;
 use dpr_search::index::DistributedIndex;
 use dpr_search::query::{
-    execute_baseline, execute_incremental, IncrementalConfig, Query, TrafficModel,
+    execute_baseline, execute_incremental, BloomExecutor, IncrementalConfig, Query, TrafficModel,
 };
-use dpr_search::TermId;
 use dpr_telemetry::slo::{evaluate, verdict, SlidingWindows, SloReport, SloSpec};
 use dpr_telemetry::{Event, Metric, QuantileSketch, Recorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::cell::OnceCell;
 
 /// Bytes per document id + pagerank shipped between peers (u32 id,
 /// f64 rank): a posting on the modelled wire, however the index
@@ -268,40 +263,12 @@ struct Served {
     top_doc: Option<DocId>,
 }
 
-/// Each query term's document set, and the Bloom filter of each term
-/// that opens a Bloom query, built on first use and kept for the run:
-/// a plan draws its terms from the top
-/// [`QUERY_TERM_POOL`](dpr_search::corpus::QUERY_TERM_POOL), so most
-/// queries reuse both. The index does not change while serving, so
-/// neither can go stale.
-struct TermMemo<'a> {
-    index: &'a DistributedIndex,
-    sets: Vec<OnceCell<IdSet>>,
-    filters: Vec<OnceCell<BloomFilter>>,
-}
-
-impl<'a> TermMemo<'a> {
-    fn new(index: &'a DistributedIndex) -> Self {
-        let terms = index.vocab_size() as usize;
-        TermMemo {
-            index,
-            sets: std::iter::repeat_with(OnceCell::new).take(terms).collect(),
-            filters: std::iter::repeat_with(OnceCell::new).take(terms).collect(),
-        }
-    }
-
-    fn set(&self, t: TermId) -> &IdSet {
-        self.sets[t as usize].get_or_init(|| self.index.doc_set(t))
-    }
-
-    fn filter(&self, t: TermId) -> &BloomFilter {
-        self.filters[t as usize]
-            .get_or_init(|| BloomFilter::from_docs(self.index.docs(t), BLOOM_FP_RATE))
-    }
-}
-
-fn serve_query(memo: &TermMemo, query: &Query, strategy: ServeStrategy) -> Served {
-    let index = memo.index;
+fn serve_query(
+    index: &DistributedIndex,
+    bloom: &mut BloomExecutor,
+    query: &Query,
+    strategy: ServeStrategy,
+) -> Served {
     let out = match strategy {
         ServeStrategy::Baseline => execute_baseline(index, query, TrafficModel::AllHopsRemote),
         ServeStrategy::Incremental { forward_fraction } => execute_incremental(
@@ -312,58 +279,35 @@ fn serve_query(memo: &TermMemo, query: &Query, strategy: ServeStrategy) -> Serve
                 ..IncrementalConfig::top10()
             },
         ),
-        ServeStrategy::Bloom => return serve_bloom(memo, query),
+        ServeStrategy::Bloom => {
+            let out = bloom.execute(query);
+            let hits = out.hits_returned() as u64;
+            let mut served = Served {
+                per_hop_bytes: Vec::new(),
+                ids_processed: 0,
+                traffic_ids: hits,
+                hits,
+                top_doc: out.hits.first().map(|p| p.doc),
+            };
+            for (hop, &t) in out.per_hop.iter().zip(&query.terms[1..]) {
+                // Round 1: the filter travels; round 2: candidates come
+                // back and are filtered exactly at the sender.
+                let bytes = [hop.filter_bytes, hop.candidate_ids * POSTING_BYTES];
+                served.per_hop_bytes.extend(bytes);
+                served.ids_processed += index.num_hits(t) as u64 + hop.candidate_ids;
+                served.traffic_ids += hop.filter_bytes.div_ceil(POSTING_BYTES) + hop.candidate_ids;
+            }
+            served.per_hop_bytes.push(hits * POSTING_BYTES);
+            return served;
+        }
     };
     Served {
         per_hop_bytes: out.per_hop_ids.iter().map(|&n| n * POSTING_BYTES).collect(),
         ids_processed: out.per_hop_ids.iter().sum(),
         traffic_ids: out.traffic_ids,
-        hits: out.hits.len() as u64,
+        hits: out.hits_returned() as u64,
         top_doc: out.hits.first().map(|p| p.doc),
     }
-}
-
-fn serve_bloom(memo: &TermMemo, query: &Query) -> Served {
-    let t0 = query.terms[0];
-    // `None` while the running intersection is all of t0's documents.
-    let mut current: Option<Vec<DocId>> = None;
-    let mut per_hop_bytes = Vec::new();
-    let mut ids_processed = 0u64;
-    let mut traffic_ids = 0u64;
-    for &t in &query.terms[1..] {
-        let other = memo.set(t).iter().map(DocId);
-        let (result, tr) = match &current {
-            None => memo.filter(t0).intersect(memo.set(t0), other),
-            // A filter over an intersection serves one query only.
-            Some(c) => BloomFilter::from_docs(c, BLOOM_FP_RATE).intersect(&c[..], other),
-        };
-        // Round 1: the filter travels; round 2: candidates come back
-        // and are filtered exactly at the sender.
-        per_hop_bytes.push(tr.filter_bytes);
-        per_hop_bytes.push(tr.candidate_ids * POSTING_BYTES);
-        ids_processed += memo.index.num_hits(t) as u64 + tr.candidate_ids;
-        traffic_ids += tr.filter_bytes.div_ceil(POSTING_BYTES) + tr.candidate_ids;
-        current = Some(result);
-    }
-    // Result page to the user, ranked by pagerank: the best-ranked
-    // member of the exact intersection.
-    let hits = current.as_ref().map_or(memo.index.num_hits(t0), Vec::len) as u64;
-    per_hop_bytes.push(hits * POSTING_BYTES);
-    traffic_ids += hits;
-    let in_result = |d: &DocId| current.as_ref().is_none_or(|c| c.binary_search(d).is_ok());
-    let top_doc = memo.index.docs(t0).iter().copied().find(in_result);
-    Served {
-        per_hop_bytes,
-        ids_processed,
-        traffic_ids,
-        hits,
-        top_doc,
-    }
-}
-
-/// The current rank of `doc` wherever it lives in the cluster.
-fn rank_at(cluster: &Cluster, doc: DocId) -> Option<f64> {
-    (0..cluster.num_peers() as u32).find_map(|p| cluster.node(PeerId(p)).rank_of(doc))
 }
 
 /// ceil(log2(n)): the DHT routing hop bound for `n` peers.
@@ -420,9 +364,9 @@ pub fn serving_experiment<R: Recorder + ?Sized>(cfg: &ServingConfig, rec: &R) ->
         .into_iter()
         .map(Query::new)
         .collect();
-    // Nothing reads the corpus while serving; the term memo reuses
-    // its memory.
-    drop(corpus);
+    // Nothing reads the corpus or the initial ranks while serving; the
+    // index's term sets reuse their memory.
+    drop((corpus, r0));
 
     // The injection plan: Poisson query arrivals plus uniformly
     // spread rank updates over the same horizon.
@@ -463,10 +407,10 @@ pub fn serving_experiment<R: Recorder + ?Sized>(cfg: &ServingConfig, rec: &R) ->
     let rate = cfg.latency.rate_bytes_per_sec();
     let lookup_hops = route_hops(cfg.num_peers);
     let mut det2 = TerminationDetector::new(cfg.num_peers);
-    let memo = TermMemo::new(&index);
+    let mut bloom = BloomExecutor::new(&index, BLOOM_FP_RATE);
     let mut on_query = |q: u32, at: u64, cluster: &Cluster| {
         let query = &queries[q as usize];
-        let served = serve_query(&memo, query, cfg.strategy);
+        let served = serve_query(&index, &mut bloom, query, cfg.strategy);
         let mut rng =
             ChaCha8Rng::seed_from_u64(cfg.seed ^ (u64::from(q) + 1).wrapping_mul(0x9e37_79b9));
         let mut prop = || rng.gen_range(lo..=hi);
@@ -520,9 +464,12 @@ pub fn serving_experiment<R: Recorder + ?Sized>(cfg: &ServingConfig, rec: &R) ->
             bytes,
             traffic_ids: served.traffic_ids,
             hits: served.hits,
-            top: served
-                .top_doc
-                .and_then(|d| rank_at(cluster, d).map(|r| (d, r))),
+            // Documents do not move while serving: the placement
+            // names the one peer holding the rank.
+            top: served.top_doc.and_then(|d| {
+                let rank = cluster.node(w.placement.owner(d)).rank_of(d);
+                rank.map(|r| (d, r))
+            }),
         });
     };
     let served_out = run_chaotic_serving(

@@ -313,10 +313,11 @@ proptest! {
         // Subset of the exact answer, in rank order.
         let base_docs: std::collections::HashSet<u32> =
             base.hits.iter().map(|p| p.doc.0).collect();
-        for w in incr.hits.windows(2) {
+        let incr_hits: Vec<Posting> = incr.hits.iter().collect();
+        for w in incr_hits.windows(2) {
             prop_assert!(w[0].rank >= w[1].rank);
         }
-        for h in &incr.hits {
+        for h in &incr_hits {
             prop_assert!(base_docs.contains(&h.doc.0));
         }
     }
@@ -359,7 +360,9 @@ proptest! {
             (execute_incremental(&index, &q, cfg), Some((frac, floor))),
         ] {
             let (hits, per_hop) = model_execute(&lists, &terms, cut);
-            prop_assert_eq!(bits(&out.hits), bits(&hits));
+            let got: Vec<Posting> = out.hits.iter().collect();
+            prop_assert_eq!(bits(&got), bits(&hits));
+            prop_assert_eq!(out.hits_returned(), hits.len());
             prop_assert_eq!(out.traffic_ids, per_hop.iter().sum::<u64>());
             prop_assert_eq!(out.per_hop_ids, per_hop);
         }

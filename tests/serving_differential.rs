@@ -175,6 +175,45 @@ fn bloom_reports_match_their_pins() {
     }
 }
 
+/// The baseline and incremental reports at two and three terms per
+/// query, captured at `38a69cd`, before the executors read memoized
+/// term bitsets and serving read each document's owner from the
+/// placement.
+#[test]
+fn baseline_and_incremental_reports_match_their_pins() {
+    let base = ServeStrategy::Baseline;
+    let incr = ServeStrategy::Incremental {
+        forward_fraction: 0.10,
+    };
+    #[rustfmt::skip]
+    let pins = [
+        (base, 2, 30174, 324.1666666666667, 10058.0, 13794071, 35712),
+        (base, 3, 38156, 184.55555555555554, 12718.666666666666, 16812642, 35712),
+        (incr, 2, 3078, 33.69444444444444, 1026.0, 8663570, 35712),
+        (incr, 3, 3948, 20.194444444444443, 1316.0, 9856427, 35712),
+    ];
+    for (strategy, query_len, traffic, hits, bytes, p99, stale) in pins {
+        let r = serving_experiment(
+            &ServingConfig {
+                query_len,
+                strategy,
+                ..cfg(31)
+            },
+            &NOOP,
+        )
+        .report;
+        let got = (
+            r.total_traffic_ids,
+            r.avg_hits,
+            r.avg_bytes,
+            r.p99_ns,
+            r.stale_p99_ppm,
+        );
+        let want = (traffic, hits, bytes, p99, stale);
+        assert_eq!(got, want, "{strategy} query_len {query_len}");
+    }
+}
+
 #[test]
 fn slo_verdict_gates_in_both_directions() {
     let mut pass_cfg = cfg(5);
