@@ -1,62 +1,3 @@
-//! Figure 2: propagation of pagerank increments on document insert.
-//!
-//! The paper's worked example: G has out-links to H, I, J (so each
-//! gets 1/3 of G's unit rank); H forwards 1/6 to K and L; I forwards
-//! 1/3 to M. This binary builds exactly that graph, runs the
-//! increment wave, and prints the received increments — they match
-//! the figure's fractions digit for digit.
-//!
-//! ```text
-//! cargo run --release -p dpr-bench --bin figure2
-//! ```
-
-use dpr_core::incremental::{propagate, PropagationConfig};
-use dpr_graph::builder::from_edges;
-use dpr_graph::{DocId, Edge};
-
 fn main() {
-    // Ids: G=0, H=1, I=2, J=3, K=4, L=5, M=6.
-    let names = ["G", "H", "I", "J", "K", "L", "M"];
-    let graph = from_edges(
-        7,
-        [
-            Edge::new(0u32, 1u32), // G -> H
-            Edge::new(0u32, 2u32), // G -> I
-            Edge::new(0u32, 3u32), // G -> J
-            Edge::new(1u32, 4u32), // H -> K
-            Edge::new(1u32, 5u32), // H -> L
-            Edge::new(2u32, 6u32), // I -> M
-        ],
-    );
-
-    println!("Figure 2 — increment propagation on inserting G (rank 1.0)\n");
-    println!("graph: G -> {{H, I, J}}, H -> {{K, L}}, I -> M\n");
-
-    // The figure's fractions carry no damping factor.
-    let cfg = PropagationConfig {
-        damping: 1.0,
-        epsilon: 1e-9,
-    };
-    let mut ranks = vec![0.0f64; 7];
-    let stats = propagate(&graph, DocId(0), 1.0, cfg, Some(&mut ranks));
-
-    println!("received increments:");
-    for (i, name) in names.iter().enumerate().skip(1) {
-        let frac = match ranks[i] {
-            r if (r - 1.0 / 3.0).abs() < 1e-12 => "1/3",
-            r if (r - 1.0 / 6.0).abs() < 1e-12 => "1/6",
-            _ => "?",
-        };
-        println!("  {name}: {:.6}  (= {frac})", ranks[i]);
-    }
-    println!(
-        "\nwave: path length {}, node coverage {}, {} update messages",
-        stats.path_length, stats.node_coverage, stats.messages
-    );
-    println!("(paper figure: H, I, J receive 1/3; K, L receive 1/6; M receives 1/3)");
-
-    assert!((ranks[1] - 1.0 / 3.0).abs() < 1e-12);
-    assert!((ranks[4] - 1.0 / 6.0).abs() < 1e-12);
-    assert!((ranks[6] - 1.0 / 3.0).abs() < 1e-12);
-    println!("\nall fractions match the paper exactly ✓");
+    dpr_bench::main(env!("CARGO_BIN_NAME"))
 }

@@ -1,119 +1,232 @@
-//! # dpr-bench — experiment regenerators and micro-benchmarks
+//! # dpr-bench — the paper's evaluation as one list of entries
 //!
-//! One binary per table/figure of the paper's evaluation:
+//! Each artefact — Tables 1–6, Fig. 2, the Sec. 4.6.2 estimate (`table3
+//! --internet`), the continuous-accuracy run, ablations 1, 4, 5, 6 and
+//! 8, and the five `BENCH_*.json` ledger sweeps — is one entry of
+//! `ENTRIES` below. One driver, [`main`], parses the flags, sets up
+//! `--trace-out` / `--prom-out` for the entries that trace, prints what
+//! the entries return, writes their records and refuses every flag
+//! nothing read; the binaries `table1`, `table3`..`table6`, `figure2`,
+//! `continuous` and `ablations` are its aliases. `records.txt`, beside
+//! this crate's manifest, pairs each checked-in record with the
+//! invocation that regenerates it: the driver writes an entry's record
+//! where that list says, and `scripts/ledger-drift.sh` runs the list.
 //!
-//! | binary | regenerates | paper section |
-//! |--------|-------------|---------------|
-//! | `table1` | convergence passes vs size × presence | Sec. 4.3, Table 1 |
-//! | `table3` | relative-error distribution (Table 2), message traffic + execution time (Table 3) vs ε, from one sweep | Sec. 4.4–4.6, Tables 2–3 |
-//! | `table4` | insert path length & node coverage vs ε | Sec. 4.7, Table 4 |
-//! | `table5` | qualitative summary from measured JSON | Table 5 |
-//! | `table6` | incremental-search traffic reduction | Sec. 4.9, Table 6 |
-//! | `continuous` | continuously-accurate ranks under churn, and the `BENCH_*.json` ledger | abstract claim |
-//! | `figure2` | the increment-propagation worked example | Sec. 4.7, Fig. 2 |
-//! | `ablations` | design-choice ablations from DESIGN.md | — |
-//!
-//! Every binary accepts `--sizes a,b,c`, `--seed n`, `--json` (dump a
-//! JSON record into `results/`), and `--full` (paper-scale sizes; slow
-//! on a laptop). The engine-driving binaries (`table1`, `table3`,
-//! `continuous`, `ablations`) also take `--trace-out FILE` (JSONL
-//! telemetry event trace, viewable with `dpr trace`) and `--prom-out
-//! FILE` (Prometheus text snapshot of the run's metrics), and
-//! `table1`/`table3`/`continuous` take `--sched pass|priority|greedy`
-//! (the shared [`dpr_core::SCHED_HELP`] mode list) to pick the
-//! scheduler: full sweep, residual-driven Gauss–Southwell bucket
-//! selection, or greedy matching pursuit. A flag no binary reads, or a
-//! value it cannot take, is an error (see [`main`]), not silence.
-//!
-//! The ledger — the checked-in `BENCH_*.json` files, modelled units
-//! only (`perf/` owns host seconds) — is written by `continuous`'s
-//! five mode switches:
-//!
-//! | switch | file | rows |
-//! |--------|------|------|
-//! | `--regimes` | `BENCH_regimes.json` | the Sched × RunMode × Latency grid of [`Cell`]s |
-//! | `--bursts` | `BENCH_bursts.json` | global vs SCC-localized mutation bursts |
-//! | `--scale` | `BENCH_scale.json` | raw vs compact codec [`Cell`]s per graph size |
-//! | `--batch-scaling` | `BENCH_node_batching.json` | one row per frame-size cap |
-//! | `--serving` | `BENCH_serving.json` | latency × query strategy serving reports |
-//!
-//! A sweep converges a cell through [`run_cell`] — once per distinct
-//! `(layer, spec)` — and every binary's record leaves through [`emit`].
-//! `scripts/ledger-drift.sh` regenerates every checked-in record, the
-//! `results/*.json` tables and the ledger alike, and diffs it.
+//! A ledger record (`BENCH_*.json`: modelled units only, as `perf/`
+//! owns host seconds) is written on every run into the working
+//! directory, a table record into `results/` under `--json`;
+//! `DPR_RESULTS_DIR` redirects both, and `--git-sha SHA` / `--stamp TS`
+//! stamp their `meta`.
+
+mod ablations;
+mod ledger;
+mod paper;
 
 use dpr_core::sync_solver::SyncSolver;
 use dpr_core::RunMode;
 use dpr_sim::batch::WireTraffic;
-use dpr_sim::flags::Args;
+use dpr_sim::flags::{Args, Reporter};
 use dpr_sim::report::{out_dir, BenchMeta, ExperimentRecord};
 use dpr_sim::spec::{Layer, Observe, ScenarioSpec};
 use dpr_sim::workload::Workload;
-use serde::Serialize;
+use dpr_telemetry::table::TextTable;
+use serde::{Serialize, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The ε sweep of Tables 2 and 3.
-pub const TABLE23_EPSILONS: [f64; 7] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6];
+/// One artefact of the evaluation.
+struct Entry {
+    /// Its binary, then the switch that picks it among the binary's
+    /// entries (see [`select`]).
+    alias: &'static str,
+    /// Whether it honours `--trace-out` / `--prom-out`.
+    traced: bool,
+    /// Runs its sweep and asserts its gates.
+    run: fn(&Args, &Reporter) -> Result<Report, String>,
+}
 
-/// The ε sweep of Table 4.
-pub const TABLE4_EPSILONS: [f64; 6] = [0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
+#[rustfmt::skip]
+const ENTRIES: [Entry; 18] = [
+    Entry { alias: "table1", traced: true, run: paper::table1 },
+    Entry { alias: "table3", traced: true, run: paper::table3 },
+    Entry { alias: "table3 --batch", traced: true, run: paper::table3_batch },
+    Entry { alias: "table4", traced: false, run: paper::table4 },
+    Entry { alias: "table5", traced: false, run: paper::table5 },
+    Entry { alias: "table6", traced: false, run: paper::table6 },
+    Entry { alias: "figure2", traced: false, run: paper::figure2 },
+    Entry { alias: "continuous", traced: true, run: ledger::continuous },
+    Entry { alias: "continuous --regimes", traced: false, run: ledger::regimes },
+    Entry { alias: "continuous --bursts", traced: false, run: ledger::bursts },
+    Entry { alias: "continuous --scale", traced: false, run: ledger::scale },
+    Entry { alias: "continuous --batch-scaling", traced: false, run: ledger::batch_scaling },
+    Entry { alias: "continuous --serving", traced: false, run: ledger::serving },
+    Entry { alias: "ablations", traced: false, run: ablations::sync_vs_async },
+    Entry { alias: "ablations", traced: false, run: ablations::store_and_resend },
+    Entry { alias: "ablations", traced: false, run: ablations::min_forward_floor },
+    Entry { alias: "ablations", traced: false, run: ablations::link_aware_placement },
+    Entry { alias: "ablations", traced: true, run: ablations::aggregation_grid },
+];
 
-/// Default graph sizes for laptop runs.
-pub const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
+/// The entries an invocation of `bin` runs, `given` telling which
+/// switches it was given: the one whose switch is given, or else every
+/// switchless one, in list order.
+fn select(bin: &str, given: impl Fn(&str) -> bool) -> Vec<&'static Entry> {
+    let switch = |e: &Entry| e.alias.strip_prefix(bin)?.strip_prefix(" --");
+    match ENTRIES.iter().find(|e| switch(e).is_some_and(&given)) {
+        Some(entry) => vec![entry],
+        None => ENTRIES.iter().filter(|e| e.alias == bin).collect(),
+    }
+}
 
-/// The `main` of every experiment binary: parses the process
-/// arguments and runs `body` over them, then refuses any flag given
-/// that nothing read — a typo, a flag of another binary or mode, or a
+/// The entries `invocation`, a binary and its flags, runs.
+fn invoked(invocation: &str) -> Vec<&'static Entry> {
+    let (bin, flags) = invocation.split_once(' ').unwrap_or((invocation, ""));
+    let flags: Vec<&str> = flags.split(' ').collect();
+    let given = |switch: &str| flags.contains(&format!("--{switch}").as_str());
+    select(bin, given)
+}
+
+/// `records.txt`'s `(record, invocation)` lines: each checked-in record
+/// and the invocation that regenerates it.
+fn records() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let lines = include_str!("../records.txt").lines();
+    let pairs = lines.filter(|l| !l.is_empty() && !l.starts_with('#'));
+    pairs.map(|l| l.split_once(' ').map_or((l, ""), |(r, i)| (r, i.trim())))
+}
+
+/// The record `entry` writes: the one `records.txt` pairs with an
+/// invocation that runs it.
+fn record_of(entry: &Entry) -> Option<&'static str> {
+    let runs = |i: &str| invoked(i).iter().any(|e| std::ptr::eq(*e, entry));
+    records()
+        .find(|(_, invocation)| runs(invocation))
+        .map(|(r, _)| r)
+}
+
+/// What an entry's run returns: the text it prints and its record, if it
+/// writes one.
+type Report = (String, Option<Record>);
+
+/// A record's scenario parameters, codec / run-mode / scheduler axes and
+/// rows.
+type Record = (String, [String; 3], Vec<Value>);
+
+/// `text`, with `rows` as its record.
+fn report<T: Serialize>(text: String, params: String, axes: [&str; 3], rows: &[T]) -> Report {
+    let rows = rows.iter().map(Serialize::to_value).collect();
+    (text, Some((params, axes.map(String::from), rows)))
+}
+
+/// The `main` of every bench binary: runs the entries that `bin` and
+/// the process arguments select, then refuses any flag given that
+/// nothing read — a typo, a flag of another binary or entry, or a
 /// scenario flag the run does not honour. Every flag error, a bad value
 /// or an unknown flag alike, leaves through here: `error: …` on stderr
 /// and exit status 1, as `dpr` does.
-pub fn main(body: impl FnOnce(&Args) -> Result<(), String>) {
+pub fn main(bin: &str) {
     let args = Args::parse(std::env::args().skip(1).collect());
-    if let Err(e) = args.and_then(|a| body(&a).and_then(|()| a.reject_unread())) {
+    if let Err(e) = args.and_then(|a| run(bin, &a).and_then(|()| a.reject_unread())) {
         eprintln!("error: {e}");
         std::process::exit(1)
     }
 }
 
-/// The run's scenario: `defaults` overridden by the scenario flags
-/// present of those named in `honoured` (see
-/// [`ScenarioSpec::from_flags`]), validated. A swept axis is not
-/// honoured: the binary reads that flag itself, if at all, as a list.
-pub fn spec(
-    args: &Args,
-    defaults: &ScenarioSpec,
-    honoured: &[&str],
-) -> Result<ScenarioSpec, String> {
-    Ok(ScenarioSpec::from_flags(
-        |k| args.optional(k),
-        defaults,
-        honoured,
-    )?)
-}
-
-/// [`spec`] over the paper's reference scenario: `nodes` documents on
-/// its 500 peers at the recommended ε, seed 2003 (the venue year).
-pub fn paper_spec(args: &Args, nodes: usize, honoured: &[&str]) -> Result<ScenarioSpec, String> {
-    let (peers, eps) = (
-        dpr_sim::workload::PAPER_NUM_PEERS,
-        dpr_core::RECOMMENDED_EPSILON,
-    );
-    spec(args, &ScenarioSpec::new(nodes, peers, eps, 2003), honoured)
-}
-
-/// The value of the count flag `name`, `default` without it, refused
-/// below 1.
-pub fn count(args: &Args, name: &str, default: usize) -> Result<usize, String> {
-    match args.get(name, default)? {
-        0 => Err(format!("--{name} must be at least 1")),
-        n => Ok(n),
+fn run(bin: &str, args: &Args) -> Result<(), String> {
+    let entries = select(bin, |switch| args.has(switch));
+    let untraced = Args::default();
+    let traced = entries.iter().any(|e| e.traced);
+    let trace = Reporter::from_args(if traced { args } else { &untraced })?;
+    for entry in entries {
+        let (text, rows) = (entry.run)(args, &trace)?;
+        print!("{text}");
+        if let Some((path, rows)) = record_of(entry).zip(rows) {
+            emit(args, path, rows)?;
+        }
     }
+    trace.finish()
+}
+
+/// Writes the record `path` names into [`out_dir`] of its directory: a
+/// ledger record on every run, a `results/` one on `--json` only.
+fn emit(args: &Args, path: &str, record: Record) -> Result<(), String> {
+    let (dir, file) = path.rsplit_once('/').unwrap_or((".", path));
+    if dir == "results" && !args.has("json") {
+        return Ok(());
+    }
+    let (params, [codec, run_mode, sched], rows) = record;
+    let meta = BenchMeta {
+        git_sha: args.get("git-sha", "unknown".to_string())?,
+        timestamp: args.get("stamp", "unknown".to_string())?,
+        scenario: params.clone(),
+        codec,
+        run_mode,
+        sched,
+    };
+    let name = file.trim_end_matches(".json");
+    let written = ExperimentRecord::new(name, params, meta, rows)
+        .write_to_dir(out_dir(dir))
+        .map_err(|e| format!("write {file}: {e}"))?;
+    println!("\nwrote {}", written.display());
+    Ok(())
+}
+
+/// A text-table column: its header and a row's cell.
+type Column<'a, T> = (&'static str, &'a dyn Fn(&T) -> String);
+
+/// `rows` under `columns`, one line per row.
+fn render<T>(columns: &[Column<T>], rows: &[T]) -> String {
+    let mut table = TextTable::new(columns.iter().map(|c| c.0));
+    for row in rows {
+        table.push(columns.iter().map(|c| (c.1)(row)));
+    }
+    table.render()
+}
+
+/// Default graph sizes for laptop runs.
+const DEFAULT_SIZES: [usize; 2] = [10_000, 100_000];
+
+/// The paper's reference scenario — `nodes` documents on its 500 peers
+/// at the recommended ε, seed 2003 (the venue year) — overridden by the
+/// scenario flags named in `honoured` (see [`ScenarioSpec::from_flags`]).
+/// A swept axis is not honoured: the entry reads that flag itself.
+fn paper_spec(args: &Args, nodes: usize, honoured: &[&str]) -> Result<ScenarioSpec, String> {
+    let eps = dpr_core::RECOMMENDED_EPSILON;
+    let defaults = ScenarioSpec::new(nodes, dpr_sim::workload::PAPER_NUM_PEERS, eps, 2003);
+    let flag = |name: &str| args.optional(name);
+    Ok(ScenarioSpec::from_flags(flag, &defaults, honoured)?)
+}
+
+/// The value of the flag `name`, `default` without it, refused below
+/// `least`.
+fn at_least<T>(args: &Args, name: &str, default: T, least: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let value = args.get(name, default)?;
+    if value < least {
+        return Err(format!("--{name} must be at least {least}"));
+    }
+    Ok(value)
+}
+
+/// A bound on a number flag: the test, and what it asks for.
+type Bound = (fn(f64) -> bool, &'static str);
+const POSITIVE: Bound = (|v| v.is_finite() && v > 0.0, "finite and positive");
+const NON_NEGATIVE: Bound = (|v| v.is_finite() && v >= 0.0, "finite and non-negative");
+const UNIT: Bound = (|v| v > 0.0 && v <= 1.0, "in (0, 1]");
+
+/// The number flag `name`, `default` without it, refused out of `bound`.
+fn number(args: &Args, name: &str, default: f64, (ok, what): Bound) -> Result<f64, String> {
+    let value = args.get(name, default)?;
+    if !ok(value) {
+        return Err(format!("--{name} must be {what}, got {value}"));
+    }
+    Ok(value)
 }
 
 /// The comma-separated `--sizes` list; without it, the paper's sizes
 /// under `--full` and `default` otherwise.
-pub fn sizes(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
+fn sizes(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
     let sizes = args.get_list("sizes")?;
     if sizes.contains(&0) {
         return Err("--sizes: a graph has at least one document".into());
@@ -198,7 +311,7 @@ pub struct Cell {
 }
 
 /// `1 − part / whole`: the share of `whole` that `part` saves.
-pub fn reduction(part: u64, whole: u64) -> f64 {
+fn reduction(part: u64, whole: u64) -> f64 {
     1.0 - part as f64 / whole.max(1) as f64
 }
 
@@ -226,7 +339,7 @@ thread_local! {
 }
 
 /// Converged runs [`run_cell`] has performed on this thread.
-pub fn converged_runs() -> usize {
+fn converged_runs() -> usize {
     CONVERGED.with(|c| c.borrow().len())
 }
 
@@ -324,42 +437,6 @@ pub fn run_cell(w: &Workload, layer: Layer, spec: &ScenarioSpec) -> Rc<Cell> {
     cell
 }
 
-/// The end of every experiment binary: prints `table`, then writes
-/// `rows` as the record `name` — always for a ledger record
-/// (`BENCH_*`, into the working directory, which is the workspace root
-/// under `cargo run`), under `--json` for a table record (into
-/// `results/`); [`out_dir`]'s override redirects both. `axes` are the
-/// codec / run-mode / scheduler values the rows span, stamped into the
-/// record's `meta` beside the driver-supplied `--git-sha` / `--stamp`.
-pub fn emit<T: Serialize>(
-    args: &Args,
-    name: &str,
-    params: String,
-    axes: [&str; 3],
-    rows: Vec<T>,
-    table: &str,
-) -> Result<(), String> {
-    print!("{table}");
-    let [codec, run_mode, sched] = axes.map(String::from);
-    let meta = BenchMeta {
-        git_sha: args.get("git-sha", "unknown".to_string())?,
-        timestamp: args.get("stamp", "unknown".to_string())?,
-        scenario: params.clone(),
-        codec,
-        run_mode,
-        sched,
-    };
-    let ledger = name.starts_with("BENCH_");
-    if ledger || args.has("json") {
-        let dir = out_dir(if ledger { "." } else { "results" });
-        let path = ExperimentRecord::new(name, params, meta, rows)
-            .write_to_dir(dir)
-            .map_err(|e| format!("write {name}.json: {e}"))?;
-        println!("\nwrote {}", path.display());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +504,25 @@ mod tests {
     #[should_panic(expected = "unexpected positional")]
     fn rejects_positional() {
         args("loose");
+    }
+
+    /// Each line of `records.txt` names an invocation that runs exactly
+    /// one entry, and no entry writes two records.
+    #[test]
+    fn each_listed_invocation_selects_the_entry_writing_its_record() {
+        let mut writers = Vec::new();
+        for (record, invocation) in records() {
+            let entries = invoked(invocation);
+            assert_eq!(entries.len(), 1, "{record}: {invocation}");
+            assert_eq!(record_of(entries[0]), Some(record), "{invocation}");
+            writers.push(entries[0].alias);
+        }
+        let listed = writers.len();
+        writers.sort_unstable();
+        writers.dedup();
+        assert_eq!(writers.len(), listed, "an entry is listed twice");
+        assert_eq!(invoked("ablations").len(), 5);
+        assert_eq!(record_of(invoked("table3 --batch")[0]), None);
     }
 
     #[test]

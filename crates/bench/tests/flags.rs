@@ -40,6 +40,12 @@ fn shape_flags_a_run_ignores_are_refused() {
             "--sizes 300 --peers 10 --eps 1e-2",
             "--eps",
         ),
+        // Provenance stamps a record; without `--json` there is none.
+        (
+            env!("CARGO_BIN_EXE_table4"),
+            "--sizes 300 --samples 3 --git-sha abc --stamp now",
+            "--git-sha, --stamp",
+        ),
         // Bursts read only the graph's size and seed.
         (
             env!("CARGO_BIN_EXE_continuous"),
@@ -118,6 +124,53 @@ fn values_a_run_cannot_take_are_refused_before_it() {
             env!("CARGO_BIN_EXE_continuous"),
             "--serving --nodes 400 --peers 16 --queries 0",
             "error: --queries must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            "--vocab 0",
+            "error: --vocab must be at least 3",
+        ),
+        // Table 6 draws 3-term queries.
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            "--vocab 2",
+            "error: --vocab must be at least 3",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            "--peers 0",
+            "error: --peers must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            "--queries 0",
+            "error: --queries must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--serving --qps 0",
+            "error: --qps must be finite and positive, got 0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--serving --churn 0",
+            "error: --churn must be in (0, 1], got 0",
+        ),
+        // Serving draws 2-term queries.
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--serving --vocab 1",
+            "error: --vocab must be at least 2",
+        ),
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--bursts --inserts 0",
+            "error: --inserts must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_continuous"),
+            "--bursts --deletes 0",
+            "error: --deletes must be at least 1",
         ),
     ];
     for (bin, flags, error) in cases {

@@ -3,8 +3,8 @@
 # results/ and the BENCH_*.json ledger at the root — into a scratch
 # directory (never the checkout) and fails unless each equals its
 # checked-in copy outside meta.git_sha / meta.timestamp, or a checked-in
-# record is missing from the list below. The list is the one place that
-# says which invocation made each record.
+# record is missing from the list. The list is crates/bench/records.txt,
+# the one place that says which invocation makes each record.
 #
 #   scripts/ledger-drift.sh [OUT_DIR]    # after `cargo build --release`
 #
@@ -16,19 +16,7 @@ out=${1:-$(mktemp -d)}
 mkdir -p "$out"
 sha=${GITHUB_SHA:-$(git rev-parse --short HEAD 2>/dev/null || echo unknown)}
 stamp=$(date -u +%FT%TZ)
-records=(
-  # record                  invocation
-  "results/table1.json      table1 --json"
-  "results/table3.json      table3 --json"
-  "results/table4.json      table4 --samples 500 --json"
-  "results/table6.json      table6 --json"
-  "results/continuous.json  continuous --nodes 10000 --inserts 100 --json"
-  "BENCH_regimes.json       continuous --regimes"
-  "BENCH_bursts.json        continuous --bursts"
-  "BENCH_scale.json         continuous --scale"
-  "BENCH_node_batching.json continuous --batch-scaling"
-  "BENCH_serving.json       continuous --serving"
-)
+mapfile -t records < <(grep -v -e '^#' -e '^$' crates/bench/records.txt)
 unstamped() { grep -v -e '"git_sha":' -e '"timestamp":' "$1"; }
 status=0
 listed=" "

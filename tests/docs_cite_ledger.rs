@@ -1,28 +1,28 @@
 //! Docs cite the ledger, as a test: every `BENCH_<name>.json` and
 //! `results/<name>.json` that README.md, DESIGN.md or EXPERIMENTS.md
-//! names is a checked-in file that `scripts/ledger-drift.sh`
-//! regenerates, and every `continuous --<flag>` they show is a flag the
-//! binary reads — a mode switch or value flag of `continuous.rs`, or
-//! one of the shared scenario / telemetry flags.
+//! names is a checked-in file that dpr-bench's list of records,
+//! `crates/bench/records.txt`, regenerates, and every `continuous
+//! --<flag>` they show is a flag of one of that list's `continuous`
+//! invocations.
 
 use std::path::Path;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
-/// The drift check, whose list names every record it regenerates.
-const DRIFT: &str = "scripts/ledger-drift.sh";
-
-/// The sources that read `continuous`'s flags, each as a `"name"`
-/// literal.
-const FLAG_READERS: [&str; 4] = [
-    "crates/bench/src/bin/continuous.rs",
-    "crates/bench/src/lib.rs",
-    "crates/sim/src/spec.rs",
-    "crates/sim/src/flags.rs",
-];
+/// The one list of record + invocation.
+const RECORDS: &str = "crates/bench/records.txt";
 
 fn read(root: &Path, file: &str) -> String {
     std::fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+/// The list's `(record, invocation)` lines.
+fn records(list: &str) -> Vec<(&str, &str)> {
+    let lines = list
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let pairs = lines.map(|l| l.split_once(' ').map(|(r, i)| (r, i.trim())));
+    pairs.map(|p| p.expect("record, then invocation")).collect()
 }
 
 /// The leading run of `text` made of lowercase letters, digits and
@@ -60,8 +60,12 @@ fn cited_flags(text: &str) -> impl Iterator<Item = &str> {
 #[test]
 fn docs_cite_checked_in_ledger_files_and_flags_the_binary_reads() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let readers: String = FLAG_READERS.iter().map(|f| read(root, f)).collect();
-    let drift = read(root, DRIFT);
+    let list = read(root, RECORDS);
+    let records = records(&list);
+    let continuous: Vec<&str> = records
+        .iter()
+        .filter_map(|(_, invocation)| invocation.strip_prefix("continuous"))
+        .collect();
     let mut wrong = Vec::new();
     let (mut files, mut flags) = (0, 0);
     for doc in DOCS {
@@ -71,17 +75,18 @@ fn docs_cite_checked_in_ledger_files_and_flags_the_binary_reads() {
             if !root.join(&file).is_file() {
                 wrong.push(format!("{doc} cites {file}, which is not checked in"));
             }
-            if !drift.contains(&format!("\"{file} ")) {
+            if !records.iter().any(|(record, _)| *record == file) {
                 wrong.push(format!(
-                    "{doc} cites {file}, which {DRIFT} does not regenerate"
+                    "{doc} cites {file}, which {RECORDS} does not regenerate"
                 ));
             }
         }
         for flag in cited_flags(&text) {
             flags += 1;
-            if !readers.contains(&format!("\"{flag}\"")) {
+            let given = |invocation: &&str| invocation.split(' ').any(|w| w == format!("--{flag}"));
+            if !continuous.iter().any(given) {
                 wrong.push(format!(
-                    "{doc} shows `continuous --{flag}`, which nothing reads"
+                    "{doc} shows `continuous --{flag}`, which no invocation of {RECORDS} gives"
                 ));
             }
         }
